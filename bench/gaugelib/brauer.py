@@ -1,0 +1,275 @@
+"""Symbol presentations of p-torsion Brauer classes over k(t).
+
+A class is a formal sum of degree-p symbols (a, b) with a, b nonzero
+rational functions.  The tame residue at a closed point x sends the
+symbol to the class of
+
+    (-1)^(v(a) v(b)) * a^(v(b)) * b^(-v(a))
+
+in kappa(x)* mod p-th powers, where v is the valuation at x; at
+infinity v counts pole order of 1/t.  The residue of a sum is the
+product of the residues of its symbols.
+
+Everything here treats a class through one chosen presentation, but the
+exported predicates (triviality of residues, equality of classes) only
+depend on the class itself.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .errors import NotSymbolRegular, ScopeError
+from .factoring import factor_poly
+from .fields import rational_is_square
+from .hilbert import local_invariants
+from .points import ClosedPoint, residue_field, sorted_points, valuation_at, reduce_at
+from .poly import Poly, RationalFunction
+from .residues import ResidueClass, corestriction_exponent, norm_to_base
+
+
+def as_ratfunc(base, v):
+    """Coerce ints, base-field elements, and polynomials into k(t)."""
+    if isinstance(v, RationalFunction):
+        if v.field is not base.field:
+            raise TypeError("rational function over the wrong base field")
+        return v
+    if isinstance(v, Poly):
+        if v.field is not base.field:
+            raise TypeError("polynomial over the wrong base field")
+        return RationalFunction(v)
+    return RationalFunction.constant(base.field, base.field.coerce(v))
+
+
+@dataclass(frozen=True)
+class Symbol:
+    """One degree-p symbol (a, b); both entries are nonzero."""
+
+    a: object
+    b: object
+
+
+@dataclass(frozen=True)
+class BrauerClass:
+    """A sum of symbols over a fixed base field and torsion p."""
+
+    base: object
+    p: int
+    symbols: tuple
+
+    @classmethod
+    def make(cls, base, p, pairs):
+        base.check_torsion(p)
+        syms = []
+        for a, b in pairs:
+            fa, fb = as_ratfunc(base, a), as_ratfunc(base, b)
+            if fa.is_zero or fb.is_zero:
+                raise ValueError("symbol entries must be nonzero")
+            syms.append(Symbol(fa, fb))
+        return cls(base, p, tuple(syms))
+
+    @classmethod
+    def zero(cls, base, p):
+        return cls.make(base, p, [])
+
+    def __add__(self, other):
+        if self.base != other.base or self.p != other.p:
+            raise ValueError("classes over different settings")
+        return BrauerClass(self.base, self.p, self.symbols + other.symbols)
+
+    def __neg__(self):
+        inv = tuple(Symbol(s.a, s.b.inverse()) for s in self.symbols)
+        return BrauerClass(self.base, self.p, inv)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, k):
+        """k-fold multiple, realized entrywise as (a, b^k)."""
+        k %= self.p
+        if k == 0:
+            return BrauerClass(self.base, self.p, ())
+        return BrauerClass(
+            self.base, self.p, tuple(Symbol(s.a, s.b**k) for s in self.symbols)
+        )
+
+    def pairs(self):
+        return tuple((s.a, s.b) for s in self.symbols)
+
+
+def residue_at(cls, point):
+    """Tame residue of the class at a closed point, as a ResidueClass."""
+    if point.base != cls.base:
+        raise ValueError("point over a different base field")
+    kappa = residue_field(point)
+    acc = kappa.one
+    for s in cls.symbols:
+        va = valuation_at(s.a, point)
+        vb = valuation_at(s.b, point)
+        if va == 0 and vb == 0:
+            continue
+        u = s.a**vb / s.b**va
+        val = reduce_at(u, point)
+        if (va * vb) % 2:
+            val = -val
+        acc = acc * val
+    return ResidueClass(point, acc, cls.p)
+
+
+@dataclass(frozen=True)
+class RamificationDivisor:
+    """The nontrivial residues of a class, sorted by point."""
+
+    base: object
+    p: int
+    entries: tuple  # ((point, ResidueClass), ...) in point order
+
+    def support(self):
+        return tuple(x for x, _ in self.entries)
+
+    def residue(self, point):
+        for x, rc in self.entries:
+            if x == point:
+                return rc
+        return None
+
+    @property
+    def is_empty(self):
+        return not self.entries
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def agrees_with(self, other):
+        """Entrywise equality of residues over the union of supports."""
+        pts = set(self.support()) | set(other.support())
+        for x in pts:
+            r1, r2 = self.residue(x), other.residue(x)
+            if r1 is None or r2 is None:
+                return False
+            if not r1.same_class(r2):
+                return False
+        return True
+
+
+def ramification_points(cls):
+    """Candidate points: infinity plus every irreducible factor of an entry."""
+    cands = {ClosedPoint.infinity(cls.base)}
+    for s in cls.symbols:
+        for f in (s.a.num, s.a.den, s.b.num, s.b.den):
+            if f.degree >= 1:
+                for g, _ in factor_poly(f):
+                    cands.add(ClosedPoint._trusted(cls.base, g))
+    return sorted_points(cands)
+
+
+def ramification_divisor(cls):
+    entries = []
+    for x in ramification_points(cls):
+        rc = residue_at(cls, x)
+        if not rc.is_trivial():
+            entries.append((x, rc))
+    return RamificationDivisor(cls.base, cls.p, tuple(entries))
+
+
+def reciprocity_check(cls):
+    """Whether the residues satisfy the global compatibility relation.
+
+    Over a finite constant field the corestriction exponents must sum to
+    zero mod p; over Q the product of the norms of the residues must be
+    a rational square.  Both hold for every symbol presentation, so a
+    failure means the input data is inconsistent; the check exists to
+    validate externally supplied or reconstructed divisors.
+    """
+    div = ramification_divisor(cls)
+    return divisor_reciprocity(div)
+
+
+def divisor_reciprocity(div):
+    if div.base.is_finite:
+        total = sum(corestriction_exponent(rc) for _, rc in div.entries)
+        return total % div.p == 0
+    prod = Fraction(1)
+    for x, rc in div.entries:
+        prod *= norm_to_base(x, rc.value)
+    return rational_is_square(prod)
+
+
+def is_symbol_regular(cls, c):
+    """No entry of any symbol has a zero or pole at t = c."""
+    x = ClosedPoint.rational(cls.base, c)
+    for s in cls.symbols:
+        for e in (s.a, s.b):
+            if valuation_at(e, x) != 0:
+                return False
+    return True
+
+
+def specialize(cls, c):
+    """Entrywise evaluation at t = c, as constant symbol pairs."""
+    if not is_symbol_regular(cls, c):
+        raise NotSymbolRegular(f"some entry has a zero or pole at t = {c}")
+    cv = cls.base.field.coerce(c)
+    return tuple((s.a.evaluate(cv), s.b.evaluate(cv)) for s in cls.symbols)
+
+
+def regular_rational_points(cls, count):
+    """The first `count` symbol-regular values c, in the fixed sweep order."""
+    out = []
+    for c in _sweep_values(cls.base):
+        if is_symbol_regular(cls, c):
+            out.append(c)
+            if len(out) == count:
+                break
+    return out
+
+
+def _sweep_values(base):
+    """0, 1, -1, 2, -2, ... over Q; all field elements over F_q."""
+    if base.is_finite:
+        yield from range(base.field.order)
+        return
+    yield 0
+    k = 1
+    while True:
+        yield k
+        yield -k
+        k += 1
+
+
+def constant_is_trivial(base, pairs, p):
+    """Triviality of a sum of constant symbols over the base field.
+
+    Br(F_q) vanishes, so over a finite field the answer is always yes.
+    Over Q (p = 2) the class is trivial exactly when the product of the
+    Hilbert symbols is +1 at every relevant place.
+    """
+    if base.is_finite:
+        return True
+    if p != 2:
+        raise ScopeError(f"constant classes over Q only for p = 2 (got {p})")
+    for a, b in pairs:
+        if a == 0 or b == 0:
+            raise ValueError("constant symbol entries must be nonzero")
+    return all(s == 1 for s in local_invariants(pairs).values())
+
+
+def classes_equal(c1, c2):
+    """Exact equality of two classes in the Brauer group.
+
+    The difference must be unramified everywhere; over a finite constant
+    field that already forces triviality.  Over Q the unramified
+    difference is a constant class, recovered by evaluating at any
+    symbol-regular rational point and tested through its local
+    invariants.
+    """
+    if c1.base != c2.base or c1.p != c2.p:
+        raise ValueError("classes over different settings")
+    diff = c1 - c2
+    if not ramification_divisor(diff).is_empty:
+        return False
+    if c1.base.is_finite:
+        return True
+    c = regular_rational_points(diff, 1)[0]
+    return constant_is_trivial(c1.base, specialize(diff, c), c1.p)

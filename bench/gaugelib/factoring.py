@@ -1,0 +1,624 @@
+"""Exact factorization: integers, polynomials over Q, polynomials over F_q.
+
+The rational factorization is the classical Zassenhaus pipeline: Yun
+squarefree decomposition, factorization modulo a good small prime,
+quadratic Hensel lifting up to the Mignotte bound, then subset
+recombination.  Every recombination candidate is confirmed by an exact
+integer polynomial multiplication before it is accepted, so the analytic
+bound is a filter rather than a correctness assumption.
+
+The Hensel code works on plain integer coefficient lists (lowest degree
+first) in symmetric representation modulo p^l.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import random
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+
+from .fields import PrimeField, _irreducible_over_prime, _is_prime_int
+from .poly import Poly, QQ, poly_gcd, poly_xgcd
+
+
+@dataclass(frozen=True)
+class PrimePowerFactorization:
+    """unit * product of factor^multiplicity with pairwise coprime factors.
+
+    Polynomial factors are monic irreducibles sorted by (degree,
+    coefficient sequence); integer factors are primes in increasing order.
+    """
+
+    unit: object
+    factors: tuple
+
+    def expand(self):
+        acc = self.unit
+        for f, e in self.factors:
+            acc = acc * f**e
+        return acc
+
+    def __iter__(self):
+        return iter(self.factors)
+
+
+# ---------------------------------------------------------------------------
+# integers
+
+
+def is_prime(n):
+    return _is_prime_int(n)
+
+
+def _pollard_brent(n, rng):
+    if n % 2 == 0:
+        return 2
+    while True:
+        y = rng.randrange(1, n)
+        c = rng.randrange(1, n)
+        m = 128
+        g = r = q = 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+def factor_int(n):
+    """Prime factorization of a nonzero integer as a PrimePowerFactorization."""
+    if n == 0:
+        raise ValueError("cannot factor zero")
+    unit = 1 if n > 0 else -1
+    n = abs(n)
+    counts = {}
+    for p in _SMALL_PRIMES:
+        while n % p == 0:
+            counts[p] = counts.get(p, 0) + 1
+            n //= p
+    stack = [n] if n > 1 else []
+    rng = random.Random(0x5EED)
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if _is_prime_int(m):
+            counts[m] = counts.get(m, 0) + 1
+            continue
+        d = _pollard_brent(m, rng)
+        stack.append(d)
+        stack.append(m // d)
+    factors = tuple(sorted(counts.items()))
+    return PrimePowerFactorization(unit, factors)
+
+
+def squarefree_kernel(c):
+    """sign * product of primes with odd exponent in the rational c."""
+    c = Fraction(c)
+    if c == 0:
+        raise ValueError("zero has no squarefree kernel")
+    out = 1 if c > 0 else -1
+    for n in (c.numerator, c.denominator):
+        for p, e in factor_int(abs(n)):
+            if e % 2:
+                out *= p
+    return out
+
+
+# ---------------------------------------------------------------------------
+# integer coefficient lists for Hensel lifting (lowest degree first)
+
+
+def _ztrim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _ztrunc(a, m):
+    """Symmetric representatives modulo m."""
+    half = m // 2
+    out = []
+    for c in a:
+        c %= m
+        if c > half:
+            c -= m
+        out.append(c)
+    return _ztrim(out)
+
+
+def _zadd(a, b):
+    n = max(len(a), len(b))
+    return _ztrim(
+        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+    )
+
+
+def _zsub(a, b):
+    n = max(len(a), len(b))
+    return _ztrim(
+        [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
+    )
+
+
+def _zmul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ztrim(out)
+
+
+def _zdivmod_mod(a, b, m):
+    """Division with remainder in (Z/m)[t]; lc(b) must be invertible mod m."""
+    a = [c % m for c in a]
+    b = [c % m for c in b]
+    _ztrim(b)
+    inv = pow(b[-1], -1, m)
+    db = len(b) - 1
+    rem = list(a)
+    _ztrim(rem)
+    quo = [0] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i] % m
+        if not c:
+            continue
+        q = c * inv % m
+        quo[i - db] = q
+        for j, y in enumerate(b):
+            rem[i - db + j] = (rem[i - db + j] - q * y) % m
+    return _ztrim([c % m for c in quo]), _ztrim([c % m for c in rem])
+
+
+def _hensel_step(m, f, g, h, s, t):
+    """One quadratic lift: from f = g*h (mod m) to the same modulo m**2.
+
+    Needs s*g + t*h = 1 (mod m), h monic, deg(f) = deg(g) + deg(h),
+    deg(s) < deg(h), deg(t) < deg(g).  Returns (G, H, S, T) modulo m**2
+    with the same shape invariants.
+    """
+    M = m * m
+    e = _ztrunc(_zsub(f, _zmul(g, h)), M)
+    q, r = _zdivmod_mod(_zmul(s, e), h, M)
+    u = _zadd(_zmul(t, e), _zmul(q, g))
+    G = _ztrunc(_zadd(g, u), M)
+    H = _ztrunc(_zadd(h, r), M)
+    u = _zadd(_zmul(s, G), _zmul(t, H))
+    b = _ztrunc(_zsub(u, [1]), M)
+    c, d = _zdivmod_mod(_zmul(s, b), H, M)
+    u = _zadd(_zmul(t, b), _zmul(c, G))
+    S = _ztrunc(_zsub(s, d), M)
+    T = _ztrunc(_zsub(t, u), M)
+    return G, H, S, T
+
+
+def _ff_to_int_list(f):
+    return [c.rep for c in f.coeffs]
+
+
+def _gf_xgcd_int(a, b, p):
+    """Extended gcd in F_p[t] on int lists; returns (s, t) with s*a+t*b=gcd."""
+    field = PrimeField(p)
+    pa = Poly.from_ints(field, a)
+    pb = Poly.from_ints(field, b)
+    g, s, t = poly_xgcd(pa, pb)
+    if g.degree != 0:
+        raise ArithmeticError("modular factors are not coprime")
+    return _ff_to_int_list(s), _ff_to_int_list(t)
+
+
+def _hensel_lift(p, f, f_list, l):
+    """Lift the factorization of f modulo p to modulo p**l.
+
+    f_list holds monic modular factors of f/lc(f); the result is the list
+    of monic factors modulo p**l in symmetric representation.
+    """
+    r = len(f_list)
+    lc = f[-1]
+    pl = p**l
+    if r == 1:
+        inv = pow(lc % pl, -1, pl)
+        return [_ztrunc([c * inv for c in f], pl)]
+    m = p
+    k = r // 2
+    d = int(math.ceil(math.log2(l))) if l > 1 else 0
+    g = [lc]
+    for fi in f_list[:k]:
+        g = _ztrunc(_zmul(g, fi), p)
+    h = list(f_list[k])
+    for fi in f_list[k + 1 :]:
+        h = _ztrunc(_zmul(h, fi), p)
+    s, t = _gf_xgcd_int(g, h, p)
+    s = _ztrunc(s, p)
+    t = _ztrunc(t, p)
+    for _ in range(d):
+        g, h, s, t = _hensel_step(m, f, g, h, s, t)
+        m = m * m
+    return _hensel_lift(p, g, f_list[:k], l) + _hensel_lift(p, h, f_list[k:], l)
+
+
+# ---------------------------------------------------------------------------
+# factorization over Q
+
+
+def _int_primitive(f):
+    """(content, primitive integer list) for a polynomial over QQ."""
+    if f.is_zero:
+        return Fraction(0), []
+    denom = 1
+    for c in f.coeffs:
+        denom = denom * c.denominator // math.gcd(denom, c.denominator)
+    ints = [int(c * denom) for c in f.coeffs]
+    g = 0
+    for c in ints:
+        g = math.gcd(g, abs(c))
+    ints = [c // g for c in ints]
+    if ints[-1] < 0:
+        ints = [-c for c in ints]
+        g = -g
+    return Fraction(g, denom), ints
+
+
+def _yun_squarefree(f):
+    """Yun decomposition of a monic polynomial over QQ: [(g_i, i)]."""
+    out = []
+    fp = f.derivative()
+    g = poly_gcd(f, fp)
+    if g.degree == 0:
+        return [(f, 1)]
+    c = f.exact_div(g)
+    d = fp.exact_div(g) - c.derivative()
+    i = 1
+    while c.degree >= 1:
+        a = poly_gcd(c, d)
+        if a.degree >= 1:
+            out.append((a, i))
+        c = c.exact_div(a) if a.degree >= 1 else c
+        d = d.exact_div(a) if a.degree >= 1 else d
+        d = d - c.derivative()
+        i += 1
+    return out
+
+
+def _next_prime(n):
+    n += 1
+    while not _is_prime_int(n):
+        n += 1
+    return n
+
+
+def _zassenhaus(f):
+    """Irreducible primitive factors of a primitive squarefree f in Z[t]."""
+    n = len(f) - 1
+    if n == 1:
+        return [list(f)]
+    fc, b = f[0], f[-1]
+    A = max(abs(c) for c in f)
+    B = (math.isqrt(n + 1) + 1) * 2**n * A * abs(b)
+
+    candidates = []
+    p = 2
+    while len(candidates) < 4 and p < 10**6:
+        p = _next_prime(p)
+        if b % p == 0:
+            continue
+        field = PrimeField(p)
+        fp = Poly.from_ints(field, f).monic()
+        if poly_gcd(fp, fp.derivative()).degree != 0:
+            continue
+        mod_factors = _ff_factor_squarefree_monic(fp)
+        candidates.append((len(mod_factors), p, mod_factors))
+        if len(mod_factors) == 1:
+            break
+    count, p, mod_factors = min(candidates, key=lambda c: (c[0], c[1]))
+    if count == 1:
+        return [list(f)]
+
+    l = 1
+    while p**l < 2 * B + 1:
+        l += 1
+    pl = p**l
+    lifted = _hensel_lift(p, list(f), [_ff_to_int_list(g) for g in mod_factors], l)
+
+    T = list(range(len(lifted)))
+    factors = []
+    cur = list(f)
+    s = 1
+    while 2 * s <= len(T):
+        found = False
+        for S in itertools.combinations(T, s):
+            b = cur[-1]
+            G = [b]
+            for i in S:
+                G = _ztrunc(_zmul(G, lifted[i]), pl)
+            H = [b]
+            for i in T:
+                if i not in S:
+                    H = _ztrunc(_zmul(H, lifted[i]), pl)
+            # exact confirmation: G*H must equal b*cur over Z
+            if _zmul(G, H) != [b * c for c in cur]:
+                continue
+            G = _int_list_primitive(G)
+            H = _int_list_primitive(H)
+            factors.append(G)
+            cur = H
+            T = [i for i in T if i not in S]
+            found = True
+            break
+        if not found:
+            s += 1
+    factors.append(cur)
+    return factors
+
+
+def _int_list_primitive(a):
+    g = 0
+    for c in a:
+        g = math.gcd(g, abs(c))
+    out = [c // g for c in a]
+    if out[-1] < 0:
+        out = [-c for c in out]
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _factor_q_monic(f):
+    """Cached monic irreducible factors with multiplicity, sorted."""
+    collected = []
+    for g, mult in _yun_squarefree(f):
+        _, ints = _int_primitive(g)
+        for part in _zassenhaus(ints):
+            h = Poly.from_ints(QQ, part).monic()
+            collected.append((h, mult))
+    collected.sort(key=lambda fm: fm[0].sort_key())
+    return tuple(collected)
+
+
+def factor_over_Q(f):
+    """Factor a nonzero polynomial over Q into monic irreducibles.
+
+    The unit is the leading coefficient; factors come back sorted by
+    degree, then lexicographically on the coefficient sequence.
+    """
+    if f.is_zero:
+        raise ValueError("cannot factor the zero polynomial")
+    if f.field is not QQ:
+        raise TypeError("factor_over_Q needs a polynomial over QQ")
+    unit = f.lc
+    if f.degree == 0:
+        return PrimePowerFactorization(unit, ())
+    return PrimePowerFactorization(unit, _factor_q_monic(f.monic()))
+
+
+# ---------------------------------------------------------------------------
+# factorization over finite fields
+
+
+def _int_key_poly(f):
+    key = 1
+    for c in f.coeffs:
+        k = f.field.element_key(c)
+        if isinstance(k, tuple):
+            for part in k:
+                key = key * 1000003 + _flatten_key(part)
+        else:
+            key = key * 1000003 + k
+    return key
+
+
+def _flatten_key(k):
+    if isinstance(k, tuple):
+        out = 1
+        for part in k:
+            out = out * 1000003 + _flatten_key(part)
+        return out
+    return k
+
+
+def _ff_pth_root_poly(f):
+    """Inverse Frobenius on exponents: f(t) = g(t^p) gives back g."""
+    field = f.field
+    p = field.char
+    root_exp = field.order // p
+    coeffs = []
+    for i in range(0, f.degree + 1, p):
+        coeffs.append(f.coeff(i) ** root_exp)
+    return Poly(field, coeffs)
+
+
+def ff_squarefree_decomposition(f):
+    """[(g_i, m_i)] with f monic = prod g_i^{m_i}, g_i monic squarefree."""
+    field = f.field
+    p = field.char
+    out = []
+    e = 1
+    while f.degree >= 1:
+        fp = f.derivative()
+        if fp.is_zero:
+            f = _ff_pth_root_poly(f)
+            e *= p
+            continue
+        g = poly_gcd(f, fp)
+        w = f.exact_div(g)
+        i = 1
+        while w.degree >= 1:
+            y = poly_gcd(w, g)
+            z = w.exact_div(y)
+            if z.degree >= 1:
+                out.append((z, i * e))
+            w = y
+            g = g.exact_div(y)
+            i += 1
+        if g.degree >= 1:
+            f = _ff_pth_root_poly(g)
+            e *= p
+        else:
+            break
+    return out
+
+
+def _ff_powmod(a, n, m):
+    result = Poly.one(a.field) % m
+    base = a % m
+    while n:
+        if n & 1:
+            result = result * base % m
+        base = base * base % m
+        n >>= 1
+    return result
+
+
+def _ff_distinct_degree(f):
+    """[(product_of_factors, d)] for a monic squarefree f."""
+    field = f.field
+    q = field.order
+    t = Poly.gen(field)
+    out = []
+    h = t % f
+    i = 1
+    cur = f
+    while cur.degree >= 2 * i:
+        h = _ff_powmod(h, q, cur)
+        g = poly_gcd(cur, h - t)
+        if g.degree >= 1:
+            out.append((g, i))
+            cur = cur.exact_div(g)
+            h = h % cur
+        i += 1
+    if cur.degree >= 1:
+        out.append((cur, cur.degree))
+    return out
+
+
+def _ff_random_poly(field, degree, rng):
+    cache = getattr(field, "_elem_cache", None)
+    if cache is None:
+        cache = list(field.elements())
+        field._elem_cache = cache
+    coeffs = [cache[rng.randrange(len(cache))] for _ in range(degree + 1)]
+    return Poly(field, coeffs)
+
+
+def _ff_equal_degree(f, d, rng):
+    """Cantor-Zassenhaus split of a monic squarefree f whose irreducible
+    factors all have degree d."""
+    if f.degree == d:
+        return [f]
+    field = f.field
+    q = field.order
+    while True:
+        r = _ff_random_poly(field, f.degree - 1, rng)
+        if r.is_zero or r.degree < 1:
+            continue
+        g = poly_gcd(f, r)
+        if 0 < g.degree < f.degree:
+            break
+        if field.char == 2:
+            # additive splitting by the absolute trace of r
+            bits = d * _two_power_exponent(field.order)
+            acc = r % f
+            total = acc
+            for _ in range(bits - 1):
+                acc = acc * acc % f
+                total = (total + acc) % f
+            g = poly_gcd(f, total)
+        else:
+            e = (q**d - 1) // 2
+            h = _ff_powmod(r, e, f) - Poly.one(field)
+            g = poly_gcd(f, h)
+        if 0 < g.degree < f.degree:
+            break
+    return _ff_equal_degree(g, d, rng) + _ff_equal_degree(f.exact_div(g), d, rng)
+
+
+def _two_power_exponent(q):
+    k = 0
+    while q % 2 == 0:
+        q //= 2
+        k += 1
+    return k
+
+
+def _ff_factor_squarefree_monic(f):
+    """Monic irreducible factors of a monic squarefree f, sorted."""
+    rng = random.Random(_int_key_poly(f) & 0x7FFFFFFF)
+    out = []
+    for part, d in _ff_distinct_degree(f):
+        out.extend(_ff_equal_degree(part, d, rng))
+    out.sort(key=lambda g: g.sort_key())
+    return out
+
+
+def factor_over_Fq(f):
+    """Factor a nonzero polynomial over a finite field into monic irreducibles."""
+    if f.is_zero:
+        raise ValueError("cannot factor the zero polynomial")
+    if not f.field.finite:
+        raise TypeError("factor_over_Fq needs a finite coefficient field")
+    unit = f.lc
+    if f.degree == 0:
+        return PrimePowerFactorization(unit, ())
+    collected = []
+    for g, mult in ff_squarefree_decomposition(f.monic()):
+        for h in _ff_factor_squarefree_monic(g):
+            collected.append((h, mult))
+    collected.sort(key=lambda fm: fm[0].sort_key())
+    return PrimePowerFactorization(unit, tuple(collected))
+
+
+# ---------------------------------------------------------------------------
+# dispatch helpers
+
+
+def factor_poly(f):
+    if f.field is QQ:
+        return factor_over_Q(f)
+    return factor_over_Fq(f)
+
+
+def is_irreducible(f):
+    """Whether a polynomial is irreducible over its coefficient field."""
+    if f.degree < 1:
+        return False
+    if f.field is QQ:
+        fac = factor_over_Q(f)
+        return len(fac.factors) == 1 and fac.factors[0][1] == 1
+    return _irreducible_over_prime(f)
+
+
+__all__ = [
+    "PrimePowerFactorization",
+    "factor_int",
+    "factor_over_Q",
+    "factor_over_Fq",
+    "factor_poly",
+    "ff_squarefree_decomposition",
+    "is_irreducible",
+    "is_prime",
+    "squarefree_kernel",
+]

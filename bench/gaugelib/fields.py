@@ -1,0 +1,495 @@
+"""Prime fields, extension fields, and quotient fields over QQ.
+
+FFElem is a thin immutable wrapper around a representative; all arithmetic
+dispatches to its field.  PrimeField(p) stores representatives as ints in
+[0, p).  QuotientField(base, modulus) stores representatives as fixed-length
+tuples of base elements (a residue ring base[t]/(modulus), which is a field
+when the modulus is irreducible).  The same QuotientField class builds both
+finite extension towers such as F_9 = F_3[u]/(u^2+1) and residue fields
+Q[t]/(pi) of closed points over the rationals, so norm and inverse code is
+written once.
+
+Finite fields expose deterministic element enumeration, a fixed
+multiplicative generator, discrete logs against it, and p-th power tests;
+none of that exists for quotients over QQ, which instead get resultant norms.
+"""
+
+from __future__ import annotations
+
+import itertools
+from functools import lru_cache
+
+from .poly import Poly, poly_gcd, poly_xgcd, resultant
+
+
+class FFElem:
+    __slots__ = ("field", "rep")
+
+    def __init__(self, field, rep):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "rep", rep)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FFElem is immutable")
+
+    def _coerce(self, other):
+        # None means "not ours": operators hand the call back to Python so
+        # the other operand's reflected method (Poly.__rmul__ etc.) can run
+        if isinstance(other, FFElem):
+            if other.field is self.field:
+                return other
+            raise TypeError("elements of different fields")
+        if isinstance(other, int):
+            return self.field.from_int(other)
+        return None
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return FFElem(self.field, self.field._add(self.rep, other.rep))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FFElem(self.field, self.field._neg(self.rep))
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return FFElem(self.field, self.field._mul(self.rep, other.rep))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other / self
+
+    def inverse(self):
+        return FFElem(self.field, self.field._inv(self.rep))
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        result = self.field.one
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __eq__(self, other):
+        if isinstance(other, FFElem):
+            return self.field is other.field and self.rep == other.rep
+        if isinstance(other, int):
+            return self == self.field.from_int(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((id(self.field), self.rep))
+
+    @property
+    def is_zero(self):
+        return self.rep == self.field.zero.rep
+
+    def __repr__(self):
+        return self.field.format_element(self)
+
+
+class PrimeField:
+    """F_p for prime p; representatives are ints in [0, p)."""
+
+    char_is_prime_checked = True
+    finite = True
+
+    def __init__(self, p):
+        if p < 2 or not _is_prime_int(p):
+            raise ValueError(f"{p} is not prime")
+        self.p = p
+        self.char = p
+        self.order = p
+        self.zero = FFElem(self, 0)
+        self.one = FFElem(self, 1)
+        self._log_table = None
+
+    def from_int(self, n):
+        return FFElem(self, n % self.p)
+
+    def coerce(self, v):
+        if isinstance(v, FFElem):
+            if v.field is self:
+                return v
+            raise TypeError("element of a different field")
+        if isinstance(v, int):
+            return self.from_int(v)
+        raise TypeError(f"cannot coerce {v!r}")
+
+    def _add(self, a, b):
+        return (a + b) % self.p
+
+    def _neg(self, a):
+        return (-a) % self.p
+
+    def _mul(self, a, b):
+        return (a * b) % self.p
+
+    def _inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return pow(a, self.p - 2, self.p)
+
+    def elements(self):
+        for v in range(self.p):
+            yield FFElem(self, v)
+
+    def element_key(self, e):
+        return e.rep
+
+    def format_element(self, e):
+        return str(e.rep)
+
+    def __repr__(self):
+        return f"GF({self.p})"
+
+
+class QuotientField:
+    """base[t]/(modulus) for a monic irreducible modulus over the base field.
+
+    Works over finite base fields (giving F_{q^d}) and over QQ (giving the
+    residue field of a closed point).  Representatives are length-d tuples of
+    base elements, constant coefficient first.
+    """
+
+    def __init__(self, base, modulus):
+        if not modulus.is_monic or modulus.degree < 1:
+            raise ValueError("modulus must be monic of positive degree")
+        if modulus.field is not base:
+            raise TypeError("modulus must live over the base field")
+        self.base = base
+        self.modulus = modulus
+        self.degree = modulus.degree
+        self.char = base.char
+        self.finite = base.finite
+        if self.finite:
+            self.order = base.order**self.degree
+        d = self.degree
+        self.zero = FFElem(self, tuple([base.zero] * d))
+        one = [base.one] + [base.zero] * (d - 1)
+        self.one = FFElem(self, tuple(one))
+        # table[i] = representative tuple of t^(d+i) mod modulus
+        self._red = self._reduction_table()
+        self._log_table = None
+        self._generator = None
+
+    def _reduction_table(self):
+        d = self.degree
+        base = self.base
+        rows = []
+        cur = [-c for c in self.modulus.coeffs[:d]]
+        rows.append(tuple(cur))
+        for _ in range(d - 2):
+            nxt = [base.zero] + cur[: d - 1]
+            top = cur[d - 1]
+            first = rows[0]
+            nxt = [nxt[i] + top * first[i] for i in range(d)]
+            cur = nxt
+            rows.append(tuple(cur))
+        return rows
+
+    def from_int(self, n):
+        rep = [self.base.from_int(n)] + [self.base.zero] * (self.degree - 1)
+        return FFElem(self, tuple(rep))
+
+    def embed(self, e):
+        """Image of a base-field element."""
+        e = self.base.coerce(e)
+        rep = [e] + [self.base.zero] * (self.degree - 1)
+        return FFElem(self, tuple(rep))
+
+    def coerce(self, v):
+        if isinstance(v, FFElem):
+            if v.field is self:
+                return v
+            if v.field is self.base:
+                return self.embed(v)
+            raise TypeError("element of a different field")
+        if isinstance(v, int):
+            return self.from_int(v)
+        try:
+            return self.embed(self.base.coerce(v))
+        except TypeError:
+            raise TypeError(f"cannot coerce {v!r}")
+
+    def gen_elem(self):
+        """The class of t."""
+        d = self.degree
+        if d == 1:
+            return FFElem(self, self._red[0] if self._red else ())
+        rep = [self.base.zero, self.base.one] + [self.base.zero] * (d - 2)
+        return FFElem(self, tuple(rep))
+
+    def from_poly(self, p):
+        """Reduce a polynomial over the base field into this quotient."""
+        if p.field is not self.base:
+            raise TypeError("polynomial over the wrong base field")
+        r = p % self.modulus
+        rep = [r.coeff(i) for i in range(self.degree)]
+        return FFElem(self, tuple(rep))
+
+    def to_poly(self, e):
+        e = self.coerce(e)
+        return Poly(self.base, list(e.rep))
+
+    def _add(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def _neg(self, a):
+        return tuple(-x for x in a)
+
+    def _mul(self, a, b):
+        d = self.degree
+        base = self.base
+        if d == 1:
+            prod = a[0] * b[0]
+            return (prod,)
+        out = [base.zero] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x == base.zero:
+                continue
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
+        for k in range(2 * d - 2, d - 1, -1):
+            top = out[k]
+            if top == base.zero:
+                continue
+            row = self._red[k - d]
+            for i in range(d):
+                out[i] = out[i] + top * row[i]
+            out[k] = base.zero
+        return tuple(out[:d])
+
+    def _inv(self, a):
+        p = Poly(self.base, list(a))
+        if p.is_zero:
+            raise ZeroDivisionError("inverse of zero")
+        g, s, _ = poly_xgcd(p, self.modulus)
+        if g.degree != 0:
+            raise ZeroDivisionError("representative is not invertible")
+        s = s % self.modulus
+        rep = [s.coeff(i) for i in range(self.degree)]
+        return tuple(rep)
+
+    def norm(self, e):
+        """Norm down to the base field, as Res(modulus, representative)."""
+        e = self.coerce(e)
+        p = self.to_poly(e)
+        if p.is_zero:
+            return self.base.zero
+        return resultant(self.modulus, p)
+
+    def elements(self):
+        base_elems = list(self.base.elements())
+        for combo in itertools.product(base_elems, repeat=self.degree):
+            yield FFElem(self, tuple(combo))
+
+    def element_key(self, e):
+        return tuple(self.base.element_key(c) for c in e.rep)
+
+    def format_element(self, e):
+        if all(c == self.base.zero for c in e.rep[1:]):
+            return self.base.format_element(e.rep[0])
+        parts = [self.base.format_element(c) for c in e.rep]
+        return "[" + ",".join(parts) + "]"
+
+    def __repr__(self):
+        if self.finite:
+            return f"GF({self.order})"
+        return "QQ[t]/(...)"
+
+
+def _is_prime_int(n):
+    """Deterministic Miller-Rabin, exact for every n below 3.3e24."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _trial_factor(n):
+    """Prime factor multiset of a small positive integer."""
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def multiplicative_generator(field):
+    """A fixed generator of the unit group of a finite field."""
+    if not field.finite:
+        raise TypeError("generators only exist for finite fields")
+    cached = getattr(field, "_generator", None)
+    if cached is not None:
+        return cached
+    n = field.order - 1
+    prime_divs = list(_trial_factor(n))
+    for e in field.elements():
+        if e.is_zero:
+            continue
+        if all(e ** (n // q) != field.one for q in prime_divs):
+            field._generator = e
+            return e
+    raise AssertionError("no generator found; field arithmetic is broken")
+
+
+def discrete_log(e):
+    """Exponent of e against the fixed generator, via a cached table."""
+    field = e.field
+    if not field.finite:
+        raise TypeError("discrete logs only exist in finite fields")
+    if e.is_zero:
+        raise ZeroDivisionError("zero has no discrete log")
+    if field._log_table is None:
+        g = multiplicative_generator(field)
+        table = {}
+        acc = field.one
+        for k in range(field.order - 1):
+            table[acc] = k
+            acc = acc * g
+        field._log_table = table
+    return field._log_table[e]
+
+
+def is_pth_power_finite(e, p):
+    """Whether a nonzero finite-field element is a p-th power."""
+    field = e.field
+    if e.is_zero:
+        raise ValueError("p-th power test needs a nonzero element")
+    n = field.order - 1
+    if n % p != 0:
+        return True
+    return e ** (n // p) == field.one
+
+
+def pth_power_exponent(e, p):
+    """Discrete log of e modulo p (0 exactly for p-th powers)."""
+    n = e.field.order - 1
+    if n % p != 0:
+        return 0
+    return discrete_log(e) % p
+
+
+def _irreducible_over_prime(f):
+    """Rabin test: f over F_p is irreducible iff t^{p^d} = t mod f and
+    gcd(t^{p^{d/l}} - t, f) = 1 for every prime l dividing d."""
+    field = f.field
+    d = f.degree
+    q = field.order
+    t = Poly.gen(field)
+
+    def t_qpow(k):
+        # t^(q^k) mod f by repeated Frobenius
+        acc = t % f
+        for _ in range(k):
+            acc = _powmod(acc, q, f)
+        return acc
+
+    if t_qpow(d) != t % f:
+        return False
+    for l in _trial_factor(d):
+        g = poly_gcd(t_qpow(d // l) - t, f)
+        if g.degree != 0:
+            return False
+    return True
+
+
+def _powmod(a, n, m):
+    result = Poly.one(a.field) % m
+    base = a % m
+    while n:
+        if n & 1:
+            result = result * base % m
+        base = base * base % m
+        n >>= 1
+    return result
+
+
+@lru_cache(maxsize=None)
+def GF(q):
+    """The finite field with q elements (q a prime power), built once."""
+    fac = _trial_factor(q)
+    if len(fac) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    (p, k), = fac.items()
+    if k == 1:
+        return PrimeField(p)
+    base = GF(p)
+    # deterministic search for a monic irreducible of degree k
+    for tail in itertools.product(range(p), repeat=k):
+        f = Poly.from_ints(base, list(tail) + [1])
+        if _irreducible_over_prime(f):
+            return QuotientField(base, f)
+    raise AssertionError("no irreducible polynomial found")
+
+
+def residue_field_over(base_field, modulus):
+    """Quotient of base_field[t] by a monic irreducible modulus."""
+    return QuotientField(base_field, modulus)
+
+
+def rational_is_square(c):
+    """Exact square test for a rational number."""
+    from math import isqrt
+
+    if c < 0:
+        return False
+    if c == 0:
+        return True
+    n, d = c.numerator, c.denominator
+    rn, rd = isqrt(n), isqrt(d)
+    return rn * rn == n and rd * rd == d

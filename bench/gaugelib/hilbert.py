@@ -1,0 +1,207 @@
+"""Local invariants of quaternion classes over Q.
+
+Places of Q are odd primes, 2, and "inf".  The Hilbert symbol (a,b)_v
+is +1 or -1; a sum of quaternion symbols is trivial exactly when the
+product of its symbols is +1 at every place, and the places where any
+invariant can differ from +1 are 2, infinity, and the odd primes
+meeting a numerator or denominator of an entry.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd
+
+from .factoring import factor_int, is_prime, squarefree_kernel
+
+INF = "inf"
+
+
+def place_key(v):
+    """Sort key putting finite primes in order before infinity."""
+    return (1, 0) if v == INF else (0, v)
+
+
+def padic_valuation(x, p):
+    x = Fraction(x)
+    if x == 0:
+        raise ValueError("zero has no finite valuation")
+    v = 0
+    n = x.numerator
+    while n % p == 0:
+        n //= p
+        v += 1
+    d = x.denominator
+    while d % p == 0:
+        d //= p
+        v -= 1
+    return v
+
+
+def _unit_mod(x, p, modulus):
+    """(valuation, p-adic unit part of x reduced mod a power of p)."""
+    v = padic_valuation(x, p)
+    num, den = x.numerator, x.denominator
+    if v > 0:
+        num //= p**v
+    elif v < 0:
+        den //= p**-v
+    return v, num * pow(den, -1, modulus) % modulus
+
+
+def legendre(a, p):
+    """Legendre symbol of a rational with p-unit denominator, mod odd p."""
+    a = Fraction(a)
+    r = a.numerator * pow(a.denominator, -1, p) % p
+    if r == 0:
+        return 0
+    s = pow(r, (p - 1) // 2, p)
+    return 1 if s == 1 else -1
+
+
+def hilbert_symbol(a, b, place):
+    """(a, b)_v for nonzero rationals a, b at a place of Q."""
+    a, b = Fraction(a), Fraction(b)
+    if a == 0 or b == 0:
+        raise ValueError("Hilbert symbols need nonzero entries")
+    if place == INF:
+        return -1 if a < 0 and b < 0 else 1
+    p = place
+    if not is_prime(p):
+        raise ValueError(f"{p} is not a place of Q")
+    if p == 2:
+        alpha, u8 = _unit_mod(a, 2, 8)
+        beta, w8 = _unit_mod(b, 2, 8)
+        eps_u = (u8 - 1) // 2 % 2
+        eps_w = (w8 - 1) // 2 % 2
+        om_u = (u8 * u8 - 1) // 8 % 2
+        om_w = (w8 * w8 - 1) // 8 % 2
+        e = eps_u * eps_w + alpha * om_w + beta * om_u
+        return -1 if e % 2 else 1
+    alpha, up = _unit_mod(a, p, p)
+    beta, wp = _unit_mod(b, p, p)
+    e = 0
+    if (alpha * beta) % 2 and p % 4 == 3:
+        e += 1
+    if beta % 2 and pow(up, (p - 1) // 2, p) != 1:
+        e += 1
+    if alpha % 2 and pow(wp, (p - 1) // 2, p) != 1:
+        e += 1
+    return -1 if e % 2 else 1
+
+
+def relevant_places(pairs):
+    """Places where a sum of quaternion symbols could be nonsplit.
+
+    Always contains 2 and infinity; every odd prime dividing a numerator
+    or denominator of an entry joins them.
+    """
+    primes = set()
+    for a, b in pairs:
+        for x in (a, b):
+            x = Fraction(x)
+            for n in (x.numerator, x.denominator):
+                if abs(n) > 1:
+                    primes.update(q for q, _ in factor_int(abs(n)) if q != 2)
+    return sorted(primes | {2, INF}, key=place_key)
+
+
+def local_invariants(pairs, places=None):
+    """Products of Hilbert symbols of the pairs, keyed by place."""
+    if places is None:
+        places = relevant_places(pairs)
+    out = {}
+    for v in places:
+        s = 1
+        for a, b in pairs:
+            s *= hilbert_symbol(a, b, v)
+        out[v] = s
+    return out
+
+
+def invariant_set(pairs):
+    """Sorted places where the sum of the symbols is nonsplit."""
+    return tuple(v for v, s in local_invariants(pairs).items() if s == -1)
+
+
+def local_is_square(d, place):
+    """Whether a nonzero rational is a square in the completion at place."""
+    d = Fraction(d)
+    if d == 0:
+        raise ValueError("zero is not a unit")
+    if place == INF:
+        return d > 0
+    p = place
+    if p == 2:
+        v, u8 = _unit_mod(d, 2, 8)
+        return v % 2 == 0 and u8 == 1
+    v, up = _unit_mod(d, p, p)
+    return v % 2 == 0 and pow(up, (p - 1) // 2, p) == 1
+
+
+def splits_invariant_set(d, places):
+    """Whether Q(sqrt(d)) kills a class whose nonsplit places are given.
+
+    The quadratic field splits the class exactly when d is a nonsquare
+    in every completion where the class is nonsplit.
+    """
+    return all(not local_is_square(d, v) for v in places)
+
+
+def _smallest_nonresidue(p):
+    for n in range(2, p):
+        if pow(n, (p - 1) // 2, p) != 1:
+            return n
+    raise AssertionError(f"no quadratic nonresidue below {p}")
+
+
+def _crt(congruences):
+    r, m = 0, 1
+    for a, n in congruences:
+        g = gcd(m, n)
+        if g != 1:
+            raise ValueError("moduli must be coprime")
+        t = (a - r) * pow(m, -1, n) % n
+        r += m * t
+        m *= n
+    return r % m, m
+
+
+def separating_discriminant(places_a, places_b):
+    """A squarefree d with Q(sqrt(d)) splitting exactly one of two classes.
+
+    The inputs are the nonsplit place sets of the two classes and must
+    differ.  The construction fixes a place found in only one of the
+    sets, arranges d to be a local square there, and a local nonsquare
+    at every nonsplit place of the other class; excess ramification of d
+    at uninvolved places is harmless.
+    """
+    sa, sb = set(places_a), set(places_b)
+    if sa == sb:
+        raise ValueError("the nonsplit place sets coincide")
+    only_a = sa - sb
+    if only_a:
+        star = min(only_a, key=place_key)
+        target = sb
+    else:
+        star = min(sb - sa, key=place_key)
+        target = sa
+    congruences = []
+    if 2 in target:
+        congruences.append((5, 8))
+    else:
+        congruences.append((1, 8))
+    for v in sorted(target | ({star} - {INF}), key=place_key):
+        if v == 2 or v == INF:
+            continue
+        if v in target:
+            congruences.append((_smallest_nonresidue(v), v))
+        else:
+            congruences.append((1, v))
+    r, m = _crt(congruences)
+    if r == 0:
+        r = m
+    d = squarefree_kernel(Fraction(r - m if INF in target else r))
+    assert splits_invariant_set(d, target)
+    assert local_is_square(d, star)
+    return d

@@ -1,0 +1,220 @@
+"""Base fields and closed points of the projective line over them.
+
+A closed point of P^1 over k is either the distinguished point at
+infinity (uniformizer 1/t) or a monic irreducible polynomial in k[t].
+Only monic irreducibles are admitted; the constructor normalizes the
+leading coefficient and checks irreducibility, so a ClosedPoint can be
+trusted downstream.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+
+from .errors import ScopeError
+from .factoring import is_irreducible, is_prime
+from .fields import GF, QuotientField
+from .poly import Poly, QQ, RationalFunction, poly_str
+
+
+class RationalBase:
+    """The rationals as the base of Q(t)."""
+
+    is_finite = False
+    char = 0
+
+    @property
+    def field(self):
+        return QQ
+
+    def check_torsion(self, p):
+        if p != 2:
+            raise ScopeError(
+                "over Q only 2-torsion classes are supported (requested p="
+                f"{p})"
+            )
+
+    def name(self):
+        return "Q"
+
+    def __repr__(self):
+        return "Q"
+
+    def __eq__(self, other):
+        return isinstance(other, RationalBase)
+
+    def __hash__(self):
+        return hash("RationalBase")
+
+
+@dataclass(frozen=True)
+class FiniteBase:
+    """F_q as the base of F_q(t); q may be any prime power."""
+
+    q: int
+
+    is_finite = True
+
+    @property
+    def field(self):
+        return GF(self.q)
+
+    @property
+    def char(self):
+        return self.field.char
+
+    def check_torsion(self, p):
+        if not is_prime(p):
+            raise ScopeError(f"torsion must be prime (requested p={p})")
+        if (self.q - 1) % p != 0:
+            raise ScopeError(
+                f"p-torsion symbols over F_q need p | q-1 (p={p}, q={self.q})"
+            )
+
+    def name(self):
+        return f"F{self.q}"
+
+    def __repr__(self):
+        return self.name()
+
+
+Q_BASE = RationalBase()
+
+
+@dataclass(frozen=True)
+class ClosedPoint:
+    """A closed point of P^1: a monic irreducible polynomial, or infinity."""
+
+    base: object
+    poly: object  # Poly (monic irreducible) or None for infinity
+
+    @classmethod
+    def infinity(cls, base):
+        return cls(base, None)
+
+    @classmethod
+    def finite(cls, base, poly):
+        if poly.field is not base.field:
+            raise TypeError("point polynomial over the wrong base field")
+        if poly.degree < 1:
+            raise ValueError("a finite closed point needs a nonconstant polynomial")
+        poly = poly.monic()
+        if not is_irreducible(poly):
+            raise ValueError(f"{poly_str(poly)} is not irreducible over {base!r}")
+        return cls(base, poly)
+
+    @classmethod
+    def _trusted(cls, base, poly):
+        """For factors that are already known to be monic irreducible."""
+        return cls(base, poly)
+
+    @classmethod
+    def rational(cls, base, value):
+        """The point t = value, or infinity for value None / 'inf'."""
+        if value is None or value == "inf":
+            return cls.infinity(base)
+        field = base.field
+        v = field.coerce(value)
+        return cls(base, Poly(field, [-v, field.one]))
+
+    @property
+    def is_infinity(self):
+        return self.poly is None
+
+    @property
+    def degree(self):
+        return 1 if self.poly is None else self.poly.degree
+
+    def rational_value(self):
+        """For a degree-1 finite point t - c, the value c; None at infinity."""
+        if self.is_infinity:
+            return None
+        if self.degree != 1:
+            raise ValueError("not a rational point")
+        return -self.poly.coeff(0)
+
+    def sort_key(self):
+        if self.is_infinity:
+            return (1,)
+        return (0,) + self.poly.sort_key()
+
+    def __str__(self):
+        if self.is_infinity:
+            return "inf"
+        return poly_str(self.poly)
+
+    def __repr__(self):
+        return f"ClosedPoint({self})"
+
+
+@lru_cache(maxsize=None)
+def _kappa_cached(base, poly):
+    return QuotientField(base.field, poly)
+
+
+def residue_field(point):
+    """The residue field kappa(x) as a field object.
+
+    Degree-1 points and infinity give back the base field itself;
+    higher-degree points give the quotient field by their polynomial.
+    """
+    if point.is_infinity or point.degree == 1:
+        return point.base.field
+    return _kappa_cached(point.base, point.poly)
+
+
+def valuation_at(h, point):
+    """Valuation of a nonzero rational function (or polynomial) at a point."""
+    if isinstance(h, Poly):
+        h = RationalFunction(h)
+    if h.is_zero:
+        raise ValueError("the zero function has no finite valuation")
+    if point.is_infinity:
+        return h.valuation_at_infinity()
+    return h.valuation(point.poly)
+
+
+def reduce_at(h, point):
+    """Image of a valuation-0 rational function in kappa(x).
+
+    At infinity this is the ratio of leading coefficients; at a finite
+    point the numerator and denominator are evaluated in the residue
+    field after the defining polynomial has been cancelled out.
+    """
+    if isinstance(h, Poly):
+        h = RationalFunction(h)
+    if point.is_infinity:
+        return h.value_at_infinity()
+    if point.degree == 1:
+        return h.evaluate(point.rational_value())
+    kappa = residue_field(point)
+    pi = point.poly
+    num, den = h.num, h.den
+    # cancel any matched powers of pi (valuation 0 overall)
+    while True:
+        qn, rn = divmod(num, pi)
+        if not rn.is_zero:
+            break
+        qd, rd = divmod(den, pi)
+        if not rd.is_zero:
+            raise ZeroDivisionError("function has a pole at the point")
+        num, den = qn, qd
+    d = kappa.from_poly(den)
+    if d.is_zero:
+        raise ZeroDivisionError("function has a pole at the point")
+    return kappa.from_poly(num) / d
+
+
+def unit_part_at(h, point):
+    """(valuation v, unit image) with h = uniformizer^v * unit near the point."""
+    v = valuation_at(h, point)
+    if point.is_infinity:
+        t = RationalFunction(Poly.gen(h.field))
+        return v, reduce_at(h * t**v, point)
+    pi = RationalFunction(point.poly)
+    return v, reduce_at(h * pi**-v, point)
+
+
+def sorted_points(points):
+    return sorted(points, key=lambda x: x.sort_key())

@@ -1,0 +1,543 @@
+"""Exact univariate polynomial and rational function arithmetic.
+
+A polynomial is stored as a tuple of coefficients, lowest degree first,
+with no trailing zeros, so the zero polynomial has an empty tuple and
+deg(f) == len(coeffs) - 1.  Every polynomial carries the field its
+coefficients live in: QQ (coefficients are fractions.Fraction) or one of
+the finite fields from the fields module (coefficients are FFElem).
+Coefficient types implement +, -, *, / and equality exactly; nothing in
+this module ever rounds.
+
+Rational functions are stored as coprime numerator/denominator pairs
+with a monic denominator, which makes the representation canonical.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+
+class RationalField:
+    """The field of rational numbers; elements are fractions.Fraction."""
+
+    char = 0
+    finite = False
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def from_int(self, n):
+        return Fraction(n)
+
+    def coerce(self, v):
+        if isinstance(v, Fraction):
+            return v
+        if isinstance(v, int):
+            return Fraction(v)
+        raise TypeError(f"cannot coerce {v!r} into QQ")
+
+    def element_key(self, v):
+        return v
+
+    def format_element(self, v):
+        return str(v)
+
+    def __repr__(self):
+        return "QQ"
+
+
+QQ = RationalField()
+
+
+class Poly:
+    """Dense univariate polynomial over an exact coefficient field."""
+
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field, coeffs):
+        cs = list(coeffs)
+        while cs and cs[-1] == field.zero:
+            cs.pop()
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Poly is immutable")
+
+    @classmethod
+    def from_ints(cls, field, ints):
+        return cls(field, [field.from_int(n) for n in ints])
+
+    @classmethod
+    def constant(cls, field, c):
+        return cls(field, [field.coerce(c)])
+
+    @classmethod
+    def zero(cls, field):
+        return cls(field, [])
+
+    @classmethod
+    def one(cls, field):
+        return cls(field, [field.one])
+
+    @classmethod
+    def gen(cls, field):
+        """The polynomial t."""
+        return cls(field, [field.zero, field.one])
+
+    @property
+    def degree(self):
+        """Degree; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self):
+        return not self.coeffs
+
+    @property
+    def lc(self):
+        if not self.coeffs:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    @property
+    def is_monic(self):
+        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
+
+    @property
+    def is_constant(self):
+        return len(self.coeffs) <= 1
+
+    def coeff(self, i):
+        if 0 <= i < len(self.coeffs):
+            return self.coeffs[i]
+        return self.field.zero
+
+    def _wrap(self, other):
+        if isinstance(other, Poly):
+            if other.field is not self.field:
+                raise TypeError("polynomials over different fields")
+            return other
+        return Poly.constant(self.field, other)
+
+    def __add__(self, other):
+        other = self._wrap(other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return Poly(self.field, [self.coeff(i) + other.coeff(i) for i in range(n)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly(self.field, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-self._wrap(other))
+
+    def __rsub__(self, other):
+        return self._wrap(other) - self
+
+    def __mul__(self, other):
+        other = self._wrap(other)
+        if self.is_zero or other.is_zero:
+            return Poly.zero(self.field)
+        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a == self.field.zero:
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] = out[i + j] + a * b
+        return Poly(self.field, out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        result = Poly.one(self.field)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __divmod__(self, other):
+        other = self._wrap(other)
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        field = self.field
+        rem = list(self.coeffs)
+        dd = other.degree
+        inv_lc = field.one / other.lc
+        quo = [field.zero] * max(len(rem) - dd, 0)
+        for i in range(len(rem) - 1, dd - 1, -1):
+            c = rem[i]
+            if c == field.zero:
+                continue
+            q = c * inv_lc
+            quo[i - dd] = q
+            for j, b in enumerate(other.coeffs):
+                rem[i - dd + j] = rem[i - dd + j] - q * b
+        return Poly(field, quo), Poly(field, rem)
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def exact_div(self, other):
+        q, r = divmod(self, other)
+        if not r.is_zero:
+            raise ValueError("not an exact polynomial division")
+        return q
+
+    def __eq__(self, other):
+        if isinstance(other, Poly):
+            return self.field is other.field and self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((id(self.field), self.coeffs))
+
+    def monic(self):
+        if self.is_zero:
+            return self
+        inv = self.field.one / self.lc
+        return Poly(self.field, [c * inv for c in self.coeffs])
+
+    def derivative(self):
+        field = self.field
+        return Poly(
+            field,
+            [field.from_int(i) * c for i, c in enumerate(self.coeffs)][1:],
+        )
+
+    def evaluate(self, x):
+        x = self.field.coerce(x) if not hasattr(x, "field") else x
+        acc = self.field.zero
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def compose(self, other):
+        """self(other(t)) for a polynomial argument."""
+        other = self._wrap(other)
+        acc = Poly.zero(self.field)
+        for c in reversed(self.coeffs):
+            acc = acc * other + Poly.constant(self.field, c)
+        return acc
+
+    def shift_arg(self, a):
+        """self(t + a)."""
+        return self.compose(Poly(self.field, [self.field.coerce(a), self.field.one]))
+
+    def sort_key(self):
+        return (self.degree, tuple(self.field.element_key(c) for c in self.coeffs))
+
+    def __repr__(self):
+        return f"Poly({poly_str(self)})"
+
+
+def poly_gcd(f, g):
+    """Monic gcd; poly_gcd(0, 0) is 0."""
+    a, b = f, g
+    while not b.is_zero:
+        a, b = b, a % b
+    if a.is_zero:
+        return a
+    return a.monic()
+
+
+def poly_xgcd(f, g):
+    """(d, s, t) with d = s*f + t*g and d the monic gcd."""
+    field = f.field
+    a, b = f, g
+    sa, sb = Poly.one(field), Poly.zero(field)
+    ta, tb = Poly.zero(field), Poly.one(field)
+    while not b.is_zero:
+        q, r = divmod(a, b)
+        a, b = b, r
+        sa, sb = sb, sa - q * sb
+        ta, tb = tb, ta - q * tb
+    if a.is_zero:
+        return a, sa, ta
+    inv = field.one / a.lc
+    scale = Poly.constant(field, inv)
+    return a.monic(), sa * scale, ta * scale
+
+
+def resultant(f, g):
+    """Res(f, g) = lc(f)^deg(g) * product of g over the roots of f.
+
+    Conventions: Res(f, c) = c^deg(f) for constant c, Res(c, g) = c^deg(g),
+    and Res(f, 0) = 0 once deg(f) >= 1.  The first argument must be nonzero.
+    """
+    if f.is_zero:
+        raise ValueError("resultant: first argument must be nonzero")
+    field = f.field
+    if f.degree == 0:
+        if g.is_zero:
+            return field.one
+        return f.lc ** g.degree
+    acc = field.one
+    a, b = f, g
+    while True:
+        if b.is_zero:
+            return field.zero
+        if a.degree == 0:
+            return acc * a.lc ** b.degree
+        if b.degree == 0:
+            return acc * b.lc ** a.degree
+        if b.degree >= a.degree:
+            r = b % a
+            k = r.degree if not r.is_zero else 0
+            acc = acc * a.lc ** (b.degree - k)
+            if r.is_zero:
+                return field.zero
+            b = r
+        else:
+            if (a.degree * b.degree) % 2 == 1:
+                acc = -acc
+            a, b = b, a
+
+
+def lagrange_interpolate(field, points):
+    """The unique polynomial of degree < len(points) through the points."""
+    result = Poly.zero(field)
+    xs = [field.coerce(x) for x, _ in points]
+    for i, (_, yi) in enumerate(points):
+        num = Poly.one(field)
+        denom = field.one
+        for j, xj in enumerate(xs):
+            if j == i:
+                continue
+            num = num * Poly(field, [-xj, field.one])
+            denom = denom * (xs[i] - xj)
+        result = result + num * (field.coerce(yi) / denom)
+    return result
+
+
+def poly_valuation(f, pi):
+    """Largest k with pi^k dividing f; pi must be a nonconstant polynomial."""
+    if pi.is_zero or pi.degree < 1:
+        raise ValueError("valuation requires a nonconstant modulus")
+    if f.is_zero:
+        raise ValueError("the zero polynomial has no finite valuation")
+    k = 0
+    while True:
+        q, r = divmod(f, pi)
+        if not r.is_zero:
+            return k
+        f = q
+        k += 1
+
+
+class RationalFunction:
+    """Quotient of polynomials in canonical form (coprime, monic denominator)."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=None):
+        if den is None:
+            den = Poly.one(num.field)
+        if num.field is not den.field:
+            raise TypeError("numerator and denominator over different fields")
+        if den.is_zero:
+            raise ZeroDivisionError("rational function with zero denominator")
+        if num.is_zero:
+            den = Poly.one(num.field)
+        else:
+            g = poly_gcd(num, den)
+            if g.degree >= 1:
+                num = num.exact_div(g)
+                den = den.exact_div(g)
+            inv = num.field.one / den.lc
+            if den.lc != num.field.one:
+                num = num * inv
+                den = den * inv
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RationalFunction is immutable")
+
+    @classmethod
+    def from_poly(cls, p):
+        return cls(p)
+
+    @classmethod
+    def constant(cls, field, c):
+        return cls(Poly.constant(field, c))
+
+    @property
+    def field(self):
+        return self.num.field
+
+    @property
+    def is_zero(self):
+        return self.num.is_zero
+
+    @property
+    def is_constant(self):
+        return self.num.is_constant and self.den.is_constant
+
+    def constant_value(self):
+        if not self.is_constant:
+            raise ValueError("not a constant rational function")
+        return self.num.coeff(0) / self.den.coeff(0)
+
+    @property
+    def is_polynomial(self):
+        return self.den.degree == 0
+
+    def _wrap(self, other):
+        if isinstance(other, RationalFunction):
+            if other.field is not self.field:
+                raise TypeError("rational functions over different fields")
+            return other
+        if isinstance(other, Poly):
+            return RationalFunction(other)
+        return RationalFunction(Poly.constant(self.field, other))
+
+    def __add__(self, other):
+        other = self._wrap(other)
+        return RationalFunction(
+            self.num * other.den + other.num * self.den, self.den * other.den
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RationalFunction(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + (-self._wrap(other))
+
+    def __rsub__(self, other):
+        return self._wrap(other) - self
+
+    def __mul__(self, other):
+        other = self._wrap(other)
+        return RationalFunction(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._wrap(other)
+        if other.is_zero:
+            raise ZeroDivisionError("division by the zero rational function")
+        return RationalFunction(self.num * other.den, self.den * other.num)
+
+    def __rtruediv__(self, other):
+        return self._wrap(other) / self
+
+    def inverse(self):
+        if self.is_zero:
+            raise ZeroDivisionError("inverse of zero")
+        return RationalFunction(self.den, self.num)
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        return RationalFunction(self.num**n, self.den**n)
+
+    def __eq__(self, other):
+        if isinstance(other, (RationalFunction, Poly, int, Fraction)) or hasattr(
+            other, "field"
+        ):
+            other = self._wrap(other)
+            return self.num == other.num and self.den == other.den
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def valuation(self, pi):
+        """Order of vanishing along the irreducible polynomial pi."""
+        if self.is_zero:
+            raise ValueError("the zero function has no finite valuation")
+        return poly_valuation(self.num, pi) - poly_valuation(self.den, pi)
+
+    def valuation_at_infinity(self):
+        if self.is_zero:
+            raise ValueError("the zero function has no finite valuation")
+        return self.den.degree - self.num.degree
+
+    def evaluate(self, x):
+        d = self.den.evaluate(x)
+        if d == self.field.zero:
+            raise ZeroDivisionError("pole at the evaluation point")
+        return self.num.evaluate(x) / d
+
+    def value_at_infinity(self):
+        """Limit at infinity; requires valuation >= 0 there."""
+        v = self.valuation_at_infinity()
+        if v > 0:
+            return self.field.zero
+        if v < 0:
+            raise ZeroDivisionError("pole at infinity")
+        return self.num.lc / self.den.lc
+
+    def substitute(self, r):
+        """self(r(s)) for a rational function r, computed exactly."""
+        num = _poly_at_ratfunc(self.num, r)
+        den = _poly_at_ratfunc(self.den, r)
+        return num / den
+
+    def sort_key(self):
+        return (self.num.sort_key(), self.den.sort_key())
+
+    def __repr__(self):
+        return f"RationalFunction({ratfunc_str(self)})"
+
+
+def _poly_at_ratfunc(p, r):
+    acc = RationalFunction(Poly.zero(p.field))
+    for c in reversed(p.coeffs):
+        acc = acc * r + RationalFunction(Poly.constant(p.field, c))
+    return acc
+
+
+def _coeff_str(c, field):
+    s = field.format_element(c)
+    if any(op in s[1:] for op in "+-") or "/" in s:
+        return f"({s})", False
+    if s.startswith("-"):
+        return s[1:], True
+    return s, False
+
+
+def poly_str(f, var="t"):
+    """Render with descending powers, explicit '*', and '^' for powers."""
+    if f.is_zero:
+        return "0"
+    field = f.field
+    parts = []
+    for i in range(f.degree, -1, -1):
+        c = f.coeff(i)
+        if c == field.zero:
+            continue
+        body, negative = _coeff_str(c, field)
+        if i == 0:
+            term = body
+        else:
+            tpow = var if i == 1 else f"{var}^{i}"
+            term = tpow if body == "1" else f"{body}*{tpow}"
+        if not parts:
+            parts.append(f"-{term}" if negative else term)
+        else:
+            parts.append(f"- {term}" if negative else f"+ {term}")
+    return " ".join(parts)
+
+
+def ratfunc_str(h, var="t"):
+    if h.is_polynomial:
+        return poly_str(h.num, var)
+    num = poly_str(h.num, var)
+    den = poly_str(h.den, var)
+    if h.num.degree >= 1 or "/" in num or "-" in num[1:] or "+" in num:
+        num = f"({num})"
+    if h.den.degree >= 1:
+        den = f"({den})"
+    return f"{num}/{den}"

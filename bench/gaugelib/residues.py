@@ -1,0 +1,236 @@
+"""Residue classes at closed points and p-th power tests in residue fields.
+
+The residue of a symbol algebra at a point is a unit of the residue
+field, remembered modulo p-th powers.  Deciding triviality therefore
+needs a p-th power test in three kinds of field: Q itself, finite
+fields, and number fields Q[t]/(pi).  The number-field case (p = 2
+only) goes through the norm polynomial
+
+    N_lam(X) = Res_t(pi(t), (X - lam*t)^2 - e(t)),
+
+which for squarefree N_lam is reducible over Q exactly when e is a
+square in the quotient.  A shift parameter lam is swept until the norm
+polynomial is squarefree.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .errors import ScopeError
+from .factoring import factor_over_Q, squarefree_kernel
+from .fields import (
+    is_pth_power_finite,
+    multiplicative_generator,
+    pth_power_exponent,
+    rational_is_square,
+)
+from .poly import Poly, QQ, lagrange_interpolate, poly_gcd, resultant
+from .points import residue_field
+
+
+def is_pth_power(field, value, p):
+    """Whether value lies in (field*)^p.  field is QQ, finite, or Q[t]/(pi)."""
+    if field is QQ:
+        if p != 2:
+            raise ScopeError(f"p-th power test over Q only for p = 2 (got {p})")
+        return rational_is_square(value)
+    if field.finite:
+        return is_pth_power_finite(field.coerce(value), p)
+    if p != 2:
+        raise ScopeError(
+            f"p-th power test over a number field only for p = 2 (got {p})"
+        )
+    return nf_is_square(field, value)
+
+
+def same_kummer_extension(field, r1, r2, p):
+    """Do r1 and r2 cut out the same degree-p radical extension of field?
+
+    Two units generate the same extension when both are p-th powers, or,
+    for p = 2, when their product is a square.  A finite field has a
+    unique extension of each degree, so there any two non-powers agree.
+    """
+    t1 = is_pth_power(field, r1, p)
+    t2 = is_pth_power(field, r2, p)
+    if t1 or t2:
+        return t1 and t2
+    if field is not QQ and field.finite:
+        return True
+    if p == 2:
+        return is_pth_power(field, r1 * r2, 2)
+    raise ScopeError(f"field comparison over {field!r} only for p = 2 (got {p})")
+
+
+# ---------------------------------------------------------------------------
+# square testing in number fields
+
+def _lambda_values():
+    yield 0
+    k = 1
+    while True:
+        yield k
+        yield -k
+        k += 1
+
+
+def _nf_norm_poly(kappa, e, lam):
+    """Res_t(modulus, (X - lam*t)^2 - e(t)) as a polynomial in X over Q.
+
+    Computed by evaluating at 2d + 1 integer values of X and
+    interpolating; the result is monic of degree 2d.
+    """
+    d = kappa.degree
+    pi = kappa.modulus
+    ep = kappa.to_poly(e)
+    xs = []
+    ys = []
+    x = 0
+    while len(xs) < 2 * d + 1:
+        lin = Poly(QQ, [Fraction(x), Fraction(-lam)])
+        ys.append(resultant(pi, lin * lin - ep))
+        xs.append(Fraction(x))
+        x = -x if x > 0 else -x + 1
+    return lagrange_interpolate(QQ, list(zip(xs, ys)))
+
+
+def _squarefree_over_Q(f):
+    return poly_gcd(f, f.derivative()).degree == 0
+
+
+def nf_is_square(kappa, e):
+    """Whether e is a square in the number field kappa = Q[t]/(pi)."""
+    e = kappa.coerce(e)
+    if e.is_zero:
+        return True
+    if not rational_is_square(kappa.norm(e)):
+        return False
+    for lam in _lambda_values():
+        norm_poly = _nf_norm_poly(kappa, e, lam)
+        if not _squarefree_over_Q(norm_poly):
+            continue
+        return len(factor_over_Q(norm_poly).factors) > 1
+    raise AssertionError("unreachable: the shift sweep does not terminate")
+
+
+def nf_sqrt(kappa, e):
+    """A square root of e in kappa, or None.
+
+    Slower than nf_is_square: after the norm factorization it
+    reconstructs the root as a gcd over kappa and confirms it by
+    squaring, so a non-None answer is self-certifying.
+    """
+    e = kappa.coerce(e)
+    if e.is_zero:
+        return kappa.zero
+    if not rational_is_square(kappa.norm(e)):
+        return None
+    theta = kappa.gen_elem()
+    square_poly = Poly(kappa, [-e, kappa.zero, kappa.one])
+    for lam in _lambda_values():
+        norm_poly = _nf_norm_poly(kappa, e, lam)
+        if not _squarefree_over_Q(norm_poly):
+            continue
+        factors = factor_over_Q(norm_poly).factors
+        if len(factors) == 1:
+            return None
+        shift = Poly(kappa, [kappa.embed(lam) * theta, kappa.one])
+        for h, _ in factors:
+            hk = Poly(kappa, [kappa.embed(c) for c in h.coeffs]).compose(shift)
+            g = poly_gcd(square_poly, hk)
+            if g.degree == 1:
+                root = -g.coeff(0)
+                if root * root == e:
+                    return root
+        return None
+    raise AssertionError("unreachable: the shift sweep does not terminate")
+
+
+# ---------------------------------------------------------------------------
+# residue classes
+
+@dataclass(frozen=True)
+class ResidueClass:
+    """A unit of the residue field at a point, taken modulo p-th powers."""
+
+    point: object
+    value: object  # Fraction at rational points over Q, FFElem otherwise
+    p: int
+
+    def __post_init__(self):
+        zero = self.value == 0 if isinstance(self.value, Fraction) else self.value.is_zero
+        if zero:
+            raise ValueError("a residue class must be a unit")
+
+    @property
+    def field(self):
+        return residue_field(self.point)
+
+    def is_trivial(self):
+        return is_pth_power(self.field, self.value, self.p)
+
+    def same_class(self, other):
+        self._check_comparable(other)
+        return is_pth_power(self.field, self.value / other.value, self.p)
+
+    def same_field(self, other):
+        """Whether both residues cut out the same extension of kappa(x)."""
+        self._check_comparable(other)
+        return same_kummer_extension(self.field, self.value, other.value, self.p)
+
+    def _check_comparable(self, other):
+        if self.point != other.point or self.p != other.p:
+            raise ValueError("residue classes at different points or torsion")
+
+    def canonical_value(self):
+        """A canonical representative modulo p-th powers where one exists."""
+        if isinstance(self.value, Fraction):
+            return Fraction(squarefree_kernel(self.value))
+        field = self.field
+        if field.finite:
+            k = pth_power_exponent(self.value, self.p)
+            if k == 0:
+                return field.one
+            return multiplicative_generator(field) ** k
+        return self.value
+
+    def field_label(self):
+        """Readable name of the extension the residue cuts out."""
+        kappa = self.field
+        if kappa is QQ:
+            d = squarefree_kernel(self.value)
+            return "Q" if d == 1 else f"Q(sqrt({d}))"
+        if kappa.finite:
+            if self.is_trivial():
+                return f"F{kappa.order}"
+            return f"F{kappa.order ** self.p}"
+        deg = self.point.degree
+        if deg == 2:
+            pi = self.point.poly
+            disc = squarefree_kernel(pi.coeff(1) ** 2 - 4 * pi.coeff(0))
+            name = f"Q(sqrt({disc}))"
+        else:
+            name = f"kappa[deg {deg}]"
+        if self.is_trivial():
+            return name
+        return f"{name}(sqrt({kappa.format_element(self.value)}))"
+
+
+def norm_to_base(point, value):
+    """Norm of a residue value down to the constant field of the point."""
+    if point.is_infinity or point.degree == 1:
+        return value
+    return residue_field(point).norm(value)
+
+
+def corestriction_exponent(rc):
+    """Exponent mod p of the normed residue against the fixed generator.
+
+    Only meaningful over a finite constant field, where it is the local
+    contribution to the reciprocity sum.
+    """
+    base = rc.point.base
+    if not base.is_finite:
+        raise ScopeError("corestriction exponents need a finite constant field")
+    return pth_power_exponent(base.field.coerce(norm_to_base(rc.point, rc.value)), rc.p)
