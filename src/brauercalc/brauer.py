@@ -7,8 +7,10 @@ symbol to the class of
     (-1)^(v(a) v(b)) * a^(v(b)) * b^(-v(a))
 
 in kappa(x)* mod p-th powers, where v is the valuation at x; at
-infinity v counts pole order of 1/t.  The residue of a sum is the
-product of the residues of its symbols.
+infinity v counts pole order of 1/t.  The uniformizer powers cancel,
+so it is computed from the images u_a, u_b of the unit parts of a and
+b as (-1)^(v(a) v(b)) * u_a^(v(b)) / u_b^(v(a)).  The residue of a sum
+is the product of the residues of its symbols.
 
 Everything here treats a class through one chosen presentation, but the
 exported predicates (triviality of residues, equality of classes) only
@@ -24,7 +26,14 @@ from .errors import NotSymbolRegular, ScopeError
 from .factoring import factor_poly
 from .fields import rational_is_square
 from .hilbert import local_invariants
-from .points import ClosedPoint, residue_field, sorted_points, valuation_at, reduce_at
+from .points import (
+    ClosedPoint,
+    residue_field,
+    sorted_points,
+    sweep_values,
+    unit_part_at,
+    valuation_at,
+)
 from .poly import Poly, RationalFunction
 from .residues import ResidueClass, corestriction_exponent, norm_to_base
 
@@ -105,12 +114,11 @@ def residue_at(cls, point):
     kappa = residue_field(point)
     acc = kappa.one
     for s in cls.symbols:
-        va = valuation_at(s.a, point)
-        vb = valuation_at(s.b, point)
+        va, ua = unit_part_at(s.a, point)
+        vb, ub = unit_part_at(s.b, point)
         if va == 0 and vb == 0:
             continue
-        u = s.a**vb / s.b**va
-        val = reduce_at(u, point)
+        val = ua**vb / ub**va
         if (va * vb) % 2:
             val = -val
         acc = acc * val
@@ -217,25 +225,12 @@ def specialize(cls, c):
 def regular_rational_points(cls, count):
     """The first `count` symbol-regular values c, in the fixed sweep order."""
     out = []
-    for c in _sweep_values(cls.base):
+    for c in sweep_values(cls.base):
         if is_symbol_regular(cls, c):
             out.append(c)
             if len(out) == count:
                 break
     return out
-
-
-def _sweep_values(base):
-    """0, 1, -1, 2, -2, ... over Q; all field elements over F_q."""
-    if base.is_finite:
-        yield from range(base.field.order)
-        return
-    yield 0
-    k = 1
-    while True:
-        yield k
-        yield -k
-        k += 1
 
 
 def constant_is_trivial(base, pairs, p):

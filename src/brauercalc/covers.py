@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from .brauer import (
     BrauerClass,
-    _sweep_values,
     as_ratfunc,
     classes_equal,
     constant_is_trivial,
@@ -31,7 +30,7 @@ from .brauer import (
     residue_at,
     specialize,
 )
-from .points import ClosedPoint, valuation_at
+from .points import ClosedPoint, sweep_values, valuation_at
 from .poly import Poly, RationalFunction
 from .residues import same_kummer_extension
 
@@ -312,7 +311,7 @@ def _finite_pole_function(base, m, prod, inf_ramified, supp, xpt, bpt):
 
 def _auxiliary_value(base, supp, xpt, bpt):
     """A rational value e with (t - e) clear of D, the basepoint, and b."""
-    for c in _sweep_values(base):
+    for c in sweep_values(base):
         cv = base.field.coerce(c)
         pt = ClosedPoint.rational(base, cv)
         if pt == xpt or pt == bpt or pt in supp:

@@ -30,7 +30,6 @@ from fractions import Fraction
 
 from .brauer import (
     BrauerClass,
-    _sweep_values,
     classes_equal,
     constant_is_trivial,
     is_symbol_regular,
@@ -41,7 +40,7 @@ from .errors import ScopeError
 from .factoring import factor_over_Fq, squarefree_kernel
 from .fields import is_pth_power_finite, multiplicative_generator, pth_power_exponent
 from .hilbert import invariant_set, separating_discriminant, splits_invariant_set
-from .points import ClosedPoint, reduce_at, residue_field, sorted_points
+from .points import ClosedPoint, reduce_at, residue_field, sorted_points, sweep_values
 from .poly import RationalFunction
 from .residues import corestriction_exponent
 
@@ -143,9 +142,13 @@ def distinguish(a, b, sweep=200):
         steps.append("no certificate found; equivalence is not claimed")
         return Verdict(CANDIDATE_EQUIVALENT, tuple(steps))
     steps.append("swept symbol-regular rational points outside both supports")
-    skip = _rational_support_values(a) | _rational_support_values(b)
+    skip = {
+        row.point.rational_value()
+        for row in table
+        if not row.point.is_infinity and row.point.degree == 1
+    }
     tried = 0
-    for c in _sweep_values(a.base):
+    for c in sweep_values(a.base):
         if tried >= sweep:
             break
         cv = a.base.field.coerce(c)
@@ -181,14 +184,6 @@ def distinguish(a, b, sweep=200):
     steps.append(f"no separating point among the first {tried} swept")
     steps.append("no certificate found; equivalence is not claimed")
     return Verdict(CANDIDATE_EQUIVALENT, tuple(steps))
-
-
-def _rational_support_values(cls):
-    out = set()
-    for pt in ramification_divisor(cls).support():
-        if not pt.is_infinity and pt.degree == 1:
-            out.add(pt.rational_value())
-    return out
 
 
 def _separating_quadratic(pa, pb, sa, sb):

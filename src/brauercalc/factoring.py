@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .fields import PrimeField, _irreducible_over_prime, _is_prime_int
+from .fields import PrimeField, _irreducible_over_prime, _powmod, is_prime
 from .poly import Poly, QQ, poly_gcd, poly_xgcd
 
 
@@ -47,10 +47,6 @@ class PrimePowerFactorization:
 
 # ---------------------------------------------------------------------------
 # integers
-
-
-def is_prime(n):
-    return _is_prime_int(n)
 
 
 def _pollard_brent(n, rng):
@@ -103,7 +99,7 @@ def factor_int(n):
         m = stack.pop()
         if m == 1:
             continue
-        if _is_prime_int(m):
+        if is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue
         d = _pollard_brent(m, rng)
@@ -307,7 +303,7 @@ def _yun_squarefree(f):
 
 def _next_prime(n):
     n += 1
-    while not _is_prime_int(n):
+    while not is_prime(n):
         n += 1
     return n
 
@@ -419,27 +415,6 @@ def factor_over_Q(f):
 # factorization over finite fields
 
 
-def _int_key_poly(f):
-    key = 1
-    for c in f.coeffs:
-        k = f.field.element_key(c)
-        if isinstance(k, tuple):
-            for part in k:
-                key = key * 1000003 + _flatten_key(part)
-        else:
-            key = key * 1000003 + k
-    return key
-
-
-def _flatten_key(k):
-    if isinstance(k, tuple):
-        out = 1
-        for part in k:
-            out = out * 1000003 + _flatten_key(part)
-        return out
-    return k
-
-
 def _ff_pth_root_poly(f):
     """Inverse Frobenius on exponents: f(t) = g(t^p) gives back g."""
     field = f.field
@@ -482,17 +457,6 @@ def ff_squarefree_decomposition(f):
     return out
 
 
-def _ff_powmod(a, n, m):
-    result = Poly.one(a.field) % m
-    base = a % m
-    while n:
-        if n & 1:
-            result = result * base % m
-        base = base * base % m
-        n >>= 1
-    return result
-
-
 def _ff_distinct_degree(f):
     """[(product_of_factors, d)] for a monic squarefree f."""
     field = f.field
@@ -503,7 +467,7 @@ def _ff_distinct_degree(f):
     i = 1
     cur = f
     while cur.degree >= 2 * i:
-        h = _ff_powmod(h, q, cur)
+        h = _powmod(h, q, cur)
         g = poly_gcd(cur, h - t)
         if g.degree >= 1:
             out.append((g, i))
@@ -549,7 +513,7 @@ def _ff_equal_degree(f, d, rng):
             g = poly_gcd(f, total)
         else:
             e = (q**d - 1) // 2
-            h = _ff_powmod(r, e, f) - Poly.one(field)
+            h = _powmod(r, e, f) - Poly.one(field)
             g = poly_gcd(f, h)
         if 0 < g.degree < f.degree:
             break
@@ -566,7 +530,7 @@ def _two_power_exponent(q):
 
 def _ff_factor_squarefree_monic(f):
     """Monic irreducible factors of a monic squarefree f, sorted."""
-    rng = random.Random(_int_key_poly(f) & 0x7FFFFFFF)
+    rng = random.Random(0x5EED)
     out = []
     for part, d in _ff_distinct_degree(f):
         out.extend(_ff_equal_degree(part, d, rng))

@@ -122,11 +122,10 @@ class FFElem:
 class PrimeField:
     """F_p for prime p; representatives are ints in [0, p)."""
 
-    char_is_prime_checked = True
     finite = True
 
     def __init__(self, p):
-        if p < 2 or not _is_prime_int(p):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.char = p
@@ -330,7 +329,7 @@ class QuotientField:
         return "QQ[t]/(...)"
 
 
-def _is_prime_int(n):
+def is_prime(n):
     """Deterministic Miller-Rabin, exact for every n below 3.3e24."""
     if n < 2:
         return False
@@ -475,11 +474,6 @@ def GF(q):
         if _irreducible_over_prime(f):
             return QuotientField(base, f)
     raise AssertionError("no irreducible polynomial found")
-
-
-def residue_field_over(base_field, modulus):
-    """Quotient of base_field[t] by a monic irreducible modulus."""
-    return QuotientField(base_field, modulus)
 
 
 def rational_is_square(c):

@@ -202,6 +202,8 @@ def separating_discriminant(places_a, places_b):
     if r == 0:
         r = m
     d = squarefree_kernel(Fraction(r - m if INF in target else r))
-    assert splits_invariant_set(d, target)
-    assert local_is_square(d, star)
+    if not splits_invariant_set(d, target):
+        raise AssertionError(f"Q(sqrt({d})) does not split the target class")
+    if not local_is_square(d, star):
+        raise AssertionError(f"{d} is not a local square at {star}")
     return d

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ScopeError
-from .factoring import is_irreducible, is_prime
-from .fields import GF, QuotientField
-from .poly import Poly, QQ, RationalFunction, poly_str
+from .factoring import is_irreducible
+from .fields import GF, QuotientField, is_prime
+from .poly import Poly, QQ, RationalFunction, poly_str, poly_strip
 
 
 class RationalBase:
@@ -176,11 +176,11 @@ def valuation_at(h, point):
 
 
 def reduce_at(h, point):
-    """Image of a valuation-0 rational function in kappa(x).
+    """Image of a rational function without a pole at the point in kappa(x).
 
-    At infinity this is the ratio of leading coefficients; at a finite
-    point the numerator and denominator are evaluated in the residue
-    field after the defining polynomial has been cancelled out.
+    At infinity this is the limit at infinity; at a finite point the
+    numerator and denominator are reduced separately, which is enough
+    because they are coprime.
     """
     if isinstance(h, Poly):
         h = RationalFunction(h)
@@ -189,31 +189,46 @@ def reduce_at(h, point):
     if point.degree == 1:
         return h.evaluate(point.rational_value())
     kappa = residue_field(point)
-    pi = point.poly
-    num, den = h.num, h.den
-    # cancel any matched powers of pi (valuation 0 overall)
-    while True:
-        qn, rn = divmod(num, pi)
-        if not rn.is_zero:
-            break
-        qd, rd = divmod(den, pi)
-        if not rd.is_zero:
-            raise ZeroDivisionError("function has a pole at the point")
-        num, den = qn, qd
-    d = kappa.from_poly(den)
+    d = kappa.from_poly(h.den)
     if d.is_zero:
         raise ZeroDivisionError("function has a pole at the point")
-    return kappa.from_poly(num) / d
+    return kappa.from_poly(h.num) / d
 
 
 def unit_part_at(h, point):
-    """(valuation v, unit image) with h = uniformizer^v * unit near the point."""
-    v = valuation_at(h, point)
+    """(v, u) with h = uniformizer^v * unit near the point, and u the
+    image of the unit in kappa(x).
+
+    At infinity v = deg(den) - deg(num) and u = lc(num) / lc(den); at a
+    finite point pi is divided out of the numerator and the denominator
+    once, and u is the quotient of the reduced cofactors.
+    """
+    if isinstance(h, Poly):
+        h = RationalFunction(h)
+    if h.is_zero:
+        raise ValueError("the zero function has no finite valuation")
+    num, den = h.num, h.den
     if point.is_infinity:
-        t = RationalFunction(Poly.gen(h.field))
-        return v, reduce_at(h * t**v, point)
-    pi = RationalFunction(point.poly)
-    return v, reduce_at(h * pi**-v, point)
+        return den.degree - num.degree, num.lc / den.lc
+    vn, rn = poly_strip(num, point.poly)
+    vd, rd = poly_strip(den, point.poly)
+    if point.degree == 1:
+        return vn - vd, rn.coeff(0) / rd.coeff(0)
+    kappa = residue_field(point)
+    return vn - vd, kappa.from_poly(rn) / kappa.from_poly(rd)
+
+
+def sweep_values(base):
+    """0, 1, -1, 2, -2, ... over Q; all field elements over F_q."""
+    if base.is_finite:
+        yield from range(base.field.order)
+        return
+    yield 0
+    k = 1
+    while True:
+        yield k
+        yield -k
+        k += 1
 
 
 def sorted_points(points):

@@ -228,10 +228,6 @@ class Poly:
             acc = acc * other + Poly.constant(self.field, c)
         return acc
 
-    def shift_arg(self, a):
-        """self(t + a)."""
-        return self.compose(Poly(self.field, [self.field.coerce(a), self.field.one]))
-
     def sort_key(self):
         return (self.degree, tuple(self.field.element_key(c) for c in self.coeffs))
 
@@ -318,8 +314,9 @@ def lagrange_interpolate(field, points):
     return result
 
 
-def poly_valuation(f, pi):
-    """Largest k with pi^k dividing f; pi must be a nonconstant polynomial."""
+def poly_strip(f, pi):
+    """(k, r) with k the largest power of pi dividing f and r the nonzero
+    remainder of f / pi^k modulo pi; pi must be a nonconstant polynomial."""
     if pi.is_zero or pi.degree < 1:
         raise ValueError("valuation requires a nonconstant modulus")
     if f.is_zero:
@@ -328,9 +325,14 @@ def poly_valuation(f, pi):
     while True:
         q, r = divmod(f, pi)
         if not r.is_zero:
-            return k
+            return k, r
         f = q
         k += 1
+
+
+def poly_valuation(f, pi):
+    """Largest k with pi^k dividing f; pi must be a nonconstant polynomial."""
+    return poly_strip(f, pi)[0]
 
 
 class RationalFunction:
@@ -361,10 +363,6 @@ class RationalFunction:
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
-
-    @classmethod
-    def from_poly(cls, p):
-        return cls(p)
 
     @classmethod
     def constant(cls, field, c):

@@ -27,7 +27,7 @@ from .fields import (
     rational_is_square,
 )
 from .poly import Poly, QQ, lagrange_interpolate, poly_gcd, resultant
-from .points import residue_field
+from .points import Q_BASE, residue_field, sweep_values
 
 
 def is_pth_power(field, value, p):
@@ -66,15 +66,6 @@ def same_kummer_extension(field, r1, r2, p):
 # ---------------------------------------------------------------------------
 # square testing in number fields
 
-def _lambda_values():
-    yield 0
-    k = 1
-    while True:
-        yield k
-        yield -k
-        k += 1
-
-
 def _nf_norm_poly(kappa, e, lam):
     """Res_t(modulus, (X - lam*t)^2 - e(t)) as a polynomial in X over Q.
 
@@ -95,8 +86,16 @@ def _nf_norm_poly(kappa, e, lam):
     return lagrange_interpolate(QQ, list(zip(xs, ys)))
 
 
-def _squarefree_over_Q(f):
-    return poly_gcd(f, f.derivative()).degree == 0
+def _split_norm(kappa, e):
+    """(lam, factors): the first shift in the sweep whose norm polynomial
+    is squarefree, and that polynomial's monic irreducible factors over Q.
+
+    Only finitely many shifts give a repeated root, so the sweep ends.
+    """
+    for lam in sweep_values(Q_BASE):
+        norm_poly = _nf_norm_poly(kappa, e, lam)
+        if poly_gcd(norm_poly, norm_poly.derivative()).degree == 0:
+            return lam, factor_over_Q(norm_poly).factors
 
 
 def nf_is_square(kappa, e):
@@ -106,12 +105,8 @@ def nf_is_square(kappa, e):
         return True
     if not rational_is_square(kappa.norm(e)):
         return False
-    for lam in _lambda_values():
-        norm_poly = _nf_norm_poly(kappa, e, lam)
-        if not _squarefree_over_Q(norm_poly):
-            continue
-        return len(factor_over_Q(norm_poly).factors) > 1
-    raise AssertionError("unreachable: the shift sweep does not terminate")
+    _, factors = _split_norm(kappa, e)
+    return len(factors) > 1
 
 
 def nf_sqrt(kappa, e):
@@ -126,25 +121,19 @@ def nf_sqrt(kappa, e):
         return kappa.zero
     if not rational_is_square(kappa.norm(e)):
         return None
-    theta = kappa.gen_elem()
-    square_poly = Poly(kappa, [-e, kappa.zero, kappa.one])
-    for lam in _lambda_values():
-        norm_poly = _nf_norm_poly(kappa, e, lam)
-        if not _squarefree_over_Q(norm_poly):
-            continue
-        factors = factor_over_Q(norm_poly).factors
-        if len(factors) == 1:
-            return None
-        shift = Poly(kappa, [kappa.embed(lam) * theta, kappa.one])
-        for h, _ in factors:
-            hk = Poly(kappa, [kappa.embed(c) for c in h.coeffs]).compose(shift)
-            g = poly_gcd(square_poly, hk)
-            if g.degree == 1:
-                root = -g.coeff(0)
-                if root * root == e:
-                    return root
+    lam, factors = _split_norm(kappa, e)
+    if len(factors) == 1:
         return None
-    raise AssertionError("unreachable: the shift sweep does not terminate")
+    square_poly = Poly(kappa, [-e, kappa.zero, kappa.one])
+    shift = Poly(kappa, [kappa.embed(lam) * kappa.gen_elem(), kappa.one])
+    for h, _ in factors:
+        hk = Poly(kappa, [kappa.embed(c) for c in h.coeffs]).compose(shift)
+        g = poly_gcd(square_poly, hk)
+        if g.degree == 1:
+            root = -g.coeff(0)
+            if root * root == e:
+                return root
+    return None
 
 
 # ---------------------------------------------------------------------------

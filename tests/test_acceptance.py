@@ -30,7 +30,7 @@ from brauercalc.distinguish import (
 )
 from brauercalc.factoring import factor_poly
 from brauercalc.hilbert import hilbert_symbol, relevant_places
-from brauercalc.points import ClosedPoint, Q_BASE
+from brauercalc.points import ClosedPoint, Q_BASE, sweep_values
 from brauercalc.poly import Poly, QQ, RationalFunction
 
 from _gen import (
@@ -187,18 +187,6 @@ def test_criterion_6_splitting_witness_loop():
     )
 
 
-def _sweep(base):
-    if base.is_finite:
-        yield from range(base.field.order)
-        return
-    yield 0
-    k = 1
-    while True:
-        yield k
-        yield -k
-        k += 1
-
-
 def test_criterion_7_unramified_cover_certificates():
     rng = random.Random(1007)
     done = 0
@@ -210,13 +198,13 @@ def test_criterion_7_unramified_cover_certificates():
         if not 1 <= len(supp) <= 4:
             continue
         xv = next(
-            v for v in _sweep(base) if ClosedPoint.rational(base, v) not in supp
+            v for v in sweep_values(base) if ClosedPoint.rational(base, v) not in supp
         )
         bpt = None
         if any(pt.is_infinity for pt in supp):
             bv = next(
                 v
-                for v in _sweep(base)
+                for v in sweep_values(base)
                 if v != xv and ClosedPoint.rational(base, v) not in supp
             )
             bpt = ClosedPoint.rational(base, bv)

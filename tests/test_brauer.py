@@ -1,5 +1,6 @@
 """Symbol sums: residues, ramification divisors, reciprocity, equality."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,10 +20,18 @@ from brauercalc.brauer import (
     specialize,
 )
 from brauercalc.errors import NotSymbolRegular, ScopeError
-from brauercalc.points import ClosedPoint, Q_BASE, residue_field
+from brauercalc.points import (
+    ClosedPoint,
+    FiniteBase,
+    Q_BASE,
+    reduce_at,
+    residue_field,
+    unit_part_at,
+    valuation_at,
+)
 from brauercalc.poly import Poly, QQ, RationalFunction
 
-from _gen import F7, F13, random_class
+from _gen import F7, F13, random_class, random_entry
 from _oracles import classes_equal_oracle
 
 T = Poly.gen(QQ)
@@ -213,3 +222,71 @@ def test_negation_inverts_second_entry():
     (pair,) = (-a).pairs()
     assert pair[0] == as_ratfunc(Q_BASE, 5)
     assert pair[1] == as_ratfunc(Q_BASE, T).inverse()
+
+
+def _first_point(base, degree):
+    """The first monic irreducible of the given degree, by coefficient order."""
+    field = base.field
+    if base.is_finite:
+        elems = list(field.elements())
+    else:
+        elems = [field.from_int(n) for n in (1, 2, 3)]
+    for tail in itertools.product(elems, repeat=degree):
+        try:
+            return ClosedPoint.finite(base, Poly(field, list(tail) + [field.one]))
+        except ValueError:
+            continue
+    raise LookupError(f"no irreducible of degree {degree} over {base!r}")
+
+
+def test_reduce_at_zero_and_pole():
+    t7 = Poly.gen(F7.field)
+    quad = q_poly(-2, 0, 1)
+    zeros = [
+        (ClosedPoint.infinity(Q_BASE), RationalFunction(q_poly(1), T)),
+        (ClosedPoint.rational(Q_BASE, 1), RationalFunction(q_poly(-3, 2, 1))),
+        (ClosedPoint.finite(Q_BASE, quad), RationalFunction(quad)),
+        (ClosedPoint.finite(F7, t7**2 + 1), RationalFunction((t7**2 + 1) * (t7 + 3))),
+    ]
+    for x, h in zeros:
+        assert reduce_at(h, x) == residue_field(x).zero
+        with pytest.raises(ZeroDivisionError):
+            reduce_at(h.inverse(), x)
+
+
+def _residue_by_full_quotient(cls_, x):
+    """The defining formula, (-1)^(va vb) * a^vb / b^va reduced at x."""
+    acc = residue_field(x).one
+    for s in cls_.symbols:
+        va, vb = valuation_at(s.a, x), valuation_at(s.b, x)
+        if va == 0 and vb == 0:
+            continue
+        val = reduce_at(s.a**vb / s.b**va, x)
+        acc = acc * (-val if (va * vb) % 2 else val)
+    return acc
+
+
+def test_residue_at_matches_full_quotient():
+    rng = random.Random(127)
+    for base, p in ((Q_BASE, 2), (F7, 3), (FiniteBase(9), 2)):
+        finite = [_first_point(base, d) for d in (1, 2, 3)]
+        points = [ClosedPoint.infinity(base)] + finite
+        ramified = set()
+
+        def entry():
+            """A random unit times a power of one of the fixed points."""
+            pi = RationalFunction(rng.choice(finite).poly)
+            unit = random_entry(rng, base.field, 1, height=9)
+            return unit * pi ** rng.choice((-2, -1, 1, 2))
+
+        for _ in range(8):
+            pairs = [(entry(), entry()) for _ in range(rng.randint(1, 3))]
+            c = BrauerClass.make(base, p, pairs)
+            for x in points:
+                assert residue_at(c, x).value == _residue_by_full_quotient(c, x)
+                for h in (e for pair in pairs for e in pair):
+                    v = unit_part_at(h, x)[0]
+                    assert v == valuation_at(h, x)
+                    if v:
+                        ramified.add(x)
+        assert ramified == set(points)
