@@ -16,6 +16,7 @@ from .brauer import (
     Symbol,
     as_ratfunc,
     classes_equal,
+    compare_classes,
     constant_is_trivial,
     ramification_divisor,
     ramification_points,
@@ -56,64 +57,3 @@ from .report import Report, VERSION
 from .residues import ResidueClass, is_pth_power, same_kummer_extension
 
 __version__ = VERSION
-
-__all__ = [
-    "BrauerClass",
-    "Symbol",
-    "as_ratfunc",
-    "classes_equal",
-    "constant_is_trivial",
-    "ramification_divisor",
-    "ramification_points",
-    "reciprocity_check",
-    "regular_rational_points",
-    "residue_at",
-    "specialize",
-    "KummerCoverDatum",
-    "Reparametrization",
-    "make_unramified_cover",
-    "pullback_class",
-    "splitting_witness",
-    "unramified_cover_certificates",
-    "verify_splitting_witness",
-    "BY_RAMIFICATION_FIELD",
-    "BY_SPECIALIZATION",
-    "CANDIDATE_EQUIVALENT",
-    "EQUAL",
-    "CandidateSet",
-    "Verdict",
-    "compare_ramification_fields",
-    "distinguish",
-    "enumerate_candidates",
-    "uniqueness_report",
-    "NotSymbolRegular",
-    "ParseError",
-    "ScopeError",
-    "factor_int",
-    "factor_poly",
-    "is_irreducible",
-    "squarefree_kernel",
-    "GF",
-    "rational_is_square",
-    "hilbert_symbol",
-    "invariant_set",
-    "local_invariants",
-    "class_text",
-    "parse_class",
-    "parse_ratfunc",
-    "ratfunc_text",
-    "ClosedPoint",
-    "FiniteBase",
-    "Q_BASE",
-    "residue_field",
-    "valuation_at",
-    "Poly",
-    "QQ",
-    "RationalFunction",
-    "Report",
-    "VERSION",
-    "ResidueClass",
-    "is_pth_power",
-    "same_kummer_extension",
-    "__version__",
-]

@@ -32,7 +32,6 @@ from .points import (
     sorted_points,
     sweep_values,
     unit_part_at,
-    valuation_at,
 )
 from .poly import Poly, RationalFunction
 from .residues import ResidueClass, corestriction_exponent, norm_to_base
@@ -149,17 +148,6 @@ class RamificationDivisor:
     def __iter__(self):
         return iter(self.entries)
 
-    def agrees_with(self, other):
-        """Entrywise equality of residues over the union of supports."""
-        pts = set(self.support()) | set(other.support())
-        for x in pts:
-            r1, r2 = self.residue(x), other.residue(x)
-            if r1 is None or r2 is None:
-                return False
-            if not r1.same_class(r2):
-                return False
-        return True
-
 
 def ramification_points(cls):
     """Candidate points: infinity plus every irreducible factor of an entry."""
@@ -205,13 +193,19 @@ def divisor_reciprocity(div):
 
 
 def is_symbol_regular(cls, c):
-    """No entry of any symbol has a zero or pole at t = c."""
-    x = ClosedPoint.rational(cls.base, c)
-    for s in cls.symbols:
-        for e in (s.a, s.b):
-            if valuation_at(e, x) != 0:
-                return False
-    return True
+    """No entry of any symbol has a zero or pole at t = c.
+
+    Numerator and denominator are coprime, so an entry has a zero or
+    pole at t = c exactly when one of them vanishes at c.
+    """
+    field = cls.base.field
+    cv = field.coerce(c)
+    return all(
+        f.evaluate(cv) != field.zero
+        for s in cls.symbols
+        for e in (s.a, s.b)
+        for f in (e.num, e.den)
+    )
 
 
 def specialize(cls, c):
@@ -250,21 +244,57 @@ def constant_is_trivial(base, pairs, p):
     return all(s == 1 for s in local_invariants(pairs).values())
 
 
-def classes_equal(c1, c2):
-    """Exact equality of two classes in the Brauer group.
+FINITE_CONSTANTS_TRIVIAL = "constant classes over a finite field are trivial"
 
-    The difference must be unramified everywhere; over a finite constant
-    field that already forces triviality.  Over Q the unramified
-    difference is a constant class, recovered by evaluating at any
-    symbol-regular rational point and tested through its local
-    invariants.
+
+@dataclass(frozen=True)
+class ClassComparison:
+    """Two classes compared once, with what decided their equality.
+
+    left and right are their ramification divisors.  point is the first
+    point, in sorted order, where their residues differ, and residue the
+    residue of the difference there; both are None when the difference
+    is unramified.  An unramified difference over Q is a constant class:
+    pairs is its specialization at at, the first symbol-regular value,
+    and decides equality.  Otherwise at and pairs are None.
+    """
+
+    left: object
+    right: object
+    equal: bool
+    point: object = None
+    residue: object = None
+    at: object = None
+    pairs: tuple = None
+
+
+def compare_classes(c1, c2):
+    """Exact comparison of two classes in the Brauer group.
+
+    The residue of c1 - c2 at x is the quotient of their residues there,
+    so the difference is unramified exactly when the two divisors agree
+    entrywise up to p-th powers; the first point where they differ is
+    the first point of the divisor of c1 - c2.  An unramified difference
+    is a constant class.  Over a finite constant field that forces
+    triviality; over Q it is recovered by evaluating at a symbol-regular
+    rational point and tested through its local invariants.
     """
     if c1.base != c2.base or c1.p != c2.p:
         raise ValueError("classes over different settings")
+    d1, d2 = ramification_divisor(c1), ramification_divisor(c2)
     diff = c1 - c2
-    if not ramification_divisor(diff).is_empty:
-        return False
+    for x in sorted_points(set(d1.support()) | set(d2.support())):
+        r1, r2 = d1.residue(x), d2.residue(x)
+        if r1 is None or r2 is None or not r1.same_class(r2):
+            return ClassComparison(d1, d2, False, x, residue_at(diff, x))
     if c1.base.is_finite:
-        return True
-    c = regular_rational_points(diff, 1)[0]
-    return constant_is_trivial(c1.base, specialize(diff, c), c1.p)
+        return ClassComparison(d1, d2, True)
+    at = regular_rational_points(diff, 1)[0]
+    pairs = specialize(diff, at)
+    trivial = constant_is_trivial(c1.base, pairs, c1.p)
+    return ClassComparison(d1, d2, trivial, at=at, pairs=pairs)
+
+
+def classes_equal(c1, c2):
+    """Exact equality of two classes in the Brauer group."""
+    return compare_classes(c1, c2).equal

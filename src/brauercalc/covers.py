@@ -21,14 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .brauer import (
+    FINITE_CONSTANTS_TRIVIAL,
     BrauerClass,
     as_ratfunc,
     classes_equal,
-    constant_is_trivial,
+    compare_classes,
     ramification_divisor,
-    regular_rational_points,
     residue_at,
-    specialize,
 )
 from .points import ClosedPoint, sweep_values, valuation_at
 from .poly import Poly, RationalFunction
@@ -199,32 +198,21 @@ def verify_splitting_witness(cls, witness):
         cls, BrauerClass.make(cls.base, cls.p, [witness.symbol])
     )
     if bare:
-        div = ramification_divisor(pulled)
+        cmp = compare_classes(pulled, BrauerClass.zero(cls.base, cls.p))
         checks.append(
             WitnessCheck(
                 "pullback-divisor-empty",
-                div.is_empty,
-                f"pullback ramifies at {len(div.entries)} points",
+                cmp.point is None,
+                f"pullback ramifies at {len(cmp.left.entries)} points",
             )
         )
-        pts = regular_rational_points(pulled, 1)
-        if pts:
-            pairs = specialize(pulled, pts[0])
-            checks.append(
-                WitnessCheck(
-                    "pullback-constant-trivial",
-                    constant_is_trivial(cls.base, pairs, cls.p),
-                    f"specialization at s = {pts[0]} is a trivial constant class",
-                )
-            )
+        if cmp.point is not None:
+            detail = "a ramified pullback is not a constant class"
+        elif cls.base.is_finite:
+            detail = FINITE_CONSTANTS_TRIVIAL
         else:
-            checks.append(
-                WitnessCheck(
-                    "pullback-constant-trivial",
-                    False,
-                    "no symbol-regular specialization point available",
-                )
-            )
+            detail = f"specialization at s = {cmp.at} is a trivial constant class"
+        checks.append(WitnessCheck("pullback-constant-trivial", cmp.equal, detail))
     else:
         notes.append(
             "class is not the bare witnessed symbol; only residues above "

@@ -28,15 +28,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .brauer import (
-    BrauerClass,
-    classes_equal,
-    constant_is_trivial,
-    is_symbol_regular,
-    ramification_divisor,
-    specialize,
-)
-from .errors import ScopeError
+from .brauer import BrauerClass, compare_classes, ramification_divisor, specialize
+from .errors import NotSymbolRegular, ScopeError
 from .factoring import factor_over_Fq, squarefree_kernel
 from .fields import is_pth_power_finite, multiplicative_generator, pth_power_exponent
 from .hilbert import invariant_set, separating_discriminant, splits_invariant_set
@@ -92,7 +85,10 @@ def _check_pair(a, b):
 def compare_ramification_fields(a, b):
     """Per-point table of residue-extension agreement over both supports."""
     _check_pair(a, b)
-    da, db = ramification_divisor(a), ramification_divisor(b)
+    return _field_table(ramification_divisor(a), ramification_divisor(b))
+
+
+def _field_table(da, db):
     rows = []
     for pt in sorted_points(set(da.support()) | set(db.support())):
         ra, rb = da.residue(pt), db.residue(pt)
@@ -119,11 +115,11 @@ def distinguish(a, b, sweep=200):
     sweep bounds how many admissible specialization points are tried
     before falling back to CandidateEquivalent.
     """
-    _check_pair(a, b)
     steps = ["compared ramification divisors and the constant part exactly"]
-    if classes_equal(a, b):
+    cmp = compare_classes(a, b)
+    if cmp.equal:
         return Verdict(EQUAL, (*steps, "classes are equal"))
-    table = compare_ramification_fields(a, b)
+    table = _field_table(cmp.left, cmp.right)
     steps.append("compared residue extensions at every point of either support")
     for row in table:
         if row.mismatch:
@@ -154,12 +150,14 @@ def distinguish(a, b, sweep=200):
         cv = a.base.field.coerce(c)
         if cv in skip:
             continue
-        if not (is_symbol_regular(a, cv) and is_symbol_regular(b, cv)):
+        try:
+            pa, pb = specialize(a, cv), specialize(b, cv)
+        except NotSymbolRegular:
             continue
         tried += 1
-        pa, pb = specialize(a, cv), specialize(b, cv)
-        ta = constant_is_trivial(a.base, pa, a.p)
-        tb = constant_is_trivial(b.base, pb, b.p)
+        # over Q a constant class is trivial exactly when no place is nonsplit
+        sa, sb = invariant_set(pa), invariant_set(pb)
+        ta, tb = not sa, not sb
         if ta != tb:
             steps.append(
                 f"at t = {cv} exactly one specialization is trivial "
@@ -168,19 +166,15 @@ def distinguish(a, b, sweep=200):
             )
             cert = SpecializationCertificate(cv, pa, pb, ta, tb)
             return Verdict(BY_SPECIALIZATION, tuple(steps), point=cv, certificate=cert)
-        if not ta:
-            sa, sb = invariant_set(pa), invariant_set(pb)
-            if set(sa) != set(sb):
-                d = _separating_quadratic(pa, pb, sa, sb)
-                steps.append(
-                    f"at t = {cv} both specializations are nontrivial with "
-                    f"different nonsplit places {list(sa)} vs {list(sb)}; "
-                    f"Q(sqrt({d})) splits exactly one of them"
-                )
-                cert = SpecializationCertificate(cv, pa, pb, False, False, d)
-                return Verdict(
-                    BY_SPECIALIZATION, tuple(steps), point=cv, certificate=cert
-                )
+        if not ta and set(sa) != set(sb):
+            d = _separating_quadratic(pa, pb, sa, sb)
+            steps.append(
+                f"at t = {cv} both specializations are nontrivial with "
+                f"different nonsplit places {list(sa)} vs {list(sb)}; "
+                f"Q(sqrt({d})) splits exactly one of them"
+            )
+            cert = SpecializationCertificate(cv, pa, pb, False, False, d)
+            return Verdict(BY_SPECIALIZATION, tuple(steps), point=cv, certificate=cert)
     steps.append(f"no separating point among the first {tried} swept")
     steps.append("no certificate found; equivalence is not claimed")
     return Verdict(CANDIDATE_EQUIVALENT, tuple(steps))

@@ -1,5 +1,8 @@
 """Exact factorization: integers, polynomials over Q, polynomials over F_q.
 
+Integers are factored by fields.factor_int (trial division by small
+primes, then Pollard-Brent), re-exported here.
+
 The rational factorization is the classical Zassenhaus pipeline: Yun
 squarefree decomposition, factorization modulo a good small prime,
 quadratic Hensel lifting up to the Mignotte bound, then subset
@@ -16,97 +19,18 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .fields import PrimeField, _irreducible_over_prime, _powmod, is_prime
+from .fields import (
+    PrimeField,
+    PrimePowerFactorization,
+    _irreducible_over_prime,
+    _powmod,
+    factor_int,
+    is_prime,
+)
 from .poly import Poly, QQ, poly_gcd, poly_xgcd
-
-
-@dataclass(frozen=True)
-class PrimePowerFactorization:
-    """unit * product of factor^multiplicity with pairwise coprime factors.
-
-    Polynomial factors are monic irreducibles sorted by (degree,
-    coefficient sequence); integer factors are primes in increasing order.
-    """
-
-    unit: object
-    factors: tuple
-
-    def expand(self):
-        acc = self.unit
-        for f, e in self.factors:
-            acc = acc * f**e
-        return acc
-
-    def __iter__(self):
-        return iter(self.factors)
-
-
-# ---------------------------------------------------------------------------
-# integers
-
-
-def _pollard_brent(n, rng):
-    if n % 2 == 0:
-        return 2
-    while True:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
-        m = 128
-        g = r = q = 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
-_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
-
-
-def factor_int(n):
-    """Prime factorization of a nonzero integer as a PrimePowerFactorization."""
-    if n == 0:
-        raise ValueError("cannot factor zero")
-    unit = 1 if n > 0 else -1
-    n = abs(n)
-    counts = {}
-    for p in _SMALL_PRIMES:
-        while n % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
-    rng = random.Random(0x5EED)
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            counts[m] = counts.get(m, 0) + 1
-            continue
-        d = _pollard_brent(m, rng)
-        stack.append(d)
-        stack.append(m // d)
-    factors = tuple(sorted(counts.items()))
-    return PrimePowerFactorization(unit, factors)
 
 
 def squarefree_kernel(c):
@@ -574,15 +498,3 @@ def is_irreducible(f):
         return len(fac.factors) == 1 and fac.factors[0][1] == 1
     return _irreducible_over_prime(f)
 
-
-__all__ = [
-    "PrimePowerFactorization",
-    "factor_int",
-    "factor_over_Q",
-    "factor_over_Fq",
-    "factor_poly",
-    "ff_squarefree_decomposition",
-    "is_irreducible",
-    "is_prime",
-    "squarefree_kernel",
-]

@@ -12,11 +12,16 @@ written once.
 Finite fields expose deterministic element enumeration, a fixed
 multiplicative generator, discrete logs against it, and p-th power tests;
 none of that exists for quotients over QQ, which instead get resultant norms.
+The integer primality test and factorizer live here too, because building
+GF(q) and finding a generator need them; factoring re-exports them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import random
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .poly import Poly, poly_gcd, poly_xgcd, resultant
@@ -354,18 +359,85 @@ def is_prime(n):
     return True
 
 
-def _trial_factor(n):
-    """Prime factor multiset of a small positive integer."""
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+@dataclass(frozen=True)
+class PrimePowerFactorization:
+    """unit * product of factor^multiplicity with pairwise coprime factors.
+
+    Polynomial factors are monic irreducibles sorted by (degree,
+    coefficient sequence); integer factors are primes in increasing order.
+    """
+
+    unit: object
+    factors: tuple
+
+    def expand(self):
+        acc = self.unit
+        for f, e in self.factors:
+            acc = acc * f**e
+        return acc
+
+    def __iter__(self):
+        return iter(self.factors)
+
+
+def _pollard_brent(n, rng):
+    if n % 2 == 0:
+        return 2
+    while True:
+        y = rng.randrange(1, n)
+        c = rng.randrange(1, n)
+        m = 128
+        g = r = q = 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+def factor_int(n):
+    """Prime factorization of a nonzero integer as a PrimePowerFactorization."""
+    if n == 0:
+        raise ValueError("cannot factor zero")
+    unit = 1 if n > 0 else -1
+    n = abs(n)
+    counts = {}
+    for p in _SMALL_PRIMES:
+        while n % p == 0:
+            counts[p] = counts.get(p, 0) + 1
+            n //= p
+    stack = [n] if n > 1 else []
+    rng = random.Random(0x5EED)
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if is_prime(m):
+            counts[m] = counts.get(m, 0) + 1
+            continue
+        d = _pollard_brent(m, rng)
+        stack.append(d)
+        stack.append(m // d)
+    factors = tuple(sorted(counts.items()))
+    return PrimePowerFactorization(unit, factors)
 
 
 def multiplicative_generator(field):
@@ -376,7 +448,7 @@ def multiplicative_generator(field):
     if cached is not None:
         return cached
     n = field.order - 1
-    prime_divs = list(_trial_factor(n))
+    prime_divs = [q for q, _ in factor_int(n)]
     for e in field.elements():
         if e.is_zero:
             continue
@@ -440,7 +512,7 @@ def _irreducible_over_prime(f):
 
     if t_qpow(d) != t % f:
         return False
-    for l in _trial_factor(d):
+    for l, _ in factor_int(d):
         g = poly_gcd(t_qpow(d // l) - t, f)
         if g.degree != 0:
             return False
@@ -461,10 +533,10 @@ def _powmod(a, n, m):
 @lru_cache(maxsize=None)
 def GF(q):
     """The finite field with q elements (q a prime power), built once."""
-    fac = _trial_factor(q)
+    fac = factor_int(q).factors if q >= 2 else ()
     if len(fac) != 1:
         raise ValueError(f"{q} is not a prime power")
-    (p, k), = fac.items()
+    (p, k), = fac
     if k == 1:
         return PrimeField(p)
     base = GF(p)

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .brauer import (
-    constant_is_trivial,
+    FINITE_CONSTANTS_TRIVIAL,
+    compare_classes,
     divisor_reciprocity,
     ramification_divisor,
-    regular_rational_points,
-    specialize,
 )
 from .covers import KummerCoverDatum, Reparametrization
 from .distinguish import FieldComparisonRow, SpecializationCertificate
@@ -125,35 +124,24 @@ def ram_outcome(cls):
 
 
 def equal_outcome(a, b):
-    diff = a - b
-    div = ramification_divisor(diff)
-    out = {"difference_unramified": div.is_empty}
-    if not div.is_empty:
-        out["equal"] = False
+    cmp = compare_classes(a, b)
+    out = {"difference_unramified": cmp.point is None, "equal": cmp.equal}
+    if cmp.point is not None:
         out["obstruction"] = {
-            "point": str(div.entries[0][0]),
-            "residue": value_text(div.entries[0][1].canonical_value()),
+            "point": str(cmp.point),
+            "residue": value_text(cmp.residue.canonical_value()),
         }
-        return out
-    if a.base.is_finite:
-        out["equal"] = True
-        out["constant_difference"] = {
-            "trivial": True,
-            "reason": "constant classes over a finite field are trivial",
+    elif a.base.is_finite:
+        out["constant_difference"] = {"trivial": True, "reason": FINITE_CONSTANTS_TRIVIAL}
+    else:
+        cert = {
+            "at": value_text(a.base.field.coerce(cmp.at)),
+            "pairs": [[value_text(x), value_text(y)] for x, y in cmp.pairs],
+            "trivial": cmp.equal,
         }
-        return out
-    at = regular_rational_points(diff, 1)[0]
-    pairs = specialize(diff, at)
-    trivial = constant_is_trivial(a.base, pairs, a.p)
-    cert = {
-        "at": value_text(a.base.field.coerce(at)),
-        "pairs": [[value_text(x), value_text(y)] for x, y in pairs],
-        "trivial": trivial,
-    }
-    if not trivial:
-        cert["nonsplit_places"] = [str(v) for v in invariant_set(pairs)]
-    out["equal"] = trivial
-    out["constant_difference"] = cert
+        if not cmp.equal:
+            cert["nonsplit_places"] = [str(v) for v in invariant_set(cmp.pairs)]
+        out["constant_difference"] = cert
     return out
 
 

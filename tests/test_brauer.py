@@ -10,6 +10,7 @@ from brauercalc.brauer import (
     BrauerClass,
     as_ratfunc,
     classes_equal,
+    compare_classes,
     constant_is_trivial,
     is_symbol_regular,
     ramification_divisor,
@@ -158,6 +159,39 @@ def test_equal_matches_reference():
                 assert expected
 
 
+def test_compare_classes_matches_difference_divisor():
+    """The first mismatch is the first point of the divisor of a - b, with
+    its residue; equality agrees with the oracle."""
+    rng = random.Random(131)
+    for base, p in ((Q_BASE, 2), (F7, 3), (FiniteBase(9), 2)):
+        height = 8 if not base.is_finite else 50
+        for k in range(12):
+            a = random_class(rng, base, p, 2, 2, height=height)
+            s = random_class(rng, base, p, 1, 2, height=height)
+            if k % 3 == 0:
+                b = a + s + s.scale(p - 1)
+            elif k % 3 == 1:
+                # over Q a nonsplit constant; over F_q a trivial one
+                b = a + BrauerClass.make(base, p, [(-1, -1)])
+            else:
+                b = a + s
+            cmp = compare_classes(a, b)
+            div = ramification_divisor(a - b)
+            assert cmp.left == ramification_divisor(a)
+            assert cmp.right == ramification_divisor(b)
+            if div.is_empty:
+                assert cmp.point is None and cmp.residue is None
+            else:
+                x, rc = div.entries[0]
+                assert cmp.point == x and not cmp.equal
+                assert cmp.residue.same_class(rc)
+            assert cmp.equal == classes_equal_oracle(a, b)
+            if base.is_finite or cmp.point is not None:
+                assert cmp.at is None and cmp.pairs is None
+            else:
+                assert cmp.pairs == specialize(a - b, cmp.at)
+
+
 def test_difference_with_self_vanishes():
     rng = random.Random(113)
     for base, p in ((Q_BASE, 2), (F7, 3)):
@@ -195,10 +229,9 @@ def test_divisor_agreement_up_to_squares():
     a = BrauerClass.make(Q_BASE, 2, [(5, T)])
     b = BrauerClass.make(Q_BASE, 2, [(20, T)])
     c = BrauerClass.make(Q_BASE, 2, [(3, T)])
-    da, db, dc = map(ramification_divisor, (a, b, c))
-    assert da.agrees_with(db)
-    assert not da.agrees_with(dc)
-    assert not da.agrees_with(ramification_divisor(BrauerClass.zero(Q_BASE, 2)))
+    assert classes_equal(a, b)
+    assert not classes_equal(a, c)
+    assert not classes_equal(a, BrauerClass.zero(Q_BASE, 2))
 
 
 def test_construction_guards():

@@ -31,10 +31,10 @@ def test_gf_prime_arithmetic():
 
 
 def test_gf_rejects_non_prime_power():
-    with pytest.raises(ValueError):
-        GF(6)
-    with pytest.raises(ValueError):
-        GF(1)
+    for q in (6, 1, 0, -4, 12, 2 * 1000003):
+        with pytest.raises(ValueError, match="is not a prime power"):
+            GF(q)
+    assert GF(2**5).order == 32
 
 
 def test_gf_is_cached():

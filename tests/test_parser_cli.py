@@ -171,6 +171,23 @@ def test_cli_witness_roundtrip(tmp_path, capsys):
     assert all(chk["passed"] for chk in out["checks"])
 
 
+def test_cli_witness_verifies_over_finite_base(tmp_path, capsys):
+    """Over F_q the pullback's constant part is trivial without a regular
+    point, as in the equal report for the same class."""
+    cls_text = "(2, t) + (t+1, t+2) + (t+1, t+2)"
+    fq = ["--base", "fq:3"]
+    wfile = tmp_path / "w.json"
+    assert main(["witness", cls_text, "--at", "0", "--out", str(wfile)] + fq) == 0
+    assert main(["equal", cls_text, "(2, t)", "--format", "json"] + fq) == 0
+    capsys.readouterr()
+    for text in (cls_text, "(2, t)"):
+        assert main(["verify-witness", text, str(wfile), "--format", "json"] + fq) == 0
+        out = json.loads(capsys.readouterr().out)["outcome"]
+        assert out["mode"] == "full" and out["ok"] is True
+        (check,) = [c for c in out["checks"] if c["name"] == "pullback-constant-trivial"]
+        assert check["detail"] == "constant classes over a finite field are trivial"
+
+
 def test_cli_verify_witness_errors(tmp_path, capsys):
     wfile = tmp_path / "w.json"
     assert main(["witness", "(5,t)", "--at", "0", "--out", str(wfile)]) == 0
