@@ -22,6 +22,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import ScopeError
 from .fields import (
     PrimeField,
     PrimePowerFactorization,
@@ -232,6 +233,9 @@ def _next_prime(n):
     return n
 
 
+_PRIME_BOUND = 10**6
+
+
 def _zassenhaus(f):
     """Irreducible primitive factors of a primitive squarefree f in Z[t]."""
     n = len(f) - 1
@@ -241,23 +245,34 @@ def _zassenhaus(f):
     A = max(abs(c) for c in f)
     B = (math.isqrt(n + 1) + 1) * 2**n * A * abs(b)
 
+    # the prime with the fewest modular factors, counted from the
+    # distinct-degree split alone (MCA 14.2); only its split is refined
+    # into irreducible factors
     candidates = []
     p = 2
-    while len(candidates) < 4 and p < 10**6:
+    while len(candidates) < 4:
         p = _next_prime(p)
+        if p >= _PRIME_BOUND:
+            break
         if b % p == 0:
             continue
         field = PrimeField(p)
         fp = Poly.from_ints(field, f).monic()
         if poly_gcd(fp, fp.derivative()).degree != 0:
             continue
-        mod_factors = _ff_factor_squarefree_monic(fp)
-        candidates.append((len(mod_factors), p, mod_factors))
-        if len(mod_factors) == 1:
+        parts = _ff_distinct_degree(fp)
+        count = sum(g.degree // d for g, d in parts)
+        candidates.append((count, p, parts))
+        if count == 1:
             break
-    count, p, mod_factors = min(candidates, key=lambda c: (c[0], c[1]))
+    if not candidates:
+        raise ScopeError(
+            f"no good prime below {_PRIME_BOUND} for a degree-{n} factorization"
+        )
+    count, p, parts = min(candidates, key=lambda c: (c[0], c[1]))
     if count == 1:
         return [list(f)]
+    mod_factors = _ff_split_distinct_degree(parts)
 
     l = 1
     while p**l < 2 * B + 1:
@@ -452,14 +467,19 @@ def _two_power_exponent(q):
     return k
 
 
-def _ff_factor_squarefree_monic(f):
-    """Monic irreducible factors of a monic squarefree f, sorted."""
+def _ff_split_distinct_degree(parts):
+    """Sorted monic irreducible factors of the f whose distinct-degree split is parts."""
     rng = random.Random(0x5EED)
     out = []
-    for part, d in _ff_distinct_degree(f):
+    for part, d in parts:
         out.extend(_ff_equal_degree(part, d, rng))
     out.sort(key=lambda g: g.sort_key())
     return out
+
+
+def _ff_factor_squarefree_monic(f):
+    """Monic irreducible factors of a monic squarefree f, sorted."""
+    return _ff_split_distinct_degree(_ff_distinct_degree(f))
 
 
 def factor_over_Fq(f):

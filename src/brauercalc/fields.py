@@ -22,6 +22,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .poly import Poly, poly_gcd, poly_xgcd, resultant
@@ -296,6 +297,18 @@ class QuotientField:
         return tuple(out[:d])
 
     def _inv(self, a):
+        if self.degree == 2:
+            # (a0 + a1 t)(a0 - a1 b - a1 t) = n  modulo t^2 + b t + c
+            a0, a1 = a
+            c, b = self.modulus.coeffs[:2]
+            conj = a0 - a1 * b
+            n = a0 * conj + a1 * a1 * c
+            if n == self.base.zero:
+                if a0 == a1 == self.base.zero:
+                    raise ZeroDivisionError("inverse of zero")
+                raise ZeroDivisionError("representative is not invertible")
+            n_inv = 1 / n
+            return (conj * n_inv, -a1 * n_inv)
         p = Poly(self.base, list(a))
         if p.is_zero:
             raise ZeroDivisionError("inverse of zero")
@@ -548,14 +561,17 @@ def GF(q):
     raise AssertionError("no irreducible polynomial found")
 
 
+def rational_sqrt(c):
+    """The nonnegative square root of a rational c, or None if c is no square."""
+    if c < 0:
+        return None
+    n, d = c.numerator, c.denominator
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    if rn * rn == n and rd * rd == d:
+        return Fraction(rn, rd)
+    return None
+
+
 def rational_is_square(c):
     """Exact square test for a rational number."""
-    from math import isqrt
-
-    if c < 0:
-        return False
-    if c == 0:
-        return True
-    n, d = c.numerator, c.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    return rn * rn == n and rd * rd == d
+    return rational_sqrt(c) is not None

@@ -3,14 +3,18 @@
 The residue of a symbol algebra at a point is a unit of the residue
 field, remembered modulo p-th powers.  Deciding triviality therefore
 needs a p-th power test in three kinds of field: Q itself, finite
-fields, and number fields Q[t]/(pi).  The number-field case (p = 2
-only) goes through the norm polynomial
+fields, and number fields Q[t]/(pi) (p = 2 only).  Over Q(t) almost
+every number field met is quadratic, and there the square root has a
+closed form in rational square roots (_quadratic_sqrt).  Higher
+degrees go through the norm polynomial
 
     N_lam(X) = Res_t(pi(t), (X - lam*t)^2 - e(t)),
 
 which for squarefree N_lam is reducible over Q exactly when e is a
 square in the quotient.  A shift parameter lam is swept until the norm
-polynomial is squarefree.
+polynomial is squarefree.  nf_sqrt squares every root back before
+returning it, and on quadratic fields nf_is_square says yes only when
+it holds such a root.
 """
 
 from __future__ import annotations
@@ -21,10 +25,12 @@ from fractions import Fraction
 from .errors import ScopeError
 from .factoring import factor_over_Q, squarefree_kernel
 from .fields import (
+    FFElem,
     is_pth_power_finite,
     multiplicative_generator,
     pth_power_exponent,
     rational_is_square,
+    rational_sqrt,
 )
 from .poly import Poly, QQ, lagrange_interpolate, poly_gcd, resultant
 from .points import Q_BASE, residue_field, sweep_values
@@ -98,8 +104,42 @@ def _split_norm(kappa, e):
             return lam, factor_over_Q(norm_poly).factors
 
 
+def _quadratic_sqrt(kappa, e):
+    """A square root of a nonzero e in kappa = Q[t]/(t^2 + b t + c), or None.
+
+    With D = b^2 - 4c, t = (sqrt(D) - b)/2 turns e = x0 + x1 t into
+    X + Y sqrt(D) with X = x0 - x1 b/2 and Y = x1/2.  A root u + v sqrt(D)
+    needs u^2 + D v^2 = X and 2uv = Y, so u^2 and D v^2 are the roots
+    (X +- n)/2 of Z^2 - X Z + D Y^2/4, where n^2 = X^2 - D Y^2 is the norm
+    of e.  Either u^2 is a nonzero rational square and v = Y/(2u), or
+    u = 0, Y = 0 and X/D = v^2.
+    """
+    c, b = kappa.modulus.coeffs[:2]
+    x0, x1 = e.rep
+    disc = b * b - 4 * c
+    X = x0 - x1 * b / 2
+    Y = x1 / 2
+    n = rational_sqrt(X * X - disc * Y * Y)
+    if n is None:
+        return None
+    for z in ((X + n) / 2, (X - n) / 2):
+        u = rational_sqrt(z)
+        if u:  # neither None nor 0
+            v = Y / (2 * u)
+            break
+    else:
+        v = rational_sqrt(X / disc) if Y == 0 else None
+        if v is None:
+            return None
+        u = 0
+    root = FFElem(kappa, (u + v * b, 2 * v))
+    return root if root * root == e else None
+
+
 def nf_is_square(kappa, e):
     """Whether e is a square in the number field kappa = Q[t]/(pi)."""
+    if kappa.degree == 2:
+        return nf_sqrt(kappa, e) is not None
     e = kappa.coerce(e)
     if e.is_zero:
         return True
@@ -112,13 +152,16 @@ def nf_is_square(kappa, e):
 def nf_sqrt(kappa, e):
     """A square root of e in kappa, or None.
 
-    Slower than nf_is_square: after the norm factorization it
-    reconstructs the root as a gcd over kappa and confirms it by
-    squaring, so a non-None answer is self-certifying.
+    A non-None answer has been confirmed by squaring, so it is
+    self-certifying.  Quadratic fields use the closed form of
+    _quadratic_sqrt; higher degrees factor the norm polynomial and
+    reconstruct the root as a gcd over kappa.
     """
     e = kappa.coerce(e)
     if e.is_zero:
         return kappa.zero
+    if kappa.degree == 2:
+        return _quadratic_sqrt(kappa, e)
     if not rational_is_square(kappa.norm(e)):
         return None
     lam, factors = _split_norm(kappa, e)

@@ -14,6 +14,9 @@ from fractions import Fraction
 
 import pytest
 
+from brauercalc import factoring
+from brauercalc.cli import main
+from brauercalc.errors import ScopeError
 from brauercalc.factoring import (
     factor_int,
     factor_over_Fq,
@@ -25,7 +28,7 @@ from brauercalc.factoring import (
     squarefree_kernel,
 )
 from brauercalc.fields import GF
-from brauercalc.poly import Poly, QQ
+from brauercalc.poly import Poly, QQ, poly_gcd
 
 from _gen import random_poly
 
@@ -208,6 +211,32 @@ def test_ff_factor_char_p_powers():
         assert len(fac.factors) == 1
         g, e = fac.factors[0]
         assert e == 7 and g == Poly.from_ints(field, [-a, 1])
+
+
+def test_distinct_degree_count_matches_full_factorization():
+    # the Zassenhaus prime choice counts modular factors from the
+    # distinct-degree split alone; the count must be the factor count
+    rng = random.Random(28)
+    for q in (3, 7, 13, 9):
+        field = GF(q)
+        elems = list(field.elements())
+        checked = 0
+        while checked < 15:
+            deg = rng.randint(1, 8)
+            f = Poly(field, [rng.choice(elems) for _ in range(deg)] + [field.one])
+            if poly_gcd(f, f.derivative()).degree != 0:
+                continue
+            count = sum(g.degree // d for g, d in factoring._ff_distinct_degree(f))
+            assert count == len(factoring._ff_factor_squarefree_monic(f)), (q, f)
+            checked += 1
+
+
+def test_zassenhaus_without_good_prime_is_out_of_scope(monkeypatch, capsys):
+    monkeypatch.setattr(factoring, "_next_prime", lambda n: 10**6)
+    with pytest.raises(ScopeError):
+        factoring._zassenhaus([104729, 0, 1])
+    # the CLI reports it as out of scope (exit 3), not as a bug (exit 4)
+    assert main(["ram", "(t^2+104723, t)"]) == 3
 
 
 # ---------------------------------------------------------------------------

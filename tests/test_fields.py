@@ -14,8 +14,9 @@ from brauercalc.fields import (
     multiplicative_generator,
     pth_power_exponent,
     rational_is_square,
+    rational_sqrt,
 )
-from brauercalc.poly import Poly, QQ
+from brauercalc.poly import Poly, QQ, poly_xgcd
 
 from _gen import random_poly
 
@@ -168,6 +169,79 @@ def test_format_element_prime_subfield():
     assert f49.format_element(f49.from_int(3)) == "3"
     gen = f49.gen_elem()
     assert f49.format_element(gen).startswith("[")
+
+
+def _xgcd_inverse(kappa, e):
+    """Inverse by the extended Euclidean algorithm, the route of other degrees."""
+    g, s, _ = poly_xgcd(kappa.to_poly(e), kappa.modulus)
+    assert g.degree == 0
+    return kappa.from_poly(s)
+
+
+def _quadratic_fields():
+    """(base[t]/(t^2 + bt + c), base elements or None) over QQ, F_7 and F_9."""
+    rng = random.Random(71)
+    out = []
+    for base, elems in ((QQ, None), (GF(7), list(GF(7).elements())),
+                        (GF(9), list(GF(9).elements()))):
+        found = 0
+        while found < 3:
+            if elems is None:
+                b = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                c = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                if rational_is_square(b * b - 4 * c):
+                    continue
+            else:
+                b, c = rng.choice(elems), rng.choice(elems)
+                if any((r * r + b * r + c).is_zero for r in elems):
+                    continue
+            out.append((QuotientField(base, Poly(base, [c, b, base.one])), elems))
+            found += 1
+    return out
+
+
+def test_quadratic_inverse_matches_xgcd():
+    rng = random.Random(72)
+    checked = 0
+    for kappa, elems in _quadratic_fields():
+        base = kappa.base
+        for _ in range(25):
+            if elems is None:
+                rep = [Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(2)]
+            else:
+                rep = [rng.choice(elems) for _ in range(2)]
+            e = kappa.from_poly(Poly(base, rep))
+            if e.is_zero:
+                with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+                    e.inverse()
+                continue
+            inv = e.inverse()
+            assert inv == _xgcd_inverse(kappa, e)
+            assert e * inv == kappa.one
+            checked += 1
+    assert checked >= 150
+
+
+def test_quadratic_inverse_of_zero_divisor():
+    # t^2 - 1 is reducible: t - 1 has no inverse, and the message says so
+    ring = QuotientField(QQ, Poly.from_ints(QQ, [-1, 0, 1]))
+    with pytest.raises(ZeroDivisionError, match="not invertible"):
+        (ring.gen_elem() - ring.one).inverse()
+    with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+        ring.zero.inverse()
+
+
+def test_rational_sqrt():
+    assert rational_sqrt(Fraction(4, 9)) == Fraction(2, 3)
+    assert rational_sqrt(Fraction(50, 2)) == 5
+    assert rational_sqrt(Fraction(0)) == 0
+    assert rational_sqrt(Fraction(-4, 9)) is None
+    assert rational_sqrt(Fraction(8, 9)) is None
+    assert rational_sqrt(Fraction(4, 3)) is None
+    rng = random.Random(73)
+    for _ in range(50):
+        r = Fraction(rng.randint(0, 10**12), rng.randint(1, 10**12))
+        assert rational_sqrt(r * r) == r
 
 
 def test_rational_is_square():

@@ -12,8 +12,9 @@ from fractions import Fraction
 
 import pytest
 
+from brauercalc import residues
 from brauercalc.errors import ScopeError
-from brauercalc.fields import GF, QuotientField, multiplicative_generator
+from brauercalc.fields import GF, QuotientField, multiplicative_generator, rational_is_square
 from brauercalc.points import ClosedPoint, FiniteBase, Q_BASE, residue_field
 from brauercalc.poly import Poly, QQ
 from brauercalc.residues import (
@@ -116,6 +117,65 @@ def test_nf_square_known_values():
     assert nf_is_square(ki, ki.from_int(-1))
     assert nf_is_square(ki, ki.gen_elem() * 2)
     assert not nf_is_square(ki, ki.from_int(2))
+
+
+def _norm_oracle_is_square(kappa, e):
+    """The norm-polynomial decision (Trager), which higher degrees still use."""
+    _, factors = residues._split_norm(kappa, e)
+    return len(factors) > 1
+
+
+def _random_quadratic_field(rng):
+    while True:
+        b = Fraction(rng.randint(-12, 12), rng.randint(1, 5))
+        c = Fraction(rng.randint(-12, 12), rng.randint(1, 5))
+        if not rational_is_square(b * b - 4 * c):
+            return QuotientField(QQ, Poly(QQ, [c, b, Fraction(1)])), b * b - 4 * c
+
+
+def test_quadratic_sqrt_matches_norm_oracle():
+    rng = random.Random(43)
+    answers = {}
+    for _ in range(30):
+        kappa, disc = _random_quadratic_field(rng)
+        s = random_nf_elem(rng, kappa)
+        w = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        k = rng.choice([1, -1, 2, 3, -5, 6])
+        cases = [
+            ("square", s * s),
+            ("random", random_nf_elem(rng, kappa)),
+            ("disc_times_square", kappa.embed(disc * w * w)),  # root w*sqrt(D)
+            ("rational", kappa.embed(k * w * w)),  # Y = 0
+        ]
+        for kind, e in cases:
+            expected = _norm_oracle_is_square(kappa, e)
+            root = nf_sqrt(kappa, e)
+            assert (root is not None) == expected, (kind, kappa.modulus, e)
+            assert nf_is_square(kappa, e) == expected
+            if root is not None:
+                assert root * root == e
+            answers[kind, expected] = answers.get((kind, expected), 0) + 1
+    assert answers["square", True] == answers["disc_times_square", True] == 30
+    assert answers.get(("random", False), 0) >= 20
+    assert answers.get(("rational", True), 0) >= 3
+    assert answers.get(("rational", False), 0) >= 3
+
+
+def test_quadratic_square_test_never_factors(monkeypatch):
+    def no_factoring(f):
+        raise AssertionError("factor_over_Q called for a quadratic residue field")
+
+    monkeypatch.setattr(residues, "factor_over_Q", no_factoring)
+    k2 = QuotientField(QQ, Poly.from_ints(QQ, [-2, 0, 1]))
+    theta = k2.gen_elem()
+    # 3 has square norm 9 but is no square: the norm alone cannot decide it
+    for e, square in ((k2.from_int(3) + theta * 2, True), (k2.from_int(2), True),
+                      (k2.from_int(3), False), (theta + 1, False), (k2.zero, True)):
+        assert nf_is_square(k2, e) == square
+        root = nf_sqrt(k2, e)
+        assert (root is not None) == square
+        if square:
+            assert root * root == e
 
 
 def test_is_pth_power_dispatch():
