@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from . import report as rpt
 from .brauer import BrauerClass, residue_at
@@ -101,6 +102,12 @@ def build_parser():
     p_ver.set_defaults(run=cmd_verify_witness)
 
     return parser
+
+
+@lru_cache(maxsize=None)
+def _parser():
+    """The parser, built once per process: parse_args leaves it unchanged."""
+    return build_parser()
 
 
 def _parse_expr(args, text):
@@ -206,9 +213,8 @@ def cmd_verify_witness(args):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         if code in (None, 0):

@@ -10,8 +10,12 @@ recombination.  Every recombination candidate is confirmed by an exact
 integer polynomial multiplication before it is accepted, so the analytic
 bound is a filter rather than a correctness assumption.
 
-The Hensel code works on plain integer coefficient lists (lowest degree
-first) in symmetric representation modulo p^l.
+The whole modular stage works on plain integer coefficient lists (lowest
+degree first): the squarefree test, distinct-degree count and
+Cantor-Zassenhaus split modulo each candidate prime p use a small F_p[t]
+kernel with entries in [0, p), and Hensel lifting uses symmetric
+representatives modulo p^l.  No finite-field element objects are built on
+the way to a factorization over Q.
 """
 
 from __future__ import annotations
@@ -24,14 +28,13 @@ from functools import lru_cache
 
 from .errors import ScopeError
 from .fields import (
-    PrimeField,
     PrimePowerFactorization,
     _irreducible_over_prime,
     _powmod,
     factor_int,
     is_prime,
 )
-from .poly import Poly, QQ, poly_gcd, poly_xgcd
+from .poly import Poly, QQ, poly_gcd
 
 
 def squarefree_kernel(c):
@@ -48,7 +51,8 @@ def squarefree_kernel(c):
 
 
 # ---------------------------------------------------------------------------
-# integer coefficient lists for Hensel lifting (lowest degree first)
+# integer coefficient lists (lowest degree first), for Hensel lifting and
+# the F_p[t] kernel below
 
 
 def _ztrim(a):
@@ -138,21 +142,6 @@ def _hensel_step(m, f, g, h, s, t):
     return G, H, S, T
 
 
-def _ff_to_int_list(f):
-    return [c.rep for c in f.coeffs]
-
-
-def _gf_xgcd_int(a, b, p):
-    """Extended gcd in F_p[t] on int lists; returns (s, t) with s*a+t*b=gcd."""
-    field = PrimeField(p)
-    pa = Poly.from_ints(field, a)
-    pb = Poly.from_ints(field, b)
-    g, s, t = poly_xgcd(pa, pb)
-    if g.degree != 0:
-        raise ArithmeticError("modular factors are not coprime")
-    return _ff_to_int_list(s), _ff_to_int_list(t)
-
-
 def _hensel_lift(p, f, f_list, l):
     """Lift the factorization of f modulo p to modulo p**l.
 
@@ -174,13 +163,120 @@ def _hensel_lift(p, f, f_list, l):
     h = list(f_list[k])
     for fi in f_list[k + 1 :]:
         h = _ztrunc(_zmul(h, fi), p)
-    s, t = _gf_xgcd_int(g, h, p)
+    one, s, t = _gf_xgcd(g, h, p)
+    if one != [1]:
+        raise ArithmeticError("modular factors are not coprime")
     s = _ztrunc(s, p)
     t = _ztrunc(t, p)
     for _ in range(d):
         g, h, s, t = _hensel_step(m, f, g, h, s, t)
         m = m * m
     return _hensel_lift(p, g, f_list[:k], l) + _hensel_lift(p, h, f_list[k:], l)
+
+
+# ---------------------------------------------------------------------------
+# F_p[t] on integer lists (lowest degree first, entries in [0, p)), for the
+# modular stage of the factorization over Q (MCA 14.2-14.3)
+
+
+def _zmod(a, m):
+    """Representatives in [0, m)."""
+    return _ztrim([c % m for c in a])
+
+
+def _gf_monic(a, p):
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _gf_gcd(a, b, p):
+    """Monic gcd in F_p[t]; the gcd of a and 0 is a made monic."""
+    while b:
+        a, b = b, _zdivmod_mod(a, b, p)[1]
+    return _gf_monic(a, p) if a else a
+
+
+def _gf_xgcd(a, b, p):
+    """(g, s, t) with s*a + t*b = g, the monic gcd in F_p[t]; b nonzero."""
+    a, b = _zmod(a, p), _zmod(b, p)
+    sa, sb = [1], []
+    ta, tb = [], [1]
+    while b:
+        q, r = _zdivmod_mod(a, b, p)
+        a, b = b, r
+        sa, sb = sb, _zmod(_zsub(sa, _zmul(q, sb)), p)
+        ta, tb = tb, _zmod(_zsub(ta, _zmul(q, tb)), p)
+    inv = pow(a[-1], -1, p)
+    return tuple([c * inv % p for c in v] for v in (a, sa, ta))
+
+
+def _gf_powmod(a, n, f, p):
+    """a**n modulo f in F_p[t]; f has degree >= 1."""
+    result = [1]
+    base = _zdivmod_mod(a, f, p)[1]
+    while n:
+        if n & 1:
+            result = _zdivmod_mod(_zmul(result, base), f, p)[1]
+        n >>= 1
+        if n:
+            base = _zdivmod_mod(_zmul(base, base), f, p)[1]
+    return result
+
+
+def _gf_derivative(a, p):
+    return _zmod([i * c for i, c in enumerate(a)][1:], p)
+
+
+def _gf_distinct_degree(f, p):
+    """[(product of the degree-d factors, d)] for a monic squarefree f."""
+    out = []
+    h = [0, 1]
+    i = 1
+    cur = f
+    while len(cur) - 1 >= 2 * i:
+        h = _gf_powmod(h, p, cur, p)
+        g = _gf_gcd(cur, _zmod(_zsub(h, [0, 1]), p), p)
+        if len(g) > 1:
+            out.append((g, i))
+            cur = _zdivmod_mod(cur, g, p)[0]
+            h = _zdivmod_mod(h, cur, p)[1]
+        i += 1
+    if len(cur) > 1:
+        out.append((cur, len(cur) - 1))
+    return out
+
+
+def _gf_equal_degree(f, d, p, rng):
+    """Cantor-Zassenhaus split of a monic squarefree f whose irreducible
+    factors all have degree d.  The prime search in _zassenhaus starts at
+    3, so p is odd and the split by r**((p**d - 1)/2) - 1 always applies;
+    characteristic 2 would need the trace map instead."""
+    n = len(f) - 1
+    if n == d:
+        return [f]
+    while True:
+        r = _ztrim([rng.randrange(p) for _ in range(n)])
+        if len(r) < 2:
+            continue
+        g = _gf_gcd(f, r, p)
+        if 0 < len(g) - 1 < n:
+            break
+        h = _zmod(_zsub(_gf_powmod(r, (p**d - 1) // 2, f, p), [1]), p)
+        g = _gf_gcd(f, h, p)
+        if 0 < len(g) - 1 < n:
+            break
+    rest = _zdivmod_mod(f, g, p)[0]
+    return _gf_equal_degree(g, d, p, rng) + _gf_equal_degree(rest, d, p, rng)
+
+
+def _gf_split_distinct_degree(parts, p):
+    """Sorted monic irreducible factors of the f whose distinct-degree split is parts."""
+    rng = random.Random(0x5EED)
+    out = []
+    for part, d in parts:
+        out.extend(_gf_equal_degree(part, d, p, rng))
+    out.sort(key=lambda g: (len(g), g))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +352,11 @@ def _zassenhaus(f):
             break
         if b % p == 0:
             continue
-        field = PrimeField(p)
-        fp = Poly.from_ints(field, f).monic()
-        if poly_gcd(fp, fp.derivative()).degree != 0:
+        fp = _gf_monic(_zmod(f, p), p)
+        if len(_gf_gcd(fp, _gf_derivative(fp, p), p)) != 1:
             continue
-        parts = _ff_distinct_degree(fp)
-        count = sum(g.degree // d for g, d in parts)
+        parts = _gf_distinct_degree(fp, p)
+        count = sum((len(g) - 1) // d for g, d in parts)
         candidates.append((count, p, parts))
         if count == 1:
             break
@@ -272,13 +367,13 @@ def _zassenhaus(f):
     count, p, parts = min(candidates, key=lambda c: (c[0], c[1]))
     if count == 1:
         return [list(f)]
-    mod_factors = _ff_split_distinct_degree(parts)
+    mod_factors = _gf_split_distinct_degree(parts, p)
 
     l = 1
     while p**l < 2 * B + 1:
         l += 1
     pl = p**l
-    lifted = _hensel_lift(p, list(f), [_ff_to_int_list(g) for g in mod_factors], l)
+    lifted = _hensel_lift(p, list(f), mod_factors, l)
 
     T = list(range(len(lifted)))
     factors = []
@@ -467,19 +562,14 @@ def _two_power_exponent(q):
     return k
 
 
-def _ff_split_distinct_degree(parts):
-    """Sorted monic irreducible factors of the f whose distinct-degree split is parts."""
+def _ff_factor_squarefree_monic(f):
+    """Monic irreducible factors of a monic squarefree f, sorted."""
     rng = random.Random(0x5EED)
     out = []
-    for part, d in parts:
+    for part, d in _ff_distinct_degree(f):
         out.extend(_ff_equal_degree(part, d, rng))
     out.sort(key=lambda g: g.sort_key())
     return out
-
-
-def _ff_factor_squarefree_monic(f):
-    """Monic irreducible factors of a monic squarefree f, sorted."""
-    return _ff_split_distinct_degree(_ff_distinct_degree(f))
 
 
 def factor_over_Fq(f):

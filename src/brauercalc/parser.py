@@ -7,6 +7,10 @@
     Product := Factor (("*")? Factor)*    (implicit "*" only before t)
     Factor  := integer | "t" ("^" integer)?
 
+No numerator or denominator may have degree above MAX_ENTRY_DEGREE; a
+larger exponent or product raises ScopeError (CLI exit 3) as soon as it
+is read, before anything is multiplied out or factored.
+
 Whitespace is insignificant.  The single "/" splits a Rat into its
 numerator and denominator polynomials, so "t+2/2" reads as (t+2)/2 and
 no parentheses occur inside a Rat.  Fractional coefficients are written
@@ -26,8 +30,21 @@ from fractions import Fraction
 from math import lcm
 
 from .brauer import BrauerClass
-from .errors import ParseError
+from .errors import ParseError, ScopeError
 from .poly import Poly, QQ, RationalFunction, poly_str, ratfunc_str
+
+# Every entry is factored over the base (over Q by Zassenhaus, whose
+# recombination can grow exponentially with the degree), so the degree of
+# each numerator and denominator is bounded.
+MAX_ENTRY_DEGREE = 32
+
+
+def _check_degree(degree, off):
+    if degree > MAX_ENTRY_DEGREE:
+        raise ScopeError(
+            f"offset {off}: degree {degree} is above the supported entry "
+            f"degree {MAX_ENTRY_DEGREE}"
+        )
 
 
 def _tokenize(text):
@@ -136,14 +153,14 @@ class _ClassParser:
     def product(self):
         acc = self.factor()
         while True:
-            kind = self.peek()[0]
+            kind, _, off = self.peek()
             if kind == "*":
                 self.advance()
-                acc = acc * self.factor()
-            elif kind == "var":
-                acc = acc * self.factor()
-            else:
+            elif kind != "var":
                 return acc
+            nxt = self.factor()
+            _check_degree(acc.degree + nxt.degree, off)
+            acc = acc * nxt
 
     def factor(self):
         kind, value, off = self.peek()
@@ -155,7 +172,9 @@ class _ClassParser:
             if self.peek()[0] == "^":
                 self.advance()
                 etok = self.expect("int", "an integer exponent")
-                return Poly.gen(self.field) ** int(etok[1])
+                e = int(etok[1])
+                _check_degree(e, etok[2])
+                return Poly.gen(self.field) ** e
             return Poly.gen(self.field)
         raise ParseError(off, "expected a number or t")
 

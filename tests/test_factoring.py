@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from brauercalc import factoring
+from brauercalc import factoring, fields
 from brauercalc.cli import main
 from brauercalc.errors import ScopeError
 from brauercalc.factoring import (
@@ -27,7 +27,7 @@ from brauercalc.factoring import (
     is_prime,
     squarefree_kernel,
 )
-from brauercalc.fields import GF
+from brauercalc.fields import GF, FFElem
 from brauercalc.poly import Poly, QQ, poly_gcd
 
 from _gen import random_poly
@@ -239,6 +239,65 @@ def test_zassenhaus_without_good_prime_is_out_of_scope(monkeypatch, capsys):
     assert main(["ram", "(t^2+104723, t)"]) == 3
 
 
+def _int_list(f):
+    return [c.rep for c in f.coeffs]
+
+
+def test_int_list_kernel_matches_poly_routines():
+    # the F_p[t] kernel on integer lists that factor_over_Q runs on, against
+    # the Poly routines of factor_over_Fq on the same polynomial over GF(p)
+    rng = random.Random(29)
+    for p in (3, 5, 7, 13, 10007):
+        field = GF(p)
+        checked = 0
+        while checked < 12:
+            deg = rng.randint(1, 10)
+            f = [rng.randrange(p) for _ in range(deg)] + [1]
+            F = Poly.from_ints(field, f)
+            if poly_gcd(F, F.derivative()).degree != 0:
+                continue
+            parts = factoring._gf_distinct_degree(f, p)
+            assert parts == [
+                (_int_list(g), d) for g, d in factoring._ff_distinct_degree(F)
+            ], (p, f)
+            assert factoring._gf_split_distinct_degree(parts, p) == [
+                _int_list(g) for g in factoring._ff_factor_squarefree_monic(F)
+            ], (p, f)
+            checked += 1
+        for _ in range(12):
+            a = [rng.randrange(p) for _ in range(rng.randint(1, 6))] + [1]
+            b = [rng.randrange(p) for _ in range(rng.randint(0, 6))] + [1]
+            g, s, t = factoring._gf_xgcd(a, b, p)
+            A, B = Poly.from_ints(field, a), Poly.from_ints(field, b)
+            assert g == _int_list(poly_gcd(A, B))
+            combo = Poly.from_ints(field, s) * A + Poly.from_ints(field, t) * B
+            assert _int_list(combo) == g
+            if g == [1]:
+                assert len(s) < len(b) and len(t) < len(a)
+
+
+def test_factor_over_Q_builds_no_finite_field_objects(monkeypatch):
+    # route guard: the modular stage of the factorization over Q runs on
+    # integer lists, never on PrimeField, FFElem or the Poly-based F_q split
+    def no_finite_field(*args, **kwargs):
+        raise AssertionError("finite-field objects built while factoring over Q")
+
+    monkeypatch.setattr(factoring, "PrimeField", no_finite_field, raising=False)
+    monkeypatch.setattr(fields, "PrimeField", no_finite_field)
+    monkeypatch.setattr(FFElem, "__init__", no_finite_field)
+    monkeypatch.setattr(factoring, "_ff_distinct_degree", no_finite_field)
+    factoring._factor_q_monic.cache_clear()
+    cases = (
+        ([-1, 0, 0, 0, 1], [[-1, 1], [1, 1], [1, 0, 1]]),
+        ([1, 0, 0, 0, 1], [[1, 0, 0, 0, 1]]),
+        # (t^2 - 2)(t^2 + t + 1)(t^2 + 3)
+        ([-6, -6, -5, 1, 2, 1, 1], [[-2, 0, 1], [1, 1, 1], [3, 0, 1]]),
+    )
+    for f, want in cases:
+        fac = factor_over_Q(Poly.from_ints(QQ, f))
+        assert [[int(c) for c in g.coeffs] for g, _ in fac.factors] == want
+
+
 # ---------------------------------------------------------------------------
 # rationals
 
@@ -307,3 +366,35 @@ def test_zero_and_constant_rejected():
         factor_over_Q(Poly.zero(QQ))
     fac = factor_over_Q(Poly.constant(QQ, Fraction(5)))
     assert fac.unit == 5 and not fac.factors
+
+
+def test_q_factor_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("t")
+    rng = random.Random(30)
+    # irreducible over Q but reducible modulo every prime, so every
+    # factorization containing one of them goes through recombination
+    hard = ([1, 0, 0, 0, 1], [1, 0, -10, 0, 1])
+    for _ in range(60):
+        coeffs, degree = [rng.choice([-2, -1, 1, 3])], 0
+        while degree < 2 or (degree < 7 and rng.random() < 0.6):
+            if rng.random() < 0.3:
+                part = list(rng.choice(hard))
+            else:
+                part = [rng.randint(-6, 6) for _ in range(rng.randint(1, 3))]
+                part.append(rng.choice([-2, -1, 1, 2, 3]))
+            mult = rng.choice([1, 1, 2])
+            if degree + mult * (len(part) - 1) > 8:
+                continue
+            for _ in range(mult):
+                coeffs = factoring._zmul(coeffs, part)
+            degree += mult * (len(part) - 1)
+        fac = factor_over_Q(Poly.from_ints(QQ, coeffs))
+        got = sorted(([Fraction(c) for c in g.coeffs], e) for g, e in fac.factors)
+        expr = sum(c * x**i for i, c in enumerate(coeffs))
+        _, parts = sympy.factor_list(expr, x)
+        want = []
+        for g, e in parts:
+            monic = sympy.Poly(g, x).monic().all_coeffs()[::-1]
+            want.append(([Fraction(int(c.p), int(c.q)) for c in monic], e))
+        assert got == sorted(want), coeffs

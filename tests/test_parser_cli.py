@@ -11,15 +11,23 @@ import json
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 from brauercalc.brauer import BrauerClass
+from brauercalc import cli
 from brauercalc.cli import main
-from brauercalc.errors import ParseError
+from brauercalc.errors import ParseError, ScopeError
 from brauercalc.fields import GF, multiplicative_generator
-from brauercalc.parser import class_text, parse_class, parse_ratfunc, ratfunc_text
+from brauercalc.parser import (
+    MAX_ENTRY_DEGREE,
+    class_text,
+    parse_class,
+    parse_ratfunc,
+    ratfunc_text,
+)
 from brauercalc.points import FiniteBase, Q_BASE
 from brauercalc.poly import Poly, QQ, RationalFunction
 
@@ -218,3 +226,37 @@ def test_cli_subprocess_entrypoint():
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["outcome"]["reciprocity"] is True
+
+
+def test_cli_parser_is_reused_after_usage_errors(capsys):
+    # main() builds its argparse parser once per process; a usage error
+    # must leave it fit for the next call
+    fresh = subprocess.run(
+        [sys.executable, "-m", "brauercalc.cli", "ram", "(5,t)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert fresh.returncode == 0
+    assert main(["ram"]) == 1
+    assert main(["ram", "(5,t)", "--p", "two"]) == 1
+    capsys.readouterr()
+    assert main(["ram", "(5,t)"]) == 0
+    assert capsys.readouterr().out == fresh.stdout
+    assert cli._parser() is cli._parser()
+
+
+def test_entry_degree_is_bounded():
+    bound = MAX_ENTRY_DEGREE
+    assert parse_ratfunc(f"t^{bound}+1", QQ).num.degree == bound
+    assert parse_ratfunc(f"1/t^{bound - 1}*t", QQ).den.degree == bound
+    for text in (f"(t^{bound + 1}, t)", f"(t^{bound}*t, t)", f"(1/t^{bound}t, t)"):
+        with pytest.raises(ScopeError):
+            parse_class(text, Q_BASE, 2)
+
+
+def test_huge_exponent_is_out_of_scope_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["ram", "(t^200000+1, t)"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "out of scope" in capsys.readouterr().err
