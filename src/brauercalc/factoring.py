@@ -3,7 +3,7 @@
 Integers are factored by fields.factor_int (trial division by small
 primes, then Pollard-Brent), re-exported here.
 
-The rational factorization is the classical Zassenhaus pipeline: Yun
+The rational factorization is the classical Zassenhaus pipeline:
 squarefree decomposition, factorization modulo a good small prime,
 quadratic Hensel lifting up to the Mignotte bound, then subset
 recombination.  Every recombination candidate is confirmed by an exact
@@ -16,6 +16,9 @@ Cantor-Zassenhaus split modulo each candidate prime p use a small F_p[t]
 kernel with entries in [0, p), and Hensel lifting uses symmetric
 representatives modulo p^l.  No finite-field element objects are built on
 the way to a factorization over Q.
+
+Irreducibility and squarefreeness are decided only here: one squarefree
+decomposition serves Q and F_q, and is_irreducible reads factor_poly.
 """
 
 from __future__ import annotations
@@ -27,13 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ScopeError
-from .fields import (
-    PrimePowerFactorization,
-    _irreducible_over_prime,
-    _powmod,
-    factor_int,
-    is_prime,
-)
+from .fields import PrimePowerFactorization, factor_int, is_prime
 from .poly import Poly, QQ, poly_gcd
 
 
@@ -280,46 +277,57 @@ def _gf_split_distinct_degree(parts, p):
 
 
 # ---------------------------------------------------------------------------
-# factorization over Q
+# squarefree decomposition over Q and F_q
 
 
-def _int_primitive(f):
-    """(content, primitive integer list) for a polynomial over QQ."""
-    if f.is_zero:
-        return Fraction(0), []
-    denom = 1
-    for c in f.coeffs:
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in f.coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-        g = -g
-    return Fraction(g, denom), ints
+def _ff_pth_root_poly(f):
+    """Inverse Frobenius on exponents: f(t) = g(t^p) gives back g."""
+    field = f.field
+    p = field.char
+    root_exp = field.order // p
+    coeffs = []
+    for i in range(0, f.degree + 1, p):
+        coeffs.append(f.coeff(i) ** root_exp)
+    return Poly(field, coeffs)
 
 
-def _yun_squarefree(f):
-    """Yun decomposition of a monic polynomial over QQ: [(g_i, i)]."""
+def squarefree_decomposition(f):
+    """[(g_i, m_i)] with f monic = prod g_i^{m_i}, g_i monic squarefree,
+    over QQ or F_q; the p-th root steps only run in characteristic p."""
+    p = f.field.char
     out = []
-    fp = f.derivative()
-    g = poly_gcd(f, fp)
-    if g.degree == 0:
-        return [(f, 1)]
-    c = f.exact_div(g)
-    d = fp.exact_div(g) - c.derivative()
-    i = 1
-    while c.degree >= 1:
-        a = poly_gcd(c, d)
-        if a.degree >= 1:
-            out.append((a, i))
-        c = c.exact_div(a) if a.degree >= 1 else c
-        d = d.exact_div(a) if a.degree >= 1 else d
-        d = d - c.derivative()
-        i += 1
+    e = 1
+    while f.degree >= 1:
+        fp = f.derivative()
+        if fp.is_zero:
+            f = _ff_pth_root_poly(f)
+            e *= p
+            continue
+        g = poly_gcd(f, fp)
+        if g.degree == 0:
+            # f is its own squarefree part
+            out.append((f, e))
+            break
+        w = f.exact_div(g)
+        i = 1
+        while w.degree >= 1:
+            y = poly_gcd(w, g)
+            z = w.exact_div(y)
+            if z.degree >= 1:
+                out.append((z, i * e))
+            w = y
+            g = g.exact_div(y)
+            i += 1
+        if g.degree >= 1:
+            f = _ff_pth_root_poly(g)
+            e *= p
+        else:
+            break
     return out
+
+
+# ---------------------------------------------------------------------------
+# factorization over Q
 
 
 def _next_prime(n):
@@ -420,8 +428,9 @@ def _int_list_primitive(a):
 def _factor_q_monic(f):
     """Cached monic irreducible factors with multiplicity, sorted."""
     collected = []
-    for g, mult in _yun_squarefree(f):
-        _, ints = _int_primitive(g)
+    for g, mult in squarefree_decomposition(f):
+        denom = math.lcm(*(c.denominator for c in g.coeffs))
+        ints = _int_list_primitive([int(c * denom) for c in g.coeffs])
         for part in _zassenhaus(ints):
             h = Poly.from_ints(QQ, part).monic()
             collected.append((h, mult))
@@ -449,46 +458,15 @@ def factor_over_Q(f):
 # factorization over finite fields
 
 
-def _ff_pth_root_poly(f):
-    """Inverse Frobenius on exponents: f(t) = g(t^p) gives back g."""
-    field = f.field
-    p = field.char
-    root_exp = field.order // p
-    coeffs = []
-    for i in range(0, f.degree + 1, p):
-        coeffs.append(f.coeff(i) ** root_exp)
-    return Poly(field, coeffs)
-
-
-def ff_squarefree_decomposition(f):
-    """[(g_i, m_i)] with f monic = prod g_i^{m_i}, g_i monic squarefree."""
-    field = f.field
-    p = field.char
-    out = []
-    e = 1
-    while f.degree >= 1:
-        fp = f.derivative()
-        if fp.is_zero:
-            f = _ff_pth_root_poly(f)
-            e *= p
-            continue
-        g = poly_gcd(f, fp)
-        w = f.exact_div(g)
-        i = 1
-        while w.degree >= 1:
-            y = poly_gcd(w, g)
-            z = w.exact_div(y)
-            if z.degree >= 1:
-                out.append((z, i * e))
-            w = y
-            g = g.exact_div(y)
-            i += 1
-        if g.degree >= 1:
-            f = _ff_pth_root_poly(g)
-            e *= p
-        else:
-            break
-    return out
+def _powmod(a, n, m):
+    result = Poly.one(a.field) % m
+    base = a % m
+    while n:
+        if n & 1:
+            result = result * base % m
+        base = base * base % m
+        n >>= 1
+    return result
 
 
 def _ff_distinct_degree(f):
@@ -582,7 +560,7 @@ def factor_over_Fq(f):
     if f.degree == 0:
         return PrimePowerFactorization(unit, ())
     collected = []
-    for g, mult in ff_squarefree_decomposition(f.monic()):
+    for g, mult in squarefree_decomposition(f.monic()):
         for h in _ff_factor_squarefree_monic(g):
             collected.append((h, mult))
     collected.sort(key=lambda fm: fm[0].sort_key())
@@ -600,11 +578,9 @@ def factor_poly(f):
 
 
 def is_irreducible(f):
-    """Whether a polynomial is irreducible over its coefficient field."""
+    """Whether f is irreducible over its field: one factor, multiplicity 1."""
     if f.degree < 1:
         return False
-    if f.field is QQ:
-        fac = factor_over_Q(f)
-        return len(fac.factors) == 1 and fac.factors[0][1] == 1
-    return _irreducible_over_prime(f)
+    factors = factor_poly(f).factors
+    return len(factors) == 1 and factors[0][1] == 1
 

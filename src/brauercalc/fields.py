@@ -14,6 +14,9 @@ multiplicative generator, discrete logs against it, and p-th power tests;
 none of that exists for quotients over QQ, which instead get resultant norms.
 The integer primality test and factorizer live here too, because building
 GF(q) and finding a generator need them; factoring re-exports them.
+
+This module holds no polynomial algorithms.  GF takes its irreducibility
+test from factoring at call time, since factoring imports this module.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .poly import Poly, poly_gcd, poly_xgcd, resultant
+from .poly import Poly, poly_xgcd, resultant
 
 
 class FFElem:
@@ -501,46 +504,22 @@ def is_pth_power_finite(e, p):
 
 
 def pth_power_exponent(e, p):
-    """Discrete log of e modulo p (0 exactly for p-th powers)."""
-    n = e.field.order - 1
+    """Discrete log of e modulo p (0 exactly for p-th powers): the k in
+    [0, p) with e^(n/p) = (g^(n/p))^k, for n = q - 1 and g the fixed
+    generator (Pohlig-Hellman projection onto the p-part; no log table)."""
+    field = e.field
+    n = field.order - 1
     if n % p != 0:
         return 0
-    return discrete_log(e) % p
-
-
-def _irreducible_over_prime(f):
-    """Rabin test: f over F_p is irreducible iff t^{p^d} = t mod f and
-    gcd(t^{p^{d/l}} - t, f) = 1 for every prime l dividing d."""
-    field = f.field
-    d = f.degree
-    q = field.order
-    t = Poly.gen(field)
-
-    def t_qpow(k):
-        # t^(q^k) mod f by repeated Frobenius
-        acc = t % f
-        for _ in range(k):
-            acc = _powmod(acc, q, f)
-        return acc
-
-    if t_qpow(d) != t % f:
-        return False
-    for l, _ in factor_int(d):
-        g = poly_gcd(t_qpow(d // l) - t, f)
-        if g.degree != 0:
-            return False
-    return True
-
-
-def _powmod(a, n, m):
-    result = Poly.one(a.field) % m
-    base = a % m
-    while n:
-        if n & 1:
-            result = result * base % m
-        base = base * base % m
-        n >>= 1
-    return result
+    target = e ** (n // p)
+    zeta = multiplicative_generator(field) ** (n // p)
+    acc = field.one
+    for k in range(p):
+        if acc == target:
+            return k
+        acc = acc * zeta
+    # every unit matches some k
+    raise ZeroDivisionError("zero has no discrete log")
 
 
 @lru_cache(maxsize=None)
@@ -552,11 +531,14 @@ def GF(q):
     (p, k), = fac
     if k == 1:
         return PrimeField(p)
+    # factoring imports fields, so the test is imported at call time
+    from .factoring import is_irreducible
+
     base = GF(p)
     # deterministic search for a monic irreducible of degree k
     for tail in itertools.product(range(p), repeat=k):
         f = Poly.from_ints(base, list(tail) + [1])
-        if _irreducible_over_prime(f):
+        if is_irreducible(f):
             return QuotientField(base, f)
     raise AssertionError("no irreducible polynomial found")
 

@@ -49,16 +49,6 @@ def _unit_mod(x, p, modulus):
     return v, num * pow(den, -1, modulus) % modulus
 
 
-def legendre(a, p):
-    """Legendre symbol of a rational with p-unit denominator, mod odd p."""
-    a = Fraction(a)
-    r = a.numerator * pow(a.denominator, -1, p) % p
-    if r == 0:
-        return 0
-    s = pow(r, (p - 1) // 2, p)
-    return 1 if s == 1 else -1
-
-
 def hilbert_symbol(a, b, place):
     """(a, b)_v for nonzero rationals a, b at a place of Q."""
     a, b = Fraction(a), Fraction(b)

@@ -9,7 +9,9 @@
 
 No numerator or denominator may have degree above MAX_ENTRY_DEGREE; a
 larger exponent or product raises ScopeError (CLI exit 3) as soon as it
-is read, before anything is multiplied out or factored.
+is read, before anything is multiplied out or factored.  So does an
+integer literal too long for Python's int() (more than 4300 digits by
+default).
 
 Whitespace is insignificant.  The single "/" splits a Rat into its
 numerator and denominator polynomials, so "t+2/2" reads as (t+2)/2 and
@@ -45,6 +47,16 @@ def _check_degree(degree, off):
             f"offset {off}: degree {degree} is above the supported entry "
             f"degree {MAX_ENTRY_DEGREE}"
         )
+
+
+def _int_literal(digits, off):
+    """The value of an integer literal; one too long for int() is out of scope."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ScopeError(
+            f"offset {off}: integer literal of {len(digits)} digits is too long"
+        ) from None
 
 
 def _tokenize(text):
@@ -166,13 +178,14 @@ class _ClassParser:
         kind, value, off = self.peek()
         if kind == "int":
             self.advance()
-            return Poly.constant(self.field, self.field.from_int(int(value)))
+            c = self.field.from_int(_int_literal(value, off))
+            return Poly.constant(self.field, c)
         if kind == "var":
             self.advance()
             if self.peek()[0] == "^":
                 self.advance()
                 etok = self.expect("int", "an integer exponent")
-                e = int(etok[1])
+                e = _int_literal(etok[1], etok[2])
                 _check_degree(e, etok[2])
                 return Poly.gen(self.field) ** e
             return Poly.gen(self.field)

@@ -13,8 +13,7 @@ degrees go through the norm polynomial
 which for squarefree N_lam is reducible over Q exactly when e is a
 square in the quotient.  A shift parameter lam is swept until the norm
 polynomial is squarefree.  nf_sqrt squares every root back before
-returning it, and on quadratic fields nf_is_square says yes only when
-it holds such a root.
+returning it, and nf_is_square says yes only when it holds such a root.
 """
 
 from __future__ import annotations
@@ -137,16 +136,9 @@ def _quadratic_sqrt(kappa, e):
 
 
 def nf_is_square(kappa, e):
-    """Whether e is a square in the number field kappa = Q[t]/(pi)."""
-    if kappa.degree == 2:
-        return nf_sqrt(kappa, e) is not None
-    e = kappa.coerce(e)
-    if e.is_zero:
-        return True
-    if not rational_is_square(kappa.norm(e)):
-        return False
-    _, factors = _split_norm(kappa, e)
-    return len(factors) > 1
+    """Whether e is a square in the number field kappa = Q[t]/(pi); a yes
+    always comes from a root that squares back."""
+    return nf_sqrt(kappa, e) is not None
 
 
 def nf_sqrt(kappa, e):

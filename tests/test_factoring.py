@@ -22,9 +22,9 @@ from brauercalc.factoring import (
     factor_over_Fq,
     factor_over_Q,
     factor_poly,
-    ff_squarefree_decomposition,
     is_irreducible,
     is_prime,
+    squarefree_decomposition,
     squarefree_kernel,
 )
 from brauercalc.fields import GF, FFElem
@@ -189,17 +189,21 @@ def test_ff_factor_reconstructs_f13():
         assert prod == f
 
 
-def test_ff_squarefree_decomposition():
-    field = GF(7)
+def test_squarefree_decomposition():
     rng = random.Random(26)
-    for _ in range(20):
-        parts = [random_poly(rng, field, 2, min_degree=1, monic=True) for _ in range(2)]
-        f = parts[0] * parts[1] ** 2
-        dec = ff_squarefree_decomposition(f.monic())
-        prod = Poly.one(field)
-        for g, m in dec:
-            prod = prod * g**m
-        assert prod == f.monic()
+    for field in (GF(7), QQ):
+        for _ in range(20):
+            parts = [
+                random_poly(rng, field, 2, min_degree=1, monic=True) for _ in range(2)
+            ]
+            f = parts[0] * parts[1] ** 2
+            dec = squarefree_decomposition(f.monic())
+            prod = Poly.one(field)
+            for g, m in dec:
+                assert g.is_monic
+                assert poly_gcd(g, g.derivative()).degree == 0
+                prod = prod * g**m
+            assert prod == f.monic()
 
 
 def test_ff_factor_char_p_powers():
@@ -217,7 +221,8 @@ def test_distinct_degree_count_matches_full_factorization():
     # the Zassenhaus prime choice counts modular factors from the
     # distinct-degree split alone; the count must be the factor count
     rng = random.Random(28)
-    for q in (3, 7, 13, 9):
+    # q = 4 and 16 run the trace split of characteristic 2
+    for q in (3, 7, 13, 9, 4, 16):
         field = GF(q)
         elems = list(field.elements())
         checked = 0
@@ -227,7 +232,12 @@ def test_distinct_degree_count_matches_full_factorization():
             if poly_gcd(f, f.derivative()).degree != 0:
                 continue
             count = sum(g.degree // d for g, d in factoring._ff_distinct_degree(f))
-            assert count == len(factoring._ff_factor_squarefree_monic(f)), (q, f)
+            factors = factoring._ff_factor_squarefree_monic(f)
+            assert count == len(factors), (q, f)
+            prod = Poly.one(field)
+            for g in factors:
+                prod = prod * g
+            assert prod == f, (q, f)
             checked += 1
 
 

@@ -38,6 +38,25 @@ def test_gf_rejects_non_prime_power():
     assert GF(2**5).order == 32
 
 
+def test_gf_modulus_and_generator_are_pinned():
+    # the modulus search and the generator fix every F_q label and exponent
+    # in reports; (modulus coefficients, generator representative), low
+    # degree first
+    pinned = {
+        4: ([1, 1, 1], [0, 1]),
+        8: ([1, 0, 1, 1], [0, 0, 1]),
+        9: ([1, 0, 1], [1, 1]),
+        16: ([1, 0, 0, 1, 1], [0, 0, 1, 0]),
+        25: ([1, 1, 1], [1, 3]),
+        27: ([1, 0, 2, 1], [0, 0, 2]),
+        49: ([1, 0, 1], [1, 2]),
+    }
+    for q, (modulus, gen) in pinned.items():
+        field = GF(q)
+        assert [c.rep for c in field.modulus.coeffs] == modulus, q
+        assert [c.rep for c in multiplicative_generator(field).rep] == gen, q
+
+
 def test_gf_is_cached():
     assert GF(49) is GF(49)
 
@@ -98,13 +117,15 @@ def test_pth_power_predicates():
 
 
 def test_pth_power_exponent_consistency():
-    field = GF(13)
-    g = multiplicative_generator(field)
-    for k in range(12):
-        e = g**k
-        m = pth_power_exponent(e, 3)
-        assert m == k % 3
-        assert is_pth_power_finite(e / g**m, 3)
+    # the projection onto the p-part against the full discrete log
+    for q, p in ((13, 3), (7, 2), (7, 3), (9, 2), (49, 2), (49, 3)):
+        field = GF(q)
+        g = multiplicative_generator(field)
+        for k in range(q - 1):
+            e = g**k
+            m = pth_power_exponent(e, p)
+            assert m == k % p == discrete_log(e) % p, (q, p, k)
+            assert is_pth_power_finite(e / g**m, p)
 
 
 def test_norm_matches_conjugate_product():

@@ -17,7 +17,6 @@ from brauercalc.hilbert import (
     INF,
     hilbert_symbol,
     invariant_set,
-    legendre,
     local_invariants,
     local_is_square,
     padic_valuation,
@@ -149,8 +148,6 @@ def test_rejects_bad_input():
         hilbert_symbol(0, 3, 2)
     with pytest.raises(ValueError):
         hilbert_symbol(3, 5, 6)
-    with pytest.raises(ValueError):
-        legendre(Fraction(1, 3), 3)
 
 
 def test_relevant_places_and_invariant_sets():

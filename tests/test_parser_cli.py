@@ -260,3 +260,21 @@ def test_huge_exponent_is_out_of_scope_at_once(capsys):
     assert main(["ram", "(t^200000+1, t)"]) == 3
     assert time.perf_counter() - start < 1.0
     assert "out of scope" in capsys.readouterr().err
+
+
+def test_overlong_integer_literals_are_out_of_scope(capsys):
+    digits = "7" * 5000
+    assert main(["ram", f"({digits}, t)"]) == 3
+    assert main(["ram", f"(t^{digits}+1, t)"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("out of scope") == 2
+    assert "integer literal of 5000 digits" in err
+
+
+def test_finite_residue_exponent_needs_no_log_table(capsys):
+    # t^12 - 7 is irreducible over F_13; a table of logs in its residue
+    # field would hold 13^12 - 1 entries
+    start = time.perf_counter()
+    assert main(["ram", "(t^12-7, t)", "--base", "fq:13", "--p", "3"]) == 0
+    assert time.perf_counter() - start < 2.0
+    assert "t^12" in capsys.readouterr().out

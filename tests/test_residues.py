@@ -161,6 +161,32 @@ def test_quadratic_sqrt_matches_norm_oracle():
     assert answers.get(("rational", False), 0) >= 3
 
 
+def test_higher_degree_square_test_matches_norm_oracle():
+    # nf_is_square answers through nf_sqrt at every degree; the decision
+    # must match the norm test plus the norm-polynomial factor count
+    rng = random.Random(44)
+    fields = [QuotientField(QQ, pi) for pi in PI_LIST if pi.degree >= 3]
+    fields.append(QuotientField(QQ, Poly.from_ints(QQ, [1, 0, 0, 0, 1])))  # t^4 + 1
+    answers = {}
+    for kappa in fields:
+        for _ in range(4):
+            k = rng.choice([2, 3, -1, 5, -7])
+            cases = [
+                random_nf_elem(rng, kappa) ** 2,
+                random_nf_elem(rng, kappa),
+                kappa.embed(Fraction(k)),  # a rational: square norm at degree 4
+            ]
+            for e in cases:
+                norm_square = rational_is_square(kappa.norm(e))
+                expected = norm_square and _norm_oracle_is_square(kappa, e)
+                root = nf_sqrt(kappa, e)
+                assert nf_is_square(kappa, e) == expected == (root is not None)
+                if root is not None:
+                    assert root * root == e
+                answers[expected] = answers.get(expected, 0) + 1
+    assert answers[True] >= 12 and answers[False] >= 12
+
+
 def test_quadratic_square_test_never_factors(monkeypatch):
     def no_factoring(f):
         raise AssertionError("factor_over_Q called for a quadratic residue field")
