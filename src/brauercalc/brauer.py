@@ -33,7 +33,7 @@ from .points import (
     sweep_values,
     unit_part_at,
 )
-from .poly import Poly, RationalFunction
+from .poly import Poly, QQ, RationalFunction, _int_list_at
 from .residues import ResidueClass, corestriction_exponent, norm_to_base
 
 
@@ -196,16 +196,16 @@ def is_symbol_regular(cls, c):
     """No entry of any symbol has a zero or pole at t = c.
 
     Numerator and denominator are coprime, so an entry has a zero or
-    pole at t = c exactly when one of them vanishes at c.
+    pole at t = c exactly when one of them vanishes at c.  Over Q with
+    c = a/b that is b^n f(a/b) = 0 on the integer form of f.
     """
     field = cls.base.field
     cv = field.coerce(c)
-    return all(
-        f.evaluate(cv) != field.zero
-        for s in cls.symbols
-        for e in (s.a, s.b)
-        for f in (e.num, e.den)
-    )
+    polys = (f for s in cls.symbols for e in (s.a, s.b) for f in (e.num, e.den))
+    if field is QQ:
+        a, b = cv.numerator, cv.denominator
+        return all(_int_list_at(f.int_form()[1], a, b) for f in polys)
+    return all(f.evaluate(cv) != field.zero for f in polys)
 
 
 def specialize(cls, c):

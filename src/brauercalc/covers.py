@@ -44,9 +44,6 @@ class Reparametrization:
         if self.subst.is_constant:
             raise ValueError("substitution must be non-constant")
 
-    def apply(self, h):
-        return h.substitute(self.subst)
-
 
 @dataclass(frozen=True)
 class KummerCoverDatum:
@@ -68,12 +65,6 @@ class KummerCoverDatum:
         char = self.base.char
         if char and self.m % char == 0:
             raise ValueError("cover degree divisible by the characteristic")
-
-    def fiber_polynomial(self):
-        """T^m - g(basepoint_t) over the constant field."""
-        field = self.base.field
-        gc = self.g.evaluate(self.basepoint_t)
-        return Poly(field, [-gc] + [field.zero] * (self.m - 1) + [field.one])
 
     def fiber_root_valid(self):
         return self.fiber_root**self.m == self.g.evaluate(self.basepoint_t)

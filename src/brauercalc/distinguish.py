@@ -42,6 +42,10 @@ BY_RAMIFICATION_FIELD = "DistinguishedByRamificationField"
 BY_SPECIALIZATION = "DistinguishedBySpecialization"
 CANDIDATE_EQUIVALENT = "CandidateEquivalent"
 
+# Most twist tuples (p - 1)^r enumerate_candidates walks; each survivor is
+# realized and re-verified at about 10 ms.
+MAX_CANDIDATE_BOUND = 256
+
 
 @dataclass(frozen=True)
 class FieldComparisonRow:
@@ -240,6 +244,8 @@ def enumerate_candidates(a):
     supp = div.support()
     r = len(supp)
     bound = (p - 1) ** r
+    if bound > MAX_CANDIDATE_BOUND:
+        raise ScopeError(f"{bound} tuples over {r} points exceed {MAX_CANDIDATE_BOUND}")
     if r == 0:
         zero = BrauerClass.zero(a.base, p)
         return CandidateSet(a, (), (TwistSequence((), ()),), (zero,), bound)

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 from .errors import ScopeError
 from .fields import PrimePowerFactorization, factor_int, is_prime
-from .poly import Poly, QQ, poly_gcd
+from .poly import Poly, QQ, _int_list_primitive, poly_gcd
 
 
 def squarefree_kernel(c):
@@ -414,24 +414,12 @@ def _zassenhaus(f):
     return factors
 
 
-def _int_list_primitive(a):
-    g = 0
-    for c in a:
-        g = math.gcd(g, abs(c))
-    out = [c // g for c in a]
-    if out[-1] < 0:
-        out = [-c for c in out]
-    return out
-
-
 @lru_cache(maxsize=4096)
 def _factor_q_monic(f):
     """Cached monic irreducible factors with multiplicity, sorted."""
     collected = []
     for g, mult in squarefree_decomposition(f):
-        denom = math.lcm(*(c.denominator for c in g.coeffs))
-        ints = _int_list_primitive([int(c * denom) for c in g.coeffs])
-        for part in _zassenhaus(ints):
+        for part in _zassenhaus(g.int_form()[1]):
             h = Poly.from_ints(QQ, part).monic()
             collected.append((h, mult))
     collected.sort(key=lambda fm: fm[0].sort_key())

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import ScopeError
 from .poly import Poly, poly_xgcd, resultant
 
 
@@ -396,15 +397,25 @@ class PrimePowerFactorization:
         return iter(self.factors)
 
 
+# Squarings Pollard-Brent may spend on one composite (about 0.5 s at 133
+# bits on a 2-core Xeon); q^d - 1 for q <= 13, d <= 32 needs at most 56k.
+POLLARD_STEPS = 2**19
+
+
 def _pollard_brent(n, rng):
+    """A proper factor of the composite n within POLLARD_STEPS squarings."""
     if n % 2 == 0:
         return 2
+    steps = 0
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
         m = 128
         g = r = q = 1
         while g == 1:
+            steps += 2 * r
+            if steps > POLLARD_STEPS:
+                raise ScopeError(f"no factor in {POLLARD_STEPS} Pollard-Brent steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

@@ -10,12 +10,14 @@ trusted downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ScopeError
 from .factoring import is_irreducible
 from .fields import GF, QuotientField, is_prime
 from .poly import Poly, QQ, RationalFunction, poly_str, poly_strip
+from .poly import _int_list_at, _int_list_div_linear
 
 
 class RationalBase:
@@ -166,13 +168,9 @@ def residue_field(point):
 
 def valuation_at(h, point):
     """Valuation of a nonzero rational function (or polynomial) at a point."""
-    if isinstance(h, Poly):
-        h = RationalFunction(h)
-    if h.is_zero:
-        raise ValueError("the zero function has no finite valuation")
-    if point.is_infinity:
-        return h.valuation_at_infinity()
-    return h.valuation(point.poly)
+    if point.is_infinity or point.degree == 1:
+        return unit_part_at(h, point)[0]
+    return (RationalFunction(h) if isinstance(h, Poly) else h).valuation(point.poly)
 
 
 def reduce_at(h, point):
@@ -200,8 +198,9 @@ def unit_part_at(h, point):
     image of the unit in kappa(x).
 
     At infinity v = deg(den) - deg(num) and u = lc(num) / lc(den); at a
-    finite point pi is divided out of the numerator and the denominator
-    once, and u is the quotient of the reduced cofactors.
+    rational point over Q the integer forms are stripped of b*t - a; at
+    any other finite point pi is divided out of the numerator and the
+    denominator, and u is the quotient of the reduced cofactors.
     """
     if isinstance(h, Poly):
         h = RationalFunction(h)
@@ -210,12 +209,29 @@ def unit_part_at(h, point):
     num, den = h.num, h.den
     if point.is_infinity:
         return den.degree - num.degree, num.lc / den.lc
+    if point.degree == 1 and point.base.field is QQ:
+        vn, pn, qn = _unit_value_rational(num, point)
+        vd, pd, qd = _unit_value_rational(den, point)
+        return vn - vd, Fraction(pn * qd, qn * pd)
     vn, rn = poly_strip(num, point.poly)
     vd, rd = poly_strip(den, point.poly)
     if point.degree == 1:
         return vn - vd, rn.coeff(0) / rd.coeff(0)
     kappa = residue_field(point)
     return vn - vd, kappa.from_poly(rn) / kappa.from_poly(rd)
+
+
+def _unit_value_rational(f, point):
+    """(v, p, q) with f = (t - c)^v * w and w(c) = p/q at a rational point over Q."""
+    c = point.poly.coeff(0)  # point.poly is t - a/b
+    a, b = -c.numerator, c.denominator
+    content, ints = f.int_form()
+    v, h = 0, _int_list_at(ints, a, b)
+    while h == 0:
+        ints = _int_list_div_linear(ints, a, b)
+        v, h = v + 1, _int_list_at(ints, a, b)
+    # f = content * (b t - a)^v * g with b^m g(a/b) = h for m = deg g
+    return v, content.numerator * h * b**v, content.denominator * b ** (len(ints) - 1)
 
 
 def sweep_values(base):

@@ -10,10 +10,18 @@ this module ever rounds.
 
 Rational functions are stored as coprime numerator/denominator pairs
 with a monic denominator, which makes the representation canonical.
+
+A polynomial over QQ also has an integer form, computed on first use and
+kept on the polynomial: f == content * ints with ints a primitive integer
+tuple whose leading entry is positive.  At a rational point c = a/b in
+lowest terms, b^n f(a/b) is an integer found by homogeneous Horner, and
+when it vanishes, b*t - a divides ints exactly in Z[t] (Gauss's lemma,
+MCA 6.2), so valuations and unit parts there need no Fraction division.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -51,7 +59,7 @@ QQ = RationalField()
 class Poly:
     """Dense univariate polynomial over an exact coefficient field."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "coeffs", "_int_form")
 
     def __init__(self, field, coeffs):
         cs = list(coeffs)
@@ -213,6 +221,23 @@ class Poly:
             [field.from_int(i) * c for i, c in enumerate(self.coeffs)][1:],
         )
 
+    def int_form(self):
+        """(content, ints) with self == content * ints, ints a primitive integer
+        tuple with a positive leading entry; over QQ only, computed once."""
+        form = getattr(self, "_int_form", None)
+        if form is not None:
+            return form
+        if self.field is not QQ:
+            raise TypeError("integer forms exist only over QQ")
+        if not self.coeffs:
+            raise ValueError("the zero polynomial has no integer form")
+        d = math.lcm(*(c.denominator for c in self.coeffs))
+        ints = [c.numerator * d // c.denominator for c in self.coeffs]
+        ints = _int_list_primitive(ints)
+        form = (self.coeffs[-1] / ints[-1], tuple(ints))
+        object.__setattr__(self, "_int_form", form)
+        return form
+
     def evaluate(self, x):
         x = self.field.coerce(x) if not hasattr(x, "field") else x
         acc = self.field.zero
@@ -233,6 +258,29 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({poly_str(self)})"
+
+
+def _int_list_primitive(a):
+    """a divided by its content, with a positive last entry."""
+    g = math.gcd(*a) if a[-1] > 0 else -math.gcd(*a)
+    return [c // g for c in a]
+
+
+def _int_list_at(a, num, den):
+    """den^n * a(num/den) for the integer list a of degree n."""
+    acc, scale = 0, 1
+    for c in reversed(a):
+        acc, scale = acc * num + c * scale, scale * den
+    return acc
+
+
+def _int_list_div_linear(a, num, den):
+    """a / (den*t - num) for an integer list it divides exactly; with
+    coprime num, den > 0 each q[i-1] = (a[i] + num q[i]) / den is integral."""
+    q = [0] * len(a)
+    for i in range(len(a) - 1, 0, -1):
+        q[i - 1] = (a[i] + num * q[i]) // den
+    return q[:-1]
 
 
 def poly_gcd(f, g):

@@ -30,9 +30,9 @@ from brauercalc.points import (
     unit_part_at,
     valuation_at,
 )
-from brauercalc.poly import Poly, QQ, RationalFunction
+from brauercalc.poly import Poly, QQ, RationalFunction, poly_strip
 
-from _gen import F7, F13, random_class, random_entry
+from _gen import F7, F13, random_class, random_entry, rational
 from _oracles import classes_equal_oracle
 
 T = Poly.gen(QQ)
@@ -323,3 +323,81 @@ def test_residue_at_matches_full_quotient():
                     if v:
                         ramified.add(x)
         assert ramified == set(points)
+
+
+RATIONAL_POINTS = [Fraction(v) for v in (0, 3, -2, "1/2", "-5/2", "2/3", "-7/3")]
+
+
+def _rational_entry(rng, c):
+    """A random function times (t - c)^k, k in [-3, 3], with fractional
+    coefficients; the random factors may vanish at c as well."""
+
+    def poly(deg):
+        while True:
+            f = Poly(QQ, [rational(rng, 9) for _ in range(deg + 1)])
+            if not f.is_zero:
+                return f
+
+    lin = RationalFunction(Poly(QQ, [-c, Fraction(1)]))
+    k = rng.randint(-3, 3)
+    h = RationalFunction(poly(rng.randint(0, 3)), poly(rng.randint(0, 2)))
+    return h * lin**k
+
+
+def test_unit_part_at_rational_points_matches_division():
+    def by_strip(h, x):
+        vn, rn = poly_strip(h.num, x.poly)
+        vd, rd = poly_strip(h.den, x.poly)
+        return vn - vd, rn.coeff(0) / rd.coeff(0)
+
+    rng = random.Random(131)
+    seen = set()
+    for c in RATIONAL_POINTS:
+        x = ClosedPoint.rational(Q_BASE, c)
+        for _ in range(60):
+            h = _rational_entry(rng, c)
+            v, u = unit_part_at(h, x)
+            assert (v, u) == by_strip(h, x)
+            assert valuation_at(h, x) == v
+            seen.add(v)
+    assert seen >= set(range(-3, 4))
+
+
+def test_is_symbol_regular_matches_evaluation():
+    rng = random.Random(132)
+    outcomes = set()
+    for _ in range(40):
+        roots = rng.sample(RATIONAL_POINTS, 2)
+        pairs = [
+            (_rational_entry(rng, rng.choice(roots)), _rational_entry(rng, rng.choice(roots)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        cls_ = BrauerClass.make(Q_BASE, 2, pairs)
+        for c in RATIONAL_POINTS + [1, -1, 5]:
+            want = all(
+                f.evaluate(c) != 0
+                for s in cls_.symbols
+                for e in (s.a, s.b)
+                for f in (e.num, e.den)
+            )
+            assert is_symbol_regular(cls_, c) == want
+            outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_rational_q_residues_need_no_polynomial_division(monkeypatch):
+    rng = random.Random(133)
+    classes = []
+    for _ in range(10):
+        c = rng.choice(RATIONAL_POINTS)
+        pairs = [(_rational_entry(rng, c), _rational_entry(rng, c)) for _ in range(2)]
+        classes.append(BrauerClass.make(Q_BASE, 2, pairs))
+    points = [ClosedPoint.rational(Q_BASE, c) for c in RATIONAL_POINTS]
+
+    def no_divmod(self, other):
+        raise AssertionError("polynomial division at a rational point over Q")
+
+    monkeypatch.setattr(Poly, "__divmod__", no_divmod)
+    got = [[residue_at(cls_, x).value for x in points] for cls_ in classes]
+    monkeypatch.undo()
+    assert got == [[_residue_by_full_quotient(cls_, x) for x in points] for cls_ in classes]

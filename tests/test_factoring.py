@@ -126,6 +126,23 @@ def test_factor_int_negative_and_units():
     assert factor_int(-1).unit == -1
 
 
+def test_factor_int_splits_finite_field_unit_group_orders():
+    # the orders q^d - 1 that generator searches in residue fields factor
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+        for d in range(1, 33):
+            fac = factor_int(q**d - 1)
+            prod = 1
+            for r, e in fac:
+                assert is_prime(r)
+                prod *= r**e
+            assert prod == q**d - 1
+
+
+def test_factor_int_gives_up_within_its_step_budget():
+    with pytest.raises(ScopeError, match="Pollard-Brent"):
+        factor_int(100000000000000000039 * 100000000000000000129)
+
+
 def test_squarefree_kernel_by_direct_factorization():
     rng = random.Random(22)
     for _ in range(150):

@@ -278,3 +278,20 @@ def test_finite_residue_exponent_needs_no_log_table(capsys):
     assert main(["ram", "(t^12-7, t)", "--base", "fq:13", "--p", "3"]) == 0
     assert time.perf_counter() - start < 2.0
     assert "t^12" in capsys.readouterr().out
+
+
+def test_semiprime_with_large_factors_is_out_of_scope(capsys):
+    start = time.perf_counter()
+    assert main(["ram", "(100000000000000000039*100000000000000000129, t)"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "Pollard-Brent" in capsys.readouterr().err
+
+
+def test_enumerate_over_too_many_points_is_out_of_scope(capsys):
+    # (2, t - i) ramifies at t = i and the sum also at infinity: 12 points,
+    # 2^12 twist tuples for p = 3
+    text = " + ".join(f"(2, t-{i})" for i in range(1, 12))
+    start = time.perf_counter()
+    assert main(["enumerate", text, "--base", "fq:13", "--p", "3"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "4096 tuples over 12 points" in capsys.readouterr().err

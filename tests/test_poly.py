@@ -1,5 +1,6 @@
 """Polynomial and rational-function arithmetic."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from brauercalc.poly import (
     resultant,
 )
 
-from _gen import random_poly
+from _gen import random_poly, rational
 
 
 def P(*ints):
@@ -202,3 +203,22 @@ def test_poly_str_shapes():
     # fractional coefficients are parenthesized so '*' and '/' stay unambiguous
     assert poly_str(Poly.constant(QQ, Fraction(-1, 2))) == "(-1/2)"
     assert poly_str(Poly(QQ, [Fraction(0), Fraction(1, 2)])) == "(1/2)*t"
+
+
+def test_int_form_is_primitive_content_split():
+    rng = random.Random(71)
+    polys = [random_poly(rng, QQ, 6, height=40) for _ in range(60)]
+    polys.append(Poly(QQ, [rational(rng, 30) for _ in range(5)] + [Fraction(-7, 3)]))
+    polys.append(P(0, 0, 4))
+    for f in polys:
+        content, ints = f.int_form()
+        assert isinstance(content, Fraction) and isinstance(ints, tuple)
+        assert all(type(c) is int for c in ints)
+        assert Poly.from_ints(QQ, ints) * content == f
+        assert ints[-1] > 0
+        assert math.gcd(*ints) == 1
+        assert f.int_form() is f.int_form()
+    with pytest.raises(ValueError):
+        Poly.zero(QQ).int_form()
+    with pytest.raises(TypeError):
+        Poly.gen(GF(7)).int_form()

@@ -3,10 +3,13 @@
 No `assert` statements: `python -O` strips them, so a check that must
 hold raises explicitly.  No third-party imports: the runtime is
 stdlib-only, so every import is relative or names a stdlib module.
+No module-level function name is defined in two modules, so a helper
+has one copy that every caller imports.
 """
 
 import ast
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "brauercalc"
@@ -43,3 +46,14 @@ def test_imports_are_relative_or_stdlib():
             if module.split(".")[0] not in sys.stdlib_module_names:
                 bad.append(f"{name}:{node.lineno} imports {module}")
     assert not bad, f"non-stdlib imports: {bad}"
+
+
+def test_module_level_functions_are_defined_once():
+    homes = defaultdict(list)
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                homes[node.name].append(path.name)
+    dups = {name: files for name, files in homes.items() if len(files) > 1}
+    assert not dups, f"functions defined in more than one module: {dups}"
