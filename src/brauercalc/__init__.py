@@ -7,8 +7,8 @@ decides exact equality, separates inequivalent classes with checkable
 certificates, enumerates residue-compatible twists over finite bases,
 and constructs Kummer covers that witness splitting behavior.
 
-All arithmetic is exact: Fractions over Q, tables over F_q, coefficient
-lists for polynomials.
+All arithmetic is exact: Fractions over Q, integers mod p and quotient
+rings over F_q, coefficient lists for polynomials.
 """
 
 from .brauer import (

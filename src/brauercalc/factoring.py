@@ -10,12 +10,12 @@ recombination.  Every recombination candidate is confirmed by an exact
 integer polynomial multiplication before it is accepted, so the analytic
 bound is a filter rather than a correctness assumption.
 
-The whole modular stage works on plain integer coefficient lists (lowest
-degree first): the squarefree test, distinct-degree count and
-Cantor-Zassenhaus split modulo each candidate prime p use a small F_p[t]
-kernel with entries in [0, p), and Hensel lifting uses symmetric
-representatives modulo p^l.  No finite-field element objects are built on
-the way to a factorization over Q.
+Factoring over a finite field is one Cantor-Zassenhaus algorithm
+(distinct-degree, equal-degree and sorted split) written once over a small
+F_q[t] ring object with two representations: integer lists mod an odd
+prime p for the modular stage over Q, and Poly over any GF(q),
+characteristic 2 included, for factor_over_Fq.  The modular stage over Q,
+Hensel lifting modulo p^l included, builds no finite-field element objects.
 
 Irreducibility and squarefreeness are decided only here: one squarefree
 decomposition serves Q and F_q, and is_irreducible reads factor_poly.
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -173,7 +174,7 @@ def _hensel_lift(p, f, f_list, l):
 
 # ---------------------------------------------------------------------------
 # F_p[t] on integer lists (lowest degree first, entries in [0, p)), for the
-# modular stage of the factorization over Q (MCA 14.2-14.3)
+# modular stage of the factorization over Q
 
 
 def _zmod(a, m):
@@ -224,55 +225,141 @@ def _gf_derivative(a, p):
     return _zmod([i * c for i, c in enumerate(a)][1:], p)
 
 
-def _gf_distinct_degree(f, p):
+# ---------------------------------------------------------------------------
+# Cantor-Zassenhaus (MCA 14.2-14.3; Cantor & Zassenhaus 1981), written once
+# over a ring R of polynomials over F_q in one of two representations
+
+
+class _IntListRing:
+    """F_p[t] on the integer lists above, p an odd prime; for _zassenhaus."""
+
+    one = (1,)
+    gen = (0, 1)
+
+    def __init__(self, p):
+        self.q = self.char = p
+
+    def deg(self, a):
+        return len(a) - 1
+
+    def sub(self, a, b):
+        return _zmod(_zsub(a, b), self.q)
+
+    def rem(self, a, b):
+        return _zdivmod_mod(a, b, self.q)[1]
+
+    def quo(self, a, b):
+        return _zdivmod_mod(a, b, self.q)[0]
+
+    def gcd(self, a, b):
+        return _gf_gcd(a, b, self.q)
+
+    def powmod(self, a, n, f):
+        return _gf_powmod(a, n, f, self.q)
+
+    def random(self, n, rng):
+        return _ztrim([rng.randrange(self.q) for _ in range(n)])
+
+    def sort_key(self, g):
+        return (len(g), g)
+
+
+class _PolyRing:
+    """F_q[t] on Poly over any finite field; for factor_over_Fq."""
+
+    deg = staticmethod(operator.attrgetter("degree"))
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    rem = staticmethod(operator.mod)
+    quo = staticmethod(Poly.exact_div)
+    sort_key = staticmethod(Poly.sort_key)
+
+    def __init__(self, field):
+        self.field = field
+        self.q = field.order
+        self.char = field.char
+        self.one = Poly.one(field)
+        self.gen = Poly.gen(field)
+
+    # a method, not staticmethod(poly_gcd), so that the module-level name is
+    # looked up per call and bench/tracer.py's wrapper on it counts the call
+    def gcd(self, a, b):
+        return poly_gcd(a, b)
+
+    def powmod(self, a, n, m):
+        result = self.one % m
+        base = a % m
+        while n:
+            if n & 1:
+                result = result * base % m
+            base = base * base % m
+            n >>= 1
+        return result
+
+    def random(self, n, rng):
+        """n coefficients, each the randrange(q)-th of field.elements(),
+        which is listed once per field."""
+        field = self.field
+        elems = getattr(field, "_elem_cache", None)
+        if elems is None:
+            elems = field._elem_cache = list(field.elements())
+        return Poly(field, [elems[rng.randrange(self.q)] for _ in range(n)])
+
+
+def _distinct_degree(R, f):
     """[(product of the degree-d factors, d)] for a monic squarefree f."""
     out = []
-    h = [0, 1]
+    h = R.rem(R.gen, f)
     i = 1
     cur = f
-    while len(cur) - 1 >= 2 * i:
-        h = _gf_powmod(h, p, cur, p)
-        g = _gf_gcd(cur, _zmod(_zsub(h, [0, 1]), p), p)
-        if len(g) > 1:
+    while R.deg(cur) >= 2 * i:
+        h = R.powmod(h, R.q, cur)
+        g = R.gcd(cur, R.sub(h, R.gen))
+        if R.deg(g) >= 1:
             out.append((g, i))
-            cur = _zdivmod_mod(cur, g, p)[0]
-            h = _zdivmod_mod(h, cur, p)[1]
+            cur = R.quo(cur, g)
+            h = R.rem(h, cur)
         i += 1
-    if len(cur) > 1:
-        out.append((cur, len(cur) - 1))
+    if R.deg(cur) >= 1:
+        out.append((cur, R.deg(cur)))
     return out
 
 
-def _gf_equal_degree(f, d, p, rng):
+def _equal_degree(R, f, d, rng):
     """Cantor-Zassenhaus split of a monic squarefree f whose irreducible
-    factors all have degree d.  The prime search in _zassenhaus starts at
-    3, so p is odd and the split by r**((p**d - 1)/2) - 1 always applies;
-    characteristic 2 would need the trace map instead."""
-    n = len(f) - 1
+    factors all have degree d.  A random r splits f by gcd(f, r^((q^d-1)/2)
+    - 1) in odd characteristic, and for q = 2^k by the gcd with its trace
+    r + r^2 + ... + r^(2^(kd-1)), summed with R.sub (= addition there)."""
+    n = R.deg(f)
     if n == d:
         return [f]
     while True:
-        r = _ztrim([rng.randrange(p) for _ in range(n)])
-        if len(r) < 2:
+        r = R.random(n, rng)
+        if R.deg(r) < 1:
             continue
-        g = _gf_gcd(f, r, p)
-        if 0 < len(g) - 1 < n:
+        g = R.gcd(f, r)
+        if 0 < R.deg(g) < n:
             break
-        h = _zmod(_zsub(_gf_powmod(r, (p**d - 1) // 2, f, p), [1]), p)
-        g = _gf_gcd(f, h, p)
-        if 0 < len(g) - 1 < n:
+        if R.char == 2:
+            acc = total = R.rem(r, f)
+            for _ in range(d * (R.q.bit_length() - 1) - 1):
+                acc = R.rem(R.mul(acc, acc), f)
+                total = R.sub(total, acc)
+        else:
+            total = R.sub(R.powmod(r, (R.q**d - 1) // 2, f), R.one)
+        g = R.gcd(f, total)
+        if 0 < R.deg(g) < n:
             break
-    rest = _zdivmod_mod(f, g, p)[0]
-    return _gf_equal_degree(g, d, p, rng) + _gf_equal_degree(rest, d, p, rng)
+    return _equal_degree(R, g, d, rng) + _equal_degree(R, R.quo(f, g), d, rng)
 
 
-def _gf_split_distinct_degree(parts, p):
+def _split(R, parts):
     """Sorted monic irreducible factors of the f whose distinct-degree split is parts."""
     rng = random.Random(0x5EED)
     out = []
     for part, d in parts:
-        out.extend(_gf_equal_degree(part, d, p, rng))
-    out.sort(key=lambda g: (len(g), g))
+        out.extend(_equal_degree(R, part, d, rng))
+    out.sort(key=R.sort_key)
     return out
 
 
@@ -363,7 +450,7 @@ def _zassenhaus(f):
         fp = _gf_monic(_zmod(f, p), p)
         if len(_gf_gcd(fp, _gf_derivative(fp, p), p)) != 1:
             continue
-        parts = _gf_distinct_degree(fp, p)
+        parts = _distinct_degree(_IntListRing(p), fp)
         count = sum((len(g) - 1) // d for g, d in parts)
         candidates.append((count, p, parts))
         if count == 1:
@@ -375,7 +462,7 @@ def _zassenhaus(f):
     count, p, parts = min(candidates, key=lambda c: (c[0], c[1]))
     if count == 1:
         return [list(f)]
-    mod_factors = _gf_split_distinct_degree(parts, p)
+    mod_factors = _split(_IntListRing(p), parts)
 
     l = 1
     while p**l < 2 * B + 1:
@@ -446,98 +533,6 @@ def factor_over_Q(f):
 # factorization over finite fields
 
 
-def _powmod(a, n, m):
-    result = Poly.one(a.field) % m
-    base = a % m
-    while n:
-        if n & 1:
-            result = result * base % m
-        base = base * base % m
-        n >>= 1
-    return result
-
-
-def _ff_distinct_degree(f):
-    """[(product_of_factors, d)] for a monic squarefree f."""
-    field = f.field
-    q = field.order
-    t = Poly.gen(field)
-    out = []
-    h = t % f
-    i = 1
-    cur = f
-    while cur.degree >= 2 * i:
-        h = _powmod(h, q, cur)
-        g = poly_gcd(cur, h - t)
-        if g.degree >= 1:
-            out.append((g, i))
-            cur = cur.exact_div(g)
-            h = h % cur
-        i += 1
-    if cur.degree >= 1:
-        out.append((cur, cur.degree))
-    return out
-
-
-def _ff_random_poly(field, degree, rng):
-    cache = getattr(field, "_elem_cache", None)
-    if cache is None:
-        cache = list(field.elements())
-        field._elem_cache = cache
-    coeffs = [cache[rng.randrange(len(cache))] for _ in range(degree + 1)]
-    return Poly(field, coeffs)
-
-
-def _ff_equal_degree(f, d, rng):
-    """Cantor-Zassenhaus split of a monic squarefree f whose irreducible
-    factors all have degree d."""
-    if f.degree == d:
-        return [f]
-    field = f.field
-    q = field.order
-    while True:
-        r = _ff_random_poly(field, f.degree - 1, rng)
-        if r.is_zero or r.degree < 1:
-            continue
-        g = poly_gcd(f, r)
-        if 0 < g.degree < f.degree:
-            break
-        if field.char == 2:
-            # additive splitting by the absolute trace of r
-            bits = d * _two_power_exponent(field.order)
-            acc = r % f
-            total = acc
-            for _ in range(bits - 1):
-                acc = acc * acc % f
-                total = (total + acc) % f
-            g = poly_gcd(f, total)
-        else:
-            e = (q**d - 1) // 2
-            h = _powmod(r, e, f) - Poly.one(field)
-            g = poly_gcd(f, h)
-        if 0 < g.degree < f.degree:
-            break
-    return _ff_equal_degree(g, d, rng) + _ff_equal_degree(f.exact_div(g), d, rng)
-
-
-def _two_power_exponent(q):
-    k = 0
-    while q % 2 == 0:
-        q //= 2
-        k += 1
-    return k
-
-
-def _ff_factor_squarefree_monic(f):
-    """Monic irreducible factors of a monic squarefree f, sorted."""
-    rng = random.Random(0x5EED)
-    out = []
-    for part, d in _ff_distinct_degree(f):
-        out.extend(_ff_equal_degree(part, d, rng))
-    out.sort(key=lambda g: g.sort_key())
-    return out
-
-
 def factor_over_Fq(f):
     """Factor a nonzero polynomial over a finite field into monic irreducibles."""
     if f.is_zero:
@@ -547,9 +542,10 @@ def factor_over_Fq(f):
     unit = f.lc
     if f.degree == 0:
         return PrimePowerFactorization(unit, ())
+    R = _PolyRing(f.field)
     collected = []
     for g, mult in squarefree_decomposition(f.monic()):
-        for h in _ff_factor_squarefree_monic(g):
+        for h in _split(R, _distinct_degree(R, g)):
             collected.append((h, mult))
     collected.sort(key=lambda fm: fm[0].sort_key())
     return PrimePowerFactorization(unit, tuple(collected))

@@ -142,7 +142,6 @@ class PrimeField:
         self.order = p
         self.zero = FFElem(self, 0)
         self.one = FFElem(self, 1)
-        self._log_table = None
 
     def from_int(self, n):
         return FFElem(self, n % self.p)
@@ -210,7 +209,6 @@ class QuotientField:
         self.one = FFElem(self, tuple(one))
         # table[i] = representative tuple of t^(d+i) mod modulus
         self._red = self._reduction_table()
-        self._log_table = None
         self._generator = None
 
     def _reduction_table(self):
@@ -486,21 +484,20 @@ def multiplicative_generator(field):
 
 
 def discrete_log(e):
-    """Exponent of e against the fixed generator, via a cached table."""
+    """Exponent of e against the fixed generator, by walking g^k from k = 0;
+    the brute-force reference for pth_power_exponent."""
     field = e.field
     if not field.finite:
         raise TypeError("discrete logs only exist in finite fields")
     if e.is_zero:
         raise ZeroDivisionError("zero has no discrete log")
-    if field._log_table is None:
-        g = multiplicative_generator(field)
-        table = {}
-        acc = field.one
-        for k in range(field.order - 1):
-            table[acc] = k
-            acc = acc * g
-        field._log_table = table
-    return field._log_table[e]
+    g = multiplicative_generator(field)
+    acc = field.one
+    k = 0
+    while acc != e:
+        acc = acc * g
+        k += 1
+    return k
 
 
 def is_pth_power_finite(e, p):

@@ -167,6 +167,15 @@ def test_distinguish_sweep_budget():
     assert v.outcome == CANDIDATE_EQUIVALENT
 
 
+def test_negative_sweep_budget_is_rejected():
+    a = BrauerClass.make(Q_BASE, 2, [(5, T)])
+    b = BrauerClass.make(Q_BASE, 2, [(5, T), (-1, -1)])
+    with pytest.raises(ValueError):
+        distinguish(a, b, sweep=-1)
+    with pytest.raises(ValueError):
+        uniqueness_report(a, [b], sweep=-1)
+
+
 def test_compare_fields_table():
     a = BrauerClass.make(Q_BASE, 2, [(-1, T)])
     b = BrauerClass.make(Q_BASE, 2, [(-2, T)])

@@ -248,8 +248,10 @@ def test_distinct_degree_count_matches_full_factorization():
             f = Poly(field, [rng.choice(elems) for _ in range(deg)] + [field.one])
             if poly_gcd(f, f.derivative()).degree != 0:
                 continue
-            count = sum(g.degree // d for g, d in factoring._ff_distinct_degree(f))
-            factors = factoring._ff_factor_squarefree_monic(f)
+            R = factoring._PolyRing(field)
+            parts = factoring._distinct_degree(R, f)
+            count = sum(g.degree // d for g, d in parts)
+            factors = factoring._split(R, parts)
             assert count == len(factors), (q, f)
             prod = Poly.one(field)
             for g in factors:
@@ -271,8 +273,8 @@ def _int_list(f):
 
 
 def test_int_list_kernel_matches_poly_routines():
-    # the F_p[t] kernel on integer lists that factor_over_Q runs on, against
-    # the Poly routines of factor_over_Fq on the same polynomial over GF(p)
+    # the shared split on the integer-list ring that factor_over_Q runs on,
+    # against the Poly ring of factor_over_Fq on the same polynomial over GF(p)
     rng = random.Random(29)
     for p in (3, 5, 7, 13, 10007):
         field = GF(p)
@@ -283,12 +285,12 @@ def test_int_list_kernel_matches_poly_routines():
             F = Poly.from_ints(field, f)
             if poly_gcd(F, F.derivative()).degree != 0:
                 continue
-            parts = factoring._gf_distinct_degree(f, p)
-            assert parts == [
-                (_int_list(g), d) for g, d in factoring._ff_distinct_degree(F)
-            ], (p, f)
-            assert factoring._gf_split_distinct_degree(parts, p) == [
-                _int_list(g) for g in factoring._ff_factor_squarefree_monic(F)
+            R, RF = factoring._IntListRing(p), factoring._PolyRing(field)
+            parts = factoring._distinct_degree(R, f)
+            parts_F = factoring._distinct_degree(RF, F)
+            assert parts == [(_int_list(g), d) for g, d in parts_F], (p, f)
+            assert factoring._split(R, parts) == [
+                _int_list(g) for g in factoring._split(RF, parts_F)
             ], (p, f)
             checked += 1
         for _ in range(12):
@@ -305,14 +307,14 @@ def test_int_list_kernel_matches_poly_routines():
 
 def test_factor_over_Q_builds_no_finite_field_objects(monkeypatch):
     # route guard: the modular stage of the factorization over Q runs on
-    # integer lists, never on PrimeField, FFElem or the Poly-based F_q split
+    # integer lists, never on PrimeField, FFElem or the Poly ring of the split
     def no_finite_field(*args, **kwargs):
         raise AssertionError("finite-field objects built while factoring over Q")
 
     monkeypatch.setattr(factoring, "PrimeField", no_finite_field, raising=False)
     monkeypatch.setattr(fields, "PrimeField", no_finite_field)
     monkeypatch.setattr(FFElem, "__init__", no_finite_field)
-    monkeypatch.setattr(factoring, "_ff_distinct_degree", no_finite_field)
+    monkeypatch.setattr(factoring, "_PolyRing", no_finite_field)
     factoring._factor_q_monic.cache_clear()
     cases = (
         ([-1, 0, 0, 0, 1], [[-1, 1], [1, 1], [1, 0, 1]]),
@@ -425,3 +427,41 @@ def test_q_factor_matches_sympy():
             monic = sympy.Poly(g, x).monic().all_coeffs()[::-1]
             want.append(([Fraction(int(c.p), int(c.q)) for c in monic], e))
         assert got == sorted(want), coeffs
+
+
+def _monic_mod(coeffs, p):
+    coeffs = [int(c) % p for c in coeffs]
+    inv = pow(coeffs[-1], -1, p)
+    return [c * inv % p for c in coeffs]
+
+
+# sympy sorts its modular factors with an ordered comparison it deprecates
+@pytest.mark.filterwarnings(r"ignore:\s*Ordered comparisons with modular integers")
+def test_fq_factor_matches_sympy():
+    # p = 2 runs the characteristic-2 trace split; multiplicities p give
+    # polynomials with zero derivative
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("t")
+    rng = random.Random(31)
+    for p in (2, 3, 7, 13):
+        field = GF(p)
+        for _ in range(25):
+            f = Poly.from_ints(field, [rng.randrange(1, p)])
+            while f.degree < 1 or (f.degree < 8 and rng.random() < 0.6):
+                part = Poly.from_ints(
+                    field, [rng.randrange(p) for _ in range(rng.randint(1, 4))] + [1]
+                )
+                f = f * part ** rng.choice([1, 1, 2, 3])
+            ints = [c.rep for c in f.coeffs]
+            fac = factor_over_Fq(f)
+            got = sorted(([c.rep for c in g.coeffs], e) for g, e in fac.factors)
+            expr = sum(c * x**i for i, c in enumerate(ints))
+            unit, parts = sympy.factor_list(expr, x, modulus=p)
+            want = sorted(
+                (_monic_mod(sympy.Poly(g, x).all_coeffs()[::-1], p), e)
+                for g, e in parts
+            )
+            assert got == want, (p, ints)
+            assert fac.unit.rep == int(unit) % p, (p, ints)
+            irreducible = sympy.Poly(expr, x, modulus=p).is_irreducible
+            assert is_irreducible(f) == irreducible, (p, ints)

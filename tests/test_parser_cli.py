@@ -116,6 +116,13 @@ def test_cli_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_cli_rejects_negative_sweep(capsys):
+    argv = ["distinguish", "(2,t)", "(2,t)+(-1,-1)", "--sweep", "-1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "nonnegative" in captured.err and "sweep: -1" not in captured.out
+
+
 def test_cli_output_is_byte_stable(capsys):
     for fmt in ("text", "json"):
         outs = []

@@ -4,7 +4,9 @@ No `assert` statements: `python -O` strips them, so a check that must
 hold raises explicitly.  No third-party imports: the runtime is
 stdlib-only, so every import is relative or names a stdlib module.
 No module-level function name is defined in two modules, so a helper
-has one copy that every caller imports.
+has one copy that every caller imports.  Every module-level private
+function is referenced in the library outside its own definition, so a
+helper is deleted with its last caller.
 """
 
 import ast
@@ -57,3 +59,28 @@ def test_module_level_functions_are_defined_once():
                 homes[node.name].append(path.name)
     dups = {name: files for name, files in homes.items() if len(files) > 1}
     assert not dups, f"functions defined in more than one module: {dups}"
+
+
+def _referenced_names(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_private_functions_are_referenced():
+    private, used = [], set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            names = set(_referenced_names(node))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("_"):
+                    private.append((path.name, node.name))
+                # a recursive call does not keep a function alive
+                names.discard(node.name)
+            used |= names
+    assert private, "no private functions found"
+    orphans = [f"{name}:{fn}" for name, fn in private if fn not in used]
+    assert not orphans, f"private functions no library code references: {orphans}"
