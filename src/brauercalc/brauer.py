@@ -156,7 +156,7 @@ def ramification_points(cls):
         for f in (s.a.num, s.a.den, s.b.num, s.b.den):
             if f.degree >= 1:
                 for g, _ in factor_poly(f):
-                    cands.add(ClosedPoint._trusted(cls.base, g))
+                    cands.add(ClosedPoint(cls.base, g))
     return sorted_points(cands)
 
 

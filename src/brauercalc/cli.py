@@ -39,12 +39,6 @@ def _common_flags(sub):
     )
     sub.add_argument("--p", type=int, default=2, help="prime torsion (default 2)")
     sub.add_argument(
-        "--sweep",
-        type=int,
-        default=200,
-        help="specialization sweep budget for distinguish (default 200)",
-    )
-    sub.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
     sub.add_argument(
@@ -77,6 +71,9 @@ def build_parser():
     p_dist.add_argument("left", metavar="CLASS_A")
     p_dist.add_argument("right", metavar="CLASS_B")
     _common_flags(p_dist)
+    p_dist.add_argument(
+        "--sweep", type=int, default=200, help="specialization sweep budget (default 200)"
+    )
     p_dist.set_defaults(run=cmd_distinguish)
 
     p_enum = subs.add_parser(

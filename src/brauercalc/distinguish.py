@@ -316,7 +316,7 @@ def _residue_symbols(base, p, pt, value):
     w = kappa.to_poly(gen**m)
     out = [(RationalFunction(w), RationalFunction(pt.poly))]
     for phi, e in factor_over_Fq(w).factors:
-        ppt = ClosedPoint._trusted(base, phi)
+        ppt = ClosedPoint(base, phi)
         pi_img = reduce_at(RationalFunction(pt.poly), ppt)
         out.extend(_residue_symbols(base, p, ppt, pi_img**e))
     return out

@@ -543,8 +543,9 @@ def GF(q):
     from .factoring import is_irreducible
 
     base = GF(p)
-    # deterministic search for a monic irreducible of degree k
-    for tail in itertools.product(range(p), repeat=k):
+    # deterministic search for a monic irreducible of degree k; a zero
+    # constant term makes t a factor, so those tails are skipped
+    for tail in itertools.product(range(1, p), *[range(p)] * (k - 1)):
         f = Poly.from_ints(base, list(tail) + [1])
         if is_irreducible(f):
             return QuotientField(base, f)

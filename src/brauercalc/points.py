@@ -4,7 +4,8 @@ A closed point of P^1 over k is either the distinguished point at
 infinity (uniformizer 1/t) or a monic irreducible polynomial in k[t].
 Only monic irreducibles are admitted; the constructor normalizes the
 leading coefficient and checks irreducibility, so a ClosedPoint can be
-trusted downstream.
+trusted downstream.  unit_part_at is the one local expansion of a
+function at a point; valuation_at and reduce_at read theirs off it.
 """
 
 from __future__ import annotations
@@ -36,9 +37,6 @@ class RationalBase:
                 "over Q only 2-torsion classes are supported (requested p="
                 f"{p})"
             )
-
-    def name(self):
-        return "Q"
 
     def __repr__(self):
         return "Q"
@@ -74,11 +72,8 @@ class FiniteBase:
                 f"p-torsion symbols over F_q need p | q-1 (p={p}, q={self.q})"
             )
 
-    def name(self):
-        return f"F{self.q}"
-
     def __repr__(self):
-        return self.name()
+        return f"F{self.q}"
 
 
 Q_BASE = RationalBase()
@@ -107,15 +102,8 @@ class ClosedPoint:
         return cls(base, poly)
 
     @classmethod
-    def _trusted(cls, base, poly):
-        """For factors that are already known to be monic irreducible."""
-        return cls(base, poly)
-
-    @classmethod
     def rational(cls, base, value):
-        """The point t = value, or infinity for value None / 'inf'."""
-        if value is None or value == "inf":
-            return cls.infinity(base)
+        """The point t = value."""
         field = base.field
         v = field.coerce(value)
         return cls(base, Poly(field, [-v, field.one]))
@@ -127,14 +115,6 @@ class ClosedPoint:
     @property
     def degree(self):
         return 1 if self.poly is None else self.poly.degree
-
-    def rational_value(self):
-        """For a degree-1 finite point t - c, the value c; None at infinity."""
-        if self.is_infinity:
-            return None
-        if self.degree != 1:
-            raise ValueError("not a rational point")
-        return -self.poly.coeff(0)
 
     def sort_key(self):
         if self.is_infinity:
@@ -168,29 +148,15 @@ def residue_field(point):
 
 def valuation_at(h, point):
     """Valuation of a nonzero rational function (or polynomial) at a point."""
-    if point.is_infinity or point.degree == 1:
-        return unit_part_at(h, point)[0]
-    return (RationalFunction(h) if isinstance(h, Poly) else h).valuation(point.poly)
+    return unit_part_at(h, point)[0]
 
 
 def reduce_at(h, point):
-    """Image of a rational function without a pole at the point in kappa(x).
-
-    At infinity this is the limit at infinity; at a finite point the
-    numerator and denominator are reduced separately, which is enough
-    because they are coprime.
-    """
-    if isinstance(h, Poly):
-        h = RationalFunction(h)
-    if point.is_infinity:
-        return h.value_at_infinity()
-    if point.degree == 1:
-        return h.evaluate(point.rational_value())
-    kappa = residue_field(point)
-    d = kappa.from_poly(h.den)
-    if d.is_zero:
+    """Image in kappa(x) of a nonzero rational function without a pole at x."""
+    v, u = unit_part_at(h, point)
+    if v < 0:
         raise ZeroDivisionError("function has a pole at the point")
-    return kappa.from_poly(h.num) / d
+    return residue_field(point).zero if v else u
 
 
 def unit_part_at(h, point):

@@ -378,11 +378,6 @@ def poly_strip(f, pi):
         k += 1
 
 
-def poly_valuation(f, pi):
-    """Largest k with pi^k dividing f; pi must be a nonconstant polynomial."""
-    return poly_strip(f, pi)[0]
-
-
 class RationalFunction:
     """Quotient of polynomials in canonical form (coprime, monic denominator)."""
 
@@ -499,31 +494,11 @@ class RationalFunction:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def valuation(self, pi):
-        """Order of vanishing along the irreducible polynomial pi."""
-        if self.is_zero:
-            raise ValueError("the zero function has no finite valuation")
-        return poly_valuation(self.num, pi) - poly_valuation(self.den, pi)
-
-    def valuation_at_infinity(self):
-        if self.is_zero:
-            raise ValueError("the zero function has no finite valuation")
-        return self.den.degree - self.num.degree
-
     def evaluate(self, x):
         d = self.den.evaluate(x)
         if d == self.field.zero:
             raise ZeroDivisionError("pole at the evaluation point")
         return self.num.evaluate(x) / d
-
-    def value_at_infinity(self):
-        """Limit at infinity; requires valuation >= 0 there."""
-        v = self.valuation_at_infinity()
-        if v > 0:
-            return self.field.zero
-        if v < 0:
-            raise ZeroDivisionError("pole at infinity")
-        return self.num.lc / self.den.lc
 
     def substitute(self, r):
         """self(r(s)) for a rational function r, computed exactly."""

@@ -192,7 +192,10 @@ class ResidueClass:
         return residue_field(self.point)
 
     def is_trivial(self):
-        return is_pth_power(self.field, self.value, self.p)
+        # remembered outside the fields, so equality and hashing ignore it
+        if "_trivial" not in self.__dict__:
+            object.__setattr__(self, "_trivial", is_pth_power(self.field, self.value, self.p))
+        return self._trivial
 
     def same_class(self, other):
         self._check_comparable(other)

@@ -123,6 +123,13 @@ def test_cli_rejects_negative_sweep(capsys):
     assert "nonnegative" in captured.err and "sweep: -1" not in captured.out
 
 
+def test_sweep_is_a_distinguish_option_only(capsys):
+    assert main(["ram", "(5,t)", "--sweep", "7"]) == 1
+    assert "unrecognized arguments: --sweep 7" in capsys.readouterr().err
+    assert main(["distinguish", "(2,t)", "(3,t)", "--sweep", "7"]) == 0
+    assert "sweep: 7" in capsys.readouterr().out
+
+
 def test_cli_output_is_byte_stable(capsys):
     for fmt in ("text", "json"):
         outs = []
@@ -285,6 +292,15 @@ def test_finite_residue_exponent_needs_no_log_table(capsys):
     assert main(["ram", "(t^12-7, t)", "--base", "fq:13", "--p", "3"]) == 0
     assert time.perf_counter() - start < 2.0
     assert "t^12" in capsys.readouterr().out
+
+
+def test_degree_eight_field_modulus_search_is_fast(capsys):
+    # GF(3^8) searches degree-8 moduli over F_3; the 3^7 tails with a zero
+    # constant term are all divisible by t
+    start = time.perf_counter()
+    assert main(["ram", "(t^2-2, t)", "--base", "fq:6561", "--p", "2"]) == 0
+    assert time.perf_counter() - start < 2.0
+    assert "ramification_points: 0" in capsys.readouterr().out
 
 
 def test_semiprime_with_large_factors_is_out_of_scope(capsys):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from brauercalc.fields import GF
+from brauercalc.points import ClosedPoint, Q_BASE, valuation_at
 from brauercalc.poly import (
     Poly,
     QQ,
@@ -14,7 +15,6 @@ from brauercalc.poly import (
     lagrange_interpolate,
     poly_gcd,
     poly_str,
-    poly_valuation,
     poly_xgcd,
     resultant,
 )
@@ -140,10 +140,10 @@ def test_lagrange_interpolate_recovers():
 
 
 def test_poly_valuation():
-    pi = P(0, 1)  # t
+    at_t = ClosedPoint.finite(Q_BASE, P(0, 1))
     f = P(0, 0, 0, 5)  # 5 t^3
-    assert poly_valuation(f, pi) == 3
-    assert poly_valuation(P(1, 1), pi) == 0
+    assert valuation_at(f, at_t) == 3
+    assert valuation_at(P(1, 1), at_t) == 0
 
 
 def test_ratfunc_canonical_form():
@@ -168,13 +168,14 @@ def test_ratfunc_field_ops_random():
 
 def test_ratfunc_valuations():
     t = RationalFunction(P(0, 1))
-    pi = P(0, 1)
-    assert (t**3).valuation(pi) == 3
-    assert (t**-2).valuation(pi) == -2
-    assert t.valuation_at_infinity() == -1
-    assert (t**-2).valuation_at_infinity() == 2
+    at_t = ClosedPoint.finite(Q_BASE, P(0, 1))
+    inf = ClosedPoint.infinity(Q_BASE)
+    assert valuation_at(t**3, at_t) == 3
+    assert valuation_at(t**-2, at_t) == -2
+    assert valuation_at(t, inf) == -1
+    assert valuation_at(t**-2, inf) == 2
     five = RationalFunction(P(5))
-    assert five.valuation_at_infinity() == 0
+    assert valuation_at(five, inf) == 0
 
 
 def test_ratfunc_substitute_matches_evaluation():

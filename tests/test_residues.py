@@ -256,6 +256,24 @@ def test_residue_class_basics():
         ResidueClass(pt, Fraction(0), 2)
 
 
+def test_residue_class_remembers_triviality(monkeypatch):
+    calls = []
+    original = residues.is_pth_power
+
+    def counting(field, value, p):
+        calls.append(value)
+        return original(field, value, p)
+
+    monkeypatch.setattr(residues, "is_pth_power", counting)
+    pt = ClosedPoint.rational(FiniteBase(7), 2)
+    rc = ResidueClass(pt, GF(7).from_int(3), 2)
+    assert not rc.is_trivial()
+    assert rc.field_label() == "F49"
+    assert len(calls) == 1
+    assert rc == ResidueClass(pt, GF(7).from_int(3), 2)
+    assert hash(rc) == hash(ResidueClass(pt, GF(7).from_int(3), 2))
+
+
 def test_residue_class_finite_canonical():
     base = FiniteBase(7)
     pt = ClosedPoint.rational(base, 2)
