@@ -20,7 +20,7 @@ from .covers import (
 )
 from .distinguish import distinguish, enumerate_candidates
 from .errors import NotSymbolRegular, ParseError, ScopeError
-from .parser import parse_class, parse_ratfunc
+from .parser import parse_class, parse_constant
 from .points import ClosedPoint
 from .poly import Poly, RationalFunction
 
@@ -116,13 +116,6 @@ def _base_inputs(args):
     return {"base": args.base, "p": args.p, "seed": args.seed}
 
 
-def _rational_value(text, base):
-    r = parse_ratfunc(text, base.field)
-    if not r.is_constant:
-        raise ValueError(f"expected a constant base-field value, got {text!r}")
-    return r.constant_value()
-
-
 def cmd_ram(args):
     expr = _parse_expr(args, args.cls)
     inputs = _base_inputs(args)
@@ -161,7 +154,7 @@ def cmd_enumerate(args):
 def cmd_witness(args):
     expr = _parse_expr(args, args.cls)
     base = expr.base
-    cval = _rational_value(args.at, base)
+    cval = parse_constant(args.at, base.field, "--at")
     x = ClosedPoint.rational(base, cval)
     rc = residue_at(expr.cls, x)
     if rc.is_trivial():

@@ -12,6 +12,10 @@ orchestration here reports exactly what it can certify.  The ladder:
   4. the honest fallback "CandidateEquivalent", which never claims
      equivalence.
 
+With p = 2 a residue mismatch is an extension mismatch, so over Q a
+pair that passes step 2 differs by a nontrivial constant class, and
+step 3 needs only the point where compare_classes specialized it.
+
 Over a finite constant field every constant class is trivial, so step 3
 can never separate anything and distinct residue twists land in step 4;
 whether such twists are genuinely equivalent is not decided here.
@@ -29,11 +33,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .brauer import BrauerClass, compare_classes, ramification_divisor, specialize
-from .errors import NotSymbolRegular, ScopeError
+from .errors import ScopeError
 from .factoring import factor_over_Fq, squarefree_kernel
 from .fields import is_pth_power_finite, multiplicative_generator, pth_power_exponent
 from .hilbert import invariant_set, separating_discriminant, splits_invariant_set
-from .points import ClosedPoint, reduce_at, residue_field, sorted_points, sweep_values
+from .points import ClosedPoint, reduce_at, residue_field, sorted_points
 from .poly import RationalFunction
 from .residues import corestriction_exponent
 
@@ -63,7 +67,7 @@ class FieldComparisonRow:
 
 @dataclass(frozen=True)
 class SpecializationCertificate:
-    """The two constant classes at a sweep point, with the separation."""
+    """The two constant classes at the specialization point, separated."""
 
     at: object
     left_pairs: tuple
@@ -116,8 +120,9 @@ def _field_table(da, db):
 def distinguish(a, b, sweep=200):
     """Verdict on whether the two classes provably differ.
 
-    sweep, a nonnegative budget, bounds how many admissible specialization
-    points are tried before falling back to CandidateEquivalent.
+    sweep is a nonnegative budget: 0 skips step 3, and any positive
+    budget specializes at the first symbol-regular point of a - b (the
+    `at` of compare_classes), which always separates the classes.
     """
     if sweep < 0:
         raise ValueError(f"the sweep budget must be nonnegative, got {sweep}")
@@ -143,42 +148,37 @@ def distinguish(a, b, sweep=200):
         )
         steps.append("no certificate found; equivalence is not claimed")
         return Verdict(CANDIDATE_EQUIVALENT, tuple(steps))
+    if cmp.point is not None:
+        raise AssertionError(f"residues differ at {cmp.point} with the same extensions")
     steps.append("swept symbol-regular rational points outside both supports")
-    tried = 0
-    for c in sweep_values(a.base):
-        if tried >= sweep:
-            break
-        cv = a.base.field.coerce(c)
-        # support points are ramified: an entry has a zero or a pole there,
-        # so specialize refuses them
-        try:
-            pa, pb = specialize(a, cv), specialize(b, cv)
-        except NotSymbolRegular:
-            continue
-        tried += 1
-        # over Q a constant class is trivial exactly when no place is nonsplit
-        sa, sb = invariant_set(pa), invariant_set(pb)
-        ta, tb = not sa, not sb
-        if ta != tb:
-            steps.append(
-                f"at t = {cv} exactly one specialization is trivial "
-                f"(left: {ta}, right: {tb}), so the base field itself "
-                "splits one class and not the other"
-            )
-            cert = SpecializationCertificate(cv, pa, pb, ta, tb)
-            return Verdict(BY_SPECIALIZATION, tuple(steps), point=cv, certificate=cert)
-        if not ta and set(sa) != set(sb):
-            d = _separating_quadratic(pa, pb, sa, sb)
-            steps.append(
-                f"at t = {cv} both specializations are nontrivial with "
-                f"different nonsplit places {list(sa)} vs {list(sb)}; "
-                f"Q(sqrt({d})) splits exactly one of them"
-            )
-            cert = SpecializationCertificate(cv, pa, pb, False, False, d)
-            return Verdict(BY_SPECIALIZATION, tuple(steps), point=cv, certificate=cert)
-    steps.append(f"no separating point among the first {tried} swept")
-    steps.append("no certificate found; equivalence is not claimed")
-    return Verdict(CANDIDATE_EQUIVALENT, tuple(steps))
+    if sweep == 0:
+        steps.append("no separating point among the first 0 swept")
+        steps.append("no certificate found; equivalence is not claimed")
+        return Verdict(CANDIDATE_EQUIVALENT, tuple(steps))
+    # regular for a - b, hence for both; over Q a constant class is trivial
+    # exactly when no place is nonsplit
+    cv = a.base.field.coerce(cmp.at)
+    pa, pb = specialize(a, cv), specialize(b, cv)
+    sa, sb = invariant_set(pa), invariant_set(pb)
+    ta, tb = not sa, not sb
+    if ta != tb:
+        steps.append(
+            f"at t = {cv} exactly one specialization is trivial "
+            f"(left: {ta}, right: {tb}), so the base field itself "
+            "splits one class and not the other"
+        )
+        cert = SpecializationCertificate(cv, pa, pb, ta, tb)
+        return Verdict(BY_SPECIALIZATION, tuple(steps), point=cv, certificate=cert)
+    if set(sa) == set(sb):
+        raise AssertionError(f"at t = {cv} the nontrivial difference specializes to zero")
+    d = _separating_quadratic(pa, pb, sa, sb)
+    steps.append(
+        f"at t = {cv} both specializations are nontrivial with "
+        f"different nonsplit places {list(sa)} vs {list(sb)}; "
+        f"Q(sqrt({d})) splits exactly one of them"
+    )
+    cert = SpecializationCertificate(cv, pa, pb, False, False, d)
+    return Verdict(BY_SPECIALIZATION, tuple(steps), point=cv, certificate=cert)
 
 
 def _separating_quadratic(pa, pb, sa, sb):

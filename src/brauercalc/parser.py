@@ -211,13 +211,21 @@ def parse_class(text, base, p):
 
 
 def parse_ratfunc(text, field):
-    """Parse a single Rat (used for witness files and flag values)."""
+    """Parse a single Rat (used for witness files)."""
     parser = _ClassParser(text, field)
     r = parser.rat(allow_zero=True)
     tok = parser.peek()
     if tok[0] != "end":
         raise ParseError(tok[2], f"unexpected {tok[1]!r}")
     return r
+
+
+def parse_constant(text, field, what):
+    """Parse a Rat that must be a base-field constant (flags, witness fields)."""
+    r = parse_ratfunc(text, field)
+    if not r.is_constant:
+        raise ValueError(f"{what} must be a constant, got {text!r}")
+    return r.constant_value()
 
 
 # ---------------------------------------------------------------------------

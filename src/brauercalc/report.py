@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .brauer import (
     FINITE_CONSTANTS_TRIVIAL,
@@ -23,20 +22,11 @@ from .covers import KummerCoverDatum, Reparametrization
 from .distinguish import FieldComparisonRow, SpecializationCertificate
 from .errors import ParseError
 from .hilbert import invariant_set
-from .parser import class_text, parse_ratfunc, ratfunc_text
+from .parser import class_text, parse_constant, parse_ratfunc, ratfunc_text
 from .points import FiniteBase, Q_BASE
 
 VERSION = "0.1.0"
 TOOL = "brauercalc"
-
-
-def value_text(v):
-    """Base-field values (Fraction or FFElem) as grammar-compatible text."""
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return str(v.numerator)
-        return f"{v.numerator}/{v.denominator}"
-    return v.field.format_element(v)
 
 
 def base_text(base):
@@ -107,7 +97,7 @@ def divisor_payload(div):
             {
                 "point": str(pt),
                 "degree": pt.degree,
-                "residue": value_text(rc.canonical_value()),
+                "residue": str(rc.canonical_value()),
                 "residue_field": rc.field_label(),
             }
         )
@@ -129,14 +119,14 @@ def equal_outcome(a, b):
     if cmp.point is not None:
         out["obstruction"] = {
             "point": str(cmp.point),
-            "residue": value_text(cmp.residue.canonical_value()),
+            "residue": str(cmp.residue.canonical_value()),
         }
     elif a.base.is_finite:
         out["constant_difference"] = {"trivial": True, "reason": FINITE_CONSTANTS_TRIVIAL}
     else:
         cert = {
-            "at": value_text(a.base.field.coerce(cmp.at)),
-            "pairs": [[value_text(x), value_text(y)] for x, y in cmp.pairs],
+            "at": str(cmp.at),
+            "pairs": [[str(x), str(y)] for x, y in cmp.pairs],
             "trivial": cmp.equal,
         }
         if not cmp.equal:
@@ -158,11 +148,9 @@ def _certificate_payload(cert):
         }
     if isinstance(cert, SpecializationCertificate):
         out = {
-            "at": value_text(cert.at),
-            "left_pairs": [[value_text(x), value_text(y)] for x, y in cert.left_pairs],
-            "right_pairs": [
-                [value_text(x), value_text(y)] for x, y in cert.right_pairs
-            ],
+            "at": str(cert.at),
+            "left_pairs": [[str(x), str(y)] for x, y in cert.left_pairs],
+            "right_pairs": [[str(x), str(y)] for x, y in cert.right_pairs],
             "left_trivial": cert.left_trivial,
             "right_trivial": cert.right_trivial,
         }
@@ -216,8 +204,8 @@ def witness_to_obj(datum):
         "base": base_text(datum.base),
         "m": datum.m,
         "g": ratfunc_text(datum.g),
-        "basepoint": value_text(datum.basepoint_t),
-        "fiber_root": value_text(datum.fiber_root),
+        "basepoint": str(datum.basepoint_t),
+        "fiber_root": str(datum.fiber_root),
     }
     if datum.f is not None:
         obj["f"] = ratfunc_text(datum.f)
@@ -239,14 +227,25 @@ def witness_from_json(text, base):
         raise ParseError(exc.pos, f"witness file is not valid JSON: {exc.msg}")
     if not isinstance(obj, dict):
         raise ParseError(0, "witness file must hold a JSON object")
+    for key in ("g", "basepoint", "fiber_root", "f", "reparam"):
+        if not isinstance(obj.get(key, ""), str):
+            value = obj[key]
+            raise ParseError(0, f"witness field {key!r} must be a string, got {value!r}")
+    pair = obj.get("symbol", ["", ""])
+    if not isinstance(pair, list) or [type(e) for e in pair] != [str, str]:
+        raise ParseError(0, f"witness field 'symbol' must be two strings, got {pair!r}")
     try:
         kind = obj["kind"]
-        m = int(obj["m"])
+        m = obj["m"]
         g = parse_ratfunc(obj["g"], base.field)
-        basepoint = _constant_value(obj["basepoint"], base.field, "basepoint")
-        fiber_root = _constant_value(obj["fiber_root"], base.field, "fiber_root")
+        basepoint = parse_constant(obj["basepoint"], base.field, "witness basepoint")
+        fiber_root = parse_constant(obj["fiber_root"], base.field, "witness fiber_root")
     except KeyError as exc:
         raise ParseError(0, f"witness file is missing the {exc.args[0]!r} field")
+    try:
+        m = int(m)
+    except (TypeError, ValueError):
+        raise ParseError(0, f"witness field 'm' must be an integer, got {m!r}") from None
     if obj.get("base") not in (None, base_text(base)):
         raise ValueError(
             f"witness base {obj['base']!r} does not match --base {base_text(base)!r}"
@@ -260,8 +259,8 @@ def witness_from_json(text, base):
     symbol = None
     if "symbol" in obj:
         symbol = (
-            parse_ratfunc(obj["symbol"][0], base.field),
-            parse_ratfunc(obj["symbol"][1], base.field),
+            parse_ratfunc(pair[0], base.field),
+            parse_ratfunc(pair[1], base.field),
         )
     return KummerCoverDatum(
         kind=kind,
@@ -274,10 +273,3 @@ def witness_from_json(text, base):
         reparam=reparam,
         symbol=symbol,
     )
-
-
-def _constant_value(text, field, what):
-    r = parse_ratfunc(str(text), field)
-    if not r.is_constant:
-        raise ValueError(f"witness {what} must be a constant, got {text!r}")
-    return r.constant_value()

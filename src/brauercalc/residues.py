@@ -53,16 +53,12 @@ def is_pth_power(field, value, p):
 def same_kummer_extension(field, r1, r2, p):
     """Do r1 and r2 cut out the same degree-p radical extension of field?
 
-    Two units generate the same extension when both are p-th powers, or,
-    for p = 2, when their product is a square.  A finite field has a
-    unique extension of each degree, so there any two non-powers agree.
+    A finite field has a unique extension of each degree, so there the
+    two agree exactly when both or neither are p-th powers.  For p = 2
+    they agree exactly when their product is a square.
     """
-    t1 = is_pth_power(field, r1, p)
-    t2 = is_pth_power(field, r2, p)
-    if t1 or t2:
-        return t1 and t2
     if field is not QQ and field.finite:
-        return True
+        return is_pth_power(field, r1, p) == is_pth_power(field, r2, p)
     if p == 2:
         return is_pth_power(field, r1 * r2, 2)
     raise ScopeError(f"field comparison over {field!r} only for p = 2 (got {p})")

@@ -215,6 +215,20 @@ def test_specialize_and_regular_points():
     assert regular_rational_points(cc, 3) == [1, -1, 2]
 
 
+
+def test_specialize_and_regular_points_over_finite_field():
+    f = F7.field
+    t7 = Poly.gen(f)
+    c = BrauerClass.make(F7, 2, [(t7, t7 - Poly.one(f))])
+    with pytest.raises(NotSymbolRegular):
+        specialize(c, 1)
+    assert specialize(c, 3) == ((f.from_int(3), f.from_int(2)),)
+    assert regular_rational_points(c, 2) == [2, 3]
+    # the sweep over F_7 ends after its seven elements
+    assert regular_rational_points(c, 10) == [2, 3, 4, 5, 6]
+    every = BrauerClass.make(F7, 2, [(3, t7**7 - t7)])
+    assert regular_rational_points(every, 1) == []
+
 def test_constant_triviality():
     assert constant_is_trivial(F7, [(F7.field.from_int(3), F7.field.from_int(5))], 2)
     assert constant_is_trivial(Q_BASE, [(Fraction(-1), Fraction(2))], 2)

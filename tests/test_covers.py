@@ -20,7 +20,8 @@ from brauercalc.covers import (
     unramified_cover_certificates,
     verify_splitting_witness,
 )
-from brauercalc.points import ClosedPoint, Q_BASE
+from brauercalc.factoring import factor_poly
+from brauercalc.points import ClosedPoint, Q_BASE, valuation_at
 from brauercalc.poly import Poly, QQ, RationalFunction
 
 from _gen import F7, nonsquare_rational, nonzero_rational, rational
@@ -168,6 +169,21 @@ def test_unramified_cover_finite_base():
     report = unramified_cover_certificates(cls, w)
     assert report.ok
 
+
+
+def test_unramified_cover_congruence_search():
+    # p = 3, a degree-2 pole point, and deg(prod) + [inf ramified] = 2 + 1
+    # odd: the first pole order leaves an auxiliary multiplicity of 1, so
+    # the search raises it to 3 and the auxiliary point is no branch point
+    t7 = Poly.gen(F7.field)
+    cls = BrauerClass.make(F7, 3, [(3, t7 * t7 - t7)])
+    bpt = ClosedPoint(F7, t7 * t7 + 1)
+    w = make_unramified_cover(cls, 2, bpt)
+    assert unramified_cover_certificates(cls, w).ok
+    assert valuation_at(w.f, bpt) == -3
+    # t, t - 1 and the auxiliary factor (t - e)^3
+    assert sorted(e for _, e in factor_poly(w.f.num)) == [1, 1, 3]
+    assert valuation_at(w.g, ClosedPoint.infinity(F7)) == 1
 
 def test_unramified_cover_rejects_bad_points():
     cls = BrauerClass.make(Q_BASE, 2, [(T, q_poly(-2, 0, 1))])

@@ -7,26 +7,33 @@ corestriction shortcut under test).
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from brauercalc.brauer import BrauerClass, ramification_divisor
+from brauercalc.brauer import BrauerClass, compare_classes, ramification_divisor, specialize
 from brauercalc.distinguish import (
     BY_RAMIFICATION_FIELD,
     BY_SPECIALIZATION,
     CANDIDATE_EQUIVALENT,
     EQUAL,
+    SpecializationCertificate,
+    Verdict,
+    _field_table,
+    _separating_quadratic,
     compare_ramification_fields,
     distinguish,
     enumerate_candidates,
     uniqueness_report,
 )
-from brauercalc.errors import ScopeError
-from brauercalc.points import ClosedPoint, Q_BASE
+from brauercalc.errors import NotSymbolRegular, ScopeError
+from brauercalc.hilbert import invariant_set
+from brauercalc.parser import class_text
+from brauercalc.points import ClosedPoint, Q_BASE, sweep_values
 from brauercalc.poly import Poly, QQ
 
-from _gen import F7, F13
+from _gen import F7, F13, nonzero_rational, random_class
 from _oracles import oracle_candidate_count
 
 T = Poly.gen(QQ)
@@ -212,3 +219,89 @@ def test_distinguish_rejects_mismatched_settings():
     b = BrauerClass.make(F7, 2, [(3, Poly.gen(F7.field))])
     with pytest.raises(ValueError):
         distinguish(a, b)
+
+
+def _sweep_reference(a, b, sweep):
+    """distinguish over Q with step 3 as a sweep over sweep_values, trying
+    up to `sweep` points regular for both classes: the oracle that the
+    single specialization at compare_classes' point must match."""
+    steps = ["compared ramification divisors and the constant part exactly"]
+    cmp = compare_classes(a, b)
+    if cmp.equal:
+        return Verdict(EQUAL, (*steps, "classes are equal"))
+    steps.append("compared residue extensions at every point of either support")
+    for row in _field_table(cmp.left, cmp.right):
+        if row.mismatch:
+            steps.append(
+                f"extensions differ at {row.point}: "
+                f"{row.left_label} vs {row.right_label}"
+            )
+            return Verdict(
+                BY_RAMIFICATION_FIELD, tuple(steps), point=row.point, certificate=row
+            )
+    steps.append("swept symbol-regular rational points outside both supports")
+    tried = 0
+    for c in sweep_values(a.base):
+        if tried >= sweep:
+            break
+        cv = a.base.field.coerce(c)
+        try:
+            pa, pb = specialize(a, cv), specialize(b, cv)
+        except NotSymbolRegular:
+            continue
+        tried += 1
+        sa, sb = invariant_set(pa), invariant_set(pb)
+        ta, tb = not sa, not sb
+        if ta != tb:
+            steps.append(
+                f"at t = {cv} exactly one specialization is trivial "
+                f"(left: {ta}, right: {tb}), so the base field itself "
+                "splits one class and not the other"
+            )
+            cert = SpecializationCertificate(cv, pa, pb, ta, tb)
+            return Verdict(BY_SPECIALIZATION, tuple(steps), point=cv, certificate=cert)
+        if not ta and set(sa) != set(sb):
+            d = _separating_quadratic(pa, pb, sa, sb)
+            steps.append(
+                f"at t = {cv} both specializations are nontrivial with "
+                f"different nonsplit places {list(sa)} vs {list(sb)}; "
+                f"Q(sqrt({d})) splits exactly one of them"
+            )
+            cert = SpecializationCertificate(cv, pa, pb, False, False, d)
+            return Verdict(BY_SPECIALIZATION, tuple(steps), point=cv, certificate=cert)
+    steps.append(f"no separating point among the first {tried} swept")
+    steps.append("no certificate found; equivalence is not claimed")
+    return Verdict(CANDIDATE_EQUIVALENT, tuple(steps))
+
+
+def _nonsplit_constant(rng):
+    while True:
+        x, y = nonzero_rational(rng, 12), nonzero_rational(rng, 12)
+        if invariant_set([(x, y)]):
+            return BrauerClass.make(Q_BASE, 2, [(x, y)])
+
+
+def test_distinguish_matches_sweep_reference():
+    rng = random.Random(1010)
+    reached = Counter()
+    for i in range(300):
+        a = random_class(rng, Q_BASE, 2, 2, 2, height=9)
+        s = random_class(rng, Q_BASE, 2, 1, 2, height=9)
+        kind = i % 4
+        if kind == 0:
+            b = a + s + s
+        elif kind == 1:
+            b = a + _nonsplit_constant(rng)
+        elif kind == 2:
+            # s + s adds zeros and poles, so a alone has more regular points
+            b = a + s + s + _nonsplit_constant(rng)
+        else:
+            b = random_class(rng, Q_BASE, 2, 2, 2, height=9)
+        for sweep in (0, 1, 200):
+            got = distinguish(a, b, sweep=sweep)
+            assert got == _sweep_reference(a, b, sweep), (class_text(a), class_text(b))
+            reached[got.outcome, sweep] += 1
+    # every rung of the ladder is exercised, step 3 with both certificates
+    assert reached[BY_SPECIALIZATION, 1] >= 50
+    assert reached[CANDIDATE_EQUIVALENT, 0] == reached[BY_SPECIALIZATION, 200]
+    assert min(reached[o, 200] for o in (EQUAL, BY_RAMIFICATION_FIELD)) >= 50

@@ -19,6 +19,7 @@ import pytest
 from brauercalc.brauer import BrauerClass
 from brauercalc import cli
 from brauercalc.cli import main
+from brauercalc.covers import make_unramified_cover
 from brauercalc.errors import ParseError, ScopeError
 from brauercalc.fields import GF, multiplicative_generator
 from brauercalc.parser import (
@@ -28,7 +29,8 @@ from brauercalc.parser import (
     parse_ratfunc,
     ratfunc_text,
 )
-from brauercalc.points import FiniteBase, Q_BASE
+from brauercalc.report import witness_to_json
+from brauercalc.points import ClosedPoint, FiniteBase, Q_BASE
 from brauercalc.poly import Poly, QQ, RationalFunction
 
 from _gen import F7, random_class
@@ -318,3 +320,130 @@ def test_enumerate_over_too_many_points_is_out_of_scope(capsys):
     assert main(["enumerate", text, "--base", "fq:13", "--p", "3"]) == 3
     assert time.perf_counter() - start < 1.0
     assert "4096 tuples over 12 points" in capsys.readouterr().err
+
+
+EQUAL_OBSTRUCTION_TEXT = """\
+brauercalc 0.1.0: equal
+inputs:
+  base: q
+  left: (5, t)
+  p: 2
+  right: (3, t)
+  seed: 0
+outcome:
+  difference_unramified: False
+  equal: False
+  obstruction:
+    point: t
+    residue: 15
+"""
+
+EQUAL_NONSPLIT_TEXT = """\
+brauercalc 0.1.0: equal
+inputs:
+  base: q
+  left: (5, t)
+  p: 2
+  right: (5, t) + (-1, -1)
+  seed: 0
+outcome:
+  constant_difference:
+    at: 1
+    nonsplit_places:
+      - 2
+      - inf
+    pairs:
+      -
+        - 5
+        - 1
+      -
+        - 5
+        - 1
+      -
+        - -1
+        - -1
+    trivial: False
+  difference_unramified: True
+  equal: False
+"""
+
+
+@pytest.mark.parametrize(
+    "right, text, outcome",
+    [
+        (
+            "(3, t)",
+            EQUAL_OBSTRUCTION_TEXT,
+            {
+                "difference_unramified": False,
+                "equal": False,
+                "obstruction": {"point": "t", "residue": "15"},
+            },
+        ),
+        (
+            "(5, t) + (-1, -1)",
+            EQUAL_NONSPLIT_TEXT,
+            {
+                "constant_difference": {
+                    "at": "1",
+                    "nonsplit_places": ["2", "inf"],
+                    "pairs": [["5", "1"], ["5", "1"], ["-1", "-1"]],
+                    "trivial": False,
+                },
+                "difference_unramified": True,
+                "equal": False,
+            },
+        ),
+    ],
+)
+def test_cli_equal_on_unequal_classes_is_golden(capsys, right, text, outcome):
+    assert main(["equal", "(5, t)", right]) == 0
+    assert capsys.readouterr().out == text
+    assert main(["equal", "(5, t)", right, "--format", "json"]) == 0
+    payload = {
+        "command": "equal",
+        "inputs": {"base": "q", "left": "(5, t)", "p": 2, "right": right, "seed": 0},
+        "outcome": outcome,
+        "tool": "brauercalc",
+        "version": "0.1.0",
+    }
+    assert capsys.readouterr().out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("symbol", 5), ("g", 5), ("reparam", 7), ("m", [2]), ("symbol", ["t"])],
+    ids=["symbol-int", "g-int", "reparam-int", "m-list", "symbol-one-entry"],
+)
+def test_cli_verify_witness_rejects_mistyped_fields(tmp_path, capsys, key, value):
+    wfile = tmp_path / "w.json"
+    assert main(["witness", "(5,t)", "--at", "0", "--out", str(wfile)]) == 0
+    obj = json.loads(wfile.read_text())
+    obj[key] = value
+    wfile.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["verify-witness", "(5,t)", str(wfile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and repr(key) in err
+
+
+@pytest.mark.parametrize(
+    "base, p, cls_text, pole",
+    [
+        (Q_BASE, 2, "(5, t^2-t)", None),
+        # a degree-2 pole point with p = 3 takes the congruence search
+        (F7, 3, "(3, t^2-t)", [1, 0, 1]),
+    ],
+)
+def test_cli_verifies_unramified_witness(tmp_path, capsys, base, p, cls_text, pole):
+    cls = parse_class(cls_text, base, p).cls
+    bpt = None if pole is None else ClosedPoint(base, Poly.from_ints(base.field, pole))
+    wfile = tmp_path / "w.json"
+    wfile.write_text(witness_to_json(make_unramified_cover(cls, 2, bpt)))
+    flags = ["--base", "q" if base is Q_BASE else "fq:7", "--p", str(p)]
+    assert main(["verify-witness", cls_text, str(wfile), "--format", "json"] + flags) == 0
+    out = json.loads(capsys.readouterr().out)["outcome"]
+    assert out["kind"] == "unramified" and out["mode"] == "certificates-only"
+    assert out["ok"] is True
+    names = [c["name"] for c in out["checks"]]
+    assert names.count("eisenstein-valuation") == (2 if pole is None else 3)

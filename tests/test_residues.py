@@ -240,6 +240,49 @@ def test_same_kummer_extension_finite():
     assert not same_kummer_extension(f13, h, h**3, 3)
 
 
+
+def _three_test_rule(field, r1, r2, p):
+    """The rule same_kummer_extension replaced: both p-th powers, else a
+    finite field's unique extension, else for p = 2 a square product."""
+    t1, t2 = is_pth_power(field, r1, p), is_pth_power(field, r2, p)
+    if t1 or t2:
+        return t1 and t2
+    if field is not QQ and field.finite:
+        return True
+    return is_pth_power(field, r1 * r2, p)
+
+
+def test_same_kummer_extension_matches_three_test_rule(monkeypatch):
+    rng = random.Random(1011)
+    quadratic, cubic = (QuotientField(QQ, pi) for pi in PI_LIST[1:4:2])
+    f7 = GF(7)
+    units = {
+        QQ: lambda: Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 5)),
+        quadratic: lambda: random_nf_elem(rng, quadratic),
+        cubic: lambda: random_nf_elem(rng, cubic, height=3),
+        f7: lambda: f7.from_int(rng.randint(1, 6)),
+    }
+    tests = []
+
+    def counting(field, value, p):
+        tests.append(field)
+        return is_pth_power(field, value, p)
+
+    monkeypatch.setattr(residues, "is_pth_power", counting)
+    answers = set()
+    for field, p in ((QQ, 2), (quadratic, 2), (cubic, 2), (f7, 2), (f7, 3)):
+        for _ in range(12 if field is cubic else 40):
+            r1 = units[field]()
+            # a p-th power multiple of r1, a p-th power, or an unrelated unit
+            r2 = rng.choice([r1 * units[field]() ** p, units[field]() ** p, units[field]()])
+            want = _three_test_rule(field, r1, r2, p)
+            tests.clear()
+            assert same_kummer_extension(field, r1, r2, p) == want
+            if field is QQ or not field.finite:
+                assert len(tests) == 1
+            answers.add((field, p, want))
+    assert len(answers) == 10
+
 def test_residue_class_basics():
     pt = ClosedPoint.rational(Q_BASE, Fraction(0))
     rc = ResidueClass(pt, Fraction(18), 2)

@@ -6,7 +6,8 @@ stdlib-only, so every import is relative or names a stdlib module.
 No module-level function name is defined in two modules, so a helper
 has one copy that every caller imports.  Every module-level private
 function is referenced in the library outside its own definition, so a
-helper is deleted with its last caller.
+helper is deleted with its last caller.  Every exception handler outside
+cli.main ends by raising, so no library exception steers control flow.
 """
 
 import ast
@@ -84,3 +85,22 @@ def test_private_functions_are_referenced():
     assert private, "no private functions found"
     orphans = [f"{name}:{fn}" for name, fn in private if fn not in used]
     assert not orphans, f"private functions no library code references: {orphans}"
+
+
+def test_exception_handlers_reraise():
+    bad = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        exempt = set()
+        if path.name == "cli.py":
+            # main() maps exceptions to exit codes
+            (main,) = [n for n in tree.body if getattr(n, "name", None) == "main"]
+            exempt = {id(n) for n in ast.walk(main)}
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.ExceptHandler)
+                and id(node) not in exempt
+                and not isinstance(node.body[-1], ast.Raise)
+            ):
+                bad.append(f"{path.name}:{node.lineno}")
+    assert not bad, f"exception handlers that do not end by raising: {bad}"
