@@ -41,10 +41,8 @@ from .distinguish import (
     EQUAL,
     CandidateSet,
     Verdict,
-    compare_ramification_fields,
     distinguish,
     enumerate_candidates,
-    uniqueness_report,
 )
 from .errors import NotSymbolRegular, ParseError, ScopeError
 from .factoring import factor_int, factor_poly, is_irreducible, squarefree_kernel

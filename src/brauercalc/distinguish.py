@@ -1,10 +1,12 @@
 """Distinguishability verdicts and candidate enumeration.
 
 Two classes with the same ramification data may still differ; the
-orchestration here reports exactly what it can certify.  The ladder:
+orchestration here reports exactly what it can certify.  Every rung
+reads the one brauer.compare_classes record of the pair.  The ladder:
 
   1. exact equality (divisor comparison plus the constant part),
-  2. a residue-field mismatch at some point of either support,
+  2. a residue-field mismatch at the first point of either support
+     where the two divisors of the record disagree on the extension,
   3. over Q, a rational specialization whose two constant classes are
      provably inequivalent: one trivial and one not, or both nontrivial
      with different nonsplit place sets, separated by an explicit
@@ -14,7 +16,8 @@ orchestration here reports exactly what it can certify.  The ladder:
 
 With p = 2 a residue mismatch is an extension mismatch, so over Q a
 pair that passes step 2 differs by a nontrivial constant class, and
-step 3 needs only the point where compare_classes specialized it.
+step 3 reads both constant classes off the specialization of a - b
+that compare_classes made to decide equality.
 
 Over a finite constant field every constant class is trivial, so step 3
 can never separate anything and distinct residue twists land in step 4;
@@ -32,7 +35,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .brauer import BrauerClass, compare_classes, ramification_divisor, specialize
+from .brauer import BrauerClass, compare_classes, ramification_divisor
 from .errors import ScopeError
 from .factoring import factor_over_Fq, squarefree_kernel
 from .fields import is_pth_power_finite, multiplicative_generator, pth_power_exponent
@@ -56,13 +59,8 @@ class FieldComparisonRow:
     point: object
     left_ramified: bool
     right_ramified: bool
-    same_field: bool
     left_label: str
     right_label: str
-
-    @property
-    def mismatch(self):
-        return not self.same_field
 
 
 @dataclass(frozen=True)
@@ -85,44 +83,14 @@ class Verdict:
     certificate: object = None
 
 
-def _check_pair(a, b):
-    if a.base != b.base or a.p != b.p:
-        raise ValueError("classes over different settings")
-
-
-def compare_ramification_fields(a, b):
-    """Per-point table of residue-extension agreement over both supports."""
-    _check_pair(a, b)
-    return _field_table(ramification_divisor(a), ramification_divisor(b))
-
-
-def _field_table(da, db):
-    rows = []
-    for pt in sorted_points(set(da.support()) | set(db.support())):
-        ra, rb = da.residue(pt), db.residue(pt)
-        if ra is None or rb is None:
-            same = False
-        else:
-            same = ra.same_field(rb)
-        rows.append(
-            FieldComparisonRow(
-                pt,
-                ra is not None,
-                rb is not None,
-                same,
-                ra.field_label() if ra is not None else "unramified",
-                rb.field_label() if rb is not None else "unramified",
-            )
-        )
-    return tuple(rows)
-
-
 def distinguish(a, b, sweep=200):
     """Verdict on whether the two classes provably differ.
 
-    sweep is a nonnegative budget: 0 skips step 3, and any positive
-    budget specializes at the first symbol-regular point of a - b (the
-    `at` of compare_classes), which always separates the classes.
+    Steps 2 and 3 read the one compare_classes record: its two divisors
+    and its specialization of a - b.  sweep is a nonnegative budget: 0
+    skips step 3, and any positive budget reads the specialization at
+    the first symbol-regular point of a - b (the `at` of
+    compare_classes), which always separates the classes.
     """
     if sweep < 0:
         raise ValueError(f"the sweep budget must be nonnegative, got {sweep}")
@@ -130,17 +98,16 @@ def distinguish(a, b, sweep=200):
     cmp = compare_classes(a, b)
     if cmp.equal:
         return Verdict(EQUAL, (*steps, "classes are equal"))
-    table = _field_table(cmp.left, cmp.right)
     steps.append("compared residue extensions at every point of either support")
-    for row in table:
-        if row.mismatch:
-            steps.append(
-                f"extensions differ at {row.point}: "
-                f"{row.left_label} vs {row.right_label}"
+    for pt in sorted_points(set(cmp.left.support()) | set(cmp.right.support())):
+        ra, rb = cmp.left.residue(pt), cmp.right.residue(pt)
+        if ra is None or rb is None or not ra.same_field(rb):
+            la, lb = (
+                "unramified" if r is None else r.field_label() for r in (ra, rb)
             )
-            return Verdict(
-                BY_RAMIFICATION_FIELD, tuple(steps), point=row.point, certificate=row
-            )
+            steps.append(f"extensions differ at {pt}: {la} vs {lb}")
+            row = FieldComparisonRow(pt, ra is not None, rb is not None, la, lb)
+            return Verdict(BY_RAMIFICATION_FIELD, tuple(steps), point=pt, certificate=row)
     if a.base.is_finite:
         steps.append(
             "specialization sweep skipped: every constant class over a finite "
@@ -155,10 +122,12 @@ def distinguish(a, b, sweep=200):
         steps.append("no separating point among the first 0 swept")
         steps.append("no certificate found; equivalence is not claimed")
         return Verdict(CANDIDATE_EQUIVALENT, tuple(steps))
-    # regular for a - b, hence for both; over Q a constant class is trivial
-    # exactly when no place is nonsplit
+    # cmp.pairs is a - b at cmp.at: a's pairs, then (x, 1/y) for each pair
+    # (x, y) of b; over Q a constant class is trivial exactly when no place
+    # is nonsplit
     cv = a.base.field.coerce(cmp.at)
-    pa, pb = specialize(a, cv), specialize(b, cv)
+    pa = cmp.pairs[: len(a.symbols)]
+    pb = tuple((x, 1 / y) for x, y in cmp.pairs[len(a.symbols):])
     sa, sb = invariant_set(pa), invariant_set(pb)
     ta, tb = not sa, not sb
     if ta != tb:
@@ -320,32 +289,3 @@ def _residue_symbols(base, p, pt, value):
         pi_img = reduce_at(RationalFunction(pt.poly), ppt)
         out.extend(_residue_symbols(base, p, ppt, pi_img**e))
     return out
-
-
-# ---------------------------------------------------------------------------
-# uniqueness over Q(t), p = 2
-
-UNIQUENESS_NOTE = (
-    "2-torsion classes over Q(t) have singleton equivalence classes; that "
-    "statement is consumed as a theorem, not re-proved.  This report only "
-    "confirms that each supplied comparison is Equal or carries an explicit "
-    "distinguishing certificate."
-)
-
-
-@dataclass(frozen=True)
-class UniquenessReport:
-    subject: object
-    rows: tuple  # (comparison class, Verdict)
-    note: str
-
-    @property
-    def all_certified(self):
-        return all(v.outcome != CANDIDATE_EQUIVALENT for _, v in self.rows)
-
-
-def uniqueness_report(a, comparisons, sweep=200):
-    if a.base.is_finite or a.p != 2:
-        raise ScopeError("uniqueness reporting applies to 2-torsion over Q(t)")
-    rows = tuple((c, distinguish(a, c, sweep=sweep)) for c in comparisons)
-    return UniquenessReport(a, rows, UNIQUENESS_NOTE)

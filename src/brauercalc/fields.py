@@ -184,7 +184,7 @@ class PrimeField:
 
 
 class QuotientField:
-    """base[t]/(modulus) for a monic irreducible modulus over the base field.
+    """base[t]/(modulus) for a monic irreducible modulus of degree >= 2.
 
     Works over finite base fields (giving F_{q^d}) and over QQ (giving the
     residue field of a closed point).  Representatives are length-d tuples of
@@ -192,8 +192,8 @@ class QuotientField:
     """
 
     def __init__(self, base, modulus):
-        if not modulus.is_monic or modulus.degree < 1:
-            raise ValueError("modulus must be monic of positive degree")
+        if not modulus.is_monic or modulus.degree < 2:
+            raise ValueError("modulus must be monic of degree at least 2")
         if modulus.field is not base:
             raise TypeError("modulus must live over the base field")
         self.base = base
@@ -252,10 +252,7 @@ class QuotientField:
 
     def gen_elem(self):
         """The class of t."""
-        d = self.degree
-        if d == 1:
-            return FFElem(self, self._red[0] if self._red else ())
-        rep = [self.base.zero, self.base.one] + [self.base.zero] * (d - 2)
+        rep = [self.base.zero, self.base.one] + [self.base.zero] * (self.degree - 2)
         return FFElem(self, tuple(rep))
 
     def from_poly(self, p):
@@ -279,9 +276,6 @@ class QuotientField:
     def _mul(self, a, b):
         d = self.degree
         base = self.base
-        if d == 1:
-            prod = a[0] * b[0]
-            return (prod,)
         out = [base.zero] * (2 * d - 1)
         for i, x in enumerate(a):
             if x == base.zero:
@@ -350,10 +344,11 @@ class QuotientField:
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin, exact for every n below 3.3e24."""
+    """Deterministic Miller-Rabin to the prime bases 2..41, exact below
+    psi13 = 3317044064679887385961981 (Sorensen-Webster 2017)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
         if n % p == 0:
             return n == p
     d = n - 1
@@ -361,7 +356,7 @@ def is_prime(n):
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

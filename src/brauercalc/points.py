@@ -203,7 +203,7 @@ def _unit_value_rational(f, point):
 def sweep_values(base):
     """0, 1, -1, 2, -2, ... over Q; all field elements over F_q."""
     if base.is_finite:
-        yield from range(base.field.order)
+        yield from base.field.elements()
         return
     yield 0
     k = 1

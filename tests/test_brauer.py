@@ -229,6 +229,18 @@ def test_specialize_and_regular_points_over_finite_field():
     every = BrauerClass.make(F7, 2, [(3, t7**7 - t7)])
     assert regular_rational_points(every, 1) == []
 
+
+def test_regular_points_over_non_prime_field_are_distinct():
+    # over F_9 the sweep visits all nine elements, not 0, 1, 2 three times
+    base = FiniteBase(9)
+    f = base.field
+    t9 = Poly.gen(f)
+    c = BrauerClass.make(base, 2, [(t9, t9 + Poly.one(f))])
+    got = regular_rational_points(c, 9)
+    assert got == [e for e in f.elements() if e != f.zero and e != -f.one]
+    assert len(set(got)) == 7
+
+
 def test_constant_triviality():
     assert constant_is_trivial(F7, [(F7.field.from_int(3), F7.field.from_int(5))], 2)
     assert constant_is_trivial(Q_BASE, [(Fraction(-1), Fraction(2))], 2)

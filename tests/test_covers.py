@@ -5,6 +5,7 @@ on the library's own verifiers, which recompute valuations and residues
 from scratch rather than trusting the construction.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,8 +21,9 @@ from brauercalc.covers import (
     unramified_cover_certificates,
     verify_splitting_witness,
 )
-from brauercalc.factoring import factor_poly
-from brauercalc.points import ClosedPoint, Q_BASE, valuation_at
+from brauercalc.factoring import factor_poly, is_irreducible
+from brauercalc.fields import multiplicative_generator
+from brauercalc.points import ClosedPoint, FiniteBase, Q_BASE, valuation_at
 from brauercalc.poly import Poly, QQ, RationalFunction
 
 from _gen import F7, nonsquare_rational, nonzero_rational, rational
@@ -184,6 +186,23 @@ def test_unramified_cover_congruence_search():
     # t, t - 1 and the auxiliary factor (t - e)^3
     assert sorted(e for _, e in factor_poly(w.f.num)) == [1, 1, 3]
     assert valuation_at(w.g, ClosedPoint.infinity(F7)) == 1
+
+
+def test_unramified_cover_finds_auxiliary_point_over_non_prime_field():
+    # over F_9 the support, the basepoint g^2 and the pole point leave four
+    # free rational points for the auxiliary zero; none is in the prime field
+    base = FiniteBase(9)
+    f = base.field
+    t9 = Poly.gen(f)
+    one = Poly.one(f)
+    g = multiplicative_generator(f)
+    entry = RationalFunction(t9 * (t9 - one) * (t9 - one * 2), t9 - one * g)
+    cls = BrauerClass.make(base, 2, [(g, entry)])
+    tails = itertools.product(f.elements(), repeat=3)
+    cubic = next(pi for pi in (Poly(f, [*c, f.one]) for c in tails) if is_irreducible(pi))
+    w = make_unramified_cover(cls, g**2, ClosedPoint(base, cubic))
+    assert unramified_cover_certificates(cls, w).ok
+
 
 def test_unramified_cover_rejects_bad_points():
     cls = BrauerClass.make(Q_BASE, 2, [(T, q_poly(-2, 0, 1))])

@@ -18,20 +18,18 @@ from brauercalc.distinguish import (
     BY_SPECIALIZATION,
     CANDIDATE_EQUIVALENT,
     EQUAL,
+    FieldComparisonRow,
     SpecializationCertificate,
     Verdict,
-    _field_table,
     _separating_quadratic,
-    compare_ramification_fields,
     distinguish,
     enumerate_candidates,
-    uniqueness_report,
 )
 from brauercalc.errors import NotSymbolRegular, ScopeError
 from brauercalc.hilbert import invariant_set
 from brauercalc.parser import class_text
-from brauercalc.points import ClosedPoint, Q_BASE, sweep_values
-from brauercalc.poly import Poly, QQ
+from brauercalc.points import ClosedPoint, FiniteBase, Q_BASE, sorted_points, sweep_values
+from brauercalc.poly import Poly, QQ, RationalFunction
 
 from _gen import F7, F13, nonzero_rational, random_class
 from _oracles import oracle_candidate_count
@@ -120,7 +118,6 @@ def test_distinguish_by_ramification_field():
     assert v.point == ClosedPoint.finite(Q_BASE, T)
     assert v.certificate.left_label == "Q(sqrt(-1))"
     assert v.certificate.right_label == "Q(sqrt(-2))"
-    assert v.certificate.mismatch
 
 
 def test_distinguish_by_support_difference():
@@ -179,39 +176,6 @@ def test_negative_sweep_budget_is_rejected():
     b = BrauerClass.make(Q_BASE, 2, [(5, T), (-1, -1)])
     with pytest.raises(ValueError):
         distinguish(a, b, sweep=-1)
-    with pytest.raises(ValueError):
-        uniqueness_report(a, [b], sweep=-1)
-
-
-def test_compare_fields_table():
-    a = BrauerClass.make(Q_BASE, 2, [(-1, T)])
-    b = BrauerClass.make(Q_BASE, 2, [(-2, T)])
-    rows = compare_ramification_fields(a, b)
-    assert all(row.left_ramified and row.right_ramified for row in rows)
-    assert all(row.mismatch for row in rows)
-    same = compare_ramification_fields(a, a)
-    assert all(not row.mismatch for row in same)
-
-
-def test_uniqueness_report():
-    a = BrauerClass.make(Q_BASE, 2, [(5, T)])
-    comparisons = [
-        BrauerClass.make(Q_BASE, 2, [(20, T)]),
-        BrauerClass.make(Q_BASE, 2, [(3, T)]),
-        BrauerClass.make(Q_BASE, 2, [(5, T), (-1, -1)]),
-    ]
-    rep = uniqueness_report(a, comparisons)
-    outcomes = [v.outcome for _, v in rep.rows]
-    assert outcomes == [EQUAL, BY_RAMIFICATION_FIELD, BY_SPECIALIZATION]
-    assert rep.all_certified
-    assert "theorem" in rep.note
-    starved = uniqueness_report(a, comparisons[2:], sweep=0)
-    assert not starved.all_certified
-    with pytest.raises(ScopeError):
-        uniqueness_report(
-            BrauerClass.make(F7, 2, [(3, Poly.gen(F7.field))]),
-            [],
-        )
 
 
 def test_distinguish_rejects_mismatched_settings():
@@ -221,24 +185,54 @@ def test_distinguish_rejects_mismatched_settings():
         distinguish(a, b)
 
 
-def _sweep_reference(a, b, sweep):
-    """distinguish over Q with step 3 as a sweep over sweep_values, trying
-    up to `sweep` points regular for both classes: the oracle that the
-    single specialization at compare_classes' point must match."""
+def _field_table(da, db):
+    """Per-point (same extension, row) over both supports: the full table
+    step 2 once built before reporting its first mismatch."""
+    rows = []
+    for pt in sorted_points(set(da.support()) | set(db.support())):
+        ra, rb = da.residue(pt), db.residue(pt)
+        if ra is None or rb is None:
+            same = False
+        else:
+            same = ra.same_field(rb)
+        row = FieldComparisonRow(
+            pt,
+            ra is not None,
+            rb is not None,
+            ra.field_label() if ra is not None else "unramified",
+            rb.field_label() if rb is not None else "unramified",
+        )
+        rows.append((same, row))
+    return tuple(rows)
+
+
+def _table_reference(a, b):
+    """Steps 1 and 2 over the full table: (verdict or None, steps so far)."""
     steps = ["compared ramification divisors and the constant part exactly"]
     cmp = compare_classes(a, b)
     if cmp.equal:
-        return Verdict(EQUAL, (*steps, "classes are equal"))
+        return Verdict(EQUAL, (*steps, "classes are equal")), steps
     steps.append("compared residue extensions at every point of either support")
-    for row in _field_table(cmp.left, cmp.right):
-        if row.mismatch:
+    for same, row in _field_table(cmp.left, cmp.right):
+        if not same:
             steps.append(
                 f"extensions differ at {row.point}: "
                 f"{row.left_label} vs {row.right_label}"
             )
-            return Verdict(
+            verdict = Verdict(
                 BY_RAMIFICATION_FIELD, tuple(steps), point=row.point, certificate=row
             )
+            return verdict, steps
+    return None, steps
+
+
+def _sweep_reference(a, b, sweep):
+    """distinguish over Q with step 3 as a sweep over sweep_values, trying
+    up to `sweep` points regular for both classes: the oracle that the
+    single specialization at compare_classes' point must match."""
+    verdict, steps = _table_reference(a, b)
+    if verdict is not None:
+        return verdict
     steps.append("swept symbol-regular rational points outside both supports")
     tried = 0
     for c in sweep_values(a.base):
@@ -305,3 +299,49 @@ def test_distinguish_matches_sweep_reference():
     assert reached[BY_SPECIALIZATION, 1] >= 50
     assert reached[CANDIDATE_EQUIVALENT, 0] == reached[BY_SPECIALIZATION, 200]
     assert min(reached[o, 200] for o in (EQUAL, BY_RAMIFICATION_FIELD)) >= 50
+
+
+def _unit_spread_class(rng, base, p, max_symbols, max_degree):
+    """random_class, with each first entry over F_q scaled by a random unit.
+
+    random_class draws F_q coefficients through from_int, which stays in
+    the prime subfield; over F_9 that is F_3, where every element is a
+    square, so without the units most residues would be trivial.
+    """
+    c = random_class(rng, base, p, max_symbols, max_degree, height=9)
+    if not base.is_finite:
+        return c
+    f = base.field
+    units = [RationalFunction.constant(f, e) for e in f.elements() if not e.is_zero]
+    return BrauerClass.make(base, p, [(rng.choice(units) * x, y) for x, y in c.pairs()])
+
+
+def test_distinguish_matches_field_table_reference():
+    """Step 2 stops at the first mismatching point instead of building the
+    whole table; every verdict the table decides must come out the same.
+    Over odd p a twist of the same extension can come before a support
+    difference, so the verdict point is then not compare_classes' point."""
+    rng = random.Random(1111)
+    twist_first = 0
+    settings = ((Q_BASE, 2), (F7, 3), (F13, 3), (F7, 2), (FiniteBase(9), 2))
+    for base, p in settings:
+        for i in range(60):
+            a = _unit_spread_class(rng, base, p, 2, 2)
+            s = _unit_spread_class(rng, base, p, 1, 1)
+            kind = i % 3
+            if kind == 0:
+                b = _unit_spread_class(rng, base, p, 2, 2)
+            elif kind == 1:
+                # every residue of a is twisted, its extension kept
+                b = a.scale(p - 1) + s
+            else:
+                b = a + s
+            got = distinguish(a, b)
+            want, _ = _table_reference(a, b)
+            if want is None:
+                assert got.outcome in (BY_SPECIALIZATION, CANDIDATE_EQUIVALENT)
+            else:
+                assert got == want, (base, class_text(a), class_text(b))
+            if p > 2 and got.point is not None:
+                twist_first += got.point != compare_classes(a, b).point
+    assert twist_first >= 10

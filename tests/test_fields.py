@@ -1,5 +1,6 @@
 """Finite fields, quotient fields, and multiplicative structure."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from brauercalc.fields import (
     PrimeField,
     QuotientField,
     discrete_log,
+    is_prime,
     is_pth_power_finite,
     multiplicative_generator,
     pth_power_exponent,
@@ -279,3 +281,24 @@ def test_rational_is_square():
 def test_prime_field_rejects_composite():
     with pytest.raises(ValueError):
         PrimeField(9)
+
+
+def test_quotient_field_needs_degree_two():
+    # GF(p) is a PrimeField and degree-1 residue fields are the base field
+    with pytest.raises(ValueError):
+        QuotientField(QQ, Poly.from_ints(QQ, [-1, 1]))
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(20000):
+        want = n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+        assert is_prime(n) == want, n
+
+
+def test_is_prime_rejects_twelve_base_pseudoprime():
+    # psi12, the least strong pseudoprime to every prime base 2..37
+    # (Sorensen-Webster); base 41 exposes it
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert not is_prime(psi12)
+    assert is_prime(41) and is_prime(399165290221)

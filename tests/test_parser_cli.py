@@ -312,6 +312,17 @@ def test_semiprime_with_large_factors_is_out_of_scope(capsys):
     assert "Pollard-Brent" in capsys.readouterr().err
 
 
+def test_twelve_base_pseudoprime_is_no_place(capsys):
+    # psi12 = 399165290221 * 798330580441 passes Miller-Rabin to the bases
+    # 2..37; it must not be listed as a nonsplit place
+    start = time.perf_counter()
+    assert main(["equal", "(318665857834031151167461, 43)", "(43, 43)"]) == 3
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert "318665857834031151167461" not in captured.out
+    assert "Pollard-Brent" in captured.err
+
+
 def test_enumerate_over_too_many_points_is_out_of_scope(capsys):
     # (2, t - i) ramifies at t = i and the sum also at infinity: 12 points,
     # 2^12 twist tuples for p = 3

@@ -8,6 +8,8 @@ has one copy that every caller imports.  Every module-level private
 function is referenced in the library outside its own definition, so a
 helper is deleted with its last caller.  Every exception handler outside
 cli.main ends by raising, so no library exception steers control flow.
+Every name a library module imports is read in that module, so an
+import goes with its last use; __init__.py only re-exports and is exempt.
 """
 
 import ast
@@ -104,3 +106,28 @@ def test_exception_handlers_reraise():
             ):
                 bad.append(f"{path.name}:{node.lineno}")
     assert not bad, f"exception handlers that do not end by raising: {bad}"
+
+
+def test_library_imports_are_used():
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = node.lineno
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused.extend(
+            f"{path.name}:{n} {name}" for name, n in bound.items() if name not in read
+        )
+    assert not unused, f"imported names the module never reads: {unused}"
