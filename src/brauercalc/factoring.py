@@ -3,12 +3,26 @@
 Integers are factored by fields.factor_int (trial division by small
 primes, then Pollard-Brent), re-exported here.
 
-The rational factorization is the classical Zassenhaus pipeline:
-squarefree decomposition, factorization modulo a good small prime,
-quadratic Hensel lifting up to the Mignotte bound, then subset
-recombination.  Every recombination candidate is confirmed by an exact
-integer polynomial multiplication before it is accepted, so the analytic
-bound is a filter rather than a correctness assumption.
+The rational factorization is the classical Zassenhaus pipeline (MCA
+ch. 15) on a primitive integer form, around one prime search bounded by
+_PRIME_BOUND.  That search does three jobs:
+  * it proves f squarefree: if f mod p is squarefree for a prime p not
+    dividing lc(f), so is f, and the squarefree decomposition over Q runs
+    only when the first _SQUAREFREE_TRIES such primes all fail that test;
+  * it picks the prime to lift from, by the number of modular factors
+    that the distinct-degree split counts, stopping at the first prime
+    with at most _FEW_FACTORS of them, else keeping the best of
+    _CANDIDATE_PRIMES;
+  * it raises ScopeError if no usable prime lies below _PRIME_BOUND.
+The modular factors are Hensel-lifted modulo p^l just past twice the
+Mignotte bound binom(n-1, (n-1)//2) * |f|_2 (MCA Cor. 6.33), which bounds
+every coefficient of lc(f)/lc(g) * g for a factor g of f.  Recombination
+first applies the trailing-coefficient test of Abbott, Shoup & Zimmermann
+(ISSAC 2000): a candidate's constant term must be a nonzero divisor of
+lc(f)*f(0) when f(0) is nonzero.  At most
+_RECOMBINATION_BUDGET subsets that pass it have their product built and
+confirmed by an exact integer multiplication, so the bound is a filter
+rather than a correctness assumption; beyond that, ScopeError.
 
 Factoring over a finite field is one Cantor-Zassenhaus algorithm
 (distinct-degree, equal-degree and sorted split) written once over a small
@@ -16,6 +30,8 @@ F_q[t] ring object with two representations: integer lists mod an odd
 prime p for the modular stage over Q, and Poly over any GF(q),
 characteristic 2 included, for factor_over_Fq.  The modular stage over Q,
 Hensel lifting modulo p^l included, builds no finite-field element objects.
+An equal-degree split makes at most _SPLIT_DRAWS random draws, then
+raises ScopeError.
 
 Irreducibility and squarefreeness are decided only here: one squarefree
 decomposition serves Q and F_q, and is_irreducible reads factor_poly.
@@ -118,14 +134,14 @@ def _zdivmod_mod(a, b, m):
     return _ztrim([c % m for c in quo]), _ztrim([c % m for c in rem])
 
 
-def _hensel_step(m, f, g, h, s, t):
-    """One quadratic lift: from f = g*h (mod m) to the same modulo m**2.
+def _hensel_step(M, f, g, h, s, t):
+    """One quadratic lift: from f = g*h (mod m) to the same modulo M,
+    for any M dividing m**2.
 
     Needs s*g + t*h = 1 (mod m), h monic, deg(f) = deg(g) + deg(h),
-    deg(s) < deg(h), deg(t) < deg(g).  Returns (G, H, S, T) modulo m**2
+    deg(s) < deg(h), deg(t) < deg(g).  Returns (G, H, S, T) modulo M
     with the same shape invariants.
     """
-    M = m * m
     e = _ztrunc(_zsub(f, _zmul(g, h)), M)
     q, r = _zdivmod_mod(_zmul(s, e), h, M)
     u = _zadd(_zmul(t, e), _zmul(q, g))
@@ -144,7 +160,8 @@ def _hensel_lift(p, f, f_list, l):
     """Lift the factorization of f modulo p to modulo p**l.
 
     f_list holds monic modular factors of f/lc(f); the result is the list
-    of monic factors modulo p**l in symmetric representation.
+    of monic factors modulo p**l in symmetric representation.  Each
+    quadratic step squares the modulus, the last one only up to p**l.
     """
     r = len(f_list)
     lc = f[-1]
@@ -154,7 +171,6 @@ def _hensel_lift(p, f, f_list, l):
         return [_ztrunc([c * inv for c in f], pl)]
     m = p
     k = r // 2
-    d = int(math.ceil(math.log2(l))) if l > 1 else 0
     g = [lc]
     for fi in f_list[:k]:
         g = _ztrunc(_zmul(g, fi), p)
@@ -166,9 +182,9 @@ def _hensel_lift(p, f, f_list, l):
         raise ArithmeticError("modular factors are not coprime")
     s = _ztrunc(s, p)
     t = _ztrunc(t, p)
-    for _ in range(d):
+    while m < pl:
+        m = min(m * m, pl)
         g, h, s, t = _hensel_step(m, f, g, h, s, t)
-        m = m * m
     return _hensel_lift(p, g, f_list[:k], l) + _hensel_lift(p, h, f_list[k:], l)
 
 
@@ -325,6 +341,12 @@ def _distinct_degree(R, f):
     return out
 
 
+# Random draws one equal-degree split may make; running out raises
+# ScopeError.  Each draw splits with probability about 1/2 or more
+# (MCA Thm. 14.9), so that many failures in a row should never happen.
+_SPLIT_DRAWS = 64
+
+
 def _equal_degree(R, f, d, rng):
     """Cantor-Zassenhaus split of a monic squarefree f whose irreducible
     factors all have degree d.  A random r splits f by gcd(f, r^((q^d-1)/2)
@@ -333,7 +355,7 @@ def _equal_degree(R, f, d, rng):
     n = R.deg(f)
     if n == d:
         return [f]
-    while True:
+    for _ in range(_SPLIT_DRAWS):
         r = R.random(n, rng)
         if R.deg(r) < 1:
             continue
@@ -350,6 +372,11 @@ def _equal_degree(R, f, d, rng):
         g = R.gcd(f, total)
         if 0 < R.deg(g) < n:
             break
+    else:
+        raise ScopeError(
+            f"no equal-degree split of a degree-{n} polynomial over F_{R.q} "
+            f"in {_SPLIT_DRAWS} draws"
+        )
     return _equal_degree(R, g, d, rng) + _equal_degree(R, R.quo(f, g), d, rng)
 
 
@@ -424,24 +451,41 @@ def _next_prime(n):
     return n
 
 
+# Primes are searched below _PRIME_BOUND; a search that finds no usable
+# prime there raises ScopeError.
 _PRIME_BOUND = 10**6
+# Primes not dividing lc(f) that may see a repeated factor of f before
+# the squarefree decomposition over Q takes over from the prime search.
+_SQUAREFREE_TRIES = 3
+# The search keeps the prime with the fewest modular factors among at
+# most _CANDIDATE_PRIMES squarefree ones, and stops at the first with at
+# most _FEW_FACTORS, for which recombination tries single factors only.
+_CANDIDATE_PRIMES = 4
+_FEW_FACTORS = 3
+# Recombination subsets, over one _zassenhaus call, that pass the
+# trailing-coefficient test and so have their full G*H product built.
+# The degree-32 Swinnerton-Dyer polynomial of sqrt 2, 3, 5, 7, 11 needs
+# 256, and the degree-64 norm polynomial that `ram` factors at its root
+# needs 6912.
+_RECOMBINATION_BUDGET = 2**14
 
 
-def _zassenhaus(f):
-    """Irreducible primitive factors of a primitive squarefree f in Z[t]."""
-    n = len(f) - 1
-    if n == 1:
-        return [list(f)]
-    fc, b = f[0], f[-1]
-    A = max(abs(c) for c in f)
-    B = (math.isqrt(n + 1) + 1) * 2**n * A * abs(b)
+def _prime_search(f, squarefree):
+    """(count, p, distinct-degree split of f mod p) for the prime that
+    _zassenhaus lifts from, or None if f is not proved squarefree.
 
-    # the prime with the fewest modular factors, counted from the
-    # distinct-degree split alone (MCA 14.2); only its split is refined
-    # into irreducible factors
-    candidates = []
+    One search over the primes p < _PRIME_BOUND not dividing lc(f).  If
+    f mod p is squarefree, so is f over Q: a square factor of f keeps its
+    degree mod p.  Unless the caller knows f is squarefree, the search
+    gives up with None once _SQUAREFREE_TRIES primes have seen a repeated
+    factor before any prime proved f squarefree.  The number of modular
+    factors is counted from the distinct-degree split alone (MCA 14.2).
+    """
+    b = f[-1]
+    best = None
+    tried = misses = 0
     p = 2
-    while len(candidates) < 4:
+    while tried < _CANDIDATE_PRIMES:
         p = _next_prime(p)
         if p >= _PRIME_BOUND:
             break
@@ -449,23 +493,49 @@ def _zassenhaus(f):
             continue
         fp = _gf_monic(_zmod(f, p), p)
         if len(_gf_gcd(fp, _gf_derivative(fp, p), p)) != 1:
+            misses += 1
+            if best is None and not squarefree and misses == _SQUAREFREE_TRIES:
+                return None
             continue
         parts = _distinct_degree(_IntListRing(p), fp)
         count = sum((len(g) - 1) // d for g, d in parts)
-        candidates.append((count, p, parts))
-        if count == 1:
+        if best is None or count < best[0]:
+            best = (count, p, parts)
+        if count <= _FEW_FACTORS:
             break
-    if not candidates:
+        tried += 1
+    if best is None:
         raise ScopeError(
-            f"no good prime below {_PRIME_BOUND} for a degree-{n} factorization"
+            f"no good prime below {_PRIME_BOUND} for a degree-{len(f) - 1} factorization"
         )
-    count, p, parts = min(candidates, key=lambda c: (c[0], c[1]))
+    return best
+
+
+def _zassenhaus(f, squarefree=False):
+    """Irreducible primitive factors of a primitive f in Z[t], or None.
+
+    None comes back only when squarefree is false and the prime search
+    cannot prove f squarefree; f must then be split into squarefree parts
+    first.
+    """
+    n = len(f) - 1
+    if n == 1:
+        return [list(f)]
+    found = _prime_search(f, squarefree)
+    if found is None:
+        return None
+    count, p, parts = found
     if count == 1:
         return [list(f)]
     mod_factors = _split(_IntListRing(p), parts)
 
+    # b/lc(g) * g, for a factor g of f, has coefficients of size at most
+    # binom(n-1, (n-1)//2) * |f|_2 (Mignotte; MCA Cor. 6.33), and so
+    # has every candidate below: lift until p^l exceeds twice that
+    half = math.comb(n - 1, (n - 1) // 2)
+    bound_sq = 4 * half * half * sum(c * c for c in f)
     l = 1
-    while p**l < 2 * B + 1:
+    while p ** (2 * l) <= bound_sq:
         l += 1
     pl = p**l
     lifted = _hensel_lift(p, list(f), mod_factors, l)
@@ -473,11 +543,28 @@ def _zassenhaus(f):
     T = list(range(len(lifted)))
     factors = []
     cur = list(f)
+    built = 0
     s = 1
     while 2 * s <= len(T):
-        found = False
+        b = cur[-1]
+        b0 = b * cur[0]
         for S in itertools.combinations(T, s):
-            b = cur[-1]
+            if b0:
+                # trailing-coefficient test (Abbott, Shoup & Zimmermann):
+                # a true G has G(0) | b*cur(0), and G(0) is nonzero
+                g0 = b
+                for i in S:
+                    g0 = g0 * lifted[i][0] % pl
+                if g0 > pl // 2:
+                    g0 -= pl
+                if not g0 or b0 % g0:
+                    continue
+            built += 1
+            if built > _RECOMBINATION_BUDGET:
+                raise ScopeError(
+                    f"recombination for a degree-{n} factorization needs more "
+                    f"than {_RECOMBINATION_BUDGET} candidate products"
+                )
             G = [b]
             for i in S:
                 G = _ztrunc(_zmul(G, lifted[i]), pl)
@@ -488,14 +575,11 @@ def _zassenhaus(f):
             # exact confirmation: G*H must equal b*cur over Z
             if _zmul(G, H) != [b * c for c in cur]:
                 continue
-            G = _int_list_primitive(G)
-            H = _int_list_primitive(H)
-            factors.append(G)
-            cur = H
+            factors.append(_int_list_primitive(G))
+            cur = _int_list_primitive(H)
             T = [i for i in T if i not in S]
-            found = True
             break
-        if not found:
+        else:
             s += 1
     factors.append(cur)
     return factors
@@ -503,12 +587,21 @@ def _zassenhaus(f):
 
 @lru_cache(maxsize=4096)
 def _factor_q_monic(f):
-    """Cached monic irreducible factors with multiplicity, sorted."""
-    collected = []
-    for g, mult in squarefree_decomposition(f):
-        for part in _zassenhaus(g.int_form()[1]):
-            h = Poly.from_ints(QQ, part).monic()
-            collected.append((h, mult))
+    """Cached monic irreducible factors with multiplicity, sorted.
+
+    The prime search of _zassenhaus proves most f squarefree; only when
+    it cannot is f first split by the squarefree decomposition over Q.
+    """
+    parts = _zassenhaus(f.int_form()[1])
+    if parts is None:
+        pieces = [
+            (part, mult)
+            for g, mult in squarefree_decomposition(f)
+            for part in _zassenhaus(g.int_form()[1], squarefree=True)
+        ]
+    else:
+        pieces = [(part, 1) for part in parts]
+    collected = [(Poly.from_ints(QQ, part).monic(), mult) for part, mult in pieces]
     collected.sort(key=lambda fm: fm[0].sort_key())
     return tuple(collected)
 

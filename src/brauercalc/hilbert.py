@@ -10,7 +10,7 @@ meeting a numerator or denominator of an entry.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .factoring import factor_int, is_prime, squarefree_kernel
 
@@ -97,8 +97,15 @@ def relevant_places(pairs):
 
 
 def local_invariants(pairs, places=None):
-    """Products of Hilbert symbols of the pairs, keyed by place."""
-    if places is None:
+    """Products of Hilbert symbols of the pairs, keyed by place.
+
+    With places=None every place where an invariant can be -1 is listed,
+    so the invariants multiply to +1 (Hilbert reciprocity); a violation
+    is a bug and raises AssertionError, which the CLI reports as an
+    internal error.
+    """
+    check = places is None
+    if check:
         places = relevant_places(pairs)
     out = {}
     for v in places:
@@ -106,6 +113,9 @@ def local_invariants(pairs, places=None):
         for a, b in pairs:
             s *= hilbert_symbol(a, b, v)
         out[v] = s
+    if check and prod(out.values()) != 1:
+        nonsplit = [v for v, s in out.items() if s == -1]
+        raise AssertionError(f"Hilbert reciprocity fails: nonsplit at {nonsplit}")
     return out
 
 

@@ -7,6 +7,7 @@ polynomials, Eisenstein polynomials, quadratics with nonsquare
 discriminant), never from the engine under test.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -325,6 +326,156 @@ def test_factor_over_Q_builds_no_finite_field_objects(monkeypatch):
     for f, want in cases:
         fac = factor_over_Q(Poly.from_ints(QQ, f))
         assert [[int(c) for c in g.coeffs] for g, _ in fac.factors] == want
+
+
+# ---------------------------------------------------------------------------
+# the prime search, the squarefree fallback, the lift bound and recombination
+
+# t^32 - 448 t^30 + ... , the minimal polynomial of sqrt 2 + sqrt 3 + sqrt 5 +
+# sqrt 7 + sqrt 11 (a Swinnerton-Dyer polynomial): irreducible over Q, yet
+# a product of at most 16 factors modulo every prime
+SD32 = [
+    2000989041197056, 0, -44660812492570624, 0, 183876928237731840, 0,
+    -255690851718529024, 0, 172580952324702208, 0, -65892492886671360, 0,
+    15459151516270592, 0, -2349014746136576, 0, 239210760462336, 0,
+    -16665641517056, 0, 801918722048, 0, -26625650688, 0, 602397952, 0,
+    -9028096, 0, 84864, 0, -448, 0, 1,
+]
+
+
+def _product(parts):
+    out = [1]
+    for part in parts:
+        out = factoring._zmul(out, part)
+    return out
+
+
+def factor_corpus():
+    """Seeded integer polynomials (lowest degree first) for factor_over_Q."""
+    rng = random.Random(32)
+    corpus = []
+    # linear factors whose roots collide modulo 3, 3*5, 3*5*7 or 3*5*7*11, so
+    # that many of the first primes see a repeated factor of a squarefree f
+    for _ in range(24):
+        r = rng.randint(-20, 20)
+        step = rng.choice([3, 15, 105, 1155])
+        roots = [r, r + step * rng.choice([-2, -1, 1, 2]), rng.randint(-30, 30)]
+        roots = roots[: rng.choice([2, 3])] + [r + step * 3] * rng.choice([0, 1])
+        lc = rng.choice([1, 1, 2, 6, -35])
+        corpus.append(_product([[lc]] + [[-x, 1] for x in set(roots)]))
+    # repeated factors
+    for _ in range(24):
+        parts = []
+        for _ in range(rng.randint(1, 3)):
+            part = [rng.randint(-9, 9) for _ in range(rng.randint(1, 2))] + [
+                rng.choice([1, 2, 3])
+            ]
+            parts += [part] * rng.randint(1, 3)
+        corpus.append(_product(parts))
+    # irreducible quartics: Eisenstein ones, and biquadratic ones, which
+    # split modulo every prime, alone and in products that need
+    # recombination of pairs; t^4 + 4 = (t^2 - 2t + 2)(t^2 + 2t + 2)
+    for _ in range(12):
+        p = rng.choice([2, 3, 5])
+        tail = [p * rng.randint(-4, 4) for _ in range(4)]
+        tail[0] = p * rng.choice([-7, -1, 1, 7])
+        corpus.append(tail + [1])
+    hard = ([1, 0, 0, 0, 1], [1, 0, -10, 0, 1], [9, 0, -14, 0, 1], [4, 0, 0, 0, 1])
+    for _ in range(12):
+        parts = rng.sample(hard, rng.randint(1, 2))
+        parts += [[rng.randint(-9, 9), 1]] * rng.randint(0, 1)
+        corpus.append(_product(parts))
+    # a factor whose coefficients are near the lifting bound: (t - a)(t -+ 1)
+    # has |f|_2 about sqrt(2) |a|, and (t^2 + c t - c + e)(t + 1) about
+    # sqrt(2) |c|
+    for _ in range(12):
+        a = rng.choice([-1, 1]) * rng.randint(10**3, 10**15)
+        corpus.append(_product([[-a, 1], [rng.choice([-1, 1]), 1]]))
+        c = rng.choice([-1, 1]) * rng.randint(10**3, 10**12)
+        e = rng.randint(-3, 3)
+        corpus.append(_product([[-c + e, c, 1], [1, 1]]))
+    return corpus
+
+
+def _factorization_digest(polys):
+    rows = []
+    for coeffs in polys:
+        fac = factor_over_Q(Poly.from_ints(QQ, coeffs))
+        factors = [([str(c) for c in g.coeffs], e) for g, e in fac.factors]
+        rows.append((str(fac.unit), factors))
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+# _factorization_digest(factor_corpus()) as computed by the Zassenhaus
+# pipeline before its single prime search, which ran a squarefree
+# decomposition over Q first, took the best of four primes and lifted to a
+# 2^n bound; the leaner pipeline must give the same factorizations
+CORPUS_DIGEST = "25ce7f4b5b5dca73018e3f2752d005f34f4552937b9b85834f1bddd2ebdb4eb9"
+
+
+def test_factor_over_Q_corpus_digest_is_pinned():
+    factoring._factor_q_monic.cache_clear()
+    corpus = factor_corpus()
+    for coeffs in corpus:
+        f = Poly.from_ints(QQ, coeffs)
+        prod = Poly.constant(QQ, factor_over_Q(f).unit)
+        for g, e in factor_over_Q(f).factors:
+            prod = prod * g**e
+        assert prod == f, coeffs
+    assert _factorization_digest(corpus) == CORPUS_DIGEST
+
+
+def test_swinnerton_dyer_32_is_irreducible():
+    factoring._factor_q_monic.cache_clear()
+    assert is_irreducible(Poly.from_ints(QQ, SD32))
+
+
+def test_recombination_budget_is_out_of_scope(monkeypatch):
+    # SD32 builds 256 candidate products after the trailing-coefficient test
+    monkeypatch.setattr(factoring, "_RECOMBINATION_BUDGET", 8)
+    with pytest.raises(ScopeError, match="recombination"):
+        factoring._zassenhaus(SD32, squarefree=True)
+
+
+def test_equal_degree_draw_budget_is_out_of_scope(monkeypatch):
+    monkeypatch.setattr(factoring, "_SPLIT_DRAWS", 0)
+    field = GF(5)
+    with pytest.raises(ScopeError, match="equal-degree"):
+        factor_over_Fq(Poly.from_ints(field, [2, -3, 1]))
+    factoring._factor_q_monic.cache_clear()
+    with pytest.raises(ScopeError, match="equal-degree"):
+        factor_over_Q(Poly.from_ints(QQ, [2, -3, 1]))
+
+
+def test_squarefree_decomposition_only_when_the_prime_search_cannot_prove(
+    monkeypatch,
+):
+    # route guard: a squarefree f mod a prime not dividing lc(f) proves f
+    # squarefree, so the decomposition over Q is not run for it
+    def refuse(f):
+        raise AssertionError(f"squarefree decomposition of a squarefree {f}")
+
+    monkeypatch.setattr(factoring, "squarefree_decomposition", refuse)
+    factoring._factor_q_monic.cache_clear()
+    # irreducible; and t (t - 3) (t - 6) (t + 1), repeated mod 3 but not mod 5
+    cases = (([1, 0, 1], 1), (_product([[0, 1], [-3, 1], [-6, 1], [1, 1]]), 4))
+    for coeffs, count in cases:
+        assert len(factor_over_Q(Poly.from_ints(QQ, coeffs)).factors) == count
+
+    calls = []
+
+    def record(f):
+        calls.append(f)
+        return squarefree_decomposition(f)
+
+    monkeypatch.setattr(factoring, "squarefree_decomposition", record)
+    factoring._factor_q_monic.cache_clear()
+    fac = factor_over_Q(Poly.from_ints(QQ, [0, 0, -1, 1]))  # t^2 (t - 1)
+    assert [(list(map(int, g.coeffs)), e) for g, e in fac.factors] == [
+        ([-1, 1], 1),
+        ([0, 1], 2),
+    ]
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

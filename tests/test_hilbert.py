@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import pytest
 
+from brauercalc import hilbert
+from brauercalc.cli import main
 from brauercalc.factoring import squarefree_kernel
 from brauercalc.hilbert import (
     INF,
@@ -141,6 +143,23 @@ def test_product_formula():
         for s in inv.values():
             prod *= s
         assert prod == 1, (a, b, inv)
+
+
+def test_product_formula_violation_is_an_internal_error(monkeypatch):
+    # a Hilbert symbol flipped at the place 2 breaks reciprocity; the check
+    # on every relevant place reports it as a bug (exit 4), not as bad input
+    true_symbol = hilbert.hilbert_symbol
+
+    def flipped(a, b, place):
+        s = true_symbol(a, b, place)
+        return -s if place == 2 else s
+
+    monkeypatch.setattr(hilbert, "hilbert_symbol", flipped)
+    with pytest.raises(AssertionError, match="reciprocity"):
+        local_invariants([(3, 5)])
+    # an explicit list of places is not the full set, so it is not checked
+    assert local_invariants([(3, 5)], [2]) == {2: -1}
+    assert main(["equal", "(3, 5)", "0"]) == 4
 
 
 def test_rejects_bad_input():

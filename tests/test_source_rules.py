@@ -10,14 +10,19 @@ helper is deleted with its last caller.  Every exception handler outside
 cli.main ends by raising, so no library exception steers control flow.
 Every name a library module imports is read in that module, so an
 import goes with its last use; __init__.py only re-exports and is exempt.
+Every module-level ALL_CAPS constant that a function raising ScopeError
+reads is named in README as module.NAME, so each scope budget or limit
+that can end a request with exit 3 is documented.
 """
 
 import ast
+import re
 import sys
 from collections import defaultdict
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "brauercalc"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "brauercalc"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -131,3 +136,37 @@ def test_library_imports_are_used():
             f"{path.name}:{n} {name}" for name, n in bound.items() if name not in read
         )
     assert not unused, f"imported names the module never reads: {unused}"
+
+
+def _raises_scope_error(func):
+    for node in ast.walk(func):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ScopeError":
+                return True
+    return False
+
+
+def test_scope_budgets_are_documented():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    caps = re.compile(r"_?[A-Z][A-Z0-9_]*")
+    missing = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        constants = {
+            target.id
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and caps.fullmatch(target.id)
+        }
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if not _raises_scope_error(func):
+                continue
+            for name in set(_referenced_names(func)) & constants:
+                documented = f"{path.stem}.{name}"
+                if documented not in readme:
+                    missing.append(f"{documented} (read by {func.name})")
+    assert not missing, f"scope limits missing from README: {sorted(set(missing))}"
