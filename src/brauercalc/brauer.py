@@ -10,7 +10,10 @@ in kappa(x)* mod p-th powers, where v is the valuation at x; at
 infinity v counts pole order of 1/t.  The uniformizer powers cancel,
 so it is computed from the images u_a, u_b of the unit parts of a and
 b as (-1)^(v(a) v(b)) * u_a^(v(b)) / u_b^(v(a)).  The residue of a sum
-is the product of the residues of its symbols.
+is the product of the residues of its symbols, taken symbol by symbol:
+a symbol remembers its tame symbol at each point, and, once
+ramification_points has factored its entries, its zero and pole points,
+off which residue_at skips it.
 
 Everything here treats a class through one chosen presentation, but the
 exported predicates (triviality of residues, equality of classes) only
@@ -56,6 +59,12 @@ class Symbol:
 
     a: object
     b: object
+
+    def __post_init__(self):
+        # remembered outside the fields, so equality and hashing ignore
+        # them: the tame symbol per point, the zero/pole points per base
+        object.__setattr__(self, "_tame", {})
+        object.__setattr__(self, "_points", {})
 
 
 @dataclass(frozen=True)
@@ -106,21 +115,42 @@ class BrauerClass:
         return tuple((s.a, s.b) for s in self.symbols)
 
 
+def _tame_symbol(s, point):
+    """(-1)^(va vb) ua^vb / ub^va at the point, or None when va = vb = 0."""
+    if point not in s._tame:
+        va, ua = unit_part_at(s.a, point)
+        vb, ub = unit_part_at(s.b, point)
+        val = None
+        if va or vb:
+            val = ua**vb / ub**va
+            val = -val if (va * vb) % 2 else val
+        s._tame[point] = val
+    return s._tame[point]
+
+
+def _symbol_points(s, base):
+    """Infinity and the factors of the entries: where a valuation can be nonzero."""
+    if base not in s._points:
+        pts = {ClosedPoint.infinity(base)}
+        for f in (s.a.num, s.a.den, s.b.num, s.b.den):
+            if f.degree >= 1:
+                pts.update(ClosedPoint(base, g) for g, _ in factor_poly(f))
+        s._points[base] = frozenset(pts)
+    return s._points[base]
+
+
 def residue_at(cls, point):
     """Tame residue of the class at a closed point, as a ResidueClass."""
     if point.base != cls.base:
         raise ValueError("point over a different base field")
-    kappa = residue_field(point)
-    acc = kappa.one
+    acc = residue_field(point).one
     for s in cls.symbols:
-        va, ua = unit_part_at(s.a, point)
-        vb, ub = unit_part_at(s.b, point)
-        if va == 0 and vb == 0:
+        pts = s._points.get(cls.base)
+        if pts is not None and point not in pts:
             continue
-        val = ua**vb / ub**va
-        if (va * vb) % 2:
-            val = -val
-        acc = acc * val
+        val = _tame_symbol(s, point)
+        if val is not None:
+            acc = acc * val
     return ResidueClass(point, acc, cls.p)
 
 
@@ -153,10 +183,7 @@ def ramification_points(cls):
     """Candidate points: infinity plus every irreducible factor of an entry."""
     cands = {ClosedPoint.infinity(cls.base)}
     for s in cls.symbols:
-        for f in (s.a.num, s.a.den, s.b.num, s.b.den):
-            if f.degree >= 1:
-                for g, _ in factor_poly(f):
-                    cands.add(ClosedPoint(cls.base, g))
+        cands |= _symbol_points(s, cls.base)
     return sorted_points(cands)
 
 
@@ -277,20 +304,25 @@ def compare_classes(c1, c2):
     the first point of the divisor of c1 - c2.  An unramified difference
     is a constant class.  Over a finite constant field that forces
     triviality; over Q it is recovered by evaluating at a symbol-regular
-    rational point and tested through its local invariants.
+    rational point and tested through its local invariants.  c1 - c2 is
+    never built: its pairs are c1's, then (a, 1/b) for each (a, b) of c2.
     """
     if c1.base != c2.base or c1.p != c2.p:
         raise ValueError("classes over different settings")
     d1, d2 = ramification_divisor(c1), ramification_divisor(c2)
-    diff = c1 - c2
     for x in sorted_points(set(d1.support()) | set(d2.support())):
         r1, r2 = d1.residue(x), d2.residue(x)
         if r1 is None or r2 is None or not r1.same_class(r2):
-            return ClassComparison(d1, d2, False, x, residue_at(diff, x))
+            # a trivial residue is absent from the divisor but need not be 1
+            v1 = (r1 or residue_at(c1, x)).value
+            v2 = (r2 or residue_at(c2, x)).value
+            return ClassComparison(d1, d2, False, x, ResidueClass(x, v1 / v2, c1.p))
     if c1.base.is_finite:
         return ClassComparison(d1, d2, True)
-    at = regular_rational_points(diff, 1)[0]
-    pairs = specialize(diff, at)
+    both = c1 + c2  # symbol-regular exactly where c1 - c2 is
+    at = regular_rational_points(both, 1)[0]
+    vals, n = specialize(both, at), len(c1.symbols)
+    pairs = vals[:n] + tuple((x, 1 / y) for x, y in vals[n:])
     trivial = constant_is_trivial(c1.base, pairs, c1.p)
     return ClassComparison(d1, d2, trivial, at=at, pairs=pairs)
 

@@ -19,10 +19,11 @@ Mignotte bound binom(n-1, (n-1)//2) * |f|_2 (MCA Cor. 6.33), which bounds
 every coefficient of lc(f)/lc(g) * g for a factor g of f.  Recombination
 first applies the trailing-coefficient test of Abbott, Shoup & Zimmermann
 (ISSAC 2000): a candidate's constant term must be a nonzero divisor of
-lc(f)*f(0) when f(0) is nonzero.  At most
-_RECOMBINATION_BUDGET subsets that pass it have their product built and
-confirmed by an exact integer multiplication, so the bound is a filter
-rather than a correctness assumption; beyond that, ScopeError.
+lc(f)*f(0) when f(0) is nonzero.  Subsets that pass it have their product
+built and confirmed by an exact integer multiplication, so the bound is a
+filter rather than a correctness assumption.  At most
+_RECOMBINATION_BUDGET subsets are walked, tested or built; beyond that,
+ScopeError.
 
 Factoring over a finite field is one Cantor-Zassenhaus algorithm
 (distinct-degree, equal-degree and sorted split) written once over a small
@@ -462,12 +463,12 @@ _SQUAREFREE_TRIES = 3
 # most _FEW_FACTORS, for which recombination tries single factors only.
 _CANDIDATE_PRIMES = 4
 _FEW_FACTORS = 3
-# Recombination subsets, over one _zassenhaus call, that pass the
-# trailing-coefficient test and so have their full G*H product built.
-# The degree-32 Swinnerton-Dyer polynomial of sqrt 2, 3, 5, 7, 11 needs
-# 256, and the degree-64 norm polynomial that `ram` factors at its root
-# needs 6912.
-_RECOMBINATION_BUDGET = 2**14
+# Recombination subsets, over one _zassenhaus call, that are walked: put
+# through the trailing-coefficient test, or built when it does not apply.
+# The degree-32 Swinnerton-Dyer polynomial of sqrt 2, 3, 5, 7, 11 walks
+# 39202; the degree-64 norm polynomial that `ram` factors at its root
+# would walk about 2^21.
+_RECOMBINATION_BUDGET = 2**16
 
 
 def _prime_search(f, squarefree):
@@ -543,12 +544,18 @@ def _zassenhaus(f, squarefree=False):
     T = list(range(len(lifted)))
     factors = []
     cur = list(f)
-    built = 0
+    tried = 0
     s = 1
     while 2 * s <= len(T):
         b = cur[-1]
         b0 = b * cur[0]
         for S in itertools.combinations(T, s):
+            tried += 1
+            if tried > _RECOMBINATION_BUDGET:
+                raise ScopeError(
+                    f"recombination for a degree-{n} factorization needs more "
+                    f"than {_RECOMBINATION_BUDGET} candidate subsets"
+                )
             if b0:
                 # trailing-coefficient test (Abbott, Shoup & Zimmermann):
                 # a true G has G(0) | b*cur(0), and G(0) is nonzero
@@ -559,12 +566,6 @@ def _zassenhaus(f, squarefree=False):
                     g0 -= pl
                 if not g0 or b0 % g0:
                     continue
-            built += 1
-            if built > _RECOMBINATION_BUDGET:
-                raise ScopeError(
-                    f"recombination for a degree-{n} factorization needs more "
-                    f"than {_RECOMBINATION_BUDGET} candidate products"
-                )
             G = [b]
             for i in S:
                 G = _ztrunc(_zmul(G, lifted[i]), pl)

@@ -59,7 +59,7 @@ QQ = RationalField()
 class Poly:
     """Dense univariate polynomial over an exact coefficient field."""
 
-    __slots__ = ("field", "coeffs", "_int_form")
+    __slots__ = ("field", "coeffs", "_int_form", "_hash")
 
     def __init__(self, field, coeffs):
         cs = list(coeffs)
@@ -206,7 +206,11 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
-        return hash((id(self.field), self.coeffs))
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash((id(self.field), self.coeffs))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def monic(self):
         if self.is_zero:
@@ -474,9 +478,14 @@ class RationalFunction:
         return self._wrap(other) / self
 
     def inverse(self):
+        """den/num: already coprime, so only the denominator is made monic."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
-        return RationalFunction(self.den, self.num)
+        inv = self.field.one / self.num.lc
+        out = object.__new__(RationalFunction)
+        object.__setattr__(out, "num", self.den * inv)
+        object.__setattr__(out, "den", self.num * inv)
+        return out
 
     def __pow__(self, n):
         if n < 0:

@@ -35,12 +35,19 @@ def nonsquare_rational(rng, height):
             return v
 
 
-def random_poly(rng, field, max_degree, height=50, monic=False, min_degree=0):
-    """Nonzero polynomial with degree in [min_degree, max_degree]."""
+def random_poly(rng, field, max_degree, height=50, monic=False, min_degree=0,
+                prime_subfield=False):
+    """Nonzero polynomial with degree in [min_degree, max_degree]; over a
+    finite field the coefficients are drawn from all of it, or from its
+    prime subfield only."""
     deg = rng.randint(min_degree, max_degree)
+    if field.finite and prime_subfield:
+        values = [field.from_int(n) for n in range(field.char)]
+    elif field.finite:
+        values = list(field.elements())
     while True:
         if field.finite:
-            coeffs = [field.from_int(rng.randrange(field.order)) for _ in range(deg + 1)]
+            coeffs = [rng.choice(values) for _ in range(deg + 1)]
         else:
             coeffs = [Fraction(rng.randint(-height, height)) for _ in range(deg + 1)]
         if monic:
@@ -50,21 +57,23 @@ def random_poly(rng, field, max_degree, height=50, monic=False, min_degree=0):
             return f
 
 
-def random_entry(rng, field, max_degree, height=50):
+def random_entry(rng, field, max_degree, height=50, prime_subfield=False):
     """Nonzero rational function; half the time a plain polynomial."""
-    num = random_poly(rng, field, max_degree, height)
+    num = random_poly(rng, field, max_degree, height, prime_subfield=prime_subfield)
     if rng.random() < 0.5:
         return RationalFunction(num)
-    den = random_poly(rng, field, max(0, max_degree - num.degree), height)
+    den = random_poly(
+        rng, field, max(0, max_degree - num.degree), height, prime_subfield=prime_subfield
+    )
     return RationalFunction(num, den)
 
 
-def random_class(rng, base, p, max_symbols, max_degree, height=50):
+def random_class(rng, base, p, max_symbols, max_degree, height=50, prime_subfield=False):
     n = rng.randint(1, max_symbols)
     pairs = [
         (
-            random_entry(rng, base.field, max_degree, height),
-            random_entry(rng, base.field, max_degree, height),
+            random_entry(rng, base.field, max_degree, height, prime_subfield),
+            random_entry(rng, base.field, max_degree, height, prime_subfield),
         )
         for _ in range(n)
     ]

@@ -5,18 +5,78 @@ equality is decided from the ramification divisor of the difference plus
 Hilbert invariants of specializations at several points, not from the single
 constant-class test the library applies; the candidate count recomputes
 norms as Frobenius conjugate products and tests p-th power membership
-against an enumerated power set.
+against an enumerated power set.  Residues are recomputed by the
+whole-class loop: both unit parts of every symbol at the point, with
+nothing remembered on the symbols and nothing skipped, and the comparison
+record by building the difference c1 - c2.
 """
 
 import itertools
 
 from brauercalc.brauer import (
+    ClassComparison,
+    constant_is_trivial,
     ramification_divisor,
     regular_rational_points,
     specialize,
 )
+from brauercalc.factoring import factor_poly
 from brauercalc.hilbert import local_invariants, relevant_places
-from brauercalc.points import residue_field
+from brauercalc.points import ClosedPoint, residue_field, sorted_points, unit_part_at
+from brauercalc.residues import ResidueClass, is_pth_power
+
+
+def candidate_points(cls):
+    """Infinity plus every irreducible factor of every entry, factored afresh."""
+    cands = {ClosedPoint.infinity(cls.base)}
+    for s in cls.symbols:
+        for f in (s.a.num, s.a.den, s.b.num, s.b.den):
+            if f.degree >= 1:
+                cands.update(ClosedPoint(cls.base, g) for g, _ in factor_poly(f))
+    return sorted_points(cands)
+
+
+def residue_value_oracle(cls, point):
+    """The product of (-1)^(va vb) ua^vb / ub^va over every symbol."""
+    acc = residue_field(point).one
+    for s in cls.symbols:
+        va, ua = unit_part_at(s.a, point)
+        vb, ub = unit_part_at(s.b, point)
+        if va == 0 and vb == 0:
+            continue
+        val = ua**vb / ub**va
+        if (va * vb) % 2:
+            val = -val
+        acc = acc * val
+    return acc
+
+
+def divisor_oracle(cls):
+    """((point, residue value), ...) at the candidates whose residue is not
+    a p-th power."""
+    out = []
+    for x in candidate_points(cls):
+        v = residue_value_oracle(cls, x)
+        if not is_pth_power(residue_field(x), v, cls.p):
+            out.append((x, v))
+    return tuple(out)
+
+
+def compare_by_difference(c1, c2):
+    """The comparison record as read off c1 - c2: the residue of the
+    difference at the first differing point, and its specialization."""
+    d1, d2 = ramification_divisor(c1), ramification_divisor(c2)
+    diff = c1 - c2
+    for x in sorted_points(set(d1.support()) | set(d2.support())):
+        r1, r2 = d1.residue(x), d2.residue(x)
+        if r1 is None or r2 is None or not r1.same_class(r2):
+            rc = ResidueClass(x, residue_value_oracle(diff, x), c1.p)
+            return ClassComparison(d1, d2, False, x, rc)
+    if c1.base.is_finite:
+        return ClassComparison(d1, d2, True)
+    at = regular_rational_points(diff, 1)[0]
+    pairs = specialize(diff, at)
+    return ClassComparison(d1, d2, constant_is_trivial(c1.base, pairs, c1.p), at=at, pairs=pairs)
 
 
 def classes_equal_oracle(a, b, samples=10):

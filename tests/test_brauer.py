@@ -2,10 +2,12 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from brauercalc import brauer
 from brauercalc.brauer import (
     BrauerClass,
     as_ratfunc,
@@ -21,6 +23,7 @@ from brauercalc.brauer import (
     specialize,
 )
 from brauercalc.errors import NotSymbolRegular, ScopeError
+from brauercalc.fields import multiplicative_generator
 from brauercalc.points import (
     ClosedPoint,
     FiniteBase,
@@ -33,7 +36,13 @@ from brauercalc.points import (
 from brauercalc.poly import Poly, QQ, RationalFunction, poly_strip
 
 from _gen import F7, F13, random_class, random_entry, rational
-from _oracles import classes_equal_oracle
+from _oracles import (
+    candidate_points,
+    classes_equal_oracle,
+    compare_by_difference,
+    divisor_oracle,
+    residue_value_oracle,
+)
 
 T = Poly.gen(QQ)
 
@@ -449,3 +458,112 @@ def test_rational_q_residues_need_no_polynomial_division(monkeypatch):
     got = [[residue_at(cls_, x).value for x in points] for cls_ in classes]
     monkeypatch.undo()
     assert got == [[_residue_by_full_quotient(cls_, x) for x in points] for cls_ in classes]
+
+
+def _divisor_values(cls_):
+    return tuple((x, rc.value) for x, rc in ramification_divisor(cls_))
+
+
+def test_residues_match_whole_class_loop():
+    """residue_at and ramification_divisor against the loop over every
+    symbol, on classes sharing symbol objects or repeating symbols, with
+    degree-2 points, and at points off the support before and after the
+    symbols know their zeros and poles."""
+    rng = random.Random(137)
+    quadratic = outside = 0
+    for base, p in ((Q_BASE, 2), (F7, 3), (F7, 2), (FiniteBase(9), 2)):
+        height = 8 if not base.is_finite else 50
+        fixed = [ClosedPoint.infinity(base)] + [_first_point(base, d) for d in (1, 2)]
+        pi = RationalFunction(fixed[2].poly)
+        for _ in range(6):
+            a = random_class(rng, base, p, 2, 2, height=height)
+            unit = random_entry(rng, base.field, 1, height)
+            extra = (pi * unit, random_entry(rng, base.field, 1, height))
+            s = random_class(rng, base, p, 2, 2, height=height) + BrauerClass.make(base, p, [extra])
+            for c in (a, a + s + s):
+                cands = candidate_points(c)
+                off = [x for x in fixed if x not in cands]
+                before = [residue_at(c, x).value for x in off]
+                assert _divisor_values(c) == divisor_oracle(c)
+                for x in cands + off:
+                    assert residue_at(c, x).value == residue_value_oracle(c, x)
+                assert before == [residue_at(c, x).value for x in off]
+                quadratic += any(x.degree == 2 for x, _ in ramification_divisor(c))
+                outside += len(off)
+    assert quadratic >= 12 and outside >= 50
+
+
+def test_shared_symbols_are_expanded_once(monkeypatch):
+    """After a's divisor, the divisor of a + s + s expands only s's
+    entries, once at each point of that symbol's own zeros and poles."""
+    rng = random.Random(139)
+    real = brauer.unit_part_at
+    for base, p in ((Q_BASE, 2), (F7, 3), (FiniteBase(9), 2)):
+        for _ in range(4):
+            a = random_class(rng, base, p, 2, 2, height=8)
+            s = random_class(rng, base, p, 2, 2, height=8)
+            ramification_divisor(a)
+            calls = Counter()
+
+            def counting(h, x):
+                calls[id(h), x] += 1
+                return real(h, x)
+
+            monkeypatch.setattr(brauer, "unit_part_at", counting)
+            div = ramification_divisor(a + s + s)
+            monkeypatch.undo()
+            want = Counter(
+                (id(e), x)
+                for sym in s.symbols
+                for x in candidate_points(BrauerClass(base, p, (sym,)))
+                for e in (sym.a, sym.b)
+            )
+            assert calls == want
+            assert tuple((x, rc.value) for x, rc in div) == divisor_oracle(a + s + s)
+
+
+def test_compare_classes_never_builds_the_difference(monkeypatch):
+    """The record read off the two classes equals the one read off c1 - c2."""
+    rng = random.Random(141)
+    cases = []
+    for base, p in ((Q_BASE, 2), (F7, 2), (F7, 3), (FiniteBase(9), 2)):
+        height = 8 if not base.is_finite else 50
+        # not a p-th power, so (pi, w^p) has a trivial residue other than 1
+        w = multiplicative_generator(base.field) if base.is_finite else 3
+        for k in range(15):
+            a = random_class(rng, base, p, 2, 2, height=height)
+            s = random_class(rng, base, p, 1, 2, height=height)
+            pi = random_entry(rng, base.field, 1, height) * _first_point(base, 1 + k % 2).poly
+            b = (
+                a + s + s.scale(p - 1),
+                a + BrauerClass.make(base, p, [(-1, -1)]),
+                a + s,
+                random_class(rng, base, p, 2, 2, height=height),
+                s + BrauerClass.make(base, p, [(pi, w)]),
+            )[k % 5]
+            if k % 5 == 4:
+                a = s + BrauerClass.make(base, p, [(pi, w**p)])
+            cases.append((a, b, compare_by_difference(a, b)))
+
+    def refuse(*args):
+        raise AssertionError("compare_classes built c1 - c2")
+
+    monkeypatch.setattr(BrauerClass, "__neg__", refuse)
+    monkeypatch.setattr(BrauerClass, "__sub__", refuse)
+    kinds = Counter()
+    for a, b, old in cases:
+        new = compare_classes(a, b)
+        assert (new.point, new.at, new.pairs, new.equal) == (
+            old.point, old.at, old.pairs, old.equal
+        )
+        assert (new.left, new.right) == (old.left, old.right)
+        if old.point is None:
+            assert new.residue is None
+            kinds["specialized" if old.at is not None else "equal"] += 1
+            continue
+        assert new.residue.value == old.residue.value
+        kinds["point"] += 1
+        for d, c in ((old.left, a), (old.right, b)):
+            if d.residue(old.point) is None and residue_at(c, old.point).value != 1:
+                kinds["trivial residue other than 1"] += 1
+    assert min(kinds.values()) >= 3 and len(kinds) == 4

@@ -431,10 +431,18 @@ def test_swinnerton_dyer_32_is_irreducible():
 
 
 def test_recombination_budget_is_out_of_scope(monkeypatch):
-    # SD32 builds 256 candidate products after the trailing-coefficient test
+    # SD32 walks 39202 subsets, 256 of which pass the trailing-coefficient test
     monkeypatch.setattr(factoring, "_RECOMBINATION_BUDGET", 8)
     with pytest.raises(ScopeError, match="recombination"):
         factoring._zassenhaus(SD32, squarefree=True)
+
+
+def test_ram_of_swinnerton_dyer_32_exits_3(capsys):
+    # the degree-64 norm polynomial at the root of SD32 splits into 22
+    # factors mod 19: about 2^21 subsets, past the recombination budget
+    text = "+".join(f"{c}*t^{i}" for i, c in enumerate(SD32) if c).replace("+-", "-")
+    assert main(["ram", f"({text}, t)"]) == 3
+    assert "recombination" in capsys.readouterr().err
 
 
 def test_equal_degree_draw_budget_is_out_of_scope(monkeypatch):

@@ -166,6 +166,22 @@ def test_ratfunc_field_ops_random():
         assert a * a.inverse() == RationalFunction(Poly.one(QQ))
 
 
+def test_ratfunc_inverse_matches_normalized_swap():
+    # inverse swaps an already coprime pair without a gcd; the result must
+    # be the canonical form the constructor gives
+    rng = random.Random(19)
+    for field in (QQ, GF(7), GF(9)):
+        for _ in range(30):
+            h = RationalFunction(random_poly(rng, field, 3, 9), random_poly(rng, field, 2, 9))
+            if h.is_zero:
+                continue
+            inv = h.inverse()
+            want = RationalFunction(h.den, h.num)
+            assert (inv.num, inv.den) == (want.num, want.den)
+            assert inv.den.is_monic and inv.inverse() == h
+            assert (h**-2) == want * want
+
+
 def test_ratfunc_valuations():
     t = RationalFunction(P(0, 1))
     at_t = ClosedPoint.finite(Q_BASE, P(0, 1))
