@@ -3,9 +3,19 @@
 Integers are factored by fields.factor_int (trial division by small
 primes, then Pollard-Brent), re-exported here.
 
-The rational factorization is the classical Zassenhaus pipeline (MCA
-ch. 15) on a primitive integer form, around one prime search bounded by
-_PRIME_BOUND.  That search does three jobs:
+The rational factorization runs on a primitive integer form and first
+splits off the rational roots.  At a prime p > deg f not dividing lc(f),
+each root of f mod p of multiplicity k is Newton-lifted as a simple root
+of the (k-1)-th Hasse derivative, modulo p^l past twice the Cauchy bound
+on lc(f) * r for a rational root r, and kept only if f vanishes at it
+exactly.  The cofactor is free of rational roots for certain once every
+root mod p is confirmed with its full multiplicity; if its degree is 2 or
+3 it is then irreducible.  Where roots collide mod p, the next prime
+retries on the cofactor, for at most _SQUAREFREE_TRIES primes.
+
+What may still factor goes to the classical Zassenhaus pipeline (MCA
+ch. 15), around one prime search bounded by _PRIME_BOUND.  That search
+does three jobs:
   * it proves f squarefree: if f mod p is squarefree for a prime p not
     dividing lc(f), so is f, and the squarefree decomposition over Q runs
     only when the first _SQUAREFREE_TRIES such primes all fail that test;
@@ -49,7 +59,8 @@ from functools import lru_cache
 
 from .errors import ScopeError
 from .fields import PrimePowerFactorization, factor_int, is_prime
-from .poly import Poly, QQ, _int_list_primitive, poly_gcd
+from .poly import Poly, QQ, poly_gcd
+from .poly import _int_list_at, _int_list_div_linear, _int_list_primitive
 
 
 def squarefree_kernel(c):
@@ -586,22 +597,84 @@ def _zassenhaus(f, squarefree=False):
     return factors
 
 
+def _hasse(f, k):
+    """The k-th Hasse derivative, sum binom(i, k) a_i t^(i-k)."""
+    return [math.comb(i, k) * c for i, c in enumerate(f)][k:]
+
+
+def _rational_roots(f):
+    """(roots, cofactor, certain) for a primitive f in Z[t] with lc(f) > 0:
+    roots are [(primitive linear factor, multiplicity)], f is their product
+    times the cofactor, and certain means the cofactor has no rational
+    root.  A root mod p not confirmed with its full multiplicity (roots
+    that collide mod p, or a root of a factor of higher degree) leaves the
+    try uncertain.  Primes stay below _PRIME_BOUND; no ScopeError.
+    """
+    z = next(i for i, c in enumerate(f) if c)
+    roots = [([0, 1], z)] if z else []
+    f = list(f[z:])
+    p = len(f) - 1
+    for _ in range(_SQUAREFREE_TRIES):
+        if len(f) == 1:
+            return roots, f, True
+        p = _next_prime(p)
+        while f[-1] % p == 0:
+            p = _next_prime(p)
+        if p >= _PRIME_BOUND:
+            break
+        certain = True
+        for x in range(p):
+            k = 0
+            while _int_list_at(_hasse(f, k), x, 1) % p == 0:
+                k += 1
+            if not k:
+                continue
+            g = _hasse(f, k - 1)
+            dg = _hasse(g, 1)
+            bound = 2 * (f[-1] + max(map(abs, f)))
+            m, y = p, x
+            while m <= bound:
+                m = m * m
+                y -= _int_list_at(g, y, 1) * pow(_int_list_at(dg, y, 1), -1, m)
+                y %= m
+            c = f[-1] * y % m
+            r = Fraction(c - m if c > m // 2 else c, f[-1])
+            mult = 0
+            while _int_list_at(f, r.numerator, r.denominator) == 0:
+                f = _int_list_div_linear(f, r.numerator, r.denominator)
+                mult += 1
+            if mult:
+                roots.append(([-r.numerator, r.denominator], mult))
+            certain = certain and mult == k
+        if certain:
+            return roots, f, True
+    return roots, f, False
+
+
 @lru_cache(maxsize=4096)
 def _factor_q_monic(f):
     """Cached monic irreducible factors with multiplicity, sorted.
 
-    The prime search of _zassenhaus proves most f squarefree; only when
-    it cannot is f first split by the squarefree decomposition over Q.
+    Rational roots are split off first.  A cofactor proved free of them is
+    irreducible if its degree is 2 or 3; any other goes to _zassenhaus,
+    whose prime search proves most cofactors squarefree; only when it
+    cannot is the cofactor split by the squarefree decomposition over Q.
     """
-    parts = _zassenhaus(f.int_form()[1])
+    pieces, g, certain = _rational_roots(f.int_form()[1])
+    if len(g) == 1:
+        parts = []
+    elif certain and len(g) <= 4:
+        parts = [g]
+    else:
+        parts = _zassenhaus(g)
     if parts is None:
-        pieces = [
+        pieces += [
             (part, mult)
-            for g, mult in squarefree_decomposition(f)
-            for part in _zassenhaus(g.int_form()[1], squarefree=True)
+            for h, mult in squarefree_decomposition(Poly.from_ints(QQ, g).monic())
+            for part in _zassenhaus(h.int_form()[1], squarefree=True)
         ]
     else:
-        pieces = [(part, 1) for part in parts]
+        pieces += [(part, 1) for part in parts]
     collected = [(Poly.from_ints(QQ, part).monic(), mult) for part, mult in pieces]
     collected.sort(key=lambda fm: fm[0].sort_key())
     return tuple(collected)

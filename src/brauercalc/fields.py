@@ -343,12 +343,43 @@ class QuotientField:
         return "QQ[t]/(...)"
 
 
+# Trial divisors and Miller-Rabin bases.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+# The least strong pseudoprime to every prime base 2..41 (Sorensen &
+# Webster 2017): below it those 13 bases make Miller-Rabin exact.
+PSI13 = 3317044064679887385961981
+
+
+def _pocklington(n):
+    """Whether n, a strong probable prime to every base in _SMALL_PRIMES,
+    is prime, by Pocklington's test on the factored n - 1 >= sqrt n: if
+    each prime q | n - 1 has a base a with gcd(a^((n-1)/q) - 1, n) = 1
+    (a^(n-1) = 1 holds already), every prime factor of n is 1 mod n - 1.
+    A gcd strictly between 1 and n proves n composite.  ScopeError if n - 1
+    cannot be factored within factor_int's budgets or no base serves a q.
+    """
+    for q, _ in factor_int(n - 1):
+        for a in _SMALL_PRIMES:
+            g = math.gcd(pow(a, (n - 1) // q, n) - 1, n)
+            if g == 1:
+                break
+            if g != n:
+                return False
+        else:
+            raise ScopeError(
+                f"no Pocklington certificate for a {n.bit_length()}-bit probable "
+                f"prime from the bases {_SMALL_PRIMES[0]}..{_SMALL_PRIMES[-1]}"
+            )
+    return True
+
+
 def is_prime(n):
-    """Deterministic Miller-Rabin to the prime bases 2..41, exact below
-    psi13 = 3317044064679887385961981 (Sorensen-Webster 2017)."""
+    """Exact primality.  Below PSI13 the Miller-Rabin bases 2..41 decide;
+    from PSI13 on, every base in _SMALL_PRIMES runs, a witness proves n
+    composite, and otherwise _pocklington must prove n prime."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -356,7 +387,7 @@ def is_prime(n):
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for a in _SMALL_PRIMES if n >= PSI13 else _SMALL_PRIMES[:13]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -366,7 +397,7 @@ def is_prime(n):
                 break
         else:
             return False
-    return True
+    return n < PSI13 or _pocklington(n)
 
 
 @dataclass(frozen=True)
@@ -393,6 +424,10 @@ class PrimePowerFactorization:
 # Squarings Pollard-Brent may spend on one composite (about 0.5 s at 133
 # bits on a 2-core Xeon); q^d - 1 for q <= 13, d <= 32 needs at most 56k.
 POLLARD_STEPS = 2**19
+# The largest cofactor, in bits, that factor_int tests for primality or
+# hands to Pollard-Brent, whose whole budget takes about 1.3 s at 512 bits;
+# one Miller-Rabin base takes 6.6 s at 13283 bits.  The tests need 133.
+POLLARD_BITS = 512
 
 
 def _pollard_brent(n, rng):
@@ -430,9 +465,6 @@ def _pollard_brent(n, rng):
             return g
 
 
-_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
-
-
 def factor_int(n):
     """Prime factorization of a nonzero integer as a PrimePowerFactorization."""
     if n == 0:
@@ -450,6 +482,11 @@ def factor_int(n):
         m = stack.pop()
         if m == 1:
             continue
+        if m.bit_length() > POLLARD_BITS:
+            raise ScopeError(
+                f"a {m.bit_length()}-bit cofactor is over the {POLLARD_BITS}-bit "
+                f"limit of factor_int"
+            )
         if is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue

@@ -8,7 +8,10 @@ norms as Frobenius conjugate products and tests p-th power membership
 against an enumerated power set.  Residues are recomputed by the
 whole-class loop: both unit parts of every symbol at the point, with
 nothing remembered on the symbols and nothing skipped, and the comparison
-record by building the difference c1 - c2.
+record by building the difference c1 - c2.  The factorization over Q is
+recomputed without the rational-root pass: Zassenhaus on the whole
+polynomial, after the squarefree decomposition when its prime search
+cannot prove f squarefree.
 """
 
 import itertools
@@ -20,9 +23,10 @@ from brauercalc.brauer import (
     regular_rational_points,
     specialize,
 )
-from brauercalc.factoring import factor_poly
+from brauercalc.factoring import _zassenhaus, factor_poly, squarefree_decomposition
 from brauercalc.hilbert import local_invariants, relevant_places
 from brauercalc.points import ClosedPoint, residue_field, sorted_points, unit_part_at
+from brauercalc.poly import Poly, QQ
 from brauercalc.residues import ResidueClass, is_pth_power
 
 
@@ -34,6 +38,23 @@ def candidate_points(cls):
             if f.degree >= 1:
                 cands.update(ClosedPoint(cls.base, g) for g, _ in factor_poly(f))
     return sorted_points(cands)
+
+
+def factor_over_Q_by_zassenhaus(f):
+    """[(monic irreducible factor, multiplicity)] of the nonconstant f over
+    Q, sorted, with every factor found by Zassenhaus."""
+    f = f.monic()
+    parts = _zassenhaus(f.int_form()[1])
+    if parts is None:
+        pieces = [
+            (part, mult)
+            for g, mult in squarefree_decomposition(f)
+            for part in _zassenhaus(g.int_form()[1], squarefree=True)
+        ]
+    else:
+        pieces = [(part, 1) for part in parts]
+    out = [(Poly.from_ints(QQ, part).monic(), mult) for part, mult in pieces]
+    return sorted(out, key=lambda fm: fm[0].sort_key())
 
 
 def residue_value_oracle(cls, point):

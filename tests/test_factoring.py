@@ -32,6 +32,7 @@ from brauercalc.fields import GF, FFElem
 from brauercalc.poly import Poly, QQ, poly_gcd
 
 from _gen import random_poly
+from _oracles import factor_over_Q_by_zassenhaus
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +264,8 @@ def test_distinct_degree_count_matches_full_factorization():
 
 def test_zassenhaus_without_good_prime_is_out_of_scope(monkeypatch, capsys):
     monkeypatch.setattr(factoring, "_next_prime", lambda n: 10**6)
+    # the rational-root pass stops short of the bound without raising
+    assert factoring._rational_roots((104723, 0, 1)) == ([], [104723, 0, 1], False)
     with pytest.raises(ScopeError):
         factoring._zassenhaus([104729, 0, 1])
     # the CLI reports it as out of scope (exit 3), not as a bug (exit 4)
@@ -451,8 +454,10 @@ def test_equal_degree_draw_budget_is_out_of_scope(monkeypatch):
     with pytest.raises(ScopeError, match="equal-degree"):
         factor_over_Fq(Poly.from_ints(field, [2, -3, 1]))
     factoring._factor_q_monic.cache_clear()
+    # t^4 + 1 has no rational root, so it reaches Zassenhaus, and splits
+    # into two quadratics modulo 3, the prime it is lifted from
     with pytest.raises(ScopeError, match="equal-degree"):
-        factor_over_Q(Poly.from_ints(QQ, [2, -3, 1]))
+        factor_over_Q(Poly.from_ints(QQ, [1, 0, 0, 0, 1]))
 
 
 def test_squarefree_decomposition_only_when_the_prime_search_cannot_prove(
@@ -478,12 +483,82 @@ def test_squarefree_decomposition_only_when_the_prime_search_cannot_prove(
 
     monkeypatch.setattr(factoring, "squarefree_decomposition", record)
     factoring._factor_q_monic.cache_clear()
-    fac = factor_over_Q(Poly.from_ints(QQ, [0, 0, -1, 1]))  # t^2 (t - 1)
+    # (t^2 + 1)^2 (t^2 + 2): no rational root, and repeated modulo every prime
+    f = _product([[1, 0, 1], [1, 0, 1], [2, 0, 1]])
+    fac = factor_over_Q(Poly.from_ints(QQ, f))
     assert [(list(map(int, g.coeffs)), e) for g, e in fac.factors] == [
-        ([-1, 1], 1),
-        ([0, 1], 2),
+        ([1, 0, 1], 2),
+        ([2, 0, 1], 1),
     ]
     assert len(calls) == 1
+
+
+def test_rational_linear_factors_need_no_zassenhaus(monkeypatch):
+    # route guard: the rational-root pass alone splits products of rational
+    # linear factors, repeated roots and root 0 included.  Integer roots in
+    # [-6, 6] cannot collide modulo all three primes the pass tries
+    def refuse(*args, **kwargs):
+        raise AssertionError("Zassenhaus route taken for rational linear factors")
+
+    for name in ("_hensel_lift", "_prime_search", "squarefree_decomposition"):
+        monkeypatch.setattr(factoring, name, refuse)
+    factoring._factor_q_monic.cache_clear()
+    rng = random.Random(35)
+    cases = [{Fraction(1, 2): 2, Fraction(-2, 3): 1, 0: 3}]
+    for _ in range(60):
+        roots = rng.sample(range(-6, 7), rng.randint(1, 4))
+        cases.append({r: rng.choice([1, 1, 2, 3]) for r in roots})
+    for roots in cases:
+        f = Poly.constant(QQ, Fraction(rng.choice([1, -2, 3]), rng.choice([1, 5])))
+        for r, mult in roots.items():
+            f = f * Poly(QQ, [-Fraction(r), Fraction(1)]) ** mult
+        got = {-g.coeffs[0]: e for g, e in factor_over_Q(f).factors}
+        assert got == roots, roots
+        assert all(g.degree == 1 for g, _ in factor_over_Q(f).factors)
+
+
+def rational_root_corpus():
+    """Seeded integer polynomials (lowest degree first) for the rational-root
+    pass: rational linear factors with repeated roots and root 0, roots r
+    and r + 5*7*11 that collide modulo the first primes above the degree,
+    products of two irreducible quadratics, and irreducible cubics."""
+    rng = random.Random(33)
+    quadratics = ([1, 0, 1], [2, 0, 1], [-2, 0, 1], [1, 1, 1], [-3, 0, 1], [-1, -1, 1])
+    cubics = ([-2, 0, 0, 1], [1, 1, 0, 1], [1, -3, 0, 1], [-3, 0, 0, 2], [1, -2, -1, 1])
+    corpus = []
+    for _ in range(150):
+        parts = [[rng.choice([1, 1, 2, 6, 35])]]
+        r = rng.randint(-9, 9)
+        step = rng.choice([1, 5, 35, 385, 5005]) * rng.choice([-1, 1])
+        roots = [r, r + step, 0, rng.randint(-20, 20)]
+        den = rng.choice([1, 1, 2, 3])
+        for x in roots[:2] + rng.sample(roots[2:], rng.randint(0, 2)):
+            parts += [[-x, den]] * rng.choice([1, 1, 2, 3])
+        extra = rng.random()
+        if extra < 0.3:
+            parts += rng.sample(quadratics, 2)
+        elif extra < 0.5:
+            parts.append(rng.choice(cubics))
+        elif extra < 0.7:
+            parts.append(rng.choice(quadratics))
+        corpus.append(_product(parts))
+    for a, b in itertools.combinations(quadratics, 2):
+        corpus.append(_product([a, b]))
+    corpus.extend(cubics)
+    return corpus
+
+
+def test_rational_root_pass_matches_zassenhaus():
+    factoring._factor_q_monic.cache_clear()
+    for coeffs in rational_root_corpus():
+        f = Poly.from_ints(QQ, coeffs)
+        got = [(g.coeffs, e) for g, e in factor_over_Q(f).factors]
+        want = [(g.coeffs, e) for g, e in factor_over_Q_by_zassenhaus(f)]
+        assert got == want, coeffs
+    # a degree-4 cofactor without a rational root is not taken as irreducible
+    for a, b in ((1, 2), (-2, -3), (1, -2)):
+        f = Poly.from_ints(QQ, _product([[a, 0, 1], [b, 0, 1], [0, 1]]))
+        assert [g.degree for g, _ in factor_over_Q(f).factors] == [1, 2, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -556,9 +631,23 @@ def test_zero_and_constant_rejected():
     assert fac.unit == 5 and not fac.factors
 
 
+def _factors(coeffs):
+    fac = factor_over_Q(Poly.from_ints(QQ, coeffs))
+    return sorted(([Fraction(c) for c in g.coeffs], e) for g, e in fac.factors)
+
+
+def _sympy_factors(sympy, coeffs):
+    x = sympy.Symbol("t")
+    _, parts = sympy.factor_list(sum(c * x**i for i, c in enumerate(coeffs)), x)
+    want = []
+    for g, e in parts:
+        monic = sympy.Poly(g, x).monic().all_coeffs()[::-1]
+        want.append(([Fraction(int(c.p), int(c.q)) for c in monic], e))
+    return sorted(want)
+
+
 def test_q_factor_matches_sympy():
     sympy = pytest.importorskip("sympy")
-    x = sympy.Symbol("t")
     rng = random.Random(30)
     # irreducible over Q but reducible modulo every prime, so every
     # factorization containing one of them goes through recombination
@@ -577,15 +666,26 @@ def test_q_factor_matches_sympy():
             for _ in range(mult):
                 coeffs = factoring._zmul(coeffs, part)
             degree += mult * (len(part) - 1)
-        fac = factor_over_Q(Poly.from_ints(QQ, coeffs))
-        got = sorted(([Fraction(c) for c in g.coeffs], e) for g, e in fac.factors)
-        expr = sum(c * x**i for i, c in enumerate(coeffs))
-        _, parts = sympy.factor_list(expr, x)
-        want = []
-        for g, e in parts:
-            monic = sympy.Poly(g, x).monic().all_coeffs()[::-1]
-            want.append(([Fraction(int(c.p), int(c.q)) for c in monic], e))
-        assert got == sorted(want), coeffs
+        assert _factors(coeffs) == _sympy_factors(sympy, coeffs), coeffs
+
+
+def test_rational_root_pass_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for coeffs in rational_root_corpus():
+        assert _factors(coeffs) == _sympy_factors(sympy, coeffs), coeffs
+
+
+def test_squarefree_kernel_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(34)
+    for _ in range(200):
+        num = rng.randint(1, 10**9) * rng.randint(1, 10**3) ** 2
+        v = Fraction(rng.choice([-1, 1]) * num, rng.randint(1, 10**6))
+        want = 1 if v > 0 else -1
+        for n in (v.numerator, v.denominator):
+            for q, e in sympy.factorint(abs(n)).items():
+                want *= q ** (e % 2)
+        assert squarefree_kernel(v) == want, v
 
 
 def _monic_mod(coeffs, p):

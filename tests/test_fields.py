@@ -6,8 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from brauercalc import fields
+from brauercalc.errors import ScopeError
 from brauercalc.fields import (
     GF,
+    PSI13,
     PrimeField,
     QuotientField,
     discrete_log,
@@ -302,3 +305,40 @@ def test_is_prime_rejects_twelve_base_pseudoprime():
     assert psi12 == 399165290221 * 798330580441
     assert not is_prime(psi12)
     assert is_prime(41) and is_prime(399165290221)
+
+
+def test_is_prime_above_psi13_answers_only_with_a_proof(monkeypatch):
+    # psi13, the least strong pseudoprime to every prime base 2..41; bases
+    # 43, 47 and 53 each witness that it is composite
+    assert PSI13 == 1287836182261 * 2575672364521
+    assert not is_prime(PSI13)
+    proved = []
+    pocklington = fields._pocklington
+    monkeypatch.setattr(
+        fields, "_pocklington", lambda n: proved.append(n) or pocklington(n)
+    )
+    assert is_prime(2**89 - 1) and not is_prime(2**89 + 1)
+    assert proved == [2**89 - 1]
+    # n - 1 = 2 q1 q2 with 72-bit primes q1, q2 that Pollard-Brent cannot
+    # separate within its budget: no certificate, so no answer
+    q1, q2 = 3247065457588853743369, 2899771095556797239369
+    with pytest.raises(ScopeError, match="Pollard-Brent"):
+        is_prime(2 * q1 * q2 + 1)
+
+
+def test_is_prime_matches_sympy_above_psi13():
+    # composites and primes alike; a prime whose n - 1 Pollard-Brent cannot
+    # factor may end out of scope, but no answer may be wrong
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(36)
+    answered = 0
+    for _ in range(30):
+        n = rng.randrange(PSI13, 2**100)
+        for m in (n, int(sympy.nextprime(n))):
+            try:
+                got = is_prime(m)
+            except ScopeError:
+                continue
+            assert got == sympy.isprime(m), m
+            answered += 1
+    assert answered >= 50

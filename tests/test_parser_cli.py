@@ -324,6 +324,32 @@ def test_twelve_base_pseudoprime_is_no_place(capsys):
     assert "Pollard-Brent" in captured.err
 
 
+def test_thirteen_base_pseudoprime_is_no_place_and_no_field(capsys):
+    # psi13 = 1287836182261 * 2575672364521 passes Miller-Rabin to the bases
+    # 2..41; Pollard-Brent cannot split it within its budget
+    psi13 = "3317044064679887385961981"
+    for argv in (
+        ["equal", f"({psi13}, 43)", "(43, 43)"],
+        ["ram", "(t, 3) + (t+1, 5)", "--base", f"fq:{psi13}"],
+    ):
+        start = time.perf_counter()
+        assert main(argv) == 3
+        assert time.perf_counter() - start < 2.0
+        captured = capsys.readouterr()
+        assert psi13 not in captured.out
+        assert "Pollard-Brent" in captured.err
+
+
+def test_four_thousand_digit_integer_is_out_of_scope(capsys):
+    # one Miller-Rabin base alone would take seconds at 13,000 bits
+    n = random.Random(37).randrange(10**3999, 10**4000)
+    for text in (f"({n}, t)", f"({n}*t+1, t)"):
+        start = time.perf_counter()
+        assert main(["ram", text]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert "512-bit limit" in capsys.readouterr().err
+
+
 def test_enumerate_over_too_many_points_is_out_of_scope(capsys):
     # (2, t - i) ramifies at t = i and the sum also at infinity: 12 points,
     # 2^12 twist tuples for p = 3
