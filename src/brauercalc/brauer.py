@@ -28,7 +28,7 @@ from fractions import Fraction
 from .errors import NotSymbolRegular, ScopeError
 from .factoring import factor_poly
 from .fields import rational_is_square
-from .hilbert import local_invariants
+from .hilbert import local_invariants, nonsplit_places
 from .points import (
     ClosedPoint,
     residue_field,
@@ -219,28 +219,50 @@ def divisor_reciprocity(div):
     return rational_is_square(prod)
 
 
+def _values_at_q(cls, c):
+    """Entrywise values at t = c over Q, or None at a zero or pole of an
+    entry.  With c = a/b and h = k * H for an integer form H, h(c) is
+    k * H~ / b^deg h for H~ = b^deg h * H(a/b), an integer."""
+    c = QQ.coerce(c)
+    a, b = c.numerator, c.denominator
+    out = []
+    for s in cls.symbols:
+        for e in (s.a, s.b):
+            (kn, hn), (kd, hd) = e.num.int_form(), e.den.int_form()
+            vn, vd = _int_list_at(hn, a, b), _int_list_at(hd, a, b)
+            if not vn or not vd:
+                return None
+            num = kn.numerator * kd.denominator * vn * b ** (len(hd) - 1)
+            den = kn.denominator * kd.numerator * vd * b ** (len(hn) - 1)
+            out.append(Fraction(num, den))
+    return tuple(zip(out[::2], out[1::2]))
+
+
 def is_symbol_regular(cls, c):
     """No entry of any symbol has a zero or pole at t = c.
 
     Numerator and denominator are coprime, so an entry has a zero or
-    pole at t = c exactly when one of them vanishes at c.  Over Q with
-    c = a/b that is b^n f(a/b) = 0 on the integer form of f.
+    pole at t = c exactly when one of them vanishes at c.  Over Q that
+    is read off the integer evaluation specialize uses.
     """
     field = cls.base.field
+    if field is QQ:
+        return _values_at_q(cls, c) is not None
     cv = field.coerce(c)
     polys = (f for s in cls.symbols for e in (s.a, s.b) for f in (e.num, e.den))
-    if field is QQ:
-        a, b = cv.numerator, cv.denominator
-        return all(_int_list_at(f.int_form()[1], a, b) for f in polys)
     return all(f.evaluate(cv) != field.zero for f in polys)
 
 
 def specialize(cls, c):
     """Entrywise evaluation at t = c, as constant symbol pairs."""
-    if not is_symbol_regular(cls, c):
+    field, vals = cls.base.field, None
+    if field is QQ:
+        vals = _values_at_q(cls, c)
+    elif is_symbol_regular(cls, c):
+        vals = tuple((s.a.evaluate(c), s.b.evaluate(c)) for s in cls.symbols)
+    if vals is None:
         raise NotSymbolRegular(f"some entry has a zero or pole at t = {c}")
-    cv = cls.base.field.coerce(c)
-    return tuple((s.a.evaluate(cv), s.b.evaluate(cv)) for s in cls.symbols)
+    return vals
 
 
 def regular_rational_points(cls, count):
@@ -283,7 +305,9 @@ class ClassComparison:
     residue of the difference there; both are None when the difference
     is unramified.  An unramified difference over Q is a constant class:
     pairs is its specialization at at, the first symbol-regular value,
-    and decides equality.  Otherwise at and pairs are None.
+    and equal is whether its halves have the same nonsplit places,
+    left_places and right_places, sorted by place_key.  Otherwise these
+    four are None.
     """
 
     left: object
@@ -293,6 +317,8 @@ class ClassComparison:
     residue: object = None
     at: object = None
     pairs: tuple = None
+    left_places: tuple = None
+    right_places: tuple = None
 
 
 def compare_classes(c1, c2):
@@ -303,9 +329,10 @@ def compare_classes(c1, c2):
     entrywise up to p-th powers; the first point where they differ is
     the first point of the divisor of c1 - c2.  An unramified difference
     is a constant class.  Over a finite constant field that forces
-    triviality; over Q it is recovered by evaluating at a symbol-regular
-    rational point and tested through its local invariants.  c1 - c2 is
-    never built: its pairs are c1's, then (a, 1/b) for each (a, b) of c2.
+    triviality; over Q it is the specialization at the first
+    symbol-regular rational point, found and evaluated on integer
+    forms, and decided by the nonsplit places of its two halves.  c1 - c2
+    is never built: its pairs are c1's, then (a, 1/b) for each (a, b) of c2.
     """
     if c1.base != c2.base or c1.p != c2.p:
         raise ValueError("classes over different settings")
@@ -323,8 +350,10 @@ def compare_classes(c1, c2):
     at = regular_rational_points(both, 1)[0]
     vals, n = specialize(both, at), len(c1.symbols)
     pairs = vals[:n] + tuple((x, 1 / y) for x, y in vals[n:])
-    trivial = constant_is_trivial(c1.base, pairs, c1.p)
-    return ClassComparison(d1, d2, trivial, at=at, pairs=pairs)
+    # (x, 1/y) has the invariants of (x, y), so the halves are vals as is
+    left, right = nonsplit_places(vals[:n], vals[n:])
+    return ClassComparison(d1, d2, left == right, at=at, pairs=pairs,
+                           left_places=left, right_places=right)
 
 
 def classes_equal(c1, c2):

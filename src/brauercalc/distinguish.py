@@ -17,7 +17,9 @@ reads the one brauer.compare_classes record of the pair.  The ladder:
 With p = 2 a residue mismatch is an extension mismatch, so over Q a
 pair that passes step 2 differs by a nontrivial constant class, and
 step 3 reads both constant classes off the specialization of a - b
-that compare_classes made to decide equality.
+that compare_classes made to decide equality, with the nonsplit place
+sets it computed for them (left_places, right_places): no Hilbert
+symbol is evaluated here.
 
 Over a finite constant field every constant class is trivial, so step 3
 can never separate anything and distinct residue twists land in step 4;
@@ -39,7 +41,7 @@ from .brauer import BrauerClass, compare_classes, ramification_divisor
 from .errors import ScopeError
 from .factoring import factor_over_Fq, squarefree_kernel
 from .fields import is_pth_power_finite, multiplicative_generator, pth_power_exponent
-from .hilbert import invariant_set, separating_discriminant, splits_invariant_set
+from .hilbert import separating_discriminant, splits_invariant_set
 from .points import ClosedPoint, reduce_at, residue_field, sorted_points
 from .poly import RationalFunction
 from .residues import corestriction_exponent
@@ -128,7 +130,7 @@ def distinguish(a, b, sweep=200):
     cv = a.base.field.coerce(cmp.at)
     pa = cmp.pairs[: len(a.symbols)]
     pb = tuple((x, 1 / y) for x, y in cmp.pairs[len(a.symbols):])
-    sa, sb = invariant_set(pa), invariant_set(pb)
+    sa, sb = cmp.left_places, cmp.right_places
     ta, tb = not sa, not sb
     if ta != tb:
         steps.append(
@@ -138,8 +140,6 @@ def distinguish(a, b, sweep=200):
         )
         cert = SpecializationCertificate(cv, pa, pb, ta, tb)
         return Verdict(BY_SPECIALIZATION, tuple(steps), point=cv, certificate=cert)
-    if set(sa) == set(sb):
-        raise AssertionError(f"at t = {cv} the nontrivial difference specializes to zero")
     d = _separating_quadratic(pa, pb, sa, sb)
     steps.append(
         f"at t = {cv} both specializations are nontrivial with "

@@ -653,14 +653,15 @@ def _rational_roots(f):
 
 @lru_cache(maxsize=4096)
 def _factor_q_monic(f):
-    """Cached monic irreducible factors with multiplicity, sorted.
+    """Cached monic irreducible factors with multiplicity, sorted, of the
+    primitive integer tuple f, which every scalar multiple shares.
 
     Rational roots are split off first.  A cofactor proved free of them is
     irreducible if its degree is 2 or 3; any other goes to _zassenhaus,
     whose prime search proves most cofactors squarefree; only when it
     cannot is the cofactor split by the squarefree decomposition over Q.
     """
-    pieces, g, certain = _rational_roots(f.int_form()[1])
+    pieces, g, certain = _rational_roots(f)
     if len(g) == 1:
         parts = []
     elif certain and len(g) <= 4:
@@ -693,7 +694,7 @@ def factor_over_Q(f):
     unit = f.lc
     if f.degree == 0:
         return PrimePowerFactorization(unit, ())
-    return PrimePowerFactorization(unit, _factor_q_monic(f.monic()))
+    return PrimePowerFactorization(unit, _factor_q_monic(f.int_form()[1]))
 
 
 # ---------------------------------------------------------------------------

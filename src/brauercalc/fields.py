@@ -477,7 +477,7 @@ def factor_int(n):
             counts[p] = counts.get(p, 0) + 1
             n //= p
     stack = [n] if n > 1 else []
-    rng = random.Random(0x5EED)
+    rng = None  # seeded only for a composite cofactor
     while stack:
         m = stack.pop()
         if m == 1:
@@ -490,6 +490,7 @@ def factor_int(n):
         if is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue
+        rng = rng or random.Random(0x5EED)
         d = _pollard_brent(m, rng)
         stack.append(d)
         stack.append(m // d)

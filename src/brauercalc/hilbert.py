@@ -4,7 +4,8 @@ Places of Q are odd primes, 2, and "inf".  The Hilbert symbol (a,b)_v
 is +1 or -1; a sum of quaternion symbols is trivial exactly when the
 product of its symbols is +1 at every place, and the places where any
 invariant can differ from +1 are 2, infinity, and the odd primes
-meeting a numerator or denominator of an entry.
+meeting a numerator or denominator of an entry.  The invariants
+multiply, so nonsplit_places works out each distinct pair's set once.
 """
 
 from __future__ import annotations
@@ -122,6 +123,22 @@ def local_invariants(pairs, places=None):
 def invariant_set(pairs):
     """Sorted places where the sum of the symbols is nonsplit."""
     return tuple(v for v, s in local_invariants(pairs).items() if s == -1)
+
+
+def nonsplit_places(*sums):
+    """invariant_set of each sum of pairs: the symmetric difference of its
+    pairs' own sets, each distinct pair's from local_invariants on that
+    pair alone (so Hilbert reciprocity is checked on it), once."""
+    seen = {}
+    out = []
+    for pairs in sums:
+        acc = set()
+        for pair in pairs:
+            if pair not in seen:
+                seen[pair] = {v for v, s in local_invariants((pair,)).items() if s == -1}
+            acc ^= seen[pair]
+        out.append(tuple(sorted(acc, key=place_key)))
+    return out
 
 
 def local_is_square(d, place):

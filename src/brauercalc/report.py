@@ -21,7 +21,7 @@ from .brauer import (
 from .covers import KummerCoverDatum, Reparametrization
 from .distinguish import FieldComparisonRow, SpecializationCertificate
 from .errors import ParseError
-from .hilbert import invariant_set
+from .hilbert import place_key
 from .parser import class_text, parse_constant, parse_ratfunc, ratfunc_text
 from .points import FiniteBase, Q_BASE
 
@@ -130,7 +130,8 @@ def equal_outcome(a, b):
             "trivial": cmp.equal,
         }
         if not cmp.equal:
-            cert["nonsplit_places"] = [str(v) for v in invariant_set(cmp.pairs)]
+            diff = set(cmp.left_places) ^ set(cmp.right_places)
+            cert["nonsplit_places"] = [str(v) for v in sorted(diff, key=place_key)]
         out["constant_difference"] = cert
     return out
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from brauercalc import brauer
+from brauercalc import brauer, hilbert
 from brauercalc.brauer import (
     BrauerClass,
     as_ratfunc,
@@ -24,6 +24,7 @@ from brauercalc.brauer import (
 )
 from brauercalc.errors import NotSymbolRegular, ScopeError
 from brauercalc.fields import multiplicative_generator
+from brauercalc.hilbert import invariant_set
 from brauercalc.points import (
     ClosedPoint,
     FiniteBase,
@@ -567,3 +568,86 @@ def test_compare_classes_never_builds_the_difference(monkeypatch):
             if d.residue(old.point) is None and residue_at(c, old.point).value != 1:
                 kinds["trivial residue other than 1"] += 1
     assert min(kinds.values()) >= 3 and len(kinds) == 4
+
+
+def _horner(f, c):
+    acc = Fraction(0)
+    for coeff in reversed(f.coeffs):
+        acc = acc * c + coeff
+    return acc
+
+
+def test_specialize_over_q_matches_fraction_evaluation():
+    """specialize over Q reads each entry off its integer forms; against
+    Fraction Horner on numerator and denominator, at integer and fractional
+    values, with zeros and poles placed on some of them."""
+    rng = random.Random(151)
+    sweep = [Fraction(v) for v in range(-4, 5)] + RATIONAL_POINTS[3:]
+    outcomes = Counter()
+    for _ in range(25):
+        roots = rng.sample(sweep, 2)
+        pairs = [
+            (_rational_entry(rng, rng.choice(roots)), _rational_entry(rng, rng.choice(roots)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        cls_ = BrauerClass.make(Q_BASE, 2, pairs)
+        for c in sweep:
+            nd = [(_horner(e.num, c), _horner(e.den, c)) for a, b in pairs for e in (a, b)]
+            regular = all(n and d for n, d in nd)
+            assert is_symbol_regular(cls_, c) == regular
+            if regular:
+                vals = [n / d for n, d in nd]
+                assert specialize(cls_, c) == tuple(zip(vals[::2], vals[1::2]))
+            else:
+                with pytest.raises(NotSymbolRegular):
+                    specialize(cls_, c)
+            outcomes[regular, c.denominator == 1] += 1
+    assert min(outcomes.values()) >= 10 and len(outcomes) == 4
+
+
+_NONSPLIT = ((-1, -1), (-1, 3), (2, 5), (3, 5), (-1, 7))
+
+
+def test_compare_classes_places_match_each_half():
+    """left_places and right_places are the invariant sets of the two
+    specialized halves, and equal agrees with both references."""
+    rng = random.Random(152)
+    kinds = Counter()
+    for k in range(36):
+        a = random_class(rng, Q_BASE, 2, 2, 2, height=8)
+        s = random_class(rng, Q_BASE, 2, 1, 2, height=8)
+        c = BrauerClass.make(Q_BASE, 2, [rng.choice(_NONSPLIT)])
+        b = (a + s + s, a + c, a + s)[k % 3]
+        if k % 2:
+            a = a + BrauerClass.make(Q_BASE, 2, [rng.choice(_NONSPLIT)])
+        cmp, old = compare_classes(a, b), compare_by_difference(a, b)
+        assert (cmp.equal, cmp.at, cmp.pairs) == (old.equal, old.at, old.pairs)
+        assert cmp.equal == classes_equal_oracle(a, b)
+        if cmp.at is None:
+            assert cmp.left_places is None and cmp.right_places is None
+            kinds["ramified"] += 1
+            continue
+        assert cmp.left_places == invariant_set(specialize(a, cmp.at))
+        assert cmp.right_places == invariant_set(specialize(b, cmp.at))
+        kinds[cmp.equal, bool(cmp.left_places), bool(cmp.right_places)] += 1
+    assert kinds[True, True, True] and kinds[False, True, True] and kinds["ramified"]
+    assert kinds[False, False, True] + kinds[False, True, False] >= 3
+
+
+def test_compare_classes_checks_reciprocity_on_every_pair(monkeypatch):
+    """A Hilbert symbol flipped at 3 breaks reciprocity on each pair with 3
+    among its places.  Here two such pairs flip together, so the product
+    over the whole difference still satisfies it; the check on each pair
+    does not."""
+    true_symbol = hilbert.hilbert_symbol
+
+    def flipped(a, b, place):
+        s = true_symbol(a, b, place)
+        return -s if place == 3 else s
+
+    a = BrauerClass.make(Q_BASE, 2, [(5, T)])
+    b = a + BrauerClass.make(Q_BASE, 2, [(-1, 3), (3, -1)])
+    assert compare_classes(a, b).equal
+    monkeypatch.setattr(hilbert, "hilbert_symbol", flipped)
+    with pytest.raises(AssertionError, match="reciprocity"):
+        compare_classes(a, b)

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from brauercalc import brauer, hilbert
 from brauercalc.brauer import BrauerClass, compare_classes, ramification_divisor, specialize
 from brauercalc.distinguish import (
     BY_RAMIFICATION_FIELD,
@@ -299,6 +300,54 @@ def test_distinguish_matches_sweep_reference():
     assert reached[BY_SPECIALIZATION, 1] >= 50
     assert reached[CANDIDATE_EQUIVALENT, 0] == reached[BY_SPECIALIZATION, 200]
     assert min(reached[o, 200] for o in (EQUAL, BY_RAMIFICATION_FIELD)) >= 50
+
+
+def test_distinguish_decides_the_constant_part_once(monkeypatch):
+    """Guard against repeated passes over the constant part: over 30 Q ops
+    no Poly.evaluate, no invariant_set, and local_invariants on each
+    distinct specialized pair at most once per op."""
+    rng = random.Random(1212)
+    ops = []
+    for i in range(30):
+        a = random_class(rng, Q_BASE, 2, 2, 2, height=9)
+        s = random_class(rng, Q_BASE, 2, 1, 2, height=9)
+        b = (a + s + s, a + _nonsplit_constant(rng), s + s + _nonsplit_constant(rng) + a)[i % 3]
+        ops.append((a, b))
+
+    def refuse(name):
+        def call(*args):
+            raise AssertionError(f"{name} called from distinguish")
+        return call
+
+    calls = []
+    true_invariants = hilbert.local_invariants
+
+    def counted(pairs, places=None):
+        calls.append(tuple(pairs))
+        return true_invariants(pairs, places)
+
+    monkeypatch.setattr(Poly, "evaluate", refuse("Poly.evaluate"))
+    monkeypatch.setattr(hilbert, "invariant_set", refuse("invariant_set"))
+    for module in (hilbert, brauer):
+        monkeypatch.setattr(module, "local_invariants", counted)
+    seen = []
+    for a, b in ops:
+        calls.clear()
+        distinguish(a, b)
+        seen.append(list(calls))
+    monkeypatch.undo()
+    decided = 0
+    for (a, b), pairs_seen in zip(ops, seen):
+        at = compare_classes(a, b).at
+        if at is None:
+            assert pairs_seen == []
+            continue
+        decided += 1
+        distinct = set(specialize(a, at)) | set(specialize(b, at))
+        assert Counter(pairs_seen).most_common(1)[0][1] == 1
+        assert {pair for pairs in pairs_seen for pair in pairs} == distinct
+        assert all(len(pairs) == 1 for pairs in pairs_seen)
+    assert decided >= 20
 
 
 def _unit_spread_class(rng, base, p, max_symbols, max_degree):

@@ -309,6 +309,22 @@ def test_int_list_kernel_matches_poly_routines():
                 assert len(s) < len(b) and len(t) < len(a)
 
 
+def test_factor_over_Q_caches_by_the_integer_form():
+    # every scalar multiple of f shares its primitive integer form, and
+    # with it one cache entry
+    f = Poly.from_ints(QQ, [7919, -3, 0, 11, 1]) * Poly.from_ints(QQ, [-5, 3])
+    info = factoring._factor_q_monic.cache_info
+    before = info()
+    plain = factor_over_Q(f)
+    mid = info()
+    scaled = factor_over_Q(f * Fraction(3, 2))
+    after = info()
+    assert (mid.misses - before.misses, mid.hits - before.hits) == (1, 0)
+    assert (after.misses - mid.misses, after.hits - mid.hits) == (0, 1)
+    assert scaled.factors == plain.factors and scaled.unit == plain.unit * Fraction(3, 2)
+    assert [g.degree for g, _ in plain.factors] == [1, 4]
+
+
 def test_factor_over_Q_builds_no_finite_field_objects(monkeypatch):
     # route guard: the modular stage of the factorization over Q runs on
     # integer lists, never on PrimeField, FFElem or the Poly ring of the split

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -324,6 +325,21 @@ def test_is_prime_above_psi13_answers_only_with_a_proof(monkeypatch):
     q1, q2 = 3247065457588853743369, 2899771095556797239369
     with pytest.raises(ScopeError, match="Pollard-Brent"):
         is_prime(2 * q1 * q2 + 1)
+
+
+def test_factor_int_seeds_pollard_brent_only_for_a_composite_cofactor(monkeypatch):
+    seeded = []
+    real = random.Random
+    monkeypatch.setattr(
+        fields, "random", SimpleNamespace(Random=lambda s: seeded.append(s) or real(s))
+    )
+    # trial division and is_prime finish these
+    for n in (2 * 3 * 53**2 * (2**61 - 1), -(53**3), 101, 1):
+        assert math.prod(q**e for q, e in fields.factor_int(n)) == abs(n)
+    assert seeded == []
+    n = 1000003 * 1000033 * (2**31 - 1)
+    assert fields.factor_int(n).factors == ((1000003, 1), (1000033, 1), (2**31 - 1, 1))
+    assert seeded == [0x5EED]
 
 
 def test_is_prime_matches_sympy_above_psi13():

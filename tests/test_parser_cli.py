@@ -448,6 +448,50 @@ def test_cli_equal_on_unequal_classes_is_golden(capsys, right, text, outcome):
     assert capsys.readouterr().out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+EQUAL_BOTH_NONSPLIT_TEXT = """\
+brauercalc 0.1.0: equal
+inputs:
+  base: q
+  left: (-1, -1) + (5, t)
+  p: 2
+  right: (5, t) + (-1, 3)
+  seed: 0
+outcome:
+  constant_difference:
+    at: 1
+    nonsplit_places:
+      - 3
+      - inf
+    pairs:
+      -
+        - -1
+        - -1
+      -
+        - 5
+        - 1
+      -
+        - 5
+        - 1
+      -
+        - -1
+        - 1/3
+    trivial: False
+  difference_unramified: True
+  equal: False
+"""
+
+
+def test_cli_equal_lists_where_two_nonsplit_halves_differ(capsys):
+    # (-1, -1) is nonsplit at 2 and inf, (-1, 3) at 2 and 3: the difference
+    # is nonsplit where exactly one of them is
+    args = ["equal", "(-1, -1) + (5, t)", "(5, t) + (-1, 3)"]
+    assert main(args) == 0
+    assert capsys.readouterr().out == EQUAL_BOTH_NONSPLIT_TEXT
+    assert main(args + ["--format", "json"]) == 0
+    cert = json.loads(capsys.readouterr().out)["outcome"]["constant_difference"]
+    assert cert["nonsplit_places"] == ["3", "inf"] and cert["trivial"] is False
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("symbol", 5), ("g", 5), ("reparam", 7), ("m", [2]), ("symbol", ["t"])],
