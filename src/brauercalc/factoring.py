@@ -36,13 +36,13 @@ _RECOMBINATION_BUDGET subsets are walked, tested or built; beyond that,
 ScopeError.
 
 Factoring over a finite field is one Cantor-Zassenhaus algorithm
-(distinct-degree, equal-degree and sorted split) written once over a small
-F_q[t] ring object with two representations: integer lists mod an odd
-prime p for the modular stage over Q, and Poly over any GF(q),
-characteristic 2 included, for factor_over_Fq.  The modular stage over Q,
-Hensel lifting modulo p^l included, builds no finite-field element objects.
-An equal-degree split makes at most _SPLIT_DRAWS random draws, then
-raises ScopeError.
+(distinct-degree, equal-degree and sorted split, one _powmod) written once
+over a ring object: _IntListRing, the only F_p[t] on poly's integer lists,
+for the modular stage over Q (prime search and Hensel lifting included; no
+field elements built), or _PolyRing, Poly over any GF(q), for
+factor_over_Fq, drawing by field.element_at so no field is listed.  An
+equal-degree split makes at most _SPLIT_DRAWS random draws, then raises
+ScopeError.
 
 Irreducibility and squarefreeness are decided only here: one squarefree
 decomposition serves Q and F_q, and is_irreducible reads factor_poly.
@@ -58,9 +58,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ScopeError
-from .fields import PrimePowerFactorization, factor_int, is_prime
+from .fields import PrimePowerFactorization, factor_int, is_prime, rational_sqrt
 from .poly import Poly, QQ, poly_gcd
 from .poly import _int_list_at, _int_list_div_linear, _int_list_primitive
+from .poly import _zadd, _zdivmod_mod, _zmul, _zsub, _ztrim, _ztrunc
 
 
 def squarefree_kernel(c):
@@ -77,73 +78,7 @@ def squarefree_kernel(c):
 
 
 # ---------------------------------------------------------------------------
-# integer coefficient lists (lowest degree first), for Hensel lifting and
-# the F_p[t] kernel below
-
-
-def _ztrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _ztrunc(a, m):
-    """Symmetric representatives modulo m."""
-    half = m // 2
-    out = []
-    for c in a:
-        c %= m
-        if c > half:
-            c -= m
-        out.append(c)
-    return _ztrim(out)
-
-
-def _zadd(a, b):
-    n = max(len(a), len(b))
-    return _ztrim(
-        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-    )
-
-
-def _zsub(a, b):
-    n = max(len(a), len(b))
-    return _ztrim(
-        [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
-    )
-
-
-def _zmul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _ztrim(out)
-
-
-def _zdivmod_mod(a, b, m):
-    """Division with remainder in (Z/m)[t]; lc(b) must be invertible mod m."""
-    a = [c % m for c in a]
-    b = [c % m for c in b]
-    _ztrim(b)
-    inv = pow(b[-1], -1, m)
-    db = len(b) - 1
-    rem = list(a)
-    _ztrim(rem)
-    quo = [0] * max(len(rem) - db, 0)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i] % m
-        if not c:
-            continue
-        q = c * inv % m
-        quo[i - db] = q
-        for j, y in enumerate(b):
-            rem[i - db + j] = (rem[i - db + j] - q * y) % m
-    return _ztrim([c % m for c in quo]), _ztrim([c % m for c in rem])
+# Hensel lifting on the integer lists of poly
 
 
 def _hensel_step(M, f, g, h, s, t):
@@ -189,7 +124,7 @@ def _hensel_lift(p, f, f_list, l):
     h = list(f_list[k])
     for fi in f_list[k + 1 :]:
         h = _ztrunc(_zmul(h, fi), p)
-    one, s, t = _gf_xgcd(g, h, p)
+    one, s, t = _IntListRing(p).xgcd(g, h)
     if one != [1]:
         raise ArithmeticError("modular factors are not coprime")
     s = _ztrunc(s, p)
@@ -201,65 +136,13 @@ def _hensel_lift(p, f, f_list, l):
 
 
 # ---------------------------------------------------------------------------
-# F_p[t] on integer lists (lowest degree first, entries in [0, p)), for the
-# modular stage of the factorization over Q
-
-
-def _zmod(a, m):
-    """Representatives in [0, m)."""
-    return _ztrim([c % m for c in a])
-
-
-def _gf_monic(a, p):
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
-def _gf_gcd(a, b, p):
-    """Monic gcd in F_p[t]; the gcd of a and 0 is a made monic."""
-    while b:
-        a, b = b, _zdivmod_mod(a, b, p)[1]
-    return _gf_monic(a, p) if a else a
-
-
-def _gf_xgcd(a, b, p):
-    """(g, s, t) with s*a + t*b = g, the monic gcd in F_p[t]; b nonzero."""
-    a, b = _zmod(a, p), _zmod(b, p)
-    sa, sb = [1], []
-    ta, tb = [], [1]
-    while b:
-        q, r = _zdivmod_mod(a, b, p)
-        a, b = b, r
-        sa, sb = sb, _zmod(_zsub(sa, _zmul(q, sb)), p)
-        ta, tb = tb, _zmod(_zsub(ta, _zmul(q, tb)), p)
-    inv = pow(a[-1], -1, p)
-    return tuple([c * inv % p for c in v] for v in (a, sa, ta))
-
-
-def _gf_powmod(a, n, f, p):
-    """a**n modulo f in F_p[t]; f has degree >= 1."""
-    result = [1]
-    base = _zdivmod_mod(a, f, p)[1]
-    while n:
-        if n & 1:
-            result = _zdivmod_mod(_zmul(result, base), f, p)[1]
-        n >>= 1
-        if n:
-            base = _zdivmod_mod(_zmul(base, base), f, p)[1]
-    return result
-
-
-def _gf_derivative(a, p):
-    return _zmod([i * c for i, c in enumerate(a)][1:], p)
-
-
-# ---------------------------------------------------------------------------
 # Cantor-Zassenhaus (MCA 14.2-14.3; Cantor & Zassenhaus 1981), written once
 # over a ring R of polynomials over F_q in one of two representations
 
 
 class _IntListRing:
-    """F_p[t] on the integer lists above, p an odd prime; for _zassenhaus."""
+    """F_p[t] on integer lists (lowest degree first, entries in [0, p)), p an
+    odd prime; for _zassenhaus, its prime search and Hensel lifting."""
 
     one = (1,)
     gen = (0, 1)
@@ -270,8 +153,15 @@ class _IntListRing:
     def deg(self, a):
         return len(a) - 1
 
+    def reduce(self, a):
+        """Representatives in [0, p)."""
+        return _ztrim([c % self.q for c in a])
+
     def sub(self, a, b):
-        return _zmod(_zsub(a, b), self.q)
+        return self.reduce(_zsub(a, b))
+
+    def mul(self, a, b):
+        return self.reduce(_zmul(a, b))
 
     def rem(self, a, b):
         return _zdivmod_mod(a, b, self.q)[1]
@@ -279,11 +169,31 @@ class _IntListRing:
     def quo(self, a, b):
         return _zdivmod_mod(a, b, self.q)[0]
 
-    def gcd(self, a, b):
-        return _gf_gcd(a, b, self.q)
+    def monic(self, a):
+        inv = pow(a[-1], -1, self.q)
+        return [c * inv % self.q for c in a]
 
-    def powmod(self, a, n, f):
-        return _gf_powmod(a, n, f, self.q)
+    def derivative(self, a):
+        return self.reduce([i * c for i, c in enumerate(a)][1:])
+
+    def gcd(self, a, b):
+        """Monic gcd; the gcd of a and 0 is a made monic."""
+        while b:
+            a, b = b, self.rem(a, b)
+        return self.monic(a) if a else a
+
+    def xgcd(self, a, b):
+        """(g, s, t) with s*a + t*b = g, the monic gcd; b nonzero."""
+        a, b = self.reduce(a), self.reduce(b)
+        sa, sb = [1], []
+        ta, tb = [], [1]
+        while b:
+            q, r = _zdivmod_mod(a, b, self.q)
+            a, b = b, r
+            sa, sb = sb, self.sub(sa, self.mul(q, sb))
+            ta, tb = tb, self.sub(ta, self.mul(q, tb))
+        inv = pow(a[-1], -1, self.q)
+        return tuple([c * inv % self.q for c in v] for v in (a, sa, ta))
 
     def random(self, n, rng):
         return _ztrim([rng.randrange(self.q) for _ in range(n)])
@@ -314,24 +224,23 @@ class _PolyRing:
     def gcd(self, a, b):
         return poly_gcd(a, b)
 
-    def powmod(self, a, n, m):
-        result = self.one % m
-        base = a % m
-        while n:
-            if n & 1:
-                result = result * base % m
-            base = base * base % m
-            n >>= 1
-        return result
-
     def random(self, n, rng):
-        """n coefficients, each the randrange(q)-th of field.elements(),
-        which is listed once per field."""
+        """n coefficients, each the randrange(q)-th of field.elements()."""
         field = self.field
-        elems = getattr(field, "_elem_cache", None)
-        if elems is None:
-            elems = field._elem_cache = list(field.elements())
-        return Poly(field, [elems[rng.randrange(self.q)] for _ in range(n)])
+        return Poly(field, [field.element_at(rng.randrange(self.q)) for _ in range(n)])
+
+
+def _powmod(R, a, n, f):
+    """a**n modulo f in R, by square-and-multiply; f has degree >= 1."""
+    result = R.one
+    base = R.rem(a, f)
+    while n:
+        if n & 1:
+            result = R.rem(R.mul(result, base), f)
+        n >>= 1
+        if n:
+            base = R.rem(R.mul(base, base), f)
+    return result
 
 
 def _distinct_degree(R, f):
@@ -341,7 +250,7 @@ def _distinct_degree(R, f):
     i = 1
     cur = f
     while R.deg(cur) >= 2 * i:
-        h = R.powmod(h, R.q, cur)
+        h = _powmod(R, h, R.q, cur)
         g = R.gcd(cur, R.sub(h, R.gen))
         if R.deg(g) >= 1:
             out.append((g, i))
@@ -380,7 +289,7 @@ def _equal_degree(R, f, d, rng):
                 acc = R.rem(R.mul(acc, acc), f)
                 total = R.sub(total, acc)
         else:
-            total = R.sub(R.powmod(r, (R.q**d - 1) // 2, f), R.one)
+            total = R.sub(_powmod(R, r, (R.q**d - 1) // 2, f), R.one)
         g = R.gcd(f, total)
         if 0 < R.deg(g) < n:
             break
@@ -503,13 +412,14 @@ def _prime_search(f, squarefree):
             break
         if b % p == 0:
             continue
-        fp = _gf_monic(_zmod(f, p), p)
-        if len(_gf_gcd(fp, _gf_derivative(fp, p), p)) != 1:
+        R = _IntListRing(p)
+        fp = R.monic(R.reduce(f))
+        if len(R.gcd(fp, R.derivative(fp))) != 1:
             misses += 1
             if best is None and not squarefree and misses == _SQUAREFREE_TRIES:
                 return None
             continue
-        parts = _distinct_degree(_IntListRing(p), fp)
+        parts = _distinct_degree(R, fp)
         count = sum((len(g) - 1) // d for g, d in parts)
         if best is None or count < best[0]:
             best = (count, p, parts)
@@ -659,7 +569,8 @@ def _factor_q_monic(f):
     Rational roots are split off first.  A cofactor proved free of them is
     irreducible if its degree is 2 or 3; any other goes to _zassenhaus,
     whose prime search proves most cofactors squarefree; only when it
-    cannot is the cofactor split by the squarefree decomposition over Q.
+    cannot is a quadratic decided by its discriminant, and any other
+    cofactor split by the squarefree decomposition over Q.
     """
     pieces, g, certain = _rational_roots(f)
     if len(g) == 1:
@@ -668,6 +579,10 @@ def _factor_q_monic(f):
         parts = [g]
     else:
         parts = _zassenhaus(g)
+    if parts is None and len(g) == 3:
+        # only a square discriminant gives a quadratic a repeated factor
+        disc = g[1] ** 2 - 4 * g[0] * g[2]
+        parts = [g] if rational_sqrt(disc) is None else None
     if parts is None:
         pieces += [
             (part, mult)

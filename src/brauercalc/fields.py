@@ -9,7 +9,8 @@ finite extension towers such as F_9 = F_3[u]/(u^2+1) and residue fields
 Q[t]/(pi) of closed points over the rationals, so norm and inverse code is
 written once.
 
-Finite fields expose deterministic element enumeration, a fixed
+Finite fields expose deterministic element enumeration, and its i-th
+element by element_at(i) so that no field is ever listed; a fixed
 multiplicative generator, discrete logs against it, and p-th power tests;
 none of that exists for quotients over QQ, which instead get resultant norms.
 The integer primality test and factorizer live here too, because building
@@ -21,7 +22,6 @@ test from factoring at call time, since factoring imports this module.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -170,8 +170,11 @@ class PrimeField:
         return pow(a, self.p - 2, self.p)
 
     def elements(self):
-        for v in range(self.p):
-            yield FFElem(self, v)
+        return map(self.element_at, range(self.p))
+
+    def element_at(self, i):
+        """The i-th element of elements(), without listing them."""
+        return FFElem(self, i)
 
     def element_key(self, e):
         return e.rep
@@ -324,9 +327,16 @@ class QuotientField:
         return resultant(self.modulus, p)
 
     def elements(self):
-        base_elems = list(self.base.elements())
-        for combo in itertools.product(base_elems, repeat=self.degree):
-            yield FFElem(self, tuple(combo))
+        return map(self.element_at, range(self.order))
+
+    def element_at(self, i):
+        """The i-th element of elements(): the base-|base| digits of i,
+        constant coefficient most significant, without listing them."""
+        rep = []
+        for _ in range(self.degree):
+            i, r = divmod(i, self.base.order)
+            rep.append(self.base.element_at(r))
+        return FFElem(self, tuple(reversed(rep)))
 
     def element_key(self, e):
         return tuple(self.base.element_key(c) for c in e.rep)
@@ -498,8 +508,15 @@ def factor_int(n):
     return PrimePowerFactorization(unit, factors)
 
 
+# Nonzero elements multiplicative_generator tries before ScopeError.  The
+# tests and the bench need at most 20 (F_169), but modulo t^2 + 1 no k*t
+# generates, as (k*t)^2 is in F_p; 2^10 tries in F_{(2^31-1)^2} take 1 s.
+GENERATOR_TRIES = 2**10
+
+
 def multiplicative_generator(field):
-    """A fixed generator of the unit group of a finite field."""
+    """A fixed generator of the unit group of a finite field, the first in
+    elements() order."""
     if not field.finite:
         raise TypeError("generators only exist for finite fields")
     cached = getattr(field, "_generator", None)
@@ -507,13 +524,12 @@ def multiplicative_generator(field):
         return cached
     n = field.order - 1
     prime_divs = [q for q, _ in factor_int(n)]
-    for e in field.elements():
-        if e.is_zero:
-            continue
+    for i in range(1, min(field.order, GENERATOR_TRIES + 1)):
+        e = field.element_at(i)
         if all(e ** (n // q) != field.one for q in prime_divs):
             field._generator = e
             return e
-    raise AssertionError("no generator found; field arithmetic is broken")
+    raise ScopeError(f"no generator of GF({field.order}) in {GENERATOR_TRIES} tries")
 
 
 def discrete_log(e):
@@ -576,10 +592,11 @@ def GF(q):
     from .factoring import is_irreducible
 
     base = GF(p)
-    # deterministic search for a monic irreducible of degree k; a zero
-    # constant term makes t a factor, so those tails are skipped
-    for tail in itertools.product(range(1, p), *[range(p)] * (k - 1)):
-        f = Poly.from_ints(base, list(tail) + [1])
+    # the first monic irreducible of degree k, tails (c_0, ..., c_{k-1}) in
+    # lexicographic order read off the digits of i; c_0 = 0 makes t a factor
+    for i in range(p ** (k - 1), p**k):
+        tail = [i // p ** (k - 1 - j) % p for j in range(k)]
+        f = Poly.from_ints(base, tail + [1])
         if is_irreducible(f):
             return QuotientField(base, f)
     raise AssertionError("no irreducible polynomial found")

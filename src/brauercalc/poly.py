@@ -17,12 +17,17 @@ tuple whose leading entry is positive.  At a rational point c = a/b in
 lowest terms, b^n f(a/b) is an integer found by homogeneous Horner, and
 when it vanishes, b*t - a divides ints exactly in Z[t] (Gauss's lemma,
 MCA 6.2), so valuations and unit parts there need no Fraction division.
+
+Integer coefficient lists (lowest degree first) have every primitive
+here: _int_list_* for the integer form, _z* for Hensel lifting.  F_p[t]
+on such lists goes only through factoring._IntListRing.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 
 class RationalField:
@@ -285,6 +290,56 @@ def _int_list_div_linear(a, num, den):
     for i in range(len(a) - 1, 0, -1):
         q[i - 1] = (a[i] + num * q[i]) // den
     return q[:-1]
+
+
+def _ztrim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _ztrunc(a, m):
+    """Symmetric representatives modulo m."""
+    half = m // 2
+    return _ztrim([r - m if r > half else r for r in (c % m for c in a)])
+
+
+def _zadd(a, b):
+    return _ztrim([x + y for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _zsub(a, b):
+    return _ztrim([x - y for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _zmul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ztrim(out)
+
+
+def _zdivmod_mod(a, b, m):
+    """Division with remainder in (Z/m)[t]; lc(b) must be invertible mod m."""
+    rem = _ztrim([c % m for c in a])
+    b = _ztrim([c % m for c in b])
+    inv = pow(b[-1], -1, m)
+    db = len(b) - 1
+    quo = [0] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if not c:
+            continue
+        q = c * inv % m
+        quo[i - db] = q
+        for j, y in enumerate(b):
+            rem[i - db + j] = (rem[i - db + j] - q * y) % m
+    return _ztrim(quo), _ztrim(rem)
 
 
 def poly_gcd(f, g):

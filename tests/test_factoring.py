@@ -300,13 +300,48 @@ def test_int_list_kernel_matches_poly_routines():
         for _ in range(12):
             a = [rng.randrange(p) for _ in range(rng.randint(1, 6))] + [1]
             b = [rng.randrange(p) for _ in range(rng.randint(0, 6))] + [1]
-            g, s, t = factoring._gf_xgcd(a, b, p)
+            g, s, t = factoring._IntListRing(p).xgcd(a, b)
             A, B = Poly.from_ints(field, a), Poly.from_ints(field, b)
             assert g == _int_list(poly_gcd(A, B))
             combo = Poly.from_ints(field, s) * A + Poly.from_ints(field, t) * B
             assert _int_list(combo) == g
             if g == [1]:
                 assert len(s) < len(b) and len(t) < len(a)
+
+
+def test_int_list_ring_methods_match_poly_routines():
+    # every F_p[t] operation on integer lists is an _IntListRing method;
+    # each against Poly over GF(p), with inputs in symmetric representation
+    # as Hensel lifting passes them, and the one _powmod on both rings
+    rng = random.Random(30)
+    for p in (3, 7, 13):
+        field = GF(p)
+        R, RF = factoring._IntListRing(p), factoring._PolyRing(field)
+        for _ in range(20):
+            a = factoring._ztrunc(
+                [rng.randrange(p) for _ in range(rng.randint(0, 6))] + [1], p
+            )
+            b = factoring._ztrunc(
+                [rng.randrange(p) for _ in range(rng.randint(0, 6))]
+                + [rng.randrange(1, p)],
+                p,
+            )
+            A, B = Poly.from_ints(field, a), Poly.from_ints(field, b)
+            assert R.reduce(a) == _int_list(A)
+            assert R.mul(a, b) == _int_list(A * B)
+            assert R.sub(a, b) == _int_list(A - B)
+            assert R.monic(b) == _int_list(B.monic())
+            assert R.derivative(a) == _int_list(A.derivative())
+            g, s, t = R.xgcd(a, b)
+            assert g == _int_list(poly_gcd(A, B)) == R.gcd(R.reduce(a), R.reduce(b))
+            combo = Poly.from_ints(field, s) * A + Poly.from_ints(field, t) * B
+            assert _int_list(combo) == g
+            f = [rng.randrange(p) for _ in range(rng.randint(1, 5))] + [1]
+            F = Poly.from_ints(field, f)
+            n = rng.randrange(0, 40)
+            want = A**n % F
+            assert factoring._powmod(RF, A, n, F) == want, (p, a, n, f)
+            assert list(factoring._powmod(R, a, n, f)) == _int_list(want), (p, a, n, f)
 
 
 def test_factor_over_Q_caches_by_the_integer_form():
@@ -507,6 +542,24 @@ def test_squarefree_decomposition_only_when_the_prime_search_cannot_prove(
         ([2, 0, 1], 1),
     ]
     assert len(calls) == 1
+
+
+def test_quadratic_cofactor_is_decided_by_its_discriminant(monkeypatch):
+    # 2t^2 - 9t - 3 and 8t^2 + 3t - 3 (discriminant 105) see a double root
+    # mod 3, 5 and 7, so no prime proves them squarefree; a discriminant
+    # that is no square proves them irreducible without the decomposition
+    want = {}
+    for coeffs in ([-3, -9, 2], [-3, 3, 8]):
+        want[tuple(coeffs)] = factor_over_Q_by_zassenhaus(Poly.from_ints(QQ, coeffs))
+
+    def refuse(f):
+        raise AssertionError(f"squarefree decomposition of {f}")
+
+    monkeypatch.setattr(factoring, "squarefree_decomposition", refuse)
+    factoring._factor_q_monic.cache_clear()
+    for coeffs, factors in want.items():
+        f = Poly.from_ints(QQ, list(coeffs))
+        assert list(factor_over_Q(f).factors) == factors == [(f.monic(), 1)]
 
 
 def test_rational_linear_factors_need_no_zassenhaus(monkeypatch):

@@ -1,5 +1,6 @@
 """Finite fields, quotient fields, and multiplicative structure."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -61,6 +62,20 @@ def test_gf_modulus_and_generator_are_pinned():
         field = GF(q)
         assert [c.rep for c in field.modulus.coeffs] == modulus, q
         assert [c.rep for c in multiplicative_generator(field).rep] == gen, q
+
+
+def test_element_at_follows_elements_order():
+    # element_at(i) is the i-th of elements() without listing the field, and
+    # elements() keeps its order: base digits, constant coefficient first
+    for q in (7, 8, 9, 49):
+        field = GF(q)
+        elems = list(field.elements())
+        assert len(elems) == q
+        assert all(field.element_at(i) == e for i, e in enumerate(elems)), q
+        if q > 7:
+            base = list(field.base.elements())
+            tails = itertools.product(base, repeat=field.degree)
+            assert [e.rep for e in elems] == list(tails), q
 
 
 def test_gf_is_cached():

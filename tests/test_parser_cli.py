@@ -9,6 +9,7 @@ point end to end.
 
 import json
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -243,6 +244,35 @@ def test_cli_subprocess_entrypoint():
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["outcome"]["reciprocity"] is True
+
+
+# Bases of up to 2^62 elements that once listed a field: Cantor-Zassenhaus
+# draws, QuotientField.elements(), GF's modulus search and the generator
+# walk.  Each must answer or exit 3, in a child whose address space is
+# capped so that listing the field fails at once.
+LARGE_FIELD_CALLS = {
+    "cubic_over_2^31-1": "ram (t^3-6*t^2+11*t-6,t+5) --base fq:2147483647 --p 3",
+    "t^2+1_over_2^31-1": "ram (t^2+1,t+2) --base fq:2147483647 --p 3",
+    "ram_over_(2^31-1)^2": "ram (t,t+1) --base fq:4611686014132420609",
+    "cubic_over_7^12": "ram (t^3+t+1,t+1) --base fq:13841287201 --p 3",
+    "enumerate_over_2^31-1": "enumerate (t^2+1,t+2) --base fq:2147483647 --p 3",
+}
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_FIELD_CALLS))
+def test_large_finite_fields_are_never_listed(name):
+    proc = subprocess.run(
+        [sys.executable, "-m", "brauercalc.cli", *LARGE_FIELD_CALLS[name].split()],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode in (0, 3), proc.stdout + proc.stderr
 
 
 def test_cli_parser_is_reused_after_usage_errors(capsys):

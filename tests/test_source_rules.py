@@ -12,7 +12,10 @@ Every name a library module imports is read in that module, so an
 import goes with its last use; __init__.py only re-exports and is exempt.
 Every module-level ALL_CAPS constant that a function raising ScopeError
 reads is named in README as module.NAME, so each scope budget or limit
-that can end a request with exit 3 is documented.
+that can end a request with exit 3 is documented.  No call hands a
+field's elements(), or a range over a field size, to list, tuple or
+itertools.product, which would build one object per element of the
+field; a field hands out its i-th element with element_at(i).
 """
 
 import ast
@@ -170,3 +173,57 @@ def test_scope_budgets_are_documented():
                 if documented not in readme:
                     missing.append(f"{documented} (read by {func.name})")
     assert not missing, f"scope limits missing from README: {sorted(set(missing))}"
+
+
+# Names that hold a field size in the library: an order, a characteristic,
+# or the p and q of F_p and F_q.
+_FIELD_SIZES = {"order", "char", "p", "q"}
+# (module, function) where such a name is no field size: in
+# enumerate_candidates p is the exponent of the class, and the
+# (p - 1)^r tuples are checked against MAX_CANDIDATE_BOUND first.
+_NOT_FIELD_SIZES = {("distinguish.py", "enumerate_candidates")}
+
+
+def _lists_a_field(arg):
+    for node in ast.walk(arg):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "elements":
+            return True
+        if isinstance(node.func, ast.Name) and node.func.id == "range":
+            bounds = {n for a in node.args for n in _referenced_names(a)}
+            if bounds & _FIELD_SIZES:
+                return True
+    return False
+
+
+def _is_materializing(func):
+    if isinstance(func, ast.Name):
+        return func.id in ("list", "tuple", "product")
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr == "product"
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "itertools"
+    )
+
+
+def test_no_field_is_listed():
+    hits = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        exempt = {
+            id(n)
+            for func in tree.body
+            if (path.name, getattr(func, "name", None)) in _NOT_FIELD_SIZES
+            for n in ast.walk(func)
+        }
+        hits.extend(
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and id(node) not in exempt
+            and _is_materializing(node.func)
+            and any(_lists_a_field(a) for a in node.args)
+        )
+    assert not hits, f"calls that list a finite field: {hits}"
