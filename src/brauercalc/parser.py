@@ -13,6 +13,11 @@ is read, before anything is multiplied out or factored.  So does an
 integer literal too long for Python's int() (more than 4300 digits by
 default).
 
+Every Product is a monomial c*t^k, so it is read as an integer (reduced
+mod the characteristic over F_q) and an exponent; the monomials of a
+Poly are summed by exponent into one coefficient list.  A product that
+is zero in the field has degree -1 in the degree check, as a Poly would.
+
 Whitespace is insignificant.  The single "/" splits a Rat into its
 numerator and denominator polynomials, so "t+2/2" reads as (t+2)/2 and
 no parentheses occur inside a Rat.  Fractional coefficients are written
@@ -28,12 +33,11 @@ display form that the parser does not accept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .brauer import BrauerClass
 from .errors import ParseError, ScopeError
-from .poly import Poly, QQ, RationalFunction, poly_str, ratfunc_str
+from .poly import Poly, QQ, RationalFunction, poly_str, ratfunc_str, terms_str
 
 # Every entry is factored over the base (over Q by Zassenhaus, whose
 # recombination can grow exponentially with the degree), so the degree of
@@ -149,37 +153,41 @@ class _ClassParser:
         return RationalFunction(num, den) if den is not None else RationalFunction(num)
 
     def poly(self):
-        negate = False
-        if self.peek()[0] == "-":
+        """One Poly from the monomials c*t^k, summed by exponent."""
+        sign = -1 if self.peek()[0] == "-" else 1
+        if sign < 0:
             self.advance()
-            negate = True
-        acc = self.product()
-        if negate:
-            acc = -acc
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            nxt = self.product()
-            acc = acc + nxt if op == "+" else acc - nxt
-        return acc
+        terms = {}
+        while True:
+            c, k = self.product()
+            if c:
+                terms[k] = terms.get(k, 0) + sign * c
+            if self.peek()[0] not in ("+", "-"):
+                break
+            sign = 1 if self.advance()[0] == "+" else -1
+        field = self.field
+        top = max(terms, default=-1)
+        return Poly(field, [field.from_int(terms.get(k, 0)) for k in range(top + 1)])
 
     def product(self):
-        acc = self.factor()
+        """(c, k) for the monomial c*t^k, with c reduced mod the characteristic;
+        c = 0 has degree -1, so degree checks see what Poly arithmetic would."""
+        c, k = self.factor()
         while True:
             kind, _, off = self.peek()
             if kind == "*":
                 self.advance()
             elif kind != "var":
-                return acc
-            nxt = self.factor()
-            _check_degree(acc.degree + nxt.degree, off)
-            acc = acc * nxt
+                return c, k
+            c2, k2 = self.factor()
+            _check_degree((k if c else -1) + (k2 if c2 else -1), off)
+            c, k = self.reduce(c * c2), k + k2
 
     def factor(self):
         kind, value, off = self.peek()
         if kind == "int":
             self.advance()
-            c = self.field.from_int(_int_literal(value, off))
-            return Poly.constant(self.field, c)
+            return self.reduce(_int_literal(value, off)), 0
         if kind == "var":
             self.advance()
             if self.peek()[0] == "^":
@@ -187,9 +195,12 @@ class _ClassParser:
                 etok = self.expect("int", "an integer exponent")
                 e = _int_literal(etok[1], etok[2])
                 _check_degree(e, etok[2])
-                return Poly.gen(self.field) ** e
-            return Poly.gen(self.field)
+                return 1, e
+            return 1, 1
         raise ParseError(off, "expected a number or t")
+
+    def reduce(self, n):
+        return n % self.field.char if self.field.char else n
 
 
 @dataclass(frozen=True)
@@ -231,45 +242,25 @@ def parse_constant(text, field, what):
 # ---------------------------------------------------------------------------
 # printing
 
-def _plain_int(field, c):
-    """Whether the coefficient has an integer literal in the grammar."""
-    if field is QQ:
-        return c.denominator == 1
-    rep = c.rep
-    if isinstance(rep, int):
-        return True
-    # element of a nonprime field: a literal exists only in the prime subfield
-    if all(x == field.base.zero for x in rep[1:]):
-        return _plain_int(field.base, rep[0])
-    return False
-
-
-def _printable_poly(f):
-    return all(_plain_int(f.field, c) for c in f.coeffs)
-
-
 def ratfunc_text(r):
     """Grammar form of a rational function, or a display fallback.
 
     Over Q the coefficient denominators are cleared into the single
-    division allowed by the grammar; the fallback (bracketed residue
-    representations over nonprime fields) is not re-parseable.
+    division allowed by the grammar, and the integer coefficients are
+    printed as they are; the fallback (bracketed residue representations
+    over nonprime fields) is not re-parseable.
     """
     if r.field is QQ:
-        scale = lcm(
-            *(c.denominator for c in r.num.coeffs),
-            *(c.denominator for c in r.den.coeffs),
+        scale = lcm(*(c.denominator for c in r.num.coeffs + r.den.coeffs))
+        num_s, den_s = (
+            terms_str([str(c.numerator * (scale // c.denominator)) for c in f.coeffs])
+            for f in (r.num, r.den)
         )
-        num = r.num * Fraction(scale)
-        den = r.den * Fraction(scale)
     else:
-        num, den = r.num, r.den
-    if not (_printable_poly(num) and _printable_poly(den)):
-        return ratfunc_str(r)
-    num_s = poly_str(num)
-    if den.degree == 0 and den.lc == r.field.one:
-        return num_s
-    return f"{num_s}/{poly_str(den)}"
+        num_s, den_s = poly_str(r.num), poly_str(r.den)
+        if "[" in num_s + den_s:  # a coefficient outside the prime subfield
+            return ratfunc_str(r)
+    return num_s if den_s == "1" else f"{num_s}/{den_s}"
 
 
 def class_text(cls):

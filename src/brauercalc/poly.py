@@ -10,6 +10,11 @@ this module ever rounds.
 
 Rational functions are stored as coprime numerator/denominator pairs
 with a monic denominator, which makes the representation canonical.
+The parser builds each side as one Poly from its monomials c*t^k.  No
+gcd is taken when a side is constant, and over QQ none when the integer
+forms are coprime modulo a prime dividing neither leading entry: by
+Gauss's lemma a common factor over Q is a primitive integer polynomial
+whose reduction keeps its degree and divides both (MCA 6.2).
 
 A polynomial over QQ also has an integer form, computed on first use and
 kept on the polynomial: f == content * ints with ints a primitive integer
@@ -149,6 +154,9 @@ class Poly:
         return self._wrap(other) - self
 
     def __mul__(self, other):
+        if not isinstance(other, Poly):
+            c = self.field.coerce(other)
+            return Poly(self.field, [a * c for a in self.coeffs])
         other = self._wrap(other)
         if self.is_zero or other.is_zero:
             return Poly.zero(self.field)
@@ -220,8 +228,7 @@ class Poly:
     def monic(self):
         if self.is_zero:
             return self
-        inv = self.field.one / self.lc
-        return Poly(self.field, [c * inv for c in self.coeffs])
+        return self * (self.field.one / self.lc)
 
     def derivative(self):
         field = self.field
@@ -342,6 +349,24 @@ def _zdivmod_mod(a, b, m):
     return _ztrim(quo), _ztrim(rem)
 
 
+# The prime of the coprimality certificate: large enough that it almost
+# never divides a leading coefficient or a resultant met in practice.
+_COPRIME_PRIME = 2**31 - 1
+
+
+def _coprime_mod_prime(f, g):
+    """Whether f, g over QQ have integer forms coprime mod _COPRIME_PRIME,
+    which divides neither leading entry: then they are coprime over Q."""
+    if f.field is not QQ:
+        return False
+    a, b, m = f.int_form()[1], g.int_form()[1], _COPRIME_PRIME
+    if a[-1] % m == 0 or b[-1] % m == 0:
+        return False
+    while len(b) > 1:
+        a, b = b, _zdivmod_mod(a, b, m)[1]
+    return len(b) == 1
+
+
 def poly_gcd(f, g):
     """Monic gcd; poly_gcd(0, 0) is 0."""
     a, b = f, g
@@ -366,8 +391,7 @@ def poly_xgcd(f, g):
     if a.is_zero:
         return a, sa, ta
     inv = field.one / a.lc
-    scale = Poly.constant(field, inv)
-    return a.monic(), sa * scale, ta * scale
+    return a.monic(), sa * inv, ta * inv
 
 
 def resultant(f, g):
@@ -452,10 +476,11 @@ class RationalFunction:
         if num.is_zero:
             den = Poly.one(num.field)
         else:
-            g = poly_gcd(num, den)
-            if g.degree >= 1:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
+            if not (num.is_constant or den.is_constant or _coprime_mod_prime(num, den)):
+                g = poly_gcd(num, den)
+                if g.degree >= 1:
+                    num = num.exact_div(g)
+                    den = den.exact_div(g)
             inv = num.field.one / den.lc
             if den.lc != num.field.one:
                 num = num * inv
@@ -584,8 +609,7 @@ def _poly_at_ratfunc(p, r):
     return acc
 
 
-def _coeff_str(c, field):
-    s = field.format_element(c)
+def _coeff_str(s):
     if any(op in s[1:] for op in "+-") or "/" in s:
         return f"({s})", False
     if s.startswith("-"):
@@ -595,15 +619,17 @@ def _coeff_str(c, field):
 
 def poly_str(f, var="t"):
     """Render with descending powers, explicit '*', and '^' for powers."""
-    if f.is_zero:
-        return "0"
-    field = f.field
+    return terms_str(map(f.field.format_element, f.coeffs), var)
+
+
+def terms_str(texts, var="t"):
+    """poly_str from the coefficients' texts, lowest degree first; a
+    coefficient that prints as "0" is zero in every field here."""
     parts = []
-    for i in range(f.degree, -1, -1):
-        c = f.coeff(i)
-        if c == field.zero:
+    for i, s in reversed(list(enumerate(texts))):
+        if s == "0":
             continue
-        body, negative = _coeff_str(c, field)
+        body, negative = _coeff_str(s)
         if i == 0:
             term = body
         else:
@@ -613,7 +639,7 @@ def poly_str(f, var="t"):
             parts.append(f"-{term}" if negative else term)
         else:
             parts.append(f"- {term}" if negative else f"+ {term}")
-    return " ".join(parts)
+    return " ".join(parts) or "0"
 
 
 def ratfunc_str(h, var="t"):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import ScopeError
 from .factoring import factor_over_Q, squarefree_kernel
@@ -87,16 +88,23 @@ def _nf_norm_poly(kappa, e, lam):
     return lagrange_interpolate(QQ, list(zip(xs, ys)))
 
 
+# Shifts the sweep in _split_norm tries.  The 2d roots of N_lam are
+# lam*theta_i +- sqrt(e(theta_i)) over the conjugates theta_i; two with
+# i != j meet for at most one lam, and two with i == j never, so at most
+# 2d(d - 1) shifts fail.  A field that needs more is out of scope.
+_NORM_SHIFTS = 64
+
+
 def _split_norm(kappa, e):
     """(lam, factors): the first shift in the sweep whose norm polynomial
-    is squarefree, and that polynomial's monic irreducible factors over Q.
-
-    Only finitely many shifts give a repeated root, so the sweep ends.
-    """
-    for lam in sweep_values(Q_BASE):
+    is squarefree, and that polynomial's monic irreducible factors over Q."""
+    for lam in islice(sweep_values(Q_BASE), _NORM_SHIFTS):
         norm_poly = _nf_norm_poly(kappa, e, lam)
         if poly_gcd(norm_poly, norm_poly.derivative()).degree == 0:
             return lam, factor_over_Q(norm_poly).factors
+    raise ScopeError(
+        f"no squarefree norm polynomial among the first {_NORM_SHIFTS} shifts"
+    )
 
 
 def _quadratic_sqrt(kappa, e):

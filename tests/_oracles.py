@@ -11,7 +11,8 @@ nothing remembered on the symbols and nothing skipped, and the comparison
 record by building the difference c1 - c2.  The factorization over Q is
 recomputed without the rational-root pass: Zassenhaus on the whole
 polynomial, after the squarefree decomposition when its prime search
-cannot prove f squarefree.
+cannot prove f squarefree.  Class text is re-read by Poly arithmetic:
+every literal and every t^e becomes a Poly, multiplied and added as read.
 """
 
 import itertools
@@ -23,11 +24,62 @@ from brauercalc.brauer import (
     regular_rational_points,
     specialize,
 )
+from brauercalc.errors import ParseError
 from brauercalc.factoring import _zassenhaus, factor_poly, squarefree_decomposition
 from brauercalc.hilbert import local_invariants, relevant_places
+from brauercalc.parser import _ClassParser, _check_degree, _int_literal
 from brauercalc.points import ClosedPoint, residue_field, sorted_points, unit_part_at
 from brauercalc.poly import Poly, QQ
 from brauercalc.residues import ResidueClass, is_pth_power
+
+
+class PolyArithmeticParser(_ClassParser):
+    """The class grammar read with Poly +, * and **: the reference for the
+    library's monomial parser, with the same degree checks at the same
+    offsets."""
+
+    def poly(self):
+        negate = False
+        if self.peek()[0] == "-":
+            self.advance()
+            negate = True
+        acc = self.product()
+        if negate:
+            acc = -acc
+        while self.peek()[0] in ("+", "-"):
+            op = self.advance()[0]
+            nxt = self.product()
+            acc = acc + nxt if op == "+" else acc - nxt
+        return acc
+
+    def product(self):
+        acc = self.factor()
+        while True:
+            kind, _, off = self.peek()
+            if kind == "*":
+                self.advance()
+            elif kind != "var":
+                return acc
+            nxt = self.factor()
+            _check_degree(acc.degree + nxt.degree, off)
+            acc = acc * nxt
+
+    def factor(self):
+        kind, value, off = self.peek()
+        if kind == "int":
+            self.advance()
+            c = self.field.from_int(_int_literal(value, off))
+            return Poly.constant(self.field, c)
+        if kind == "var":
+            self.advance()
+            if self.peek()[0] == "^":
+                self.advance()
+                etok = self.expect("int", "an integer exponent")
+                e = _int_literal(etok[1], etok[2])
+                _check_degree(e, etok[2])
+                return Poly.gen(self.field) ** e
+            return Poly.gen(self.field)
+        raise ParseError(off, "expected a number or t")
 
 
 def candidate_points(cls):

@@ -25,6 +25,7 @@ from brauercalc.errors import ParseError, ScopeError
 from brauercalc.fields import GF, multiplicative_generator
 from brauercalc.parser import (
     MAX_ENTRY_DEGREE,
+    _ClassParser,
     class_text,
     parse_class,
     parse_ratfunc,
@@ -35,6 +36,7 @@ from brauercalc.points import ClosedPoint, FiniteBase, Q_BASE
 from brauercalc.poly import Poly, QQ, RationalFunction
 
 from _gen import F7, random_class
+from _oracles import PolyArithmeticParser
 
 
 def q_poly(*coeffs):
@@ -300,6 +302,86 @@ def test_entry_degree_is_bounded():
     for text in (f"(t^{bound + 1}, t)", f"(t^{bound}*t, t)", f"(1/t^{bound}t, t)"):
         with pytest.raises(ScopeError):
             parse_class(text, Q_BASE, 2)
+
+
+def test_zero_monomials_follow_poly_arithmetic():
+    # a zero product has degree -1 however many powers of t it multiplies,
+    # and is dropped before any coefficient list is made
+    expr = parse_class("(0*t^32*t^32 + t, t)", Q_BASE, 2)
+    assert expr.cls.pairs() == parse_class("(t, t)", Q_BASE, 2).cls.pairs()
+    many = "*".join(["0"] + ["t^32"] * 2000)
+    assert parse_ratfunc(f"{many} + 1", QQ) == RationalFunction.constant(QQ, 1)
+    # the degree check comes before the zero factor is read
+    with pytest.raises(ScopeError, match="^offset 4: degree 40 "):
+        parse_ratfunc("t^20*t^20*0", QQ)
+    # 7 vanishes mod 7, so the product is zero there and of degree 35 over Q
+    assert parse_ratfunc("7*t^30*t^5 + t", GF(7)) == parse_ratfunc("t", GF(7))
+    with pytest.raises(ScopeError, match="^offset 6: degree 35 "):
+        parse_ratfunc("7*t^30*t^5 + t", QQ)
+
+
+def test_long_literals_stay_small_over_a_finite_field():
+    literal = "9" * 4000
+    start = time.perf_counter()
+    r = parse_ratfunc("*".join([literal] * 200) + "*t", GF(7))
+    assert time.perf_counter() - start < 1.0
+    assert r == RationalFunction(Poly.from_ints(GF(7), [0, pow(int(literal), 200, 7)]))
+
+
+def _grammar_text(rng, p):
+    """A class text over literals that vanish mod p or not, t^0, implicit
+    products and repeated exponents; about one in six is broken."""
+
+    def factor():
+        r = rng.random()
+        if r < 0.4:
+            return str(rng.choice([0, 1, 2, p, 3 * p, rng.randint(0, 60), 10 ** 25 * p]))
+        if r < 0.6:
+            return "t"
+        return f"t^{rng.choice([0, 0, 1, 2, 5, 16, 16, 20, 32, 33])}"
+
+    def product():
+        out = factor()
+        for _ in range(rng.randint(0, 3)):
+            nxt = factor()
+            out += (rng.choice(["*", " * ", ""]) if nxt[0] == "t" else "*") + nxt
+        return out
+
+    def poly():
+        out = rng.choice(["", "-"]) + product()
+        for _ in range(rng.randint(0, 3)):
+            out += rng.choice(["+", " - ", "-"]) + product()
+        return out
+
+    def rat():
+        return poly() if rng.random() < 0.6 else f"{poly()}/{poly()}"
+
+    text = " + ".join(f"({rat()}, {rat()})" for _ in range(rng.randint(1, 2)))
+    if rng.random() < 0.15:
+        i = rng.randrange(len(text) + 1)
+        text = text[:i] + rng.choice("*^)t/+x(0") + text[i:]
+    return text
+
+
+def _read_class(parser, text, base, p):
+    """("ok", pairs()), or the error's type and message, which carries the offset."""
+    try:
+        return "ok", BrauerClass.make(base, p, parser(text, base.field).parse_class()).pairs()
+    except (ParseError, ScopeError) as err:
+        return type(err).__name__, str(err)
+
+
+@pytest.mark.parametrize("base", [Q_BASE, F7, FiniteBase(9)], ids=["Q", "F7", "F9"])
+def test_parser_matches_poly_arithmetic(base):
+    rng = random.Random(1700)
+    char = base.field.char or 7
+    outcomes = set()
+    for _ in range(300):
+        text = _grammar_text(rng, char)
+        got = _read_class(_ClassParser, text, base, 2)
+        assert got == _read_class(PolyArithmeticParser, text, base, 2), text
+        outcomes.add(got[0])
+    assert outcomes == {"ok", "ParseError", "ScopeError"}
 
 
 def test_huge_exponent_is_out_of_scope_at_once(capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from brauercalc import poly as poly_module
 from brauercalc.fields import GF
 from brauercalc.points import ClosedPoint, Q_BASE, valuation_at
 from brauercalc.poly import (
@@ -152,6 +153,73 @@ def test_ratfunc_canonical_form():
     assert r.den == P(0, 1)
     assert r.den.is_monic
     assert poly_gcd(r.num, r.den).degree == 0
+
+
+def _lowest_terms_by_gcd(num, den):
+    """The canonical pair by the exact gcd, the reference for the constructor."""
+    g = poly_gcd(num, den)
+    num, den = num.exact_div(g), den.exact_div(g)
+    inv = den.field.one / den.lc
+    return num * inv, den * inv
+
+
+def test_ratfunc_planted_common_factors_match_gcd_reference():
+    rng = random.Random(1701)
+    for field in (QQ, GF(7), GF(9)):
+        for _ in range(40):
+            common = random_poly(rng, field, 2, 9)
+            num = random_poly(rng, field, 3, 9) * common
+            den = random_poly(rng, field, 3, 9) * common
+            r = RationalFunction(num, den)
+            assert (r.num, r.den) == _lowest_terms_by_gcd(num, den)
+
+
+def _forbid_gcd(monkeypatch):
+    def no_gcd(f, g):
+        raise AssertionError("poly_gcd called")
+
+    monkeypatch.setattr(poly_module, "poly_gcd", no_gcd)
+
+
+def test_coprime_rational_pairs_take_no_gcd(monkeypatch):
+    rng = random.Random(1702)
+    pairs = [
+        (random_poly(rng, QQ, 4, 30, min_degree=1), random_poly(rng, QQ, 4, 30, min_degree=1))
+        for _ in range(40)
+    ]
+    assert all(poly_gcd(num, den).degree == 0 for num, den in pairs)
+    want = [_lowest_terms_by_gcd(num, den) for num, den in pairs]
+    _forbid_gcd(monkeypatch)
+    for (num, den), expected in zip(pairs, want):
+        r = RationalFunction(num * Fraction(2, 3), den)
+        assert (r.num, r.den) == (expected[0] * Fraction(2, 3), expected[1])
+    # a constant side decides the gcd over every field
+    f7 = GF(7)
+    r = RationalFunction(Poly.from_ints(f7, [3, 1, 2]), Poly.constant(f7, 4))
+    assert (r.num, r.den) == (Poly.from_ints(f7, [6, 2, 4]), Poly.one(f7))
+    assert RationalFunction(P(3), P(1, 2)).num == Poly.constant(QQ, Fraction(3, 2))
+
+
+def test_certificate_prime_in_a_leading_entry_takes_the_exact_gcd(monkeypatch):
+    m = poly_module._COPRIME_PRIME
+    real_gcd = poly_module.poly_gcd
+    calls = []
+
+    def counted_gcd(f, g):
+        calls.append((f, g))
+        return real_gcd(f, g)
+
+    monkeypatch.setattr(poly_module, "poly_gcd", counted_gcd)
+    # coprime, but the prime divides the leading entry of the numerator
+    r = RationalFunction(P(1, 0, 3 * m), P(-1, 1))
+    assert len(calls) == 1 and (r.num, r.den) == (P(1, 0, 3 * m), P(-1, 1))
+    # a common factor t - 1 behind the same leading entry
+    r = RationalFunction(P(-1, 1) * P(5, m), P(-1, 1) * P(2, 4))
+    assert len(calls) == 2
+    assert (r.num, r.den) == (Poly(QQ, [Fraction(5, 4), Fraction(m, 4)]), P(Fraction(1, 2), 1))
+    # coprime over Q, yet t and t - m meet mod the prime
+    r = RationalFunction(P(0, 1), P(-m, 1))
+    assert len(calls) == 3 and (r.num, r.den) == (P(0, 1), P(-m, 1))
 
 
 def test_ratfunc_field_ops_random():

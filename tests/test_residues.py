@@ -125,6 +125,18 @@ def _norm_oracle_is_square(kappa, e):
     return len(factors) > 1
 
 
+def test_norm_shift_sweep_is_bounded(monkeypatch):
+    # for a rational e the unshifted norm polynomial is (X^2 - e)^3, with
+    # every root repeated, so a one-shift budget runs out
+    kappa = QuotientField(QQ, Poly.from_ints(QQ, [-2, 0, 0, 1]))
+    e = kappa.from_int(3)
+    lam, factors = residues._split_norm(kappa, e)
+    assert lam != 0 and len(factors) == 1
+    monkeypatch.setattr(residues, "_NORM_SHIFTS", 1)
+    with pytest.raises(ScopeError, match="first 1 shifts"):
+        residues._split_norm(kappa, e)
+
+
 def _random_quadratic_field(rng):
     while True:
         b = Fraction(rng.randint(-12, 12), rng.randint(1, 5))
