@@ -35,17 +35,18 @@ filter rather than a correctness assumption.  At most
 _RECOMBINATION_BUDGET subsets are walked, tested or built; beyond that,
 ScopeError.
 
-Factoring over a finite field is one Cantor-Zassenhaus algorithm
-(distinct-degree, equal-degree and sorted split, one _powmod) written once
-over a ring object: _IntListRing, the only F_p[t] on poly's integer lists,
-for the modular stage over Q (prime search and Hensel lifting included; no
-field elements built), or _PolyRing, Poly over any GF(q), for
-factor_over_Fq, drawing by field.element_at so no field is listed.  An
-equal-degree split makes at most _SPLIT_DRAWS random draws, then raises
-ScopeError.
+Factoring over a finite field is one squarefree loop and one
+Cantor-Zassenhaus algorithm (distinct-degree, equal-degree and sorted
+split, one _powmod) written once over a ring object: _IntListRing, the
+only F_p[t] on poly's integer lists, for the modular stage over Q (no
+field elements built) and for factor_over_Fq over any prime field, cached
+by (p, representatives) in _factor_fp_monic; or _PolyRing, Poly over an
+extension field GF(p^k), drawing by field.element_at so no field is
+listed.  An equal-degree split makes at most _SPLIT_DRAWS random draws,
+then raises ScopeError.
 
-Irreducibility and squarefreeness are decided only here: one squarefree
-decomposition serves Q and F_q, and is_irreducible reads factor_poly.
+Irreducibility and squarefreeness are decided only here: the one
+squarefree loop serves Q, F_p and F_q, and is_irreducible reads factor_poly.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ScopeError
-from .fields import PrimePowerFactorization, factor_int, is_prime, rational_sqrt
+from .fields import PrimeField, PrimePowerFactorization
+from .fields import factor_int, is_prime, rational_sqrt
 from .poly import Poly, QQ, poly_gcd
 from .poly import _int_list_at, _int_list_div_linear, _int_list_primitive
 from .poly import _zadd, _zdivmod_mod, _zmul, _zsub, _ztrim, _ztrunc
@@ -141,8 +143,9 @@ def _hensel_lift(p, f, f_list, l):
 
 
 class _IntListRing:
-    """F_p[t] on integer lists (lowest degree first, entries in [0, p)), p an
-    odd prime; for _zassenhaus, its prime search and Hensel lifting."""
+    """F_p[t] on integer lists (lowest degree first, entries in [0, p)), p
+    any prime; for factor_over_Fq over a prime field, and for _zassenhaus,
+    its prime search and Hensel lifting."""
 
     one = (1,)
     gen = (0, 1)
@@ -195,6 +198,10 @@ class _IntListRing:
         inv = pow(a[-1], -1, self.q)
         return tuple([c * inv % self.q for c in v] for v in (a, sa, ta))
 
+    def pth_root(self, a):
+        """g with a = g(t^p); each entry of F_p is its own p-th root."""
+        return a[:: self.q]
+
     def random(self, n, rng):
         return _ztrim([rng.randrange(self.q) for _ in range(n)])
 
@@ -202,14 +209,27 @@ class _IntListRing:
         return (len(g), g)
 
 
-class _PolyRing:
-    """F_q[t] on Poly over any finite field; for factor_over_Fq."""
+class _PolyOps:
+    """What the squarefree loop needs of Poly; the ring over QQ."""
 
+    char = 0
     deg = staticmethod(operator.attrgetter("degree"))
+    quo = staticmethod(Poly.exact_div)
+    derivative = staticmethod(Poly.derivative)
+
+    # a method, not staticmethod(poly_gcd), so that the module-level name is
+    # looked up per call and bench/tracer.py's wrapper on it counts the call
+    def gcd(self, a, b):
+        return poly_gcd(a, b)
+
+
+class _PolyRing(_PolyOps):
+    """F_q[t] on Poly over a finite field; for factor_over_Fq over an
+    extension field GF(p^k), k >= 2, and squarefree_decomposition."""
+
     sub = staticmethod(operator.sub)
     mul = staticmethod(operator.mul)
     rem = staticmethod(operator.mod)
-    quo = staticmethod(Poly.exact_div)
     sort_key = staticmethod(Poly.sort_key)
 
     def __init__(self, field):
@@ -219,10 +239,10 @@ class _PolyRing:
         self.one = Poly.one(field)
         self.gen = Poly.gen(field)
 
-    # a method, not staticmethod(poly_gcd), so that the module-level name is
-    # looked up per call and bench/tracer.py's wrapper on it counts the call
-    def gcd(self, a, b):
-        return poly_gcd(a, b)
+    def pth_root(self, f):
+        """Inverse Frobenius on exponents: f(t) = g(t^p) gives back g."""
+        p = self.char
+        return Poly(self.field, [c ** (self.q // p) for c in f.coeffs[::p]])
 
     def random(self, n, rng):
         """n coefficients, each the randrange(q)-th of field.elements()."""
@@ -312,53 +332,36 @@ def _split(R, parts):
 
 
 # ---------------------------------------------------------------------------
-# squarefree decomposition over Q and F_q
+# squarefree decomposition over Q and F_q, written once over a ring R
 
 
-def _ff_pth_root_poly(f):
-    """Inverse Frobenius on exponents: f(t) = g(t^p) gives back g."""
-    field = f.field
-    p = field.char
-    root_exp = field.order // p
-    coeffs = []
-    for i in range(0, f.degree + 1, p):
-        coeffs.append(f.coeff(i) ** root_exp)
-    return Poly(field, coeffs)
+def _squarefree(R, f):
+    """[(g_i, m_i)] with the monic f = prod g_i^{m_i}, g_i monic squarefree
+    (MCA 14.6).  In characteristic p the part the inner loop leaves, all
+    of f where f' = 0, is some g(t^p), and the loop goes on with g."""
+    out = []
+    e = 1
+    while R.deg(f) >= 1:
+        g = R.gcd(f, R.derivative(f))
+        w = R.quo(f, g)
+        i = 1
+        while R.deg(w) >= 1:
+            y = R.gcd(w, g)
+            z = R.quo(w, y)
+            if R.deg(z) >= 1:
+                out.append((z, i * e))
+            w, g = y, R.quo(g, y)
+            i += 1
+        if R.deg(g) < 1:
+            break
+        f, e = R.pth_root(g), e * R.char
+    return out
 
 
 def squarefree_decomposition(f):
     """[(g_i, m_i)] with f monic = prod g_i^{m_i}, g_i monic squarefree,
-    over QQ or F_q; the p-th root steps only run in characteristic p."""
-    p = f.field.char
-    out = []
-    e = 1
-    while f.degree >= 1:
-        fp = f.derivative()
-        if fp.is_zero:
-            f = _ff_pth_root_poly(f)
-            e *= p
-            continue
-        g = poly_gcd(f, fp)
-        if g.degree == 0:
-            # f is its own squarefree part
-            out.append((f, e))
-            break
-        w = f.exact_div(g)
-        i = 1
-        while w.degree >= 1:
-            y = poly_gcd(w, g)
-            z = w.exact_div(y)
-            if z.degree >= 1:
-                out.append((z, i * e))
-            w = y
-            g = g.exact_div(y)
-            i += 1
-        if g.degree >= 1:
-            f = _ff_pth_root_poly(g)
-            e *= p
-        else:
-            break
-    return out
+    for a Poly over QQ or F_q."""
+    return _squarefree(_PolyRing(f.field) if f.field.finite else _PolyOps(), f)
 
 
 # ---------------------------------------------------------------------------
@@ -616,22 +619,36 @@ def factor_over_Q(f):
 # factorization over finite fields
 
 
+def _factor_monic(R, f):
+    """Sorted monic irreducible factors, with multiplicity, of a monic f in R."""
+    hs = [(h, m) for g, m in _squarefree(R, f) for h in _split(R, _distinct_degree(R, g))]
+    return sorted(hs, key=lambda hm: R.sort_key(hm[0]))
+
+
+@lru_cache(maxsize=4096)
+def _factor_fp_monic(p, f):
+    """_factor_monic of a monic f over F_p, given by its representatives."""
+    return tuple((tuple(h), mult) for h, mult in _factor_monic(_IntListRing(p), f))
+
+
 def factor_over_Fq(f):
     """Factor a nonzero polynomial over a finite field into monic irreducibles."""
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    if not f.field.finite:
+    field = f.field
+    if not field.finite:
         raise TypeError("factor_over_Fq needs a finite coefficient field")
     unit = f.lc
     if f.degree == 0:
         return PrimePowerFactorization(unit, ())
-    R = _PolyRing(f.field)
-    collected = []
-    for g, mult in squarefree_decomposition(f.monic()):
-        for h in _split(R, _distinct_degree(R, g)):
-            collected.append((h, mult))
-    collected.sort(key=lambda fm: fm[0].sort_key())
-    return PrimePowerFactorization(unit, tuple(collected))
+    if isinstance(field, PrimeField):
+        p = field.p
+        inv = pow(unit.rep, -1, p)
+        monic = tuple(c.rep * inv % p for c in f.coeffs)
+        factors = [(Poly.from_ints(field, h), m) for h, m in _factor_fp_monic(p, monic)]
+    else:
+        factors = _factor_monic(_PolyRing(field), f.monic())
+    return PrimePowerFactorization(unit, tuple(factors))
 
 
 # ---------------------------------------------------------------------------

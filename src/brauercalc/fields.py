@@ -4,14 +4,16 @@ FFElem is a thin immutable wrapper around a representative; all arithmetic
 dispatches to its field.  PrimeField(p) stores representatives as ints in
 [0, p).  QuotientField(base, modulus) stores representatives as fixed-length
 tuples of base elements (a residue ring base[t]/(modulus), which is a field
-when the modulus is irreducible).  The same QuotientField class builds both
+when the modulus is irreducible); over a prime base, sums and products run
+on their integer representatives.  The same QuotientField class builds both
 finite extension towers such as F_9 = F_3[u]/(u^2+1) and residue fields
 Q[t]/(pi) of closed points over the rationals, so norm and inverse code is
 written once.
 
 Finite fields expose deterministic element enumeration, and its i-th
 element by element_at(i) so that no field is ever listed; a fixed
-multiplicative generator, discrete logs against it, and p-th power tests;
+multiplicative generator and, per p, its (q-1)/p-th power, both kept on
+the field, discrete logs against it, and p-th power tests;
 none of that exists for quotients over QQ, which instead get resultant norms.
 The integer primality test and factorizer live here too, because building
 GF(q) and finding a generator need them; factoring re-exports them.
@@ -29,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ScopeError
-from .poly import Poly, poly_xgcd, resultant
+from .poly import Poly, _zmul, poly_xgcd, resultant
 
 
 class FFElem:
@@ -142,6 +144,7 @@ class PrimeField:
         self.order = p
         self.zero = FFElem(self, 0)
         self.one = FFElem(self, 1)
+        self._zeta = {}
 
     def from_int(self, n):
         return FFElem(self, n % self.p)
@@ -212,7 +215,12 @@ class QuotientField:
         self.one = FFElem(self, tuple(one))
         # table[i] = representative tuple of t^(d+i) mod modulus
         self._red = self._reduction_table()
+        # over a prime base, the same table on the integer representatives
+        self._red_ints = None
+        if isinstance(base, PrimeField):
+            self._red_ints = [[c.rep for c in row] for row in self._red]
         self._generator = None
+        self._zeta = {}
 
     def _reduction_table(self):
         d = self.degree
@@ -271,6 +279,9 @@ class QuotientField:
         return Poly(self.base, list(e.rep))
 
     def _add(self, a, b):
+        if self._red_ints is not None:
+            base, p = self.base, self.base.p
+            return tuple(FFElem(base, (x.rep + y.rep) % p) for x, y in zip(a, b))
         return tuple(x + y for x, y in zip(a, b))
 
     def _neg(self, a):
@@ -279,6 +290,14 @@ class QuotientField:
     def _mul(self, a, b):
         d = self.degree
         base = self.base
+        if self._red_ints is not None:
+            # t^k for k >= d reduces straight to degree < d, so the integer
+            # product is reduced mod p once, at the end
+            out = _zmul([x.rep for x in a], [y.rep for y in b]) + [0] * (2 * d)
+            for k in range(d, 2 * d - 1):
+                for i, c in enumerate(self._red_ints[k - d]):
+                    out[i] += out[k] * c
+            return tuple(FFElem(base, c % base.p) for c in out[:d])
         out = [base.zero] * (2 * d - 1)
         for i, x in enumerate(a):
             if x == base.zero:
@@ -569,7 +588,9 @@ def pth_power_exponent(e, p):
     if n % p != 0:
         return 0
     target = e ** (n // p)
-    zeta = multiplicative_generator(field) ** (n // p)
+    zeta = field._zeta.get(p)
+    if zeta is None:
+        zeta = field._zeta[p] = multiplicative_generator(field) ** (n // p)
     acc = field.one
     for k in range(p):
         if acc == target:

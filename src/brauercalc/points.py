@@ -5,7 +5,9 @@ infinity (uniformizer 1/t) or a monic irreducible polynomial in k[t].
 Only monic irreducibles are admitted; the constructor normalizes the
 leading coefficient and checks irreducibility, so a ClosedPoint can be
 trusted downstream.  unit_part_at is the one local expansion of a
-function at a point; valuation_at and reduce_at read theirs off it.
+function at a point; valuation_at and reduce_at read theirs off it.  At
+rational points over Q and at any finite point over a prime field, it
+works on integer coefficient lists.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ScopeError
-from .factoring import is_irreducible
-from .fields import GF, QuotientField, is_prime
+from .factoring import _IntListRing, is_irreducible
+from .fields import GF, FFElem, PrimeField, QuotientField, is_prime
 from .poly import Poly, QQ, RationalFunction, poly_str, poly_strip
-from .poly import _int_list_at, _int_list_div_linear
+from .poly import _int_list_at, _int_list_div_linear, _zdivmod_mod
 
 
 class RationalBase:
@@ -179,6 +181,8 @@ def unit_part_at(h, point):
         vn, pn, qn = _unit_value_rational(num, point)
         vd, pd, qd = _unit_value_rational(den, point)
         return vn - vd, Fraction(pn * qd, qn * pd)
+    if isinstance(point.base.field, PrimeField):
+        return _unit_value_prime(num, den, point)
     vn, rn = poly_strip(num, point.poly)
     vd, rd = poly_strip(den, point.poly)
     if point.degree == 1:
@@ -198,6 +202,28 @@ def _unit_value_rational(f, point):
         v, h = v + 1, _int_list_at(ints, a, b)
     # f = content * (b t - a)^v * g with b^m g(a/b) = h for m = deg g
     return v, content.numerator * h * b**v, content.denominator * b ** (len(ints) - 1)
+
+
+def _unit_value_prime(num, den, point):
+    """unit_part_at at a finite point over F_p: pi is stripped from the
+    representatives of num and den, and the remainders' quotient is taken
+    modulo pi on integer lists."""
+    field, p = point.base.field, point.base.field.p
+    pi = [c.rep for c in point.poly.coeffs]
+    v, rems = 0, []
+    for sign, f in ((1, num), (-1, den)):
+        quo, rem = _zdivmod_mod([c.rep for c in f.coeffs], pi, p)
+        while not rem:
+            v += sign
+            quo, rem = _zdivmod_mod(quo, pi, p)
+        rems.append(rem)
+    rn, rd = rems
+    if point.degree == 1:
+        return v, FFElem(field, rn[0] * pow(rd[0], -1, p) % p)
+    R = _IntListRing(p)
+    u = R.rem(R.mul(rn, R.xgcd(rd, pi)[1]), pi)
+    u += [0] * (point.degree - len(u))
+    return v, FFElem(residue_field(point), tuple(FFElem(field, c) for c in u))
 
 
 def sweep_values(base):

@@ -16,12 +16,13 @@ forms are coprime modulo a prime dividing neither leading entry: by
 Gauss's lemma a common factor over Q is a primitive integer polynomial
 whose reduction keeps its degree and divides both (MCA 6.2).
 
-A polynomial over QQ also has an integer form, computed on first use and
-kept on the polynomial: f == content * ints with ints a primitive integer
-tuple whose leading entry is positive.  At a rational point c = a/b in
-lowest terms, b^n f(a/b) is an integer found by homogeneous Horner, and
-when it vanishes, b*t - a divides ints exactly in Z[t] (Gauss's lemma,
-MCA 6.2), so valuations and unit parts there need no Fraction division.
+A polynomial over QQ also has an integer form, computed on first use,
+kept on the polynomial and passed on to its scalar multiples: f ==
+content * ints with ints a primitive integer tuple whose leading entry is
+positive.  At a rational point c = a/b in lowest terms, b^n f(a/b) is an
+integer found by homogeneous Horner, and when it vanishes, b*t - a
+divides ints exactly in Z[t] (Gauss's lemma, MCA 6.2), so valuations and
+unit parts there need no Fraction division.
 
 Integer coefficient lists (lowest degree first) have every primitive
 here: _int_list_* for the integer form, _z* for Hensel lifting.  F_p[t]
@@ -156,7 +157,11 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             c = self.field.coerce(other)
-            return Poly(self.field, [a * c for a in self.coeffs])
+            out = Poly(self.field, [a * c for a in self.coeffs])
+            form = getattr(self, "_int_form", None)
+            if form is not None and c:
+                object.__setattr__(out, "_int_form", (form[0] * c, form[1]))
+            return out
         other = self._wrap(other)
         if self.is_zero or other.is_zero:
             return Poly.zero(self.field)

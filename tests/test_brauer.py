@@ -23,6 +23,7 @@ from brauercalc.brauer import (
     specialize,
 )
 from brauercalc.errors import NotSymbolRegular, ScopeError
+from brauercalc.factoring import is_irreducible
 from brauercalc.fields import multiplicative_generator
 from brauercalc.hilbert import invariant_set
 from brauercalc.points import (
@@ -36,7 +37,7 @@ from brauercalc.points import (
 )
 from brauercalc.poly import Poly, QQ, RationalFunction, poly_strip
 
-from _gen import F7, F13, random_class, random_entry, rational
+from _gen import F7, F13, random_class, random_entry, random_poly, rational
 from _oracles import (
     candidate_points,
     classes_equal_oracle,
@@ -419,6 +420,36 @@ def test_unit_part_at_rational_points_matches_division():
             assert valuation_at(h, x) == v
             seen.add(v)
     assert seen >= set(range(-3, 4))
+
+
+def test_unit_part_at_prime_field_points_matches_division():
+    # the integer-representative route at F_p points of degree 1 to 3,
+    # against Poly division and the residue field's own reduction
+    def by_strip(h, x):
+        vn, rn = poly_strip(h.num, x.poly)
+        vd, rd = poly_strip(h.den, x.poly)
+        if x.degree == 1:
+            return vn - vd, rn.coeff(0) / rd.coeff(0)
+        kappa = residue_field(x)
+        return vn - vd, kappa.from_poly(rn) / kappa.from_poly(rd)
+
+    rng = random.Random(133)
+    for base in (F7, F13, FiniteBase(2)):
+        field = base.field
+        for d in (1, 2, 3):
+            points = 0
+            while points < 3:
+                pi = random_poly(rng, field, d, min_degree=d, monic=True)
+                if not is_irreducible(pi):
+                    continue
+                x = ClosedPoint.finite(base, pi)
+                points += 1
+                for _ in range(15):
+                    k = rng.randint(-3, 3)
+                    h = random_entry(rng, field, 4) * RationalFunction(pi) ** k
+                    v, u = unit_part_at(h, x)
+                    assert (v, u) == by_strip(h, x), (base, pi, h)
+                    assert u.field is residue_field(x) and not u.is_zero
 
 
 def test_is_symbol_regular_matches_evaluation():

@@ -793,3 +793,58 @@ def test_fq_factor_matches_sympy():
             assert fac.unit.rep == int(unit) % p, (p, ints)
             irreducible = sympy.Poly(expr, x, modulus=p).is_irreducible
             assert is_irreducible(f) == irreducible, (p, ints)
+
+
+# ---------------------------------------------------------------------------
+# factor_over_Fq over a prime field, on integer representatives
+
+
+def _poly_ring_factorization(f):
+    """factor_over_Fq's route for extension fields, run on f over GF(p)."""
+    R = factoring._PolyRing(f.field)
+    return f.lc, tuple(factoring._factor_monic(R, f.monic()))
+
+
+def test_prime_field_factoring_matches_the_poly_ring():
+    rng = random.Random(41)
+    for p in (2, 3, 7, 13, 101):
+        field = GF(p)
+        cases = [Poly.from_ints(field, [rng.randrange(p), rng.randrange(1, p)])]
+        for _ in range(25):
+            cases.append(random_poly(rng, field, 8, min_degree=1))
+            g = random_poly(rng, field, 3, min_degree=1)
+            h = random_poly(rng, field, 2, min_degree=1, monic=True)
+            cases.append(g * h ** rng.randint(2, 4))  # repeated factors
+            # f' = 0: t^p - a times g, and g(t^p) * h^p
+            a = rng.randrange(p)
+            cases.append(Poly.from_ints(field, [-a] + [0] * (p - 1) + [1]) * g)
+            cases.append(g.compose(Poly.gen(field) ** p) * h**p)
+        for f in cases:
+            fac = factor_over_Fq(f)
+            assert (fac.unit, fac.factors) == _poly_ring_factorization(f), (p, f)
+            assert fac.expand() == f
+            assert all(g.field is field for g, _ in fac.factors)
+
+
+def test_prime_field_factoring_is_cached_by_the_monic_representatives():
+    field = GF(7)
+    f = Poly.from_ints(field, [3, 0, 1, 5]) * Poly.from_ints(field, [1, 1]) ** 2
+    info = factoring._factor_fp_monic.cache_info
+    plain = factor_over_Fq(f)
+    scaled = factor_over_Fq(f * 3)
+    assert (info().misses, info().hits) == (1, 1)
+    assert scaled.factors == plain.factors and scaled.unit == plain.unit * 3
+
+
+def test_prime_fields_are_factored_without_the_poly_ring(monkeypatch):
+    # route guard: over GF(p) the split runs on integer lists, and so does
+    # GF's search for an irreducible modulus of degree 12 over F_7
+    def no_poly_ring(*args, **kwargs):
+        raise AssertionError("the Poly ring was built for a prime field")
+
+    monkeypatch.setattr(factoring, "_PolyRing", no_poly_ring)
+    field = GF(7)
+    f = Poly.from_ints(field, [1, 0, 0, 0, 0, 0, 0, 1]) * Poly.from_ints(field, [3, 1, 1])
+    assert factor_over_Fq(f).expand() == f
+    big = fields.GF.__wrapped__(7**12)
+    assert big.order == 7**12 and big.modulus == GF(7**12).modulus

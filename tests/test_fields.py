@@ -266,6 +266,42 @@ def test_quadratic_inverse_matches_xgcd():
     assert checked >= 150
 
 
+def test_prime_base_products_match_poly_reduction():
+    # QuotientField over GF(p) multiplies and adds integer representatives;
+    # against the Poly product and sum reduced mod the modulus
+    rng = random.Random(73)
+    kappas = [GF(49), GF(169), GF(7**3)]
+    kappas += [kappa for kappa, _ in _quadratic_fields() if kappa.base is GF(7)]
+    kappas.append(QuotientField(GF(13), Poly.from_ints(GF(13), [2, 0, 1])))
+    for kappa in kappas:
+        base, d = kappa.base, kappa.degree
+        for _ in range(40):
+            a, b = (
+                kappa.element_at(rng.choice([0, 1, rng.randrange(kappa.order)]))
+                for _ in range(2)
+            )
+            A, B = kappa.to_poly(a), kappa.to_poly(b)
+            assert a * b == kappa.from_poly(A * B), (kappa, a, b)
+            assert a + b == kappa.from_poly(A + B), (kappa, a, b)
+            assert all(c.field is base for c in (a * b).rep) and len((a * b).rep) == d
+
+
+def test_pth_power_exponent_keeps_zeta_on_the_field(monkeypatch):
+    # g^((q-1)/p) is computed once per field and p, from the same generator
+    field = QuotientField(GF(13), Poly.from_ints(GF(13), [2, 0, 1]))
+    g = multiplicative_generator(field)
+    calls = []
+    real = fields.multiplicative_generator
+    monkeypatch.setattr(
+        fields, "multiplicative_generator", lambda f: calls.append(f) or real(f)
+    )
+    for p in (2, 3, 2, 3):
+        for k in (1, 5, 7):
+            assert pth_power_exponent(g**k, p) == k % p
+    assert len(calls) == 2
+    assert field._zeta == {2: g ** (168 // 2), 3: g ** (168 // 3)}
+
+
 def test_quadratic_inverse_of_zero_divisor():
     # t^2 - 1 is reducible: t - 1 has no inverse, and the message says so
     ring = QuotientField(QQ, Poly.from_ints(QQ, [-1, 0, 1]))

@@ -307,3 +307,24 @@ def test_int_form_is_primitive_content_split():
         Poly.zero(QQ).int_form()
     with pytest.raises(TypeError):
         Poly.gen(GF(7)).int_form()
+
+
+def test_scalar_multiple_keeps_the_integer_form():
+    # f * c has the integers of f and content times c; the form carried
+    # across is the one computed afresh
+    rng = random.Random(72)
+    for _ in range(40):
+        f = random_poly(rng, QQ, 5, height=30)
+        content, ints = f.int_form()
+        c = rational(rng, 12)
+        g = f * c
+        if c == 0:
+            assert g.is_zero
+            continue
+        assert g.int_form() == (content * c, ints)
+        assert g.int_form() == Poly(QQ, g.coeffs).int_form()
+    # the coprimality certificate computes both forms, and the scaling to a
+    # monic denominator keeps them
+    h = RationalFunction(P(2, 3), P(4, 0, 6))
+    assert h.num._int_form == Poly(QQ, h.num.coeffs).int_form()
+    assert h.den._int_form == (Fraction(1, 3), (2, 0, 3))
