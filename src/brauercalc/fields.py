@@ -4,8 +4,8 @@ FFElem is a thin immutable wrapper around a representative; all arithmetic
 dispatches to its field.  PrimeField(p) stores representatives as ints in
 [0, p).  QuotientField(base, modulus) stores representatives as fixed-length
 tuples of base elements (a residue ring base[t]/(modulus), which is a field
-when the modulus is irreducible); over a prime base, sums and products run
-on their integer representatives.  The same QuotientField class builds both
+when the modulus is irreducible); over a prime base, products run on
+their integer representatives.  The same QuotientField class builds both
 finite extension towers such as F_9 = F_3[u]/(u^2+1) and residue fields
 Q[t]/(pi) of closed points over the rationals, so norm and inverse code is
 written once.
@@ -279,9 +279,6 @@ class QuotientField:
         return Poly(self.base, list(e.rep))
 
     def _add(self, a, b):
-        if self._red_ints is not None:
-            base, p = self.base, self.base.p
-            return tuple(FFElem(base, (x.rep + y.rep) % p) for x, y in zip(a, b))
         return tuple(x + y for x, y in zip(a, b))
 
     def _neg(self, a):

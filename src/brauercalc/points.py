@@ -209,6 +209,8 @@ def _unit_value_prime(num, den, point):
     representatives of num and den, and the remainders' quotient is taken
     modulo pi on integer lists."""
     field, p = point.base.field, point.base.field.p
+    if num.field is not field:
+        raise TypeError("polynomials over different fields")
     pi = [c.rep for c in point.poly.coeffs]
     v, rems = 0, []
     for sign, f in ((1, num), (-1, den)):

@@ -450,6 +450,9 @@ def test_unit_part_at_prime_field_points_matches_division():
                     v, u = unit_part_at(h, x)
                     assert (v, u) == by_strip(h, x), (base, pi, h)
                     assert u.field is residue_field(x) and not u.is_zero
+    x = ClosedPoint.finite(F13, Poly(F13.field, [1, 1]))
+    with pytest.raises(TypeError):
+        unit_part_at(Poly(F7.field, [3, 1]), x)
 
 
 def test_is_symbol_regular_matches_evaluation():

@@ -267,8 +267,8 @@ def test_quadratic_inverse_matches_xgcd():
 
 
 def test_prime_base_products_match_poly_reduction():
-    # QuotientField over GF(p) multiplies and adds integer representatives;
-    # against the Poly product and sum reduced mod the modulus
+    # QuotientField over GF(p) multiplies integer representatives; products
+    # and sums against the Poly ones reduced mod the modulus
     rng = random.Random(73)
     kappas = [GF(49), GF(169), GF(7**3)]
     kappas += [kappa for kappa, _ in _quadratic_fields() if kappa.base is GF(7)]
