@@ -13,7 +13,7 @@ b as (-1)^(v(a) v(b)) * u_a^(v(b)) / u_b^(v(a)).  The residue of a sum
 is the product of the residues of its symbols, taken symbol by symbol:
 a symbol remembers its tame symbol at each point, and, once
 ramification_points has factored its entries, its zero and pole points,
-off which residue_at skips it.
+off which residue_at skips it, and specialization reads them too.
 
 Everything here treats a class through one chosen presentation, but the
 exported predicates (triviality of residues, equality of classes) only
@@ -36,7 +36,7 @@ from .points import (
     sweep_values,
     unit_part_at,
 )
-from .poly import Poly, QQ, RationalFunction, _int_list_at
+from .poly import Poly, RationalFunction
 from .residues import ResidueClass, corestriction_exponent, norm_to_base
 
 
@@ -219,50 +219,24 @@ def divisor_reciprocity(div):
     return rational_is_square(prod)
 
 
-def _values_at_q(cls, c):
-    """Entrywise values at t = c over Q, or None at a zero or pole of an
-    entry.  With c = a/b and h = k * H for an integer form H, h(c) is
-    k * H~ / b^deg h for H~ = b^deg h * H(a/b), an integer."""
-    c = QQ.coerce(c)
-    a, b = c.numerator, c.denominator
-    out = []
-    for s in cls.symbols:
-        for e in (s.a, s.b):
-            (kn, hn), (kd, hd) = e.num.int_form(), e.den.int_form()
-            vn, vd = _int_list_at(hn, a, b), _int_list_at(hd, a, b)
-            if not vn or not vd:
-                return None
-            num = kn.numerator * kd.denominator * vn * b ** (len(hd) - 1)
-            den = kn.denominator * kd.numerator * vd * b ** (len(hn) - 1)
-            out.append(Fraction(num, den))
-    return tuple(zip(out[::2], out[1::2]))
-
-
 def is_symbol_regular(cls, c):
-    """No entry of any symbol has a zero or pole at t = c.
-
-    Numerator and denominator are coprime, so an entry has a zero or
-    pole at t = c exactly when one of them vanishes at c.  Over Q that
-    is read off the integer evaluation specialize uses.
-    """
-    field = cls.base.field
-    if field is QQ:
-        return _values_at_q(cls, c) is not None
-    cv = field.coerce(c)
-    polys = (f for s in cls.symbols for e in (s.a, s.b) for f in (e.num, e.den))
-    return all(f.evaluate(cv) != field.zero for f in polys)
+    """No entry has a zero or pole at t = c: numerator and denominator are
+    coprime, so this holds when t = c is none of the symbols' zero and
+    pole points, factored here unless already known."""
+    x = ClosedPoint.rational(cls.base, c)
+    return not any(x in _symbol_points(s, cls.base) for s in cls.symbols)
 
 
 def specialize(cls, c):
-    """Entrywise evaluation at t = c, as constant symbol pairs."""
-    field, vals = cls.base.field, None
-    if field is QQ:
-        vals = _values_at_q(cls, c)
-    elif is_symbol_regular(cls, c):
-        vals = tuple((s.a.evaluate(c), s.b.evaluate(c)) for s in cls.symbols)
-    if vals is None:
+    """Entrywise values at t = c, as constant symbol pairs: at a
+    symbol-regular point each value is the entry's unit part.  Regularity
+    needs the entries factored, as ram does, so an entry beyond a
+    factoring budget raises ScopeError here too."""
+    if not is_symbol_regular(cls, c):
         raise NotSymbolRegular(f"some entry has a zero or pole at t = {c}")
-    return vals
+    x = ClosedPoint.rational(cls.base, c)
+    return tuple((unit_part_at(s.a, x)[1], unit_part_at(s.b, x)[1])
+                 for s in cls.symbols)
 
 
 def regular_rational_points(cls, count):
@@ -330,9 +304,10 @@ def compare_classes(c1, c2):
     the first point of the divisor of c1 - c2.  An unramified difference
     is a constant class.  Over a finite constant field that forces
     triviality; over Q it is the specialization at the first
-    symbol-regular rational point, found and evaluated on integer
-    forms, and decided by the nonsplit places of its two halves.  c1 - c2
-    is never built: its pairs are c1's, then (a, 1/b) for each (a, b) of c2.
+    symbol-regular rational point, off the zero and pole points both
+    divisors factored, and decided by the nonsplit places of its two
+    halves.  c1 - c2 is never built: its pairs are c1's, then (a, 1/b)
+    for each (a, b) of c2.
     """
     if c1.base != c2.base or c1.p != c2.p:
         raise ValueError("classes over different settings")

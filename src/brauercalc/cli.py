@@ -19,7 +19,7 @@ from .covers import (
     verify_splitting_witness,
 )
 from .distinguish import distinguish, enumerate_candidates
-from .errors import NotSymbolRegular, ParseError, ScopeError
+from .errors import ParseError, ScopeError
 from .parser import parse_class, parse_constant
 from .points import ClosedPoint
 from .poly import Poly, RationalFunction
@@ -218,9 +218,6 @@ def main(argv=None):
     except ScopeError as exc:
         print(f"out of scope: {exc}", file=sys.stderr)
         return EXIT_SCOPE
-    except NotSymbolRegular as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

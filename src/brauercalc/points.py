@@ -5,9 +5,10 @@ infinity (uniformizer 1/t) or a monic irreducible polynomial in k[t].
 Only monic irreducibles are admitted; the constructor normalizes the
 leading coefficient and checks irreducibility, so a ClosedPoint can be
 trusted downstream.  unit_part_at is the one local expansion of a
-function at a point; valuation_at and reduce_at read theirs off it.  At
-rational points over Q and at any finite point over a prime field, it
-works on integer coefficient lists.
+function at a point; valuation_at and reduce_at read theirs off it, and
+so does brauer.specialize, whose values are unit parts at symbol-regular
+points.  At rational points over Q and at any finite point over a prime
+field, it works on integer coefficient lists.
 """
 
 from __future__ import annotations
@@ -168,40 +169,46 @@ def unit_part_at(h, point):
     At infinity v = deg(den) - deg(num) and u = lc(num) / lc(den); at a
     rational point over Q the integer forms are stripped of b*t - a; at
     any other finite point pi is divided out of the numerator and the
-    denominator, and u is the quotient of the reduced cofactors.
+    denominator, and u is the quotient of the reduced cofactors.  At a
+    point where h has neither zero nor pole, u is the value of h there.
     """
     if isinstance(h, Poly):
         h = RationalFunction(h)
     if h.is_zero:
         raise ValueError("the zero function has no finite valuation")
-    num, den = h.num, h.den
-    if point.is_infinity:
+    num, den, pi = h.num, h.den, point.poly
+    if pi is None:
         return den.degree - num.degree, num.lc / den.lc
-    if point.degree == 1 and point.base.field is QQ:
-        vn, pn, qn = _unit_value_rational(num, point)
-        vd, pd, qd = _unit_value_rational(den, point)
-        return vn - vd, Fraction(pn * qd, qn * pd)
-    if isinstance(point.base.field, PrimeField):
+    if pi.field is QQ and pi.degree == 1:
+        return _unit_value_rational(num, den, pi)
+    if isinstance(pi.field, PrimeField):
         return _unit_value_prime(num, den, point)
-    vn, rn = poly_strip(num, point.poly)
-    vd, rd = poly_strip(den, point.poly)
-    if point.degree == 1:
+    vn, rn = poly_strip(num, pi)
+    vd, rd = poly_strip(den, pi)
+    if pi.degree == 1:
         return vn - vd, rn.coeff(0) / rd.coeff(0)
     kappa = residue_field(point)
     return vn - vd, kappa.from_poly(rn) / kappa.from_poly(rd)
 
 
-def _unit_value_rational(f, point):
-    """(v, p, q) with f = (t - c)^v * w and w(c) = p/q at a rational point over Q."""
-    c = point.poly.coeff(0)  # point.poly is t - a/b
+def _unit_value_rational(num, den, pi):
+    """unit_part_at at the rational point pi = t - a/b over Q, on integer
+    forms.  A side content * (b t - a)^w * g, with m = deg g, has unit
+    part content * b^w * h / b^m there, for the integer h = b^m g(a/b)."""
+    c = pi.coeff(0)
     a, b = -c.numerator, c.denominator
-    content, ints = f.int_form()
-    v, h = 0, _int_list_at(ints, a, b)
-    while h == 0:
-        ints = _int_list_div_linear(ints, a, b)
-        v, h = v + 1, _int_list_at(ints, a, b)
-    # f = content * (b t - a)^v * g with b^m g(a/b) = h for m = deg g
-    return v, content.numerator * h * b**v, content.denominator * b ** (len(ints) - 1)
+    v, sides = 0, []
+    for sign, f in ((1, num), (-1, den)):
+        content, ints = f.int_form()
+        h = _int_list_at(ints, a, b)
+        while h == 0:
+            ints = _int_list_div_linear(ints, a, b)
+            v, h = v + sign, _int_list_at(ints, a, b)
+        sides.append((content, h, len(ints)))
+    (kn, hn, ln), (kd, hd, ld) = sides
+    e = v - ln + ld  # the power of b left in the quotient
+    top, bottom = kn.numerator * kd.denominator * hn, kn.denominator * kd.numerator * hd
+    return v, Fraction(top * b ** max(e, 0), bottom * b ** max(-e, 0))
 
 
 def _unit_value_prime(num, den, point):

@@ -622,12 +622,12 @@ def _coeff_str(s):
     return s, False
 
 
-def poly_str(f, var="t"):
+def poly_str(f):
     """Render with descending powers, explicit '*', and '^' for powers."""
-    return terms_str(map(f.field.format_element, f.coeffs), var)
+    return terms_str(map(f.field.format_element, f.coeffs))
 
 
-def terms_str(texts, var="t"):
+def terms_str(texts):
     """poly_str from the coefficients' texts, lowest degree first; a
     coefficient that prints as "0" is zero in every field here."""
     parts = []
@@ -638,7 +638,7 @@ def terms_str(texts, var="t"):
         if i == 0:
             term = body
         else:
-            tpow = var if i == 1 else f"{var}^{i}"
+            tpow = "t" if i == 1 else f"t^{i}"
             term = tpow if body == "1" else f"{body}*{tpow}"
         if not parts:
             parts.append(f"-{term}" if negative else term)
@@ -647,11 +647,11 @@ def terms_str(texts, var="t"):
     return " ".join(parts) or "0"
 
 
-def ratfunc_str(h, var="t"):
+def ratfunc_str(h):
     if h.is_polynomial:
-        return poly_str(h.num, var)
-    num = poly_str(h.num, var)
-    den = poly_str(h.den, var)
+        return poly_str(h.num)
+    num = poly_str(h.num)
+    den = poly_str(h.den)
     if h.num.degree >= 1 or "/" in num or "-" in num[1:] or "+" in num:
         num = f"({num})"
     if h.den.degree >= 1:

@@ -605,7 +605,7 @@ def test_compare_classes_never_builds_the_difference(monkeypatch):
 
 
 def _horner(f, c):
-    acc = Fraction(0)
+    acc = f.field.zero
     for coeff in reversed(f.coeffs):
         acc = acc * c + coeff
     return acc
@@ -637,6 +637,71 @@ def test_specialize_over_q_matches_fraction_evaluation():
                     specialize(cls_, c)
             outcomes[regular, c.denominator == 1] += 1
     assert min(outcomes.values()) >= 10 and len(outcomes) == 4
+
+
+def _finite_entry(rng, base, c):
+    """A random function over F_q times (t - c)^k, k in [-2, 2]; the
+    random factors may vanish at c as well."""
+    lin = RationalFunction(Poly(base.field, [-c, base.field.one]))
+    return random_entry(rng, base.field, 2) * lin ** rng.randint(-2, 2)
+
+
+def test_specialize_over_finite_fields_matches_horner():
+    """specialize over F_7 and F_9 against Horner on numerator and
+    denominator at every field element, with zeros and poles placed on
+    some of them."""
+    rng = random.Random(153)
+    outcomes = Counter()
+    for base in (F7, FiniteBase(9)):
+        zero, sweep = base.field.zero, list(base.field.elements())
+        for _ in range(12):
+            roots = rng.sample(sweep, 2)
+            pairs = [
+                (_finite_entry(rng, base, rng.choice(roots)),
+                 _finite_entry(rng, base, rng.choice(roots)))
+                for _ in range(rng.randint(1, 3))
+            ]
+            cls_ = BrauerClass.make(base, 2, pairs)
+            for c in sweep:
+                nd = [(_horner(e.num, c), _horner(e.den, c)) for a, b in pairs for e in (a, b)]
+                regular = all(n != zero and d != zero for n, d in nd)
+                assert is_symbol_regular(cls_, c) == regular
+                if regular:
+                    vals = [n / d for n, d in nd]
+                    assert specialize(cls_, c) == tuple(zip(vals[::2], vals[1::2]))
+                else:
+                    with pytest.raises(NotSymbolRegular):
+                        specialize(cls_, c)
+                outcomes[base.q, regular] += 1
+    assert min(outcomes.values()) >= 10 and len(outcomes) == 4
+
+
+def test_specialization_after_the_divisor_factors_and_evaluates_nothing(monkeypatch):
+    """Once a class's divisor is known, regular_rational_points and
+    specialize read its zero and pole points and unit parts: no factoring
+    and no Poly.evaluate, over Q and over F_7."""
+    rng = random.Random(154)
+    for base in (Q_BASE, F7):
+        classes = [random_class(rng, base, 2, 3, 2, height=9) for _ in range(8)]
+        for cls_ in classes:
+            ramification_divisor(cls_)
+
+        def refuse(*args):
+            raise AssertionError("factoring or evaluation after the divisor")
+
+        monkeypatch.setattr(brauer, "factor_poly", refuse)
+        monkeypatch.setattr(Poly, "evaluate", refuse)
+        got = [
+            [(c, specialize(cls_, c)) for c in regular_rational_points(cls_, 3)]
+            for cls_ in classes
+        ]
+        monkeypatch.undo()
+        want = [
+            [(c, tuple((s.a.evaluate(c), s.b.evaluate(c)) for s in cls_.symbols))
+             for c in regular_rational_points(cls_, 3)]
+            for cls_ in classes
+        ]
+        assert got == want and all(got)
 
 
 _NONSPLIT = ((-1, -1), (-1, 3), (2, 5), (3, 5), (-1, 7))

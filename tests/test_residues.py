@@ -14,6 +14,7 @@ import pytest
 
 from brauercalc import residues
 from brauercalc.errors import ScopeError
+from brauercalc.factoring import is_irreducible
 from brauercalc.fields import GF, QuotientField, multiplicative_generator, rational_is_square
 from brauercalc.points import ClosedPoint, FiniteBase, Q_BASE, residue_field
 from brauercalc.poly import Poly, QQ
@@ -197,6 +198,40 @@ def test_higher_degree_square_test_matches_norm_oracle():
                     assert root * root == e
                 answers[expected] = answers.get(expected, 0) + 1
     assert answers[True] >= 12 and answers[False] >= 12
+
+
+def test_higher_degree_square_test_matches_sympy():
+    """nf_is_square in fields Q[t]/(pi) of degree 3 and 4 against sympy's
+    factorization of X^2 - e over Q(theta), theta a root of pi: squares,
+    random elements and e = 3t, on t^3 - 3 (where 3t = t^4) and on
+    seeded pi."""
+    sympy = pytest.importorskip("sympy")
+    t, X = sympy.symbols("t X")
+    rng = random.Random(45)
+    pis, answers = [Poly.from_ints(QQ, [-3, 0, 0, 1])], {}
+    while len(pis) < 9:
+        pi = random_poly(rng, QQ, 4, height=5, monic=True, min_degree=3)
+        if is_irreducible(pi):
+            pis.append(pi)
+    for pi in pis:
+        kappa = QuotientField(QQ, pi)
+        theta = sympy.CRootOf(sum(int(c) * t**i for i, c in enumerate(pi.coeffs)), 0)
+        K = sympy.QQ.algebraic_field(theta)
+        assert K.mod.degree() == pi.degree  # pi is the minimal polynomial
+        cases = (("square", random_nf_elem(rng, kappa) ** 2),
+                 ("random", random_nf_elem(rng, kappa)),
+                 ("3t", kappa.gen_elem() * 3))
+        for kind, e in cases:
+            # K's elements are coefficient lists in theta, highest first
+            ek = K([sympy.QQ(c.numerator, c.denominator)
+                    for c in reversed(kappa.to_poly(e).coeffs)])
+            _, factors = sympy.Poly([K.one, K.zero, -ek], X, domain=K).factor_list()
+            expected = any(g.degree() == 1 for g, _ in factors)
+            assert nf_is_square(kappa, e) == expected, (pi, kind)
+            answers[kind, expected] = answers.get((kind, expected), 0) + 1
+    assert {pi.degree for pi in pis} == {3, 4}
+    assert answers["square", True] == 9 and answers.get(("random", False), 0) >= 6
+    assert answers["3t", True] >= 1 and answers["3t", False] >= 6
 
 
 def test_quadratic_square_test_never_factors(monkeypatch):

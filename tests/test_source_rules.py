@@ -16,6 +16,9 @@ that can end a request with exit 3 is documented.  No call hands a
 field's elements(), or a range over a field size, to list, tuple or
 itertools.product, which would build one object per element of the
 field; a field hands out its i-th element with element_at(i).
+Only poly, factoring and points name integer forms (int_form and the
+_int_list_* helpers), and brauer calls no evaluate: the rest of the
+library reads values at a point off points.unit_part_at.
 """
 
 import ast
@@ -227,3 +230,28 @@ def test_no_field_is_listed():
             and any(_lists_a_field(a) for a in node.args)
         )
     assert not hits, f"calls that list a finite field: {hits}"
+
+
+# Modules that may work on integer forms; the rest read local values
+# through points.unit_part_at.
+_INT_FORM_MODULES = {"poly.py", "factoring.py", "points.py"}
+
+
+def test_integer_forms_stay_in_poly_factoring_and_points():
+    hits = []
+    for name, node in _nodes():
+        if isinstance(node, ast.Name):
+            named = node.id
+        elif isinstance(node, ast.Attribute):
+            named = node.attr
+        elif isinstance(node, ast.alias):
+            named = node.name
+        else:
+            continue
+        if name not in _INT_FORM_MODULES and (
+            named == "int_form" or named.startswith("_int_list_")
+        ):
+            hits.append(f"{name}:{node.lineno} names {named}")
+        if name == "brauer.py" and named == "evaluate":
+            hits.append(f"{name}:{node.lineno} calls evaluate")
+    assert not hits, f"integer forms or evaluation outside their modules: {hits}"
