@@ -107,52 +107,43 @@ def _parser():
     return build_parser()
 
 
-def _parse_expr(args, text):
+def _parse_classes(args, *named):
+    """The classes of the (key, text) pairs, parsed in order, and the report
+    inputs: base, p and seed, then each class's canonical text under its key."""
     base = rpt.parse_base(args.base)
-    return parse_class(text, base, args.p)
-
-
-def _base_inputs(args):
-    return {"base": args.base, "p": args.p, "seed": args.seed}
+    inputs = {"base": args.base, "p": args.p, "seed": args.seed}
+    exprs = []
+    for key, text in named:
+        exprs.append(parse_class(text, base, args.p))
+        inputs[key] = exprs[-1].canonical()
+    return *exprs, inputs
 
 
 def cmd_ram(args):
-    expr = _parse_expr(args, args.cls)
-    inputs = _base_inputs(args)
-    inputs["class"] = expr.canonical()
+    expr, inputs = _parse_classes(args, ("class", args.cls))
     return rpt.Report("ram", inputs, rpt.ram_outcome(expr.cls))
 
 
 def cmd_equal(args):
-    left = _parse_expr(args, args.left)
-    right = _parse_expr(args, args.right)
-    inputs = _base_inputs(args)
-    inputs["left"] = left.canonical()
-    inputs["right"] = right.canonical()
+    left, right, inputs = _parse_classes(args, ("left", args.left), ("right", args.right))
     return rpt.Report("equal", inputs, rpt.equal_outcome(left.cls, right.cls))
 
 
 def cmd_distinguish(args):
-    left = _parse_expr(args, args.left)
-    right = _parse_expr(args, args.right)
-    inputs = _base_inputs(args)
-    inputs["left"] = left.canonical()
-    inputs["right"] = right.canonical()
+    left, right, inputs = _parse_classes(args, ("left", args.left), ("right", args.right))
     inputs["sweep"] = args.sweep
     verdict = distinguish(left.cls, right.cls, sweep=args.sweep)
     return rpt.Report("distinguish", inputs, rpt.distinguish_outcome(verdict))
 
 
 def cmd_enumerate(args):
-    expr = _parse_expr(args, args.cls)
-    inputs = _base_inputs(args)
-    inputs["class"] = expr.canonical()
+    expr, inputs = _parse_classes(args, ("class", args.cls))
     cand = enumerate_candidates(expr.cls)
     return rpt.Report("enumerate", inputs, rpt.enumerate_outcome(cand))
 
 
 def cmd_witness(args):
-    expr = _parse_expr(args, args.cls)
+    expr, inputs = _parse_classes(args, ("class", args.cls))
     base = expr.base
     cval = parse_constant(args.at, base.field, "--at")
     x = ClosedPoint.rational(base, cval)
@@ -168,8 +159,6 @@ def cmd_witness(args):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(rpt.witness_to_json(datum))
-    inputs = _base_inputs(args)
-    inputs["class"] = expr.canonical()
     inputs["at"] = args.at
     outcome = {
         "witness": rpt.witness_to_obj(datum),
@@ -180,7 +169,7 @@ def cmd_witness(args):
 
 
 def cmd_verify_witness(args):
-    expr = _parse_expr(args, args.cls)
+    expr, inputs = _parse_classes(args, ("class", args.cls))
     with open(args.witness_file, "r", encoding="utf-8") as fh:
         text = fh.read()
     datum = rpt.witness_from_json(text, expr.base)
@@ -194,8 +183,6 @@ def cmd_verify_witness(args):
         wrep = unramified_cover_certificates(expr.cls, datum)
     else:
         raise ValueError(f"unknown witness kind {datum.kind!r}")
-    inputs = _base_inputs(args)
-    inputs["class"] = expr.canonical()
     inputs["witness_file"] = args.witness_file
     outcome = {"kind": datum.kind}
     outcome.update(rpt.witness_report_outcome(wrep))

@@ -66,8 +66,12 @@ class KummerCoverDatum:
         if char and self.m % char == 0:
             raise ValueError("cover degree divisible by the characteristic")
 
-    def fiber_root_valid(self):
-        return self.fiber_root**self.m == self.g.evaluate(self.basepoint_t)
+    def _fiber_root_check(self):
+        return WitnessCheck(
+            "fiber-root",
+            self.fiber_root**self.m == self.g.evaluate(self.basepoint_t),
+            f"T = {self.fiber_root} solves the fiber equation",
+        )
 
 
 def pullback_class(cls, reparam):
@@ -161,13 +165,7 @@ def verify_splitting_witness(cls, witness):
             f"v(g) = {vx} at t = {witness.basepoint_t}",
         )
     )
-    checks.append(
-        WitnessCheck(
-            "fiber-root",
-            witness.fiber_root_valid(),
-            f"T = {witness.fiber_root} solves the fiber equation",
-        )
-    )
+    checks.append(witness._fiber_root_check())
     full = witness.m == 2 and witness.reparam is not None
     if not full:
         notes.append(
@@ -320,11 +318,5 @@ def unramified_cover_certificates(cls, witness):
             f"f({witness.basepoint_t}) = {fx}",
         )
     )
-    checks.append(
-        WitnessCheck(
-            "fiber-root",
-            witness.fiber_root_valid(),
-            f"T = {witness.fiber_root} solves the fiber equation",
-        )
-    )
+    checks.append(witness._fiber_root_check())
     return WitnessReport("certificates-only", tuple(checks), ())

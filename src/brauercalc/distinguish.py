@@ -212,9 +212,6 @@ def enumerate_candidates(a):
     bound = (p - 1) ** r
     if bound > MAX_CANDIDATE_BOUND:
         raise ScopeError(f"{bound} tuples over {r} points exceed {MAX_CANDIDATE_BOUND}")
-    if r == 0:
-        zero = BrauerClass.zero(a.base, p)
-        return CandidateSet(a, (), (TwistSequence((), ()),), (zero,), bound)
     cor = [corestriction_exponent(rc) for _, rc in div.entries]
     sequences = []
     classes = []

@@ -61,7 +61,7 @@ from functools import lru_cache
 from .errors import ScopeError
 from .fields import PrimeField, PrimePowerFactorization
 from .fields import factor_int, is_prime, rational_sqrt
-from .poly import Poly, QQ, poly_gcd
+from .poly import Poly, QQ, _power, poly_gcd
 from .poly import _int_list_at, _int_list_div_linear, _int_list_primitive
 from .poly import _zadd, _zdivmod_mod, _zmul, _zsub, _ztrim, _ztrunc
 
@@ -251,16 +251,9 @@ class _PolyRing(_PolyOps):
 
 
 def _powmod(R, a, n, f):
-    """a**n modulo f in R, by square-and-multiply; f has degree >= 1."""
-    result = R.one
-    base = R.rem(a, f)
-    while n:
-        if n & 1:
-            result = R.rem(R.mul(result, base), f)
-        n >>= 1
-        if n:
-            base = R.rem(R.mul(base, base), f)
-    return result
+    """a**n modulo f in R: poly._power with products reduced mod f, which
+    has degree >= 1."""
+    return _power(R.rem(a, f), n, R.one, lambda x, y: R.rem(R.mul(x, y), f))
 
 
 def _distinct_degree(R, f):
@@ -609,10 +602,7 @@ def factor_over_Q(f):
         raise ValueError("cannot factor the zero polynomial")
     if f.field is not QQ:
         raise TypeError("factor_over_Q needs a polynomial over QQ")
-    unit = f.lc
-    if f.degree == 0:
-        return PrimePowerFactorization(unit, ())
-    return PrimePowerFactorization(unit, _factor_q_monic(f.int_form()[1]))
+    return PrimePowerFactorization(f.lc, _factor_q_monic(f.int_form()[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +629,6 @@ def factor_over_Fq(f):
     if not field.finite:
         raise TypeError("factor_over_Fq needs a finite coefficient field")
     unit = f.lc
-    if f.degree == 0:
-        return PrimePowerFactorization(unit, ())
     if isinstance(field, PrimeField):
         p = field.p
         inv = pow(unit.rep, -1, p)

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ScopeError
-from .poly import Poly, _zmul, poly_xgcd, resultant
+from .poly import Poly, _power, _zmul, poly_xgcd, resultant
 
 
 class FFElem:
@@ -104,14 +104,7 @@ class FFElem:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, self.field.one)
 
     def __eq__(self, other):
         if isinstance(other, FFElem):
@@ -287,29 +280,24 @@ class QuotientField:
     def _mul(self, a, b):
         d = self.degree
         base = self.base
-        if self._red_ints is not None:
-            # t^k for k >= d reduces straight to degree < d, so the integer
-            # product is reduced mod p once, at the end
+        ints = self._red_ints
+        if ints is not None:
             out = _zmul([x.rep for x in a], [y.rep for y in b]) + [0] * (2 * d)
-            for k in range(d, 2 * d - 1):
-                for i, c in enumerate(self._red_ints[k - d]):
-                    out[i] += out[k] * c
-            return tuple(FFElem(base, c % base.p) for c in out[:d])
-        out = [base.zero] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x == base.zero:
-                continue
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-        for k in range(2 * d - 2, d - 1, -1):
-            top = out[k]
-            if top == base.zero:
-                continue
-            row = self._red[k - d]
-            for i in range(d):
-                out[i] = out[i] + top * row[i]
-            out[k] = base.zero
-        return tuple(out[:d])
+        else:
+            out = [base.zero] * (2 * d - 1)
+            for i, x in enumerate(a):
+                if x == base.zero:
+                    continue
+                for j, y in enumerate(b):
+                    out[i + j] = out[i + j] + x * y
+        # t^k for k >= d reduces straight to degree < d, so one ascending
+        # pass reduces the product, and an integer one is reduced mod p once
+        for k in range(d, 2 * d - 1):
+            for i, c in enumerate((ints or self._red)[k - d]):
+                out[i] += out[k] * c
+        if ints is None:
+            return tuple(out[:d])
+        return tuple(FFElem(base, c % base.p) for c in out[:d])
 
     def _inv(self, a):
         if self.degree == 2:
@@ -336,11 +324,7 @@ class QuotientField:
 
     def norm(self, e):
         """Norm down to the base field, as Res(modulus, representative)."""
-        e = self.coerce(e)
-        p = self.to_poly(e)
-        if p.is_zero:
-            return self.base.zero
-        return resultant(self.modulus, p)
+        return resultant(self.modulus, self.to_poly(e))
 
     def elements(self):
         return map(self.element_at, range(self.order))

@@ -205,7 +205,6 @@ class _ClassParser:
 
 @dataclass(frozen=True)
 class ClassExpression:
-    source: str
     cls: object
     base: object
     p: int
@@ -218,7 +217,7 @@ def parse_class(text, base, p):
     """Parse an expression into a class over the given base and torsion."""
     pairs = _ClassParser(text, base.field).parse_class()
     cls = BrauerClass.make(base, p, pairs)
-    return ClassExpression(text, cls, base, p)
+    return ClassExpression(cls, base, p)
 
 
 def parse_ratfunc(text, field):

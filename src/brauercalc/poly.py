@@ -27,11 +27,17 @@ unit parts there need no Fraction division.
 Integer coefficient lists (lowest degree first) have every primitive
 here: _int_list_* for the integer form, _z* for Hensel lifting.  F_p[t]
 on such lists goes only through factoring._IntListRing.
+
+Square-and-multiply (_power) and Horner's rule (_horner) are written
+once, here: powers of polynomials and field elements, and factoring's
+_powmod, go through _power; evaluation, composition and substitution
+through _horner.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -163,8 +169,6 @@ class Poly:
                 object.__setattr__(out, "_int_form", (form[0] * c, form[1]))
             return out
         other = self._wrap(other)
-        if self.is_zero or other.is_zero:
-            return Poly.zero(self.field)
         out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == self.field.zero:
@@ -178,14 +182,7 @@ class Poly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, Poly.one(self.field))
 
     def __divmod__(self, other):
         other = self._wrap(other)
@@ -208,9 +205,6 @@ class Poly:
 
     def __mod__(self, other):
         return divmod(self, other)[1]
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
 
     def exact_div(self, other):
         q, r = divmod(self, other)
@@ -261,24 +255,38 @@ class Poly:
 
     def evaluate(self, x):
         x = self.field.coerce(x) if not hasattr(x, "field") else x
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, x, self.field.zero)
 
     def compose(self, other):
         """self(other(t)) for a polynomial argument."""
-        other = self._wrap(other)
-        acc = Poly.zero(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * other + Poly.constant(self.field, c)
-        return acc
+        return _horner(self.coeffs, self._wrap(other), Poly.zero(self.field))
 
     def sort_key(self):
         return (self.degree, tuple(self.field.element_key(c) for c in self.coeffs))
 
     def __repr__(self):
         return f"Poly({poly_str(self)})"
+
+
+def _power(base, n, one, mul=operator.mul):
+    """base**n for an integer n >= 0 by square-and-multiply, with mul the
+    product and one its identity; base is squared only while bits remain."""
+    result = one
+    while n:
+        if n & 1:
+            result = mul(result, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return result
+
+
+def _horner(coeffs, x, zero):
+    """sum of coeffs[i] * x**i by Horner's rule, starting from zero."""
+    acc = zero
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def _int_list_primitive(a):
@@ -377,8 +385,6 @@ def poly_gcd(f, g):
     a, b = f, g
     while not b.is_zero:
         a, b = b, a % b
-    if a.is_zero:
-        return a
     return a.monic()
 
 
@@ -596,22 +602,14 @@ class RationalFunction:
 
     def substitute(self, r):
         """self(r(s)) for a rational function r, computed exactly."""
-        num = _poly_at_ratfunc(self.num, r)
-        den = _poly_at_ratfunc(self.den, r)
-        return num / den
+        zero = RationalFunction(Poly.zero(self.field))
+        return _horner(self.num.coeffs, r, zero) / _horner(self.den.coeffs, r, zero)
 
     def sort_key(self):
         return (self.num.sort_key(), self.den.sort_key())
 
     def __repr__(self):
         return f"RationalFunction({ratfunc_str(self)})"
-
-
-def _poly_at_ratfunc(p, r):
-    acc = RationalFunction(Poly.zero(p.field))
-    for c in reversed(p.coeffs):
-        acc = acc * r + RationalFunction(Poly.constant(p.field, c))
-    return acc
 
 
 def _coeff_str(s):

@@ -698,6 +698,10 @@ def test_zero_and_constant_rejected():
         factor_over_Q(Poly.zero(QQ))
     fac = factor_over_Q(Poly.constant(QQ, Fraction(5)))
     assert fac.unit == 5 and not fac.factors
+    for field in (GF(7), GF(9)):
+        c = field.element_at(5)
+        fac = factor_over_Fq(Poly.constant(field, c))
+        assert fac.unit == c and not fac.factors
 
 
 def _factors(coeffs):

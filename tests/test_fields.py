@@ -168,6 +168,7 @@ def test_norm_matches_conjugate_product():
             n = ext.norm(e)
             assert ext.coerce(n) == conj
             assert n.field is base
+        assert ext.norm(ext.zero) == base.zero
 
 
 def test_norm_multiplicative_number_field():
@@ -180,6 +181,7 @@ def test_norm_multiplicative_number_field():
         if a.is_zero or b.is_zero:
             continue
         assert kappa.norm(a * b) == kappa.norm(a) * kappa.norm(b)
+    assert kappa.norm(kappa.zero) == 0
     # norm of a constant c is c^degree
     assert kappa.norm(kappa.from_int(3)) == 9
     # norm of sqrt(2) is -2: Res(t^2-2, t) = -2

@@ -282,6 +282,38 @@ def test_large_finite_fields_are_never_listed(name):
     assert proc.returncode in codes, proc.stdout + proc.stderr
 
 
+# Hostile calls with the exit code each must give, in the same capped
+# child: parse errors (2) for nesting, powers of sums and a zero
+# denominator, out of scope (3) for huge degrees and p outside the Q
+# base, a usage error (1) for a field order that is no prime power, and
+# answers for thousands of symbols and a prime order past 2^32.
+HOSTILE_CALLS = {
+    "3000_nested_parentheses": (2, ["ram", "(" * 3000 + "t, 3" + ")" * 3000]),
+    "power_of_a_sum": (2, ["ram", "((t+1)^4000, 3)"]),
+    "zero_denominator": (2, ["ram", "(t/(t-t), 3)"]),
+    "degree_5000": (3, ["ram", "(t^5000, 3)"]),
+    "degree_10^12": (3, ["ram", "(t^1000000000000, 3)"]),
+    "p_zero_over_q": (3, ["ram", "(t, 3)", "--p", "0"]),
+    "p_negative_over_q": (3, ["ram", "(t, 3)", "--p", "-5"]),
+    "field_of_order_1": (1, ["ram", "(t, 3)", "--base", "fq:1"]),
+    "3001_symbols": (0, ["ram", " + ".join(["(t, 3)"] * 3001)]),
+    "prime_past_2^32": (0, ["ram", "(t, 3)", "--base", "fq:4294967311", "--p", "3"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_CALLS))
+def test_hostile_calls_end_with_their_exit_codes(name):
+    code, argv = HOSTILE_CALLS[name]
+    proc = subprocess.run(
+        [sys.executable, "-m", "brauercalc.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=5,
+        preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode == code, proc.stdout + proc.stderr
+
+
 def test_cli_parser_is_reused_after_usage_errors(capsys):
     # main() builds its argparse parser once per process; a usage error
     # must leave it fit for the next call

@@ -52,6 +52,9 @@ def test_ring_axioms_random():
         assert f * g == g * f
         assert f * (g + h) == f * g + f * h
         assert (f - f).is_zero
+    for field in (QQ, GF(7)):
+        f, zero = random_poly(rng, field, 4, min_degree=1), Poly.zero(field)
+        assert f * zero == zero * f == zero * zero == zero
 
 
 def test_divmod_identity_random():
@@ -107,6 +110,7 @@ def test_gcd_detects_common_factor():
     f = common * P(1, 1)
     g = common * P(3, 0, 0, 1)
     assert (poly_gcd(f, g) % common).is_zero
+    assert poly_gcd(Poly.zero(QQ), Poly.zero(QQ)) == Poly.zero(QQ)
 
 
 def test_resultant_multiplicative_and_roots():

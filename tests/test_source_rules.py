@@ -19,6 +19,8 @@ field; a field hands out its i-th element with element_at(i).
 Only poly, factoring and points name integer forms (int_form and the
 _int_list_* helpers), and brauer calls no evaluate: the rest of the
 library reads values at a point off points.unit_part_at.
+No library function but poly._power shifts an exponent with >>=, so
+square-and-multiply is written once and every power goes through it.
 """
 
 import ast
@@ -255,3 +257,19 @@ def test_integer_forms_stay_in_poly_factoring_and_points():
         if name == "brauer.py" and named == "evaluate":
             hits.append(f"{name}:{node.lineno} calls evaluate")
     assert not hits, f"integer forms or evaluation outside their modules: {hits}"
+
+
+def test_square_and_multiply_is_written_once():
+    owners = {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        # breadth first: an inner function overwrites its outer one's name
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.RShift):
+                    owners[f"{path.name}:{node.lineno}"] = f"{path.stem}.{func.name}"
+    hits = [f"{where} in {owner}" for where, owner in owners.items() if owner != "poly._power"]
+    assert not hits, f"square-and-multiply outside poly._power: {hits}"
+    assert owners, "poly._power shifts no exponent"
