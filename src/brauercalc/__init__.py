@@ -14,7 +14,6 @@ rings over F_q, coefficient lists for polynomials.
 from .brauer import (
     BrauerClass,
     Symbol,
-    as_ratfunc,
     classes_equal,
     compare_classes,
     constant_is_trivial,

@@ -36,21 +36,8 @@ from .points import (
     sweep_values,
     unit_part_at,
 )
-from .poly import Poly, RationalFunction
+from .poly import RationalFunction
 from .residues import ResidueClass, corestriction_exponent, norm_to_base
-
-
-def as_ratfunc(base, v):
-    """Coerce ints, base-field elements, and polynomials into k(t)."""
-    if isinstance(v, RationalFunction):
-        if v.field is not base.field:
-            raise TypeError("rational function over the wrong base field")
-        return v
-    if isinstance(v, Poly):
-        if v.field is not base.field:
-            raise TypeError("polynomial over the wrong base field")
-        return RationalFunction(v)
-    return RationalFunction.constant(base.field, base.field.coerce(v))
 
 
 @dataclass(frozen=True)
@@ -78,9 +65,10 @@ class BrauerClass:
     @classmethod
     def make(cls, base, p, pairs):
         base.check_torsion(p)
+        field = base.field
         syms = []
         for a, b in pairs:
-            fa, fb = as_ratfunc(base, a), as_ratfunc(base, b)
+            fa, fb = RationalFunction.coerce(field, a), RationalFunction.coerce(field, b)
             if fa.is_zero or fb.is_zero:
                 raise ValueError("symbol entries must be nonzero")
             syms.append(Symbol(fa, fb))

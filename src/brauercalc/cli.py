@@ -20,7 +20,7 @@ from .covers import (
 )
 from .distinguish import distinguish, enumerate_candidates
 from .errors import ParseError, ScopeError
-from .parser import parse_class, parse_constant
+from .parser import class_text, parse_class, parse_constant
 from .points import ClosedPoint
 from .poly import Poly, RationalFunction
 
@@ -112,48 +112,48 @@ def _parse_classes(args, *named):
     inputs: base, p and seed, then each class's canonical text under its key."""
     base = rpt.parse_base(args.base)
     inputs = {"base": args.base, "p": args.p, "seed": args.seed}
-    exprs = []
+    classes = []
     for key, text in named:
-        exprs.append(parse_class(text, base, args.p))
-        inputs[key] = exprs[-1].canonical()
-    return *exprs, inputs
+        classes.append(parse_class(text, base, args.p))
+        inputs[key] = class_text(classes[-1])
+    return *classes, inputs
 
 
 def cmd_ram(args):
-    expr, inputs = _parse_classes(args, ("class", args.cls))
-    return rpt.Report("ram", inputs, rpt.ram_outcome(expr.cls))
+    cls, inputs = _parse_classes(args, ("class", args.cls))
+    return rpt.Report("ram", inputs, rpt.ram_outcome(cls))
 
 
 def cmd_equal(args):
     left, right, inputs = _parse_classes(args, ("left", args.left), ("right", args.right))
-    return rpt.Report("equal", inputs, rpt.equal_outcome(left.cls, right.cls))
+    return rpt.Report("equal", inputs, rpt.equal_outcome(left, right))
 
 
 def cmd_distinguish(args):
     left, right, inputs = _parse_classes(args, ("left", args.left), ("right", args.right))
     inputs["sweep"] = args.sweep
-    verdict = distinguish(left.cls, right.cls, sweep=args.sweep)
+    verdict = distinguish(left, right, sweep=args.sweep)
     return rpt.Report("distinguish", inputs, rpt.distinguish_outcome(verdict))
 
 
 def cmd_enumerate(args):
-    expr, inputs = _parse_classes(args, ("class", args.cls))
-    cand = enumerate_candidates(expr.cls)
+    cls, inputs = _parse_classes(args, ("class", args.cls))
+    cand = enumerate_candidates(cls)
     return rpt.Report("enumerate", inputs, rpt.enumerate_outcome(cand))
 
 
 def cmd_witness(args):
-    expr, inputs = _parse_classes(args, ("class", args.cls))
-    base = expr.base
+    cls, inputs = _parse_classes(args, ("class", args.cls))
+    base = cls.base
     cval = parse_constant(args.at, base.field, "--at")
     x = ClosedPoint.rational(base, cval)
-    rc = residue_at(expr.cls, x)
+    rc = residue_at(cls, x)
     if rc.is_trivial():
         raise ValueError(f"the class is unramified at t = {args.at}; nothing to split")
     rep = rc.canonical_value()
     lin = RationalFunction(Poly(base.field, [-cval, base.field.one]))
-    datum = splitting_witness(base, expr.p, rep, lin)
-    residual = expr.cls - BrauerClass.make(expr.base, expr.p, [datum.symbol])
+    datum = splitting_witness(base, cls.p, rep, lin)
+    residual = cls - BrauerClass.make(base, cls.p, [datum.symbol])
     if not residue_at(residual, x).is_trivial():
         raise AssertionError("witness symbol failed to absorb the residue")
     if args.out:
@@ -169,18 +169,16 @@ def cmd_witness(args):
 
 
 def cmd_verify_witness(args):
-    expr, inputs = _parse_classes(args, ("class", args.cls))
+    cls, inputs = _parse_classes(args, ("class", args.cls))
     with open(args.witness_file, "r", encoding="utf-8") as fh:
         text = fh.read()
-    datum = rpt.witness_from_json(text, expr.base)
-    if datum.m != expr.p:
-        raise ValueError(
-            f"witness degree m = {datum.m} does not match --p {expr.p}"
-        )
+    datum = rpt.witness_from_json(text, cls.base)
+    if datum.m != cls.p:
+        raise ValueError(f"witness degree m = {datum.m} does not match --p {cls.p}")
     if datum.kind == "splitting":
-        wrep = verify_splitting_witness(expr.cls, datum)
+        wrep = verify_splitting_witness(cls, datum)
     elif datum.kind == "unramified":
-        wrep = unramified_cover_certificates(expr.cls, datum)
+        wrep = unramified_cover_certificates(cls, datum)
     else:
         raise ValueError(f"unknown witness kind {datum.kind!r}")
     inputs["witness_file"] = args.witness_file

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from .brauer import (
     FINITE_CONSTANTS_TRIVIAL,
     BrauerClass,
-    as_ratfunc,
     classes_equal,
     compare_classes,
     ramification_divisor,
@@ -92,8 +91,7 @@ def splitting_witness(base, p, a, b):
     by automatically represents the ramification.
     """
     base.check_torsion(p)
-    fa = as_ratfunc(base, a)
-    fb = as_ratfunc(base, b)
+    fa, fb = RationalFunction.coerce(base.field, a), RationalFunction.coerce(base.field, b)
     if fa.is_zero or fb.is_zero:
         raise ValueError("symbol entries must be nonzero")
     if not fa.is_constant:

@@ -174,23 +174,15 @@ def _separating_quadratic(pa, pb, sa, sb):
 # candidate enumeration over F_q(t)
 
 @dataclass(frozen=True)
-class TwistSequence:
-    """Exponents i_j applied to the residues at the support points."""
-
-    points: tuple
-    exponents: tuple
-
-
-@dataclass(frozen=True)
 class CandidateSet:
     """All reciprocity-compatible residue twists of a class, realized.
 
     The bound (p-1)^r caps the number of classes sharing this
     ramification support and residue fields; whether distinct members
-    are genuinely inequivalent is left open here.
+    are genuinely inequivalent is left open here.  sequences holds the
+    exponent tuples (i_1, ..., i_r) at the support points.
     """
 
-    base_class: object
     support: tuple
     sequences: tuple
     classes: tuple
@@ -218,10 +210,9 @@ def enumerate_candidates(a):
     for tup in itertools.product(range(1, p), repeat=r):
         if sum(i * n for i, n in zip(tup, cor)) % p:
             continue
-        built = _realize_tuple(a, div, tup)
-        sequences.append(TwistSequence(supp, tup))
-        classes.append(built)
-    return CandidateSet(a, supp, tuple(sequences), tuple(classes), bound)
+        sequences.append(tup)
+        classes.append(_realize_tuple(a, div, tup))
+    return CandidateSet(supp, tuple(sequences), tuple(classes), bound)
 
 
 def _realize_tuple(a, div, tup):

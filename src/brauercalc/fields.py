@@ -230,29 +230,18 @@ class QuotientField:
             rows.append(tuple(cur))
         return rows
 
-    def from_int(self, n):
-        rep = [self.base.from_int(n)] + [self.base.zero] * (self.degree - 1)
-        return FFElem(self, tuple(rep))
-
     def embed(self, e):
-        """Image of a base-field element."""
+        """Image of a base-field element, or of anything the base coerces."""
         e = self.base.coerce(e)
         rep = [e] + [self.base.zero] * (self.degree - 1)
         return FFElem(self, tuple(rep))
 
+    from_int = embed
+
     def coerce(self, v):
-        if isinstance(v, FFElem):
-            if v.field is self:
-                return v
-            if v.field is self.base:
-                return self.embed(v)
-            raise TypeError("element of a different field")
-        if isinstance(v, int):
-            return self.from_int(v)
-        try:
-            return self.embed(self.base.coerce(v))
-        except TypeError:
-            raise TypeError(f"cannot coerce {v!r}")
+        if isinstance(v, FFElem) and v.field is self:
+            return v
+        return self.embed(v)
 
     def gen_elem(self):
         """The class of t."""
@@ -441,9 +430,7 @@ POLLARD_BITS = 512
 
 
 def _pollard_brent(n, rng):
-    """A proper factor of the composite n within POLLARD_STEPS squarings."""
-    if n % 2 == 0:
-        return 2
+    """A proper factor of the odd composite n within POLLARD_STEPS squarings."""
     steps = 0
     while True:
         y = rng.randrange(1, n)
@@ -490,8 +477,6 @@ def factor_int(n):
     rng = None  # seeded only for a composite cofactor
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if m.bit_length() > POLLARD_BITS:
             raise ScopeError(
                 f"a {m.bit_length()}-bit cofactor is over the {POLLARD_BITS}-bit "

@@ -23,30 +23,18 @@ def place_key(v):
     return (1, 0) if v == INF else (0, v)
 
 
-def padic_valuation(x, p):
-    x = Fraction(x)
+def _unit_mod(x, p, modulus):
+    """(valuation, p-adic unit part of x reduced mod a power of p) for a
+    Fraction x: p is stripped from its numerator and denominator."""
     if x == 0:
         raise ValueError("zero has no finite valuation")
-    v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
+    num, den, v = x.numerator, x.denominator, 0
+    while num % p == 0:
+        num //= p
         v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
+    while den % p == 0:
+        den //= p
         v -= 1
-    return v
-
-
-def _unit_mod(x, p, modulus):
-    """(valuation, p-adic unit part of x reduced mod a power of p)."""
-    v = padic_valuation(x, p)
-    num, den = x.numerator, x.denominator
-    if v > 0:
-        num //= p**v
-    elif v < 0:
-        den //= p**-v
     return v, num * pow(den, -1, modulus) % modulus
 
 
@@ -97,24 +85,20 @@ def relevant_places(pairs):
     return sorted(primes | {2, INF}, key=place_key)
 
 
-def local_invariants(pairs, places=None):
+def local_invariants(pairs):
     """Products of Hilbert symbols of the pairs, keyed by place.
 
-    With places=None every place where an invariant can be -1 is listed,
-    so the invariants multiply to +1 (Hilbert reciprocity); a violation
-    is a bug and raises AssertionError, which the CLI reports as an
-    internal error.
+    Every place where an invariant can be -1 is listed, so the invariants
+    multiply to +1 (Hilbert reciprocity); a violation is a bug and raises
+    AssertionError, which the CLI reports as an internal error.
     """
-    check = places is None
-    if check:
-        places = relevant_places(pairs)
     out = {}
-    for v in places:
+    for v in relevant_places(pairs):
         s = 1
         for a, b in pairs:
             s *= hilbert_symbol(a, b, v)
         out[v] = s
-    if check and prod(out.values()) != 1:
+    if prod(out.values()) != 1:
         nonsplit = [v for v, s in out.items() if s == -1]
         raise AssertionError(f"Hilbert reciprocity fails: nonsplit at {nonsplit}")
     return out
@@ -215,9 +199,8 @@ def separating_discriminant(places_a, places_b):
             congruences.append((_smallest_nonresidue(v), v))
         else:
             congruences.append((1, v))
+    # r is 1 or 5 mod 8, so odd and nonzero
     r, m = _crt(congruences)
-    if r == 0:
-        r = m
     d = squarefree_kernel(Fraction(r - m if INF in target else r))
     if not splits_invariant_set(d, target):
         raise AssertionError(f"Q(sqrt({d})) does not split the target class")

@@ -32,7 +32,6 @@ display form that the parser does not accept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from .brauer import BrauerClass
@@ -203,21 +202,9 @@ class _ClassParser:
         return n % self.field.char if self.field.char else n
 
 
-@dataclass(frozen=True)
-class ClassExpression:
-    cls: object
-    base: object
-    p: int
-
-    def canonical(self):
-        return class_text(self.cls)
-
-
 def parse_class(text, base, p):
     """Parse an expression into a class over the given base and torsion."""
-    pairs = _ClassParser(text, base.field).parse_class()
-    cls = BrauerClass.make(base, p, pairs)
-    return ClassExpression(cls, base, p)
+    return BrauerClass.make(base, p, _ClassParser(text, base.field).parse_class())
 
 
 def parse_ratfunc(text, field):

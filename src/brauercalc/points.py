@@ -24,15 +24,13 @@ from .poly import Poly, QQ, RationalFunction, poly_str, poly_strip
 from .poly import _int_list_at, _int_list_div_linear, _zdivmod_mod
 
 
+@dataclass(frozen=True)
 class RationalBase:
     """The rationals as the base of Q(t)."""
 
     is_finite = False
     char = 0
-
-    @property
-    def field(self):
-        return QQ
+    field = QQ
 
     def check_torsion(self, p):
         if p != 2:
@@ -43,12 +41,6 @@ class RationalBase:
 
     def __repr__(self):
         return "Q"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalBase)
-
-    def __hash__(self):
-        return hash("RationalBase")
 
 
 @dataclass(frozen=True)

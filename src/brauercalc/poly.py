@@ -270,15 +270,16 @@ class Poly:
 
 def _power(base, n, one, mul=operator.mul):
     """base**n for an integer n >= 0 by square-and-multiply, with mul the
-    product and one its identity; base is squared only while bits remain."""
-    result = one
+    product; the result starts as base at the lowest set bit, one is
+    returned only for n = 0, and base is squared only while bits remain."""
+    result = None
     while n:
         if n & 1:
-            result = mul(result, base)
+            result = base if result is None else mul(result, base)
         n >>= 1
         if n:
             base = mul(base, base)
-    return result
+    return one if result is None else result
 
 
 def _horner(coeffs, x, zero):
@@ -423,8 +424,6 @@ def resultant(f, g):
     while True:
         if b.is_zero:
             return field.zero
-        if a.degree == 0:
-            return acc * a.lc ** b.degree
         if b.degree == 0:
             return acc * b.lc ** a.degree
         if b.degree >= a.degree:
@@ -527,17 +526,20 @@ class RationalFunction:
     def is_polynomial(self):
         return self.den.degree == 0
 
-    def _wrap(self, other):
-        if isinstance(other, RationalFunction):
-            if other.field is not self.field:
-                raise TypeError("rational functions over different fields")
-            return other
-        if isinstance(other, Poly):
-            return RationalFunction(other)
-        return RationalFunction(Poly.constant(self.field, other))
+    @classmethod
+    def coerce(cls, field, v):
+        """v in field(t): a rational function or polynomial over field, or a
+        constant that field.coerce takes."""
+        if isinstance(v, Poly):
+            v = cls(v)
+        elif not isinstance(v, RationalFunction):
+            return cls.constant(field, v)
+        if v.field is not field:
+            raise TypeError(f"{v!r} is not over {field!r}")
+        return v
 
     def __add__(self, other):
-        other = self._wrap(other)
+        other = self.coerce(self.field, other)
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -548,25 +550,25 @@ class RationalFunction:
         return RationalFunction(-self.num, self.den)
 
     def __sub__(self, other):
-        return self + (-self._wrap(other))
+        return self + (-self.coerce(self.field, other))
 
     def __rsub__(self, other):
-        return self._wrap(other) - self
+        return self.coerce(self.field, other) - self
 
     def __mul__(self, other):
-        other = self._wrap(other)
+        other = self.coerce(self.field, other)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._wrap(other)
+        other = self.coerce(self.field, other)
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
-        return self._wrap(other) / self
+        return self.coerce(self.field, other) / self
 
     def inverse(self):
         """den/num: already coprime, so only the denominator is made monic."""
@@ -587,7 +589,7 @@ class RationalFunction:
         if isinstance(other, (RationalFunction, Poly, int, Fraction)) or hasattr(
             other, "field"
         ):
-            other = self._wrap(other)
+            other = self.coerce(self.field, other)
             return self.num == other.num and self.den == other.den
         return NotImplemented
 
@@ -604,9 +606,6 @@ class RationalFunction:
         """self(r(s)) for a rational function r, computed exactly."""
         zero = RationalFunction(Poly.zero(self.field))
         return _horner(self.num.coeffs, r, zero) / _horner(self.den.coeffs, r, zero)
-
-    def sort_key(self):
-        return (self.num.sort_key(), self.den.sort_key())
 
     def __repr__(self):
         return f"RationalFunction({ratfunc_str(self)})"

@@ -175,7 +175,7 @@ def enumerate_outcome(cand):
         "support": [str(pt) for pt in cand.support],
         "bound": cand.bound,
         "size": cand.size,
-        "sequences": [list(seq.exponents) for seq in cand.sequences],
+        "sequences": [list(seq) for seq in cand.sequences],
         "classes": [class_text(c) for c in cand.classes],
         "note": (
             "bound counts reciprocity-compatible residue twists; whether "

@@ -16,6 +16,7 @@ every literal and every t^e becomes a Poly, multiplied and added as read.
 """
 
 import itertools
+from math import prod
 
 from brauercalc.brauer import (
     ClassComparison,
@@ -26,7 +27,7 @@ from brauercalc.brauer import (
 )
 from brauercalc.errors import ParseError
 from brauercalc.factoring import _zassenhaus, factor_poly, squarefree_decomposition
-from brauercalc.hilbert import local_invariants, relevant_places
+from brauercalc.hilbert import hilbert_symbol, relevant_places
 from brauercalc.parser import _ClassParser, _check_degree, _int_literal
 from brauercalc.points import ClosedPoint, residue_field, sorted_points, unit_part_at
 from brauercalc.poly import Poly, QQ
@@ -165,9 +166,11 @@ def classes_equal_oracle(a, b, samples=10):
     diff = a - b
     for c in regular_rational_points(diff, samples):
         pa, pb = specialize(a, c), specialize(b, c)
-        places = relevant_places(list(pa) + list(pb))
-        if local_invariants(pa, places) != local_invariants(pb, places):
-            return False
+        for v in relevant_places(list(pa) + list(pb)):
+            if prod(hilbert_symbol(x, y, v) for x, y in pa) != prod(
+                hilbert_symbol(x, y, v) for x, y in pb
+            ):
+                return False
     return True
 
 

@@ -10,7 +10,6 @@ import pytest
 from brauercalc import brauer, hilbert
 from brauercalc.brauer import (
     BrauerClass,
-    as_ratfunc,
     classes_equal,
     compare_classes,
     constant_is_trivial,
@@ -279,7 +278,7 @@ def test_construction_guards():
     with pytest.raises(ScopeError):
         BrauerClass.make(F7, 5, [(3, 2)])
     with pytest.raises(TypeError):
-        as_ratfunc(F7, T)
+        RationalFunction.coerce(F7.field, T)
     a = BrauerClass.make(Q_BASE, 2, [(5, T)])
     with pytest.raises(ValueError):
         a + BrauerClass.zero(F7, 2)
@@ -290,8 +289,8 @@ def test_construction_guards():
 def test_negation_inverts_second_entry():
     a = BrauerClass.make(Q_BASE, 2, [(5, T)])
     (pair,) = (-a).pairs()
-    assert pair[0] == as_ratfunc(Q_BASE, 5)
-    assert pair[1] == as_ratfunc(Q_BASE, T).inverse()
+    assert pair[0] == RationalFunction.coerce(QQ, 5)
+    assert pair[1] == RationalFunction.coerce(QQ, T).inverse()
 
 
 def _first_point(base, degree):

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from brauercalc.brauer import BrauerClass, as_ratfunc, ramification_divisor
+from brauercalc.brauer import BrauerClass, ramification_divisor
 from brauercalc.covers import (
     KummerCoverDatum,
     Reparametrization,
@@ -218,7 +218,7 @@ def test_pullback_substitutes_entries():
     cls = BrauerClass.make(Q_BASE, 2, [(T, T)])
     rep = Reparametrization(RationalFunction(q_poly(0, 0, 1)))
     pulled = pullback_class(cls, rep)
-    sq = as_ratfunc(Q_BASE, q_poly(0, 0, 1))
+    sq = RationalFunction.coerce(QQ, q_poly(0, 0, 1))
     assert pulled.pairs() == ((sq, sq),)
 
 
@@ -229,7 +229,7 @@ def test_datum_guards():
             kind="unramified",
             base=F7,
             m=7,
-            g=as_ratfunc(F7, t7),
+            g=RationalFunction.coerce(F7.field, t7),
             basepoint_t=F7.field.zero,
             fiber_root=F7.field.zero,
         )

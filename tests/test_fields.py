@@ -34,6 +34,7 @@ def test_gf_prime_arithmetic():
     assert (a + b).rep == 1
     assert (a * b).rep == 1
     assert (a - b).rep == 5
+    assert (1 - a).rep == 5
     assert (a / b).rep == (3 * pow(5, 5, 7)) % 7
     assert (a ** (-1) * a) == f7.one
 

@@ -63,9 +63,9 @@ def test_roundtrip_random_classes():
             # the grammar has literals only for constants of the prime subfield
             c = random_class(rng, base, p, 3, 3, height=30, prime_subfield=True)
             text = class_text(c)
-            expr = parse_class(text, base, p)
-            assert expr.cls.pairs() == c.pairs(), text
-            assert class_text(expr.cls) == text
+            parsed = parse_class(text, base, p)
+            assert parsed.pairs() == c.pairs(), text
+            assert class_text(parsed) == text
 
 
 def test_parse_offsets():
@@ -89,14 +89,14 @@ def test_zero_entries_rejected():
 
 def test_zero_class_forms():
     for text in ("", "0"):
-        expr = parse_class(text, Q_BASE, 2)
-        assert expr.cls.symbols == ()
-        assert expr.canonical() == "0"
+        cls = parse_class(text, Q_BASE, 2)
+        assert cls.symbols == ()
+        assert class_text(cls) == "0"
 
 
 def test_canonical_spacing():
-    expr = parse_class("( 5 ,t )+(t,-1)", Q_BASE, 2)
-    assert expr.canonical() == "(5, t) + (t, -1)"
+    cls = parse_class("( 5 ,t )+(t,-1)", Q_BASE, 2)
+    assert class_text(cls) == "(5, t) + (t, -1)"
 
 
 def test_nonprime_coefficients_fall_back_to_display():
@@ -107,6 +107,10 @@ def test_nonprime_coefficients_fall_back_to_display():
     assert "[" in text
     with pytest.raises(ParseError):
         parse_ratfunc(text, f49)
+    f9 = FiniteBase(9)
+    u, t9 = f9.field.gen_elem(), Poly.gen(f9.field)
+    cls = BrauerClass.make(f9, 2, [(RationalFunction(t9 * u, t9 + 1), t9)])
+    assert class_text(cls) == "(([0,1]*t)/(t + 1), t)"
 
 
 def test_cli_exit_codes(capsys):
@@ -120,6 +124,40 @@ def test_cli_exit_codes(capsys):
     assert main([]) == 1
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+_WITNESS = {"kind": "splitting", "m": 2, "g": "-t/3", "basepoint": "0", "fiber_root": "0"}
+
+
+@pytest.mark.parametrize(
+    "argv, witness, code, shown",
+    [
+        (["verify-witness", "(3, t)"], {**_WITNESS, "m": 3}, 1,
+         ["witness degree m = 3 does not match --p 2"]),
+        (["verify-witness", "(3, t)"], {**_WITNESS, "kind": "bogus"}, 1,
+         ["unknown witness kind 'bogus'"]),
+        (["verify-witness", "(3, t)"], [], 2, ["offset 0: witness file must hold a JSON object"]),
+        (["verify-witness", "(3, t)"], {k: v for k, v in _WITNESS.items() if k != "g"}, 2,
+         ["witness file is missing the 'g' field"]),
+        (["verify-witness", "(3, t)"], {**_WITNESS, "g": "t )"}, 2, ["offset 2: unexpected ')'"]),
+        (["ram", "0 + (t, 3)"], None, 2, ["offset 2: nothing may follow the zero class"]),
+        (["ram", "(t, 3) (t, 5)"], None, 2, ["offset 7: unexpected '('"]),
+        (["witness", "(3, t)", "--at", "t"], None, 1, ["--at must be a constant"]),
+        (["ram", "(t, 3)", "--base", "x"], None, 1, ["unknown base 'x'"]),
+        # the text report prints None as ~
+        (["distinguish", "(2, t)", "(2, t)"], None, 0, ["\n  point: ~\n", "\n  certificate: ~\n"]),
+        (["witness", "(3, t)", "--at", "0"], None, 0, ["\n  written_to: ~\n"]),
+    ],
+)
+def test_input_checks_end_with_their_exit_codes(tmp_path, capsys, argv, witness, code, shown):
+    if witness is not None:
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(witness))
+        argv = argv + [str(path)]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    for text in shown:
+        assert text in (err if code else out), (text, out, err)
 
 
 def test_cli_rejects_negative_sweep(capsys):
@@ -344,8 +382,8 @@ def test_entry_degree_is_bounded():
 def test_zero_monomials_follow_poly_arithmetic():
     # a zero product has degree -1 however many powers of t it multiplies,
     # and is dropped before any coefficient list is made
-    expr = parse_class("(0*t^32*t^32 + t, t)", Q_BASE, 2)
-    assert expr.cls.pairs() == parse_class("(t, t)", Q_BASE, 2).cls.pairs()
+    cls = parse_class("(0*t^32*t^32 + t, t)", Q_BASE, 2)
+    assert cls.pairs() == parse_class("(t, t)", Q_BASE, 2).pairs()
     many = "*".join(["0"] + ["t^32"] * 2000)
     assert parse_ratfunc(f"{many} + 1", QQ) == RationalFunction.constant(QQ, 1)
     # the degree check comes before the zero factor is read
@@ -667,7 +705,7 @@ def test_cli_verify_witness_rejects_mistyped_fields(tmp_path, capsys, key, value
     ],
 )
 def test_cli_verifies_unramified_witness(tmp_path, capsys, base, p, cls_text, pole):
-    cls = parse_class(cls_text, base, p).cls
+    cls = parse_class(cls_text, base, p)
     bpt = None if pole is None else ClosedPoint(base, Poly.from_ints(base.field, pole))
     wfile = tmp_path / "w.json"
     wfile.write_text(witness_to_json(make_unramified_cover(cls, 2, bpt)))

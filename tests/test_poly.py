@@ -52,6 +52,7 @@ def test_ring_axioms_random():
         assert f * g == g * f
         assert f * (g + h) == f * g + f * h
         assert (f - f).is_zero
+        assert 1 - f == P(1) - f and (1 - f) + f == P(1)
     for field in (QQ, GF(7)):
         f, zero = random_poly(rng, field, 4, min_degree=1), Poly.zero(field)
         assert f * zero == zero * f == zero * zero == zero
@@ -83,6 +84,21 @@ def test_pow_and_negative_pow():
     assert f**0 == Poly.one(QQ)
     with pytest.raises(ValueError):
         f ** (-1)
+
+
+def test_power_spends_no_product_on_the_identity():
+    # from the lowest set bit on: bit_length - 1 squarings and popcount - 1
+    # products, and none at all for n = 0
+    for n in range(70):
+        products = []
+
+        def mul(x, y):
+            products.append((x, y))
+            return x * y
+
+        assert poly_module._power(3, n, 1, mul) == 3**n
+        want = 0 if n == 0 else (n.bit_length() - 1) + (bin(n).count("1") - 1)
+        assert len(products) == want, n
 
 
 def test_evaluate_compose():
@@ -134,6 +150,9 @@ def test_resultant_zero_iff_common_root():
     g = P(-1, 1)  # t - 1
     assert resultant(f, g) == 0
     assert resultant(f, P(-2, 1)) != 0
+    # the documented conventions for a constant first argument
+    assert resultant(P(3), P(1, 1) ** 2) == 9
+    assert resultant(P(3), Poly.zero(QQ)) == 1
 
 
 def test_lagrange_interpolate_recovers():
@@ -235,6 +254,10 @@ def test_ratfunc_field_ops_random():
         assert a + b == b + a
         if not b.is_zero:
             assert (a / b) * b == a
+        assert (a - b) + b == a
+        assert 1 - a == RationalFunction(Poly.one(QQ)) - a
+        if not a.is_zero:
+            assert 1 / a == a.inverse()
         assert a * a.inverse() == RationalFunction(Poly.one(QQ))
 
 

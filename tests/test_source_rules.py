@@ -21,6 +21,8 @@ _int_list_* helpers), and brauer calls no evaluate: the rest of the
 library reads values at a point off points.unit_part_at.
 No library function but poly._power shifts an exponent with >>=, so
 square-and-multiply is written once and every power goes through it.
+Every annotated field of a library @dataclass is read as .field
+somewhere in the library, so a record carries nothing no code looks at.
 """
 
 import ast
@@ -273,3 +275,27 @@ def test_square_and_multiply_is_written_once():
     hits = [f"{where} in {owner}" for where, owner in owners.items() if owner != "poly._power"]
     assert not hits, f"square-and-multiply outside poly._power: {hits}"
     assert owners, "poly._power shifts no exponent"
+
+
+def _is_dataclass(cls):
+    for dec in cls.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def test_record_fields_are_read():
+    fields, read = [], set()
+    for name, node in _nodes():
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            fields.extend(
+                (f"{name[:-3]}.{node.name}", item.target.id)
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            )
+    assert fields, "no dataclass fields found"
+    unread = [f"{owner}.{field}" for owner, field in fields if field not in read]
+    assert not unread, f"record fields no library code reads: {unread}"
