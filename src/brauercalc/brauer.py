@@ -49,9 +49,9 @@ class Symbol:
 
     def __post_init__(self):
         # remembered outside the fields, so equality and hashing ignore
-        # them: the tame symbol per point, the zero/pole points per base
+        # them: the tame symbol per point, the zero/pole points once known
         object.__setattr__(self, "_tame", {})
-        object.__setattr__(self, "_points", {})
+        object.__setattr__(self, "_points", None)
 
 
 @dataclass(frozen=True)
@@ -118,13 +118,13 @@ def _tame_symbol(s, point):
 
 def _symbol_points(s, base):
     """Infinity and the factors of the entries: where a valuation can be nonzero."""
-    if base not in s._points:
+    if s._points is None:
         pts = {ClosedPoint.infinity(base)}
         for f in (s.a.num, s.a.den, s.b.num, s.b.den):
             if f.degree >= 1:
                 pts.update(ClosedPoint(base, g) for g, _ in factor_poly(f))
-        s._points[base] = frozenset(pts)
-    return s._points[base]
+        object.__setattr__(s, "_points", frozenset(pts))
+    return s._points
 
 
 def residue_at(cls, point):
@@ -133,8 +133,7 @@ def residue_at(cls, point):
         raise ValueError("point over a different base field")
     acc = residue_field(point).one
     for s in cls.symbols:
-        pts = s._points.get(cls.base)
-        if pts is not None and point not in pts:
+        if s._points is not None and point not in s._points:
             continue
         val = _tame_symbol(s, point)
         if val is not None:
@@ -266,10 +265,10 @@ class ClassComparison:
     point, in sorted order, where their residues differ, and residue the
     residue of the difference there; both are None when the difference
     is unramified.  An unramified difference over Q is a constant class:
-    pairs is its specialization at at, the first symbol-regular value,
-    and equal is whether its halves have the same nonsplit places,
-    left_places and right_places, sorted by place_key.  Otherwise these
-    four are None.
+    left_pairs and right_pairs are the two classes specialized at at,
+    the first value symbol-regular for both, and equal is whether these
+    halves have the same nonsplit places, left_places and right_places,
+    sorted by place_key.  Otherwise these five are None.
     """
 
     left: object
@@ -278,7 +277,8 @@ class ClassComparison:
     point: object = None
     residue: object = None
     at: object = None
-    pairs: tuple = None
+    left_pairs: tuple = None
+    right_pairs: tuple = None
     left_places: tuple = None
     right_places: tuple = None
 
@@ -293,9 +293,9 @@ def compare_classes(c1, c2):
     is a constant class.  Over a finite constant field that forces
     triviality; over Q it is the specialization at the first
     symbol-regular rational point, off the zero and pole points both
-    divisors factored, and decided by the nonsplit places of its two
-    halves.  c1 - c2 is never built: its pairs are c1's, then (a, 1/b)
-    for each (a, b) of c2.
+    divisors factored, as c1 and c2 specialized there, and decided by the
+    nonsplit places of these two halves: c1 - c2, never built, has c1's
+    pairs and (a, 1/b), with the invariants of (a, b), for each of c2's.
     """
     if c1.base != c2.base or c1.p != c2.p:
         raise ValueError("classes over different settings")
@@ -312,10 +312,9 @@ def compare_classes(c1, c2):
     both = c1 + c2  # symbol-regular exactly where c1 - c2 is
     at = regular_rational_points(both, 1)[0]
     vals, n = specialize(both, at), len(c1.symbols)
-    pairs = vals[:n] + tuple((x, 1 / y) for x, y in vals[n:])
-    # (x, 1/y) has the invariants of (x, y), so the halves are vals as is
-    left, right = nonsplit_places(vals[:n], vals[n:])
-    return ClassComparison(d1, d2, left == right, at=at, pairs=pairs,
+    lp, rp = vals[:n], vals[n:]
+    left, right = nonsplit_places(lp, rp)
+    return ClassComparison(d1, d2, left == right, at=at, left_pairs=lp, right_pairs=rp,
                            left_places=left, right_places=right)
 
 

@@ -287,11 +287,10 @@ def _finite_pole_function(base, m, prod, inf_ramified, supp, xpt, bpt):
 def _auxiliary_value(base, supp, xpt, bpt):
     """A rational value e with (t - e) clear of D, the basepoint, and b."""
     for c in sweep_values(base):
-        cv = base.field.coerce(c)
-        pt = ClosedPoint.rational(base, cv)
+        pt = ClosedPoint.rational(base, c)
         if pt == xpt or pt == bpt or pt in supp:
             continue
-        return cv
+        return c
     raise ValueError("no auxiliary rational point available over this base")
 
 

@@ -6,7 +6,7 @@ reads the one brauer.compare_classes record of the pair.  The ladder:
 
   1. exact equality (divisor comparison plus the constant part),
   2. a residue-field mismatch at the first point of either support
-     where the two divisors of the record disagree on the extension,
+     where the two divisors of the record cut out different extensions,
   3. over Q, a rational specialization whose two constant classes are
      provably inequivalent: one trivial and one not, or both nontrivial
      with different nonsplit place sets, separated by an explicit
@@ -14,16 +14,17 @@ reads the one brauer.compare_classes record of the pair.  The ladder:
   4. the honest fallback "CandidateEquivalent", which never claims
      equivalence.
 
-With p = 2 a residue mismatch is an extension mismatch, so over Q a
-pair that passes step 2 differs by a nontrivial constant class, and
-step 3 reads both constant classes off the specialization of a - b
-that compare_classes made to decide equality, with the nonsplit place
-sets it computed for them (left_places, right_places): no Hilbert
-symbol is evaluated here.
+Over Q (p = 2) two residues cut out one extension exactly when their
+quotient is a square, so step 2 stops at the record's first differing
+point, and a pair that passes it differs by a nontrivial constant
+class.  Step 3 reads a and b specialized where compare_classes decided
+equality, with the nonsplit places it found (left_places, right_places):
+no Hilbert symbol is evaluated here.
 
-Over a finite constant field every constant class is trivial, so step 3
-can never separate anything and distinct residue twists land in step 4;
-whether such twists are genuinely equivalent is not decided here.
+Over F_q a divisor residue is no p-th power and kappa(x) has one
+extension of degree p, so step 2 stops at the first point of one support
+only; every constant class is trivial, so distinct residue twists land
+in step 4, and whether they are genuinely equivalent is not decided here.
 
 Candidate enumeration over F_q(t) walks all residue twist tuples
 (i_1, ..., i_r), 1 <= i_j <= p-1, keeps the ones whose corestriction
@@ -42,7 +43,7 @@ from .errors import ScopeError
 from .factoring import factor_over_Fq, squarefree_kernel
 from .fields import is_pth_power_finite, multiplicative_generator, pth_power_exponent
 from .hilbert import separating_discriminant, splits_invariant_set
-from .points import ClosedPoint, reduce_at, residue_field, sorted_points
+from .points import ClosedPoint, reduce_at, residue_field
 from .poly import RationalFunction
 from .residues import corestriction_exponent
 
@@ -88,11 +89,11 @@ class Verdict:
 def distinguish(a, b, sweep=200):
     """Verdict on whether the two classes provably differ.
 
-    Steps 2 and 3 read the one compare_classes record: its two divisors
-    and its specialization of a - b.  sweep is a nonnegative budget: 0
-    skips step 3, and any positive budget reads the specialization at
-    the first symbol-regular point of a - b (the `at` of
-    compare_classes), which always separates the classes.
+    Steps 2 and 3 read the one compare_classes record: its first
+    differing point over Q, its two supports over F_q, and its two
+    specialized halves.  sweep is a nonnegative budget: 0 skips step 3,
+    and any positive budget reads the halves at the first symbol-regular
+    point (the `at` of compare_classes), which always separates them.
     """
     if sweep < 0:
         raise ValueError(f"the sweep budget must be nonnegative, got {sweep}")
@@ -101,15 +102,16 @@ def distinguish(a, b, sweep=200):
     if cmp.equal:
         return Verdict(EQUAL, (*steps, "classes are equal"))
     steps.append("compared residue extensions at every point of either support")
-    for pt in sorted_points(set(cmp.left.support()) | set(cmp.right.support())):
+    pt = cmp.point
+    if a.base.is_finite:
+        diff = set(cmp.left.support()) ^ set(cmp.right.support())
+        pt = min(diff, key=ClosedPoint.sort_key, default=None)
+    if pt is not None:
         ra, rb = cmp.left.residue(pt), cmp.right.residue(pt)
-        if ra is None or rb is None or not ra.same_field(rb):
-            la, lb = (
-                "unramified" if r is None else r.field_label() for r in (ra, rb)
-            )
-            steps.append(f"extensions differ at {pt}: {la} vs {lb}")
-            row = FieldComparisonRow(pt, ra is not None, rb is not None, la, lb)
-            return Verdict(BY_RAMIFICATION_FIELD, tuple(steps), point=pt, certificate=row)
+        la, lb = ("unramified" if r is None else r.field_label() for r in (ra, rb))
+        steps.append(f"extensions differ at {pt}: {la} vs {lb}")
+        row = FieldComparisonRow(pt, ra is not None, rb is not None, la, lb)
+        return Verdict(BY_RAMIFICATION_FIELD, tuple(steps), point=pt, certificate=row)
     if a.base.is_finite:
         steps.append(
             "specialization sweep skipped: every constant class over a finite "
@@ -117,37 +119,31 @@ def distinguish(a, b, sweep=200):
         )
         steps.append("no certificate found; equivalence is not claimed")
         return Verdict(CANDIDATE_EQUIVALENT, tuple(steps))
-    if cmp.point is not None:
-        raise AssertionError(f"residues differ at {cmp.point} with the same extensions")
     steps.append("swept symbol-regular rational points outside both supports")
     if sweep == 0:
         steps.append("no separating point among the first 0 swept")
         steps.append("no certificate found; equivalence is not claimed")
         return Verdict(CANDIDATE_EQUIVALENT, tuple(steps))
-    # cmp.pairs is a - b at cmp.at: a's pairs, then (x, 1/y) for each pair
-    # (x, y) of b; over Q a constant class is trivial exactly when no place
-    # is nonsplit
-    cv = a.base.field.coerce(cmp.at)
-    pa = cmp.pairs[: len(a.symbols)]
-    pb = tuple((x, 1 / y) for x, y in cmp.pairs[len(a.symbols):])
+    # over Q a constant class is trivial exactly when no place is nonsplit
+    at, pa, pb = cmp.at, cmp.left_pairs, cmp.right_pairs
     sa, sb = cmp.left_places, cmp.right_places
     ta, tb = not sa, not sb
     if ta != tb:
         steps.append(
-            f"at t = {cv} exactly one specialization is trivial "
+            f"at t = {at} exactly one specialization is trivial "
             f"(left: {ta}, right: {tb}), so the base field itself "
             "splits one class and not the other"
         )
-        cert = SpecializationCertificate(cv, pa, pb, ta, tb)
-        return Verdict(BY_SPECIALIZATION, tuple(steps), point=cv, certificate=cert)
+        cert = SpecializationCertificate(at, pa, pb, ta, tb)
+        return Verdict(BY_SPECIALIZATION, tuple(steps), point=at, certificate=cert)
     d = _separating_quadratic(pa, pb, sa, sb)
     steps.append(
-        f"at t = {cv} both specializations are nontrivial with "
+        f"at t = {at} both specializations are nontrivial with "
         f"different nonsplit places {list(sa)} vs {list(sb)}; "
         f"Q(sqrt({d})) splits exactly one of them"
     )
-    cert = SpecializationCertificate(cv, pa, pb, False, False, d)
-    return Verdict(BY_SPECIALIZATION, tuple(steps), point=cv, certificate=cert)
+    cert = SpecializationCertificate(at, pa, pb, False, False, d)
+    return Verdict(BY_SPECIALIZATION, tuple(steps), point=at, certificate=cert)
 
 
 def _separating_quadratic(pa, pb, sa, sb):

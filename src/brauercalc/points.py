@@ -24,6 +24,10 @@ from .poly import Poly, QQ, RationalFunction, poly_str, poly_strip
 from .poly import _int_list_at, _int_list_div_linear, _zdivmod_mod
 
 
+# Largest torsion over F_q; a p-th power exponent walks p roots of unity.
+MAX_TORSION = 1000
+
+
 @dataclass(frozen=True)
 class RationalBase:
     """The rationals as the base of Q(t)."""
@@ -60,6 +64,8 @@ class FiniteBase:
         return self.field.char
 
     def check_torsion(self, p):
+        if p > MAX_TORSION:
+            raise ScopeError(f"torsion must be at most {MAX_TORSION} (requested p={p})")
         if not is_prime(p):
             raise ScopeError(f"torsion must be prime (requested p={p})")
         if (self.q - 1) % p != 0:
@@ -228,15 +234,15 @@ def _unit_value_prime(num, den, point):
 
 
 def sweep_values(base):
-    """0, 1, -1, 2, -2, ... over Q; all field elements over F_q."""
+    """0, 1, -1, 2, -2, ... as Fractions over Q; all field elements over F_q."""
     if base.is_finite:
         yield from base.field.elements()
         return
-    yield 0
+    yield Fraction(0)
     k = 1
     while True:
-        yield k
-        yield -k
+        yield Fraction(k)
+        yield Fraction(-k)
         k += 1
 
 

@@ -124,9 +124,11 @@ def equal_outcome(a, b):
     elif a.base.is_finite:
         out["constant_difference"] = {"trivial": True, "reason": FINITE_CONSTANTS_TRIVIAL}
     else:
+        # the specialized difference: a's pairs, then (x, 1/y) for each of b's
+        pairs = cmp.left_pairs + tuple((x, 1 / y) for x, y in cmp.right_pairs)
         cert = {
             "at": str(cmp.at),
-            "pairs": [[str(x), str(y)] for x, y in cmp.pairs],
+            "pairs": [[str(x), str(y)] for x, y in pairs],
             "trivial": cmp.equal,
         }
         if not cmp.equal:

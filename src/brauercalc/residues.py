@@ -18,6 +18,7 @@ returning it, and nf_is_square says yes only when it holds such a root.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -178,6 +179,9 @@ def nf_sqrt(kappa, e):
 # ---------------------------------------------------------------------------
 # residue classes
 
+# Most digits of the order q^(d p) a finite residue field's label writes.
+MAX_LABEL_DIGITS = 1000
+
 @dataclass(frozen=True)
 class ResidueClass:
     """A unit of the residue field at a point, taken modulo p-th powers."""
@@ -202,17 +206,9 @@ class ResidueClass:
         return self._trivial
 
     def same_class(self, other):
-        self._check_comparable(other)
-        return is_pth_power(self.field, self.value / other.value, self.p)
-
-    def same_field(self, other):
-        """Whether both residues cut out the same extension of kappa(x)."""
-        self._check_comparable(other)
-        return same_kummer_extension(self.field, self.value, other.value, self.p)
-
-    def _check_comparable(self, other):
         if self.point != other.point or self.p != other.p:
             raise ValueError("residue classes at different points or torsion")
+        return is_pth_power(self.field, self.value / other.value, self.p)
 
     def canonical_value(self):
         """A canonical representative modulo p-th powers where one exists."""
@@ -233,9 +229,10 @@ class ResidueClass:
             d = squarefree_kernel(self.value)
             return "Q" if d == 1 else f"Q(sqrt({d}))"
         if kappa.finite:
-            if self.is_trivial():
-                return f"F{kappa.order}"
-            return f"F{kappa.order ** self.p}"
+            e = 1 if self.is_trivial() else self.p
+            if e * math.log10(kappa.order) >= MAX_LABEL_DIGITS:
+                raise ScopeError(f"a field label of more than {MAX_LABEL_DIGITS} digits")
+            return f"F{kappa.order ** e}"
         deg = self.point.degree
         if deg == 2:
             pi = self.point.poly

@@ -149,8 +149,10 @@ def compare_by_difference(c1, c2):
     if c1.base.is_finite:
         return ClassComparison(d1, d2, True)
     at = regular_rational_points(diff, 1)[0]
-    pairs = specialize(diff, at)
-    return ClassComparison(d1, d2, constant_is_trivial(c1.base, pairs, c1.p), at=at, pairs=pairs)
+    pairs, n = specialize(diff, at), len(c1.symbols)
+    right = tuple((x, 1 / y) for x, y in pairs[n:])
+    return ClassComparison(d1, d2, constant_is_trivial(c1.base, pairs, c1.p), at=at,
+                           left_pairs=pairs[:n], right_pairs=right)
 
 
 def classes_equal_oracle(a, b, samples=10):

@@ -197,9 +197,10 @@ def test_compare_classes_matches_difference_divisor():
                 assert cmp.residue.same_class(rc)
             assert cmp.equal == classes_equal_oracle(a, b)
             if base.is_finite or cmp.point is not None:
-                assert cmp.at is None and cmp.pairs is None
+                assert cmp.at is None and cmp.left_pairs is cmp.right_pairs is None
             else:
-                assert cmp.pairs == specialize(a - b, cmp.at)
+                assert cmp.left_pairs == specialize(a, cmp.at)
+                assert cmp.right_pairs == specialize(b, cmp.at)
 
 
 def test_difference_with_self_vanishes():
@@ -587,8 +588,8 @@ def test_compare_classes_never_builds_the_difference(monkeypatch):
     kinds = Counter()
     for a, b, old in cases:
         new = compare_classes(a, b)
-        assert (new.point, new.at, new.pairs, new.equal) == (
-            old.point, old.at, old.pairs, old.equal
+        assert (new.point, new.at, new.left_pairs, new.right_pairs, new.equal) == (
+            old.point, old.at, old.left_pairs, old.right_pairs, old.equal
         )
         assert (new.left, new.right) == (old.left, old.right)
         if old.point is None:
@@ -719,7 +720,9 @@ def test_compare_classes_places_match_each_half():
         if k % 2:
             a = a + BrauerClass.make(Q_BASE, 2, [rng.choice(_NONSPLIT)])
         cmp, old = compare_classes(a, b), compare_by_difference(a, b)
-        assert (cmp.equal, cmp.at, cmp.pairs) == (old.equal, old.at, old.pairs)
+        assert (cmp.equal, cmp.at, cmp.left_pairs, cmp.right_pairs) == (
+            old.equal, old.at, old.left_pairs, old.right_pairs
+        )
         assert cmp.equal == classes_equal_oracle(a, b)
         if cmp.at is None:
             assert cmp.left_places is None and cmp.right_places is None

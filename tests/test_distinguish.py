@@ -31,6 +31,7 @@ from brauercalc.hilbert import invariant_set
 from brauercalc.parser import class_text
 from brauercalc.points import ClosedPoint, FiniteBase, Q_BASE, sorted_points, sweep_values
 from brauercalc.poly import Poly, QQ, RationalFunction
+from brauercalc.residues import same_kummer_extension
 
 from _gen import F7, F13, nonzero_rational, random_class
 from _oracles import oracle_candidate_count
@@ -188,14 +189,15 @@ def test_distinguish_rejects_mismatched_settings():
 
 def _field_table(da, db):
     """Per-point (same extension, row) over both supports: the full table
-    step 2 once built before reporting its first mismatch."""
+    step 2 once built before reporting its first mismatch, with each
+    point decided by same_kummer_extension, independently of the record."""
     rows = []
     for pt in sorted_points(set(da.support()) | set(db.support())):
         ra, rb = da.residue(pt), db.residue(pt)
         if ra is None or rb is None:
             same = False
         else:
-            same = ra.same_field(rb)
+            same = same_kummer_extension(ra.field, ra.value, rb.value, ra.p)
         row = FieldComparisonRow(
             pt,
             ra is not None,
@@ -372,7 +374,8 @@ def test_distinguish_matches_field_table_reference():
     difference, so the verdict point is then not compare_classes' point."""
     rng = random.Random(1111)
     twist_first = 0
-    settings = ((Q_BASE, 2), (F7, 3), (F13, 3), (F7, 2), (FiniteBase(9), 2))
+    settings = ((Q_BASE, 2), (F7, 3), (F13, 3), (F7, 2), (FiniteBase(9), 2),
+                (FiniteBase(49), 3))
     for base, p in settings:
         for i in range(60):
             a = _unit_spread_class(rng, base, p, 2, 2)

@@ -8,12 +8,14 @@ point end to end.
 """
 
 import json
+import os
 import random
 import resource
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -274,13 +276,23 @@ def test_cli_finite_base_prime_power(capsys):
     assert data["inputs"]["base"] == "fq:9"
 
 
-def test_cli_subprocess_entrypoint():
-    proc = subprocess.run(
-        [sys.executable, "-m", "brauercalc.cli", "ram", "(5,t)", "--format", "json"],
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _run_cli(argv, **kwargs):
+    """python -m brauercalc.cli in a child process, importing this checkout's src."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "brauercalc.cli", *argv],
         capture_output=True,
         text=True,
-        timeout=120,
+        env=env,
+        **kwargs,
     )
+
+
+def test_cli_subprocess_entrypoint():
+    proc = _run_cli(["ram", "(5,t)", "--format", "json"], timeout=120)
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["outcome"]["reciprocity"] is True
@@ -309,12 +321,8 @@ def _cap_address_space():
 
 @pytest.mark.parametrize("name", sorted(LARGE_FIELD_CALLS))
 def test_large_finite_fields_are_never_listed(name):
-    proc = subprocess.run(
-        [sys.executable, "-m", "brauercalc.cli", *LARGE_FIELD_CALLS[name].split()],
-        capture_output=True,
-        text=True,
-        timeout=10,
-        preexec_fn=_cap_address_space,
+    proc = _run_cli(
+        LARGE_FIELD_CALLS[name].split(), timeout=10, preexec_fn=_cap_address_space
     )
     codes = (0,) if name in MUST_ANSWER else (0, 3)
     assert proc.returncode in codes, proc.stdout + proc.stderr
@@ -322,9 +330,11 @@ def test_large_finite_fields_are_never_listed(name):
 
 # Hostile calls with the exit code each must give, in the same capped
 # child: parse errors (2) for nesting, powers of sums and a zero
-# denominator, out of scope (3) for huge degrees and p outside the Q
-# base, a usage error (1) for a field order that is no prime power, and
-# answers for thousands of symbols and a prime order past 2^32.
+# denominator, out of scope (3) for huge degrees, p outside the Q base,
+# torsion past points.MAX_TORSION over F_q and a residue field label past
+# residues.MAX_LABEL_DIGITS, a usage error (1) for a field order that is
+# no prime power, and answers for thousands of symbols and a prime order
+# past 2^32.
 HOSTILE_CALLS = {
     "3000_nested_parentheses": (2, ["ram", "(" * 3000 + "t, 3" + ")" * 3000]),
     "power_of_a_sum": (2, ["ram", "((t+1)^4000, 3)"]),
@@ -336,31 +346,29 @@ HOSTILE_CALLS = {
     "field_of_order_1": (1, ["ram", "(t, 3)", "--base", "fq:1"]),
     "3001_symbols": (0, ["ram", " + ".join(["(t, 3)"] * 3001)]),
     "prime_past_2^32": (0, ["ram", "(t, 3)", "--base", "fq:4294967311", "--p", "3"]),
+    "p_2039_over_4079": (3, ["ram", "(t, 3)", "--base", "fq:4079", "--p", "2039"]),
+    "p_100043_over_200087": (3, ["ram", "(t, 3)", "--base", "fq:200087", "--p", "100043"]),
+    "p_10000079_over_20000159": (
+        3, ["ram", "(t, 3)", "--base", "fq:20000159", "--p", "10000079"]
+    ),
+    "equal_p_10000079_over_20000159": (
+        3, ["equal", "(t, 3)", "(t, 5)", "--base", "fq:20000159", "--p", "10000079"]
+    ),
+    "label_past_1000_digits": (3, ["ram", "(t, 3)", "--base", "fq:3989", "--p", "997"]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(HOSTILE_CALLS))
 def test_hostile_calls_end_with_their_exit_codes(name):
     code, argv = HOSTILE_CALLS[name]
-    proc = subprocess.run(
-        [sys.executable, "-m", "brauercalc.cli", *argv],
-        capture_output=True,
-        text=True,
-        timeout=5,
-        preexec_fn=_cap_address_space,
-    )
+    proc = _run_cli(argv, timeout=5, preexec_fn=_cap_address_space)
     assert proc.returncode == code, proc.stdout + proc.stderr
 
 
 def test_cli_parser_is_reused_after_usage_errors(capsys):
     # main() builds its argparse parser once per process; a usage error
     # must leave it fit for the next call
-    fresh = subprocess.run(
-        [sys.executable, "-m", "brauercalc.cli", "ram", "(5,t)"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    fresh = _run_cli(["ram", "(5,t)"], timeout=120)
     assert fresh.returncode == 0
     assert main(["ram"]) == 1
     assert main(["ram", "(5,t)", "--p", "two"]) == 1

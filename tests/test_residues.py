@@ -338,7 +338,6 @@ def test_residue_class_basics():
     assert rc.field_label() == "Q(sqrt(2))"
     assert rc.same_class(ResidueClass(pt, Fraction(2), 2))
     assert not rc.same_class(ResidueClass(pt, Fraction(3), 2))
-    assert rc.same_field(ResidueClass(pt, Fraction(8), 2))
     triv = ResidueClass(pt, Fraction(9), 2)
     assert triv.is_trivial()
     assert triv.field_label() == "Q"

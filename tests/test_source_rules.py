@@ -23,6 +23,10 @@ No library function but poly._power shifts an exponent with >>=, so
 square-and-multiply is written once and every power goes through it.
 Every annotated field of a library @dataclass is read as .field
 somewhere in the library, so a record carries nothing no code looks at.
+The body of distinguish.distinguish names none of same_class, same_field,
+same_kummer_extension, is_pth_power or is_pth_power_finite: it reads its
+residue comparison off the compare_classes record and tests no residue
+itself.
 """
 
 import ast
@@ -299,3 +303,16 @@ def test_record_fields_are_read():
     assert fields, "no dataclass fields found"
     unread = [f"{owner}.{field}" for owner, field in fields if field not in read]
     assert not unread, f"record fields no library code reads: {unread}"
+
+
+_RESIDUE_TESTS = {
+    "same_class", "same_field", "same_kummer_extension", "is_pth_power",
+    "is_pth_power_finite",
+}
+
+
+def test_distinguish_tests_no_residue_itself():
+    tree = ast.parse((PACKAGE / "distinguish.py").read_text(encoding="utf-8"))
+    (func,) = [n for n in tree.body if getattr(n, "name", None) == "distinguish"]
+    named = sorted(set(_referenced_names(func)) & _RESIDUE_TESTS)
+    assert not named, f"distinguish.distinguish tests residues itself: {named}"
