@@ -8,10 +8,10 @@ symbol to the class of
 
 in kappa(x)* mod p-th powers, where v is the valuation at x; at
 infinity v counts pole order of 1/t.  The uniformizer powers cancel,
-so it is computed from the images u_a, u_b of the unit parts of a and
-b as (-1)^(v(a) v(b)) * u_a^(v(b)) / u_b^(v(a)).  The residue of a sum
-is the product of the residues of its symbols, taken symbol by symbol:
-a symbol remembers its tame symbol at each point, and, once
+so it is (-1)^(v(a) v(b)) * u_a^(v(b)) / u_b^(v(a)) for the images
+u_a, u_b of the unit parts of a and b (points.tame_symbol_at).  The
+residue of a sum is the product of the residues of its symbols, taken
+symbol by symbol: a symbol remembers its tame symbol at each point, and, once
 ramification_points has factored its entries, its zero and pole points,
 off which residue_at skips it, and specialization reads them too.
 
@@ -34,6 +34,7 @@ from .points import (
     residue_field,
     sorted_points,
     sweep_values,
+    tame_symbol_at,
     unit_part_at,
 )
 from .poly import RationalFunction
@@ -103,19 +104,6 @@ class BrauerClass:
         return tuple((s.a, s.b) for s in self.symbols)
 
 
-def _tame_symbol(s, point):
-    """(-1)^(va vb) ua^vb / ub^va at the point, or None when va = vb = 0."""
-    if point not in s._tame:
-        va, ua = unit_part_at(s.a, point)
-        vb, ub = unit_part_at(s.b, point)
-        val = None
-        if va or vb:
-            val = ua**vb / ub**va
-            val = -val if (va * vb) % 2 else val
-        s._tame[point] = val
-    return s._tame[point]
-
-
 def _symbol_points(s, base):
     """Infinity and the factors of the entries: where a valuation can be nonzero."""
     if s._points is None:
@@ -131,14 +119,16 @@ def residue_at(cls, point):
     """Tame residue of the class at a closed point, as a ResidueClass."""
     if point.base != cls.base:
         raise ValueError("point over a different base field")
-    acc = residue_field(point).one
+    acc = None
     for s in cls.symbols:
         if s._points is not None and point not in s._points:
             continue
-        val = _tame_symbol(s, point)
+        if point not in s._tame:
+            s._tame[point] = tame_symbol_at(s.a, s.b, point)
+        val = s._tame[point]
         if val is not None:
-            acc = acc * val
-    return ResidueClass(point, acc, cls.p)
+            acc = val if acc is None else acc * val
+    return ResidueClass(point, residue_field(point).one if acc is None else acc, cls.p)
 
 
 @dataclass(frozen=True)
@@ -206,12 +196,17 @@ def divisor_reciprocity(div):
     return rational_is_square(prod)
 
 
+def _regular_point(cls, c):
+    """The point t = c if no entry has a zero or pole there, else None."""
+    x = ClosedPoint.rational(cls.base, c)
+    return None if any(x in _symbol_points(s, cls.base) for s in cls.symbols) else x
+
+
 def is_symbol_regular(cls, c):
     """No entry has a zero or pole at t = c: numerator and denominator are
     coprime, so this holds when t = c is none of the symbols' zero and
     pole points, factored here unless already known."""
-    x = ClosedPoint.rational(cls.base, c)
-    return not any(x in _symbol_points(s, cls.base) for s in cls.symbols)
+    return _regular_point(cls, c) is not None
 
 
 def specialize(cls, c):
@@ -219,9 +214,9 @@ def specialize(cls, c):
     symbol-regular point each value is the entry's unit part.  Regularity
     needs the entries factored, as ram does, so an entry beyond a
     factoring budget raises ScopeError here too."""
-    if not is_symbol_regular(cls, c):
+    x = _regular_point(cls, c)
+    if x is None:
         raise NotSymbolRegular(f"some entry has a zero or pole at t = {c}")
-    x = ClosedPoint.rational(cls.base, c)
     return tuple((unit_part_at(s.a, x)[1], unit_part_at(s.b, x)[1])
                  for s in cls.symbols)
 

@@ -62,7 +62,7 @@ from .errors import ScopeError
 from .fields import PrimeField, PrimePowerFactorization
 from .fields import factor_int, is_prime, rational_sqrt
 from .poly import Poly, QQ, _power, poly_gcd
-from .poly import _int_list_at, _int_list_div_linear, _int_list_primitive
+from .poly import _int_list_at, _int_list_primitive, _int_list_strip
 from .poly import _zadd, _zdivmod_mod, _zmul, _zsub, _ztrim, _ztrunc
 
 
@@ -545,10 +545,7 @@ def _rational_roots(f):
                 y %= m
             c = f[-1] * y % m
             r = Fraction(c - m if c > m // 2 else c, f[-1])
-            mult = 0
-            while _int_list_at(f, r.numerator, r.denominator) == 0:
-                f = _int_list_div_linear(f, r.numerator, r.denominator)
-                mult += 1
+            mult, f, _, _ = _int_list_strip(f, [-r.numerator, r.denominator])
             if mult:
                 roots.append(([-r.numerator, r.denominator], mult))
             certain = certain and mult == k

@@ -7,8 +7,9 @@ leading coefficient and checks irreducibility, so a ClosedPoint can be
 trusted downstream.  unit_part_at is the one local expansion of a
 function at a point; valuation_at and reduce_at read theirs off it, and
 so does brauer.specialize, whose values are unit parts at symbol-regular
-points.  At rational points over Q and at any finite point over a prime
-field, it works on integer coefficient lists.
+points; tame_symbol_at gives a pair's tame symbol from the same strip.
+Both work on integer coefficient lists at every finite point over Q and
+over a prime field; poly_strip serves only extension fields (F_4, F_9).
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from functools import lru_cache
 from .errors import ScopeError
 from .factoring import _IntListRing, is_irreducible
 from .fields import GF, FFElem, PrimeField, QuotientField, is_prime
-from .poly import Poly, QQ, RationalFunction, poly_str, poly_strip
-from .poly import _int_list_at, _int_list_div_linear, _zdivmod_mod
+from .poly import Poly, QQ, RationalFunction, _power, poly_str, poly_strip
+from .poly import _int_list_pseudo_divmod, _int_list_strip, _zdivmod_mod, _zmul
 
 
 # Largest torsion over F_q; a p-th power exponent walks p roots of unity.
@@ -164,8 +165,8 @@ def unit_part_at(h, point):
     """(v, u) with h = uniformizer^v * unit near the point, and u the
     image of the unit in kappa(x).
 
-    At infinity v = deg(den) - deg(num) and u = lc(num) / lc(den); at a
-    rational point over Q the integer forms are stripped of b*t - a; at
+    At infinity v = deg(den) - deg(num) and u = lc(num) / lc(den); over
+    Q and F_p the integer forms or representatives are stripped of pi; at
     any other finite point pi is divided out of the numerator and the
     denominator, and u is the quotient of the reduced cofactors.  At a
     point where h has neither zero nor pole, u is the value of h there.
@@ -177,8 +178,9 @@ def unit_part_at(h, point):
     num, den, pi = h.num, h.den, point.poly
     if pi is None:
         return den.degree - num.degree, num.lc / den.lc
-    if pi.field is QQ and pi.degree == 1:
-        return _unit_value_rational(num, den, pi)
+    if pi.field is QQ:
+        sides = _q_sides((num, den), pi)
+        return sides[0][1] - sides[1][1], _q_value(point, sides, (1, -1), 1)
     if isinstance(pi.field, PrimeField):
         return _unit_value_prime(num, den, point)
     vn, rn = poly_strip(num, pi)
@@ -189,24 +191,66 @@ def unit_part_at(h, point):
     return vn - vd, kappa.from_poly(rn) / kappa.from_poly(rd)
 
 
-def _unit_value_rational(num, den, pi):
-    """unit_part_at at the rational point pi = t - a/b over Q, on integer
-    forms.  A side content * (b t - a)^w * g, with m = deg g, has unit
-    part content * b^w * h / b^m there, for the integer h = b^m g(a/b)."""
-    c = pi.coeff(0)
-    a, b = -c.numerator, c.denominator
-    v, sides = 0, []
-    for sign, f in ((1, num), (-1, den)):
+def tame_symbol_at(a, b, point):
+    """(-1)^(va vb) ua^vb / ub^va for the unit parts (va, ua), (vb, ub)
+    of a and b at the point, or None when va = vb = 0; over Q built once
+    from the four stripped sides, with no unit part in between."""
+    if point.poly is not None and point.poly.field is QQ:
+        sides = _q_sides((a.num, a.den, b.num, b.den), point.poly)
+        va, vb = sides[0][1] - sides[1][1], sides[2][1] - sides[3][1]
+        if not (va or vb):
+            return None
+        return _q_value(point, sides, (vb, -vb, -va, va), -1 if (va * vb) % 2 else 1)
+    (va, ua), (vb, ub) = unit_part_at(a, point), unit_part_at(b, point)
+    if not (va or vb):
+        return None
+    val = ua**vb / ub**va
+    return -val if (va * vb) % 2 else val
+
+
+def _q_sides(polys, pi):
+    """(content, w, r, k) for each f = content * F over Q, with P = L * pi
+    primitive in Z[t]: F = P^w G, P not dividing G, and L^k G = r mod P."""
+    P, out = pi.int_form()[1], []
+    for f in polys:
         content, ints = f.int_form()
-        h = _int_list_at(ints, a, b)
-        while h == 0:
-            ints = _int_list_div_linear(ints, a, b)
-            v, h = v + sign, _int_list_at(ints, a, b)
-        sides.append((content, h, len(ints)))
-    (kn, hn, ln), (kd, hd, ld) = sides
-    e = v - ln + ld  # the power of b left in the quotient
-    top, bottom = kn.numerator * kd.denominator * hn, kn.denominator * kd.numerator * hd
-    return v, Fraction(top * b ** max(e, 0), bottom * b ** max(-e, 0))
+        w, _, k, r = _int_list_strip(ints, P)
+        out.append((content, w, r, k))
+    return out
+
+
+def _q_value(point, sides, exps, sign):
+    """sign * prod (content * L^(w - k) * r)^e in kappa(x) over _q_sides
+    and exponents e, as one integer fraction times top / bottom mod P."""
+    P = point.poly.int_form()[1]
+    L, d = P[-1], len(P) - 1
+
+    def mul(f, g):  # (r, k) stands for r / L^k modulo P
+        j, _, r = _int_list_pseudo_divmod(_zmul(f[0], g[0]), P)
+        return r, f[1] + g[1] + j
+
+    num, den, e_L, ends = sign, 1, 0, [None, None]  # ends: top, bottom
+    for (content, w, r, k), e in zip(sides, exps):
+        if e:
+            x, y = content.numerator * (r[0] if d == 1 else 1), content.denominator
+            x, y = (x, y) if e > 0 else (y, x)
+            num, den, e_L = num * x ** abs(e), den * y ** abs(e), e_L + (w - k) * e
+            if d > 1:
+                part, end = _power((r, 0), abs(e), None, mul), ends[e < 0]
+                ends[e < 0] = part if end is None else mul(end, part)
+    (top, kt), (bottom, kb) = (end or ([1], 0) for end in ends)
+    e_L += kb - kt
+    num, den = num * L ** max(e_L, 0), den * L ** max(-e_L, 0)
+    if d == 1:
+        return Fraction(num, den)
+    kappa = residue_field(point)
+
+    def elem(ints, n, m):
+        return FFElem(kappa, tuple(Fraction(n * c, m) for c in ints + [0] * (d - len(ints))))
+
+    if len(bottom) == 1:
+        return elem(top, num, den * bottom[0])
+    return elem(top, num, den) / elem(bottom, 1, 1)
 
 
 def _unit_value_prime(num, den, point):

@@ -304,13 +304,48 @@ def _int_list_at(a, num, den):
     return acc
 
 
-def _int_list_div_linear(a, num, den):
-    """a / (den*t - num) for an integer list it divides exactly; with
-    coprime num, den > 0 each q[i-1] = (a[i] + num q[i]) / den is integral."""
-    q = [0] * len(a)
-    for i in range(len(a) - 1, 0, -1):
-        q[i - 1] = (a[i] + num * q[i]) // den
-    return q[:-1]
+def _int_list_pseudo_divmod(a, b):
+    """(k, q, r) with lc(b)^k a = q b + r in Z[t], deg r < deg b; a step
+    scales by lc(b) > 0 only if it does not divide the leading entry."""
+    r, lb, db = list(a), b[-1], len(b) - 1
+    q, k = [0] * max(len(r) - db, 0), 0
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i]
+        if not c:
+            continue
+        if c % lb:
+            r, q, k = [x * lb for x in r[: i + 1]], [x * lb for x in q], k + 1
+            c = r[i]
+        c //= lb
+        q[i - db] = c
+        for j, y in enumerate(b):
+            r[i - db + j] -= c * y
+    return k, _ztrim(q), _ztrim(r[:db])
+
+
+def _int_list_strip(a, b):
+    """(w, g, k, r) for a nonzero integer list a and a primitive b with
+    lc(b) > 0: a = b^w g, b not dividing g, and lc(b)^k g = r != 0
+    modulo b.  Each exact quotient is integral (Gauss's lemma, MCA 6.2),
+    so pseudo-division finds it without scaling a step.  A linear
+    b = den t - num takes Horner's rule, r = [den^m g(num/den)] with
+    m = deg g, and q[i-1] = (g[i] + num q[i]) / den for the quotient."""
+    w = 0
+    if len(b) == 2:
+        num, den = -b[0], b[1]
+        h = _int_list_at(a, num, den)
+        while h == 0:
+            q = [0] * len(a)
+            for i in range(len(a) - 1, 0, -1):
+                q[i - 1] = (a[i] + num * q[i]) // den
+            w, a = w + 1, q[:-1]
+            h = _int_list_at(a, num, den)
+        return w, a, len(a) - 1, [h]
+    k, q, r = _int_list_pseudo_divmod(a, b)
+    while not r:
+        w, a = w + 1, q
+        k, q, r = _int_list_pseudo_divmod(a, b)
+    return w, a, k, r
 
 
 def _ztrim(a):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from brauercalc import brauer, hilbert
+from brauercalc import brauer, hilbert, points
 from brauercalc.brauer import (
     BrauerClass,
     classes_equal,
@@ -21,9 +21,10 @@ from brauercalc.brauer import (
     residue_at,
     specialize,
 )
+from brauercalc.cli import main
 from brauercalc.errors import NotSymbolRegular, ScopeError
 from brauercalc.factoring import is_irreducible
-from brauercalc.fields import multiplicative_generator
+from brauercalc.fields import QuotientField, multiplicative_generator
 from brauercalc.hilbert import invariant_set
 from brauercalc.points import (
     ClosedPoint,
@@ -34,6 +35,7 @@ from brauercalc.points import (
     unit_part_at,
     valuation_at,
 )
+from brauercalc.parser import class_text
 from brauercalc.poly import Poly, QQ, RationalFunction, poly_strip
 
 from _gen import F7, F13, random_class, random_entry, random_poly, rational
@@ -403,12 +405,18 @@ def _rational_entry(rng, c):
     return h * lin**k
 
 
-def test_unit_part_at_rational_points_matches_division():
-    def by_strip(h, x):
-        vn, rn = poly_strip(h.num, x.poly)
-        vd, rd = poly_strip(h.den, x.poly)
+def _unit_part_by_strip(h, x):
+    """(v, u) by Poly division: pi stripped off, then the cofactors'
+    quotient at a rational point or in k[t]/(pi)."""
+    vn, rn = poly_strip(h.num, x.poly)
+    vd, rd = poly_strip(h.den, x.poly)
+    if x.degree == 1:
         return vn - vd, rn.coeff(0) / rd.coeff(0)
+    kappa = residue_field(x)
+    return vn - vd, kappa.from_poly(rn) / kappa.from_poly(rd)
 
+
+def test_unit_part_at_rational_points_matches_division():
     rng = random.Random(131)
     seen = set()
     for c in RATIONAL_POINTS:
@@ -416,7 +424,7 @@ def test_unit_part_at_rational_points_matches_division():
         for _ in range(60):
             h = _rational_entry(rng, c)
             v, u = unit_part_at(h, x)
-            assert (v, u) == by_strip(h, x)
+            assert (v, u) == _unit_part_by_strip(h, x)
             assert valuation_at(h, x) == v
             seen.add(v)
     assert seen >= set(range(-3, 4))
@@ -425,14 +433,6 @@ def test_unit_part_at_rational_points_matches_division():
 def test_unit_part_at_prime_field_points_matches_division():
     # the integer-representative route at F_p points of degree 1 to 3,
     # against Poly division and the residue field's own reduction
-    def by_strip(h, x):
-        vn, rn = poly_strip(h.num, x.poly)
-        vd, rd = poly_strip(h.den, x.poly)
-        if x.degree == 1:
-            return vn - vd, rn.coeff(0) / rd.coeff(0)
-        kappa = residue_field(x)
-        return vn - vd, kappa.from_poly(rn) / kappa.from_poly(rd)
-
     rng = random.Random(133)
     for base in (F7, F13, FiniteBase(2)):
         field = base.field
@@ -448,7 +448,7 @@ def test_unit_part_at_prime_field_points_matches_division():
                     k = rng.randint(-3, 3)
                     h = random_entry(rng, field, 4) * RationalFunction(pi) ** k
                     v, u = unit_part_at(h, x)
-                    assert (v, u) == by_strip(h, x), (base, pi, h)
+                    assert (v, u) == _unit_part_by_strip(h, x), (base, pi, h)
                     assert u.field is residue_field(x) and not u.is_zero
     x = ClosedPoint.finite(F13, Poly(F13.field, [1, 1]))
     with pytest.raises(TypeError):
@@ -495,6 +495,81 @@ def test_rational_q_residues_need_no_polynomial_division(monkeypatch):
     assert got == [[_residue_by_full_quotient(cls_, x) for x in points] for cls_ in classes]
 
 
+# Points over Q whose primitive integer form P = L * pi has L != 1:
+# t^2 + t/3 + 1/2 is 6t^2 + 2t + 3.
+NON_MONIC_POINTS = [
+    ClosedPoint.finite(Q_BASE, q_poly(*c))
+    for c in ((3, 2, 6), (5, 0, 3, 2), (7, 2, 0, 0, 3), (5, 1, 0, 3, 4))
+]
+
+
+def _entry_at(rng, points):
+    """A random function with Fraction coefficients times pi^k, k in
+    [-3, 3], for each of the given points at once."""
+
+    def poly(deg):
+        while True:
+            f = Poly(QQ, [rational(rng, 9) for _ in range(deg + 1)])
+            if not f.is_zero:
+                return f
+
+    h = RationalFunction(poly(rng.randint(0, 2)), poly(rng.randint(0, 1)))
+    for x in points:
+        h = h * RationalFunction(x.poly) ** rng.randint(-3, 3)
+    return h
+
+
+def test_q_tame_symbols_on_integer_forms_match_full_quotient():
+    """Residues and unit parts at Q points of degree 2 to 4 with L != 1
+    and at rational points, against the defining formula and the
+    poly_strip route, on entries with valuations -3..3 at two points."""
+    rng = random.Random(141)
+    pts = NON_MONIC_POINTS + [ClosedPoint.rational(Q_BASE, c) for c in RATIONAL_POINTS]
+    seen = set()
+    for _ in range(40):
+        two = rng.sample(pts, 2)
+        pairs = [(_entry_at(rng, two), _entry_at(rng, two)) for _ in range(rng.randint(1, 2))]
+        c = BrauerClass.make(Q_BASE, 2, pairs)
+        for x in two:
+            assert residue_at(c, x).value == _residue_by_full_quotient(c, x), (c, x)
+            for s in c.symbols:
+                va, ua = unit_part_at(s.a, x)
+                vb, ub = unit_part_at(s.b, x)
+                assert (va, ua) == _unit_part_by_strip(s.a, x)
+                assert (vb, ub) == _unit_part_by_strip(s.b, x)
+                seen.add((x.degree, va * vb % 2, (va > 0) - (va < 0)))
+    assert seen >= {(d, odd, sign) for d in (1, 2, 3, 4) for odd in (0, 1) for sign in (-1, 1)}
+
+
+def test_q_reports_need_no_poly_strip_at_quadratic_and_cubic_points(monkeypatch, capsys):
+    """ram and equal reports over Q with quadratic and cubic points are the
+    same with poly_strip and from_poly made to raise."""
+    rng = random.Random(143)
+    quadratic = [ClosedPoint.finite(Q_BASE, q_poly(1, 0, 1)), NON_MONIC_POINTS[0]]
+    cubic = [ClosedPoint.finite(Q_BASE, q_poly(-2, 0, 0, 1)), NON_MONIC_POINTS[1]]
+    classes = []
+    for _ in range(6):
+        at = [rng.choice(quadratic), rng.choice(cubic)]
+        pairs = [(_entry_at(rng, at), _entry_at(rng, at)) for _ in range(rng.randint(1, 2))]
+        classes.append(BrauerClass.make(Q_BASE, 2, pairs))
+    texts = [class_text(c) for c in classes]
+
+    def reports():
+        for left, right in zip(texts, texts[1:] + texts[:1]):
+            assert main(["ram", left]) == 0
+            assert main(["equal", left, right]) == 0
+        return capsys.readouterr().out
+
+    def refuse(*args):
+        raise AssertionError("poly_strip or from_poly at a point over Q")
+
+    want = reports()
+    assert "degree: 2" in want and "degree: 3" in want
+    monkeypatch.setattr(points, "poly_strip", refuse)
+    monkeypatch.setattr(QuotientField, "from_poly", refuse)
+    assert reports() == want
+
+
 def _divisor_values(cls_):
     return tuple((x, rc.value) for x, rc in ramification_divisor(cls_))
 
@@ -532,7 +607,7 @@ def test_shared_symbols_are_expanded_once(monkeypatch):
     """After a's divisor, the divisor of a + s + s expands only s's
     entries, once at each point of that symbol's own zeros and poles."""
     rng = random.Random(139)
-    real = brauer.unit_part_at
+    real = brauer.tame_symbol_at
     for base, p in ((Q_BASE, 2), (F7, 3), (FiniteBase(9), 2)):
         for _ in range(4):
             a = random_class(rng, base, p, 2, 2, height=8)
@@ -540,11 +615,11 @@ def test_shared_symbols_are_expanded_once(monkeypatch):
             ramification_divisor(a)
             calls = Counter()
 
-            def counting(h, x):
-                calls[id(h), x] += 1
-                return real(h, x)
+            def counting(a, b, x):
+                calls.update([(id(a), x), (id(b), x)])
+                return real(a, b, x)
 
-            monkeypatch.setattr(brauer, "unit_part_at", counting)
+            monkeypatch.setattr(brauer, "tame_symbol_at", counting)
             div = ramification_divisor(a + s + s)
             monkeypatch.undo()
             want = Counter(

@@ -365,6 +365,24 @@ def test_hostile_calls_end_with_their_exit_codes(name):
     assert proc.returncode == code, proc.stdout + proc.stderr
 
 
+def test_high_power_at_a_non_monic_quadratic_point_is_golden():
+    # (t^2 + t/3 + 1/2)^15 (t + 1) against (6t^2 + 2t + 3) (3t + 7)^30: the
+    # tame symbol at the quadratic point raises (3t + 7)^30 to the 15th
+    # power modulo 6t^2 + 2t + 3, so its integer scalars must stay those of
+    # the reduced value; the report is pinned, and the call answers fast.
+    P = q_poly(3, 2, 6)
+    a = RationalFunction(P**15 * q_poly(1, 1), Poly.constant(QQ, 6**15))
+    b = RationalFunction(P * q_poly(7, 3) ** 30)
+    text = class_text(BrauerClass.make(Q_BASE, 2, [(a, b)]))
+    start = time.perf_counter()
+    proc = _run_cli(["ram", text], timeout=10, preexec_fn=_cap_address_space)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    golden = Path(__file__).resolve().parent / "golden" / "ram_quadratic_power.txt"
+    assert proc.stdout == golden.read_text(encoding="utf-8")
+    assert elapsed < 1.0
+
+
 def test_cli_parser_is_reused_after_usage_errors(capsys):
     # main() builds its argparse parser once per process; a usage error
     # must leave it fit for the next call

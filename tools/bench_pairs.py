@@ -1,0 +1,95 @@
+"""Alternating parent/change pairs of bench/run.py, summarized into a claim file.
+
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload cli_mix \
+        --seed 0 --pairs 10 --seconds 48
+
+PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  Pair i
+runs bench/run.py in both, the parent first when i is even and the
+change first when i is odd, with the same workload, seed and seconds.
+For every end-to-end metric of BENCHMARK.json the file records each
+side's runs, median and quartiles, the pairs the change won (ties count
+for neither), and whether the claim rule holds: at least nine tenths of
+the pairs won, the medians apart by more than the distance between the
+parent's quartiles, and no more failed operations than the parent.  The
+result goes under its seed in BENCH_<workload>.json (in --out, the
+current directory by default), next to the seeds already there, with
+the command line that made it and every run's provenance line and
+counts of attempted and failed operations.  Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(checkout, workload, seed, seconds):
+    """One bench/run.py run in a checkout: its provenance and its result."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    lines = proc.stdout.splitlines()
+    prov = next(json.loads(l[len("provenance "):]) for l in lines if l.startswith("provenance "))
+    result = json.loads(lines[-1])
+    return {"provenance": prov, "attempted": result["attempted"], "failed": result["failed"],
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def spread(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"runs": values, "median": median, "q1": q1, "q3": q3}
+
+
+def summarize(spec, pairs):
+    failed = {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")}
+    out = {}
+    for metric in spec["end_to_end"]:
+        name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+        par = [p["parent"]["metrics"][name] for p in pairs]
+        chg = [p["change"]["metrics"][name] for p in pairs]
+        won = sum(sign * (c - p) > 0 for p, c in zip(par, chg))
+        ps, cs = spread(par), spread(chg)
+        gap = sign * (cs["median"] - ps["median"])
+        out[name] = {"unit": metric["unit"], "better": metric["better"], "parent": ps,
+                     "change": cs, "pairs_won": won, "pairs": len(pairs),
+                     "claim_rule_holds": won >= 0.9 * len(pairs) and gap > ps["q3"] - ps["q1"]
+                     and failed["change"] <= failed["parent"]}
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=48.0)
+    ap.add_argument("--out", type=Path, default=Path("."))
+    args = ap.parse_args(argv)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    pairs = []
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {side: run_once(getattr(args, side), args.workload, args.seed, args.seconds)
+                for side in order}
+        pairs.append(pair)
+        print(f"pair {i}: " + ", ".join(
+            f"{side} {pair[side]['metrics']['ops_per_s']:.1f} ops/s" for side in order), flush=True)
+    path = args.out / f"BENCH_{args.workload}.json"
+    doc = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    doc.update(workload=args.workload)
+    command = " ".join(["python3", "tools/bench_pairs.py", *(sys.argv[1:] if argv is None else argv)])
+    doc.setdefault("seeds", {})[str(args.seed)] = {
+        "command": command, "seconds": args.seconds, "metrics": summarize(spec, pairs),
+        "runs": pairs}
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
