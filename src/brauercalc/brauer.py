@@ -9,7 +9,8 @@ symbol to the class of
 in kappa(x)* mod p-th powers, where v is the valuation at x; at
 infinity v counts pole order of 1/t.  The uniformizer powers cancel,
 so it is (-1)^(v(a) v(b)) * u_a^(v(b)) / u_b^(v(a)) for the images
-u_a, u_b of the unit parts of a and b (points.tame_symbol_at).  The
+u_a, u_b of the unit parts of a and b; points.tame_symbol_at builds it
+in one pass, from one strip of each of the four sides at any point.  The
 residue of a sum is the product of the residues of its symbols, taken
 symbol by symbol: a symbol remembers its tame symbol at each point, and, once
 ramification_points has factored its entries, its zero and pole points,

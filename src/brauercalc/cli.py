@@ -111,7 +111,7 @@ def _parse_classes(args, *named):
     """The classes of the (key, text) pairs, parsed in order, and the report
     inputs: base, p and seed, then each class's canonical text under its key."""
     base = rpt.parse_base(args.base)
-    inputs = {"base": args.base, "p": args.p, "seed": args.seed}
+    inputs = {"base": rpt.base_text(base), "p": args.p, "seed": args.seed}
     classes = []
     for key, text in named:
         classes.append(parse_class(text, base, args.p))

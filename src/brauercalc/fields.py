@@ -267,18 +267,10 @@ class QuotientField:
         return tuple(-x for x in a)
 
     def _mul(self, a, b):
-        d = self.degree
-        base = self.base
-        ints = self._red_ints
+        d, base, ints = self.degree, self.base, self._red_ints
         if ints is not None:
-            out = _zmul([x.rep for x in a], [y.rep for y in b]) + [0] * (2 * d)
-        else:
-            out = [base.zero] * (2 * d - 1)
-            for i, x in enumerate(a):
-                if x == base.zero:
-                    continue
-                for j, y in enumerate(b):
-                    out[i + j] = out[i + j] + x * y
+            a, b = [x.rep for x in a], [y.rep for y in b]
+        out = _zmul(a, b) + [0 if ints else base.zero] * (2 * d)
         # t^k for k >= d reduces straight to degree < d, so one ascending
         # pass reduces the product, and an integer one is reduced mod p once
         for k in range(d, 2 * d - 1):

@@ -4,12 +4,14 @@ A closed point of P^1 over k is either the distinguished point at
 infinity (uniformizer 1/t) or a monic irreducible polynomial in k[t].
 Only monic irreducibles are admitted; the constructor normalizes the
 leading coefficient and checks irreducibility, so a ClosedPoint can be
-trusted downstream.  unit_part_at is the one local expansion of a
-function at a point; valuation_at and reduce_at read theirs off it, and
-so does brauer.specialize, whose values are unit parts at symbol-regular
-points; tame_symbol_at gives a pair's tame symbol from the same strip.
-Both work on integer coefficient lists at every finite point over Q and
-over a prime field; poly_strip serves only extension fields (F_4, F_9).
+trusted downstream.  Every local expansion is one strip and one
+combine, at every point and over every base: _strip takes each side's
+power of the uniformizer off once (integer forms over Q, integer
+representatives over F_p, poly_strip over F_4 or F_9, degrees at
+infinity), and _combine builds one integer fraction, one top and one
+bottom in kappa(x).  unit_part_at is the exponents (1, -1) case, read by
+valuation_at, reduce_at and brauer.specialize; tame_symbol_at is the
+four-side case.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ScopeError
-from .factoring import _IntListRing, is_irreducible
+from .factoring import is_irreducible
 from .fields import GF, FFElem, PrimeField, QuotientField, is_prime
-from .poly import Poly, QQ, RationalFunction, _power, poly_str, poly_strip
-from .poly import _int_list_pseudo_divmod, _int_list_strip, _zdivmod_mod, _zmul
+from .poly import Poly, QQ, RationalFunction, poly_str, poly_strip
+from .poly import _int_list_strip, _zdivmod_mod
 
 
 # Largest torsion over F_q; a p-th power exponent walks p roots of unity.
@@ -163,118 +165,91 @@ def reduce_at(h, point):
 
 def unit_part_at(h, point):
     """(v, u) with h = uniformizer^v * unit near the point, and u the
-    image of the unit in kappa(x).
-
-    At infinity v = deg(den) - deg(num) and u = lc(num) / lc(den); over
-    Q and F_p the integer forms or representatives are stripped of pi; at
-    any other finite point pi is divided out of the numerator and the
-    denominator, and u is the quotient of the reduced cofactors.  At a
-    point where h has neither zero nor pole, u is the value of h there.
+    image of the unit in kappa(x): the exponents (1, -1) case of
+    _combine over the stripped numerator and denominator.  At a point
+    where h has neither zero nor pole, u is the value of h there.
     """
     if isinstance(h, Poly):
         h = RationalFunction(h)
     if h.is_zero:
         raise ValueError("the zero function has no finite valuation")
-    num, den, pi = h.num, h.den, point.poly
-    if pi is None:
-        return den.degree - num.degree, num.lc / den.lc
-    if pi.field is QQ:
-        sides = _q_sides((num, den), pi)
-        return sides[0][1] - sides[1][1], _q_value(point, sides, (1, -1), 1)
-    if isinstance(pi.field, PrimeField):
-        return _unit_value_prime(num, den, point)
-    vn, rn = poly_strip(num, pi)
-    vd, rd = poly_strip(den, pi)
-    if pi.degree == 1:
-        return vn - vd, rn.coeff(0) / rd.coeff(0)
-    kappa = residue_field(point)
-    return vn - vd, kappa.from_poly(rn) / kappa.from_poly(rd)
+    sides = _strip((h.num, h.den), point)
+    return sides[0][0] - sides[1][0], _combine(point, sides, (1, -1), 1)
 
 
 def tame_symbol_at(a, b, point):
     """(-1)^(va vb) ua^vb / ub^va for the unit parts (va, ua), (vb, ub)
-    of a and b at the point, or None when va = vb = 0; over Q built once
-    from the four stripped sides, with no unit part in between."""
-    if point.poly is not None and point.poly.field is QQ:
-        sides = _q_sides((a.num, a.den, b.num, b.den), point.poly)
-        va, vb = sides[0][1] - sides[1][1], sides[2][1] - sides[3][1]
-        if not (va or vb):
-            return None
-        return _q_value(point, sides, (vb, -vb, -va, va), -1 if (va * vb) % 2 else 1)
-    (va, ua), (vb, ub) = unit_part_at(a, point), unit_part_at(b, point)
+    of a and b at the point, or None when va = vb = 0; combined once from
+    the four stripped sides, with no unit part in between."""
+    sides = _strip((a.num, a.den, b.num, b.den), point)
+    va, vb = sides[0][0] - sides[1][0], sides[2][0] - sides[3][0]
     if not (va or vb):
         return None
-    val = ua**vb / ub**va
-    return -val if (va * vb) % 2 else val
+    return _combine(point, sides, (vb, -vb, -va, va), -1 if (va * vb) % 2 else 1)
 
 
-def _q_sides(polys, pi):
-    """(content, w, r, k) for each f = content * F over Q, with P = L * pi
-    primitive in Z[t]: F = P^w G, P not dividing G, and L^k G = r mod P."""
-    P, out = pi.int_form()[1], []
-    for f in polys:
-        content, ints = f.int_form()
-        w, _, k, r = _int_list_strip(ints, P)
-        out.append((content, w, r, k))
-    return out
+def _strip(polys, point):
+    """(w, n, m, u) for each f: f = pi^w g near the point, and g maps to
+    (n/m) u in kappa(x), with n, m integers and u a kappa element or None
+    for 1.  Over Q, f = content P^w G for the primitive integer form
+    P = L pi, and L^k G = r modulo P, so n/m = content L^(w-k); over F_p
+    the integer representatives are divided; over an extension field,
+    the polynomials; at infinity w = -deg f and g maps to lc(f).  A
+    constant integer or rational r folds into n/m."""
+    F, pi, kappa = point.base.field, point.poly, residue_field(point)
+
+    def side(w, n, m, r):
+        c = r[0]
+        if len(r) == 1 and not isinstance(c, FFElem):
+            return w, n * c.numerator, m * c.denominator, None
+        if kappa is F:
+            return w, n, m, c
+        pad = (F.zero,) * (kappa.degree - len(r))
+        return w, n, m, FFElem(kappa, tuple(map(F.coerce, r)) + pad)
+
+    if pi is None:
+        return [side(-f.degree, 1, 1, [f.lc]) for f in polys]
+    if F is QQ:
+        P, out = pi.int_form()[1], []
+        for f in polys:
+            content, ints = f.int_form()
+            w, _, k, r = _int_list_strip(ints, P)
+            n, m, L = content.numerator, content.denominator, P[-1] ** abs(w - k)
+            out.append(side(w, n * L, m, r) if w > k else side(w, n, m * L, r))
+        return out
+    if isinstance(F, PrimeField):
+        P, out = [c.rep for c in pi.coeffs], []
+        for f in polys:
+            if f.field is not F:
+                raise TypeError("polynomials over different fields")
+            w, (q, r) = 0, _zdivmod_mod([c.rep for c in f.coeffs], P, F.p)
+            while not r:
+                w, (q, r) = w + 1, _zdivmod_mod(q, P, F.p)
+            out.append(side(w, 1, 1, r))
+        return out
+    return [side(w, 1, 1, r.coeffs) for w, r in (poly_strip(f, pi) for f in polys)]
 
 
-def _q_value(point, sides, exps, sign):
-    """sign * prod (content * L^(w - k) * r)^e in kappa(x) over _q_sides
-    and exponents e, as one integer fraction times top / bottom mod P."""
-    P = point.poly.int_form()[1]
-    L, d = P[-1], len(P) - 1
-
-    def mul(f, g):  # (r, k) stands for r / L^k modulo P
-        j, _, r = _int_list_pseudo_divmod(_zmul(f[0], g[0]), P)
-        return r, f[1] + g[1] + j
-
-    num, den, e_L, ends = sign, 1, 0, [None, None]  # ends: top, bottom
-    for (content, w, r, k), e in zip(sides, exps):
+def _combine(point, sides, exps, sign):
+    """sign * prod ((n/m) u)^e over _strip's sides and the exponents e, in
+    kappa(x): one integer fraction, one top and one bottom in kappa(x),
+    and at most one division in kappa(x); the scalar alone, embedded,
+    when both ends are 1."""
+    num, den, ends = sign, 1, [None, None]  # ends: top, bottom
+    for (_, n, m, u), e in zip(sides, exps):
         if e:
-            x, y = content.numerator * (r[0] if d == 1 else 1), content.denominator
-            x, y = (x, y) if e > 0 else (y, x)
-            num, den, e_L = num * x ** abs(e), den * y ** abs(e), e_L + (w - k) * e
-            if d > 1:
-                part, end = _power((r, 0), abs(e), None, mul), ends[e < 0]
-                ends[e < 0] = part if end is None else mul(end, part)
-    (top, kt), (bottom, kb) = (end or ([1], 0) for end in ends)
-    e_L += kb - kt
-    num, den = num * L ** max(e_L, 0), den * L ** max(-e_L, 0)
-    if d == 1:
-        return Fraction(num, den)
-    kappa = residue_field(point)
-
-    def elem(ints, n, m):
-        return FFElem(kappa, tuple(Fraction(n * c, m) for c in ints + [0] * (d - len(ints))))
-
-    if len(bottom) == 1:
-        return elem(top, num, den * bottom[0])
-    return elem(top, num, den) / elem(bottom, 1, 1)
-
-
-def _unit_value_prime(num, den, point):
-    """unit_part_at at a finite point over F_p: pi is stripped from the
-    representatives of num and den, and the remainders' quotient is taken
-    modulo pi on integer lists."""
-    field, p = point.base.field, point.base.field.p
-    if num.field is not field:
-        raise TypeError("polynomials over different fields")
-    pi = [c.rep for c in point.poly.coeffs]
-    v, rems = 0, []
-    for sign, f in ((1, num), (-1, den)):
-        quo, rem = _zdivmod_mod([c.rep for c in f.coeffs], pi, p)
-        while not rem:
-            v += sign
-            quo, rem = _zdivmod_mod(quo, pi, p)
-        rems.append(rem)
-    rn, rd = rems
-    if point.degree == 1:
-        return v, FFElem(field, rn[0] * pow(rd[0], -1, p) % p)
-    R = _IntListRing(p)
-    u = R.rem(R.mul(rn, R.xgcd(rd, pi)[1]), pi)
-    u += [0] * (point.degree - len(u))
-    return v, FFElem(residue_field(point), tuple(FFElem(field, c) for c in u))
+            x, y = (n, m) if e > 0 else (m, n)
+            num, den = num * x ** abs(e), den * y ** abs(e)
+            if u is not None:
+                part, end = u ** abs(e), ends[e < 0]
+                ends[e < 0] = part if end is None else end * part
+    F, (top, bottom) = point.base.field, ends
+    s = Fraction(num, den) if F is QQ else F.from_int(num * pow(den, -1, F.char))
+    if top is not None:
+        s = top * s if point.degree == 1 else FFElem(top.field, tuple(s * c for c in top.rep))
+    elif point.degree > 1:
+        s = residue_field(point).embed(s)
+    return s if bottom is None else s / bottom
 
 
 def sweep_values(base):

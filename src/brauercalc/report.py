@@ -22,7 +22,7 @@ from .covers import KummerCoverDatum, Reparametrization
 from .distinguish import FieldComparisonRow, SpecializationCertificate
 from .errors import ParseError
 from .hilbert import place_key
-from .parser import class_text, parse_constant, parse_ratfunc, ratfunc_text
+from .parser import _int_literal, class_text, parse_constant, parse_ratfunc, ratfunc_text
 from .points import FiniteBase, Q_BASE
 
 VERSION = "0.1.0"
@@ -34,11 +34,12 @@ def base_text(base):
 
 
 def parse_base(text):
+    """q, or fq: and the order in ASCII digits, read as a class's literals."""
     if text == "q":
         return Q_BASE
-    if text.startswith("fq:"):
-        q = int(text[3:])
-        base = FiniteBase(q)
+    digits = text[3:]
+    if text.startswith("fq:") and digits.isascii() and digits.isdigit():
+        base = FiniteBase(_int_literal(digits, 3))
         base.field  # force validation of the order
         return base
     raise ValueError(f"unknown base {text!r}; use q or fq:<q>")

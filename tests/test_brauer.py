@@ -23,7 +23,7 @@ from brauercalc.brauer import (
 )
 from brauercalc.cli import main
 from brauercalc.errors import NotSymbolRegular, ScopeError
-from brauercalc.factoring import is_irreducible
+from brauercalc.factoring import _IntListRing, is_irreducible
 from brauercalc.fields import QuotientField, multiplicative_generator
 from brauercalc.hilbert import invariant_set
 from brauercalc.points import (
@@ -32,6 +32,7 @@ from brauercalc.points import (
     Q_BASE,
     reduce_at,
     residue_field,
+    tame_symbol_at,
     unit_part_at,
     valuation_at,
 )
@@ -407,7 +408,10 @@ def _rational_entry(rng, c):
 
 def _unit_part_by_strip(h, x):
     """(v, u) by Poly division: pi stripped off, then the cofactors'
-    quotient at a rational point or in k[t]/(pi)."""
+    quotient at a rational point or in k[t]/(pi); degrees and leading
+    coefficients at infinity."""
+    if x.is_infinity:
+        return h.den.degree - h.num.degree, h.num.lc / h.den.lc
     vn, rn = poly_strip(h.num, x.poly)
     vd, rd = poly_strip(h.den, x.poly)
     if x.degree == 1:
@@ -453,6 +457,88 @@ def test_unit_part_at_prime_field_points_matches_division():
     x = ClosedPoint.finite(F13, Poly(F13.field, [1, 1]))
     with pytest.raises(TypeError):
         unit_part_at(Poly(F7.field, [3, 1]), x)
+
+
+def _tame_by_strip(a, b, x):
+    """(-1)^(va vb) ua^vb / ub^va from the oracle's unit parts, or None."""
+    (va, ua), (vb, ub) = _unit_part_by_strip(a, x), _unit_part_by_strip(b, x)
+    if not (va or vb):
+        return None
+    val = ua**vb / ub**va
+    return -val if (va * vb) % 2 else val
+
+
+def _strip_points(rng):
+    """Points of degree 1 to 3 over F_7 and F_13 and of degree 1 and 2 over
+    F_9, two of each, and infinity over Q, F_7 and F_9."""
+    F9 = FiniteBase(9)
+    out = [ClosedPoint.infinity(base) for base in (Q_BASE, F7, F9)]
+    for base, degrees in ((F7, (1, 2, 3)), (F13, (1, 2, 3)), (F9, (1, 2))):
+        for d in degrees:
+            found = []
+            while len(found) < 2:
+                pi = random_poly(rng, base.field, d, min_degree=d, monic=True)
+                if is_irreducible(pi) and ClosedPoint(base, pi) not in found:
+                    found.append(ClosedPoint(base, pi))
+            out += found
+    return out
+
+
+def test_one_strip_and_combine_match_the_strip_oracle():
+    """tame_symbol_at and unit_part_at at finite points over F_p and F_9
+    and at infinity, against the Poly-division oracle; at degree-2 points
+    also on entries whose sides all leave constant cofactors, so that
+    both ends of the combined value are 1."""
+    rng = random.Random(151)
+    both_ends_one = 0
+
+    def check(a, b, x):
+        assert unit_part_at(a, x) == _unit_part_by_strip(a, x), (x, a)
+        value = tame_symbol_at(a, b, x)
+        assert value == _tame_by_strip(a, b, x), (x, a, b)
+        if value is not None and x.base.is_finite:
+            assert value.field is residue_field(x)
+        return value
+
+    for x in _strip_points(rng):
+        field = x.base.field
+        pi = RationalFunction(x.poly if x.poly is not None else Poly.gen(field))
+        entries = [random_entry(rng, field, 3, height=9) * pi ** rng.randint(-3, 3)
+                   for _ in range(24)]
+        for a, b in zip(entries, entries[1:]):
+            check(a, b, x)
+        if x.degree == 2:
+            consts = [RationalFunction.constant(field, random_poly(rng, field, 0).lc)
+                      * pi ** rng.choice((-2, -1, 1, 3)) for _ in range(8)]
+            for a, b in zip(consts, consts[1:]):
+                both_ends_one += check(a, b, x) is not None
+    assert both_ends_one == 7 * 6
+
+
+def test_prime_field_quadratic_tame_symbol_divides_once(monkeypatch):
+    """At an F_7 point of degree 2, a tame symbol inverts at most once in
+    kappa(x) and never runs an extended gcd on integer lists."""
+    rng = random.Random(153)
+    x = ClosedPoint.finite(F7, Poly(F7.field, [1, 0, 1]))
+    pi = RationalFunction(x.poly)
+    pairs = [tuple(random_entry(rng, F7.field, 4) * pi ** rng.randint(-2, 2) for _ in "ab")
+             for _ in range(40)]
+    want = [_tame_by_strip(a, b, x) for a, b in pairs]
+    inverses, real_inv = [], QuotientField._inv
+
+    def counting_inv(self, rep):
+        inverses[-1] += 1
+        return real_inv(self, rep)
+
+    def refuse(*args):
+        raise AssertionError("an extended gcd at a point over F_p")
+
+    monkeypatch.setattr(QuotientField, "_inv", counting_inv)
+    monkeypatch.setattr(_IntListRing, "xgcd", refuse)
+    for (a, b), value in zip(pairs, want):
+        inverses.append(0)
+        assert tame_symbol_at(a, b, x) == value
+    assert max(inverses) == 1 and inverses.count(1) >= 10
 
 
 def test_is_symbol_regular_matches_evaluation():

@@ -289,6 +289,26 @@ def test_prime_base_products_match_poly_reduction():
             assert all(c.field is base for c in (a * b).rep) and len((a * b).rep) == d
 
 
+def test_q_and_extension_base_products_match_poly_reduction():
+    # the same schoolbook product over QQ and over F_9, where zero
+    # coordinates are common; coordinates stay Fractions or F_9 elements
+    rng = random.Random(74)
+    kappas = [QuotientField(QQ, Poly.from_ints(QQ, [-2, 0, 1])),
+              QuotientField(QQ, Poly(QQ, [Fraction(1, 2), Fraction(1, 3), 0, 1]))]
+    kappas += [kappa for kappa, _ in _quadratic_fields() if kappa.base is GF(9)]
+    for kappa in kappas:
+        base, d = kappa.base, kappa.degree
+        for _ in range(40):
+            a, b = (kappa.from_poly(random_poly(rng, base, d - 1, 3)) * rng.randint(0, 1)
+                    for _ in range(2))
+            A, B = kappa.to_poly(a), kappa.to_poly(b)
+            prod = a * b
+            assert prod == kappa.from_poly(A * B), (kappa, a, b)
+            assert len(prod.rep) == d
+            assert all(type(c) is type(base.zero) for c in prod.rep), prod.rep
+    assert all(type(c) is Fraction for c in (kappas[0].zero * kappas[0].one).rep)
+
+
 def test_pth_power_exponent_keeps_zeta_on_the_field(monkeypatch):
     # g^((q-1)/p) is computed once per field and p, from the same generator
     field = QuotientField(GF(13), Poly.from_ints(GF(13), [2, 0, 1]))

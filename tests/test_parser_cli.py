@@ -276,6 +276,12 @@ def test_cli_finite_base_prime_power(capsys):
     assert data["inputs"]["base"] == "fq:9"
 
 
+def test_cli_echoes_the_base_it_read(capsys):
+    # the report names the field that was built, not the text typed
+    assert main(["ram", "(2,t)", "--base", "fq:007"]) == 0
+    assert "  base: fq:7\n" in capsys.readouterr().out
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -355,6 +361,14 @@ HOSTILE_CALLS = {
         3, ["equal", "(t, 3)", "(t, 5)", "--base", "fq:20000159", "--p", "10000079"]
     ),
     "label_past_1000_digits": (3, ["ram", "(t, 3)", "--base", "fq:3989", "--p", "997"]),
+    # integer literals and field orders are ASCII digits only
+    "superscript_two_literal": (2, ["ram", "(t, \u00b2)"]),
+    "arabic_indic_seven_literal": (2, ["ram", "(t, \u0667)"]),
+    "base_order_after_a_space": (1, ["ram", "(t, 3)", "--base", "fq: 7"]),
+    "base_order_with_a_plus": (1, ["ram", "(t, 3)", "--base", "fq:+7"]),
+    "base_order_with_an_underscore": (1, ["ram", "(t, 3)", "--base", "fq:1_3"]),
+    "base_order_in_arabic_indic_digits": (1, ["ram", "(t, 3)", "--base", "fq:\u0667"]),
+    "base_order_of_5000_digits": (3, ["ram", "(t, 3)", "--base", "fq:" + "1" * 5000]),
 }
 
 

@@ -8,13 +8,20 @@ runs bench/run.py in both, the parent first when i is even and the
 change first when i is odd, with the same workload, seed and seconds.
 For every end-to-end metric of BENCHMARK.json the file records each
 side's runs, median and quartiles, the pairs the change won (ties count
-for neither), and whether the claim rule holds: at least nine tenths of
-the pairs won, the medians apart by more than the distance between the
-parent's quartiles, and no more failed operations than the parent.  The
-result goes under its seed in BENCH_<workload>.json (in --out, the
-current directory by default), next to the seeds already there, with
-the command line that made it and every run's provenance line and
-counts of attempted and failed operations.  Stdlib only.
+for neither), and two verdicts:
+- claim_rule_holds: at least nine tenths of the pairs won, the medians
+  apart by more than the distance between the parent's quartiles, and no
+  more failed operations than the parent;
+- no_regression: whether the change's median is worse than the parent's
+  by at most the metric's bound (a fraction of the parent's median), or
+  "unresolved" when the parent's quartiles are further apart than the
+  bound allows, unless every run of the change reads better than every
+  run of the parent.
+The result is appended to the records under its seed in
+BENCH_<workload>.json (in --out, the current directory by default), so
+no earlier record is lost, with the command line that made it and every
+run's provenance line and counts of attempted and failed operations.
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -57,8 +64,24 @@ def summarize(spec, pairs):
         out[name] = {"unit": metric["unit"], "better": metric["better"], "parent": ps,
                      "change": cs, "pairs_won": won, "pairs": len(pairs),
                      "claim_rule_holds": won >= 0.9 * len(pairs) and gap > ps["q3"] - ps["q1"]
-                     and failed["change"] <= failed["parent"]}
+                     and failed["change"] <= failed["parent"],
+                     "bound": metric["bound"],
+                     "no_regression": no_regression(metric["bound"], sign, ps, cs)}
     return out
+
+
+def no_regression(bound, sign, ps, cs):
+    """True if the change's median is at most the bound worse than the
+    parent's, or every change run is better than every parent run; False
+    if it is worse by more; "unresolved" if the parent's IQR/median is
+    over the bound and the runs do not separate so; sign is 1 when higher
+    is better, -1 when lower is."""
+    median = ps["median"]
+    if min(sign * v for v in cs["runs"]) > max(sign * v for v in ps["runs"]):
+        return True
+    if ps["q3"] - ps["q1"] > bound * abs(median):
+        return "unresolved"
+    return sign * (median - cs["median"]) <= bound * abs(median)
 
 
 def main(argv=None):
@@ -84,9 +107,9 @@ def main(argv=None):
     doc = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
     doc.update(workload=args.workload)
     command = " ".join(["python3", "tools/bench_pairs.py", *(sys.argv[1:] if argv is None else argv)])
-    doc.setdefault("seeds", {})[str(args.seed)] = {
+    doc.setdefault("seeds", {}).setdefault(str(args.seed), []).append({
         "command": command, "seconds": args.seconds, "metrics": summarize(spec, pairs),
-        "runs": pairs}
+        "runs": pairs})
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
