@@ -17,14 +17,17 @@ ramification_points has factored its entries, its zero and pole points,
 off which residue_at skips it, and specialization reads them too.
 
 Everything here treats a class through one chosen presentation, but the
-exported predicates (triviality of residues, equality of classes) only
+exported predicates (triviality of residues, equality of classes, read
+off the formal difference with equal symbols cancelled mod p) only
 depend on the class itself.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import NotSymbolRegular, ScopeError
 from .factoring import factor_poly
@@ -257,18 +260,18 @@ FINITE_CONSTANTS_TRIVIAL = "constant classes over a finite field are trivial"
 class ClassComparison:
     """Two classes compared once, with what decided their equality.
 
-    left and right are their ramification divisors.  point is the first
-    point, in sorted order, where their residues differ, and residue the
-    residue of the difference there; both are None when the difference
-    is unramified.  An unramified difference over Q is a constant class:
-    left_pairs and right_pairs are the two classes specialized at at,
-    the first value symbol-regular for both, and equal is whether these
-    halves have the same nonsplit places, left_places and right_places,
-    sorted by place_key.  Otherwise these five are None.
+    c1 and c2 are the classes, left and right their divisors, built on first
+    read.  point is the first point, in sorted order, where their residues
+    differ, and residue the residue of the difference there; both are None
+    when the difference is unramified.  An unramified difference over Q is a
+    constant class: left_pairs and right_pairs are the two classes
+    specialized at at, the first value symbol-regular for both, and equal is
+    whether these halves have the same nonsplit places, left_places and
+    right_places, sorted by place_key.  Otherwise these five are None.
     """
 
-    left: object
-    right: object
+    c1: object
+    c2: object
     equal: bool
     point: object = None
     residue: object = None
@@ -278,39 +281,51 @@ class ClassComparison:
     left_places: tuple = None
     right_places: tuple = None
 
+    @cached_property
+    def left(self):
+        return ramification_divisor(self.c1)
+
+    @cached_property
+    def right(self):
+        return ramification_divisor(self.c2)
+
+    def residues_at(self, x):
+        """The residues of c1 and c2 at x, each None where trivial."""
+        rcs = (residue_at(self.c1, x), residue_at(self.c2, x))
+        return tuple(None if rc.is_trivial() else rc for rc in rcs)
+
 
 def compare_classes(c1, c2):
     """Exact comparison of two classes in the Brauer group.
 
-    The residue of c1 - c2 at x is the quotient of their residues there,
-    so the difference is unramified exactly when the two divisors agree
-    entrywise up to p-th powers; the first point where they differ is
-    the first point of the divisor of c1 - c2.  An unramified difference
-    is a constant class.  Over a finite constant field that forces
-    triviality; over Q it is the specialization at the first
-    symbol-regular rational point, off the zero and pole points both
-    divisors factored, as c1 and c2 specialized there, and decided by the
-    nonsplit places of these two halves: c1 - c2, never built, has c1's
-    pairs and (a, 1/b), with the invariants of (a, b), for each of c2's.
+    Symbols are counted by value, c1's once and c2's minus once each,
+    and each is kept net count mod p times (p copies of a degree-p
+    symbol are zero).  This net class has the residues of c1 - c2 up to
+    p-th powers: its first point with a nontrivial residue is the first
+    where c1 and c2 differ, and the residue there is c1's over c2's.  An
+    unramified difference is a constant class, trivial over a finite
+    field; over Q it is specialized at the first symbol-regular rational
+    point, as c1 and c2 there, and decided by the nonsplit places of
+    these two halves: c1 - c2, never built, has c1's pairs and (a, 1/b),
+    with the invariants of (a, b), for each of c2's.
     """
     if c1.base != c2.base or c1.p != c2.p:
         raise ValueError("classes over different settings")
-    d1, d2 = ramification_divisor(c1), ramification_divisor(c2)
-    for x in sorted_points(set(d1.support()) | set(d2.support())):
-        r1, r2 = d1.residue(x), d2.residue(x)
-        if r1 is None or r2 is None or not r1.same_class(r2):
-            # a trivial residue is absent from the divisor but need not be 1
-            v1 = (r1 or residue_at(c1, x)).value
-            v2 = (r2 or residue_at(c2, x)).value
-            return ClassComparison(d1, d2, False, x, ResidueClass(x, v1 / v2, c1.p))
+    p, count = c1.p, Counter(c1.symbols)
+    count.subtract(c2.symbols)
+    net = BrauerClass(c1.base, p, tuple(t for s, k in count.items() for t in [s] * (k % p)))
+    for x in ramification_points(net):
+        if not residue_at(net, x).is_trivial():
+            v1, v2 = residue_at(c1, x).value, residue_at(c2, x).value
+            return ClassComparison(c1, c2, False, x, ResidueClass(x, v1 / v2, p))
     if c1.base.is_finite:
-        return ClassComparison(d1, d2, True)
+        return ClassComparison(c1, c2, True)
     both = c1 + c2  # symbol-regular exactly where c1 - c2 is
     at = regular_rational_points(both, 1)[0]
     vals, n = specialize(both, at), len(c1.symbols)
     lp, rp = vals[:n], vals[n:]
     left, right = nonsplit_places(lp, rp)
-    return ClassComparison(d1, d2, left == right, at=at, left_pairs=lp, right_pairs=rp,
+    return ClassComparison(c1, c2, left == right, at=at, left_pairs=lp, right_pairs=rp,
                            left_places=left, right_places=right)
 
 

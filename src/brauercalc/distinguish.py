@@ -4,9 +4,9 @@ Two classes with the same ramification data may still differ; the
 orchestration here reports exactly what it can certify.  Every rung
 reads the one brauer.compare_classes record of the pair.  The ladder:
 
-  1. exact equality (divisor comparison plus the constant part),
-  2. a residue-field mismatch at the first point of either support
-     where the two divisors of the record cut out different extensions,
+  1. exact equality (the formal difference plus the constant part),
+  2. a residue-field mismatch at the first point where the two classes
+     cut out different extensions,
   3. over Q, a rational specialization whose two constant classes are
      provably inequivalent: one trivial and one not, or both nontrivial
      with different nonsplit place sets, separated by an explicit
@@ -89,11 +89,11 @@ class Verdict:
 def distinguish(a, b, sweep=200):
     """Verdict on whether the two classes provably differ.
 
-    Steps 2 and 3 read the one compare_classes record: its first
-    differing point over Q, its two supports over F_q, and its two
-    specialized halves.  sweep is a nonnegative budget: 0 skips step 3,
-    and any positive budget reads the halves at the first symbol-regular
-    point (the `at` of compare_classes), which always separates them.
+    Steps 2 and 3 read the one compare_classes record: its first differing
+    point over Q or two supports over F_q, the residues there, and its two
+    specialized halves.  sweep is a nonnegative budget: 0 skips step 3, and
+    any positive budget reads the halves at the first symbol-regular point
+    (the `at` of compare_classes), which always separates them.
     """
     if sweep < 0:
         raise ValueError(f"the sweep budget must be nonnegative, got {sweep}")
@@ -107,7 +107,7 @@ def distinguish(a, b, sweep=200):
         diff = set(cmp.left.support()) ^ set(cmp.right.support())
         pt = min(diff, key=ClosedPoint.sort_key, default=None)
     if pt is not None:
-        ra, rb = cmp.left.residue(pt), cmp.right.residue(pt)
+        ra, rb = cmp.residues_at(pt)
         la, lb = ("unramified" if r is None else r.field_label() for r in (ra, rb))
         steps.append(f"extensions differ at {pt}: {la} vs {lb}")
         row = FieldComparisonRow(pt, ra is not None, rb is not None, la, lb)

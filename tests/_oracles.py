@@ -145,13 +145,13 @@ def compare_by_difference(c1, c2):
         r1, r2 = d1.residue(x), d2.residue(x)
         if r1 is None or r2 is None or not r1.same_class(r2):
             rc = ResidueClass(x, residue_value_oracle(diff, x), c1.p)
-            return ClassComparison(d1, d2, False, x, rc)
+            return ClassComparison(c1, c2, False, x, rc)
     if c1.base.is_finite:
-        return ClassComparison(d1, d2, True)
+        return ClassComparison(c1, c2, True)
     at = regular_rational_points(diff, 1)[0]
     pairs, n = specialize(diff, at), len(c1.symbols)
     right = tuple((x, 1 / y) for x, y in pairs[n:])
-    return ClassComparison(d1, d2, constant_is_trivial(c1.base, pairs, c1.p), at=at,
+    return ClassComparison(c1, c2, constant_is_trivial(c1.base, pairs, c1.p), at=at,
                            left_pairs=pairs[:n], right_pairs=right)
 
 

@@ -1,0 +1,82 @@
+"""tools/bench_pairs.py on synthetic runs: the claim rule, the
+no_regression verdicts and the --pairs bound, with no bench subprocess."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+SPEC = {"end_to_end": [
+    {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.15},
+    {"name": "op_p90_ms", "unit": "ms", "better": "lower", "bound": 0.2},
+]}
+PARENT = [100, 101, 99, 100, 102, 98, 100, 101, 99, 100]
+
+
+def _pairs(parent, change, failed=(0, 0)):
+    """Runs of one metric per side; op_p90_ms is 1000 / ops_per_s."""
+    def run(ops, fails):
+        return {"failed": fails, "metrics": {"ops_per_s": ops, "op_p90_ms": 1000 / ops}}
+    return [{"parent": run(p, failed[0]), "change": run(c, failed[1])}
+            for p, c in zip(parent, change)]
+
+
+def _faster(losses):
+    """20 % faster in every pair but the first `losses`, which are 1 % slower."""
+    return [p * (0.99 if i < losses else 1.2) for i, p in enumerate(PARENT)]
+
+
+def test_claim_rule_needs_nine_of_ten_pairs():
+    nine = bench_pairs.summarize(SPEC, _pairs(PARENT, _faster(1)))
+    for name in ("ops_per_s", "op_p90_ms"):
+        assert nine[name]["pairs_won"] == 9 and nine[name]["pairs"] == 10
+        assert nine[name]["claim_rule_holds"] is True
+        assert nine[name]["no_regression"] is True
+    eight = bench_pairs.summarize(SPEC, _pairs(PARENT, _faster(2)))
+    assert eight["ops_per_s"]["pairs_won"] == 8
+    assert eight["ops_per_s"]["claim_rule_holds"] is False
+
+
+def test_claim_rule_needs_a_gap_past_the_quartiles_and_no_more_failures():
+    # every pair won by 1 op/s, inside the parent's quartiles
+    small = bench_pairs.summarize(SPEC, _pairs(PARENT, [p + 1 for p in PARENT]))
+    assert small["ops_per_s"]["pairs_won"] == 10
+    assert small["ops_per_s"]["claim_rule_holds"] is False
+    failing = bench_pairs.summarize(SPEC, _pairs(PARENT, _faster(0), failed=(0, 1)))
+    assert failing["ops_per_s"]["claim_rule_holds"] is False
+
+
+def test_no_regression_verdicts():
+    # the parent's IQR/median is 0.5, over both bounds
+    wide = [60, 140, 80, 120, 70, 130, 90, 110, 100, 100]
+    near = bench_pairs.summarize(SPEC, _pairs(wide, [v - 5 for v in wide]))
+    assert near["ops_per_s"]["no_regression"] == "unresolved"
+    assert near["op_p90_ms"]["no_regression"] == "unresolved"
+    # every change run better than every parent run overrides the spread
+    above = bench_pairs.summarize(SPEC, _pairs(wide, [150 + i for i in range(10)]))
+    assert above["ops_per_s"]["no_regression"] is True
+    assert above["op_p90_ms"]["no_regression"] is True
+    # a tight parent: 20 % slower is past the 0.15 bound, 10 % is within it
+    slow = bench_pairs.summarize(SPEC, _pairs(PARENT, [p * 0.8 for p in PARENT]))
+    assert slow["ops_per_s"]["no_regression"] is False
+    within = bench_pairs.summarize(SPEC, _pairs(PARENT, [p * 0.9 for p in PARENT]))
+    assert within["ops_per_s"]["no_regression"] is True
+
+
+def test_fewer_than_two_pairs_is_a_usage_error(monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("a bench run started")
+
+    monkeypatch.setattr(bench_pairs, "run_once", refuse)
+    for pairs in ("1", "0"):
+        argv = [str(tmp_path), str(tmp_path), "--workload", "cli_mix", "--pairs", pairs,
+                "--out", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.main(argv)
+        assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())

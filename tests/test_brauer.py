@@ -36,7 +36,7 @@ from brauercalc.points import (
     unit_part_at,
     valuation_at,
 )
-from brauercalc.parser import class_text
+from brauercalc.parser import class_text, parse_class, ratfunc_text
 from brauercalc.poly import Poly, QQ, RationalFunction, poly_strip
 
 from _gen import F7, F13, random_class, random_entry, random_poly, rational
@@ -763,6 +763,72 @@ def test_compare_classes_never_builds_the_difference(monkeypatch):
             if d.residue(old.point) is None and residue_at(c, old.point).value != 1:
                 kinds["trivial residue other than 1"] += 1
     assert min(kinds.values()) >= 3 and len(kinds) == 4
+
+
+def _symbol_texts(rng, base, p, n):
+    """The printed symbols of a random class of at most n symbols."""
+    height = 8 if not base.is_finite else 50
+    cls_ = random_class(rng, base, p, n, 2, height=height, prime_subfield=True)
+    return [class_text(BrauerClass(base, p, (s,))) for s in cls_.symbols]
+
+
+def test_compare_classes_cancels_equal_symbols_by_value():
+    """compare_classes against compare_by_difference on sides parsed
+    separately, so equal symbols are equal only by value: the symbols
+    reordered, a symbol p times on one side (alone, and beside a
+    differing symbol), and a shared symbol with a differing one at a
+    shared point."""
+    rng = random.Random(261)
+    kinds = Counter()
+    settings = ((Q_BASE, 2), (F7, 2), (F7, 3), (F13, 2), (F13, 3), (FiniteBase(9), 2))
+    for base, p in settings:
+        for k in range(12):
+            a, t = _symbol_texts(rng, base, p, 2), _symbol_texts(rng, base, p, 2)
+            s = _symbol_texts(rng, base, p, 1)
+            pi = ("t - 1", "t^2 + 1")[k // 4 % 2]
+            u, v, w = (ratfunc_text(random_entry(rng, base.field, 1, 8, True))
+                       for _ in range(3))
+            left, right = (
+                (a + s, (s + a)[::-1]),
+                (a, s * p + a),
+                (a + t, a + s * p),
+                ([f"({u}, {pi})", f"({v}, {pi})"], [f"({w}, {pi})", f"({u}, {pi})"]),
+            )[k % 4]
+            c1, c2 = (parse_class(" + ".join(side), base, p) for side in (left, right))
+            new, old = compare_classes(c1, c2), compare_by_difference(c1, c2)
+            assert (new.point, new.at, new.left_pairs, new.right_pairs, new.equal) == (
+                old.point, old.at, old.left_pairs, old.right_pairs, old.equal
+            )
+            lazy = [tuple((x, rc.value) for x, rc in d) for d in (new.left, new.right)]
+            assert lazy == [divisor_oracle(c1), divisor_oracle(c2)]
+            if old.point is None:
+                assert new.residue is None
+            else:
+                assert new.residue.value == old.residue.value
+            kinds[k % 4, new.equal] += 1
+    assert kinds[0, True] == kinds[1, True] == 18
+    assert kinds[2, False] >= 12 and kinds[3, False] >= 12
+
+
+@pytest.mark.parametrize("base", (Q_BASE, F7), ids=("Q", "F7"))
+def test_self_cancelling_sides_build_no_divisor_and_no_tame_symbol(monkeypatch, base):
+    """compare_classes(a, a + s + s) at p = 2 cancels every symbol, also
+    with b parsed from text: no ramification_divisor and no tame_symbol_at."""
+    rng = random.Random(262)
+    height = 8 if not base.is_finite else 50
+    cases = []
+    for _ in range(6):
+        a = random_class(rng, base, 2, 2, 2, height=height, prime_subfield=True)
+        s = random_class(rng, base, 2, 1, 2, height=height, prime_subfield=True)
+        cases += [(a, a + s + s), (a, parse_class(class_text(s + a + s), base, 2))]
+
+    def refuse(*args):
+        raise AssertionError("compare_classes read a residue")
+
+    monkeypatch.setattr(brauer, "ramification_divisor", refuse)
+    monkeypatch.setattr(brauer, "tame_symbol_at", refuse)
+    for a, b in cases:
+        assert compare_classes(a, b).equal
 
 
 def _horner(f, c):

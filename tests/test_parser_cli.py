@@ -379,6 +379,31 @@ def test_hostile_calls_end_with_their_exit_codes(name):
     assert proc.returncode == code, proc.stdout + proc.stderr
 
 
+# Self-cancelling right sides: the left plus one symbol p times, which is
+# zero.  Each must print its answer in the same capped child within 10 s,
+# which needs the repeated symbols cancelled before any residue is taken:
+# the full divisors work in residue fields of degree up to 32 and 24.
+SELF_CANCELLING_CALLS = {
+    "equal_plus_(3,t-1)_twice": (
+        "equal: True",
+        ["equal", "(t^32+1, t)", "(t^32+1, t) + (3, t-1) + (3, t-1)"],
+    ),
+    "distinguish_over_49_plus_(t,2)_thrice": (
+        "outcome: Equal",
+        ["distinguish", "(t^24+t^23+3, t^17-5)",
+         "(t^24+t^23+3, t^17-5) + (t, 2) + (t, 2) + (t, 2)", "--base", "fq:49", "--p", "3"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SELF_CANCELLING_CALLS))
+def test_self_cancelling_sides_answer_in_a_capped_child(name):
+    line, argv = SELF_CANCELLING_CALLS[name]
+    proc = _run_cli(argv, timeout=10, preexec_fn=_cap_address_space)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert line in (text.strip() for text in proc.stdout.splitlines())
+
+
 def test_high_power_at_a_non_monic_quadratic_point_is_golden():
     # (t^2 + t/3 + 1/2)^15 (t + 1) against (6t^2 + 2t + 3) (3t + 7)^30: the
     # tame symbol at the quadratic point raises (3t + 7)^30 to the 15th

@@ -94,6 +94,8 @@ def main(argv=None):
     ap.add_argument("--seconds", type=float, default=48.0)
     ap.add_argument("--out", type=Path, default=Path("."))
     args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error(f"--pairs {args.pairs}: quartiles need at least 2 pairs")
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     pairs = []
     for i in range(args.pairs):
