@@ -27,7 +27,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import NotSymbolRegular, ScopeError
 from .factoring import factor_poly
@@ -146,19 +145,6 @@ class RamificationDivisor:
     def support(self):
         return tuple(x for x, _ in self.entries)
 
-    def residue(self, point):
-        for x, rc in self.entries:
-            if x == point:
-                return rc
-        return None
-
-    @property
-    def is_empty(self):
-        return not self.entries
-
-    def __iter__(self):
-        return iter(self.entries)
-
 
 def ramification_points(cls):
     """Candidate points: infinity plus every irreducible factor of an entry."""
@@ -225,15 +211,9 @@ def specialize(cls, c):
                  for s in cls.symbols)
 
 
-def regular_rational_points(cls, count):
-    """The first `count` symbol-regular values c, in the fixed sweep order."""
-    out = []
-    for c in sweep_values(cls.base):
-        if is_symbol_regular(cls, c):
-            out.append(c)
-            if len(out) == count:
-                break
-    return out
+def regular_rational_points(cls):
+    """The symbol-regular values c, lazily, in the fixed sweep order."""
+    return (c for c in sweep_values(cls.base) if is_symbol_regular(cls, c))
 
 
 def constant_is_trivial(base, pairs, p):
@@ -260,18 +240,21 @@ FINITE_CONSTANTS_TRIVIAL = "constant classes over a finite field are trivial"
 class ClassComparison:
     """Two classes compared once, with what decided their equality.
 
-    c1 and c2 are the classes, left and right their divisors, built on first
-    read.  point is the first point, in sorted order, where their residues
-    differ, and residue the residue of the difference there; both are None
-    when the difference is unramified.  An unramified difference over Q is a
-    constant class: left_pairs and right_pairs are the two classes
-    specialized at at, the first value symbol-regular for both, and equal is
-    whether these halves have the same nonsplit places, left_places and
-    right_places, sorted by place_key.  Otherwise these five are None.
+    c1 and c2 are the classes and net their formal difference, equal
+    symbols cancelled mod p; no divisor is built.  point is the first point,
+    in sorted order, where their residues differ, which is the first point
+    of net with a nontrivial residue, and residue the residue of the
+    difference there; both are None when the difference is unramified.  An
+    unramified difference over Q is a constant class: left_pairs and
+    right_pairs are the two classes specialized at at, the first value
+    symbol-regular for both, and equal is whether these halves have the
+    same nonsplit places, left_places and right_places, sorted by
+    place_key.  Otherwise these five are None.
     """
 
     c1: object
     c2: object
+    net: object
     equal: bool
     point: object = None
     residue: object = None
@@ -280,14 +263,6 @@ class ClassComparison:
     right_pairs: tuple = None
     left_places: tuple = None
     right_places: tuple = None
-
-    @cached_property
-    def left(self):
-        return ramification_divisor(self.c1)
-
-    @cached_property
-    def right(self):
-        return ramification_divisor(self.c2)
 
     def residues_at(self, x):
         """The residues of c1 and c2 at x, each None where trivial."""
@@ -317,16 +292,16 @@ def compare_classes(c1, c2):
     for x in ramification_points(net):
         if not residue_at(net, x).is_trivial():
             v1, v2 = residue_at(c1, x).value, residue_at(c2, x).value
-            return ClassComparison(c1, c2, False, x, ResidueClass(x, v1 / v2, p))
+            return ClassComparison(c1, c2, net, False, x, ResidueClass(x, v1 / v2, p))
     if c1.base.is_finite:
-        return ClassComparison(c1, c2, True)
+        return ClassComparison(c1, c2, net, True)
     both = c1 + c2  # symbol-regular exactly where c1 - c2 is
-    at = regular_rational_points(both, 1)[0]
+    at = next(regular_rational_points(both))
     vals, n = specialize(both, at), len(c1.symbols)
     lp, rp = vals[:n], vals[n:]
     left, right = nonsplit_places(lp, rp)
-    return ClassComparison(c1, c2, left == right, at=at, left_pairs=lp, right_pairs=rp,
-                           left_places=left, right_places=right)
+    return ClassComparison(c1, c2, net, left == right, at=at, left_pairs=lp,
+                           right_pairs=rp, left_places=left, right_places=right)
 
 
 def classes_equal(c1, c2):

@@ -190,7 +190,7 @@ def verify_splitting_witness(cls, witness):
             WitnessCheck(
                 "pullback-divisor-empty",
                 cmp.point is None,
-                f"pullback ramifies at {len(cmp.left.entries)} points",
+                f"pullback ramifies at {len(ramification_divisor(pulled).entries)} points",
             )
         )
         if cmp.point is not None:
@@ -298,7 +298,7 @@ def unramified_cover_certificates(cls, witness):
     """Eisenstein valuations, basepoint regularity, and the fiber root."""
     div = ramification_divisor(cls)
     checks = []
-    for pt, _ in div:
+    for pt, _ in div.entries:
         v = valuation_at(witness.g, pt)
         checks.append(
             WitnessCheck(

@@ -23,8 +23,11 @@ no Hilbert symbol is evaluated here.
 
 Over F_q a divisor residue is no p-th power and kappa(x) has one
 extension of degree p, so step 2 stops at the first point of one support
-only; every constant class is trivial, so distinct residue twists land
-in step 4, and whether they are genuinely equivalent is not decided here.
+only.  The net class of the record has a nontrivial residue there, so
+step 2 walks the net class's points in sorted order, and no divisor is
+built.  Every constant class over F_q is
+trivial, so distinct residue twists land in step 4, and whether they are
+genuinely equivalent is not decided here.
 
 Candidate enumeration over F_q(t) walks all residue twist tuples
 (i_1, ..., i_r), 1 <= i_j <= p-1, keeps the ones whose corestriction
@@ -38,7 +41,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .brauer import BrauerClass, compare_classes, ramification_divisor
+from .brauer import BrauerClass, compare_classes, ramification_divisor, ramification_points
 from .errors import ScopeError
 from .factoring import factor_over_Fq, squarefree_kernel
 from .fields import is_pth_power_finite, multiplicative_generator, pth_power_exponent
@@ -90,10 +93,11 @@ def distinguish(a, b, sweep=200):
     """Verdict on whether the two classes provably differ.
 
     Steps 2 and 3 read the one compare_classes record: its first differing
-    point over Q or two supports over F_q, the residues there, and its two
-    specialized halves.  sweep is a nonnegative budget: 0 skips step 3, and
-    any positive budget reads the halves at the first symbol-regular point
-    (the `at` of compare_classes), which always separates them.
+    point over Q or the points of its net class over F_q, the residues
+    there, and its two specialized halves.  sweep is a nonnegative budget:
+    0 skips step 3, and any positive budget reads the halves at the first
+    symbol-regular point (the `at` of compare_classes), which always
+    separates them.
     """
     if sweep < 0:
         raise ValueError(f"the sweep budget must be nonnegative, got {sweep}")
@@ -104,8 +108,10 @@ def distinguish(a, b, sweep=200):
     steps.append("compared residue extensions at every point of either support")
     pt = cmp.point
     if a.base.is_finite:
-        diff = set(cmp.left.support()) ^ set(cmp.right.support())
-        pt = min(diff, key=ClosedPoint.sort_key, default=None)
+        # a point of one support only has a nontrivial net residue, so it
+        # is a point of the net class
+        pt = next((x for x in ramification_points(cmp.net)
+                   if cmp.residues_at(x).count(None) == 1), None)
     if pt is not None:
         ra, rb = cmp.residues_at(pt)
         la, lb = ("unramified" if r is None else r.field_label() for r in (ra, rb))

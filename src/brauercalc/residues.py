@@ -205,11 +205,6 @@ class ResidueClass:
             object.__setattr__(self, "_trivial", is_pth_power(self.field, self.value, self.p))
         return self._trivial
 
-    def same_class(self, other):
-        if self.point != other.point or self.p != other.p:
-            raise ValueError("residue classes at different points or torsion")
-        return is_pth_power(self.field, self.value / other.value, self.p)
-
     def canonical_value(self):
         """A canonical representative modulo p-th powers where one exists."""
         if isinstance(self.value, Fraction):

@@ -1,7 +1,9 @@
 """tools/bench_pairs.py on synthetic runs: the claim rule, the
-no_regression verdicts and the --pairs bound, with no bench subprocess."""
+no_regression verdicts, the --pairs bound and a failed run, with stub
+checkouts in place of the real bench."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -80,3 +82,43 @@ def test_fewer_than_two_pairs_is_a_usage_error(monkeypatch, tmp_path):
             bench_pairs.main(argv)
         assert exc.value.code == 2
     assert not list(tmp_path.iterdir())
+
+
+_PASSING_RUN = '''import json
+print("provenance " + json.dumps({"python": "stub"}))
+metrics = {"ops_per_s": 100.0, "op_p90_ms": 10.0}
+print(json.dumps({"attempted": 5, "failed": 0,
+                  "metrics": {k: {"value": v} for k, v in metrics.items()}}))
+'''
+_FAILING_RUN = '''import sys
+print("Traceback (most recent call last):", file=sys.stderr)
+print("RuntimeError: stub workload broke", file=sys.stderr)
+sys.exit(3)
+'''
+
+
+def _stub_checkout(root, run_source):
+    (root / "bench").mkdir(parents=True)
+    (root / "bench" / "run.py").write_text(run_source, encoding="utf-8")
+    (root / "BENCHMARK.json").write_text(json.dumps(SPEC), encoding="utf-8")
+    return root
+
+
+def test_a_failed_run_is_reported_and_nothing_is_written(tmp_path, capsys):
+    """The change's bench/run.py exits 3 in pair 0, after the parent's run
+    passed: the pair, the side, the exit code and the stderr tail are
+    reported, the exit status is nonzero, and the claim file is untouched."""
+    parent = _stub_checkout(tmp_path / "parent", _PASSING_RUN)
+    change = _stub_checkout(tmp_path / "change", _FAILING_RUN)
+    out = tmp_path / "out"
+    out.mkdir()
+    claim = out / "BENCH_cli_mix.json"
+    claim.write_text('{"seeds": {}}\n', encoding="utf-8")
+    argv = [str(parent), str(change), "--workload", "cli_mix", "--pairs", "2",
+            "--seconds", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) != 0
+    err = capsys.readouterr().err
+    assert "pair 0: the change run exited 3" in err
+    assert "RuntimeError: stub workload broke" in err
+    assert claim.read_text(encoding="utf-8") == '{"seeds": {}}\n'
+    assert [p.name for p in out.iterdir()] == [claim.name]

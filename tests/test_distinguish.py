@@ -12,8 +12,14 @@ from fractions import Fraction
 
 import pytest
 
-from brauercalc import brauer, hilbert
-from brauercalc.brauer import BrauerClass, compare_classes, ramification_divisor, specialize
+from brauercalc import brauer, hilbert, report
+from brauercalc.brauer import (
+    BrauerClass,
+    classes_equal,
+    compare_classes,
+    ramification_divisor,
+    specialize,
+)
 from brauercalc.distinguish import (
     BY_RAMIFICATION_FIELD,
     BY_SPECIALIZATION,
@@ -34,7 +40,7 @@ from brauercalc.poly import Poly, QQ, RationalFunction
 from brauercalc.residues import same_kummer_extension
 
 from _gen import F7, F13, nonzero_rational, random_class
-from _oracles import oracle_candidate_count
+from _oracles import classes_equal_oracle, divisor_oracle, oracle_candidate_count
 
 T = Poly.gen(QQ)
 
@@ -191,9 +197,9 @@ def _field_table(da, db):
     """Per-point (same extension, row) over both supports: the full table
     step 2 once built before reporting its first mismatch, with each
     point decided by same_kummer_extension, independently of the record."""
-    rows = []
-    for pt in sorted_points(set(da.support()) | set(db.support())):
-        ra, rb = da.residue(pt), db.residue(pt)
+    rows, by_a, by_b = [], dict(da.entries), dict(db.entries)
+    for pt in sorted_points(set(by_a) | set(by_b)):
+        ra, rb = by_a.get(pt), by_b.get(pt)
         if ra is None or rb is None:
             same = False
         else:
@@ -216,7 +222,7 @@ def _table_reference(a, b):
     if cmp.equal:
         return Verdict(EQUAL, (*steps, "classes are equal")), steps
     steps.append("compared residue extensions at every point of either support")
-    for same, row in _field_table(cmp.left, cmp.right):
+    for same, row in _field_table(ramification_divisor(a), ramification_divisor(b)):
         if not same:
             steps.append(
                 f"extensions differ at {row.point}: "
@@ -397,3 +403,100 @@ def test_distinguish_matches_field_table_reference():
             if p > 2 and got.point is not None:
                 twist_first += got.point != compare_classes(a, b).point
     assert twist_first >= 10
+
+
+def test_finite_field_comparisons_build_no_divisor(monkeypatch):
+    """Over F_7, F_13, F_9 and F_49, distinguish and the equal report read
+    the compare_classes record alone: with ramification_divisor patched to
+    raise, every verdict is the full-table reference computed before, and
+    every equality answer the oracle's."""
+    rng = random.Random(2701)
+    settings = ((F7, 2), (F7, 3), (F13, 3), (FiniteBase(9), 2), (FiniteBase(49), 3))
+    cases = []
+    for base, p in settings:
+        for i in range(16):
+            a = _unit_spread_class(rng, base, p, 2, 2)
+            s = _unit_spread_class(rng, base, p, 1, 1)
+            b = (_unit_spread_class(rng, base, p, 2, 2), a.scale(p - 1) + s, a + s,
+                 s + a)[i % 4]
+            cases.append((a, b, _table_reference(a, b)[0], classes_equal_oracle(a, b)))
+
+    def refuse(*args):
+        raise AssertionError("a comparison built a ramification divisor")
+
+    monkeypatch.setattr(brauer, "ramification_divisor", refuse)
+    monkeypatch.setattr(report, "ramification_divisor", refuse)
+    # the distinguish module's own binding, shadowed on the package by the function
+    monkeypatch.setitem(distinguish.__globals__, "ramification_divisor", refuse)
+    outcomes = Counter()
+    for a, b, want, equal in cases:
+        got = distinguish(a, b)
+        assert got == want if want is not None else got.outcome == CANDIDATE_EQUIVALENT
+        assert report.equal_outcome(a, b)["equal"] == classes_equal(a, b) == equal
+        outcomes[a.base.q, got.outcome] += 1
+    for base, _ in settings:
+        assert outcomes[base.q, BY_RAMIFICATION_FIELD] >= 3
+    assert sum(n for (_, outcome), n in outcomes.items() if outcome == EQUAL) >= 10
+
+
+def _identity_sides(rng, base, p):
+    """(name, lhs, rhs) for rewrites that hold in Br(k(t))[p], with f, g, h
+    the entries of two random symbols: bilinearity, antisymmetry,
+    absorbing a p-th power, and the Steinberg relations."""
+    (f, g), = random_class(rng, base, p, 1, 2, height=9).pairs()
+    (h, _), = random_class(rng, base, p, 1, 2, height=9).pairs()
+
+    def cls(*pairs):
+        return BrauerClass.make(base, p, pairs)
+
+    sides = [
+        ("bilinearity", cls((f, g * h)), cls((f, g), (f, h))),
+        ("antisymmetry", cls((f, g)), cls((g, f)).scale(p - 1)),
+        ("p-th power", cls((f, g * h**p)), cls((f, g))),
+        ("steinberg -f", cls((f, -f)), BrauerClass.zero(base, p)),
+    ]
+    one_minus = RationalFunction.constant(base.field, base.field.one) - f
+    if not one_minus.is_zero:
+        sides.append(("steinberg 1 - f", cls((f, one_minus)), BrauerClass.zero(base, p)))
+    return sides
+
+
+IDENTITY_SETTINGS = ((Q_BASE, 2), (F7, 2), (F7, 3), (F13, 3), (FiniteBase(9), 2),
+                     (FiniteBase(49), 3))
+
+
+def test_symbol_identities_are_equal():
+    """Bilinearity, antisymmetry, absorbing a p-th power and the Steinberg
+    relations, rewritten so that no symbol cancels by value: each pair is
+    equal under classes_equal and distinguish, after a walk over a
+    nonempty net class."""
+    rng = random.Random(2702)
+    walked = Counter()
+    for base, p in IDENTITY_SETTINGS:
+        for _ in range(12):
+            for name, lhs, rhs in _identity_sides(rng, base, p):
+                assert classes_equal(lhs, rhs), (name, base, class_text(lhs), class_text(rhs))
+                assert distinguish(lhs, rhs).outcome == EQUAL
+                walked[name] += bool(compare_classes(lhs, rhs).net.symbols)
+    assert min(walked.values()) >= 60 and len(walked) == 5
+
+
+def test_a_symbol_ramified_off_the_support_is_distinguished():
+    """a + s, for a symbol s with a point of its oracle divisor outside a's
+    support, is distinguished from a by a residue field; over F_q at the
+    first point of the oracle's symmetric difference of the supports."""
+    rng = random.Random(2703)
+    for base, p in IDENTITY_SETTINGS:
+        found = 0
+        while found < 6:
+            a = _unit_spread_class(rng, base, p, 2, 2)
+            s = _unit_spread_class(rng, base, p, 1, 1)
+            supp_a = {x for x, _ in divisor_oracle(a)}
+            if all(x in supp_a for x, _ in divisor_oracle(s)):
+                continue
+            found += 1
+            supp_b = {x for x, _ in divisor_oracle(a + s)}
+            got = distinguish(a, a + s)
+            assert got.outcome == BY_RAMIFICATION_FIELD, (base, class_text(a), class_text(s))
+            if base.is_finite:
+                assert got.point == sorted_points(supp_a ^ supp_b)[0]

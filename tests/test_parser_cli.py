@@ -404,6 +404,30 @@ def test_self_cancelling_sides_answer_in_a_capped_child(name):
     assert line in (text.strip() for text in proc.stdout.splitlines())
 
 
+# b adds one symbol to a shared degree-24/degree-17 symbol over F_49: the
+# point of one support only is found on the net class, and the shared
+# entries are never factored over F_49
+ONE_SIDED_SYMBOL_CALLS = {
+    "distinguish_over_49_plus_(t,2)": ("t", "(t, 2)"),
+    "distinguish_over_49_plus_(t+1,3)": ("t + 1", "(t+1, 3)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_SIDED_SYMBOL_CALLS))
+def test_one_sided_symbol_over_49_is_distinguished_in_a_capped_child(name):
+    point, extra = ONE_SIDED_SYMBOL_CALLS[name]
+    shared = "(t^24+t^23+3, t^17-5)"
+    argv = ["distinguish", shared, f"{shared} + {extra}", "--base", "fq:49", "--p", "3"]
+    start = time.perf_counter()
+    proc = _run_cli(argv, timeout=10, preexec_fn=_cap_address_space)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = [text.strip() for text in proc.stdout.splitlines()]
+    assert "outcome: DistinguishedByRamificationField" in lines
+    assert f"point: {point}" in lines
+    assert elapsed < 2.0
+
+
 def test_high_power_at_a_non_monic_quadratic_point_is_golden():
     # (t^2 + t/3 + 1/2)^15 (t + 1) against (6t^2 + 2t + 3) (3t + 7)^30: the
     # tame symbol at the quadratic point raises (3t + 7)^30 to the 15th

@@ -21,6 +21,8 @@ The result is appended to the records under its seed in
 BENCH_<workload>.json (in --out, the current directory by default), so
 no earlier record is lost, with the command line that made it and every
 run's provenance line and counts of attempted and failed operations.
+If a bench/run.py run exits nonzero, the script names the pair, the side,
+the exit code and the tail of the run's stderr, writes nothing and exits 1.
 Stdlib only.
 """
 
@@ -32,6 +34,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+STDERR_TAIL = 20  # lines of a failed run's stderr that are reported
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -100,8 +104,16 @@ def main(argv=None):
     pairs = []
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {side: run_once(getattr(args, side), args.workload, args.seed, args.seconds)
-                for side in order}
+        pair = {}
+        for side in order:
+            try:
+                pair[side] = run_once(getattr(args, side), args.workload, args.seed,
+                                      args.seconds)
+            except subprocess.CalledProcessError as exc:
+                tail = "\n".join(exc.stderr.splitlines()[-STDERR_TAIL:])
+                print(f"pair {i}: the {side} run exited {exc.returncode}; nothing written\n"
+                      f"{tail}", file=sys.stderr)
+                return 1
         pairs.append(pair)
         print(f"pair {i}: " + ", ".join(
             f"{side} {pair[side]['metrics']['ops_per_s']:.1f} ops/s" for side in order), flush=True)
