@@ -14,7 +14,7 @@ in one pass, from one strip of each of the four sides at any point.  The
 residue of a sum is the product of the residues of its symbols, taken
 symbol by symbol: a symbol remembers its tame symbol at each point, and, once
 ramification_points has factored its entries, its zero and pole points,
-off which residue_at skips it, and specialization reads them too.
+off which residue_at skips it; specialization reads unit parts alone.
 
 Everything here treats a class through one chosen presentation, but the
 exported predicates (triviality of residues, equality of classes, read
@@ -186,29 +186,30 @@ def divisor_reciprocity(div):
     return rational_is_square(prod)
 
 
-def _regular_point(cls, c):
-    """The point t = c if no entry has a zero or pole there, else None."""
-    x = ClosedPoint.rational(cls.base, c)
-    return None if any(x in _symbol_points(s, cls.base) for s in cls.symbols) else x
+def _values_at(cls, c):
+    """The entries' unit parts at t = c as constant pairs, or None unless
+    every valuation is 0, which for coprime entries means regular."""
+    x, vals = ClosedPoint.rational(cls.base, c), []
+    for s in cls.symbols:
+        (va, ua), (vb, ub) = unit_part_at(s.a, x), unit_part_at(s.b, x)
+        if va or vb:
+            return None
+        vals.append((ua, ub))
+    return tuple(vals)
 
 
 def is_symbol_regular(cls, c):
-    """No entry has a zero or pole at t = c: numerator and denominator are
-    coprime, so this holds when t = c is none of the symbols' zero and
-    pole points, factored here unless already known."""
-    return _regular_point(cls, c) is not None
+    """No entry has a zero or pole at t = c; nothing is factored."""
+    return _values_at(cls, c) is not None
 
 
 def specialize(cls, c):
-    """Entrywise values at t = c, as constant symbol pairs: at a
-    symbol-regular point each value is the entry's unit part.  Regularity
-    needs the entries factored, as ram does, so an entry beyond a
-    factoring budget raises ScopeError here too."""
-    x = _regular_point(cls, c)
-    if x is None:
+    """Entrywise values at t = c, as constant symbol pairs, read off each
+    entry's unit part in one pass; nothing is factored."""
+    vals = _values_at(cls, c)
+    if vals is None:
         raise NotSymbolRegular(f"some entry has a zero or pole at t = {c}")
-    return tuple((unit_part_at(s.a, x)[1], unit_part_at(s.b, x)[1])
-                 for s in cls.symbols)
+    return vals
 
 
 def regular_rational_points(cls):
@@ -247,9 +248,9 @@ class ClassComparison:
     difference there; both are None when the difference is unramified.  An
     unramified difference over Q is a constant class: left_pairs and
     right_pairs are the two classes specialized at at, the first value
-    symbol-regular for both, and equal is whether these halves have the
-    same nonsplit places, left_places and right_places, sorted by
-    place_key.  Otherwise these five are None.
+    symbol-regular for both (no entry factored), and equal is whether
+    these halves have the same nonsplit places, left_places and
+    right_places, sorted by place_key.  Otherwise these five are None.
     """
 
     c1: object
@@ -279,10 +280,10 @@ def compare_classes(c1, c2):
     p-th powers: its first point with a nontrivial residue is the first
     where c1 and c2 differ, and the residue there is c1's over c2's.  An
     unramified difference is a constant class, trivial over a finite
-    field; over Q it is specialized at the first symbol-regular rational
-    point, as c1 and c2 there, and decided by the nonsplit places of
-    these two halves: c1 - c2, never built, has c1's pairs and (a, 1/b),
-    with the invariants of (a, b), for each of c2's.
+    field; over Q it is specialized, in one sweep of unit parts, at the
+    first symbol-regular rational point, as c1 and c2 there, and decided
+    by the nonsplit places of these two halves: c1 - c2, never built, has
+    c1's pairs and (a, 1/b), with the invariants of (a, b), for each of c2's.
     """
     if c1.base != c2.base or c1.p != c2.p:
         raise ValueError("classes over different settings")
@@ -296,9 +297,8 @@ def compare_classes(c1, c2):
     if c1.base.is_finite:
         return ClassComparison(c1, c2, net, True)
     both = c1 + c2  # symbol-regular exactly where c1 - c2 is
-    at = next(regular_rational_points(both))
-    vals, n = specialize(both, at), len(c1.symbols)
-    lp, rp = vals[:n], vals[n:]
+    at = next(c for c in sweep_values(c1.base) if (vals := _values_at(both, c)) is not None)
+    lp, rp = vals[:len(c1.symbols)], vals[len(c1.symbols):]
     left, right = nonsplit_places(lp, rp)
     return ClassComparison(c1, c2, net, left == right, at=at, left_pairs=lp,
                            right_pairs=rp, left_places=left, right_places=right)

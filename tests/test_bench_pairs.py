@@ -1,6 +1,6 @@
 """tools/bench_pairs.py on synthetic runs: the claim rule, the
-no_regression verdicts, the --pairs bound and a failed run, with stub
-checkouts in place of the real bench."""
+no_regression verdicts, the --pairs bound, a failed run and the bytecode
+caches, with stub checkouts in place of the real bench."""
 
 import importlib.util
 import json
@@ -84,8 +84,8 @@ def test_fewer_than_two_pairs_is_a_usage_error(monkeypatch, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
-_PASSING_RUN = '''import json
-print("provenance " + json.dumps({"python": "stub"}))
+_PASSING_RUN = '''import json, os
+print("provenance " + json.dumps({"pycache": os.environ.get("PYTHONPYCACHEPREFIX")}))
 metrics = {"ops_per_s": 100.0, "op_p90_ms": 10.0}
 print(json.dumps({"attempted": 5, "failed": 0,
                   "metrics": {k: {"value": v} for k, v in metrics.items()}}))
@@ -122,3 +122,23 @@ def test_a_failed_run_is_reported_and_nothing_is_written(tmp_path, capsys):
     assert "RuntimeError: stub workload broke" in err
     assert claim.read_text(encoding="utf-8") == '{"seeds": {}}\n'
     assert [p.name for p in out.iterdir()] == [claim.name]
+
+
+def test_each_side_caches_bytecode_apart_and_outside_the_checkouts(tmp_path):
+    """Every run of a side gets the same cache prefix, the two sides get
+    distinct ones, neither lies inside a checkout, and none is left behind."""
+    parent = _stub_checkout(tmp_path / "parent", _PASSING_RUN)
+    change = _stub_checkout(tmp_path / "change", _PASSING_RUN)
+    argv = [str(parent), str(change), "--workload", "cli_mix", "--pairs", "2",
+            "--seconds", "1", "--out", str(tmp_path)]
+    assert bench_pairs.main(argv) == 0
+    doc = json.loads((tmp_path / "BENCH_cli_mix.json").read_text(encoding="utf-8"))
+    runs = doc["seeds"]["0"][0]["runs"]
+    prefixes = {side: {Path(r[side]["provenance"]["pycache"]) for r in runs}
+                for side in ("parent", "change")}
+    assert all(len(p) == 1 for p in prefixes.values())
+    (par,), (chg,) = prefixes["parent"], prefixes["change"]
+    assert par != chg
+    for prefix in (par, chg):
+        assert prefix.is_absolute() and not prefix.exists()
+        assert not prefix.is_relative_to(parent) and not prefix.is_relative_to(change)

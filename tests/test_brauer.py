@@ -22,6 +22,7 @@ from brauercalc.brauer import (
     specialize,
 )
 from brauercalc.cli import main
+from brauercalc.distinguish import BY_SPECIALIZATION, EQUAL, distinguish
 from brauercalc.errors import NotSymbolRegular, ScopeError
 from brauercalc.factoring import _IntListRing, is_irreducible
 from brauercalc.fields import QuotientField, multiplicative_generator
@@ -963,6 +964,46 @@ def test_compare_classes_places_match_each_half():
         kinds[cmp.equal, bool(cmp.left_places), bool(cmp.right_places)] += 1
     assert kinds[True, True, True] and kinds[False, True, True] and kinds["ramified"]
     assert kinds[False, False, True] + kinds[False, True, False] >= 3
+
+
+def test_unramified_net_class_factors_no_entry(monkeypatch):
+    """Over Q, a vs a + s + s and a vs a + (u, v) with (u, v) a nonsplit
+    constant leave a net class with no point to factor; the symbol-regular
+    point and the specialized pairs come from the entries' unit parts, so
+    compare_classes, classes_equal and distinguish give the same answers
+    with factor_poly refusing.  The patched run reads fresh copies of the
+    classes, so no zero and pole points remembered from the first run
+    stand in for factoring."""
+    rng = random.Random(155)
+    pairs = []
+    for k in range(24):
+        a = random_class(rng, Q_BASE, 2, 2, 2, height=8)
+        if k % 2:
+            b = a + BrauerClass.make(Q_BASE, 2, [rng.choice(_NONSPLIT)])
+        else:
+            s = random_class(rng, Q_BASE, 2, 1, 2, height=8)
+            b = a + s + s
+        pairs.append((a, b))
+
+    def answers(a, b):
+        cmp = compare_classes(a, b)
+        record = (cmp.equal, cmp.point, cmp.at, cmp.left_pairs, cmp.right_pairs,
+                  cmp.left_places, cmp.right_places)
+        return record, classes_equal(a, b), distinguish(a, b)
+
+    def fresh(cls_):
+        return BrauerClass.make(cls_.base, cls_.p, cls_.pairs())
+
+    want = [answers(a, b) for a, b in pairs]
+
+    def refuse(*args):
+        raise AssertionError("an entry was factored")
+
+    monkeypatch.setattr(brauer, "factor_poly", refuse)
+    got = [answers(fresh(a), fresh(b)) for a, b in pairs]
+    assert got == want
+    assert all(record[1] is None and record[2] is not None for record, _, _ in got)
+    assert Counter(v.outcome for _, _, v in got) == {EQUAL: 12, BY_SPECIALIZATION: 12}
 
 
 def test_compare_classes_checks_reciprocity_on_every_pair(monkeypatch):

@@ -361,9 +361,11 @@ def test_distinguish_decides_the_constant_part_once(monkeypatch):
 def _unit_spread_class(rng, base, p, max_symbols, max_degree):
     """random_class, with each first entry over F_q scaled by a random unit.
 
-    random_class draws F_q coefficients through from_int, which stays in
-    the prime subfield; over F_9 that is F_3, where every element is a
-    square, so without the units most residues would be trivial.
+    random_class already draws F_q coefficients from all of F_q, so the
+    scaling reaches no residue class it could not.  A unit u in the first
+    entry multiplies the residue at each zero or pole x of the second
+    entry by the constant u^(v_x), and the seeded draws the tests below
+    were checked on include these extra rng calls, so the scaling stays.
     """
     c = random_class(rng, base, p, max_symbols, max_degree, height=9)
     if not base.is_finite:

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from brauercalc.brauer import BrauerClass
-from brauercalc import cli
+from brauercalc import cli, factoring
 from brauercalc.cli import main
 from brauercalc.covers import make_unramified_cover
 from brauercalc.errors import ParseError, ScopeError
@@ -39,6 +39,7 @@ from brauercalc.poly import Poly, QQ, RationalFunction
 
 from _gen import F7, random_class
 from _oracles import PolyArithmeticParser
+from test_factoring import SD32
 
 
 def q_poly(*coeffs):
@@ -426,6 +427,21 @@ def test_one_sided_symbol_over_49_is_distinguished_in_a_capped_child(name):
     assert "outcome: DistinguishedByRamificationField" in lines
     assert f"point: {point}" in lines
     assert elapsed < 2.0
+
+
+def test_unramified_difference_answers_past_the_recombination_budget(monkeypatch, capsys):
+    """With the recombination budget at 8, the Swinnerton-Dyer polynomial
+    SD32 cannot be factored.  equal and distinguish still answer when the
+    net class is unramified, since the specialization point and its values
+    come from the entries' unit parts; ram needs the factors and exits 3."""
+    monkeypatch.setattr(factoring, "_RECOMBINATION_BUDGET", 8)
+    sd32 = "+".join(f"{c}*t^{i}" for i, c in enumerate(SD32) if c).replace("+-", "-")
+    assert main(["equal", f"({sd32}, t)", f"({sd32}, t)"]) == 0
+    assert "  equal: True" in capsys.readouterr().out.splitlines()
+    assert main(["distinguish", f"({sd32}, 3)", f"({sd32}, 3) + (-1, -1)"]) == 0
+    assert "  outcome: DistinguishedBySpecialization" in capsys.readouterr().out.splitlines()
+    assert main(["ram", f"({sd32}, t)"]) == 3
+    assert "recombination" in capsys.readouterr().err
 
 
 def test_high_power_at_a_non_monic_quadratic_point_is_golden():

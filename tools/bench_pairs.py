@@ -6,6 +6,9 @@
 PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  Pair i
 runs bench/run.py in both, the parent first when i is even and the
 change first when i is odd, with the same workload, seed and seconds.
+Each side writes its bytecode to its own cache, empty at the start, in
+a temporary directory outside both checkouts (PYTHONPYCACHEPREFIX), so
+setup_s compares the code and not .pyc files a checkout already held.
 For every end-to-end metric of BENCHMARK.json the file records each
 side's runs, median and quartiles, the pairs the change won (ties count
 for neither), and two verdicts:
@@ -30,19 +33,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 STDERR_TAIL = 20  # lines of a failed run's stderr that are reported
 
 
-def run_once(checkout, workload, seed, seconds):
-    """One bench/run.py run in a checkout: its provenance and its result."""
+def run_once(checkout, workload, seed, seconds, pycache):
+    """One bench/run.py run in a checkout, with its bytecode cached under
+    pycache: its provenance and its result."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": str(pycache)}
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
+                          check=True)
     lines = proc.stdout.splitlines()
     prov = next(json.loads(l[len("provenance "):]) for l in lines if l.startswith("provenance "))
     result = json.loads(lines[-1])
@@ -102,21 +110,22 @@ def main(argv=None):
         ap.error(f"--pairs {args.pairs}: quartiles need at least 2 pairs")
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     pairs = []
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {}
-        for side in order:
-            try:
-                pair[side] = run_once(getattr(args, side), args.workload, args.seed,
-                                      args.seconds)
-            except subprocess.CalledProcessError as exc:
-                tail = "\n".join(exc.stderr.splitlines()[-STDERR_TAIL:])
-                print(f"pair {i}: the {side} run exited {exc.returncode}; nothing written\n"
-                      f"{tail}", file=sys.stderr)
-                return 1
-        pairs.append(pair)
-        print(f"pair {i}: " + ", ".join(
-            f"{side} {pair[side]['metrics']['ops_per_s']:.1f} ops/s" for side in order), flush=True)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as caches:
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {}
+            for side in order:
+                try:
+                    pair[side] = run_once(getattr(args, side), args.workload, args.seed,
+                                          args.seconds, Path(caches) / side)
+                except subprocess.CalledProcessError as exc:
+                    tail = "\n".join(exc.stderr.splitlines()[-STDERR_TAIL:])
+                    print(f"pair {i}: the {side} run exited {exc.returncode}; nothing "
+                          f"written\n{tail}", file=sys.stderr)
+                    return 1
+            pairs.append(pair)
+            print(f"pair {i}: " + ", ".join(f"{side} {pair[side]['metrics']['ops_per_s']:.1f} "
+                                           "ops/s" for side in order), flush=True)
     path = args.out / f"BENCH_{args.workload}.json"
     doc = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
     doc.update(workload=args.workload)
