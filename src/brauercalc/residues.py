@@ -52,20 +52,6 @@ def is_pth_power(field, value, p):
     return nf_is_square(field, value)
 
 
-def same_kummer_extension(field, r1, r2, p):
-    """Do r1 and r2 cut out the same degree-p radical extension of field?
-
-    A finite field has a unique extension of each degree, so there the
-    two agree exactly when both or neither are p-th powers.  For p = 2
-    they agree exactly when their product is a square.
-    """
-    if field is not QQ and field.finite:
-        return is_pth_power(field, r1, p) == is_pth_power(field, r2, p)
-    if p == 2:
-        return is_pth_power(field, r1 * r2, 2)
-    raise ScopeError(f"field comparison over {field!r} only for p = 2 (got {p})")
-
-
 # ---------------------------------------------------------------------------
 # square testing in number fields
 

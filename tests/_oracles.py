@@ -13,7 +13,8 @@ The factorization over Q is recomputed without the rational-root pass:
 Zassenhaus on the whole polynomial, after the squarefree decomposition
 when its prime search cannot prove f squarefree.  Class text is re-read
 by Poly arithmetic: every literal and every t^e becomes a Poly,
-multiplied and added as read.
+multiplied and added as read.  Whether two residues cut out the same
+Kummer extension is read off p-th power tests alone.
 """
 
 import itertools
@@ -26,7 +27,7 @@ from brauercalc.brauer import (
     regular_rational_points,
     specialize,
 )
-from brauercalc.errors import ParseError
+from brauercalc.errors import ParseError, ScopeError
 from brauercalc.factoring import _zassenhaus, factor_poly, squarefree_decomposition
 from brauercalc.hilbert import hilbert_symbol, relevant_places
 from brauercalc.parser import _ClassParser, _check_degree, _int_literal
@@ -135,6 +136,20 @@ def divisor_oracle(cls):
         if not is_pth_power(residue_field(x), v, cls.p):
             out.append((x, v))
     return tuple(out)
+
+
+def same_kummer_extension(field, r1, r2, p):
+    """Do r1 and r2 cut out the same degree-p radical extension of field?
+
+    A finite field has a unique extension of each degree, so there the
+    two agree exactly when both or neither are p-th powers.  For p = 2
+    they agree exactly when their product is a square.
+    """
+    if field is not QQ and field.finite:
+        return is_pth_power(field, r1, p) == is_pth_power(field, r2, p)
+    if p == 2:
+        return is_pth_power(field, r1 * r2, 2)
+    raise ScopeError(f"field comparison over {field!r} only for p = 2 (got {p})")
 
 
 def compare_by_difference(c1, c2):

@@ -908,9 +908,11 @@ def test_specialize_over_finite_fields_matches_horner():
 
 
 def test_specialization_after_the_divisor_factors_and_evaluates_nothing(monkeypatch):
-    """Once a class's divisor is known, regular_rational_points and
-    specialize read its zero and pole points and unit parts: no factoring
-    and no Poly.evaluate, over Q and over F_7."""
+    """regular_rational_points and specialize read each entry's valuation
+    and unit part at t = c off points.unit_part_at: no factoring and no
+    Poly.evaluate, over Q and over F_7.  Specialization reads no point of
+    the divisor; computing it first shows that a known divisor changes
+    nothing here."""
     rng = random.Random(154)
     for base in (Q_BASE, F7):
         classes = [random_class(rng, base, 2, 3, 2, height=9) for _ in range(8)]

@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from brauercalc.brauer import BrauerClass, ramification_divisor
+from brauercalc import covers
+from brauercalc.brauer import BrauerClass, ramification_divisor, residue_at
 from brauercalc.covers import (
     KummerCoverDatum,
     Reparametrization,
@@ -25,8 +26,10 @@ from brauercalc.factoring import factor_poly, is_irreducible
 from brauercalc.fields import multiplicative_generator
 from brauercalc.points import ClosedPoint, FiniteBase, Q_BASE, valuation_at
 from brauercalc.poly import Poly, QQ, RationalFunction
+from brauercalc.report import witness_to_obj
+from brauercalc.residues import is_pth_power
 
-from _gen import F7, nonsquare_rational, nonzero_rational, rational
+from _gen import F7, F13, nonsquare_rational, nonzero_rational, rational
 
 T = Poly.gen(QQ)
 
@@ -120,6 +123,45 @@ def test_witness_random_units():
         cls = BrauerClass.make(Q_BASE, 2, [(a, lin)])
         report = verify_splitting_witness(cls, w)
         assert report.mode == "full" and report.ok, (a, u, c)
+
+
+def _witness_or_refusal(base, p, a, lin):
+    try:
+        return witness_to_obj(splitting_witness(base, p, a, lin))
+    except ValueError:
+        return "refused"
+
+
+def test_witness_reads_ramification_off_the_constant_entry(monkeypatch):
+    """At t = c the residue of (a, u(t - c)) is a itself, so
+    splitting_witness needs no residue: with residue_at refused it gives
+    the same witness, and it refuses exactly the a that are p-th powers."""
+    rng = random.Random(2903)
+    cases = []
+    for base, p in ((Q_BASE, 2), (F7, 2), (F7, 3), (F13, 3), (FiniteBase(9), 2)):
+        field = base.field
+        for _ in range(16):
+            if field is QQ:
+                a, u, c = nonzero_rational(rng, 12), nonzero_rational(rng, 12), rational(rng, 12)
+            else:
+                a, u, c = (field.element_at(rng.randrange(lo, field.order)) for lo in (1, 1, 0))
+            a = a ** rng.choice((1, 1, p))
+            lin = RationalFunction(Poly(field, [-c * u, u]))
+            rc = residue_at(BrauerClass.make(base, p, [(a, lin)]), ClosedPoint.rational(base, c))
+            assert rc.value == a
+            cases.append((base, p, a, lin, _witness_or_refusal(base, p, a, lin)))
+
+    def refuse(*args):
+        raise AssertionError("splitting_witness computed a residue")
+
+    monkeypatch.setattr(covers, "residue_at", refuse)
+    refused = 0
+    for base, p, a, lin, before in cases:
+        got = _witness_or_refusal(base, p, a, lin)
+        assert got == before
+        assert (got == "refused") == is_pth_power(base.field, a, p)
+        refused += got == "refused"
+    assert 0 < refused < len(cases)
 
 
 def test_unramified_cover_infinite_pole():

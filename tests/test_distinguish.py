@@ -37,10 +37,14 @@ from brauercalc.hilbert import invariant_set
 from brauercalc.parser import class_text
 from brauercalc.points import ClosedPoint, FiniteBase, Q_BASE, sorted_points, sweep_values
 from brauercalc.poly import Poly, QQ, RationalFunction
-from brauercalc.residues import same_kummer_extension
 
 from _gen import F7, F13, nonzero_rational, random_class
-from _oracles import classes_equal_oracle, divisor_oracle, oracle_candidate_count
+from _oracles import (
+    classes_equal_oracle,
+    divisor_oracle,
+    oracle_candidate_count,
+    same_kummer_extension,
+)
 
 T = Poly.gen(QQ)
 
@@ -464,7 +468,7 @@ def _identity_sides(rng, base, p):
 
 
 IDENTITY_SETTINGS = ((Q_BASE, 2), (F7, 2), (F7, 3), (F13, 3), (FiniteBase(9), 2),
-                     (FiniteBase(49), 3))
+                     (FiniteBase(49), 3), (FiniteBase(11), 5))
 
 
 def test_symbol_identities_are_equal():

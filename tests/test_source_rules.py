@@ -9,7 +9,10 @@ function is referenced in the library outside its own definition, so a
 helper is deleted with its last caller.  Every exception handler outside
 cli.main ends by raising, so no library exception steers control flow.
 Every name a library module imports is read in that module, so an
-import goes with its last use; __init__.py only re-exports and is exempt.
+import goes with its last use; the one exception is __version__, which
+__init__.py binds for importers to read.  __init__.py binds nothing
+else: each name is imported from the module that defines it, so the
+package namespace re-exports nothing that a rename would have to follow.
 Every module-level ALL_CAPS constant that a function raising ScopeError
 reads is named in README as module.NAME, so each scope budget or limit
 that can end a request with exit 3 is documented.  No call hands a
@@ -130,8 +133,6 @@ def test_exception_handlers_reraise():
 def test_library_imports_are_used():
     unused = []
     for path in SOURCES:
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         bound = {}
         for node in ast.walk(tree):
@@ -147,9 +148,27 @@ def test_library_imports_are_used():
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
         }
         unused.extend(
-            f"{path.name}:{n} {name}" for name, n in bound.items() if name not in read
+            f"{path.name}:{n} {name}"
+            for name, n in bound.items()
+            if name not in read and name != "__version__"
         )
     assert not unused, f"imported names the module never reads: {unused}"
+
+
+def _bound_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            yield node.asname or node.name.split(".")[0]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+
+
+def test_package_namespace_binds_only_the_version():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    bound = sorted(set(_bound_names(tree)))
+    assert bound == ["__version__"], f"__init__.py binds {bound}, not only __version__"
 
 
 def _raises_scope_error(func):
