@@ -37,23 +37,23 @@ ScopeError.
 
 Factoring over a finite field is one squarefree loop and one
 Cantor-Zassenhaus algorithm (distinct-degree, equal-degree and sorted
-split, one _powmod) written once over a ring object: _IntListRing, the
-only F_p[t] on poly's integer lists, for the modular stage over Q (no
-field elements built) and for factor_over_Fq over any prime field, cached
-by (p, representatives) in _factor_fp_monic; or _PolyRing, Poly over an
-extension field GF(p^k), drawing by field.element_at so no field is
-listed.  An equal-degree split makes at most _SPLIT_DRAWS random draws,
-then raises ScopeError.
+split, one _powmod) written once over one of poly's two rings, whose gcd
+is poly's one Euclid: _IntListRing, F_p[t] on integer lists, for the
+modular stage over Q (no field elements built) and for factor_over_Fq
+over any prime field, cached by (p, representatives) in
+_factor_fp_monic; or _PolyRing, Poly over an extension field GF(p^k),
+drawing by field.element_at so no field is listed.  An equal-degree
+split makes at most _SPLIT_DRAWS random draws, then raises ScopeError.
 
 Irreducibility and squarefreeness are decided only here: the one
-squarefree loop serves Q, F_p and F_q, and is_irreducible reads factor_poly.
+squarefree loop serves Q (on _PolyRing(QQ)), F_p and F_q, and
+is_irreducible reads factor_poly.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -61,9 +61,9 @@ from functools import lru_cache
 from .errors import ScopeError
 from .fields import PrimeField, PrimePowerFactorization
 from .fields import factor_int, is_prime, rational_sqrt
-from .poly import Poly, QQ, _power, poly_gcd
+from .poly import Poly, QQ, _IntListRing, _PolyRing, _power
 from .poly import _int_list_at, _int_list_primitive, _int_list_strip
-from .poly import _zadd, _zdivmod_mod, _zmul, _zsub, _ztrim, _ztrunc
+from .poly import _zadd, _zdivmod_mod, _zmul, _zsub, _ztrunc
 
 
 def squarefree_kernel(c):
@@ -138,116 +138,7 @@ def _hensel_lift(p, f, f_list, l):
 
 
 # ---------------------------------------------------------------------------
-# Cantor-Zassenhaus (MCA 14.2-14.3; Cantor & Zassenhaus 1981), written once
-# over a ring R of polynomials over F_q in one of two representations
-
-
-class _IntListRing:
-    """F_p[t] on integer lists (lowest degree first, entries in [0, p)), p
-    any prime; for factor_over_Fq over a prime field, and for _zassenhaus,
-    its prime search and Hensel lifting."""
-
-    one = (1,)
-    gen = (0, 1)
-
-    def __init__(self, p):
-        self.q = self.char = p
-
-    def deg(self, a):
-        return len(a) - 1
-
-    def reduce(self, a):
-        """Representatives in [0, p)."""
-        return _ztrim([c % self.q for c in a])
-
-    def sub(self, a, b):
-        return self.reduce(_zsub(a, b))
-
-    def mul(self, a, b):
-        return self.reduce(_zmul(a, b))
-
-    def rem(self, a, b):
-        return _zdivmod_mod(a, b, self.q)[1]
-
-    def quo(self, a, b):
-        return _zdivmod_mod(a, b, self.q)[0]
-
-    def monic(self, a):
-        inv = pow(a[-1], -1, self.q)
-        return [c * inv % self.q for c in a]
-
-    def derivative(self, a):
-        return self.reduce([i * c for i, c in enumerate(a)][1:])
-
-    def gcd(self, a, b):
-        """Monic gcd; the gcd of a and 0 is a made monic."""
-        while b:
-            a, b = b, self.rem(a, b)
-        return self.monic(a) if a else a
-
-    def xgcd(self, a, b):
-        """(g, s, t) with s*a + t*b = g, the monic gcd; b nonzero."""
-        a, b = self.reduce(a), self.reduce(b)
-        sa, sb = [1], []
-        ta, tb = [], [1]
-        while b:
-            q, r = _zdivmod_mod(a, b, self.q)
-            a, b = b, r
-            sa, sb = sb, self.sub(sa, self.mul(q, sb))
-            ta, tb = tb, self.sub(ta, self.mul(q, tb))
-        inv = pow(a[-1], -1, self.q)
-        return tuple([c * inv % self.q for c in v] for v in (a, sa, ta))
-
-    def pth_root(self, a):
-        """g with a = g(t^p); each entry of F_p is its own p-th root."""
-        return a[:: self.q]
-
-    def random(self, n, rng):
-        return _ztrim([rng.randrange(self.q) for _ in range(n)])
-
-    def sort_key(self, g):
-        return (len(g), g)
-
-
-class _PolyOps:
-    """What the squarefree loop needs of Poly; the ring over QQ."""
-
-    char = 0
-    deg = staticmethod(operator.attrgetter("degree"))
-    quo = staticmethod(Poly.exact_div)
-    derivative = staticmethod(Poly.derivative)
-
-    # a method, not staticmethod(poly_gcd), so that the module-level name is
-    # looked up per call and bench/tracer.py's wrapper on it counts the call
-    def gcd(self, a, b):
-        return poly_gcd(a, b)
-
-
-class _PolyRing(_PolyOps):
-    """F_q[t] on Poly over a finite field; for factor_over_Fq over an
-    extension field GF(p^k), k >= 2, and squarefree_decomposition."""
-
-    sub = staticmethod(operator.sub)
-    mul = staticmethod(operator.mul)
-    rem = staticmethod(operator.mod)
-    sort_key = staticmethod(Poly.sort_key)
-
-    def __init__(self, field):
-        self.field = field
-        self.q = field.order
-        self.char = field.char
-        self.one = Poly.one(field)
-        self.gen = Poly.gen(field)
-
-    def pth_root(self, f):
-        """Inverse Frobenius on exponents: f(t) = g(t^p) gives back g."""
-        p = self.char
-        return Poly(self.field, [c ** (self.q // p) for c in f.coeffs[::p]])
-
-    def random(self, n, rng):
-        """n coefficients, each the randrange(q)-th of field.elements()."""
-        field = self.field
-        return Poly(field, [field.element_at(rng.randrange(self.q)) for _ in range(n)])
+# Cantor-Zassenhaus (MCA 14.2-14.3; Cantor & Zassenhaus 1981) over poly's rings
 
 
 def _powmod(R, a, n, f):
@@ -354,7 +245,7 @@ def _squarefree(R, f):
 def squarefree_decomposition(f):
     """[(g_i, m_i)] with f monic = prod g_i^{m_i}, g_i monic squarefree,
     for a Poly over QQ or F_q."""
-    return _squarefree(_PolyRing(f.field) if f.field.finite else _PolyOps(), f)
+    return _squarefree(_PolyRing(f.field), f)
 
 
 # ---------------------------------------------------------------------------

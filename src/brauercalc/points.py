@@ -6,10 +6,10 @@ Only monic irreducibles are admitted; the constructor normalizes the
 leading coefficient and checks irreducibility, so a ClosedPoint can be
 trusted downstream.  Every local expansion is one strip and one
 combine, at every point and over every base: _strip takes each side's
-power of the uniformizer off once (integer forms over Q, integer
-representatives over F_p, poly_strip over F_4 or F_9, degrees at
-infinity), and _combine builds one integer fraction, one top and one
-bottom in kappa(x).  unit_part_at is the exponents (1, -1) case, read by
+power of the uniformizer off once (integer forms over Q, one division
+loop over poly's rings for every finite base, degrees at infinity), and
+_combine builds one integer fraction, one top and one bottom in
+kappa(x).  unit_part_at is the exponents (1, -1) case, read by
 valuation_at, reduce_at and brauer.specialize; tame_symbol_at is the
 four-side case.
 """
@@ -23,8 +23,8 @@ from functools import lru_cache
 from .errors import ScopeError
 from .factoring import is_irreducible
 from .fields import GF, FFElem, PrimeField, QuotientField, is_prime
-from .poly import Poly, QQ, RationalFunction, poly_str, poly_strip
-from .poly import _int_list_strip, _zdivmod_mod
+from .poly import Poly, QQ, RationalFunction, poly_str
+from .poly import _IntListRing, _PolyRing, _int_list_strip
 
 
 # Largest torsion over F_q; a p-th power exponent walks p roots of unity.
@@ -192,10 +192,11 @@ def _strip(polys, point):
     """(w, n, m, u) for each f: f = pi^w g near the point, and g maps to
     (n/m) u in kappa(x), with n, m integers and u a kappa element or None
     for 1.  Over Q, f = content P^w G for the primitive integer form
-    P = L pi, and L^k G = r modulo P, so n/m = content L^(w-k); over F_p
-    the integer representatives are divided; over an extension field,
-    the polynomials; at infinity w = -deg f and g maps to lc(f).  A
-    constant integer or rational r folds into n/m."""
+    P = L pi, and L^k G = r modulo P, so n/m = content L^(w-k); over a
+    finite field one loop divides in a ring of poly, _IntListRing on the
+    integer representatives over F_p, _PolyRing over an extension field;
+    at infinity w = -deg f and g maps to lc(f).  A constant integer or
+    rational r folds into n/m."""
     F, pi, kappa = point.base.field, point.poly, residue_field(point)
 
     def side(w, n, m, r):
@@ -217,17 +218,19 @@ def _strip(polys, point):
             n, m, L = content.numerator, content.denominator, P[-1] ** abs(w - k)
             out.append(side(w, n * L, m, r) if w > k else side(w, n, m * L, r))
         return out
-    if isinstance(F, PrimeField):
-        P, out = [c.rep for c in pi.coeffs], []
-        for f in polys:
-            if f.field is not F:
-                raise TypeError("polynomials over different fields")
-            w, (q, r) = 0, _zdivmod_mod([c.rep for c in f.coeffs], P, F.p)
-            while not r:
-                w, (q, r) = w + 1, _zdivmod_mod(q, P, F.p)
-            out.append(side(w, 1, 1, r))
-        return out
-    return [side(w, 1, 1, r.coeffs) for w, r in (poly_strip(f, pi) for f in polys)]
+    prime = isinstance(F, PrimeField)
+    R = _IntListRing(F.p) if prime else _PolyRing(F)
+    P, out = [c.rep for c in pi.coeffs] if prime else pi, []
+    for f in polys:
+        if f.field is not F:
+            raise TypeError("polynomials over different fields")
+        if f.is_zero:
+            raise ValueError("the zero polynomial has no finite valuation")
+        w, (q, r) = 0, R.divmod([c.rep for c in f.coeffs] if prime else f, P)
+        while R.deg(r) < 0:
+            w, (q, r) = w + 1, R.divmod(q, P)
+        out.append(side(w, 1, 1, r if prime else r.coeffs))
+    return out
 
 
 def _combine(point, sides, exps, sign):

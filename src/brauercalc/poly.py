@@ -25,13 +25,17 @@ divides ints exactly in Z[t] (Gauss's lemma, MCA 6.2), so valuations and
 unit parts there need no Fraction division.
 
 Integer coefficient lists (lowest degree first) have every primitive
-here: _int_list_* for the integer form, _z* for Hensel lifting.  F_p[t]
-on such lists goes only through factoring._IntListRing.
+here: _int_list_* for the integer form, _z* for Hensel lifting.  The two
+polynomial rings live here as well: _IntListRing, F_p[t] on such lists,
+and _PolyRing, Poly over any field, QQ included.  Factoring and the
+strip at a point run over either one.
 
-Square-and-multiply (_power) and Horner's rule (_horner) are written
-once, here: powers of polynomials and field elements, and factoring's
-_powmod, go through _power; evaluation, composition and substitution
-through _horner.
+Square-and-multiply (_power), Horner's rule (_horner) and Euclid's
+algorithm (_gcd, _xgcd) are written once, here: powers of polynomials
+and field elements, and factoring's _powmod, go through _power;
+evaluation, composition and substitution through _horner; poly_gcd,
+poly_xgcd, the rings' gcd and xgcd and the coprimality certificate
+through _gcd and _xgcd, over a ring.
 """
 
 from __future__ import annotations
@@ -398,6 +402,124 @@ def _zdivmod_mod(a, b, m):
     return _ztrim(quo), _ztrim(rem)
 
 
+# ---------------------------------------------------------------------------
+# Polynomial rings over a field, for the algorithms written over a ring R
+
+
+def _gcd(R, a, b):
+    """Monic gcd in R by Euclid (MCA ch. 3) up to a constant remainder b:
+    monic(b) = 1 when b is nonzero, else a made monic (0 for a = b = 0)."""
+    while R.deg(b) > 0:
+        a, b = b, R.rem(a, b)
+    return R.monic(b if R.deg(b) == 0 else a)
+
+
+def _xgcd(R, a, b):
+    """(g, s, t) with s*a + t*b = g, the monic gcd in R, by the extended
+    Euclidean algorithm (MCA ch. 3); (0, 1, 0) for a = b = 0."""
+    sa, sb, ta, tb = R.one, R.zero, R.zero, R.one
+    while R.deg(b) >= 0:
+        q, r = R.divmod(a, b)
+        a, b = b, r
+        sa, sb = sb, R.sub(sa, R.mul(q, sb))
+        ta, tb = tb, R.sub(ta, R.mul(q, tb))
+    u = R.inv_lc(a) if R.deg(a) >= 0 else R.one
+    return R.mul(a, u), R.mul(sa, u), R.mul(ta, u)
+
+
+class _IntListRing:
+    """F_p[t] on integer lists (lowest degree first, entries in [0, p)), p
+    any prime; the methods take symmetric representatives too, as Hensel
+    lifting passes them."""
+
+    zero, one, gen = (), (1,), (0, 1)
+    gcd, xgcd = _gcd, _xgcd
+
+    def __init__(self, p):
+        self.q = self.char = p
+
+    def deg(self, a):
+        return len(a) - 1
+
+    def reduce(self, a):
+        """Representatives in [0, p)."""
+        return _ztrim([c % self.q for c in a])
+
+    def sub(self, a, b):
+        return self.reduce(_zsub(a, b))
+
+    def mul(self, a, b):
+        return self.reduce(_zmul(a, b))
+
+    def divmod(self, a, b):
+        return _zdivmod_mod(a, b, self.q)
+
+    def rem(self, a, b):
+        return _zdivmod_mod(a, b, self.q)[1]
+
+    def quo(self, a, b):
+        return _zdivmod_mod(a, b, self.q)[0]
+
+    def inv_lc(self, a):
+        """1/lc(a) as a constant of the ring."""
+        return [pow(a[-1], -1, self.q)]
+
+    def monic(self, a):
+        inv = pow(a[-1], -1, self.q) if a else 0
+        return [c * inv % self.q for c in a]
+
+    def derivative(self, a):
+        return self.reduce([i * c for i, c in enumerate(a)][1:])
+
+    def pth_root(self, a):
+        """g with a = g(t^p); each entry of F_p is its own p-th root."""
+        return a[:: self.q]
+
+    def random(self, n, rng):
+        return _ztrim([rng.randrange(self.q) for _ in range(n)])
+
+    def sort_key(self, g):
+        return (len(g), g)
+
+
+class _PolyRing:
+    """K[t] on Poly, K any field: QQ for the squarefree loop over Q, or an
+    extension field GF(p^k), k >= 2, for factoring and the strip there."""
+
+    deg = staticmethod(operator.attrgetter("degree"))
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    divmod = staticmethod(divmod)
+    rem = staticmethod(operator.mod)
+    quo = staticmethod(Poly.exact_div)
+    monic = staticmethod(Poly.monic)
+    derivative = staticmethod(Poly.derivative)
+    sort_key = staticmethod(Poly.sort_key)
+
+    def __init__(self, field):
+        self.field, self.char = field, field.char
+        self.q = field.order if field.finite else None
+        self.zero, self.one, self.gen = Poly.zero(field), Poly.one(field), Poly.gen(field)
+
+    # a method, not staticmethod(poly_gcd), so that the module-level name is
+    # looked up per call and bench/tracer.py's wrapper on it counts the call
+    def gcd(self, a, b):
+        return poly_gcd(a, b)
+
+    def inv_lc(self, a):
+        return Poly(self.field, [self.field.one / a.lc])
+
+    def pth_root(self, f):
+        """Inverse Frobenius on exponents: f(t) = g(t^p) gives back g."""
+        p = self.char
+        return Poly(self.field, [c ** (self.q // p) for c in f.coeffs[::p]])
+
+    def random(self, n, rng):
+        """n coefficients, each the randrange(q)-th of field.elements()."""
+        field = self.field
+        return Poly(field, [field.element_at(rng.randrange(self.q)) for _ in range(n)])
+
+
 # The prime of the coprimality certificate: large enough that it almost
 # never divides a leading coefficient or a resultant met in practice.
 _COPRIME_PRIME = 2**31 - 1
@@ -411,34 +533,17 @@ def _coprime_mod_prime(f, g):
     a, b, m = f.int_form()[1], g.int_form()[1], _COPRIME_PRIME
     if a[-1] % m == 0 or b[-1] % m == 0:
         return False
-    while len(b) > 1:
-        a, b = b, _zdivmod_mod(a, b, m)[1]
-    return len(b) == 1
+    return len(_IntListRing(m).gcd(a, b)) == 1
 
 
 def poly_gcd(f, g):
     """Monic gcd; poly_gcd(0, 0) is 0."""
-    a, b = f, g
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    return _gcd(_PolyRing(f.field), f, g)
 
 
 def poly_xgcd(f, g):
-    """(d, s, t) with d = s*f + t*g and d the monic gcd."""
-    field = f.field
-    a, b = f, g
-    sa, sb = Poly.one(field), Poly.zero(field)
-    ta, tb = Poly.zero(field), Poly.one(field)
-    while not b.is_zero:
-        q, r = divmod(a, b)
-        a, b = b, r
-        sa, sb = sb, sa - q * sb
-        ta, tb = tb, ta - q * tb
-    if a.is_zero:
-        return a, sa, ta
-    inv = field.one / a.lc
-    return a.monic(), sa * inv, ta * inv
+    """(d, s, t) with d = s*f + t*g and d the monic gcd; (0, 1, 0) for f = g = 0."""
+    return _xgcd(_PolyRing(f.field), f, g)
 
 
 def resultant(f, g):
@@ -488,22 +593,6 @@ def lagrange_interpolate(field, points):
             denom = denom * (xs[i] - xj)
         result = result + num * (field.coerce(yi) / denom)
     return result
-
-
-def poly_strip(f, pi):
-    """(k, r) with k the largest power of pi dividing f and r the nonzero
-    remainder of f / pi^k modulo pi; pi must be a nonconstant polynomial."""
-    if pi.is_zero or pi.degree < 1:
-        raise ValueError("valuation requires a nonconstant modulus")
-    if f.is_zero:
-        raise ValueError("the zero polynomial has no finite valuation")
-    k = 0
-    while True:
-        q, r = divmod(f, pi)
-        if not r.is_zero:
-            return k, r
-        f = q
-        k += 1
 
 
 class RationalFunction:

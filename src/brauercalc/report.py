@@ -246,10 +246,8 @@ def witness_from_json(text, base):
         fiber_root = parse_constant(obj["fiber_root"], base.field, "witness fiber_root")
     except KeyError as exc:
         raise ParseError(0, f"witness file is missing the {exc.args[0]!r} field")
-    try:
-        m = int(m)
-    except (TypeError, ValueError):
-        raise ParseError(0, f"witness field 'm' must be an integer, got {m!r}") from None
+    if type(m) is not int:
+        raise ParseError(0, f"witness field 'm' must be an integer, got {m!r}")
     if obj.get("base") not in (None, base_text(base)):
         raise ValueError(
             f"witness base {obj['base']!r} does not match --base {base_text(base)!r}"

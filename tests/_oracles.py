@@ -14,7 +14,9 @@ Zassenhaus on the whole polynomial, after the squarefree decomposition
 when its prime search cannot prove f squarefree.  Class text is re-read
 by Poly arithmetic: every literal and every t^e becomes a Poly,
 multiplied and added as read.  Whether two residues cut out the same
-Kummer extension is read off p-th power tests alone.
+Kummer extension is read off p-th power tests alone.  A valuation at a
+finite point is read off poly_strip, Poly division by the point's
+polynomial, over every base field.
 """
 
 import itertools
@@ -110,6 +112,22 @@ def factor_over_Q_by_zassenhaus(f):
         pieces = [(part, 1) for part in parts]
     out = [(Poly.from_ints(QQ, part).monic(), mult) for part, mult in pieces]
     return sorted(out, key=lambda fm: fm[0].sort_key())
+
+
+def poly_strip(f, pi):
+    """(k, r) with k the largest power of pi dividing f and r the nonzero
+    remainder of f / pi^k modulo pi; pi must be a nonconstant polynomial."""
+    if pi.is_zero or pi.degree < 1:
+        raise ValueError("valuation requires a nonconstant modulus")
+    if f.is_zero:
+        raise ValueError("the zero polynomial has no finite valuation")
+    k = 0
+    while True:
+        q, r = divmod(f, pi)
+        if not r.is_zero:
+            return k, r
+        f = q
+        k += 1
 
 
 def residue_value_oracle(cls, point):

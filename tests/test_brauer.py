@@ -38,7 +38,7 @@ from brauercalc.points import (
     valuation_at,
 )
 from brauercalc.parser import class_text, parse_class, ratfunc_text
-from brauercalc.poly import Poly, QQ, RationalFunction, poly_strip
+from brauercalc.poly import Poly, QQ, RationalFunction
 from brauercalc.residues import is_pth_power
 
 from _gen import F7, F13, random_class, random_entry, random_poly, rational
@@ -47,6 +47,7 @@ from _oracles import (
     classes_equal_oracle,
     compare_by_difference,
     divisor_oracle,
+    poly_strip,
     residue_value_oracle,
 )
 
@@ -544,6 +545,22 @@ def test_prime_field_quadratic_tame_symbol_divides_once(monkeypatch):
     assert max(inverses) == 1 and inverses.count(1) >= 10
 
 
+@pytest.mark.parametrize("base", [Q_BASE, F7, FiniteBase(9)], ids=["q", "fq7", "fq9"])
+def test_a_zero_entry_has_no_tame_symbol(base):
+    """A zero entry has no valuation, so its tame symbol raises ValueError,
+    at a rational point, a point of degree 2 and infinity, on either side."""
+    F = base.field
+    zero, t = RationalFunction(Poly.zero(F)), RationalFunction(Poly.gen(F))
+    values = F.elements() if base.is_finite else [F.one]
+    quadratic = next(g for g in (Poly(F, [c, F.zero, F.one]) for c in values)
+                     if is_irreducible(g))
+    for x in (ClosedPoint.rational(base, 1), ClosedPoint.finite(base, quadratic),
+              ClosedPoint.infinity(base)):
+        for a, b in ((zero, t), (t, zero)):
+            with pytest.raises(ValueError):
+                tame_symbol_at(a, b, x)
+
+
 def test_is_symbol_regular_matches_evaluation():
     rng = random.Random(132)
     outcomes = set()
@@ -632,7 +649,7 @@ def test_q_tame_symbols_on_integer_forms_match_full_quotient():
 
 def test_q_reports_need_no_poly_strip_at_quadratic_and_cubic_points(monkeypatch, capsys):
     """ram and equal reports over Q with quadratic and cubic points are the
-    same with poly_strip and from_poly made to raise."""
+    same with the Poly ring of the strip and from_poly made to raise."""
     rng = random.Random(143)
     quadratic = [ClosedPoint.finite(Q_BASE, q_poly(1, 0, 1)), NON_MONIC_POINTS[0]]
     cubic = [ClosedPoint.finite(Q_BASE, q_poly(-2, 0, 0, 1)), NON_MONIC_POINTS[1]]
@@ -650,11 +667,11 @@ def test_q_reports_need_no_poly_strip_at_quadratic_and_cubic_points(monkeypatch,
         return capsys.readouterr().out
 
     def refuse(*args):
-        raise AssertionError("poly_strip or from_poly at a point over Q")
+        raise AssertionError("the Poly ring or from_poly at a point over Q")
 
     want = reports()
     assert "degree: 2" in want and "degree: 3" in want
-    monkeypatch.setattr(points, "poly_strip", refuse)
+    monkeypatch.setattr(points, "_PolyRing", refuse)
     monkeypatch.setattr(QuotientField, "from_poly", refuse)
     assert reports() == want
 

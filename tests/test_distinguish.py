@@ -468,7 +468,7 @@ def _identity_sides(rng, base, p):
 
 
 IDENTITY_SETTINGS = ((Q_BASE, 2), (F7, 2), (F7, 3), (F13, 3), (FiniteBase(9), 2),
-                     (FiniteBase(49), 3), (FiniteBase(11), 5))
+                     (FiniteBase(49), 3), (FiniteBase(11), 5), (FiniteBase(4), 3))
 
 
 def test_symbol_identities_are_equal():

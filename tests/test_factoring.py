@@ -29,7 +29,7 @@ from brauercalc.factoring import (
     squarefree_kernel,
 )
 from brauercalc.fields import GF, FFElem
-from brauercalc.poly import Poly, QQ, poly_gcd
+from brauercalc.poly import Poly, QQ, _IntListRing, _PolyRing, _xgcd, poly_gcd, poly_xgcd
 
 from _gen import random_poly
 from _oracles import factor_over_Q_by_zassenhaus
@@ -344,6 +344,32 @@ def test_int_list_ring_methods_match_poly_routines():
             assert list(factoring._powmod(R, a, n, f)) == _int_list(want), (p, a, n, f)
 
 
+def test_rings_share_one_division_and_one_extended_euclid():
+    # R.divmod against Poly.__divmod__ on both finite rings, and the one
+    # extended Euclid over QQ, GF(9), GF(4) and GF(7) on Poly, and over F_7
+    # on integer lists in symmetric representation: a monic g dividing both
+    # inputs, with s*a + t*b = g, and the same (g, s, t) on both F_7 rings
+    rng = random.Random(31)
+    for field in (QQ, GF(9), GF(4), GF(7)):
+        R = _PolyRing(field)
+        for _ in range(15):
+            c = random_poly(rng, field, 2, height=5)
+            a, b = (random_poly(rng, field, 4, height=5) * c for _ in "ab")
+            if field.finite:
+                assert R.divmod(a, b) == divmod(a, b)
+            g, s, t = _xgcd(R, a, b)
+            assert g.is_monic and (a % g).is_zero and (b % g).is_zero, (field, a, b)
+            assert s * a + t * b == g and g.degree >= c.degree, (field, a, b)
+            if field is GF(7):
+                L = _IntListRing(7)
+                ints = [factoring._ztrunc(_int_list(f), 7) for f in (a, b)]
+                q, r = L.divmod(*ints)
+                assert (q, r) == tuple(map(_int_list, divmod(a, b)))
+                assert _xgcd(L, *ints) == tuple(map(_int_list, (g, s, t)))
+    zero = Poly.zero(QQ)
+    assert poly_xgcd(zero, zero) == (zero, Poly.one(QQ), zero)
+
+
 def test_factor_over_Q_caches_by_the_integer_form():
     # every scalar multiple of f shares its primitive integer form, and
     # with it one cache entry
@@ -362,14 +388,19 @@ def test_factor_over_Q_caches_by_the_integer_form():
 
 def test_factor_over_Q_builds_no_finite_field_objects(monkeypatch):
     # route guard: the modular stage of the factorization over Q runs on
-    # integer lists, never on PrimeField, FFElem or the Poly ring of the split
+    # integer lists, never on PrimeField, FFElem or the Poly ring of the split;
+    # the Poly ring over QQ runs the squarefree loop over Q
     def no_finite_field(*args, **kwargs):
         raise AssertionError("finite-field objects built while factoring over Q")
 
+    def ring_over_q_only(field):
+        return real_ring(field) if field is QQ else no_finite_field()
+
+    real_ring = factoring._PolyRing
     monkeypatch.setattr(factoring, "PrimeField", no_finite_field, raising=False)
     monkeypatch.setattr(fields, "PrimeField", no_finite_field)
     monkeypatch.setattr(FFElem, "__init__", no_finite_field)
-    monkeypatch.setattr(factoring, "_PolyRing", no_finite_field)
+    monkeypatch.setattr(factoring, "_PolyRing", ring_over_q_only)
     factoring._factor_q_monic.cache_clear()
     cases = (
         ([-1, 0, 0, 0, 1], [[-1, 1], [1, 1], [1, 0, 1]]),

@@ -786,8 +786,10 @@ def test_cli_equal_lists_where_two_nonsplit_halves_differ(capsys):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("symbol", 5), ("g", 5), ("reparam", 7), ("m", [2]), ("symbol", ["t"])],
-    ids=["symbol-int", "g-int", "reparam-int", "m-list", "symbol-one-entry"],
+    [("symbol", 5), ("g", 5), ("reparam", 7), ("m", [2]), ("symbol", ["t"]),
+     ("m", 2.5), ("m", True), ("m", "2")],
+    ids=["symbol-int", "g-int", "reparam-int", "m-list", "symbol-one-entry",
+         "m-float", "m-bool", "m-string"],
 )
 def test_cli_verify_witness_rejects_mistyped_fields(tmp_path, capsys, key, value):
     wfile = tmp_path / "w.json"

@@ -24,6 +24,9 @@ _int_list_* helpers), and brauer calls no evaluate: the rest of the
 library reads values at a point off points.unit_part_at.
 No library function but poly._power shifts an exponent with >>=, so
 square-and-multiply is written once and every power goes through it.
+No library function but poly._gcd, poly._xgcd and poly.resultant runs
+a while loop that rebinds a pair as x, y = y, ..., so Euclid's
+algorithm is written once, over a ring, and every gcd goes through it.
 Every annotated field of a library @dataclass is read as .field
 somewhere in the library, so a record carries nothing no code looks at.
 The body of distinguish.distinguish names none of same_class, same_field,
@@ -298,6 +301,40 @@ def test_square_and_multiply_is_written_once():
     hits = [f"{where} in {owner}" for where, owner in owners.items() if owner != "poly._power"]
     assert not hits, f"square-and-multiply outside poly._power: {hits}"
     assert owners, "poly._power shifts no exponent"
+
+
+def _swaps_a_pair(node):
+    """Whether node is an assignment x, y = y, ... of a pair."""
+    return (
+        isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Tuple)
+        and isinstance(node.value, ast.Tuple)
+        and len(node.targets[0].elts) == len(node.value.elts) == 2
+        and all(isinstance(e, ast.Name) for e in node.targets[0].elts)
+        and isinstance(node.value.elts[0], ast.Name)
+        and node.value.elts[0].id == node.targets[0].elts[1].id
+    )
+
+
+# Euclid's algorithm and the resultant's degree swap, the loops that may
+# rebind a pair as x, y = y, ...
+_EUCLID = {"poly._gcd", "poly._xgcd", "poly.resultant"}
+
+
+def test_euclid_is_written_once():
+    owners = {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        # breadth first: an inner function overwrites its outer one's name
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for loop in ast.walk(func):
+                if isinstance(loop, ast.While) and any(map(_swaps_a_pair, ast.walk(loop))):
+                    owners[f"{path.name}:{loop.lineno}"] = f"{path.stem}.{func.name}"
+    hits = [f"{where} in {owner}" for where, owner in owners.items() if owner not in _EUCLID]
+    assert not hits, f"Euclid loops outside poly._gcd and poly._xgcd: {hits}"
+    assert {"poly._gcd", "poly._xgcd"} <= set(owners.values()), "no Euclid loop in poly"
 
 
 def _is_dataclass(cls):
