@@ -11,10 +11,10 @@ infinity v counts pole order of 1/t.  The uniformizer powers cancel,
 so it is (-1)^(v(a) v(b)) * u_a^(v(b)) / u_b^(v(a)) for the images
 u_a, u_b of the unit parts of a and b; points.tame_symbol_at builds it
 in one pass, from one strip of each of the four sides at any point.  The
-residue of a sum is the product of the residues of its symbols, taken
-symbol by symbol: a symbol remembers its tame symbol at each point, and, once
-ramification_points has factored its entries, its zero and pole points,
-off which residue_at skips it; specialization reads unit parts alone.
+residue of a sum is the product of its symbols' residues, symbol by symbol:
+a symbol remembers its tame symbol at each point and, once ramification_points
+has factored its entries, its zero and pole points, off which residue_at
+skips it; specialization reads unit parts alone, each entry once per point.
 
 Everything here treats a class through one chosen presentation, but the
 exported predicates (triviality of residues, equality of classes, read
@@ -187,15 +187,14 @@ def divisor_reciprocity(div):
 
 
 def _values_at(cls, c):
-    """The entries' unit parts at t = c as constant pairs, or None unless
-    every valuation is 0, which for coprime entries means regular."""
-    x, vals = ClosedPoint.rational(cls.base, c), []
-    for s in cls.symbols:
-        (va, ua), (vb, ub) = unit_part_at(s.a, x), unit_part_at(s.b, x)
-        if va or vb:
+    """The entries' unit parts at t = c as constant pairs, each entry object read
+    once, or None unless every valuation is 0 (for coprime entries, regular)."""
+    x, units = ClosedPoint.rational(cls.base, c), {}
+    for f in (f for s in cls.symbols for f in (s.a, s.b) if id(f) not in units):
+        v, units[id(f)] = unit_part_at(f, x)
+        if v:
             return None
-        vals.append((ua, ub))
-    return tuple(vals)
+    return tuple((units[id(s.a)], units[id(s.b)]) for s in cls.symbols)
 
 
 def is_symbol_regular(cls, c):

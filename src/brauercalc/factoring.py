@@ -1,17 +1,17 @@
 """Exact factorization: integers, polynomials over Q, polynomials over F_q.
 
 Integers are factored by fields.factor_int (trial division by small
-primes, then Pollard-Brent), re-exported here.
+primes, then Pollard-Brent, a repeated n cached), re-exported here.
 
-The rational factorization runs on a primitive integer form and first
-splits off the rational roots.  At a prime p > deg f not dividing lc(f),
-each root of f mod p of multiplicity k is Newton-lifted as a simple root
-of the (k-1)-th Hasse derivative, modulo p^l past twice the Cauchy bound
-on lc(f) * r for a rational root r, and kept only if f vanishes at it
-exactly.  The cofactor is free of rational roots for certain once every
-root mod p is confirmed with its full multiplicity; if its degree is 2 or
-3 it is then irreducible.  Where roots collide mod p, the next prime
-retries on the cofactor, for at most _SQUAREFREE_TRIES primes.
+The rational factorization runs on primitive integer forms, each monic factor
+built once from its own, and first splits off the rational roots.  At a prime
+p > deg f not dividing lc(f), each root of f mod p of multiplicity k is
+Newton-lifted as a simple root of the (k-1)-th Hasse derivative, modulo p^l
+past twice the Cauchy bound on lc(f) * r for a rational root r, and kept only
+if f vanishes at it exactly.  The cofactor is free of rational roots for
+certain once every root mod p is confirmed with its full multiplicity; if its
+degree is 2 or 3 it is then irreducible.  Where roots collide mod p, the next
+prime retries on the cofactor, for at most _SQUAREFREE_TRIES primes.
 
 What may still factor goes to the classical Zassenhaus pipeline (MCA
 ch. 15), around one prime search bounded by _PRIME_BOUND.  That search
@@ -470,14 +470,13 @@ def _factor_q_monic(f):
     if parts is None:
         pieces += [
             (part, mult)
-            for h, mult in squarefree_decomposition(Poly.from_ints(QQ, g).monic())
+            for h, mult in squarefree_decomposition(Poly.monic_from_ints(g))
             for part in _zassenhaus(h.int_form()[1], squarefree=True)
         ]
     else:
         pieces += [(part, 1) for part in parts]
-    collected = [(Poly.from_ints(QQ, part).monic(), mult) for part, mult in pieces]
-    collected.sort(key=lambda fm: fm[0].sort_key())
-    return tuple(collected)
+    monic = [(Poly.monic_from_ints(part), mult) for part, mult in pieces]
+    return tuple(sorted(monic, key=lambda fm: fm[0].sort_key()))
 
 
 def factor_over_Q(f):

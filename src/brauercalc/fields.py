@@ -454,6 +454,7 @@ def _pollard_brent(n, rng):
             return g
 
 
+@lru_cache(maxsize=4096)
 def factor_int(n):
     """Prime factorization of a nonzero integer as a PrimePowerFactorization."""
     if n == 0:

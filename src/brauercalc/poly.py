@@ -97,6 +97,13 @@ class Poly:
         return cls(field, [field.from_int(n) for n in ints])
 
     @classmethod
+    def monic_from_ints(cls, ints):
+        """Monic over QQ from a primitive integer list, kept as its integer form."""
+        f = cls(QQ, [Fraction(c, ints[-1]) for c in ints])
+        object.__setattr__(f, "_int_form", (Fraction(1, ints[-1]), tuple(ints)))
+        return f
+
+    @classmethod
     def constant(cls, field, c):
         return cls(field, [field.coerce(c)])
 

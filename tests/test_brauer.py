@@ -438,6 +438,27 @@ def test_unit_part_at_rational_points_matches_division():
     assert seen >= set(range(-3, 4))
 
 
+def test_unit_part_at_rational_points_with_non_monic_entries_matches_division():
+    """At t = c over Q, with and without a denominator, entries whose
+    numerators are not monic and whose integer forms have content other
+    than 1 match the division oracle where they are regular, where they
+    vanish and where they have a pole; a regular one gives its value."""
+    rng = random.Random(137)
+    kinds = Counter()
+    for c in RATIONAL_POINTS:
+        x = ClosedPoint.rational(Q_BASE, c)
+        for _ in range(40):
+            h = _rational_entry(rng, c) * Fraction(rng.choice([1, 2, -3]), rng.choice([1, 5]))
+            v, u = unit_part_at(h, x)
+            assert (v, u) == _unit_part_by_strip(h, x), (c, h)
+            if not v:
+                assert u == h.evaluate(c)
+            odd = h.num.lc != 1 and h.num.int_form()[0] != 1
+            kinds["pole" if v < 0 else "zero" if v else "regular", c.denominator > 1, odd] += 1
+    for route in ("regular", "zero", "pole"):
+        assert kinds[route, True, True] >= 5 and kinds[route, False, True] >= 5, kinds
+
+
 def test_unit_part_at_prime_field_points_matches_division():
     # the integer-representative route at F_p points of degree 1 to 3,
     # against Poly division and the residue field's own reduction
@@ -952,6 +973,31 @@ def test_specialization_after_the_divisor_factors_and_evaluates_nothing(monkeypa
             for cls_ in classes
         ]
         assert got == want and all(got)
+
+
+def test_specialization_reads_each_entry_once_per_swept_point(monkeypatch):
+    """A symbol that occurs more than once, as in a + a + s, has its entries
+    read once at each swept c: every point sees each entry at most once,
+    and the symbol-regular one sees every entry exactly once, both when
+    specializing a + a + s and when compare_classes sweeps a + (a + s + s)."""
+    rng = random.Random(156)
+    calls = []
+    real = brauer.unit_part_at
+    monkeypatch.setattr(brauer, "unit_part_at", lambda h, x: calls.append((id(h), x)) or real(h, x))
+    for _ in range(12):
+        a = random_class(rng, Q_BASE, 2, 2, 2, height=8)
+        s = random_class(rng, Q_BASE, 2, 1, 2, height=8)
+        for cls_, run in ((a + a + s, lambda: specialize(a + a + s, at)),
+                          (a + a + s + s, lambda: compare_classes(a, a + s + s))):
+            entries = {id(e) for sym in cls_.symbols for e in (sym.a, sym.b)}
+            at = next(regular_rational_points(cls_))
+            calls.clear()
+            run()
+            per_point = Counter(x for _, x in calls)
+            assert len(set(calls)) == len(calls), "an entry read twice at one point"
+            assert all(n <= len(entries) for n in per_point.values())
+            assert per_point[ClosedPoint.rational(Q_BASE, at)] == len(entries)
+            assert {e for e, _ in calls} <= entries
 
 
 _NONSPLIT = ((-1, -1), (-1, 3), (2, 5), (3, 5), (-1, 7))

@@ -145,6 +145,23 @@ def test_factor_int_gives_up_within_its_step_budget():
         factor_int(100000000000000000039 * 100000000000000000129)
 
 
+def test_factor_int_answers_a_repeated_integer_from_its_cache():
+    # the cache is keyed by n itself, so the sign of n keeps its unit, and
+    # a ScopeError is not cached: the budget is spent again on every call
+    n = 2**4 * 3 * 1000003 * (2**31 - 1)
+    first = factor_int(n)
+    assert factor_int(n) is first
+    assert first.factors == ((2, 4), (3, 1), (1000003, 1), (2**31 - 1, 1))
+    assert factor_int(-n).factors == first.factors
+    assert (factor_int(-n).unit, factor_int(n).unit) == (-1, 1)
+    assert factor_int(-12).unit == -1 and factor_int(12).unit == 1
+    misses = factor_int.cache_info().misses
+    for _ in range(2):
+        with pytest.raises(ScopeError, match="Pollard-Brent"):
+            factor_int(100000000000000000039 * 100000000000000000129)
+    assert factor_int.cache_info().misses == misses + 2
+
+
 def test_squarefree_kernel_by_direct_factorization():
     rng = random.Random(22)
     for _ in range(150):
@@ -384,6 +401,48 @@ def test_factor_over_Q_caches_by_the_integer_form():
     assert (after.misses - mid.misses, after.hits - mid.hits) == (0, 1)
     assert scaled.factors == plain.factors and scaled.unit == plain.unit * Fraction(3, 2)
     assert [g.degree for g, _ in plain.factors] == [1, 4]
+
+
+def test_q_factors_keep_their_integer_forms():
+    """Each monic factor over Q is built once from its primitive integer
+    list, which it keeps as its integer form.  Valuations read that form,
+    so it must be the form a fresh Poly with the same coefficients
+    computes, and the factors must be Poly.from_ints(QQ, part).monic() of
+    those parts, in the order of fresh sort keys.  Seeded products with
+    non-unit leading coefficients and repeated roots, such as
+    (3t - 2)^2 (2t + 5)."""
+
+    def lin(a, b):
+        return Poly.from_ints(QQ, [-a, b])  # b t - a
+
+    rng = random.Random(311)
+    cases = [lin(2, 3) ** 2 * lin(-5, 2)]
+    for _ in range(40):
+        f = Poly.constant(QQ, Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5)))
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.6:
+                g = lin(rng.randint(-7, 7), rng.randint(1, 6))
+            else:
+                g = Poly.from_ints(QQ, [rng.randint(-6, 6), rng.randint(-6, 6), rng.randint(2, 5)])
+            f = f * g ** rng.randint(1, 3)
+        cases.append(f)
+    contents = set()
+    for f in cases:
+        fac = factor_over_Q(f)
+        assert fac.expand() == f
+        want = []
+        for g, mult in fac.factors:
+            fresh = Poly(QQ, g.coeffs)
+            assert g.int_form() == fresh.int_form(), g
+            want.append((Poly.from_ints(QQ, fresh.int_form()[1]).monic(), mult))
+            contents.add(g.int_form()[0])
+        want.sort(key=lambda gm: Poly(QQ, gm[0].coeffs).sort_key())
+        assert fac.factors == tuple(want)
+    (g, m), (h, n) = factor_over_Q(cases[0]).factors
+    assert (g.int_form(), m, h.int_form(), n) == (
+        (Fraction(1, 3), (-2, 3)), 2, (Fraction(1, 2), (5, 2)), 1
+    )
+    assert len(contents) > 3
 
 
 def test_factor_over_Q_builds_no_finite_field_objects(monkeypatch):

@@ -1,0 +1,120 @@
+"""Where one replay of a bench workload spends its time, in process.
+
+    python3 tools/op_profile.py --workload q_split_distinguish --seed 0 --ops 264
+
+Loads bench/run.py and bench/workloads.py from the checkout (--root, the
+repository this file sits in by default) and changes nothing under
+bench/.  The first --ops operations of the workload's seeded stream are
+replayed twice, each time from a fresh import of the checkout's src/
+with empty caches, as bench/run.py replays them, and every output is
+checked by the workload's own check:
+- a plain replay, timed per op with perf_counter, gives each op kind's
+  share of op time: the command of a cli_mix op, the mode of a
+  q_split_distinguish or q_equal op;
+- a replay under cProfile gives the self-time share of each library
+  module, and of every other file (fractions.py, argparse.py, ...) by
+  its file name, with built-in functions as <built-in>.
+Op kinds print in stream order, then the 12 largest modules from the
+largest share down.  The ops/s on the first line is not scaled by
+bench/gauge.py, so it drifts with the machine's speed from run to run;
+compare shares here, and rates with bench/run.py.  Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import cProfile
+import importlib
+import pstats
+import sys
+from collections import Counter
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_bench(root):
+    """bench/run.py of the checkout at root, imported as a module."""
+    sys.path.insert(0, str(root / "bench"))
+    run = importlib.import_module("run")
+    if Path(run.__file__).resolve() != (root / "bench" / "run.py").resolve():
+        raise ImportError(f"bench/run.py imported from {run.__file__}, not {root}")
+    return run
+
+
+def op_kind(op):
+    if not isinstance(op, tuple):
+        return "op"
+    return f"mode {op[0]}" if isinstance(op[0], int) else op[0]
+
+
+def replay(run, workload, seed, n_ops, profile=None):
+    """Time and check the first n_ops ops after a fresh import: (kind, seconds) per op."""
+    lib, corpus = run.setup(workload, seed, n_ops)
+    times = []
+    for op in corpus:
+        if profile:
+            profile.enable()
+        t0 = perf_counter()
+        out = workload.run(lib, op)
+        dt = perf_counter() - t0
+        if profile:
+            profile.disable()
+        workload.check(lib, op, out)
+        times.append((op_kind(op), dt))
+    return times
+
+
+def module_of(filename, package):
+    if filename == "~":  # cProfile's file name for built-in functions
+        return "<built-in>"
+    path = Path(filename)
+    if path.parent == package:
+        return path.stem
+    return path.name if path.suffix else filename
+
+
+def module_shares(profile, package):
+    """Self time per module, as a fraction of all profiled self time."""
+    self_s = Counter()
+    for (filename, _, _), (_, _, tottime, _, _) in pstats.Stats(profile).stats.items():
+        self_s[module_of(filename, package)] += tottime
+    total = sum(self_s.values()) or 1.0
+    return [(name, s / total) for name, s in self_s.most_common()]
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--ops", type=int, default=264)
+    ap.add_argument("--root", type=Path, default=ROOT)
+    args = ap.parse_args(argv)
+    root = args.root.resolve()
+    run = load_bench(root)
+    workload = run.workloads.WORKLOADS[args.workload]
+    with run.in_checkout():
+        times = replay(run, workload, args.seed, args.ops)
+        profile = cProfile.Profile()
+        replay(run, workload, args.seed, args.ops, profile)
+    package = (root / "src" / "brauercalc").resolve()
+
+    total = sum(dt for _, dt in times)
+    print(f"{args.workload} seed {args.seed}: {len(times)} ops in {total:.3f} s "
+          f"({len(times) / total:.0f} ops/s), python {sys.version.split()[0]}, {root}")
+    print("op time by kind:")
+    kinds, counts = Counter(), Counter()
+    for kind, dt in times:
+        kinds[kind] += dt
+        counts[kind] += 1
+    for kind in kinds:
+        print(f"  {kind:<16} {counts[kind]:>5} ops  {100 * kinds[kind] / total:5.1f} %")
+    print(f"self time by module (cProfile, {len(times)} ops):")
+    for name, share in module_shares(profile, package)[:12]:
+        print(f"  {name:<24} {100 * share:5.1f} %")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
