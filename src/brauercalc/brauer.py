@@ -18,14 +18,15 @@ skips it; specialization reads unit parts alone, each entry once per point.
 
 Everything here treats a class through one chosen presentation, but the
 exported predicates (triviality of residues, equality of classes, read
-off the formal difference with equal symbols cancelled mod p) only
-depend on the class itself.
+off the formal difference with equal symbols cancelled mod p, and equal
+with nothing specialized if none is left) only depend on the class itself.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import NotSymbolRegular, ScopeError
@@ -247,22 +248,40 @@ class ClassComparison:
     difference there; both are None when the difference is unramified.  An
     unramified difference over Q is a constant class: left_pairs and
     right_pairs are the two classes specialized at at, the first value
-    symbol-regular for both (no entry factored), and equal is whether
-    these halves have the same nonsplit places, left_places and
-    right_places, sorted by place_key.  Otherwise these five are None.
+    symbol-regular for both (no entry factored), and left_places and
+    right_places their nonsplit places, sorted by place_key; otherwise these
+    five are None.  They are built on first read: equal reads them unless
+    the net is empty.
     """
 
     c1: object
     c2: object
     net: object
-    equal: bool
     point: object = None
     residue: object = None
-    at: object = None
-    left_pairs: tuple = None
-    right_pairs: tuple = None
-    left_places: tuple = None
-    right_places: tuple = None
+    equal: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "equal", self.point is None and (
+            not self.net.symbols or self.left_places == self.right_places))
+
+    @cached_property
+    def _constant(self):
+        """The five, from one sweep of unit parts over c1 + c2, each symbol read
+        through the first one equal to it by value: c1 - c2, never built, has
+        c1's pairs and (a, 1/b), with the invariants of (a, b), for each of c2's."""
+        c1, c2 = self.c1, self.c2
+        if self.point is not None or c1.base.is_finite:
+            return (None,) * 5
+        canon = {}
+        syms = tuple(canon.setdefault(s, s) for s in c1.symbols + c2.symbols)
+        both = BrauerClass(c1.base, c1.p, syms)  # symbol-regular exactly where c1 - c2 is
+        at = next(c for c in sweep_values(c1.base) if (vals := _values_at(both, c)) is not None)
+        lp, rp = vals[:len(c1.symbols)], vals[len(c1.symbols):]
+        return (at, lp, rp, *nonsplit_places(lp, rp))
+
+    at, left_pairs, right_pairs, left_places, right_places = (
+        property(lambda self, i=i: self._constant[i]) for i in range(5))
 
     def residues_at(self, x):
         """The residues of c1 and c2 at x, each None where trivial."""
@@ -275,14 +294,12 @@ def compare_classes(c1, c2):
 
     Symbols are counted by value, c1's once and c2's minus once each,
     and each is kept net count mod p times (p copies of a degree-p
-    symbol are zero).  This net class has the residues of c1 - c2 up to
-    p-th powers: its first point with a nontrivial residue is the first
-    where c1 and c2 differ, and the residue there is c1's over c2's.  An
-    unramified difference is a constant class, trivial over a finite
-    field; over Q it is specialized, in one sweep of unit parts, at the
-    first symbol-regular rational point, as c1 and c2 there, and decided
-    by the nonsplit places of these two halves: c1 - c2, never built, has
-    c1's pairs and (a, 1/b), with the invariants of (a, b), for each of c2's.
+    symbol are zero); an empty net proves c1 = c2 with no sweep.  The net
+    class has the residues of c1 - c2 up to p-th powers: its first point
+    with a nontrivial residue is the first where c1 and c2 differ, and the
+    residue there is c1's over c2's.  Otherwise the difference is constant,
+    trivial over a finite field; over Q the record's equal compares the
+    nonsplit places of the two halves, each pair checked for reciprocity.
     """
     if c1.base != c2.base or c1.p != c2.p:
         raise ValueError("classes over different settings")
@@ -292,15 +309,8 @@ def compare_classes(c1, c2):
     for x in ramification_points(net):
         if not residue_at(net, x).is_trivial():
             v1, v2 = residue_at(c1, x).value, residue_at(c2, x).value
-            return ClassComparison(c1, c2, net, False, x, ResidueClass(x, v1 / v2, p))
-    if c1.base.is_finite:
-        return ClassComparison(c1, c2, net, True)
-    both = c1 + c2  # symbol-regular exactly where c1 - c2 is
-    at = next(c for c in sweep_values(c1.base) if (vals := _values_at(both, c)) is not None)
-    lp, rp = vals[:len(c1.symbols)], vals[len(c1.symbols):]
-    left, right = nonsplit_places(lp, rp)
-    return ClassComparison(c1, c2, net, left == right, at=at, left_pairs=lp,
-                           right_pairs=rp, left_places=left, right_places=right)
+            return ClassComparison(c1, c2, net, x, ResidueClass(x, v1 / v2, p))
+    return ClassComparison(c1, c2, net)
 
 
 def classes_equal(c1, c2):

@@ -4,7 +4,7 @@ Two classes with the same ramification data may still differ; the
 orchestration here reports exactly what it can certify.  Every rung
 reads the one brauer.compare_classes record of the pair.  The ladder:
 
-  1. exact equality (the formal difference plus the constant part),
+  1. exact equality (the formal difference; its constant part unless it cancels),
   2. a residue-field mismatch at the first point where the two classes
      cut out different extensions,
   3. over Q, a rational specialization whose two constant classes are

@@ -20,10 +20,10 @@ polynomial, over every base field.
 """
 
 import itertools
+from collections import namedtuple
 from math import prod
 
 from brauercalc.brauer import (
-    ClassComparison,
     constant_is_trivial,
     ramification_divisor,
     regular_rational_points,
@@ -170,6 +170,13 @@ def same_kummer_extension(field, r1, r2, p):
     raise ScopeError(f"field comparison over {field!r} only for p = 2 (got {p})")
 
 
+# the attributes of brauer.ClassComparison that compare_by_difference fills
+DifferenceRecord = namedtuple(
+    "DifferenceRecord", "c1 c2 net equal point residue at left_pairs right_pairs",
+    defaults=(None,) * 5,
+)
+
+
 def compare_by_difference(c1, c2):
     """The comparison record as read off c1 - c2: the residue of the
     difference at the first differing point, and its specialization."""
@@ -179,14 +186,14 @@ def compare_by_difference(c1, c2):
         r1, r2 = d1.get(x), d2.get(x)
         if r1 is None or r2 is None or not is_pth_power(r1.field, r1.value / r2.value, c1.p):
             rc = ResidueClass(x, residue_value_oracle(diff, x), c1.p)
-            return ClassComparison(c1, c2, diff, False, x, rc)
+            return DifferenceRecord(c1, c2, diff, False, x, rc)
     if c1.base.is_finite:
-        return ClassComparison(c1, c2, diff, True)
+        return DifferenceRecord(c1, c2, diff, True)
     at = next(regular_rational_points(diff))
     pairs, n = specialize(diff, at), len(c1.symbols)
     right = tuple((x, 1 / y) for x, y in pairs[n:])
-    return ClassComparison(c1, c2, diff, constant_is_trivial(c1.base, pairs, c1.p), at=at,
-                           left_pairs=pairs[:n], right_pairs=right)
+    return DifferenceRecord(c1, c2, diff, constant_is_trivial(c1.base, pairs, c1.p), at=at,
+                            left_pairs=pairs[:n], right_pairs=right)
 
 
 def classes_equal_oracle(a, b, samples=10):

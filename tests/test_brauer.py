@@ -979,7 +979,8 @@ def test_specialization_reads_each_entry_once_per_swept_point(monkeypatch):
     """A symbol that occurs more than once, as in a + a + s, has its entries
     read once at each swept c: every point sees each entry at most once,
     and the symbol-regular one sees every entry exactly once, both when
-    specializing a + a + s and when compare_classes sweeps a + (a + s + s)."""
+    specializing a + a + s and when reading left_pairs of compare_classes
+    sweeps a + (a + s + s)."""
     rng = random.Random(156)
     calls = []
     real = brauer.unit_part_at
@@ -988,7 +989,7 @@ def test_specialization_reads_each_entry_once_per_swept_point(monkeypatch):
         a = random_class(rng, Q_BASE, 2, 2, 2, height=8)
         s = random_class(rng, Q_BASE, 2, 1, 2, height=8)
         for cls_, run in ((a + a + s, lambda: specialize(a + a + s, at)),
-                          (a + a + s + s, lambda: compare_classes(a, a + s + s))):
+                          (a + a + s + s, lambda: compare_classes(a, a + s + s).left_pairs)):
             entries = {id(e) for sym in cls_.symbols for e in (sym.a, sym.b)}
             at = next(regular_rational_points(cls_))
             calls.clear()

@@ -34,7 +34,7 @@ from brauercalc.distinguish import (
 )
 from brauercalc.errors import NotSymbolRegular, ScopeError
 from brauercalc.hilbert import invariant_set
-from brauercalc.parser import class_text
+from brauercalc.parser import class_text, parse_class
 from brauercalc.points import ClosedPoint, FiniteBase, Q_BASE, sorted_points, sweep_values
 from brauercalc.poly import Poly, QQ, RationalFunction
 
@@ -316,8 +316,9 @@ def test_distinguish_matches_sweep_reference():
 
 def test_distinguish_decides_the_constant_part_once(monkeypatch):
     """Guard against repeated passes over the constant part: over 30 Q ops
-    no Poly.evaluate, no invariant_set, and local_invariants on each
-    distinct specialized pair at most once per op."""
+    no Poly.evaluate, no invariant_set, no local_invariants at all where
+    the difference cancels, and elsewhere local_invariants on each distinct
+    specialized pair at most once per op."""
     rng = random.Random(1212)
     ops = []
     for i in range(30):
@@ -348,18 +349,61 @@ def test_distinguish_decides_the_constant_part_once(monkeypatch):
         distinguish(a, b)
         seen.append(list(calls))
     monkeypatch.undo()
-    decided = 0
+    decided = cancelled = 0
     for (a, b), pairs_seen in zip(ops, seen):
-        at = compare_classes(a, b).at
-        if at is None:
+        cmp = compare_classes(a, b)
+        if cmp.at is None or not cmp.net.symbols:
             assert pairs_seen == []
+            cancelled += not cmp.net.symbols
             continue
+        at = cmp.at
         decided += 1
         distinct = set(specialize(a, at)) | set(specialize(b, at))
         assert Counter(pairs_seen).most_common(1)[0][1] == 1
         assert {pair for pairs in pairs_seen for pair in pairs} == distinct
         assert all(len(pairs) == 1 for pairs in pairs_seen)
-    assert decided >= 20
+    assert decided >= 20 and cancelled == 10
+
+
+def test_cancelled_difference_is_equal_with_nothing_specialized(monkeypatch):
+    """Over Q, a difference whose symbols cancel mod p is Equal in distinguish
+    and classes_equal with no unit part read and no Hilbert symbol
+    evaluated: a vs a + s + s, a + s + s vs a, and two parses of one text.
+    Reading left_pairs afterwards still specializes a.  Over F_7 with p = 3,
+    a vs a + s + s + s stays Equal."""
+    rng = random.Random(1313)
+    pairs = []
+    for _ in range(8):
+        a = random_class(rng, Q_BASE, 2, 2, 2, height=9)
+        s = random_class(rng, Q_BASE, 2, 1, 2, height=9)
+        text = class_text(a + s)
+        pairs += [(a, a + s + s), (a + s + s, a),
+                  (parse_class(text, Q_BASE, 2), parse_class(text, Q_BASE, 2))]
+    for _ in range(4):
+        a = random_class(rng, F7, 3, 2, 2)
+        s = random_class(rng, F7, 3, 1, 2)
+        pairs.append((a, a + s + s + s))
+
+    def refuse(name):
+        def call(*args):
+            raise AssertionError(f"{name} called on a cancelled difference")
+        return call
+
+    monkeypatch.setattr(brauer, "unit_part_at", refuse("unit_part_at"))
+    for module in (hilbert, brauer):
+        monkeypatch.setattr(module, "local_invariants", refuse("local_invariants"))
+    for a, b in pairs:
+        assert distinguish(a, b).outcome == EQUAL
+        assert classes_equal(a, b)
+    monkeypatch.undo()
+    for a, b in pairs:
+        cmp = compare_classes(a, b)
+        assert cmp.equal and cmp.point is None and not cmp.net.symbols
+        if a.base.is_finite:
+            assert cmp.at is None and cmp.left_pairs is None
+        else:
+            assert cmp.left_pairs == specialize(a, cmp.at)
+            assert cmp.right_pairs == specialize(b, cmp.at)
 
 
 def _unit_spread_class(rng, base, p, max_symbols, max_degree):

@@ -1,6 +1,7 @@
 """tools/op_profile.py on a handful of cli_mix ops: every command shows up
 as an op kind, the kind shares add up to the whole, and the library
-modules are named in the self-time table."""
+modules are named in the self-time table; with --kind the table is that
+kind's alone, and an unknown kind is refused."""
 
 import re
 import subprocess
@@ -10,14 +11,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_op_profile_smoke():
+def op_profile(*args):
     cmd = [sys.executable, str(ROOT / "tools" / "op_profile.py"), "--workload", "cli_mix",
-           "--ops", "7"]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=60)
+           "--ops", "7", *args]
+    return subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=60)
+
+
+def tables(proc, label):
+    """The kind rows and the module names under the self-time header."""
     assert proc.returncode == 0, proc.stderr[-2000:]
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("cli_mix seed 0: 7 ops in ")
-    header = lines.index("self time by module (cProfile, 7 ops):")
+    header = lines.index(f"self time by module (cProfile, {label}):")
     kinds = lines[lines.index("op time by kind:") + 1:header]
     rows = [re.fullmatch(r"  (\S+) +(\d+) ops +([\d.]+) %", row).groups() for row in kinds]
     assert [kind for kind, _, _ in rows] == [
@@ -25,5 +30,20 @@ def test_op_profile_smoke():
     ]
     assert sum(int(n) for _, n, _ in rows) == 7
     assert abs(sum(float(share) for _, _, share in rows) - 100) < 0.5
-    modules = {row.split()[0] for row in lines[header + 1:]}
+    return rows, {row.split()[0] for row in lines[header + 1:]}
+
+
+def test_op_profile_smoke():
+    _, modules = tables(op_profile(), "7 ops")
     assert {"poly", "parser"} <= modules
+
+
+def test_op_profile_limits_the_profile_to_one_kind():
+    """The timed table still lists every kind; the profiled one is the one
+    equal op's, which never reaches the cover code."""
+    _, modules = tables(op_profile("--kind", "equal"), "1 equal ops")
+    assert {"poly", "parser", "brauer"} <= modules
+    assert "covers" not in modules
+    proc = op_profile("--kind", "mode 0")
+    assert proc.returncode == 2
+    assert "no 'mode 0' op among the first 7 ops" in proc.stderr

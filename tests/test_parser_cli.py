@@ -740,6 +740,61 @@ def test_cli_equal_on_unequal_classes_is_golden(capsys, right, text, outcome):
     assert capsys.readouterr().out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+EQUAL_CANCELLED_TEXT = """\
+brauercalc 0.1.0: equal
+inputs:
+  base: q
+  left: (5, t)
+  p: 2
+  right: (5, t) + (3, t) + (3, t)
+  seed: 0
+outcome:
+  constant_difference:
+    at: 1
+    pairs:
+      -
+        - 5
+        - 1
+      -
+        - 5
+        - 1
+      -
+        - 3
+        - 1
+      -
+        - 3
+        - 1
+    trivial: True
+  difference_unramified: True
+  equal: True
+"""
+
+
+def test_cli_equal_on_a_cancelled_difference_is_golden(capsys):
+    """The difference cancels symbol by symbol, so the classes are equal
+    with no sweep; the report still prints the specialization."""
+    right = "(5, t) + (3, t) + (3, t)"
+    assert main(["equal", "(5, t)", right]) == 0
+    assert capsys.readouterr().out == EQUAL_CANCELLED_TEXT
+    assert main(["equal", "(5, t)", right, "--format", "json"]) == 0
+    payload = {
+        "command": "equal",
+        "inputs": {"base": "q", "left": "(5, t)", "p": 2, "right": right, "seed": 0},
+        "outcome": {
+            "constant_difference": {
+                "at": "1",
+                "pairs": [["5", "1"], ["5", "1"], ["3", "1"], ["3", "1"]],
+                "trivial": True,
+            },
+            "difference_unramified": True,
+            "equal": True,
+        },
+        "tool": "brauercalc",
+        "version": "0.1.0",
+    }
+    assert capsys.readouterr().out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 EQUAL_BOTH_NONSPLIT_TEXT = """\
 brauercalc 0.1.0: equal
 inputs:

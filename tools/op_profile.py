@@ -1,6 +1,7 @@
 """Where one replay of a bench workload spends its time, in process.
 
     python3 tools/op_profile.py --workload q_split_distinguish --seed 0 --ops 264
+    python3 tools/op_profile.py --workload cli_mix --ops 700 --kind equal
 
 Loads bench/run.py and bench/workloads.py from the checkout (--root, the
 repository this file sits in by default) and changes nothing under
@@ -13,7 +14,9 @@ checked by the workload's own check:
   q_split_distinguish or q_equal op;
 - a replay under cProfile gives the self-time share of each library
   module, and of every other file (fractions.py, argparse.py, ...) by
-  its file name, with built-in functions as <built-in>.
+  its file name, with built-in functions as <built-in>.  With --kind
+  (as printed: "mode 0", equal, ...) only the ops of that kind are
+  profiled, so the table is that kind's own.
 Op kinds print in stream order, then the 12 largest modules from the
 largest share down.  The ops/s on the first line is not scaled by
 bench/gauge.py, so it drifts with the machine's speed from run to run;
@@ -49,17 +52,19 @@ def op_kind(op):
     return f"mode {op[0]}" if isinstance(op[0], int) else op[0]
 
 
-def replay(run, workload, seed, n_ops, profile=None):
-    """Time and check the first n_ops ops after a fresh import: (kind, seconds) per op."""
+def replay(run, workload, seed, n_ops, profile=None, kind=None):
+    """Time and check the first n_ops ops after a fresh import: (kind, seconds)
+    per op.  profile, if given, runs on the ops of kind, or on all if None."""
     lib, corpus = run.setup(workload, seed, n_ops)
     times = []
     for op in corpus:
-        if profile:
+        on = profile and kind in (None, op_kind(op))
+        if on:
             profile.enable()
         t0 = perf_counter()
         out = workload.run(lib, op)
         dt = perf_counter() - t0
-        if profile:
+        if on:
             profile.disable()
         workload.check(lib, op, out)
         times.append((op_kind(op), dt))
@@ -90,14 +95,18 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--ops", type=int, default=264)
     ap.add_argument("--root", type=Path, default=ROOT)
+    ap.add_argument("--kind", help='profile only the ops of this kind ("mode 0", equal, ...)')
     args = ap.parse_args(argv)
     root = args.root.resolve()
     run = load_bench(root)
     workload = run.workloads.WORKLOADS[args.workload]
     with run.in_checkout():
         times = replay(run, workload, args.seed, args.ops)
+        profiled = [kind for kind, _ in times if args.kind in (None, kind)]
+        if not profiled:
+            ap.error(f"no {args.kind!r} op among the first {len(times)} ops")
         profile = cProfile.Profile()
-        replay(run, workload, args.seed, args.ops, profile)
+        replay(run, workload, args.seed, args.ops, profile, args.kind)
     package = (root / "src" / "brauercalc").resolve()
 
     total = sum(dt for _, dt in times)
@@ -110,7 +119,8 @@ def main(argv=None):
         counts[kind] += 1
     for kind in kinds:
         print(f"  {kind:<16} {counts[kind]:>5} ops  {100 * kinds[kind] / total:5.1f} %")
-    print(f"self time by module (cProfile, {len(times)} ops):")
+    label = "" if args.kind is None else f" {args.kind}"
+    print(f"self time by module (cProfile, {len(profiled)}{label} ops):")
     for name, share in module_shares(profile, package)[:12]:
         print(f"  {name:<24} {100 * share:5.1f} %")
     return 0
