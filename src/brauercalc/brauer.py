@@ -58,6 +58,14 @@ class Symbol:
         object.__setattr__(self, "_tame", {})
         object.__setattr__(self, "_points", None)
 
+    def __hash__(self):
+        """The dataclass hash of (a, b), kept on first use."""
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash((self.a, self.b))
+            object.__setattr__(self, "_hash", h)
+        return h
+
 
 @dataclass(frozen=True)
 class BrauerClass:

@@ -4,14 +4,16 @@ Integers are factored by fields.factor_int (trial division by small
 primes, then Pollard-Brent, a repeated n cached), re-exported here.
 
 The rational factorization runs on primitive integer forms, each monic factor
-built once from its own, and first splits off the rational roots.  At a prime
-p > deg f not dividing lc(f), each root of f mod p of multiplicity k is
-Newton-lifted as a simple root of the (k-1)-th Hasse derivative, modulo p^l
-past twice the Cauchy bound on lc(f) * r for a rational root r, and kept only
-if f vanishes at it exactly.  The cofactor is free of rational roots for
-certain once every root mod p is confirmed with its full multiplicity; if its
-degree is 2 or 3 it is then irreducible.  Where roots collide mod p, the next
-prime retries on the cofactor, for at most _SQUAREFREE_TRIES primes.
+built once from its own, and first splits off the rational roots.  Up to
+degree 2 (t^z off) they come in closed form, a quadratic's by math.isqrt of
+its discriminant.  Above, at a prime p > deg f not dividing lc(f), f mod p is
+scanned at every x, and each root of multiplicity k is Newton-lifted as a
+simple root of the (k-1)-th Hasse derivative, modulo p^l past twice the
+Cauchy bound on lc(f) * r for a rational root r, and kept only if f vanishes
+at it exactly.  The cofactor is free of rational roots for certain once every
+root mod p is confirmed with its full multiplicity; if its degree is 2 or 3
+it is then irreducible.  Where roots collide mod p, the next prime retries on
+the cofactor, for at most _SQUAREFREE_TRIES primes.
 
 What may still factor goes to the classical Zassenhaus pipeline (MCA
 ch. 15), around one prime search bounded by _PRIME_BOUND.  That search
@@ -60,9 +62,9 @@ from functools import lru_cache
 
 from .errors import ScopeError
 from .fields import PrimeField, PrimePowerFactorization
-from .fields import factor_int, is_prime, rational_sqrt
-from .poly import Poly, QQ, _IntListRing, _PolyRing, _power
-from .poly import _int_list_at, _int_list_primitive, _int_list_strip
+from .fields import factor_int, is_prime
+from .poly import Poly, QQ, _IntListRing, _PolyRing, _horner, _power
+from .poly import _int_list_primitive, _int_list_strip
 from .poly import _zadd, _zdivmod_mod, _zmul, _zsub, _ztrunc
 
 
@@ -403,36 +405,38 @@ def _rational_roots(f):
     """(roots, cofactor, certain) for a primitive f in Z[t] with lc(f) > 0:
     roots are [(primitive linear factor, multiplicity)], f is their product
     times the cofactor, and certain means the cofactor has no rational
-    root.  A root mod p not confirmed with its full multiplicity (roots
+    root.  Each prime reduces f once; Hasse derivatives are built only at
+    a root mod p, and one not confirmed with its full multiplicity (roots
     that collide mod p, or a root of a factor of higher degree) leaves the
-    try uncertain.  Primes stay below _PRIME_BOUND; no ScopeError.
+    try uncertain.  Degree 2 or less is decided in closed form.  Primes
+    stay below _PRIME_BOUND; no ScopeError.
     """
     z = next(i for i, c in enumerate(f) if c)
     roots = [([0, 1], z)] if z else []
     f = list(f[z:])
     p = len(f) - 1
     for _ in range(_SQUAREFREE_TRIES):
-        if len(f) == 1:
-            return roots, f, True
+        if len(f) <= 3:
+            break
         p = _next_prime(p)
         while f[-1] % p == 0:
             p = _next_prime(p)
         if p >= _PRIME_BOUND:
-            break
-        certain = True
+            return roots, f, False
+        certain, fp = True, [c % p for c in f]
         for x in range(p):
-            k = 0
-            while _int_list_at(_hasse(f, k), x, 1) % p == 0:
-                k += 1
-            if not k:
+            if _horner(fp, x, 0) % p:
                 continue
+            k = 1
+            while _horner(_hasse(f, k), x, 0) % p == 0:
+                k += 1
             g = _hasse(f, k - 1)
             dg = _hasse(g, 1)
             bound = 2 * (f[-1] + max(map(abs, f)))
             m, y = p, x
             while m <= bound:
                 m = m * m
-                y -= _int_list_at(g, y, 1) * pow(_int_list_at(dg, y, 1), -1, m)
+                y -= _horner(g, y, 0) * pow(_horner(dg, y, 0), -1, m)
                 y %= m
             c = f[-1] * y % m
             r = Fraction(c - m if c > m // 2 else c, f[-1])
@@ -442,7 +446,19 @@ def _rational_roots(f):
             certain = certain and mult == k
         if certain:
             return roots, f, True
-    return roots, f, False
+    if len(f) == 2:
+        return roots + [(f, 1)], [1], True
+    if len(f) == 3:
+        # a square discriminant: f = u v, u of the root (s - b)/2a, f(0) != 0
+        c, b, a = f
+        d = b * b - 4 * a * c
+        s = math.isqrt(max(d, 0))
+        if s * s == d:
+            g = math.gcd(s - b, 2 * a)
+            u = [(b - s) // g, 2 * a // g]
+            v = [c // u[0], a // u[1]]
+            return roots + ([(u, 2)] if u == v else [(u, 1), (v, 1)]), [1], True
+    return roots, f, len(f) <= 3
 
 
 @lru_cache(maxsize=4096)
@@ -453,8 +469,7 @@ def _factor_q_monic(f):
     Rational roots are split off first.  A cofactor proved free of them is
     irreducible if its degree is 2 or 3; any other goes to _zassenhaus,
     whose prime search proves most cofactors squarefree; only when it
-    cannot is a quadratic decided by its discriminant, and any other
-    cofactor split by the squarefree decomposition over Q.
+    cannot is the cofactor split by the squarefree decomposition over Q.
     """
     pieces, g, certain = _rational_roots(f)
     if len(g) == 1:
@@ -463,10 +478,6 @@ def _factor_q_monic(f):
         parts = [g]
     else:
         parts = _zassenhaus(g)
-    if parts is None and len(g) == 3:
-        # only a square discriminant gives a quadratic a repeated factor
-        disc = g[1] ** 2 - 4 * g[0] * g[2]
-        parts = [g] if rational_sqrt(disc) is None else None
     if parts is None:
         pieces += [
             (part, mult)

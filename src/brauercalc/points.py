@@ -11,7 +11,8 @@ loop over poly's rings for every finite base, degrees at infinity), and
 _combine builds one integer fraction, one top and one bottom in
 kappa(x).  unit_part_at is the exponents (1, -1) case, read by
 valuation_at, reduce_at and brauer.specialize; tame_symbol_at is the
-four-side case.
+four-side case.  A regular rational point over Q skips both: its value
+is read off the two integer forms by homogeneous Horner.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import ScopeError
 from .factoring import is_irreducible
 from .fields import GF, FFElem, PrimeField, QuotientField, is_prime
 from .poly import Poly, QQ, RationalFunction, poly_str
-from .poly import _IntListRing, _PolyRing, _int_list_strip
+from .poly import _IntListRing, _PolyRing, _int_list_at, _int_list_strip
 
 
 # Largest torsion over F_q; a p-th power exponent walks p roots of unity.
@@ -167,12 +168,20 @@ def unit_part_at(h, point):
     """(v, u) with h = uniformizer^v * unit near the point, and u the
     image of the unit in kappa(x): the exponents (1, -1) case of
     _combine over the stripped numerator and denominator.  At a point
-    where h has neither zero nor pole, u is the value of h there.
+    where h has neither zero nor pole, u is the value of h there; over Q
+    at t = a/b it is read off b^deg f(a/b) of each side's integer form.
     """
     if isinstance(h, Poly):
         h = RationalFunction(h)
     if h.is_zero:
         raise ValueError("the zero function has no finite valuation")
+    pi = point.poly
+    if pi is not None and pi.field is QQ and pi.degree == 1:
+        (a, b), (cn, n), (cd, d) = pi.int_form()[1], h.num.int_form(), h.den.int_form()
+        x, y, e = _int_list_at(n, -a, b), _int_list_at(d, -a, b), len(d) - len(n)
+        if x and y:
+            return 0, Fraction(cn.numerator * cd.denominator * x * b ** max(e, 0),
+                               cn.denominator * cd.numerator * y * b ** max(-e, 0))
     sides = _strip((h.num, h.den), point)
     return sides[0][0] - sides[1][0], _combine(point, sides, (1, -1), 1)
 

@@ -530,6 +530,7 @@ class _PolyRing:
 # The prime of the coprimality certificate: large enough that it almost
 # never divides a leading coefficient or a resultant met in practice.
 _COPRIME_PRIME = 2**31 - 1
+_COPRIME_RING = _IntListRing(_COPRIME_PRIME)
 
 
 def _coprime_mod_prime(f, g):
@@ -540,7 +541,7 @@ def _coprime_mod_prime(f, g):
     a, b, m = f.int_form()[1], g.int_form()[1], _COPRIME_PRIME
     if a[-1] % m == 0 or b[-1] % m == 0:
         return False
-    return len(_IntListRing(m).gcd(a, b)) == 1
+    return len(_COPRIME_RING.gcd(a, b)) == 1
 
 
 def poly_gcd(f, g):

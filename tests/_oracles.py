@@ -11,7 +11,9 @@ nothing remembered on the symbols and nothing skipped, and the comparison
 record by building the difference c1 - c2, which stands as its net class.
 The factorization over Q is recomputed without the rational-root pass:
 Zassenhaus on the whole polynomial, after the squarefree decomposition
-when its prime search cannot prove f squarefree.  Class text is re-read
+when its prime search cannot prove f squarefree; its rational roots are
+listed by the rational root theorem, every candidate +-a/b with a | f(0)
+and b | lc(f) tried by integer evaluation.  Class text is re-read
 by Poly arithmetic: every literal and every t^e becomes a Poly,
 multiplied and added as read.  Whether two residues cut out the same
 Kummer extension is read off p-th power tests alone.  A valuation at a
@@ -20,6 +22,7 @@ polynomial, over every base field.
 """
 
 import itertools
+from fractions import Fraction
 from collections import namedtuple
 from math import prod
 
@@ -112,6 +115,42 @@ def factor_over_Q_by_zassenhaus(f):
         pieces = [(part, 1) for part in parts]
     out = [(Poly.from_ints(QQ, part).monic(), mult) for part, mult in pieces]
     return sorted(out, key=lambda fm: fm[0].sort_key())
+
+
+def _divisors(n):
+    """The positive divisors of a nonzero integer, by trial division."""
+    n, out, d = abs(n), set(), 1
+    while d * d <= n:
+        if n % d == 0:
+            out.update((d, n // d))
+        d += 1
+    return out
+
+
+def rational_roots_oracle(ints):
+    """{root: multiplicity} of the nonzero integer list ints (lowest degree
+    first) over Q, by the rational root theorem after t^z is split off."""
+    z = next(i for i, c in enumerate(ints) if c)
+    roots, f = ({Fraction(0): z} if z else {}), list(ints[z:])
+    for b in _divisors(f[-1]):
+        for a in _divisors(f[0]):
+            for x in (Fraction(a, b), Fraction(-a, b)):
+                if x in roots or sum(
+                    c * x.numerator**i * x.denominator ** (len(f) - 1 - i) for i, c in enumerate(f)
+                ):
+                    continue
+                g, mult = [Fraction(c) for c in f], 0
+                while len(g) > 1:
+                    # synthetic division by t - x, high coefficients first
+                    acc, quo = Fraction(0), []
+                    for c in reversed(g):
+                        acc = acc * x + c
+                        quo.append(acc)
+                    if acc:
+                        break
+                    g, mult = quo[-2::-1], mult + 1
+                roots[x] = mult
+    return roots
 
 
 def poly_strip(f, pi):

@@ -438,11 +438,19 @@ def test_unit_part_at_rational_points_matches_division():
     assert seen >= set(range(-3, 4))
 
 
+def _unit_part_by_strip_route(h, x):
+    """unit_part_at's own strip and combine, with no read at a regular point."""
+    sides = points._strip((h.num, h.den), x)
+    return sides[0][0] - sides[1][0], points._combine(x, sides, (1, -1), 1)
+
+
 def test_unit_part_at_rational_points_with_non_monic_entries_matches_division():
     """At t = c over Q, with and without a denominator, entries whose
     numerators are not monic and whose integer forms have content other
     than 1 match the division oracle where they are regular, where they
-    vanish and where they have a pole; a regular one gives its value."""
+    vanish and where they have a pole; a regular one gives its value.  The
+    read off the integer forms at a regular point gives what strip and
+    combine give."""
     rng = random.Random(137)
     kinds = Counter()
     for c in RATIONAL_POINTS:
@@ -451,12 +459,52 @@ def test_unit_part_at_rational_points_with_non_monic_entries_matches_division():
             h = _rational_entry(rng, c) * Fraction(rng.choice([1, 2, -3]), rng.choice([1, 5]))
             v, u = unit_part_at(h, x)
             assert (v, u) == _unit_part_by_strip(h, x), (c, h)
+            assert (v, u) == _unit_part_by_strip_route(h, x) and type(u) is Fraction
             if not v:
                 assert u == h.evaluate(c)
             odd = h.num.lc != 1 and h.num.int_form()[0] != 1
             kinds["pole" if v < 0 else "zero" if v else "regular", c.denominator > 1, odd] += 1
     for route in ("regular", "zero", "pole"):
         assert kinds[route, True, True] >= 5 and kinds[route, False, True] >= 5, kinds
+
+
+def test_regular_rational_point_makes_no_strip(monkeypatch):
+    """Where neither side vanishes at t = c over Q, unit_part_at reads the
+    value with no strip and no combine."""
+
+    def refuse(*args):
+        raise AssertionError("stripped at a regular rational point")
+
+    rng = random.Random(141)
+    cases = []
+    for c in RATIONAL_POINTS:
+        while len(cases) < 10 * (RATIONAL_POINTS.index(c) + 1):
+            h = _rational_entry(rng, c) * Fraction(rng.choice([1, -3]), rng.choice([1, 4]))
+            if h.num.evaluate(c) and h.den.evaluate(c):
+                cases.append((h, c))
+    monkeypatch.setattr(points, "_strip", refuse)
+    monkeypatch.setattr(points, "_combine", refuse)
+    for h, c in cases:
+        assert unit_part_at(h, ClosedPoint.rational(Q_BASE, c)) == (0, h.evaluate(c)), (c, h)
+
+
+def test_symbol_hash_is_kept_after_the_first(monkeypatch):
+    """A second hash() of one symbol hashes neither entry again, and equal
+    symbols still hash alike."""
+    calls = []
+    real = RationalFunction.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(RationalFunction, "__hash__", counted)
+    s = BrauerClass.make(Q_BASE, 2, [(T + 1, T * T - 3)]).symbols[0]
+    first = hash(s)
+    assert len(calls) == 2
+    assert hash(s) == first and len(calls) == 2
+    twin = BrauerClass.make(Q_BASE, 2, [(T + 1, T * T - 3)]).symbols[0]
+    assert twin == s and hash(twin) == first and len({s, twin}) == 1
 
 
 def test_unit_part_at_prime_field_points_matches_division():

@@ -11,6 +11,7 @@ import hashlib
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,7 @@ from brauercalc.fields import GF, FFElem
 from brauercalc.poly import Poly, QQ, _IntListRing, _PolyRing, _xgcd, poly_gcd, poly_xgcd
 
 from _gen import random_poly
-from _oracles import factor_over_Q_by_zassenhaus
+from _oracles import factor_over_Q_by_zassenhaus, rational_roots_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +282,14 @@ def test_distinct_degree_count_matches_full_factorization():
 
 def test_zassenhaus_without_good_prime_is_out_of_scope(monkeypatch, capsys):
     monkeypatch.setattr(factoring, "_next_prime", lambda n: 10**6)
+    # a quartic, since a quadratic's roots come in closed form with no prime:
     # the rational-root pass stops short of the bound without raising
-    assert factoring._rational_roots((104723, 0, 1)) == ([], [104723, 0, 1], False)
+    f = [104723, 0, 0, 0, 1]
+    assert factoring._rational_roots(tuple(f)) == ([], f, False)
     with pytest.raises(ScopeError):
-        factoring._zassenhaus([104729, 0, 1])
+        factoring._zassenhaus(f)
     # the CLI reports it as out of scope (exit 3), not as a bug (exit 4)
-    assert main(["ram", "(t^2+104723, t)"]) == 3
+    assert main(["ram", "(t^4+104723, t)"]) == 3
 
 
 def _int_list(f):
@@ -718,6 +721,134 @@ def test_rational_root_pass_matches_zassenhaus():
     for a, b in ((1, 2), (-2, -3), (1, -2)):
         f = Poly.from_ints(QQ, _product([[a, 0, 1], [b, 0, 1], [0, 1]]))
         assert [g.degree for g, _ in factor_over_Q(f).factors] == [1, 2, 2]
+
+
+def _bench_linear(rng):
+    """b t - a for a bench root a/b: |a| <= 8, b <= 3."""
+    return [-rng.randint(-8, 8), rng.choice([1, 1, 1, 2, 3])]
+
+
+def _quadratic(rng, disc):
+    """[c, b, a], a > 0, whose discriminant b^2 - 4ac is of the kind disc."""
+    if disc == "square":
+        return _product([[rng.randint(-9, 9), rng.randint(1, 4)] for _ in range(2)])
+    if disc == "zero":
+        lin = [rng.randint(-9, 9), rng.randint(1, 4)]
+        return _product([lin, lin])
+    while True:
+        c, b, a = rng.randint(-30, 30), rng.randint(-30, 30), rng.randint(1, 9)
+        d = b * b - 4 * a * c
+        if disc == "negative" and d < 0 or disc == "non-square" and d > math.isqrt(max(d, 0)) ** 2:
+            return [c, b, a]
+
+
+def integer_root_corpus(n=2400):
+    """(kind, f) for n seeded primitive integer lists f of degree 1 to 6
+    with lc(f) > 0, in five kinds taken in turn: bench-shaped products of a
+    unit and up to four linear factors; quadratics whose discriminant is a
+    square, zero, negative or a positive non-square, some times a unit; one
+    to three roots at 0 times linear factors or a quadratic; linear factors
+    times a dense non-monic quadratic or cubic; dense polynomials with
+    entries in [-20, 20] and a leading entry other than 1."""
+    rng = random.Random(337)
+    discs = ("square", "zero", "negative", "non-square")
+    corpus = []
+    while len(corpus) < n:
+        kind = ("bench", "quadratic", "root 0", "mixed", "dense")[len(corpus) % 5]
+        unit = [rng.choice([-1, 1]) * rng.randint(1, 10)]
+        if kind == "bench":
+            parts = [unit] + [_bench_linear(rng) for _ in range(rng.randint(1, 4))]
+        elif kind == "quadratic":
+            kind = discs[len(corpus) // 5 % 4]
+            parts = [unit, _quadratic(rng, kind)]
+        elif kind == "root 0":
+            parts = [[0, 1]] * rng.randint(1, 3)
+            parts += rng.choice([[_bench_linear(rng)], [_quadratic(rng, rng.choice(discs))], []])
+        elif kind == "mixed":
+            parts = [_bench_linear(rng) for _ in range(rng.randint(1, 3))]
+            parts.append([rng.randint(-9, 9) for _ in range(rng.randint(2, 3))] + [rng.randint(2, 6)])
+        else:
+            parts = [[rng.randint(-20, 20) for _ in range(rng.randint(1, 6))] + [rng.randint(2, 20)]]
+        f = _product(parts)
+        if 1 <= len(f) - 1 <= 6:
+            corpus.append((kind, tuple(factoring._int_list_primitive(f))))
+    return corpus
+
+
+def test_rational_roots_match_the_rational_root_theorem():
+    """Every root _rational_roots returns is one of f's with its whole
+    multiplicity, as a primitive linear factor; the factors and the cofactor
+    multiply back to f; a certain answer lists every rational root, and
+    every f of degree at most 2 (after t^z) is certain."""
+    seen = Counter()
+    for kind, f in integer_root_corpus():
+        roots, cofactor, certain = factoring._rational_roots(f)
+        back = list(cofactor)
+        for lin, mult in roots:
+            assert len(lin) == 2 and lin[1] > 0 and math.gcd(*lin) == 1, (f, lin)
+            back = _product([back] + [lin] * mult)
+        assert back == list(f), f
+        got = {Fraction(-lin[0], lin[1]): mult for lin, mult in roots}
+        want = rational_roots_oracle(f)
+        assert len(got) == len(roots) and got.items() <= want.items(), f
+        assert not certain or got == want, f
+        if len(cofactor) <= 3:
+            assert certain, f
+        seen[kind] += 1
+        seen["certain"] += certain
+        seen["root 0 found"] += Fraction(0) in got
+        seen["non-monic"] += f[-1] > 1
+    assert min(seen[kind] for kind in ("bench", "mixed", "dense")) >= 480, seen
+    assert min(seen[d] for d in ("square", "zero", "negative", "non-square")) >= 120, seen
+    assert seen["root 0 found"] >= 480 and seen["non-monic"] >= 1200, seen
+    assert seen["certain"] >= 2300, seen
+
+
+def test_factor_over_Q_linear_factors_match_the_rational_root_theorem():
+    """factor_over_Q of every corpus form times a rational unit multiplies
+    back to it, and its linear factors are the oracle's roots."""
+    rng = random.Random(339)
+    factoring._factor_q_monic.cache_clear()
+    for _, f in integer_root_corpus():
+        F = Poly.from_ints(QQ, f) * Fraction(rng.choice([1, -2, 7]), rng.choice([1, 3]))
+        fac = factor_over_Q(F)
+        back = Poly.constant(QQ, fac.unit)
+        for g, e in fac.factors:
+            back = back * g**e
+        assert back == F, f
+        linear = {-g.coeffs[0]: e for g, e in fac.factors if g.degree == 1}
+        assert linear == rational_roots_oracle(f), f
+
+
+def test_integer_root_corpus_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("t")
+    factoring._factor_q_monic.cache_clear()
+    for _, f in integer_root_corpus():
+        _, parts = sympy.Poly(f[::-1], x, domain="ZZ").factor_list()
+        want = sorted(
+            ([Fraction(int(c), int(g.LC())) for c in g.all_coeffs()[::-1]], e) for g, e in parts
+        )
+        assert _factors(list(f)) == want, f
+
+
+def test_quadratic_roots_make_no_hasse_call(monkeypatch):
+    """A linear or quadratic form, after t^z, is decided in closed form."""
+
+    def refuse(*args):
+        raise AssertionError("Hasse derivative built for a quadratic")
+
+    monkeypatch.setattr(factoring, "_hasse", refuse)
+    cases = {
+        (6, 5, 1): ([([2, 1], 1), ([3, 1], 1)], [1], True),
+        (9, 12, 4): ([([3, 2], 2)], [1], True),
+        (-2, 0, 1): ([], [-2, 0, 1], True),
+        (3, 1, 2): ([], [3, 1, 2], True),
+        (0, 0, -9, 0, 4): ([([0, 1], 2), ([-3, 2], 1), ([3, 2], 1)], [1], True),
+        (0, 5, 3): ([([0, 1], 1), ([5, 3], 1)], [1], True),
+    }
+    for f, want in cases.items():
+        assert factoring._rational_roots(f) == want, f
 
 
 # ---------------------------------------------------------------------------

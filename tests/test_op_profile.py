@@ -1,7 +1,8 @@
 """tools/op_profile.py on a handful of cli_mix ops: every command shows up
 as an op kind, the kind shares add up to the whole, and the library
 modules are named in the self-time table; with --kind the table is that
-kind's alone, and an unknown kind is refused."""
+kind's alone, and an unknown kind is refused; --functions N lists N
+functions as file:line name, from the largest self-time share down."""
 
 import re
 import subprocess
@@ -30,7 +31,9 @@ def tables(proc, label):
     ]
     assert sum(int(n) for _, n, _ in rows) == 7
     assert abs(sum(float(share) for _, _, share in rows) - 100) < 0.5
-    return rows, {row.split()[0] for row in lines[header + 1:]}
+    end = next((i for i, row in enumerate(lines) if row.startswith("self time by function")),
+               len(lines))
+    return rows, {row.split()[0] for row in lines[header + 1:end]}
 
 
 def test_op_profile_smoke():
@@ -47,3 +50,18 @@ def test_op_profile_limits_the_profile_to_one_kind():
     proc = op_profile("--kind", "mode 0")
     assert proc.returncode == 2
     assert "no 'mode 0' op among the first 7 ops" in proc.stderr
+
+
+def test_op_profile_lists_the_functions_with_the_most_self_time():
+    proc = op_profile("--functions", "40")
+    _, modules = tables(proc, "7 ops")
+    assert {"poly", "parser"} <= modules
+    lines = proc.stdout.splitlines()
+    start = lines.index("self time by function (cProfile, 7 ops):")
+    rows = [re.fullmatch(r"  +([\d.]+) %  (.+?):(\d+) (.+)", row).groups()
+            for row in lines[start + 1:]]
+    assert len(rows) == 40
+    shares = [float(share) for share, _, _, _ in rows]
+    assert shares == sorted(shares, reverse=True) and sum(shares) <= 100.5
+    assert {"poly.py", "parser.py"} & {path for _, path, _, _ in rows}
+    assert "self time by function" not in op_profile().stdout

@@ -223,6 +223,15 @@ def test_coprime_rational_pairs_take_no_gcd(monkeypatch):
     assert RationalFunction(P(3), P(1, 2)).num == Poly.constant(QQ, Fraction(3, 2))
 
 
+def test_coprimality_certificate_builds_no_ring_per_call(monkeypatch):
+    def refuse(p):
+        raise AssertionError(f"F_{p}[t] built for one certificate")
+
+    monkeypatch.setattr(poly_module, "_IntListRing", refuse)
+    r = RationalFunction(P(1, 0, 3), P(-1, 2))
+    assert (r.num, r.den) == (P(1, 0, 3) * Fraction(1, 2), P(Fraction(-1, 2), 1))
+
+
 def test_certificate_prime_in_a_leading_entry_takes_the_exact_gcd(monkeypatch):
     m = poly_module._COPRIME_PRIME
     real_gcd = poly_module.poly_gcd

@@ -2,6 +2,7 @@
 
     python3 tools/op_profile.py --workload q_split_distinguish --seed 0 --ops 264
     python3 tools/op_profile.py --workload cli_mix --ops 700 --kind equal
+    python3 tools/op_profile.py --workload q_split_distinguish --functions 15
 
 Loads bench/run.py and bench/workloads.py from the checkout (--root, the
 repository this file sits in by default) and changes nothing under
@@ -18,9 +19,11 @@ checked by the workload's own check:
   (as printed: "mode 0", equal, ...) only the ops of that kind are
   profiled, so the table is that kind's own.
 Op kinds print in stream order, then the 12 largest modules from the
-largest share down.  The ops/s on the first line is not scaled by
-bench/gauge.py, so it drifts with the machine's speed from run to run;
-compare shares here, and rates with bench/run.py.  Stdlib only.
+largest share down; --functions N adds the N functions with the largest
+self-time share, each as file:line name (built-ins as ~:0).  The ops/s on
+the first line is not scaled by bench/gauge.py, so it drifts with the
+machine's speed from run to run; compare shares here, and rates with
+bench/run.py.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -89,6 +92,15 @@ def module_shares(profile, package):
     return [(name, s / total) for name, s in self_s.most_common()]
 
 
+def function_shares(profile, n):
+    """The n functions with the largest self time, as (file:line name, share)."""
+    stats = pstats.Stats(profile).stats
+    total = sum(tottime for _, _, tottime, _, _ in stats.values()) or 1.0
+    top = sorted(stats.items(), key=lambda item: -item[1][2])[:n]
+    return [(f"{Path(filename).name}:{line} {name}", tottime / total)
+            for (filename, line, name), (_, _, tottime, _, _) in top]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True)
@@ -96,6 +108,8 @@ def main(argv=None):
     ap.add_argument("--ops", type=int, default=264)
     ap.add_argument("--root", type=Path, default=ROOT)
     ap.add_argument("--kind", help='profile only the ops of this kind ("mode 0", equal, ...)')
+    ap.add_argument("--functions", type=int, default=0, metavar="N",
+                    help="also list the N functions with the largest self time")
     args = ap.parse_args(argv)
     root = args.root.resolve()
     run = load_bench(root)
@@ -123,6 +137,10 @@ def main(argv=None):
     print(f"self time by module (cProfile, {len(profiled)}{label} ops):")
     for name, share in module_shares(profile, package)[:12]:
         print(f"  {name:<24} {100 * share:5.1f} %")
+    if args.functions > 0:
+        print(f"self time by function (cProfile, {len(profiled)}{label} ops):")
+        for name, share in function_shares(profile, args.functions):
+            print(f"  {100 * share:5.1f} %  {name}")
     return 0
 
 
