@@ -1,7 +1,7 @@
 """Exact factorization: integers, polynomials over Q, polynomials over F_q.
 
 Integers are factored by fields.factor_int (trial division by small
-primes, then Pollard-Brent, a repeated n cached), re-exported here.
+primes, then Pollard-Brent, a repeated n cached).
 
 The rational factorization runs on primitive integer forms, each monic factor
 built once from its own, and first splits off the rational roots.  Up to

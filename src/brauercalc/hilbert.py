@@ -13,7 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, prod
 
-from .factoring import factor_int, is_prime, squarefree_kernel
+from .factoring import squarefree_kernel
+from .fields import factor_int, is_prime
 
 INF = "inf"
 

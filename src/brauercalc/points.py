@@ -11,8 +11,7 @@ loop over poly's rings for every finite base, degrees at infinity), and
 _combine builds one integer fraction, one top and one bottom in
 kappa(x).  unit_part_at is the exponents (1, -1) case, read by
 valuation_at, reduce_at and brauer.specialize; tame_symbol_at is the
-four-side case.  A regular rational point over Q skips both: its value
-is read off the two integer forms by homogeneous Horner.
+four-side case.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .errors import ScopeError
 from .factoring import is_irreducible
 from .fields import GF, FFElem, PrimeField, QuotientField, is_prime
 from .poly import Poly, QQ, RationalFunction, poly_str
-from .poly import _IntListRing, _PolyRing, _int_list_at, _int_list_strip
+from .poly import _IntListRing, _PolyRing, _int_list_strip
 
 
 # Largest torsion over F_q; a p-th power exponent walks p roots of unity.
@@ -168,20 +167,12 @@ def unit_part_at(h, point):
     """(v, u) with h = uniformizer^v * unit near the point, and u the
     image of the unit in kappa(x): the exponents (1, -1) case of
     _combine over the stripped numerator and denominator.  At a point
-    where h has neither zero nor pole, u is the value of h there; over Q
-    at t = a/b it is read off b^deg f(a/b) of each side's integer form.
+    where h has neither zero nor pole, u is the value of h there.
     """
     if isinstance(h, Poly):
         h = RationalFunction(h)
     if h.is_zero:
         raise ValueError("the zero function has no finite valuation")
-    pi = point.poly
-    if pi is not None and pi.field is QQ and pi.degree == 1:
-        (a, b), (cn, n), (cd, d) = pi.int_form()[1], h.num.int_form(), h.den.int_form()
-        x, y, e = _int_list_at(n, -a, b), _int_list_at(d, -a, b), len(d) - len(n)
-        if x and y:
-            return 0, Fraction(cn.numerator * cd.denominator * x * b ** max(e, 0),
-                               cn.denominator * cd.numerator * y * b ** max(-e, 0))
     sides = _strip((h.num, h.den), point)
     return sides[0][0] - sides[1][0], _combine(point, sides, (1, -1), 1)
 
@@ -201,31 +192,22 @@ def _strip(polys, point):
     """(w, n, m, u) for each f: f = pi^w g near the point, and g maps to
     (n/m) u in kappa(x), with n, m integers and u a kappa element or None
     for 1.  Over Q, f = content P^w G for the primitive integer form
-    P = L pi, and L^k G = r modulo P, so n/m = content L^(w-k); over a
-    finite field one loop divides in a ring of poly, _IntListRing on the
-    integer representatives over F_p, _PolyRing over an extension field;
-    at infinity w = -deg f and g maps to lc(f).  A constant integer or
-    rational r folds into n/m."""
-    F, pi, kappa = point.base.field, point.poly, residue_field(point)
-
-    def side(w, n, m, r):
-        c = r[0]
-        if len(r) == 1 and not isinstance(c, FFElem):
-            return w, n * c.numerator, m * c.denominator, None
-        if kappa is F:
-            return w, n, m, c
-        pad = (F.zero,) * (kappa.degree - len(r))
-        return w, n, m, FFElem(kappa, tuple(map(F.coerce, r)) + pad)
-
+    P = L pi, and L^k G = r modulo P, so n/m = content L^(w-k), and r is
+    one integer at a rational point; over a finite field one loop divides
+    in a ring of poly, _IntListRing on the integer representatives over
+    F_p, _PolyRing over an extension field; at infinity w = -deg f and g
+    maps to lc(f).  A one-entry r over Q folds into n/m; _side reads r."""
+    F, pi = point.base.field, point.poly
     if pi is None:
-        return [side(-f.degree, 1, 1, [f.lc]) for f in polys]
+        return [_side(point, -f.degree, 1, 1, [f.lc]) for f in polys]
     if F is QQ:
         P, out = pi.int_form()[1], []
         for f in polys:
             content, ints = f.int_form()
             w, _, k, r = _int_list_strip(ints, P)
             n, m, L = content.numerator, content.denominator, P[-1] ** abs(w - k)
-            out.append(side(w, n * L, m, r) if w > k else side(w, n, m * L, r))
+            n, m = (n * L, m) if w > k else (n, m * L)
+            out.append((w, n * r[0], m, None) if len(r) == 1 else _side(point, w, n, m, r))
         return out
     prime = isinstance(F, PrimeField)
     R = _IntListRing(F.p) if prime else _PolyRing(F)
@@ -238,8 +220,22 @@ def _strip(polys, point):
         w, (q, r) = 0, R.divmod([c.rep for c in f.coeffs] if prime else f, P)
         while R.deg(r) < 0:
             w, (q, r) = w + 1, R.divmod(q, P)
-        out.append(side(w, 1, 1, r if prime else r.coeffs))
+        out.append(_side(point, w, 1, 1, r if prime else r.coeffs))
     return out
+
+
+def _side(point, w, n, m, r):
+    """_strip's (w, n, m, u) for the remainder r, a nonempty list of
+    coefficients: a constant integer or rational folds into n/m, and
+    anything else is u in kappa(x), which is asked for only here."""
+    F, c = point.base.field, r[0]
+    if len(r) == 1 and not isinstance(c, FFElem):
+        return w, n * c.numerator, m * c.denominator, None
+    kappa = residue_field(point)
+    if kappa is F:
+        return w, n, m, c
+    pad = (F.zero,) * (kappa.degree - len(r))
+    return w, n, m, FFElem(kappa, tuple(map(F.coerce, r)) + pad)
 
 
 def _combine(point, sides, exps, sign):

@@ -439,7 +439,7 @@ def test_unit_part_at_rational_points_matches_division():
 
 
 def _unit_part_by_strip_route(h, x):
-    """unit_part_at's own strip and combine, with no read at a regular point."""
+    """unit_part_at's strip and combine, called directly."""
     sides = points._strip((h.num, h.den), x)
     return sides[0][0] - sides[1][0], points._combine(x, sides, (1, -1), 1)
 
@@ -448,9 +448,8 @@ def test_unit_part_at_rational_points_with_non_monic_entries_matches_division():
     """At t = c over Q, with and without a denominator, entries whose
     numerators are not monic and whose integer forms have content other
     than 1 match the division oracle where they are regular, where they
-    vanish and where they have a pole; a regular one gives its value.  The
-    read off the integer forms at a regular point gives what strip and
-    combine give."""
+    vanish and where they have a pole; a regular one gives its value, and
+    every one a Fraction, the one that strip and combine give."""
     rng = random.Random(137)
     kinds = Counter()
     for c in RATIONAL_POINTS:
@@ -468,24 +467,32 @@ def test_unit_part_at_rational_points_with_non_monic_entries_matches_division():
         assert kinds[route, True, True] >= 5 and kinds[route, False, True] >= 5, kinds
 
 
-def test_regular_rational_point_makes_no_strip(monkeypatch):
-    """Where neither side vanishes at t = c over Q, unit_part_at reads the
-    value with no strip and no combine."""
+def test_rational_points_over_q_need_no_residue_field(monkeypatch):
+    """At t = c over Q, unit_part_at and tame_symbol_at never ask for
+    kappa(x): with points.residue_field refused they still match the
+    division oracle, where the entries are regular, vanish or have a pole,
+    on non-monic entries and at points with a denominator."""
+    rng = random.Random(143)
+    cases, kinds = [], Counter()
+    for c in RATIONAL_POINTS:
+        x = ClosedPoint.rational(Q_BASE, c)
+        for _ in range(30):
+            a, b = (_rational_entry(rng, c) * Fraction(rng.choice([1, 2, -3]), rng.choice([1, 5]))
+                    for _ in "ab")
+            cases.append((a, b, x, _unit_part_by_strip(a, x), _tame_by_strip(a, b, x)))
+            va = cases[-1][3][0]
+            odd = a.num.lc != 1 and a.num.int_form()[0] != 1
+            kinds["pole" if va < 0 else "zero" if va else "regular", c.denominator > 1, odd] += 1
+    for route in ("regular", "zero", "pole"):
+        assert kinds[route, True, True] >= 5 and kinds[route, False, True] >= 5, kinds
 
     def refuse(*args):
-        raise AssertionError("stripped at a regular rational point")
+        raise AssertionError("asked for kappa(x) at a rational point over Q")
 
-    rng = random.Random(141)
-    cases = []
-    for c in RATIONAL_POINTS:
-        while len(cases) < 10 * (RATIONAL_POINTS.index(c) + 1):
-            h = _rational_entry(rng, c) * Fraction(rng.choice([1, -3]), rng.choice([1, 4]))
-            if h.num.evaluate(c) and h.den.evaluate(c):
-                cases.append((h, c))
-    monkeypatch.setattr(points, "_strip", refuse)
-    monkeypatch.setattr(points, "_combine", refuse)
-    for h, c in cases:
-        assert unit_part_at(h, ClosedPoint.rational(Q_BASE, c)) == (0, h.evaluate(c)), (c, h)
+    monkeypatch.setattr(points, "residue_field", refuse)
+    for a, b, x, unit, tame in cases:
+        assert unit_part_at(a, x) == unit, (x, a)
+        assert tame_symbol_at(a, b, x) == tame, (x, a, b)
 
 
 def test_symbol_hash_is_kept_after_the_first(monkeypatch):

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from brauercalc.brauer import BrauerClass
-from brauercalc import cli, factoring
+from brauercalc import cli, covers, factoring
 from brauercalc.cli import main
 from brauercalc.covers import make_unramified_cover
 from brauercalc.errors import ParseError, ScopeError
@@ -238,6 +238,38 @@ def test_cli_witness_roundtrip(tmp_path, capsys):
     assert out["kind"] == "splitting"
     assert out["mode"] == "full" and out["ok"] is True
     assert all(chk["passed"] for chk in out["checks"])
+
+
+def test_cli_verify_witness_builds_a_divisor_only_for_a_ramified_pullback(
+        tmp_path, monkeypatch, capsys):
+    """For a bare symbol over Q whose pullback the comparison with zero
+    finds unramified, the report says it ramifies at 0 points without
+    building its divisor: with covers.ramification_divisor refused it is
+    the same, byte for byte.  A cover that leaves the symbol ramified
+    still counts the pullback's points."""
+    cases = [("(5,t)", "0"), ("(-1,t)", "0"), ("(7/2, t-3)", "3"), ("(-7, t+1)", "-1")]
+    runs = []
+    for i, (text, at) in enumerate(cases):
+        wfile = tmp_path / f"w{i}.json"
+        assert main(["witness", text, f"--at={at}", "--out", str(wfile)]) == 0
+        capsys.readouterr()
+        for fmt in ("text", "json"):
+            argv = ["verify-witness", text, str(wfile), "--format", fmt]
+            assert main(argv) == 0
+            runs.append((argv, capsys.readouterr().out))
+    assert all("pullback ramifies at 0 points" in out for _, out in runs)
+    stored = json.loads((tmp_path / "w1.json").read_text())
+    (tmp_path / "same.json").write_text(json.dumps({**stored, "reparam": "t"}))
+    assert main(["verify-witness", "(-1,t)", str(tmp_path / "same.json")]) == 0
+    assert "pullback ramifies at 2 points" in capsys.readouterr().out
+
+    def refuse(*args):
+        raise AssertionError("built the divisor of an unramified pullback")
+
+    monkeypatch.setattr(covers, "ramification_divisor", refuse)
+    for argv, out in runs:
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
 
 
 def test_cli_witness_verifies_over_finite_base(tmp_path, capsys):

@@ -21,7 +21,9 @@ itertools.product, which would build one object per element of the
 field; a field hands out its i-th element with element_at(i).
 Only poly, factoring and points name integer forms (int_form and the
 _int_list_* helpers), and brauer calls no evaluate: the rest of the
-library reads values at a point off points.unit_part_at.
+library reads values at a point off points.unit_part_at.  The bodies of
+points.unit_part_at and points.tame_symbol_at name neither, so every
+value at a point goes through points._strip and points._combine.
 No library function but poly._power shifts an exponent with >>=, so
 square-and-multiply is written once and every power goes through it.
 No library function but poly._gcd, poly._xgcd and poly.resultant runs
@@ -285,6 +287,19 @@ def test_integer_forms_stay_in_poly_factoring_and_points():
         if name == "brauer.py" and named == "evaluate":
             hits.append(f"{name}:{node.lineno} calls evaluate")
     assert not hits, f"integer forms or evaluation outside their modules: {hits}"
+
+
+def test_local_expansions_only_strip_and_combine():
+    tree = ast.parse((PACKAGE / "points.py").read_text(encoding="utf-8"))
+    funcs = [n for n in tree.body if getattr(n, "name", None) in ("unit_part_at", "tame_symbol_at")]
+    assert len(funcs) == 2, "points.unit_part_at or points.tame_symbol_at not found"
+    hits = [
+        f"{func.name} names {named}"
+        for func in funcs
+        for named in sorted(set(_referenced_names(func)))
+        if named in ("int_form", "evaluate") or named.startswith("_int_list_")
+    ]
+    assert not hits, f"a value at a point read around _strip and _combine: {hits}"
 
 
 def test_square_and_multiply_is_written_once():
