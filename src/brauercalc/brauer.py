@@ -30,7 +30,6 @@ from functools import cached_property
 from fractions import Fraction
 
 from .errors import NotSymbolRegular, ScopeError
-from .factoring import factor_poly
 from .fields import rational_is_square
 from .hilbert import local_invariants, nonsplit_places
 from .points import (
@@ -40,6 +39,7 @@ from .points import (
     sweep_values,
     tame_symbol_at,
     unit_part_at,
+    zero_points,
 )
 from .poly import RationalFunction
 from .residues import ResidueClass, corestriction_exponent, norm_to_base
@@ -119,11 +119,8 @@ class BrauerClass:
 def _symbol_points(s, base):
     """Infinity and the factors of the entries: where a valuation can be nonzero."""
     if s._points is None:
-        pts = {ClosedPoint.infinity(base)}
-        for f in (s.a.num, s.a.den, s.b.num, s.b.den):
-            if f.degree >= 1:
-                pts.update(ClosedPoint(base, g) for g, _ in factor_poly(f))
-        object.__setattr__(s, "_points", frozenset(pts))
+        sets = [zero_points(base, f) for f in (s.a.num, s.a.den, s.b.num, s.b.den) if f.degree > 0]
+        object.__setattr__(s, "_points", frozenset([ClosedPoint.infinity(base)]).union(*sets))
     return s._points
 
 
@@ -157,10 +154,8 @@ class RamificationDivisor:
 
 def ramification_points(cls):
     """Candidate points: infinity plus every irreducible factor of an entry."""
-    cands = {ClosedPoint.infinity(cls.base)}
-    for s in cls.symbols:
-        cands |= _symbol_points(s, cls.base)
-    return sorted_points(cands)
+    sets = (_symbol_points(s, cls.base) for s in cls.symbols)
+    return sorted_points(frozenset([ClosedPoint.infinity(cls.base)]).union(*sets))
 
 
 def ramification_divisor(cls):

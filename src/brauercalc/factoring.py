@@ -481,12 +481,12 @@ def _factor_q_monic(f):
     if parts is None:
         pieces += [
             (part, mult)
-            for h, mult in squarefree_decomposition(Poly.monic_from_ints(g))
+            for h, mult in squarefree_decomposition(Poly.monic_from_ints(tuple(g)))
             for part in _zassenhaus(h.int_form()[1], squarefree=True)
         ]
     else:
         pieces += [(part, 1) for part in parts]
-    monic = [(Poly.monic_from_ints(part), mult) for part, mult in pieces]
+    monic = [(Poly.monic_from_ints(tuple(part)), mult) for part, mult in pieces]
     return tuple(sorted(monic, key=lambda fm: fm[0].sort_key()))
 
 

@@ -32,11 +32,9 @@ display form that the parser does not accept.
 
 from __future__ import annotations
 
-from math import lcm
-
 from .brauer import BrauerClass
 from .errors import ParseError, ScopeError
-from .poly import Poly, QQ, RationalFunction, poly_str, ratfunc_str, terms_str
+from .poly import Poly, QQ, RationalFunction, cleared_ints, poly_str, ratfunc_str, terms_str
 
 # Every entry is factored over the base (over Q by Zassenhaus, whose
 # recombination can grow exponentially with the degree), so the degree of
@@ -164,9 +162,8 @@ class _ClassParser:
             if self.peek()[0] not in ("+", "-"):
                 break
             sign = 1 if self.advance()[0] == "+" else -1
-        field = self.field
         top = max(terms, default=-1)
-        return Poly(field, [field.from_int(terms.get(k, 0)) for k in range(top + 1)])
+        return Poly.from_ints(self.field, [terms.get(k, 0) for k in range(top + 1)])
 
     def product(self):
         """(c, k) for the monomial c*t^k, with c reduced mod the characteristic;
@@ -237,11 +234,7 @@ def ratfunc_text(r):
     over nonprime fields) is not re-parseable.
     """
     if r.field is QQ:
-        scale = lcm(*(c.denominator for c in r.num.coeffs + r.den.coeffs))
-        num_s, den_s = (
-            terms_str([str(c.numerator * (scale // c.denominator)) for c in f.coeffs])
-            for f in (r.num, r.den)
-        )
+        num_s, den_s = (terms_str(map(str, ints)) for ints in cleared_ints(r.num, r.den)[1:])
     else:
         num_s, den_s = poly_str(r.num), poly_str(r.den)
         if "[" in num_s + den_s:  # a coefficient outside the prime subfield

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ScopeError
-from .factoring import is_irreducible
+from .factoring import factor_poly, is_irreducible
 from .fields import GF, FFElem, PrimeField, QuotientField, is_prime
 from .poly import Poly, QQ, RationalFunction, poly_str
 from .poly import _IntListRing, _PolyRing, _int_list_strip
@@ -92,7 +92,7 @@ class ClosedPoint:
 
     @classmethod
     def infinity(cls, base):
-        return cls(base, None)
+        return _point(base, None)
 
     @classmethod
     def finite(cls, base, poly):
@@ -132,6 +132,24 @@ class ClosedPoint:
 
     def __repr__(self):
         return f"ClosedPoint({self})"
+
+
+def zero_points(base, f):
+    """The frozenset of points where f vanishes; over Q one per integer form."""
+    if base.field is QQ:
+        return _zero_points(base, f.int_form()[1])
+    return frozenset(_point(base, g) for g, _ in factor_poly(f))
+
+
+@lru_cache(maxsize=4096)
+def _zero_points(base, ints):
+    return frozenset(_point(base, g) for g, _ in factor_poly(Poly.from_ints(QQ, ints)))
+
+
+@lru_cache(maxsize=4096)
+def _point(base, poly):
+    """One shared point per base and factor (monic irreducible, or None)."""
+    return ClosedPoint(base, poly)
 
 
 @lru_cache(maxsize=None)

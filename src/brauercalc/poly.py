@@ -1,10 +1,9 @@
 """Exact univariate polynomial and rational function arithmetic.
 
-A polynomial is stored as a tuple of coefficients, lowest degree first,
-with no trailing zeros, so the zero polynomial has an empty tuple and
-deg(f) == len(coeffs) - 1.  Every polynomial carries the field its
-coefficients live in: QQ (coefficients are fractions.Fraction) or one of
-the finite fields from the fields module (coefficients are FFElem).
+A polynomial carries its coefficient field, QQ (coefficients are
+fractions.Fraction) or one of the finite fields from the fields module
+(coefficients are FFElem), and coeffs, lowest degree first with no
+trailing zeros, so deg(f) == len(coeffs) - 1 and zero has none.
 Coefficient types implement +, -, *, / and equality exactly; nothing in
 this module ever rounds.
 
@@ -16,13 +15,15 @@ forms are coprime modulo a prime dividing neither leading entry: by
 Gauss's lemma a common factor over Q is a primitive integer polynomial
 whose reduction keeps its degree and divides both (MCA 6.2).
 
-A polynomial over QQ also has an integer form, computed on first use,
-kept on the polynomial and passed on to its scalar multiples: f ==
-content * ints with ints a primitive integer tuple whose leading entry is
-positive.  At a rational point c = a/b in lowest terms, b^n f(a/b) is an
-integer found by homogeneous Horner, and when it vanishes, b*t - a
-divides ints exactly in Z[t] (Gauss's lemma, MCA 6.2), so valuations and
-unit parts there need no Fraction division.
+Over QQ the integer form is the representation: f == content * ints,
+ints a primitive integer tuple with a positive leading entry, (0, ()) for
+zero.  Hash, equality, sums and products use it, multiplying in Z[t]
+(primitive times primitive is primitive: Gauss's lemma, MCA 6.2); the
+Fraction coefficients are built on first read, as is the form of a
+polynomial built from them.  At c = a/b in lowest terms, b^n f(a/b) is
+an integer found by homogeneous Horner, and when it vanishes, b*t - a
+divides ints exactly in Z[t], so valuations and unit parts there need
+no Fraction division.
 
 Integer coefficient lists (lowest degree first) have every primitive
 here: _int_list_* for the integer form, _z* for Hensel lifting.  The two
@@ -43,6 +44,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import lru_cache
 from itertools import zip_longest
 
 
@@ -65,7 +67,8 @@ class RationalField:
         raise TypeError(f"cannot coerce {v!r} into QQ")
 
     def element_key(self, v):
-        return v
+        """v after its floor, which orders most pairs by one int comparison."""
+        return (v.numerator // v.denominator, v)
 
     def format_element(self, v):
         return str(v)
@@ -78,42 +81,81 @@ QQ = RationalField()
 
 
 class Poly:
-    """Dense univariate polynomial over an exact coefficient field."""
+    """Dense univariate polynomial over an exact field; zero has degree -1."""
 
-    __slots__ = ("field", "coeffs", "_int_form", "_hash")
+    __slots__ = ("field", "degree", "lc", "coeffs", "_int_form", "_hash", "_key")
 
     def __init__(self, field, coeffs):
         cs = list(coeffs)
         while cs and cs[-1] == field.zero:
             cs.pop()
         object.__setattr__(self, "field", field)
+        object.__setattr__(self, "degree", len(cs) - 1)
         object.__setattr__(self, "coeffs", tuple(cs))
+        if cs:
+            object.__setattr__(self, "lc", cs[-1])
+
+    @classmethod
+    def _q(cls, form):
+        """Over QQ from its integer form, (0, ()) for zero; coeffs and lc come later."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "field", QQ)
+        object.__setattr__(f, "degree", len(form[1]) - 1)
+        object.__setattr__(f, "_int_form", form)
+        return f
+
+    def __getattr__(self, name):
+        """The slots built on first read: over QQ, the integer form or coeffs
+        and lc, whichever the polynomial was not built from; _hash, _key."""
+        if name == "_int_form" and self.field is QQ:
+            d = math.lcm(*(c.denominator for c in self.coeffs))
+            value = _q_form([c.numerator * d // c.denominator for c in self.coeffs], d)
+        elif name == "coeffs":
+            c, ints = self._int_form
+            value = tuple(Fraction(c.numerator * x, c.denominator) for x in ints)
+        elif name == "lc":
+            if self.degree < 0:
+                raise ValueError("zero polynomial has no leading coefficient")
+            value = self._int_form[0] * self._int_form[1][-1]
+        elif name == "_hash":
+            c, t = self._int_form if self.field is QQ else (None, self.coeffs)
+            value = hash((id(self.field), t) if c is None else (c.numerator, c.denominator, t))
+        elif name == "_key":
+            value = (self.degree, tuple(map(self.field.element_key, self.coeffs)))
+        else:
+            raise AttributeError(name)
+        object.__setattr__(self, name, value)
+        return value
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     @classmethod
     def from_ints(cls, field, ints):
-        return cls(field, [field.from_int(n) for n in ints])
+        """From integers, lowest degree first, kept as the integer form over QQ."""
+        ints = list(ints)
+        if field is not QQ or not all(type(n) is int for n in ints):
+            return cls(field, [field.from_int(n) for n in ints])
+        return cls._q(_q_form(ints, 1))
 
     @classmethod
+    @lru_cache(maxsize=4096)
     def monic_from_ints(cls, ints):
-        """Monic over QQ from a primitive integer list, kept as its integer form."""
-        f = cls(QQ, [Fraction(c, ints[-1]) for c in ints])
-        object.__setattr__(f, "_int_form", (Fraction(1, ints[-1]), tuple(ints)))
-        return f
+        """Monic over QQ from a primitive tuple, lc > 0: one object per tuple."""
+        return cls._q((Fraction(1, ints[-1]), ints))
 
     @classmethod
     def constant(cls, field, c):
-        return cls(field, [field.coerce(c)])
+        c = field.coerce(c)
+        return cls._q((c, (1,) if c else ())) if field is QQ else cls(field, [c])
 
     @classmethod
     def zero(cls, field):
-        return cls(field, [])
+        return cls.constant(field, field.zero)
 
     @classmethod
     def one(cls, field):
-        return cls(field, [field.one])
+        return cls.constant(field, field.one)
 
     @classmethod
     def gen(cls, field):
@@ -121,27 +163,16 @@ class Poly:
         return cls(field, [field.zero, field.one])
 
     @property
-    def degree(self):
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
     def is_zero(self):
-        return not self.coeffs
-
-    @property
-    def lc(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.degree < 0
 
     @property
     def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
+        return self.degree >= 0 and self.lc == self.field.one
 
     @property
     def is_constant(self):
-        return len(self.coeffs) <= 1
+        return self.degree <= 0
 
     def coeff(self, i):
         if 0 <= i < len(self.coeffs):
@@ -157,13 +188,16 @@ class Poly:
 
     def __add__(self, other):
         other = self._wrap(other)
+        if self.field is QQ:
+            k, a, b = cleared_ints(self, other)
+            return Poly._q(_q_form(_zadd(a, b), k))
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly(self.field, [self.coeff(i) + other.coeff(i) for i in range(n)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
+        return self * -1 if self.field is QQ else Poly(self.field, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-self._wrap(other))
@@ -172,13 +206,17 @@ class Poly:
         return self._wrap(other) - self
 
     def __mul__(self, other):
+        field = self.field
+        if field is QQ:
+            # primitive times primitive is primitive (Gauss's lemma, MCA 6.2)
+            (c, b), (d, a) = (self._wrap(other)._int_form if isinstance(other, Poly)
+                              else (field.coerce(other), (1,))), self._int_form
+            if not (a and c):
+                return Poly._q((field.zero, ()))
+            return Poly._q((d * c, b if a == (1,) else a if b == (1,) else tuple(_zmul(a, b))))
         if not isinstance(other, Poly):
-            c = self.field.coerce(other)
-            out = Poly(self.field, [a * c for a in self.coeffs])
-            form = getattr(self, "_int_form", None)
-            if form is not None and c:
-                object.__setattr__(out, "_int_form", (form[0] * c, form[1]))
-            return out
+            c = field.coerce(other)
+            return Poly(field, [a * c for a in self.coeffs])
         other = self._wrap(other)
         out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -224,16 +262,15 @@ class Poly:
         return q
 
     def __eq__(self, other):
-        if isinstance(other, Poly):
-            return self.field is other.field and self.coeffs == other.coeffs
-        return NotImplemented
+        if not isinstance(other, Poly):
+            return NotImplemented
+        if self.field is QQ is other.field:
+            (c, a), (d, b) = self._int_form, other._int_form
+            return a == b and c == d
+        return self.field is other.field and self.coeffs == other.coeffs
 
     def __hash__(self):
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = hash((id(self.field), self.coeffs))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return self._hash
 
     def monic(self):
         if self.is_zero:
@@ -242,27 +279,16 @@ class Poly:
 
     def derivative(self):
         field = self.field
-        return Poly(
-            field,
-            [field.from_int(i) * c for i, c in enumerate(self.coeffs)][1:],
-        )
+        return Poly(field, [field.from_int(i) * c for i, c in enumerate(self.coeffs)][1:])
 
     def int_form(self):
         """(content, ints) with self == content * ints, ints a primitive integer
-        tuple with a positive leading entry; over QQ only, computed once."""
-        form = getattr(self, "_int_form", None)
-        if form is not None:
-            return form
+        tuple with a positive leading entry; over QQ only."""
         if self.field is not QQ:
             raise TypeError("integer forms exist only over QQ")
-        if not self.coeffs:
+        if self.is_zero:
             raise ValueError("the zero polynomial has no integer form")
-        d = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [c.numerator * d // c.denominator for c in self.coeffs]
-        ints = _int_list_primitive(ints)
-        form = (self.coeffs[-1] / ints[-1], tuple(ints))
-        object.__setattr__(self, "_int_form", form)
-        return form
+        return self._int_form
 
     def evaluate(self, x):
         x = self.field.coerce(x) if not hasattr(x, "field") else x
@@ -273,7 +299,7 @@ class Poly:
         return _horner(self.coeffs, self._wrap(other), Poly.zero(self.field))
 
     def sort_key(self):
-        return (self.degree, tuple(self.field.element_key(c) for c in self.coeffs))
+        return self._key
 
     def __repr__(self):
         return f"Poly({poly_str(self)})"
@@ -299,6 +325,24 @@ def _horner(coeffs, x, zero):
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def _q_form(a, den):
+    """The integer form of a / den for integers a and den > 0; (0, ()) for zero."""
+    a = _ztrim(a)
+    if not a:
+        return QQ.zero, ()
+    prim = _int_list_primitive(a)
+    return Fraction(a[-1] // prim[-1], den), tuple(prim)
+
+
+def cleared_ints(f, g):
+    """(k, k*f, k*g) over QQ, multiples as integer lists, for the least k > 0
+    making both integral: primitive forms leave the contents' denominators' lcm."""
+    (c, a), (d, b) = f._int_form, g._int_form
+    k = math.lcm(c.denominator, d.denominator)
+    x, y = c.numerator * (k // c.denominator), d.numerator * (k // d.denominator)
+    return k, [x * v for v in a], [y * v for v in b]
 
 
 def _int_list_primitive(a):
@@ -624,7 +668,7 @@ class RationalFunction:
                     num = num.exact_div(g)
                     den = den.exact_div(g)
             inv = num.field.one / den.lc
-            if den.lc != num.field.one:
+            if inv != num.field.one:
                 num = num * inv
                 den = den * inv
         object.__setattr__(self, "num", num)

@@ -18,12 +18,17 @@ by Poly arithmetic: every literal and every t^e becomes a Poly,
 multiplied and added as read.  Whether two residues cut out the same
 Kummer extension is read off p-th power tests alone.  A valuation at a
 finite point is read off poly_strip, Poly division by the point's
-polynomial, over every base field.
+polynomial, over every base field.  What a polynomial over QQ reports
+(coefficients, integer form, degree, leading coefficient, sort key) is
+read off its trimmed Fraction tuple alone, denominators cleared by their
+product.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from collections import namedtuple
+from functools import reduce
 from math import prod
 
 from brauercalc.brauer import (
@@ -88,6 +93,28 @@ class PolyArithmeticParser(_ClassParser):
                 return Poly.gen(self.field) ** e
             return Poly.gen(self.field)
         raise ParseError(off, "expected a number or t")
+
+
+QQPoly = namedtuple("QQPoly", "coeffs int_form degree lc sort_key")
+
+
+def qq_poly_oracle(coeffs):
+    """QQPoly of the polynomial over QQ with these rational coefficients,
+    lowest degree first; int_form and lc are None for zero.  The integer
+    form clears denominators by their product and divides by the gcd,
+    signed so the leading entry is positive; the sort key is the degree
+    and each coefficient after its floor."""
+    cs = [Fraction(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    cs, n = tuple(cs), len(cs) - 1
+    if not cs:
+        return QQPoly(cs, None, -1, None, (-1, ()))
+    big = [int(c * prod(d.denominator for d in cs)) for c in cs]
+    g = reduce(math.gcd, big, 0) * (1 if big[-1] > 0 else -1)
+    ints = tuple(b // g for b in big)
+    key = (n, tuple((math.floor(c), c) for c in cs))
+    return QQPoly(cs, (cs[-1] / ints[-1], ints), n, cs[-1], key)
 
 
 def candidate_points(cls):

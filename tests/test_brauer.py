@@ -108,6 +108,27 @@ def test_ramification_points_cover_entry_factors():
     assert set(ramification_divisor(c).support()) <= set(pts)
 
 
+def test_symbols_sharing_an_entry_factor_share_its_point():
+    """Two symbols whose entries share the factor t - 3/2 (numerators of
+    different integer forms, one as a pole) hold one ClosedPoint object
+    for it, and every symbol holds the one infinity of its base; the same
+    over F_7 with the factor t - 2.  Their points are the oracle's."""
+    lin = q_poly(-3, 2)
+    s1, s2 = BrauerClass.make(Q_BASE, 2, [
+        (lin * q_poly(1, 1), 3), (q_poly(-5, 1) * 7, RationalFunction(q_poly(1, 0, 1), lin * lin))
+    ]).symbols
+    t7 = Poly.gen(F7.field)
+    r1, r2 = BrauerClass.make(F7, 3, [(t7 - 2, t7), (t7**2 + 1, (t7 - 2) * (t7 + 1))]).symbols
+    for (a, b), base, p, root in (((s1, s2), Q_BASE, 2, lin.monic()), ((r1, r2), F7, 3, t7 - 2)):
+        pa, pb = brauer._symbol_points(a, base), brauer._symbol_points(b, base)
+        (xa,), (xb,) = ([x for x in pts if x.poly == root] for pts in (pa, pb))
+        assert xa is xb
+        inf = ClosedPoint.infinity(base)
+        assert all(any(x is inf for x in pts) for pts in (pa, pb))
+        cls_ = BrauerClass(base, p, (a, b))
+        assert ramification_points(cls_) == candidate_points(cls_)
+
+
 def test_residue_is_multiplicative():
     rng = random.Random(101)
     for base, p in ((Q_BASE, 2), (F7, 2), (F7, 3)):
@@ -1015,7 +1036,7 @@ def test_specialization_after_the_divisor_factors_and_evaluates_nothing(monkeypa
         def refuse(*args):
             raise AssertionError("factoring or evaluation after the divisor")
 
-        monkeypatch.setattr(brauer, "factor_poly", refuse)
+        monkeypatch.setattr(brauer, "zero_points", refuse)
         monkeypatch.setattr(Poly, "evaluate", refuse)
         got = [
             [(c, specialize(cls_, c)) for c in itertools.islice(regular_rational_points(cls_), 3)]
@@ -1120,7 +1141,7 @@ def test_unramified_net_class_factors_no_entry(monkeypatch):
     def refuse(*args):
         raise AssertionError("an entry was factored")
 
-    monkeypatch.setattr(brauer, "factor_poly", refuse)
+    monkeypatch.setattr(brauer, "zero_points", refuse)
     got = [answers(fresh(a), fresh(b)) for a, b in pairs]
     assert got == want
     assert all(record[1] is None and record[2] is not None for record, _, _ in got)

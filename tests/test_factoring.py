@@ -448,6 +448,38 @@ def test_q_factors_keep_their_integer_forms():
     assert len(contents) > 3
 
 
+def test_q_factors_are_one_shared_object_each():
+    """Two different polynomials with the factor t - 3/2 get back the one
+    Poly for it, and so do their scalar multiples.  With the caches
+    cleared the factors come back as new objects, equal and in the same
+    order, over seeded products that take the rational-root pass, the
+    closed forms and Zassenhaus, with repeated factors."""
+    half = Poly(QQ, [Fraction(-3, 2), Fraction(1)])
+    f = Poly.from_ints(QQ, [-3, 2]) * Poly.from_ints(QQ, [1, 0, 1])  # (2t - 3)(t^2 + 1)
+    g = Poly.from_ints(QQ, [-3, 2]) ** 2 * Poly.from_ints(QQ, [5, 1]) * Fraction(7, 3)
+    shared = [h for p in (f, g, f * 4, g * Fraction(-1, 9))
+              for h, _ in factor_over_Q(p).factors if h == half]
+    assert len(shared) == 4 and all(h is shared[0] for h in shared)
+
+    rng = random.Random(363)
+    cases = [f, g, Poly.from_ints(QQ, [-2, 0, 0, 0, 1]) * Poly.from_ints(QQ, [-1, 1]) ** 3]
+    for _ in range(60):
+        p = Poly.constant(QQ, Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+        for _ in range(rng.randint(1, 4)):
+            coeffs = [rng.randint(-5, 5) for _ in range(rng.randint(1, 4))] + [rng.randint(1, 4)]
+            p = p * Poly.from_ints(QQ, coeffs) ** rng.randint(1, 2)
+        cases.append(p)
+    before = [factor_over_Q(p).factors for p in cases]
+    factoring._factor_q_monic.cache_clear()
+    Poly.monic_from_ints.cache_clear()
+    after = [factor_over_Q(p).factors for p in cases]
+    assert after == before
+    assert [[h.sort_key() for h, _ in fs] for fs in after] == [
+        [h.sort_key() for h, _ in fs] for fs in before]
+    assert all(h is not k for fs, gs in zip(before, after) for (h, _), (k, _) in zip(fs, gs))
+    assert sum(len(fs) > 2 for fs in after) > 10 and max(m for fs in after for _, m in fs) > 1
+
+
 def test_factor_over_Q_builds_no_finite_field_objects(monkeypatch):
     # route guard: the modular stage of the factorization over Q runs on
     # integer lists, never on PrimeField, FFElem or the Poly ring of the split;

@@ -1,5 +1,6 @@
 """Polynomial and rational-function arithmetic."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -20,7 +21,10 @@ from brauercalc.poly import (
     resultant,
 )
 
+from brauercalc.parser import _ClassParser
+
 from _gen import random_poly, rational
+from _oracles import qq_poly_oracle
 
 
 def P(*ints):
@@ -364,3 +368,119 @@ def test_scalar_multiple_keeps_the_integer_form():
     h = RationalFunction(P(2, 3), P(4, 0, 6))
     assert h.num._int_form == Poly(QQ, h.num.coeffs).int_form()
     assert h.den._int_form == (Fraction(1, 3), (2, 0, 3))
+
+
+def _poly_text(ints):
+    """The grammar's text of the integer polynomial ints, lowest degree first."""
+    terms = [(c, k) for k, c in enumerate(ints) if c][::-1]
+    if not terms:
+        return "0"
+    out = "-" if terms[0][0] < 0 else ""
+    for i, (c, k) in enumerate(terms):
+        if i:
+            out += " - " if c < 0 else " + "
+        out += f"{abs(c)}*t^{k}" if k else str(abs(c))
+    return out
+
+
+def _primitive(rng):
+    """A primitive integer tuple with a positive leading entry."""
+    while True:
+        ints = [rng.randint(-3, 3) for _ in range(rng.randint(0, 2))] + [rng.randint(1, 3)]
+        if math.gcd(*ints) == 1:
+            return tuple(ints)
+
+
+def _convolve(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for (i, x), (j, y) in itertools.product(enumerate(a), enumerate(b)):
+        out[i + j] += x * y
+    return out
+
+
+def _qq_by_route(rng, route):
+    """(f, its coefficients as rationals) with f built by the route."""
+    ints = [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))]
+    if route == "fractions":
+        cs = [Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3])) for _ in ints]
+        return Poly(QQ, cs), cs
+    if route == "ints":
+        return Poly.from_ints(QQ, ints), ints
+    if route == "parser":
+        return _ClassParser(_poly_text(ints), QQ).poly(), ints
+    if route == "monic":
+        prim = _primitive(rng)
+        return Poly.monic_from_ints(prim), [Fraction(c, prim[-1]) for c in prim]
+    f, a = _qq_by_route(rng, rng.choice(["fractions", "ints", "parser", "monic"]))
+    if route == "scalar":
+        c = rng.choice([rng.randint(-3, 3), rational(rng, 3)])
+        return f * c, [x * c for x in a]
+    g, b = _qq_by_route(rng, rng.choice(["fractions", "ints", "parser", "monic"]))
+    return f * g, _convolve(a, b)
+
+
+QQ_ROUTES = ("fractions", "ints", "parser", "monic", "product", "scalar")
+
+
+def test_qq_polys_by_every_route_match_the_fraction_oracle():
+    """2000 seeded polynomials over QQ, each built from a Fraction list, by
+    from_ints, the parser, monic_from_ints, a product or a scalar multiple,
+    report what the oracle reads off their Fraction tuples; equal values
+    compare equal and hash alike across routes, and unequal ones differ."""
+    rng = random.Random(361)
+    groups = {}
+    for i in range(2000):
+        route = QQ_ROUTES[i % len(QQ_ROUTES)]
+        f, cs = _qq_by_route(rng, route)
+        want = qq_poly_oracle(cs)
+        assert f.coeffs == want.coeffs and all(type(c) is Fraction for c in f.coeffs), route
+        assert (f.degree, f.is_zero, f.sort_key()) == (want.degree, not cs or not any(cs),
+                                                       want.sort_key), route
+        if want.int_form is None:
+            with pytest.raises(ValueError):
+                f.int_form()
+        else:
+            assert (f.int_form(), f.lc) == (want.int_form, want.lc), route
+        assert f == Poly(QQ, want.coeffs) and hash(f) == hash(Poly(QQ, want.coeffs))
+        groups.setdefault(want.coeffs, []).append((route, f))
+    assert len(groups) > 100 and sum(len(g) > 1 for g in groups.values()) > 50
+    routes_met = {r for g in groups.values() if len(g) > 1 for r, _ in g}
+    assert routes_met == set(QQ_ROUTES)
+    for g in groups.values():
+        for (_, f), (_, h) in itertools.combinations(g, 2):
+            assert f == h and hash(f) == hash(h)
+    reps = [g[0][1] for g in groups.values()]
+    for f, h in zip(reps, reps[1:]):
+        assert f != h
+
+
+def _coeffs_built(f):
+    """Whether f holds its coefficient tuple, read past Poly.__getattr__."""
+    try:
+        Poly.coeffs.__get__(f, Poly)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_integer_polys_hash_compare_and_multiply_with_no_coefficient_tuple():
+    """Over QQ, polynomials from from_ints, the parser and monic_from_ints,
+    and their products, scalar multiples and negatives, are hashed,
+    compared, used as keys and read for degree, leading coefficient and
+    integer form without any of them building its Fraction coefficients."""
+    Poly.monic_from_ints.cache_clear()
+    rng = random.Random(362)
+    polys = []
+    for _ in range(150):
+        ints = [rng.randint(-40, 40) for _ in range(rng.randint(0, 4))] + [rng.randint(1, 40)]
+        polys += [Poly.from_ints(QQ, ints), _ClassParser(_poly_text(ints), QQ).poly(),
+                  Poly.monic_from_ints((rng.randint(10**6, 10**7),) + _primitive(rng))]
+    made = [f * g for f, g in zip(polys, polys[1:])]
+    made += [f * rational(rng, 9) for f in polys] + [-f for f in polys] + [f * 0 for f in polys]
+    table = {}
+    for f in polys + made:
+        table.setdefault(f, f)
+        assert f.degree >= -1 and (f.is_zero or f.lc == f.int_form()[0] * f.int_form()[1][-1])
+    assert all(table[f] == f for f in polys + made)
+    assert sum(f == g for f, g in zip(polys[::3], polys[1::3])) == len(polys) // 3
+    assert not [f for f in polys + made if _coeffs_built(f) and not f.is_zero]

@@ -21,9 +21,12 @@ itertools.product, which would build one object per element of the
 field; a field hands out its i-th element with element_at(i).
 Only poly, factoring and points name integer forms (int_form and the
 _int_list_* helpers), and brauer calls no evaluate: the rest of the
-library reads values at a point off points.unit_part_at.  The bodies of
-points.unit_part_at and points.tame_symbol_at name neither, so every
-value at a point goes through points._strip and points._combine.
+library reads values at a point off points.unit_part_at.  A polynomial's
+_int_form is written only by Poly itself, in Poly._q or on first read in
+Poly.__getattr__, so no caller patches an integer form onto a polynomial.
+The bodies of points.unit_part_at and points.tame_symbol_at name neither
+int_form nor evaluate, so every value at a point goes through
+points._strip and points._combine.
 No library function but poly._power shifts an exponent with >>=, so
 square-and-multiply is written once and every power goes through it.
 No library function but poly._gcd, poly._xgcd and poly.resultant runs
@@ -287,6 +290,33 @@ def test_integer_forms_stay_in_poly_factoring_and_points():
         if name == "brauer.py" and named == "evaluate":
             hits.append(f"{name}:{node.lineno} calls evaluate")
     assert not hits, f"integer forms or evaluation outside their modules: {hits}"
+
+
+# Where Poly sets the integer form, the representation over QQ: the
+# constructor from a form, and the first read of a Fraction-built one.
+_INT_FORM_WRITERS = {"_q", "__getattr__"}
+
+
+def test_integer_forms_are_written_only_by_poly():
+    hits = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = {
+            id(node)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name == "Poly"
+            for item in cls.body
+            if getattr(item, "name", None) in _INT_FORM_WRITERS
+            or any(getattr(t, "id", None) == "__slots__" for t in getattr(item, "targets", ()))
+            for node in ast.walk(item)
+        }
+        for node in ast.walk(tree):
+            named = node.value == "_int_form" if isinstance(node, ast.Constant) else (
+                isinstance(node, ast.Attribute) and node.attr == "_int_form"
+                and not isinstance(node.ctx, ast.Load))
+            if named and id(node) not in allowed:
+                hits.append(f"{path.name}:{node.lineno}")
+    assert not hits, f"integer forms written outside Poly._q and Poly.__getattr__: {hits}"
 
 
 def test_local_expansions_only_strip_and_combine():
