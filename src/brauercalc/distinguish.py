@@ -46,7 +46,7 @@ from .errors import ScopeError
 from .factoring import factor_over_Fq, squarefree_kernel
 from .fields import is_pth_power_finite, multiplicative_generator, pth_power_exponent
 from .hilbert import separating_discriminant, splits_invariant_set
-from .points import ClosedPoint, reduce_at, residue_field
+from .points import _point, reduce_at, residue_field
 from .poly import RationalFunction
 from .residues import corestriction_exponent
 
@@ -275,7 +275,7 @@ def _residue_symbols(base, p, pt, value):
     w = kappa.to_poly(gen**m)
     out = [(RationalFunction(w), RationalFunction(pt.poly))]
     for phi, e in factor_over_Fq(w).factors:
-        ppt = ClosedPoint(base, phi)
+        ppt = _point(base, phi)
         pi_img = reduce_at(RationalFunction(pt.poly), ppt)
         out.extend(_residue_symbols(base, p, ppt, pi_img**e))
     return out

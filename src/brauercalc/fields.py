@@ -16,7 +16,8 @@ multiplicative generator and, per p, its (q-1)/p-th power, both kept on
 the field, discrete logs against it, and p-th power tests;
 none of that exists for quotients over QQ, which instead get resultant norms.
 The integer primality test and factorizer live here too, because building
-GF(q) and finding a generator need them; factoring re-exports them.
+GF(q) and finding a generator need them; factoring, hilbert and points
+import them from here.
 
 This module holds no polynomial algorithms.  GF takes its irreducibility
 test from factoring at call time, since factoring imports this module.

@@ -2,16 +2,16 @@
 
 A closed point of P^1 over k is either the distinguished point at
 infinity (uniformizer 1/t) or a monic irreducible polynomial in k[t].
-Only monic irreducibles are admitted; the constructor normalizes the
+Only monic irreducibles are admitted; ClosedPoint.finite normalizes the
 leading coefficient and checks irreducibility, so a ClosedPoint can be
-trusted downstream.  Every local expansion is one strip and one
-combine, at every point and over every base: _strip takes each side's
-power of the uniformizer off once (integer forms over Q, one division
-loop over poly's rings for every finite base, degrees at infinity), and
-_combine builds one integer fraction, one top and one bottom in
-kappa(x).  unit_part_at is the exponents (1, -1) case, read by
-valuation_at, reduce_at and brauer.specialize; tame_symbol_at is the
-four-side case.
+trusted downstream; every point is the one _point of its base and
+factor.  Every local expansion is one strip and one combine, at every
+point and over every base: _strip takes each side's power of the
+uniformizer off once (integer forms over Q, one division loop over
+poly's rings for every finite base, degrees at infinity), and _combine
+builds one integer fraction, one top and one bottom in kappa(x).
+unit_part_at is the exponents (1, -1) case, read by valuation_at,
+reduce_at and brauer.specialize; tame_symbol_at is the four-side case.
 """
 
 from __future__ import annotations
@@ -103,14 +103,16 @@ class ClosedPoint:
         poly = poly.monic()
         if not is_irreducible(poly):
             raise ValueError(f"{poly_str(poly)} is not irreducible over {base!r}")
-        return cls(base, poly)
+        return _point(base, poly)
 
     @classmethod
     def rational(cls, base, value):
-        """The point t = value."""
+        """The point t = value, shared with zero_points (over Q by integer form)."""
         field = base.field
         v = field.coerce(value)
-        return cls(base, Poly(field, [-v, field.one]))
+        if field is QQ:
+            return _point(base, Poly.monic_from_ints((-v.numerator, v.denominator)))
+        return _point(base, Poly(field, [-v, field.one]))
 
     @property
     def is_infinity(self):
@@ -135,15 +137,8 @@ class ClosedPoint:
 
 
 def zero_points(base, f):
-    """The frozenset of points where f vanishes; over Q one per integer form."""
-    if base.field is QQ:
-        return _zero_points(base, f.int_form()[1])
+    """The frozenset of shared points where f vanishes, one per factor of f."""
     return frozenset(_point(base, g) for g, _ in factor_poly(f))
-
-
-@lru_cache(maxsize=4096)
-def _zero_points(base, ints):
-    return frozenset(_point(base, g) for g, _ in factor_poly(Poly.from_ints(QQ, ints)))
 
 
 @lru_cache(maxsize=4096)

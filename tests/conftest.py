@@ -1,7 +1,8 @@
 """Shared fixtures: every test starts with empty factor caches.
 
 factor_over_Q and factor_over_Fq (over a prime field) answer a repeated
-polynomial, and fields.factor_int a repeated integer, from an lru_cache.
+polynomial, and fields.factor_int a repeated integer, from an lru_cache;
+points.zero_points holds no cache of its own and reads the factor cache.
 A test that patches a budget, or a route it guards, must see the
 factorization run, not an answer that an earlier test left in the cache:
 test_fields.py's Pollard-Brent seeding test, for one, would otherwise

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from brauercalc import brauer, hilbert, points
+from brauercalc import brauer, factoring, hilbert, points
 from brauercalc.brauer import (
     BrauerClass,
     classes_equal,
@@ -127,6 +127,42 @@ def test_symbols_sharing_an_entry_factor_share_its_point():
         assert all(any(x is inf for x in pts) for pts in (pa, pb))
         cls_ = BrauerClass(base, p, (a, b))
         assert ramification_points(cls_) == candidate_points(cls_)
+
+
+def test_the_factor_cache_answers_a_repeated_entry():
+    """t^2 - 4 and 2t^2 - 8, entries of two classes parsed apart, share
+    the primitive integer form t^2 - 4: it is factored once, the second
+    class reads the factor cache, and both hold the one point t - 2."""
+    classes = [parse_class(f"({e}, 3)", Q_BASE, 2) for e in ("t^2-4", "2*t^2-8")]
+    pts = [ramification_points(c) for c in classes]
+    info = factoring._factor_q_monic.cache_info()
+    assert info.misses == 1 and info.hits >= 1
+    (x1,), (x2,) = ([x for x in ps if x.poly == q_poly(-2, 1)] for ps in pts)
+    assert x1 is x2
+
+
+def test_every_point_is_the_shared_one(monkeypatch):
+    """ClosedPoint.rational over Q and F_7, ClosedPoint.finite and the
+    point brauer._values_at sweeps are the point zero_points holds for
+    the factor, each built from a different polynomial."""
+    t7 = Poly.gen(F7.field)
+    for base, c, f in (
+        (Q_BASE, 0, T * 5),
+        (Q_BASE, Fraction(3, 2), q_poly(-3, 2)),
+        (Q_BASE, -4, q_poly(-8, -2)),
+        (F7, 0, t7 * 3),
+        (F7, 5, t7 * 2 + 4),
+    ):
+        (x,) = points.zero_points(base, f)
+        assert ClosedPoint.rational(base, c) is x
+    (x,) = points.zero_points(Q_BASE, q_poly(1, 0, 1))
+    assert ClosedPoint.finite(Q_BASE, q_poly(2, 0, 2)) is x
+
+    swept, real = [], brauer.unit_part_at
+    monkeypatch.setattr(brauer, "unit_part_at", lambda h, at: swept.append(at) or real(h, at))
+    specialize(BrauerClass.make(Q_BASE, 2, [(T + 1, 3), (T, T - 5)]), Fraction(3, 2))
+    (x,) = points.zero_points(Q_BASE, q_poly(-6, 4))
+    assert len(swept) == 4 and all(at is x for at in swept)
 
 
 def test_residue_is_multiplicative():

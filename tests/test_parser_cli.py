@@ -473,7 +473,7 @@ def test_unramified_difference_answers_past_the_recombination_budget(monkeypatch
     assert main(["distinguish", f"({sd32}, 3)", f"({sd32}, 3) + (-1, -1)"]) == 0
     assert "  outcome: DistinguishedBySpecialization" in capsys.readouterr().out.splitlines()
     assert main(["ram", f"({sd32}, t)"]) == 3
-    assert "recombination" in capsys.readouterr().err
+    assert "recombination for a degree-32 factorization" in capsys.readouterr().err
 
 
 def test_high_power_at_a_non_monic_quadratic_point_is_golden():

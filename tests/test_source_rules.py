@@ -38,6 +38,9 @@ The body of distinguish.distinguish names none of same_class, same_field,
 same_kummer_extension, is_pth_power or is_pth_power_finite: it reads its
 residue comparison off the compare_classes record and tests no residue
 itself.
+Only points._point calls ClosedPoint(...), or cls(...) inside the
+ClosedPoint class, so every point the library builds is the one shared
+object of its base and factor.
 """
 
 import ast
@@ -417,3 +420,33 @@ def test_distinguish_tests_no_residue_itself():
     (func,) = [n for n in tree.body if getattr(n, "name", None) == "distinguish"]
     named = sorted(set(_referenced_names(func)) & _RESIDUE_TESTS)
     assert not named, f"distinguish.distinguish tests residues itself: {named}"
+
+
+def test_points_are_built_only_by_point():
+    hits, shared = [], 0
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        # breadth first: an inner function overwrites its outer one's name
+        owners = {
+            id(node): func.name
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+        }
+        in_class = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "ClosedPoint"
+            for node in ast.walk(cls)
+        }
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))):
+                continue
+            named = getattr(node.func, "id", None) or node.func.attr
+            builds = named == "ClosedPoint" or (named == "cls" and id(node) in in_class)
+            if builds and (path.name, owners.get(id(node))) == ("points.py", "_point"):
+                shared += 1
+            elif builds:
+                hits.append(f"{path.name}:{node.lineno} in {owners.get(id(node))}")
+    assert not hits, f"ClosedPoint built outside points._point: {hits}"
+    assert shared == 1, "points._point builds no ClosedPoint"
