@@ -182,7 +182,7 @@ def reciprocity_check(cls):
 
 def divisor_reciprocity(div):
     if div.base.is_finite:
-        total = sum(corestriction_exponent(rc) for _, rc in div.entries)
+        total = sum(corestriction_exponent(x, rc.value, div.p) for x, rc in div.entries)
         return total % div.p == 0
     prod = Fraction(1)
     for x, rc in div.entries:

@@ -32,7 +32,9 @@ genuinely equivalent is not decided here.
 Candidate enumeration over F_q(t) walks all residue twist tuples
 (i_1, ..., i_r), 1 <= i_j <= p-1, keeps the ones whose corestriction
 exponents sum to zero mod p, and realizes each survivor as an explicit
-symbol sum whose recomputed divisor reproduces the tuple.
+symbol sum.  Residues are read through the norm, kappa(x)*/p = F_q*/p,
+so the survivor check is one comparison: the recomputed divisor's
+normed exponents are i_j cor_j at the j-th support point and nothing else.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from fractions import Fraction
 from .brauer import BrauerClass, compare_classes, ramification_divisor, ramification_points
 from .errors import ScopeError
 from .factoring import factor_over_Fq, squarefree_kernel
-from .fields import is_pth_power_finite, multiplicative_generator, pth_power_exponent
+from .fields import multiplicative_generator
 from .hilbert import separating_discriminant, splits_invariant_set
 from .points import _point, reduce_at, residue_field
 from .poly import RationalFunction
@@ -206,76 +208,62 @@ def enumerate_candidates(a):
     bound = (p - 1) ** r
     if bound > MAX_CANDIDATE_BOUND:
         raise ScopeError(f"{bound} tuples over {r} points exceed {MAX_CANDIDATE_BOUND}")
-    cor = [corestriction_exponent(rc) for _, rc in div.entries]
-    sequences = []
-    classes = []
+    cor = [corestriction_exponent(x, rc.value, p) for x, rc in div.entries]
+    sequences, classes = [], []
     for tup in itertools.product(range(1, p), repeat=r):
         if sum(i * n for i, n in zip(tup, cor)) % p:
             continue
         sequences.append(tup)
-        classes.append(_realize_tuple(a, div, tup))
+        classes.append(_realize_tuple(a, {x: i * n % p for x, i, n in zip(supp, tup, cor)}))
     return CandidateSet(supp, tuple(sequences), tuple(classes), bound)
 
 
-def _realize_tuple(a, div, tup):
-    """Symbol sum with residue rho_j^(i_j) at the j-th support point.
+def _realize_tuple(a, targets):
+    """Symbol sum whose ramification divisor has the normed exponents
+    targets, {point: k}, and no other point.
 
-    Finite points are realized directly; the residue at infinity is
-    forced by reciprocity, because the tuple passed the corestriction
-    filter and kappa(inf) is the constant field itself.  The divisor is
-    recomputed and checked against the targets before returning.
+    Finite points are realized directly; the exponent at infinity is
+    forced by reciprocity, because the targets sum to zero mod p.  The
+    one check: the recomputed divisor's {point: normed exponent} equals
+    targets, which fixes its support and, as kappa(x)*/p = F_q*/p through
+    the norm, its residue class at every point.
     """
     base, p = a.base, a.p
-    pairs = []
-    targets = {}
-    for (pt, rc), i in zip(div.entries, tup):
-        target = rc.value**i
-        targets[pt] = target
-        if pt.is_infinity:
-            continue
-        pairs.extend(_residue_symbols(base, p, pt, target))
+    pairs = [s for x, k in targets.items() if not x.is_infinity
+             for s in _residue_symbols(base, p, x, k)]
     built = BrauerClass.make(base, p, pairs)
-    bdiv = ramification_divisor(built)
-    if set(bdiv.support()) != set(div.support()):
-        raise AssertionError(
-            f"realized class ramifies at {bdiv.support()}, expected {div.support()}"
-        )
-    for pt, rc in bdiv.entries:
-        kappa = residue_field(pt)
-        ratio = rc.value / kappa.coerce(targets[pt])
-        if not is_pth_power_finite(ratio, p):
-            raise AssertionError(f"realized residue at {pt} misses its target")
+    got = {x: corestriction_exponent(x, rc.value, p)
+           for x, rc in ramification_divisor(built).entries}
+    if got != targets:
+        raise AssertionError(f"realized normed exponents {got} miss their targets {targets}")
     return built
 
 
-def _residue_symbols(base, p, pt, value):
-    """Symbols realizing the class of value at the finite point pt.
+def _residue_symbols(base, p, pt, k):
+    """Symbols with normed residue exponent k at the finite point pt.
 
     Net effect: exactly that residue class at pt, trivial residue at
-    every other finite point, and whatever infinity demands.  When p
-    divides the point degree, constants land in the kernel of
-    k* -> kappa*/(kappa*)^p, so a polynomial representative is used and
-    the ramification it drags in at its own factors is cancelled
-    recursively at strictly smaller degrees.
+    every other finite point, and whatever infinity demands.  A constant
+    c of F_q has norm c^d at a point of degree d, so when p does not
+    divide d the constant g^(k/d), g the fixed generator of F_q*, is the
+    residue.  When p divides d, constants land in the kernel of
+    k* -> kappa*/(kappa*)^p, so the representative g_kappa^m with
+    m k(g_kappa) = k is used as a polynomial, and the ramification it
+    drags in at its own factors is cancelled recursively at strictly
+    smaller degrees.
     """
-    kappa = residue_field(pt)
-    m = pth_power_exponent(kappa.coerce(value), p)
-    if m == 0:
+    if k == 0:
         return []
-    d = pt.degree
-    if d % p:
+    if pt.degree % p:
         g = multiplicative_generator(base.field)
-        # the exponent of the embedded constant-field generator inside
-        # kappa is d times a unit, but the unit depends on the generator
-        # kappa happened to fix, so it is measured rather than assumed
-        gamma = pth_power_exponent(kappa.coerce(g), p)
-        e = m * pow(gamma, -1, p) % p
-        return [(RationalFunction.constant(base.field, g**e), RationalFunction(pt.poly))]
+        return [(RationalFunction.constant(base.field, g ** (k * pow(pt.degree, -1, p) % p)),
+                 RationalFunction(pt.poly))]
+    kappa = residue_field(pt)
     gen = multiplicative_generator(kappa)
-    w = kappa.to_poly(gen**m)
+    w = kappa.to_poly(gen ** (k * pow(corestriction_exponent(pt, gen, p), -1, p) % p))
     out = [(RationalFunction(w), RationalFunction(pt.poly))]
     for phi, e in factor_over_Fq(w).factors:
         ppt = _point(base, phi)
         pi_img = reduce_at(RationalFunction(pt.poly), ppt)
-        out.extend(_residue_symbols(base, p, ppt, pi_img**e))
+        out.extend(_residue_symbols(base, p, ppt, e * corestriction_exponent(ppt, pi_img, p) % p))
     return out

@@ -3,8 +3,13 @@
 The residue of a symbol algebra at a point is a unit of the residue
 field, remembered modulo p-th powers.  Deciding triviality therefore
 needs a p-th power test in three kinds of field: Q itself, finite
-fields, and number fields Q[t]/(pi) (p = 2 only).  Over Q(t) almost
-every number field met is quadratic, and there the square root has a
+fields, and number fields Q[t]/(pi) (p = 2 only).  Over F_q (p | q - 1)
+the norm induces kappa(x)*/p = F_q*/p, so every decision reads N(u) in
+F_q: triviality is Euler's criterion on it, and the class of u is its
+normed exponent (corestriction_exponent).  No power is taken in
+kappa(x); its generator g is asked for only to print g^m and to realize
+a twist at a point whose degree p divides.  Over Q(t) almost every
+number field met is quadratic, and there the square root has a
 closed form in rational square roots (_quadratic_sqrt).  Higher
 degrees go through the norm polynomial
 
@@ -186,22 +191,28 @@ class ResidueClass:
         return residue_field(self.point)
 
     def is_trivial(self):
-        # remembered outside the fields, so equality and hashing ignore it
+        # remembered outside the fields, so equality and hashing ignore it;
+        # over F_q, Euler's criterion on the norm in F_q (no generator)
         if "_trivial" not in self.__dict__:
-            object.__setattr__(self, "_trivial", is_pth_power(self.field, self.value, self.p))
+            field, value = self.field, self.value
+            if self.point.base.is_finite:
+                field, value = self.point.base.field, norm_to_base(self.point, value)
+            object.__setattr__(self, "_trivial", is_pth_power(field, value, self.p))
         return self._trivial
 
     def canonical_value(self):
-        """A canonical representative modulo p-th powers where one exists."""
+        """A canonical representative modulo p-th powers where one exists;
+        over F_q, g^m for the generator g of kappa(x)*, where k(value) = m k(g)."""
         if isinstance(self.value, Fraction):
             return Fraction(squarefree_kernel(self.value))
-        field = self.field
-        if field.finite:
-            k = pth_power_exponent(self.value, self.p)
-            if k == 0:
-                return field.one
-            return multiplicative_generator(field) ** k
-        return self.value
+        field, x, p = self.field, self.point, self.p
+        if not field.finite:
+            return self.value
+        k = corestriction_exponent(x, self.value, p)
+        if k == 0:
+            return field.one
+        g = multiplicative_generator(field)
+        return g ** (k * pow(corestriction_exponent(x, g, p), -1, p) % p)
 
     def field_label(self):
         """Readable name of the extension the residue cuts out."""
@@ -233,13 +244,12 @@ def norm_to_base(point, value):
     return residue_field(point).norm(value)
 
 
-def corestriction_exponent(rc):
-    """Exponent mod p of the normed residue against the fixed generator.
-
-    Only meaningful over a finite constant field, where it is the local
-    contribution to the reciprocity sum.
-    """
-    base = rc.point.base
+def corestriction_exponent(point, value, p):
+    """The class of a unit of kappa(x) in kappa(x)*/p over a finite constant
+    field, and its local contribution to the reciprocity sum: the exponent
+    mod p of its norm against the fixed generator of F_q*.  The norm induces
+    kappa(x)*/p = F_q*/p, so this is the one discrete log taken of a residue."""
+    base = point.base
     if not base.is_finite:
         raise ScopeError("corestriction exponents need a finite constant field")
-    return pth_power_exponent(base.field.coerce(norm_to_base(rc.point, rc.value)), rc.p)
+    return pth_power_exponent(base.field.coerce(norm_to_base(point, value)), p)

@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from brauercalc import brauer, hilbert, report
+import brauercalc.distinguish as distinguish_module
+from brauercalc import brauer, cli, hilbert, report
 from brauercalc.brauer import (
     BrauerClass,
     classes_equal,
@@ -100,6 +101,42 @@ def test_enumerate_realizes_across_higher_degree_point():
     cand = enumerate_candidates(a)
     assert cand.size == oracle_candidate_count(a)
     assert cand.size >= 1
+
+
+@pytest.mark.parametrize("text, degree", [("(t, t^3 - 2) + (3, t + 1)", 1),
+                                          ("(t, t^3 - 2) + (2, t + 1)", 3)])
+@pytest.mark.parametrize("tamper", ["off_by_one", "dropped_symbol"])
+def test_enumerate_refuses_a_survivor_realized_wrong(monkeypatch, capsys, text, degree, tamper):
+    """Both classes ramify over F_7 with p = 3 at t, t + 1, t^3 - 2 and
+    infinity.  The first survivor's realization at the point of the given
+    degree is off by one exponent (p does not divide 1, and divides 3),
+    which for these classes moves the exponent at infinity to another
+    nonzero value, so the support stays and only the exponents show it;
+    or it misses its first symbol there.  Either fails the survivor
+    check: enumerate_candidates raises AssertionError, and the CLI exits 4."""
+    real = distinguish_module._residue_symbols
+    tampered = []
+
+    def once(base, p, pt, k):
+        if tampered or pt.degree != degree:
+            return real(base, p, pt, k)
+        tampered.append(pt)
+        if tamper == "off_by_one":
+            return real(base, p, pt, k % (p - 1) + 1)
+        return real(base, p, pt, k)[1:]
+
+    a = parse_class(text, F7, 3)
+    assert [x.degree for x in ramification_divisor(a).support()] == [1, 1, 3, 1]
+    assert enumerate_candidates(a).size == 6
+    monkeypatch.setattr(distinguish_module, "_residue_symbols", once)
+    with pytest.raises(AssertionError, match="miss their targets"):
+        enumerate_candidates(a)
+    assert tampered
+    tampered.clear()
+    capsys.readouterr()
+    assert cli.main(["enumerate", text, "--base", "fq:7", "--p", "3"]) == 4
+    assert tampered
+    assert "internal error: AssertionError" in capsys.readouterr().err
 
 
 def test_enumerate_trivial_class():

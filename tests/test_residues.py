@@ -8,16 +8,38 @@ element is a quadratic nonresidue mod l).
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from brauercalc import residues
+from brauercalc import fields, residues
+from brauercalc.brauer import (
+    BrauerClass,
+    compare_classes,
+    divisor_reciprocity,
+    ramification_divisor,
+    ramification_points,
+    residue_at,
+)
+from brauercalc.distinguish import (
+    BY_RAMIFICATION_FIELD,
+    CANDIDATE_EQUIVALENT,
+    EQUAL,
+    distinguish,
+    enumerate_candidates,
+)
 from brauercalc.errors import ScopeError
 from brauercalc.factoring import is_irreducible
-from brauercalc.fields import GF, QuotientField, multiplicative_generator, rational_is_square
-from brauercalc.points import ClosedPoint, FiniteBase, Q_BASE, residue_field
-from brauercalc.poly import Poly, QQ
+from brauercalc.fields import (
+    GF,
+    QuotientField,
+    discrete_log,
+    multiplicative_generator,
+    rational_is_square,
+)
+from brauercalc.points import ClosedPoint, FiniteBase, Q_BASE, residue_field, sorted_points
+from brauercalc.poly import Poly, QQ, RationalFunction
 from brauercalc.residues import (
     ResidueClass,
     corestriction_exponent,
@@ -380,15 +402,12 @@ def test_corestriction_exponent_degree_two():
     pt = ClosedPoint.finite(base, pi)
     kappa = residue_field(pt)
     gen = multiplicative_generator(kappa)
-    rc = ResidueClass(pt, gen, 2)
     n = norm_to_base(pt, gen)
     # the norm of a generator generates F_7* so its dlog is odd
-    assert corestriction_exponent(rc) == 1
+    assert corestriction_exponent(pt, gen, 2) == 1
     assert kappa.embed(n) == gen ** (1 + 7)
     with pytest.raises(ScopeError):
-        corestriction_exponent(
-            ResidueClass(ClosedPoint.rational(Q_BASE, Fraction(0)), Fraction(2), 2)
-        )
+        corestriction_exponent(ClosedPoint.rational(Q_BASE, Fraction(0)), Fraction(2), 2)
 
 
 def test_field_label_degree_two_number_field():
@@ -398,3 +417,122 @@ def test_field_label_degree_two_number_field():
     assert rc.field_label() == "Q(sqrt(2))(sqrt(3))"
     triv = ResidueClass(pt, kappa.from_int(2), 2)  # 2 = theta^2
     assert triv.field_label() == "Q(sqrt(2))"
+
+
+# ---------------------------------------------------------------------------
+# every F_q residue decision reads the norm
+
+def _irreducible(rng, field, degree):
+    while True:
+        f = random_poly(rng, field, degree, monic=True, min_degree=degree)
+        if is_irreducible(f):
+            return f
+
+
+def _norm_route_classes(rng, base, p, count):
+    """Classes of one or two symbols (f, g): f a monic irreducible of degree
+    1-4, g a constant or a monic irreducible of degree 1-3."""
+    field = base.field
+    out = []
+    for _ in range(count):
+        pairs = []
+        for _ in range(rng.randint(1, 2)):
+            f = _irreducible(rng, field, rng.randint(1, 4))
+            g = (Poly(field, [field.element_at(rng.randrange(1, field.order))])
+                 if rng.random() < 0.3 else _irreducible(rng, field, rng.randint(1, 3)))
+            pairs.append((RationalFunction(f), RationalFunction(g)))
+        out.append(BrauerClass.make(base, p, pairs))
+    return out
+
+
+def _kappa_is_pth_power(x, u, p):
+    """The kappa-side reference: u^((q^d - 1)/p) = 1 in kappa(x)."""
+    return is_pth_power(residue_field(x), u, p)
+
+
+def _kappa_canonical(x, u, p):
+    """g_kappa^(dlog u mod p): the log by walking powers of g_kappa in fields
+    of at most 400 elements, else by its projection onto the p-part in kappa."""
+    kappa = residue_field(x)
+    g = multiplicative_generator(kappa)
+    k = discrete_log(u) if kappa.order <= 400 else fields.pth_power_exponent(u, p)
+    return g ** (k % p)
+
+
+def _forbid_powers_in_kappa(monkeypatch, q):
+    """Every binding of is_pth_power_finite and pth_power_exponent in the
+    library raises on an element of a field larger than F_q."""
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "brauercalc"]
+    for name in ("is_pth_power_finite", "pth_power_exponent"):
+        real = getattr(fields, name)
+
+        def guarded(e, p, real=real, name=name):
+            if e.field.order > q:
+                raise AssertionError(f"{name} took a power in {e.field}")
+            return real(e, p)
+
+        for module in modules:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, guarded)
+
+
+def test_fq_residue_decisions_read_the_norm(monkeypatch):
+    """Divisors, labels, reciprocity, comparisons, verdicts and candidate
+    sets over F_7, F_9, F_13 and F_49 agree with the kappa-side reference
+    (p-th powers and discrete logs in kappa(x)), computed first, when no
+    library route may take a power in a residue field of degree >= 2."""
+    rng = random.Random(3811)
+    outcomes, degrees = set(), set()
+    for q, p in ((7, 2), (7, 3), (9, 2), (13, 3), (49, 3)):
+        base = FiniteBase(q)
+        classes = _norm_route_classes(rng, base, p, 5)
+        pairs = list(zip(classes, classes[1:]))
+        pairs += [(c, c.scale(2 if p == 3 else 1) + classes[0] + classes[0].scale(p - 1))
+                  for c in classes[1:3]]
+        pairs += [(c, c.scale(p - 1)) for c in classes[:2]] + [(classes[0], classes[0])]
+        # the reference, with every route open
+        residues_of = {}
+        for c in classes + [c for pair in pairs for c in pair]:
+            for x in ramification_points(c):
+                residues_of[c, x] = residue_at(c, x).value
+        ref_trivial = {key: _kappa_is_pth_power(key[1], u, p) for key, u in residues_of.items()}
+        ref_canon = {(c, x): _kappa_canonical(x, residues_of[c, x], p)
+                     for c in classes for x in ramification_points(c) if not ref_trivial[c, x]}
+        ref_pairs = []
+        for a, b in pairs:
+            union = sorted_points(set(ramification_points(a)) | set(ramification_points(b)))
+            one_side = [x for x in union
+                        if ref_trivial.get((a, x), True) != ref_trivial.get((b, x), True)]
+            ratio = [x for x in union if not _kappa_is_pth_power(
+                x, residue_at(a, x).value / residue_at(b, x).value, p)]
+            ref_pairs.append((ratio[0] if ratio else None, one_side[0] if one_side else None))
+        with monkeypatch.context() as m:
+            _forbid_powers_in_kappa(m, q)
+            for c in classes:
+                div = ramification_divisor(c)
+                assert divisor_reciprocity(div)
+                assert div.support() == tuple(x for x in ramification_points(c)
+                                              if not ref_trivial[c, x])
+                assert {x: rc.canonical_value() for x, rc in div.entries} == {
+                    x: ref_canon[c, x] for x in div.support()}
+                degrees.update(x.degree for x in div.support() if not x.is_infinity)
+            for (a, b), (first, one_side) in zip(pairs, ref_pairs):
+                cmp = compare_classes(a, b)
+                assert (cmp.equal, cmp.point) == (first is None, first)
+                verdict = distinguish(a, b)
+                want = (EQUAL if first is None else
+                        BY_RAMIFICATION_FIELD if one_side else CANDIDATE_EQUIVALENT)
+                assert (verdict.outcome, verdict.point) == (want, one_side)
+                outcomes.add(want)
+            cands = [enumerate_candidates(c) for c in classes[:3]]
+        # every realized survivor has the targeted residues, kappa-side
+        for c, cand in zip(classes, cands):
+            div = dict(ramification_divisor(c).entries)
+            for tup, built in zip(cand.sequences, cand.classes):
+                targets = {x: div[x].value ** i for x, i in zip(cand.support, tup)}
+                for x in set(ramification_points(built)) | set(targets):
+                    u = residue_at(built, x).value
+                    want = targets.get(x, residue_field(x).one)
+                    assert _kappa_is_pth_power(x, u / want, p), (q, p, x)
+    assert outcomes == {EQUAL, BY_RAMIFICATION_FIELD, CANDIDATE_EQUIVALENT}
+    assert degrees == {1, 2, 3, 4}

@@ -41,6 +41,9 @@ itself.
 Only points._point calls ClosedPoint(...), or cls(...) inside the
 ClosedPoint class, so every point the library builds is the one shared
 object of its base and factor.
+Only fields and residues name is_pth_power_finite or pth_power_exponent:
+every other module decides an F_q residue through residues, which reads
+its norm in F_q and takes no power in a residue field.
 """
 
 import ast
@@ -420,6 +423,20 @@ def test_distinguish_tests_no_residue_itself():
     (func,) = [n for n in tree.body if getattr(n, "name", None) == "distinguish"]
     named = sorted(set(_referenced_names(func)) & _RESIDUE_TESTS)
     assert not named, f"distinguish.distinguish tests residues itself: {named}"
+
+
+_KAPPA_POWERS = {"is_pth_power_finite", "pth_power_exponent"}
+
+
+def test_only_fields_and_residues_take_pth_powers_in_finite_fields():
+    hits = sorted({
+        name for name, node in _nodes()
+        if name not in ("fields.py", "residues.py") and (
+            isinstance(node, ast.Name) and node.id in _KAPPA_POWERS
+            or isinstance(node, ast.Attribute) and node.attr in _KAPPA_POWERS
+            or isinstance(node, ast.alias) and node.name in _KAPPA_POWERS)
+    })
+    assert not hits, f"modules taking p-th powers past the norm: {hits}"
 
 
 def test_points_are_built_only_by_point():
