@@ -150,7 +150,10 @@ def cmd_witness(args):
     rc = residue_at(cls, x)
     if rc.is_trivial():
         raise ValueError(f"the class is unramified at t = {args.at}; nothing to split")
-    rep = rc.canonical_value()
+    # over a base of non-prime order the canonical g^m may leave the prime
+    # subfield, which the parser cannot read back; rc.value lies in it
+    field = base.field
+    rep = rc.value if field.finite and field.order != field.char else rc.canonical_value()
     lin = RationalFunction(Poly(base.field, [-cval, base.field.one]))
     datum = splitting_witness(base, cls.p, rep, lin)
     residual = cls - BrauerClass.make(base, cls.p, [datum.symbol])

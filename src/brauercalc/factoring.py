@@ -13,19 +13,17 @@ Cauchy bound on lc(f) * r for a rational root r, and kept only if f vanishes
 at it exactly.  The cofactor is free of rational roots for certain once every
 root mod p is confirmed with its full multiplicity; if its degree is 2 or 3
 it is then irreducible.  Where roots collide mod p, the next prime retries on
-the cofactor, for at most _SQUAREFREE_TRIES primes.
+the cofactor, for at most _ROOT_PRIMES primes.
 
-What may still factor goes to the classical Zassenhaus pipeline (MCA
-ch. 15), around one prime search bounded by _PRIME_BOUND.  That search
-does three jobs:
-  * it proves f squarefree: if f mod p is squarefree for a prime p not
-    dividing lc(f), so is f, and the squarefree decomposition over Q runs
-    only when the first _SQUAREFREE_TRIES such primes all fail that test;
-  * it picks the prime to lift from, by the number of modular factors
-    that the distinct-degree split counts, stopping at the first prime
-    with at most _FEW_FACTORS of them, else keeping the best of
-    _CANDIDATE_PRIMES;
-  * it raises ScopeError if no usable prime lies below _PRIME_BOUND.
+What may still factor is split into squarefree parts by the squarefree
+loop over poly's _PrimitiveRing (Euclid on primitive integer lists), and
+each part goes to the classical Zassenhaus pipeline (MCA ch. 15), around
+one prime search bounded by _PRIME_BOUND.  That search skips the primes
+where the part is not squarefree; it picks the prime to lift from, by
+the number of modular factors that the distinct-degree split counts,
+stopping at the first prime with at most _FEW_FACTORS of them, else
+keeping the best of _CANDIDATE_PRIMES; and it raises ScopeError if no
+usable prime lies below _PRIME_BOUND.
 The modular factors are Hensel-lifted modulo p^l just past twice the
 Mignotte bound binom(n-1, (n-1)//2) * |f|_2 (MCA Cor. 6.33), which bounds
 every coefficient of lc(f)/lc(g) * g for a factor g of f.  Recombination
@@ -48,7 +46,7 @@ drawing by field.element_at so no field is listed.  An equal-degree
 split makes at most _SPLIT_DRAWS random draws, then raises ScopeError.
 
 Irreducibility and squarefreeness are decided only here: the one
-squarefree loop serves Q (on _PolyRing(QQ)), F_p and F_q, and
+squarefree loop serves Q (on _PrimitiveRing), F_p and F_q, and
 is_irreducible reads factor_poly.
 """
 
@@ -63,7 +61,7 @@ from functools import lru_cache
 from .errors import ScopeError
 from .fields import PrimeField, PrimePowerFactorization
 from .fields import factor_int, is_prime
-from .poly import Poly, QQ, _IntListRing, _PolyRing, _horner, _power
+from .poly import Poly, QQ, _IntListRing, _PolyRing, _PRIMITIVE_RING, _horner, _power
 from .poly import _int_list_primitive, _int_list_strip
 from .poly import _zadd, _zdivmod_mod, _zmul, _zsub, _ztrunc
 
@@ -223,7 +221,8 @@ def _split(R, parts):
 
 def _squarefree(R, f):
     """[(g_i, m_i)] with the monic f = prod g_i^{m_i}, g_i monic squarefree
-    (MCA 14.6).  In characteristic p the part the inner loop leaves, all
+    (MCA 14.6), monic in R's sense: primitive with lc > 0 in
+    _PrimitiveRing.  In characteristic p the part the inner loop leaves, all
     of f where f' = 0, is some g(t^p), and the loop goes on with g."""
     out = []
     e = 1
@@ -244,12 +243,6 @@ def _squarefree(R, f):
     return out
 
 
-def squarefree_decomposition(f):
-    """[(g_i, m_i)] with f monic = prod g_i^{m_i}, g_i monic squarefree,
-    for a Poly over QQ or F_q."""
-    return _squarefree(_PolyRing(f.field), f)
-
-
 # ---------------------------------------------------------------------------
 # factorization over Q
 
@@ -264,9 +257,8 @@ def _next_prime(n):
 # Primes are searched below _PRIME_BOUND; a search that finds no usable
 # prime there raises ScopeError.
 _PRIME_BOUND = 10**6
-# Primes not dividing lc(f) that may see a repeated factor of f before
-# the squarefree decomposition over Q takes over from the prime search.
-_SQUAREFREE_TRIES = 3
+# Primes not dividing lc(f) that the rational-root pass tries.
+_ROOT_PRIMES = 3
 # The search keeps the prime with the fewest modular factors among at
 # most _CANDIDATE_PRIMES squarefree ones, and stops at the first with at
 # most _FEW_FACTORS, for which recombination tries single factors only.
@@ -280,20 +272,18 @@ _FEW_FACTORS = 3
 _RECOMBINATION_BUDGET = 2**16
 
 
-def _prime_search(f, squarefree):
+def _prime_search(f):
     """(count, p, distinct-degree split of f mod p) for the prime that
-    _zassenhaus lifts from, or None if f is not proved squarefree.
+    _zassenhaus lifts from, for a squarefree f.
 
-    One search over the primes p < _PRIME_BOUND not dividing lc(f).  If
-    f mod p is squarefree, so is f over Q: a square factor of f keeps its
-    degree mod p.  Unless the caller knows f is squarefree, the search
-    gives up with None once _SQUAREFREE_TRIES primes have seen a repeated
-    factor before any prime proved f squarefree.  The number of modular
-    factors is counted from the distinct-degree split alone (MCA 14.2).
+    One search over the primes p < _PRIME_BOUND not dividing lc(f), which
+    skips those where f mod p is not squarefree (the primes dividing the
+    discriminant).  The number of modular factors is counted from the
+    distinct-degree split alone (MCA 14.2).
     """
     b = f[-1]
     best = None
-    tried = misses = 0
+    tried = 0
     p = 2
     while tried < _CANDIDATE_PRIMES:
         p = _next_prime(p)
@@ -304,9 +294,6 @@ def _prime_search(f, squarefree):
         R = _IntListRing(p)
         fp = R.monic(R.reduce(f))
         if len(R.gcd(fp, R.derivative(fp))) != 1:
-            misses += 1
-            if best is None and not squarefree and misses == _SQUAREFREE_TRIES:
-                return None
             continue
         parts = _distinct_degree(R, fp)
         count = sum((len(g) - 1) // d for g, d in parts)
@@ -322,20 +309,12 @@ def _prime_search(f, squarefree):
     return best
 
 
-def _zassenhaus(f, squarefree=False):
-    """Irreducible primitive factors of a primitive f in Z[t], or None.
-
-    None comes back only when squarefree is false and the prime search
-    cannot prove f squarefree; f must then be split into squarefree parts
-    first.
-    """
+def _zassenhaus(f):
+    """Irreducible primitive factors of a primitive squarefree f in Z[t]."""
     n = len(f) - 1
     if n == 1:
         return [list(f)]
-    found = _prime_search(f, squarefree)
-    if found is None:
-        return None
-    count, p, parts = found
+    count, p, parts = _prime_search(f)
     if count == 1:
         return [list(f)]
     mod_factors = _split(_IntListRing(p), parts)
@@ -415,7 +394,7 @@ def _rational_roots(f):
     roots = [([0, 1], z)] if z else []
     f = list(f[z:])
     p = len(f) - 1
-    for _ in range(_SQUAREFREE_TRIES):
+    for _ in range(_ROOT_PRIMES):
         if len(f) <= 3:
             break
         p = _next_prime(p)
@@ -467,25 +446,15 @@ def _factor_q_monic(f):
     primitive integer tuple f, which every scalar multiple shares.
 
     Rational roots are split off first.  A cofactor proved free of them is
-    irreducible if its degree is 2 or 3; any other goes to _zassenhaus,
-    whose prime search proves most cofactors squarefree; only when it
-    cannot is the cofactor split by the squarefree decomposition over Q.
+    irreducible if its degree is 2 or 3; any other is split into
+    squarefree parts on integer lists, each factored by _zassenhaus.
     """
     pieces, g, certain = _rational_roots(f)
-    if len(g) == 1:
-        parts = []
-    elif certain and len(g) <= 4:
-        parts = [g]
-    else:
-        parts = _zassenhaus(g)
-    if parts is None:
-        pieces += [
-            (part, mult)
-            for h, mult in squarefree_decomposition(Poly.monic_from_ints(tuple(g)))
-            for part in _zassenhaus(h.int_form()[1], squarefree=True)
-        ]
-    else:
-        pieces += [(part, 1) for part in parts]
+    if not certain or len(g) > 4:
+        pieces += [(part, mult) for h, mult in _squarefree(_PRIMITIVE_RING, g)
+                   for part in _zassenhaus(h)]
+    elif len(g) > 1:
+        pieces.append((g, 1))
     monic = [(Poly.monic_from_ints(tuple(part)), mult) for part, mult in pieces]
     return tuple(sorted(monic, key=lambda fm: fm[0].sort_key()))
 

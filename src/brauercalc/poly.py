@@ -10,10 +10,8 @@ this module ever rounds.
 Rational functions are stored as coprime numerator/denominator pairs
 with a monic denominator, which makes the representation canonical.
 The parser builds each side as one Poly from its monomials c*t^k.  No
-gcd is taken when a side is constant, and over QQ none when the integer
-forms are coprime modulo a prime dividing neither leading entry: by
-Gauss's lemma a common factor over Q is a primitive integer polynomial
-whose reduction keeps its degree and divides both (MCA 6.2).
+gcd is taken when a side is constant, and over QQ the gcd runs on the
+integer forms.
 
 Over QQ the integer form is the representation: f == content * ints,
 ints a primitive integer tuple with a positive leading entry, (0, ()) for
@@ -26,17 +24,17 @@ divides ints exactly in Z[t], so valuations and unit parts there need
 no Fraction division.
 
 Integer coefficient lists (lowest degree first) have every primitive
-here: _int_list_* for the integer form, _z* for Hensel lifting.  The two
-polynomial rings live here as well: _IntListRing, F_p[t] on such lists,
-and _PolyRing, Poly over any field, QQ included.  Factoring and the
-strip at a point run over either one.
+here: _int_list_* for the integer form, _z* for Hensel lifting.  The
+polynomial rings live here as well: _IntListRing, F_p[t] on such lists;
+_PrimitiveRing, Q[t] up to units on primitive ones; and _PolyRing, Poly
+over any field.  Factoring and the strip at a point run over them.
 
 Square-and-multiply (_power), Horner's rule (_horner) and Euclid's
 algorithm (_gcd, _xgcd) are written once, here: powers of polynomials
 and field elements, and factoring's _powmod, go through _power;
 evaluation, composition and substitution through _horner; poly_gcd,
-poly_xgcd, the rings' gcd and xgcd and the coprimality certificate
-through _gcd and _xgcd, over a ring.
+poly_xgcd and the rings' gcd and xgcd through _gcd and _xgcd, over a
+ring.
 """
 
 from __future__ import annotations
@@ -346,8 +344,8 @@ def cleared_ints(f, g):
 
 
 def _int_list_primitive(a):
-    """a divided by its content, with a positive last entry."""
-    g = math.gcd(*a) if a[-1] > 0 else -math.gcd(*a)
+    """a divided by its content, with a positive last entry; [] for []."""
+    g = math.gcd(*a) if a and a[-1] > 0 else -math.gcd(*a)
     return [c // g for c in a]
 
 
@@ -534,8 +532,8 @@ class _IntListRing:
 
 
 class _PolyRing:
-    """K[t] on Poly, K any field: QQ for the squarefree loop over Q, or an
-    extension field GF(p^k), k >= 2, for factoring and the strip there."""
+    """K[t] on Poly, K any field: an extension field GF(p^k), k >= 2, for
+    factoring and the strip there, or QQ for poly_xgcd."""
 
     deg = staticmethod(operator.attrgetter("degree"))
     sub = staticmethod(operator.sub)
@@ -571,25 +569,39 @@ class _PolyRing:
         return Poly(field, [field.element_at(rng.randrange(self.q)) for _ in range(n)])
 
 
-# The prime of the coprimality certificate: large enough that it almost
-# never divides a leading coefficient or a resultant met in practice.
-_COPRIME_PRIME = 2**31 - 1
-_COPRIME_RING = _IntListRing(_COPRIME_PRIME)
+class _PrimitiveRing:
+    """Q[t] up to units, on primitive integer lists with a positive last
+    entry ([] for zero), for Euclid and the squarefree loop over Q: a
+    remainder is the primitive part of a pseudo-remainder (Knuth 4.6.1),
+    and by Gauss's lemma (MCA 6.2) the gcd and each exact quotient of
+    primitive polynomials are primitive."""
+
+    char = 0
+    gcd = _gcd
+    monic = staticmethod(_int_list_primitive)
+
+    def deg(self, a):
+        return len(a) - 1
+
+    def rem(self, a, b):
+        return _int_list_primitive(_int_list_pseudo_divmod(a, b)[2])
+
+    def quo(self, a, b):
+        return _int_list_primitive(_int_list_pseudo_divmod(a, b)[1])
+
+    def derivative(self, a):
+        return _ztrim([i * c for i, c in enumerate(a)][1:])
 
 
-def _coprime_mod_prime(f, g):
-    """Whether f, g over QQ have integer forms coprime mod _COPRIME_PRIME,
-    which divides neither leading entry: then they are coprime over Q."""
-    if f.field is not QQ:
-        return False
-    a, b, m = f.int_form()[1], g.int_form()[1], _COPRIME_PRIME
-    if a[-1] % m == 0 or b[-1] % m == 0:
-        return False
-    return len(_COPRIME_RING.gcd(a, b)) == 1
+_PRIMITIVE_RING = _PrimitiveRing()
 
 
 def poly_gcd(f, g):
-    """Monic gcd; poly_gcd(0, 0) is 0."""
+    """Monic gcd; poly_gcd(0, 0) is 0.  Over QQ, on the integer forms in
+    _PrimitiveRing, with no Fraction built."""
+    if f.field is QQ:
+        d = _gcd(_PRIMITIVE_RING, f._int_form[1], g._int_form[1])
+        return Poly.monic_from_ints(tuple(d)) if d else f
     return _gcd(_PolyRing(f.field), f, g)
 
 
@@ -662,7 +674,7 @@ class RationalFunction:
         if num.is_zero:
             den = Poly.one(num.field)
         else:
-            if not (num.is_constant or den.is_constant or _coprime_mod_prime(num, den)):
+            if not (num.is_constant or den.is_constant):
                 g = poly_gcd(num, den)
                 if g.degree >= 1:
                     num = num.exact_div(g)

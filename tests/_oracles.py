@@ -38,11 +38,11 @@ from brauercalc.brauer import (
     specialize,
 )
 from brauercalc.errors import ParseError, ScopeError
-from brauercalc.factoring import _zassenhaus, factor_poly, squarefree_decomposition
+from brauercalc.factoring import _squarefree, _zassenhaus, factor_poly
 from brauercalc.hilbert import hilbert_symbol, relevant_places
 from brauercalc.parser import _ClassParser, _check_degree, _int_literal
 from brauercalc.points import ClosedPoint, residue_field, sorted_points, unit_part_at
-from brauercalc.poly import Poly, QQ
+from brauercalc.poly import Poly, QQ, _PolyRing, _gcd
 from brauercalc.residues import ResidueClass, is_pth_power
 
 
@@ -127,19 +127,22 @@ def candidate_points(cls):
     return sorted_points(cands)
 
 
+class _FractionRing(_PolyRing):
+    """Q[t] on Fraction coefficients, whose gcd is Euclid over the field,
+    not poly_gcd's integer forms."""
+
+    gcd = _gcd
+
+
 def factor_over_Q_by_zassenhaus(f):
     """[(monic irreducible factor, multiplicity)] of the nonconstant f over
-    Q, sorted, with every factor found by Zassenhaus."""
-    f = f.monic()
-    parts = _zassenhaus(f.int_form()[1])
-    if parts is None:
-        pieces = [
-            (part, mult)
-            for g, mult in squarefree_decomposition(f)
-            for part in _zassenhaus(g.int_form()[1], squarefree=True)
-        ]
-    else:
-        pieces = [(part, 1) for part in parts]
+    Q, sorted, with every factor found by Zassenhaus on the squarefree
+    parts that the squarefree loop finds over Fraction coefficients."""
+    pieces = [
+        (part, mult)
+        for g, mult in _squarefree(_FractionRing(QQ), f.monic())
+        for part in _zassenhaus(g.int_form()[1])
+    ]
     out = [(Poly.from_ints(QQ, part).monic(), mult) for part, mult in pieces]
     return sorted(out, key=lambda fm: fm[0].sort_key())
 

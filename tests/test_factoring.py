@@ -26,11 +26,11 @@ from brauercalc.factoring import (
     factor_poly,
     is_irreducible,
     is_prime,
-    squarefree_decomposition,
     squarefree_kernel,
 )
 from brauercalc.fields import GF, FFElem
-from brauercalc.poly import Poly, QQ, _IntListRing, _PolyRing, _xgcd, poly_gcd, poly_xgcd
+from brauercalc.poly import Poly, QQ, _IntListRing, _PolyRing, _PRIMITIVE_RING, _xgcd
+from brauercalc.poly import _gcd, poly_gcd, poly_xgcd
 
 from _gen import random_poly
 from _oracles import factor_over_Q_by_zassenhaus, rational_roots_oracle
@@ -234,13 +234,17 @@ def test_squarefree_decomposition():
                 random_poly(rng, field, 2, min_degree=1, monic=True) for _ in range(2)
             ]
             f = parts[0] * parts[1] ** 2
-            dec = squarefree_decomposition(f.monic())
+            dec = factoring._squarefree(_PolyRing(field), f.monic())
             prod = Poly.one(field)
             for g, m in dec:
                 assert g.is_monic
                 assert poly_gcd(g, g.derivative()).degree == 0
                 prod = prod * g**m
             assert prod == f.monic()
+            if field is QQ:
+                # the same loop on primitive integer lists
+                ints = factoring._squarefree(_PRIMITIVE_RING, f.int_form()[1])
+                assert [(Poly.monic_from_ints(tuple(g)), m) for g, m in ints] == dec
 
 
 def test_ff_factor_char_p_powers():
@@ -613,7 +617,7 @@ def test_recombination_budget_is_out_of_scope(monkeypatch):
     # SD32 walks 39202 subsets, 256 of which pass the trailing-coefficient test
     monkeypatch.setattr(factoring, "_RECOMBINATION_BUDGET", 8)
     with pytest.raises(ScopeError, match="recombination"):
-        factoring._zassenhaus(SD32, squarefree=True)
+        factoring._zassenhaus(SD32)
 
 
 def test_ram_of_swinnerton_dyer_32_exits_3(capsys):
@@ -636,51 +640,59 @@ def test_equal_degree_draw_budget_is_out_of_scope(monkeypatch):
         factor_over_Q(Poly.from_ints(QQ, [1, 0, 0, 0, 1]))
 
 
-def test_squarefree_decomposition_only_when_the_prime_search_cannot_prove(
-    monkeypatch,
-):
-    # route guard: a squarefree f mod a prime not dividing lc(f) proves f
-    # squarefree, so the decomposition over Q is not run for it
-    def refuse(f):
-        raise AssertionError(f"squarefree decomposition of a squarefree {f}")
+def _is_squarefree_by_fractions(ints):
+    f = Poly.from_ints(QQ, ints)
+    return _gcd(_PolyRing(QQ), f, f.derivative()).degree == 0
 
-    monkeypatch.setattr(factoring, "squarefree_decomposition", refuse)
-    factoring._factor_q_monic.cache_clear()
-    # irreducible; and t (t - 3) (t - 6) (t + 1), repeated mod 3 but not mod 5
-    cases = (([1, 0, 1], 1), (_product([[0, 1], [-3, 1], [-6, 1], [1, 1]]), 4))
-    for coeffs, count in cases:
-        assert len(factor_over_Q(Poly.from_ints(QQ, coeffs)).factors) == count
 
-    calls = []
+def test_prime_search_and_zassenhaus_see_only_squarefree_input(monkeypatch):
+    # route guard: every cofactor is split into squarefree parts on integer
+    # lists before Zassenhaus, whose prime search never proves squarefreeness
+    seen = []
+    for name in ("_prime_search", "_zassenhaus"):
+        real = getattr(factoring, name)
 
-    def record(f):
-        calls.append(f)
-        return squarefree_decomposition(f)
+        def record(f, real=real, name=name):
+            seen.append(name)
+            assert _is_squarefree_by_fractions(f), (name, f)
+            return real(f)
 
-    monkeypatch.setattr(factoring, "squarefree_decomposition", record)
-    factoring._factor_q_monic.cache_clear()
+        monkeypatch.setattr(factoring, name, record)
     # (t^2 + 1)^2 (t^2 + 2): no rational root, and repeated modulo every prime
     f = _product([[1, 0, 1], [1, 0, 1], [2, 0, 1]])
-    fac = factor_over_Q(Poly.from_ints(QQ, f))
-    assert [(list(map(int, g.coeffs)), e) for g, e in fac.factors] == [
-        ([1, 0, 1], 2),
-        ([2, 0, 1], 1),
-    ]
-    assert len(calls) == 1
+    cases = [(f, [([1, 0, 1], 2), ([2, 0, 1], 1)])]
+    rng = random.Random(36)
+    irreducibles = ([1, 0, 1], [2, 0, 1], [1, 1, 1], [-2, 0, 0, 1], [1, 0, 0, 0, 1], [3, 1, 0, 1])
+    for _ in range(12):
+        chosen = rng.sample(irreducibles, rng.randint(1, 3))
+        mults = [rng.randint(1, 3) for _ in chosen]
+        parts = [[rng.randint(-3, 3), 1]] + [g for g, m in zip(chosen, mults) for _ in range(m)]
+        cases.append((_product(parts), None))
+    factoring._factor_q_monic.cache_clear()
+    for coeffs, want in cases:
+        fac = factor_over_Q(Poly.from_ints(QQ, coeffs))
+        if want is not None:
+            assert [(list(map(int, g.coeffs)), e) for g, e in fac.factors] == want
+        prod = Poly.constant(QQ, fac.unit)
+        for g, e in fac.factors:
+            prod = prod * g**e
+        assert prod == Poly.from_ints(QQ, coeffs)
+    assert "_prime_search" in seen and "_zassenhaus" in seen
 
 
 def test_quadratic_cofactor_is_decided_by_its_discriminant(monkeypatch):
     # 2t^2 - 9t - 3 and 8t^2 + 3t - 3 (discriminant 105) see a double root
-    # mod 3, 5 and 7, so no prime proves them squarefree; a discriminant
-    # that is no square proves them irreducible without the decomposition
+    # mod 3, 5 and 7; a discriminant that is no square proves them
+    # irreducible with neither the squarefree loop nor Zassenhaus
     want = {}
     for coeffs in ([-3, -9, 2], [-3, 3, 8]):
         want[tuple(coeffs)] = factor_over_Q_by_zassenhaus(Poly.from_ints(QQ, coeffs))
 
-    def refuse(f):
-        raise AssertionError(f"squarefree decomposition of {f}")
+    def refuse(*args):
+        raise AssertionError(f"squarefree loop or Zassenhaus on {args}")
 
-    monkeypatch.setattr(factoring, "squarefree_decomposition", refuse)
+    for name in ("_squarefree", "_zassenhaus"):
+        monkeypatch.setattr(factoring, name, refuse)
     factoring._factor_q_monic.cache_clear()
     for coeffs, factors in want.items():
         f = Poly.from_ints(QQ, list(coeffs))
@@ -689,12 +701,13 @@ def test_quadratic_cofactor_is_decided_by_its_discriminant(monkeypatch):
 
 def test_rational_linear_factors_need_no_zassenhaus(monkeypatch):
     # route guard: the rational-root pass alone splits products of rational
-    # linear factors, repeated roots and root 0 included.  Integer roots in
-    # [-6, 6] cannot collide modulo all three primes the pass tries
+    # linear factors, repeated roots and root 0 included, with no squarefree
+    # loop over Q.  Integer roots in [-6, 6] cannot collide modulo all three
+    # primes the pass tries
     def refuse(*args, **kwargs):
         raise AssertionError("Zassenhaus route taken for rational linear factors")
 
-    for name in ("_hensel_lift", "_prime_search", "squarefree_decomposition"):
+    for name in ("_hensel_lift", "_prime_search", "_squarefree"):
         monkeypatch.setattr(factoring, name, refuse)
     factoring._factor_q_monic.cache_clear()
     rng = random.Random(35)

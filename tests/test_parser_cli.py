@@ -289,6 +289,20 @@ def test_cli_witness_verifies_over_finite_base(tmp_path, capsys):
         assert check["detail"] == "constant classes over a finite field are trivial"
 
 
+def test_cli_witness_round_trip_over_a_field_of_non_prime_order(tmp_path, capsys):
+    """Over F_49 the witness symbol is the residue itself, which lies in F_7
+    for an integer --at, so the file holds text the parser reads back."""
+    flags = ["--base", "fq:49", "--p", "3"]
+    wfile = tmp_path / "w.json"
+    assert main(["witness", "(3, -2*t-12)", "--at", "-6", "--out", str(wfile)] + flags) == 0
+    datum = json.loads(wfile.read_text())
+    assert "[" not in datum["g"] and not any("[" in s for s in datum["symbol"])
+    capsys.readouterr()
+    argv = ["verify-witness", "(3, -2*t-12)", str(wfile), "--format", "json"] + flags
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["outcome"]["ok"] is True
+
+
 def test_cli_verify_witness_errors(tmp_path, capsys):
     wfile = tmp_path / "w.json"
     assert main(["witness", "(5,t)", "--at", "0", "--out", str(wfile)]) == 0

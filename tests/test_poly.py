@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from brauercalc import factoring
 from brauercalc import poly as poly_module
 from brauercalc.fields import GF
 from brauercalc.points import ClosedPoint, Q_BASE, valuation_at
@@ -14,6 +15,8 @@ from brauercalc.poly import (
     Poly,
     QQ,
     RationalFunction,
+    _PolyRing,
+    _gcd,
     lagrange_interpolate,
     poly_gcd,
     poly_str,
@@ -23,7 +26,7 @@ from brauercalc.poly import (
 
 from brauercalc.parser import _ClassParser
 
-from _gen import random_poly, rational
+from _gen import nonzero_rational, random_poly, rational
 from _oracles import qq_poly_oracle
 
 
@@ -183,8 +186,9 @@ def test_ratfunc_canonical_form():
 
 
 def _lowest_terms_by_gcd(num, den):
-    """The canonical pair by the exact gcd, the reference for the constructor."""
-    g = poly_gcd(num, den)
+    """The canonical pair by Euclid over the field, Fraction coefficients
+    over QQ: the reference for the constructor."""
+    g = _gcd(_PolyRing(num.field), num, den)
     num, den = num.exact_div(g), den.exact_div(g)
     inv = den.field.one / den.lc
     return num * inv, den * inv
@@ -208,54 +212,92 @@ def _forbid_gcd(monkeypatch):
     monkeypatch.setattr(poly_module, "poly_gcd", no_gcd)
 
 
-def test_coprime_rational_pairs_take_no_gcd(monkeypatch):
+def test_coprime_rational_pairs_stay_in_lowest_terms(monkeypatch):
     rng = random.Random(1702)
     pairs = [
         (random_poly(rng, QQ, 4, 30, min_degree=1), random_poly(rng, QQ, 4, 30, min_degree=1))
         for _ in range(40)
     ]
-    assert all(poly_gcd(num, den).degree == 0 for num, den in pairs)
-    want = [_lowest_terms_by_gcd(num, den) for num, den in pairs]
-    _forbid_gcd(monkeypatch)
-    for (num, den), expected in zip(pairs, want):
+    assert all(_gcd(_PolyRing(QQ), num, den).degree == 0 for num, den in pairs)
+    for num, den in pairs:
+        expected = _lowest_terms_by_gcd(num, den)
         r = RationalFunction(num * Fraction(2, 3), den)
         assert (r.num, r.den) == (expected[0] * Fraction(2, 3), expected[1])
     # a constant side decides the gcd over every field
+    _forbid_gcd(monkeypatch)
     f7 = GF(7)
     r = RationalFunction(Poly.from_ints(f7, [3, 1, 2]), Poly.constant(f7, 4))
     assert (r.num, r.den) == (Poly.from_ints(f7, [6, 2, 4]), Poly.one(f7))
     assert RationalFunction(P(3), P(1, 2)).num == Poly.constant(QQ, Fraction(3, 2))
 
 
-def test_coprimality_certificate_builds_no_ring_per_call(monkeypatch):
-    def refuse(p):
-        raise AssertionError(f"F_{p}[t] built for one certificate")
-
-    monkeypatch.setattr(poly_module, "_IntListRing", refuse)
-    r = RationalFunction(P(1, 0, 3), P(-1, 2))
-    assert (r.num, r.den) == (P(1, 0, 3) * Fraction(1, 2), P(Fraction(-1, 2), 1))
-
-
-def test_certificate_prime_in_a_leading_entry_takes_the_exact_gcd(monkeypatch):
-    m = poly_module._COPRIME_PRIME
-    real_gcd = poly_module.poly_gcd
-    calls = []
-
-    def counted_gcd(f, g):
-        calls.append((f, g))
-        return real_gcd(f, g)
-
-    monkeypatch.setattr(poly_module, "poly_gcd", counted_gcd)
-    # coprime, but the prime divides the leading entry of the numerator
+def test_large_leading_entries_reach_lowest_terms():
+    # m = 2^31 - 1 in a leading entry, and t, t - m, which meet modulo m
+    m = 2**31 - 1
     r = RationalFunction(P(1, 0, 3 * m), P(-1, 1))
-    assert len(calls) == 1 and (r.num, r.den) == (P(1, 0, 3 * m), P(-1, 1))
-    # a common factor t - 1 behind the same leading entry
+    assert (r.num, r.den) == (P(1, 0, 3 * m), P(-1, 1))
     r = RationalFunction(P(-1, 1) * P(5, m), P(-1, 1) * P(2, 4))
-    assert len(calls) == 2
     assert (r.num, r.den) == (Poly(QQ, [Fraction(5, 4), Fraction(m, 4)]), P(Fraction(1, 2), 1))
-    # coprime over Q, yet t and t - m meet mod the prime
     r = RationalFunction(P(0, 1), P(-m, 1))
-    assert len(calls) == 3 and (r.num, r.den) == (P(0, 1), P(-m, 1))
+    assert (r.num, r.den) == (P(0, 1), P(-m, 1))
+
+
+def _gcd_pairs(rng, n):
+    """Seeded QQ pairs: coprime, with a planted common factor, scaled by
+    different contents, with a constant side or a zero side."""
+    for i in range(n):
+        f = random_poly(rng, QQ, 5, 30)
+        g = random_poly(rng, QQ, 5, 30)
+        kind = i % 5
+        if kind == 1:
+            common = random_poly(rng, QQ, 3, 9, min_degree=1)
+            f, g = f * common, g * common**rng.randint(1, 2)
+        elif kind == 2:
+            common = random_poly(rng, QQ, 2, 9, min_degree=1)
+            f = f * common * nonzero_rational(rng, 99)
+            g = g * common * Fraction(rng.randint(1, 10**12), rng.randint(1, 99))
+        elif kind == 3:
+            g = Poly.constant(QQ, nonzero_rational(rng, 9))
+        elif kind == 4:
+            f, g = (Poly.zero(QQ), g) if rng.random() < 0.5 else (f, Poly.zero(QQ))
+        if rng.random() < 0.5:
+            f, g = g, f
+        yield f, g
+
+
+def test_rational_gcd_matches_euclid_over_fractions():
+    # the gcd on primitive integer forms against Euclid on Fraction
+    # coefficients, the same _gcd over _PolyRing(QQ)
+    rng = random.Random(1703)
+    for f, g in _gcd_pairs(rng, 200):
+        want = _gcd(_PolyRing(QQ), f, g)
+        got = poly_gcd(f, g)
+        assert got == want, (f, g)
+        assert got.is_zero or got.is_monic
+    assert poly_gcd(Poly.zero(QQ), Poly.zero(QQ)).is_zero
+
+
+def test_rational_gcd_builds_no_poly_ring(monkeypatch):
+    # route guard: a gcd over QQ, in lowest terms or in factoring, runs on
+    # integer forms, never on Fraction polynomials
+    real = poly_module._PolyRing
+
+    def no_qq(field):
+        if field is QQ:
+            raise AssertionError("_PolyRing(QQ) built for a gcd")
+        return real(field)
+
+    monkeypatch.setattr(poly_module, "_PolyRing", no_qq)
+    monkeypatch.setattr(factoring, "_PolyRing", no_qq)
+    rng = random.Random(1704)
+    for f, g in _gcd_pairs(rng, 40):
+        poly_gcd(f, g)
+        if not g.is_zero:
+            RationalFunction(f, g)
+    factoring._factor_q_monic.cache_clear()
+    # (t^2 + 1)^2 (t^2 + 2) goes through the squarefree loop over Q
+    f = P(1, 0, 1) ** 2 * P(2, 0, 1)
+    assert [e for _, e in factoring.factor_over_Q(f).factors] == [2, 1]
 
 
 def test_ratfunc_field_ops_random():
