@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .errors import NotSymbolRegular, ScopeError
 from .fields import rational_is_square
-from .hilbert import local_invariants, nonsplit_places
+from .hilbert import local_invariants, nonsplit_places, square_classes
 from .points import (
     ClosedPoint,
     residue_field,
@@ -251,10 +251,11 @@ class ClassComparison:
     difference there; both are None when the difference is unramified.  An
     unramified difference over Q is a constant class: left_pairs and
     right_pairs are the two classes specialized at at, the first value
-    symbol-regular for both (no entry factored), and left_places and
-    right_places their nonsplit places, sorted by place_key; otherwise these
-    five are None.  They are built on first read: equal reads them unless
-    the net is empty.
+    symbol-regular for both (no entry factored), left_classes and
+    right_classes the same pairs as square classes (hilbert.square_classes),
+    and left_places and right_places their nonsplit places, sorted by
+    place_key; otherwise these seven are None.  They are built on first
+    read: equal reads them unless the net is empty.
     """
 
     c1: object
@@ -270,21 +271,22 @@ class ClassComparison:
 
     @cached_property
     def _constant(self):
-        """The five, from one sweep of unit parts over c1 + c2, each symbol read
+        """The seven, from one sweep of unit parts over c1 + c2, each symbol read
         through the first one equal to it by value: c1 - c2, never built, has
         c1's pairs and (a, 1/b), with the invariants of (a, b), for each of c2's."""
         c1, c2 = self.c1, self.c2
         if self.point is not None or c1.base.is_finite:
-            return (None,) * 5
+            return (None,) * 7
         canon = {}
         syms = tuple(canon.setdefault(s, s) for s in c1.symbols + c2.symbols)
         both = BrauerClass(c1.base, c1.p, syms)  # symbol-regular exactly where c1 - c2 is
         at = next(c for c in sweep_values(c1.base) if (vals := _values_at(both, c)) is not None)
         lp, rp = vals[:len(c1.symbols)], vals[len(c1.symbols):]
-        return (at, lp, rp, *nonsplit_places(lp, rp))
+        lk, rk = square_classes(lp, rp)
+        return (at, lp, rp, lk, rk, *nonsplit_places(lk, rk))
 
-    at, left_pairs, right_pairs, left_places, right_places = (
-        property(lambda self, i=i: self._constant[i]) for i in range(5))
+    at, left_pairs, right_pairs, left_classes, right_classes, left_places, right_places = (
+        property(lambda self, i=i: self._constant[i]) for i in range(7))
 
     def residues_at(self, x):
         """The residues of c1 and c2 at x, each None where trivial."""

@@ -18,8 +18,9 @@ Over Q (p = 2) two residues cut out one extension exactly when their
 quotient is a square, so step 2 stops at the record's first differing
 point, and a pair that passes it differs by a nontrivial constant
 class.  Step 3 reads a and b specialized where compare_classes decided
-equality, with the nonsplit places it found (left_places, right_places):
-no Hilbert symbol is evaluated here.
+equality, with the square classes and nonsplit places it found
+(left_classes, right_classes, left_places, right_places): no Hilbert
+symbol is evaluated and no entry reduced to its kernel here.
 
 Over F_q a divisor residue is no p-th power and kappa(x) has one
 extension of degree p, so step 2 stops at the first point of one support
@@ -41,11 +42,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .brauer import BrauerClass, compare_classes, ramification_divisor, ramification_points
 from .errors import ScopeError
-from .factoring import factor_over_Fq, squarefree_kernel
+from .factoring import factor_over_Fq
 from .fields import multiplicative_generator
 from .hilbert import separating_discriminant, splits_invariant_set
 from .points import _point, reduce_at, residue_field
@@ -144,7 +144,7 @@ def distinguish(a, b, sweep=200):
         )
         cert = SpecializationCertificate(at, pa, pb, ta, tb)
         return Verdict(BY_SPECIALIZATION, tuple(steps), point=at, certificate=cert)
-    d = _separating_quadratic(pa, pb, sa, sb)
+    d = _separating_quadratic(cmp.left_classes, cmp.right_classes, sa, sb)
     steps.append(
         f"at t = {at} both specializations are nontrivial with "
         f"different nonsplit places {list(sa)} vs {list(sb)}; "
@@ -154,18 +154,18 @@ def distinguish(a, b, sweep=200):
     return Verdict(BY_SPECIALIZATION, tuple(steps), point=at, certificate=cert)
 
 
-def _separating_quadratic(pa, pb, sa, sb):
-    """d for which Q(sqrt(d)) splits exactly one of the two constant classes.
+def _separating_quadratic(ka, kb, sa, sb):
+    """d for which Q(sqrt(d)) splits exactly one of the two constant classes,
+    given as pairs of square classes (hilbert.square_classes).
 
     Kernels of the entries are tried first; the explicit congruence
     construction then guarantees an answer, since the nonsplit place
     sets differ.
     """
     seen = []
-    for pairs in (pa, pb):
+    for pairs in (ka, kb):
         for x, y in pairs:
-            for v in (x, y):
-                k = squarefree_kernel(Fraction(v))
+            for k, _ in (x, y):
                 if k != 1 and k not in seen:
                     seen.append(k)
     for d in seen:

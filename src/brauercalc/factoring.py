@@ -66,17 +66,26 @@ from .poly import _int_list_primitive, _int_list_strip
 from .poly import _zadd, _zdivmod_mod, _zmul, _zsub, _ztrunc
 
 
-def squarefree_kernel(c):
-    """sign * product of primes with odd exponent in the rational c."""
-    c = Fraction(c)
+def square_class(c):
+    """(k, odd) for a nonzero int or Fraction c: its squarefree kernel k and
+    the odd primes of k, in increasing order, read off the factorizations of
+    c's numerator and denominator.  k itself is never factored: it may join
+    a large prime of each, past factor_int's budget."""
     if c == 0:
         raise ValueError("zero has no squarefree kernel")
-    out = 1 if c > 0 else -1
+    k, odd = (1 if c > 0 else -1), []
     for n in (c.numerator, c.denominator):
         for p, e in factor_int(abs(n)):
             if e % 2:
-                out *= p
-    return out
+                k *= p
+                if p != 2:
+                    odd.append(p)
+    return k, tuple(sorted(odd))
+
+
+def squarefree_kernel(c):
+    """sign * product of primes with odd exponent in the nonzero rational c."""
+    return square_class(c)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,22 @@ Places of Q are odd primes, 2, and "inf".  The Hilbert symbol (a,b)_v
 is +1 or -1; a sum of quaternion symbols is trivial exactly when the
 product of its symbols is +1 at every place, and the places where any
 invariant can differ from +1 are 2, infinity, and the odd primes
-meeting a numerator or denominator of an entry.  The invariants
-multiply, so nonsplit_places works out each distinct pair's set once.
+meeting a numerator or denominator of an entry.
+
+A symbol depends only on the square classes of its entries: (x, y)_v =
+(k(x), k(y))_v for the squarefree kernel k.  The invariants multiply,
+so nonsplit_places reads a sum's set as the symmetric difference of its
+pairs' sets, and works out each distinct pair of square classes once
+per process: a memo keyed by the ordered pair of kernels evaluates the
+symbols on the two integers, and checks Hilbert reciprocity on the pair.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
 from math import gcd, prod
 
-from .factoring import squarefree_kernel
+from .factoring import square_class, squarefree_kernel
 from .fields import factor_int, is_prime
 
 INF = "inf"
@@ -25,8 +31,8 @@ def place_key(v):
 
 
 def _unit_mod(x, p, modulus):
-    """(valuation, p-adic unit part of x reduced mod a power of p) for a
-    Fraction x: p is stripped from its numerator and denominator."""
+    """(valuation, p-adic unit part of x reduced mod a power of p) for an
+    int or Fraction x: p is stripped from its numerator and denominator."""
     if x == 0:
         raise ValueError("zero has no finite valuation")
     num, den, v = x.numerator, x.denominator, 0
@@ -40,8 +46,7 @@ def _unit_mod(x, p, modulus):
 
 
 def hilbert_symbol(a, b, place):
-    """(a, b)_v for nonzero rationals a, b at a place of Q."""
-    a, b = Fraction(a), Fraction(b)
+    """(a, b)_v for nonzero rationals a, b (ints or Fractions) at a place of Q."""
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbols need nonzero entries")
     if place == INF:
@@ -74,27 +79,24 @@ def relevant_places(pairs):
     """Places where a sum of quaternion symbols could be nonsplit.
 
     Always contains 2 and infinity; every odd prime dividing a numerator
-    or denominator of an entry joins them.
+    or denominator of an entry (an int or a Fraction) joins them.
     """
     primes = set()
     for a, b in pairs:
         for x in (a, b):
-            x = Fraction(x)
             for n in (x.numerator, x.denominator):
                 if abs(n) > 1:
                     primes.update(q for q, _ in factor_int(abs(n)) if q != 2)
     return sorted(primes | {2, INF}, key=place_key)
 
 
-def local_invariants(pairs):
-    """Products of Hilbert symbols of the pairs, keyed by place.
-
-    Every place where an invariant can be -1 is listed, so the invariants
-    multiply to +1 (Hilbert reciprocity); a violation is a bug and raises
-    AssertionError, which the CLI reports as an internal error.
-    """
+def _invariants(pairs, places):
+    """Products of Hilbert symbols of the pairs at each of the places, which
+    must include every place where one can be -1: the invariants multiply
+    to +1 (Hilbert reciprocity), and a violation is a bug that raises
+    AssertionError, which the CLI reports as an internal error."""
     out = {}
-    for v in relevant_places(pairs):
+    for v in places:
         s = 1
         for a, b in pairs:
             s *= hilbert_symbol(a, b, v)
@@ -105,30 +107,59 @@ def local_invariants(pairs):
     return out
 
 
+def local_invariants(pairs):
+    """Products of Hilbert symbols of the pairs, keyed by place, at every
+    relevant place, checked for Hilbert reciprocity."""
+    return _invariants(pairs, relevant_places(pairs))
+
+
 def invariant_set(pairs):
     """Sorted places where the sum of the symbols is nonsplit."""
     return tuple(v for v, s in local_invariants(pairs).items() if s == -1)
 
 
-def nonsplit_places(*sums):
-    """invariant_set of each sum of pairs: the symmetric difference of its
-    pairs' own sets, each distinct pair's from local_invariants on that
-    pair alone (so Hilbert reciprocity is checked on it), once."""
+def square_classes(*sums):
+    """Each sum of pairs of nonzero rationals as its pairs of square classes,
+    (k, odd primes of k) for the squarefree kernel k (factoring.square_class),
+    each entry object reduced once (brauer's specialized pairs hold one
+    value object per entry object)."""
     seen = {}
+
+    def reduced(x):
+        c = seen.get(id(x))
+        if c is None:
+            c = seen[id(x)] = square_class(x)
+        return c
+
+    return tuple(tuple((reduced(x), reduced(y)) for x, y in pairs) for pairs in sums)
+
+
+@lru_cache(maxsize=4096)
+def _pair_places(x, y):
+    """The nonsplit places of the symbol (k, l), for square classes x = (k,
+    odd primes of k) and y = (l, odd primes of l), from its invariants at 2,
+    the odd primes of kl and infinity, checked for Hilbert reciprocity."""
+    (k, kp), (l, lp) = x, y
+    places = (2, *sorted(set(kp).union(lp)), INF)
+    return frozenset(v for v, s in _invariants(((k, l),), places).items() if s == -1)
+
+
+def nonsplit_places(*sums):
+    """invariant_set of each sum of square-class pairs (square_classes): the
+    symmetric difference of its pairs' own sets, each read from _pair_places
+    keyed by the pair in increasing order (the symbol is symmetric)."""
     out = []
     for pairs in sums:
         acc = set()
-        for pair in pairs:
-            if pair not in seen:
-                seen[pair] = {v for v, s in local_invariants((pair,)).items() if s == -1}
-            acc ^= seen[pair]
+        for x, y in pairs:
+            acc ^= _pair_places(x, y) if x <= y else _pair_places(y, x)
         out.append(tuple(sorted(acc, key=place_key)))
     return out
 
 
 def local_is_square(d, place):
-    """Whether a nonzero rational is a square in the completion at place."""
-    d = Fraction(d)
+    """Whether a nonzero rational (an int or a Fraction) is a square in the
+    completion at place."""
     if d == 0:
         raise ValueError("zero is not a unit")
     if place == INF:
@@ -202,7 +233,7 @@ def separating_discriminant(places_a, places_b):
             congruences.append((1, v))
     # r is 1 or 5 mod 8, so odd and nonzero
     r, m = _crt(congruences)
-    d = squarefree_kernel(Fraction(r - m if INF in target else r))
+    d = squarefree_kernel(r - m if INF in target else r)
     if not splits_invariant_set(d, target):
         raise AssertionError(f"Q(sqrt({d})) does not split the target class")
     if not local_is_square(d, star):

@@ -1,6 +1,7 @@
 """tools/bench_pairs.py on synthetic runs: the claim rule, the
-no_regression verdicts, the --pairs bound, a failed run and the bytecode
-caches, with stub checkouts in place of the real bench."""
+no_regression verdicts, the --pairs bound, a failed run, the bytecode
+caches and the verdict lines, with stub checkouts in place of the real
+bench."""
 
 import importlib.util
 import json
@@ -142,3 +143,26 @@ def test_each_side_caches_bytecode_apart_and_outside_the_checkouts(tmp_path):
     for prefix in (par, chg):
         assert prefix.is_absolute() and not prefix.exists()
         assert not prefix.is_relative_to(parent) and not prefix.is_relative_to(change)
+
+
+def test_each_metric_gets_a_verdict_line_after_the_last_pair(tmp_path, capsys):
+    """A change 25 % faster in both pairs: after the pair lines, one line per
+    end-to-end metric with the parent's median and quartiles, the change's
+    median, the pairs won and both verdicts, as in the claim file."""
+    parent = _stub_checkout(tmp_path / "parent", _PASSING_RUN)
+    faster = _PASSING_RUN.replace("100.0", "125.0").replace("10.0", "8.0")
+    change = _stub_checkout(tmp_path / "change", faster)
+    argv = [str(parent), str(change), "--workload", "cli_mix", "--pairs", "2",
+            "--seconds", "1", "--out", str(tmp_path)]
+    assert bench_pairs.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["pair 0", "pair 1"]
+    assert lines[2:] == [
+        "ops_per_s (1/s, higher is better): parent median 100 (q1 100, q3 100), "
+        "change median 125; won 2/2; claim_rule_holds True; no_regression True",
+        "op_p90_ms (ms, lower is better): parent median 10 (q1 10, q3 10), "
+        "change median 8; won 2/2; claim_rule_holds True; no_regression True",
+    ]
+    doc = json.loads((tmp_path / "BENCH_cli_mix.json").read_text(encoding="utf-8"))
+    metrics = doc["seeds"]["0"][0]["metrics"]
+    assert sorted(lines[2:]) == sorted(bench_pairs.verdict_line(n, m) for n, m in metrics.items())

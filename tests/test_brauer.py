@@ -1188,7 +1188,8 @@ def test_compare_classes_checks_reciprocity_on_every_pair(monkeypatch):
     """A Hilbert symbol flipped at 3 breaks reciprocity on each pair with 3
     among its places.  Here two such pairs flip together, so the product
     over the whole difference still satisfies it; the check on each pair
-    does not."""
+    does not.  The memo of pair sets is cleared after the patch, so each
+    pair is evaluated again with the flipped symbol."""
     true_symbol = hilbert.hilbert_symbol
 
     def flipped(a, b, place):
@@ -1199,5 +1200,6 @@ def test_compare_classes_checks_reciprocity_on_every_pair(monkeypatch):
     b = a + BrauerClass.make(Q_BASE, 2, [(-1, 3), (3, -1)])
     assert compare_classes(a, b).equal
     monkeypatch.setattr(hilbert, "hilbert_symbol", flipped)
+    hilbert._pair_places.cache_clear()
     with pytest.raises(AssertionError, match="reciprocity"):
         compare_classes(a, b)

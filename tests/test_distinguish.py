@@ -34,7 +34,8 @@ from brauercalc.distinguish import (
     enumerate_candidates,
 )
 from brauercalc.errors import NotSymbolRegular, ScopeError
-from brauercalc.hilbert import invariant_set
+from brauercalc.factoring import squarefree_kernel
+from brauercalc.hilbert import invariant_set, square_classes
 from brauercalc.parser import class_text, parse_class
 from brauercalc.points import ClosedPoint, FiniteBase, Q_BASE, sorted_points, sweep_values
 from brauercalc.poly import Poly, QQ, RationalFunction
@@ -305,7 +306,7 @@ def _sweep_reference(a, b, sweep):
             cert = SpecializationCertificate(cv, pa, pb, ta, tb)
             return Verdict(BY_SPECIALIZATION, tuple(steps), point=cv, certificate=cert)
         if not ta and set(sa) != set(sb):
-            d = _separating_quadratic(pa, pb, sa, sb)
+            d = _separating_quadratic(*square_classes(pa, pb), sa, sb)
             steps.append(
                 f"at t = {cv} both specializations are nontrivial with "
                 f"different nonsplit places {list(sa)} vs {list(sb)}; "
@@ -353,9 +354,11 @@ def test_distinguish_matches_sweep_reference():
 
 def test_distinguish_decides_the_constant_part_once(monkeypatch):
     """Guard against repeated passes over the constant part: over 30 Q ops
-    no Poly.evaluate, no invariant_set, no local_invariants at all where
-    the difference cancels, and elsewhere local_invariants on each distinct
-    specialized pair at most once per op."""
+    no Poly.evaluate, no invariant_set and no local_invariants; nothing
+    evaluated where the difference cancels; and across all the ops, the
+    symbols of each distinct pair of squarefree kernels evaluated once (the
+    memo of hilbert._pair_places, empty at the start), each on the kernels
+    of a pair specialized in that op."""
     rng = random.Random(1212)
     ops = []
     for i in range(30):
@@ -370,22 +373,25 @@ def test_distinguish_decides_the_constant_part_once(monkeypatch):
         return call
 
     calls = []
-    true_invariants = hilbert.local_invariants
+    true_invariants = hilbert._invariants
 
-    def counted(pairs):
-        calls.append(tuple(pairs))
-        return true_invariants(pairs)
+    def counted(pairs, places):
+        calls.append(pairs)
+        return true_invariants(pairs, places)
 
     monkeypatch.setattr(Poly, "evaluate", refuse("Poly.evaluate"))
     monkeypatch.setattr(hilbert, "invariant_set", refuse("invariant_set"))
     for module in (hilbert, brauer):
-        monkeypatch.setattr(module, "local_invariants", counted)
+        monkeypatch.setattr(module, "local_invariants", refuse("local_invariants"))
+    monkeypatch.setattr(hilbert, "_invariants", counted)
     seen = []
     for a, b in ops:
         calls.clear()
         distinguish(a, b)
         seen.append(list(calls))
     monkeypatch.undo()
+    assert hilbert._pair_places.cache_info().misses == sum(map(len, seen))
+    evaluated, specialized = Counter(), set()
     decided = cancelled = 0
     for (a, b), pairs_seen in zip(ops, seen):
         cmp = compare_classes(a, b)
@@ -393,12 +399,13 @@ def test_distinguish_decides_the_constant_part_once(monkeypatch):
             assert pairs_seen == []
             cancelled += not cmp.net.symbols
             continue
-        at = cmp.at
         decided += 1
-        distinct = set(specialize(a, at)) | set(specialize(b, at))
-        assert Counter(pairs_seen).most_common(1)[0][1] == 1
-        assert {pair for pairs in pairs_seen for pair in pairs} == distinct
-        assert all(len(pairs) == 1 for pairs in pairs_seen)
+        kernels = {tuple(sorted((squarefree_kernel(x), squarefree_kernel(y))))
+                   for x, y in specialize(a, cmp.at) + specialize(b, cmp.at)}
+        assert all(len(pairs) == 1 and pairs[0] in kernels for pairs in pairs_seen)
+        evaluated.update(pairs[0] for pairs in pairs_seen)
+        specialized |= kernels
+    assert set(evaluated) == specialized and evaluated.most_common(1)[0][1] == 1
     assert decided >= 20 and cancelled == 10
 
 

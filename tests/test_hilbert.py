@@ -21,9 +21,11 @@ from brauercalc.hilbert import (
     invariant_set,
     local_invariants,
     local_is_square,
+    nonsplit_places,
     relevant_places,
     separating_discriminant,
     splits_invariant_set,
+    square_classes,
     _unit_mod,
 )
 
@@ -181,6 +183,52 @@ def test_relevant_places_and_invariant_sets():
         assert set(ram) <= set(relevant_places(pairs))
         # product formula forces an even number of nonsplit places
         assert len(ram) % 2 == 0
+
+
+def _constant_entry(rng):
+    """A nonzero rational of height <= 30, an int, or one scaled by k^2 or
+    1/m^2 (k, m <= 50), or +-1 times a square (kernel +-1)."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.choice([-1, 1]) * rng.randint(1, 30)
+    if kind == 1:
+        return nonzero_rational(rng, 30) * rng.randint(1, 50) ** 2
+    if kind == 2:
+        return nonzero_rational(rng, 30) / rng.randint(1, 50) ** 2
+    if kind == 3:
+        return rng.choice([-1, 1]) * Fraction(rng.randint(1, 50), rng.randint(1, 50)) ** 2
+    return nonzero_rational(rng, 30)
+
+
+def test_nonsplit_places_agree_with_invariant_sets():
+    """On 300 seeded constant sums the memo of pair sets gives what
+    local_invariants gives on the rationals themselves; half the right
+    sums are the left ones with every entry scaled by a square, so their
+    pairs are read from the memo.  At 2, 3, 5 and infinity a sum of
+    entries of height <= 30 is also checked against the search oracle."""
+    rng = random.Random(4141)
+    oracle_checked = 0
+    for i in range(300):
+        lp = [(_constant_entry(rng), _constant_entry(rng)) for _ in range(rng.randint(1, 3))]
+        if i % 2:
+            rp = [(x * Fraction(rng.randint(1, 50), rng.randint(1, 50)) ** 2,
+                   y * Fraction(1, rng.randint(1, 50) ** 2)) for x, y in lp]
+        else:
+            rp = [(_constant_entry(rng), _constant_entry(rng)) for _ in range(rng.randint(1, 3))]
+        got = nonsplit_places(*square_classes(lp, rp))
+        assert got == [invariant_set(lp), invariant_set(rp)], (lp, rp)
+        for pairs, places in zip((lp, rp), got):
+            entries = [Fraction(x) for pair in pairs for x in pair]
+            if max(max(abs(x.numerator), x.denominator) for x in entries) > 30:
+                continue
+            oracle_checked += 1
+            for v in (2, 3, 5, INF):
+                sign = 1
+                for x, y in pairs:
+                    sign *= oracle_hilbert(x, y, v)
+                assert (v in places) == (sign == -1), (pairs, v)
+    info = hilbert._pair_places.cache_info()
+    assert info.hits >= 200 and oracle_checked >= 30, (info, oracle_checked)
 
 
 def test_local_is_square_against_oracle():

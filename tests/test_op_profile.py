@@ -2,7 +2,8 @@
 as an op kind, the kind shares add up to the whole, and the library
 modules are named in the self-time table; with --kind the table is that
 kind's alone, and an unknown kind is refused; --functions N lists N
-functions as file:line name, from the largest self-time share down."""
+functions as file:line name, from the largest self-time share down;
+--caches lists every lru_cache of the library with its counts."""
 
 import re
 import subprocess
@@ -65,3 +66,23 @@ def test_op_profile_lists_the_functions_with_the_most_self_time():
     assert shares == sorted(shares, reverse=True) and sum(shares) <= 100.5
     assert {"poly.py", "parser.py"} & {path for _, path, _, _ in rows}
     assert "self time by function" not in op_profile().stdout
+
+
+def test_op_profile_lists_every_lru_cache_after_the_plain_replay():
+    """One row per lru_cache defined in the library, module-level functions
+    and class attributes alike, with hits, misses and a size no larger
+    than the misses; the table is printed only with --caches."""
+    proc = op_profile("--caches")
+    tables(proc, "7 ops")
+    lines = proc.stdout.splitlines()
+    start = lines.index("lru caches after the plain replay:")
+    rows = {}
+    for row in lines[start + 1:]:
+        name, hits, misses, size = re.fullmatch(
+            r"  (\S+) +(\d+) hits +(\d+) misses +(\d+) size", row).groups()
+        rows[name] = int(hits), int(misses), int(size)
+    assert {"hilbert._pair_places", "fields.factor_int", "factoring._factor_q_monic",
+            "points._point", "poly.Poly.monic_from_ints", "cli._parser"} <= set(rows)
+    assert all(size <= misses for _, misses, size in rows.values())
+    assert rows["fields.factor_int"][0] > 0 and rows["cli._parser"][1] == 1
+    assert "lru caches" not in op_profile().stdout

@@ -20,6 +20,8 @@ for neither), and two verdicts:
   "unresolved" when the parent's quartiles are further apart than the
   bound allows, unless every run of the change reads better than every
   run of the parent.
+After the last pair, one line per metric gives the parent's median and
+quartiles, the change's median, the pairs won and the two verdicts.
 The result is appended to the records under its seed in
 BENCH_<workload>.json (in --out, the current directory by default), so
 no earlier record is lost, with the command line that made it and every
@@ -96,6 +98,15 @@ def no_regression(bound, sign, ps, cs):
     return sign * (median - cs["median"]) <= bound * abs(median)
 
 
+def verdict_line(name, m):
+    """One readable line of a summarize() entry."""
+    ps = m["parent"]
+    return (f"{name} ({m['unit']}, {m['better']} is better): parent median {ps['median']:.4g} "
+            f"(q1 {ps['q1']:.4g}, q3 {ps['q3']:.4g}), change median {m['change']['median']:.4g}; "
+            f"won {m['pairs_won']}/{m['pairs']}; claim_rule_holds {m['claim_rule_holds']}; "
+            f"no_regression {m['no_regression']}")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
@@ -126,12 +137,15 @@ def main(argv=None):
             pairs.append(pair)
             print(f"pair {i}: " + ", ".join(f"{side} {pair[side]['metrics']['ops_per_s']:.1f} "
                                            "ops/s" for side in order), flush=True)
+    metrics = summarize(spec, pairs)
+    for name, m in metrics.items():
+        print(verdict_line(name, m))
     path = args.out / f"BENCH_{args.workload}.json"
     doc = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
     doc.update(workload=args.workload)
     command = " ".join(["python3", "tools/bench_pairs.py", *(sys.argv[1:] if argv is None else argv)])
     doc.setdefault("seeds", {}).setdefault(str(args.seed), []).append({
-        "command": command, "seconds": args.seconds, "metrics": summarize(spec, pairs),
+        "command": command, "seconds": args.seconds, "metrics": metrics,
         "runs": pairs})
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0

@@ -3,6 +3,7 @@
     python3 tools/op_profile.py --workload q_split_distinguish --seed 0 --ops 264
     python3 tools/op_profile.py --workload cli_mix --ops 700 --kind equal
     python3 tools/op_profile.py --workload q_split_distinguish --functions 15
+    python3 tools/op_profile.py --workload q_split_distinguish --caches
 
 Loads bench/run.py and bench/workloads.py from the checkout (--root, the
 repository this file sits in by default) and changes nothing under
@@ -20,7 +21,10 @@ checked by the workload's own check:
   profiled, so the table is that kind's own.
 Op kinds print in stream order, then the 12 largest modules from the
 largest share down; --functions N adds the N functions with the largest
-self-time share, each as file:line name (built-ins as ~:0).  The ops/s on
+self-time share, each as file:line name (built-ins as ~:0); --caches adds
+the hits, misses and current size of every functools.lru_cache defined
+in a library module (found by its cache_info, on functions and on class
+attributes), as read after the plain replay, set-up and checks included.  The ops/s on
 the first line is not scaled by bench/gauge.py, so it drifts with the
 machine's speed from run to run; compare shares here, and rates with
 bench/run.py.  Stdlib only.
@@ -56,8 +60,9 @@ def op_kind(op):
 
 
 def replay(run, workload, seed, n_ops, profile=None, kind=None):
-    """Time and check the first n_ops ops after a fresh import: (kind, seconds)
-    per op.  profile, if given, runs on the ops of kind, or on all if None."""
+    """Time and check the first n_ops ops after a fresh import: the library
+    imported and (kind, seconds) per op.  profile, if given, runs on the ops
+    of kind, or on all if None."""
     lib, corpus = run.setup(workload, seed, n_ops)
     times = []
     for op in corpus:
@@ -71,7 +76,21 @@ def replay(run, workload, seed, n_ops, profile=None, kind=None):
             profile.disable()
         workload.check(lib, op, out)
         times.append((op_kind(op), dt))
-    return times
+    return lib, times
+
+
+def cache_stats(lib):
+    """(module.qualname, cache_info()) of every lru_cache defined in a module
+    of lib, at module level or as a class attribute, sorted by name."""
+    found = {}
+    for module in lib.modules:
+        stem = module.__name__.rsplit(".", 1)[-1]
+        for obj in vars(module).values():
+            inner = vars(obj).values() if isinstance(obj, type) else ()
+            for f in (obj, *(getattr(a, "__func__", a) for a in inner)):
+                if hasattr(f, "cache_info") and f.__module__ == module.__name__:
+                    found[f"{stem}.{f.__qualname__}"] = f.cache_info()
+    return sorted(found.items())
 
 
 def module_of(filename, package):
@@ -110,12 +129,15 @@ def main(argv=None):
     ap.add_argument("--kind", help='profile only the ops of this kind ("mode 0", equal, ...)')
     ap.add_argument("--functions", type=int, default=0, metavar="N",
                     help="also list the N functions with the largest self time")
+    ap.add_argument("--caches", action="store_true",
+                    help="also list every lru_cache's hits, misses and size")
     args = ap.parse_args(argv)
     root = args.root.resolve()
     run = load_bench(root)
     workload = run.workloads.WORKLOADS[args.workload]
     with run.in_checkout():
-        times = replay(run, workload, args.seed, args.ops)
+        lib, times = replay(run, workload, args.seed, args.ops)
+        caches = cache_stats(lib)
         profiled = [kind for kind, _ in times if args.kind in (None, kind)]
         if not profiled:
             ap.error(f"no {args.kind!r} op among the first {len(times)} ops")
@@ -141,6 +163,11 @@ def main(argv=None):
         print(f"self time by function (cProfile, {len(profiled)}{label} ops):")
         for name, share in function_shares(profile, args.functions):
             print(f"  {100 * share:5.1f} %  {name}")
+    if args.caches:
+        print("lru caches after the plain replay:")
+        for name, info in caches:
+            print(f"  {name:<32} {info.hits:>8} hits {info.misses:>8} misses "
+                  f"{info.currsize:>6} size")
     return 0
 
 
