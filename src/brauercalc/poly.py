@@ -32,7 +32,7 @@ over any field.  Factoring and the strip at a point run over them.
 Square-and-multiply (_power), Horner's rule (_horner) and Euclid's
 algorithm (_gcd, _xgcd) are written once, here: powers of polynomials
 and field elements, and factoring's _powmod, go through _power;
-evaluation, composition and substitution through _horner; poly_gcd,
+evaluation and substitution through _horner; poly_gcd,
 poly_xgcd and the rings' gcd and xgcd through _gcd and _xgcd, over a
 ring.
 """
@@ -291,10 +291,6 @@ class Poly:
     def evaluate(self, x):
         x = self.field.coerce(x) if not hasattr(x, "field") else x
         return _horner(self.coeffs, x, self.field.zero)
-
-    def compose(self, other):
-        """self(other(t)) for a polynomial argument."""
-        return _horner(self.coeffs, self._wrap(other), Poly.zero(self.field))
 
     def sort_key(self):
         return self._key
@@ -644,19 +640,19 @@ def resultant(f, g):
 
 
 def lagrange_interpolate(field, points):
-    """The unique polynomial of degree < len(points) through the points."""
-    result = Poly.zero(field)
+    """The unique polynomial of degree < len(points) through the points, by
+    Newton's divided differences, the Newton form expanded by Horner's rule:
+    O(n^2) field operations for n points."""
     xs = [field.coerce(x) for x, _ in points]
-    for i, (_, yi) in enumerate(points):
-        num = Poly.one(field)
-        denom = field.one
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            num = num * Poly(field, [-xj, field.one])
-            denom = denom * (xs[i] - xj)
-        result = result + num * (field.coerce(yi) / denom)
-    return result
+    cs = [field.coerce(y) for _, y in points]
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            cs[i] = (cs[i] - cs[i - 1]) / (xs[i] - xs[i - k])
+    acc = []
+    for x, c in zip(reversed(xs), reversed(cs)):
+        # acc <- acc * (t - x) + c
+        acc = [u - x * v for u, v in zip([c] + acc, acc + [field.zero])]
+    return Poly(field, acc)
 
 
 class RationalFunction:

@@ -17,8 +17,11 @@ degrees go through the norm polynomial
 
 which for squarefree N_lam is reducible over Q exactly when e is a
 square in the quotient.  A shift parameter lam is swept until the norm
-polynomial is squarefree.  nf_sqrt squares every root back before
-returning it, and nf_is_square says yes only when it holds such a root.
+polynomial is squarefree.  The root is read off each irreducible factor h
+of N_lam in kappa[y]/(y^2 - e), by one Horner pass h(lam*t + y) = a + b*y
+on pairs of kappa elements: for the factor with root lam*t + s, s^2 = e,
+it gives s = -a/b.  nf_sqrt squares every root back before returning it,
+and nf_is_square says yes only when it holds such a root.
 """
 
 from __future__ import annotations
@@ -63,21 +66,15 @@ def is_pth_power(field, value, p):
 def _nf_norm_poly(kappa, e, lam):
     """Res_t(modulus, (X - lam*t)^2 - e(t)) as a polynomial in X over Q.
 
-    Computed by evaluating at 2d + 1 integer values of X and
+    Computed by evaluating at the first 2d + 1 values of the sweep and
     interpolating; the result is monic of degree 2d.
     """
-    d = kappa.degree
-    pi = kappa.modulus
-    ep = kappa.to_poly(e)
-    xs = []
-    ys = []
-    x = 0
-    while len(xs) < 2 * d + 1:
-        lin = Poly(QQ, [Fraction(x), Fraction(-lam)])
-        ys.append(resultant(pi, lin * lin - ep))
-        xs.append(Fraction(x))
-        x = -x if x > 0 else -x + 1
-    return lagrange_interpolate(QQ, list(zip(xs, ys)))
+    pi, ep = kappa.modulus, kappa.to_poly(e)
+    points = []
+    for x in islice(sweep_values(Q_BASE), 2 * kappa.degree + 1):
+        lin = Poly(QQ, [x, -lam])
+        points.append((x, resultant(pi, lin * lin - ep)))
+    return lagrange_interpolate(QQ, points)
 
 
 # Shifts the sweep in _split_norm tries.  The 2d roots of N_lam are
@@ -142,8 +139,12 @@ def nf_sqrt(kappa, e):
 
     A non-None answer has been confirmed by squaring, so it is
     self-certifying.  Quadratic fields use the closed form of
-    _quadratic_sqrt; higher degrees factor the norm polynomial and
-    reconstruct the root as a gcd over kappa.
+    _quadratic_sqrt; higher degrees factor the norm polynomial N_lam and
+    read the root off each factor h in kappa[y]/(y^2 - e): Horner's rule
+    on pairs a + b*y gives h(lam*t + y) = a + b*y, and the candidate root
+    is -a/b.  N_lam is squarefree, so the factor with root lam*t + s
+    (s^2 = e) vanishes at y = s and not at y = -s, which makes b nonzero
+    and s = -a/b; every other candidate fails to square back.
     """
     e = kappa.coerce(e)
     if e.is_zero:
@@ -155,13 +156,14 @@ def nf_sqrt(kappa, e):
     lam, factors = _split_norm(kappa, e)
     if len(factors) == 1:
         return None
-    square_poly = Poly(kappa, [-e, kappa.zero, kappa.one])
-    shift = Poly(kappa, [kappa.embed(lam) * kappa.gen_elem(), kappa.one])
+    shift = kappa.embed(lam) * kappa.gen_elem()
     for h, _ in factors:
-        hk = Poly(kappa, [kappa.embed(c) for c in h.coeffs]).compose(shift)
-        g = poly_gcd(square_poly, hk)
-        if g.degree == 1:
-            root = -g.coeff(0)
+        a = b = kappa.zero
+        for c in reversed(h.coeffs):
+            # (a + b*y)(shift + y) + c, with y^2 = e
+            a, b = shift * a + e * b + kappa.embed(c), a + shift * b
+        if not b.is_zero:
+            root = -a / b
             if root * root == e:
                 return root
     return None

@@ -511,6 +511,15 @@ def test_high_power_at_a_non_monic_quadratic_point_is_golden():
     assert elapsed < 1.0
 
 
+def test_square_residue_at_a_degree_32_point_is_golden(capsys):
+    # the residue t^2 at the point t^32 + 1 is the square of theta in a
+    # degree-32 field: nf_sqrt factors a degree-64 norm polynomial and
+    # reads the root theta off one factor in kappa[y]/(y^2 - t^2)
+    assert main(["ram", "(t^32+1, t^2)"]) == 0
+    golden = Path(__file__).resolve().parent / "golden" / "ram_degree_32_square_residue.txt"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
 def test_cli_parser_is_reused_after_usage_errors(capsys):
     # main() builds its argparse parser once per process; a usage error
     # must leave it fit for the next call

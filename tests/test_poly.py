@@ -10,7 +10,7 @@ import pytest
 from brauercalc import factoring
 from brauercalc import poly as poly_module
 from brauercalc.fields import GF
-from brauercalc.points import ClosedPoint, Q_BASE, valuation_at
+from brauercalc.points import ClosedPoint, Q_BASE, sweep_values, valuation_at
 from brauercalc.poly import (
     Poly,
     QQ,
@@ -108,11 +108,13 @@ def test_power_spends_no_product_on_the_identity():
         assert len(products) == want, n
 
 
-def test_evaluate_compose():
+def test_evaluate():
     f = P(2, 0, 1)  # t^2 + 2
     assert f.evaluate(Fraction(3)) == 11
-    g = P(1, 1)  # t + 1
-    assert f.compose(g) == P(3, 2, 1)
+    assert f.evaluate(Fraction(-1, 2)) == Fraction(9, 4)
+    field = GF(13)
+    g = Poly.from_ints(field, [2, 0, 1])
+    assert g.evaluate(field.from_int(3)) == 11 and g.evaluate(4) == 5
 
 
 def test_gcd_xgcd_random():
@@ -168,6 +170,18 @@ def test_lagrange_interpolate_recovers():
         f = random_poly(rng, QQ, 4, 9)
         pts = [(Fraction(x), f.evaluate(Fraction(x))) for x in range(-2, 3)]
         assert lagrange_interpolate(QQ, pts) == f
+    # degree up to 16 over QQ at abscissae in sweep order, as the norm
+    # polynomial takes them, and at distinct points of GF(13)
+    for n in range(1, 18):
+        f = random_poly(rng, QQ, n - 1, 9, min_degree=n - 1) * Fraction(1, rng.randint(1, 9))
+        xs = list(itertools.islice(sweep_values(Q_BASE), n))
+        assert lagrange_interpolate(QQ, [(x, f.evaluate(x)) for x in xs]) == f
+    field = GF(13)
+    for n in range(1, 14):
+        f = random_poly(rng, field, n - 1, min_degree=n - 1)
+        xs = rng.sample(list(field.elements()), n)
+        assert lagrange_interpolate(field, [(x, f.evaluate(x)) for x in xs]) == f
+    assert lagrange_interpolate(QQ, []) == Poly.zero(QQ)
 
 
 def test_poly_valuation():

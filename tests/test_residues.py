@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from brauercalc import fields, residues
+from brauercalc import poly as poly_module
 from brauercalc.brauer import (
     BrauerClass,
     compare_classes,
@@ -255,6 +256,95 @@ def test_higher_degree_square_test_matches_sympy():
     assert {pi.degree for pi in pis} == {3, 4}
     assert answers["square", True] == 9 and answers.get(("random", False), 0) >= 6
     assert answers["3t", True] >= 1 and answers["3t", False] >= 6
+
+
+def _seeded_number_fields(rng, n):
+    """n fields Q[t]/(pi), pi monic irreducible of degree 3 to 6."""
+    out = []
+    while len(out) < n:
+        pi = random_poly(rng, QQ, 6, height=5, monic=True, min_degree=3)
+        if is_irreducible(pi):
+            out.append(QuotientField(QQ, pi))
+    return out
+
+
+def _forbid_number_field_polys(monkeypatch):
+    """Building a Poly, or taking poly_gcd, over a field that is neither QQ
+    nor finite raises."""
+    def allowed(field):
+        if field is not QQ and not field.finite:
+            raise AssertionError(f"a polynomial over {field}")
+
+    init, gcd = Poly.__init__, residues.poly_gcd
+
+    def guarded_init(self, field, coeffs):
+        allowed(field)
+        init(self, field, coeffs)
+
+    def guarded_gcd(f, g):
+        allowed(f.field)
+        allowed(g.field)
+        return gcd(f, g)
+
+    monkeypatch.setattr(Poly, "__init__", guarded_init)
+    for module in (residues, poly_module):
+        monkeypatch.setattr(module, "poly_gcd", guarded_gcd)
+
+
+def test_nf_sqrt_reads_the_root_off_kappa_y(monkeypatch):
+    """On 150 seeded fields of degree 3 to 6: nf_sqrt(s^2) is s or -s, an
+    element whose norm is no rational square has no root, and k*s^2 with k
+    rational (a square norm at even degree) is a square exactly when the
+    squarefree norm polynomial is reducible (Trager).  No polynomial over
+    the number field is built, and no gcd is taken over it."""
+    rng = random.Random(4201)
+    kappas = _seeded_number_fields(rng, 150)
+    cases = []
+    for kappa in kappas:
+        s = random_nf_elem(rng, kappa)
+        odd = random_nf_elem(rng, kappa)
+        while rational_is_square(kappa.norm(odd)):
+            odd = random_nf_elem(rng, kappa)
+        twisted = s * s * rng.choice([-1, 2, 3, -3, 5])
+        expected = len(residues._split_norm(kappa, twisted)[1]) > 1
+        cases.append((kappa, s, odd, twisted, expected))
+    answers = {}
+    with monkeypatch.context() as m:
+        _forbid_number_field_polys(m)
+        for kappa, s, odd, twisted, expected in cases:
+            assert nf_sqrt(kappa, s * s) in (s, -s)
+            assert nf_sqrt(kappa, odd) is None
+            root = nf_sqrt(kappa, twisted)
+            assert (root is not None) == expected, (kappa.modulus, twisted)
+            assert root is None or root * root == twisted
+            key = kappa.degree, rational_is_square(kappa.norm(twisted)), expected
+            answers[key] = answers.get(key, 0) + 1
+    assert {d for d, _, _ in answers} == {3, 4, 5, 6}
+    assert sum(n for (_, norm, yes), n in answers.items() if norm and not yes) >= 20
+
+
+def test_nf_sqrt_on_seeded_fields_matches_sympy(monkeypatch):
+    """The yes/no of nf_sqrt on 150 seeded fields of degree 3 to 6 matches
+    sympy's factorization of y^2 - e over Q(theta), with the route guard on."""
+    sympy = pytest.importorskip("sympy")
+    t, y = sympy.symbols("t y")
+    rng = random.Random(4202)
+    answers = {}
+    for n, kappa in enumerate(_seeded_number_fields(rng, 150)):
+        pi = kappa.modulus
+        theta = sympy.CRootOf(sum(int(c) * t**i for i, c in enumerate(pi.coeffs)), 0)
+        K = sympy.QQ.algebraic_field(theta)
+        s = random_nf_elem(rng, kappa)
+        # a square, a random element and a rational multiple of a square, in turn
+        e = (s * s, s, s * s * rng.choice([-1, 2, 3]))[n % 3]
+        ek = K([sympy.QQ(c.numerator, c.denominator) for c in reversed(kappa.to_poly(e).coeffs)])
+        _, factors = sympy.Poly([K.one, K.zero, -ek], y, domain=K).factor_list()
+        expected = any(g.degree() == 1 for g, _ in factors)
+        with monkeypatch.context() as m:
+            _forbid_number_field_polys(m)
+            assert (nf_sqrt(kappa, e) is not None) == expected, (pi, e)
+        answers[expected] = answers.get(expected, 0) + 1
+    assert answers[True] >= 50 and answers[False] >= 80
 
 
 def test_quadratic_square_test_never_factors(monkeypatch):
