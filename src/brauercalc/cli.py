@@ -173,9 +173,8 @@ def cmd_witness(args):
 
 def cmd_verify_witness(args):
     cls, inputs = _parse_classes(args, ("class", args.cls))
-    with open(args.witness_file, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    datum = rpt.witness_from_json(text, cls.base)
+    with open(args.witness_file, "rb") as fh:
+        datum = rpt.witness_from_json(fh.read(), cls.base)
     if datum.m != cls.p:
         raise ValueError(f"witness degree m = {datum.m} does not match --p {cls.p}")
     if datum.kind == "splitting":

@@ -46,11 +46,10 @@ from dataclasses import dataclass
 from .brauer import BrauerClass, compare_classes, ramification_divisor, ramification_points
 from .errors import ScopeError
 from .factoring import factor_over_Fq
-from .fields import multiplicative_generator
 from .hilbert import separating_discriminant, splits_invariant_set
 from .points import _point, reduce_at, residue_field
 from .poly import RationalFunction
-from .residues import corestriction_exponent
+from .residues import corestriction_exponent, generator_power
 
 EQUAL = "Equal"
 BY_RAMIFICATION_FIELD = "DistinguishedByRamificationField"
@@ -245,22 +244,18 @@ def _residue_symbols(base, p, pt, k):
     Net effect: exactly that residue class at pt, trivial residue at
     every other finite point, and whatever infinity demands.  A constant
     c of F_q has norm c^d at a point of degree d, so when p does not
-    divide d the constant g^(k/d), g the fixed generator of F_q*, is the
-    residue.  When p divides d, constants land in the kernel of
-    k* -> kappa*/(kappa*)^p, so the representative g_kappa^m with
-    m k(g_kappa) = k is used as a polynomial, and the ramification it
-    drags in at its own factors is cancelled recursively at strictly
-    smaller degrees.
+    divide d the constant of normed exponent k/d at infinity, where
+    kappa = F_q, is the residue.  When p divides d, constants land in the
+    kernel of k* -> kappa*/(kappa*)^p, so generator_power's representative
+    at pt is used as a polynomial, and the ramification it drags in at its
+    own factors is cancelled recursively at strictly smaller degrees.
     """
     if k == 0:
         return []
     if pt.degree % p:
-        g = multiplicative_generator(base.field)
-        return [(RationalFunction.constant(base.field, g ** (k * pow(pt.degree, -1, p) % p)),
-                 RationalFunction(pt.poly))]
-    kappa = residue_field(pt)
-    gen = multiplicative_generator(kappa)
-    w = kappa.to_poly(gen ** (k * pow(corestriction_exponent(pt, gen, p), -1, p) % p))
+        c = generator_power(_point(base, None), k * pow(pt.degree, -1, p), p)
+        return [(RationalFunction.constant(base.field, c), RationalFunction(pt.poly))]
+    w = residue_field(pt).to_poly(generator_power(pt, k, p))
     out = [(RationalFunction(w), RationalFunction(pt.poly))]
     for phi, e in factor_over_Fq(w).factors:
         ppt = _point(base, phi)

@@ -126,12 +126,12 @@ class FFElem:
 
 
 class PrimeField:
-    """F_p for prime p; representatives are ints in [0, p)."""
+    """F_p, p proved prime by factor_int (whose answer GF(p) cached); reps in [0, p)."""
 
     finite = True
 
     def __init__(self, p):
-        if not is_prime(p):
+        if p < 2 or factor_int(p).factors != ((p, 1),):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.char = p
@@ -300,9 +300,8 @@ class QuotientField:
         g, s, _ = poly_xgcd(p, self.modulus)
         if g.degree != 0:
             raise ZeroDivisionError("representative is not invertible")
-        s = s % self.modulus
-        rep = [s.coeff(i) for i in range(self.degree)]
-        return tuple(rep)
+        # deg s < deg modulus, the Bezout cofactor's bound (MCA 3.15)
+        return tuple(s.coeff(i) for i in range(self.degree))
 
     def norm(self, e):
         """Norm down to the base field, as Res(modulus, representative)."""

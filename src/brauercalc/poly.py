@@ -30,11 +30,10 @@ _PrimitiveRing, Q[t] up to units on primitive ones; and _PolyRing, Poly
 over any field.  Factoring and the strip at a point run over them.
 
 Square-and-multiply (_power), Horner's rule (_horner) and Euclid's
-algorithm (_gcd, _xgcd) are written once, here: powers of polynomials
-and field elements, and factoring's _powmod, go through _power;
-evaluation and substitution through _horner; poly_gcd,
-poly_xgcd and the rings' gcd and xgcd through _gcd and _xgcd, over a
-ring.
+algorithm (_euclid) are written once, here: powers of polynomials and
+field elements, and factoring's _powmod, go through _power; evaluation
+and substitution through _horner; every gcd (_gcd), Bezout cofactor
+(_xgcd) and resultant is read off _euclid's remainders, over a ring.
 """
 
 from __future__ import annotations
@@ -236,19 +235,21 @@ class Poly:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         field = self.field
+        if self.degree < other.degree:
+            return Poly(field, ()), self
         rem = list(self.coeffs)
         dd = other.degree
         inv_lc = field.one / other.lc
-        quo = [field.zero] * max(len(rem) - dd, 0)
+        quo = [field.zero] * (len(rem) - dd)
         for i in range(len(rem) - 1, dd - 1, -1):
             c = rem[i]
             if c == field.zero:
                 continue
             q = c * inv_lc
             quo[i - dd] = q
-            for j, b in enumerate(other.coeffs):
-                rem[i - dd + j] = rem[i - dd + j] - q * b
-        return Poly(field, quo), Poly(field, rem)
+            for j, b in enumerate(other.coeffs, i - dd):
+                rem[j] = rem[j] - q * b
+        return Poly(field, quo), Poly(field, rem[:dd])
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -367,8 +368,8 @@ def _int_list_pseudo_divmod(a, b):
             c = r[i]
         c //= lb
         q[i - db] = c
-        for j, y in enumerate(b):
-            r[i - db + j] -= c * y
+        for j, y in enumerate(b, i - db):
+            r[j] -= c * y
     return k, _ztrim(q), _ztrim(r[:db])
 
 
@@ -442,34 +443,46 @@ def _zdivmod_mod(a, b, m):
             continue
         q = c * inv % m
         quo[i - db] = q
-        for j, y in enumerate(b):
-            rem[i - db + j] = (rem[i - db + j] - q * y) % m
-    return _ztrim(quo), _ztrim(rem)
+        for j, y in enumerate(b, i - db):
+            rem[j] = (rem[j] - q * y) % m
+    return _ztrim(quo), _ztrim(rem[:db])
 
 
 # ---------------------------------------------------------------------------
 # Polynomial rings over a field, for the algorithms written over a ring R
 
 
-def _gcd(R, a, b):
-    """Monic gcd in R by Euclid (MCA ch. 3) up to a constant remainder b:
-    monic(b) = 1 when b is nonzero, else a made monic (0 for a = b = 0)."""
+def _euclid(R, a, b):
+    """Euclid in R (MCA ch. 3): the remainders [a, b, ...] down to the first
+    of degree < 1, and the quotients, rs[i] = qs[i] rs[i+1] + rs[i+2]."""
+    rs, qs = [a, b], []
     while R.deg(b) > 0:
-        a, b = b, R.rem(a, b)
-    return R.monic(b if R.deg(b) == 0 else a)
+        q, r = R.divmod(a, b)
+        a, b = b, r
+        rs.append(r)
+        qs.append(q)
+    return rs, qs
+
+
+def _gcd(R, a, b):
+    """Monic gcd in R: the last remainder if constant, else the one before."""
+    rs = _euclid(R, a, b)[0]
+    return R.monic(rs[-1] if R.deg(rs[-1]) == 0 else rs[-2])
 
 
 def _xgcd(R, a, b):
-    """(g, s, t) with s*a + t*b = g, the monic gcd in R, by the extended
-    Euclidean algorithm (MCA ch. 3); (0, 1, 0) for a = b = 0."""
-    sa, sb, ta, tb = R.one, R.zero, R.zero, R.one
-    while R.deg(b) >= 0:
-        q, r = R.divmod(a, b)
-        a, b = b, r
-        sa, sb = sb, R.sub(sa, R.mul(q, sb))
-        ta, tb = tb, R.sub(ta, R.mul(q, tb))
-    u = R.inv_lc(a) if R.deg(a) >= 0 else R.one
-    return R.mul(a, u), R.mul(sa, u), R.mul(ta, u)
+    """(g, s, t) with s*a + t*b = g, the monic gcd in R, the cofactors folded
+    up to the last nonzero remainder; (0, 1, 0) for a = b = 0."""
+    rs, qs = _euclid(R, a, b)
+    if R.deg(rs[-1]) < 0:
+        rs, qs = rs[:-1], qs[:-1]
+    s, t = [R.one, R.zero], [R.zero, R.one]  # the cofactors of rs[0], rs[1], ...
+    for q in qs:
+        s.append(R.sub(s[-2], R.mul(q, s[-1])))
+        t.append(R.sub(t[-2], R.mul(q, t[-1])))
+    n = len(rs) - 1
+    u = R.inv_lc(rs[n]) if R.deg(rs[n]) >= 0 else R.one
+    return R.mul(rs[n], u), R.mul(s[n], u), R.mul(t[n], u)
 
 
 class _IntListRing:
@@ -528,8 +541,8 @@ class _IntListRing:
 
 
 class _PolyRing:
-    """K[t] on Poly, K any field: an extension field GF(p^k), k >= 2, for
-    factoring and the strip there, or QQ for poly_xgcd."""
+    """K[t] on Poly, K any field: GF(p^k), k >= 2, for factoring and the strip
+    there, or QQ for poly_xgcd; Euclid's operations are static methods."""
 
     deg = staticmethod(operator.attrgetter("degree"))
     sub = staticmethod(operator.sub)
@@ -567,10 +580,10 @@ class _PolyRing:
 
 class _PrimitiveRing:
     """Q[t] up to units, on primitive integer lists with a positive last
-    entry ([] for zero), for Euclid and the squarefree loop over Q: a
-    remainder is the primitive part of a pseudo-remainder (Knuth 4.6.1),
-    and by Gauss's lemma (MCA 6.2) the gcd and each exact quotient of
-    primitive polynomials are primitive."""
+    entry ([] for zero), for Euclid and the squarefree loop over Q: divmod
+    is the pseudo-quotient, which gcd never reads, and the primitive part of
+    the pseudo-remainder (Knuth 4.6.1); by Gauss's lemma (MCA 6.2) the gcd
+    and each exact quotient of primitive polynomials are primitive."""
 
     char = 0
     gcd = _gcd
@@ -579,8 +592,9 @@ class _PrimitiveRing:
     def deg(self, a):
         return len(a) - 1
 
-    def rem(self, a, b):
-        return _int_list_primitive(_int_list_pseudo_divmod(a, b)[2])
+    def divmod(self, a, b):
+        _, q, r = _int_list_pseudo_divmod(a, b)
+        return q, _int_list_primitive(r)
 
     def quo(self, a, b):
         return _int_list_primitive(_int_list_pseudo_divmod(a, b)[1])
@@ -598,7 +612,7 @@ def poly_gcd(f, g):
     if f.field is QQ:
         d = _gcd(_PRIMITIVE_RING, f._int_form[1], g._int_form[1])
         return Poly.monic_from_ints(tuple(d)) if d else f
-    return _gcd(_PolyRing(f.field), f, g)
+    return _gcd(_PolyRing, f, g)
 
 
 def poly_xgcd(f, g):
@@ -607,36 +621,20 @@ def poly_xgcd(f, g):
 
 
 def resultant(f, g):
-    """Res(f, g) = lc(f)^deg(g) * product of g over the roots of f.
-
-    Conventions: Res(f, c) = c^deg(f) for constant c, Res(c, g) = c^deg(g),
-    and Res(f, 0) = 0 once deg(f) >= 1.  The first argument must be nonzero.
-    """
+    """Res(f, g) = lc(f)^deg(g) * product of g over the roots of f, a fold of
+    the remainders of (f, g): Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a -
+    deg r) Res(b, r) for r = a mod b, down to Res(a, c) = c^deg(a).  So
+    Res(f, c) = c^deg(f) for constant c, Res(c, g) = c^deg(g), and Res(f, 0)
+    = 0 once deg(f) >= 1.  The first argument must be nonzero."""
     if f.is_zero:
         raise ValueError("resultant: first argument must be nonzero")
-    field = f.field
-    if f.degree == 0:
-        if g.is_zero:
-            return field.one
-        return f.lc ** g.degree
-    acc = field.one
-    a, b = f, g
-    while True:
-        if b.is_zero:
-            return field.zero
-        if b.degree == 0:
-            return acc * b.lc ** a.degree
-        if b.degree >= a.degree:
-            r = b % a
-            k = r.degree if not r.is_zero else 0
-            acc = acc * a.lc ** (b.degree - k)
-            if r.is_zero:
-                return field.zero
-            b = r
-        else:
-            if (a.degree * b.degree) % 2 == 1:
-                acc = -acc
-            a, b = b, a
+    rs = _euclid(_PolyRing, f, g)[0]
+    acc = rs[-1].coeff(0) ** rs[-2].degree
+    for a, b, r in zip(rs, rs[1:], rs[2:]):
+        acc = acc * b.lc ** (a.degree - r.degree)
+        if a.degree * b.degree % 2:
+            acc = -acc
+    return acc
 
 
 def lagrange_interpolate(field, points):

@@ -224,11 +224,13 @@ def witness_to_json(datum):
     return json.dumps(witness_to_obj(datum), sort_keys=True, indent=2) + "\n"
 
 
-def witness_from_json(text, base):
+def witness_from_json(data, base):
     try:
-        obj = json.loads(text)
+        obj = json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(exc.pos, f"witness file is not valid JSON: {exc.msg}")
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise ParseError(0, f"witness file is not UTF-8 JSON text: {exc}")
     if not isinstance(obj, dict):
         raise ParseError(0, "witness file must hold a JSON object")
     for key in ("g", "basepoint", "fiber_root", "f", "reparam"):

@@ -6,9 +6,9 @@ needs a p-th power test in three kinds of field: Q itself, finite
 fields, and number fields Q[t]/(pi) (p = 2 only).  Over F_q (p | q - 1)
 the norm induces kappa(x)*/p = F_q*/p, so every decision reads N(u) in
 F_q: triviality is Euler's criterion on it, and the class of u is its
-normed exponent (corestriction_exponent).  No power is taken in
-kappa(x); its generator g is asked for only to print g^m and to realize
-a twist at a point whose degree p divides.  Over Q(t) almost every
+normed exponent (corestriction_exponent).  The one power taken in
+kappa(x) is generator_power's g^m of normed exponent k, which
+canonical_value prints and distinguish realizes.  Over Q(t) almost every
 number field met is quadratic, and there the square root has a
 closed form in rational square roots (_quadratic_sqrt).  Higher
 degrees go through the norm polynomial
@@ -204,17 +204,13 @@ class ResidueClass:
 
     def canonical_value(self):
         """A canonical representative modulo p-th powers where one exists;
-        over F_q, g^m for the generator g of kappa(x)*, where k(value) = m k(g)."""
+        over F_q, the generator_power of the value's normed exponent."""
         if isinstance(self.value, Fraction):
             return Fraction(squarefree_kernel(self.value))
-        field, x, p = self.field, self.point, self.p
-        if not field.finite:
+        if not self.field.finite:
             return self.value
-        k = corestriction_exponent(x, self.value, p)
-        if k == 0:
-            return field.one
-        g = multiplicative_generator(field)
-        return g ** (k * pow(corestriction_exponent(x, g, p), -1, p) % p)
+        x, p = self.point, self.p
+        return generator_power(x, corestriction_exponent(x, self.value, p), p)
 
     def field_label(self):
         """Readable name of the extension the residue cuts out."""
@@ -255,3 +251,13 @@ def corestriction_exponent(point, value, p):
     if not base.is_finite:
         raise ScopeError("corestriction exponents need a finite constant field")
     return pth_power_exponent(base.field.coerce(norm_to_base(point, value)), p)
+
+
+def generator_power(point, k, p):
+    """The unit g^m with normed exponent m k(g) = k mod p, g the fixed generator
+    of kappa(x)*; 1 at k = 0 with no search, m = k at degree 1 (zeta = g^((q-1)/p))."""
+    if k % p == 0:
+        return residue_field(point).one
+    g = multiplicative_generator(residue_field(point))
+    m = k if point.degree == 1 else k * pow(corestriction_exponent(point, g, p), -1, p)
+    return g ** (m % p)

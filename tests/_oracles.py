@@ -21,7 +21,8 @@ finite point is read off poly_strip, Poly division by the point's
 polynomial, over every base field.  What a polynomial over QQ reports
 (coefficients, integer form, degree, leading coefficient, sort key) is
 read off its trimmed Fraction tuple alone, denominators cleared by their
-product.
+product.  A resultant is the determinant of the Sylvester matrix, by
+Gaussian elimination over the coefficient field.
 """
 
 import itertools
@@ -132,6 +133,34 @@ class _FractionRing(_PolyRing):
     not poly_gcd's integer forms."""
 
     gcd = _gcd
+
+
+def sylvester_resultant(f, g):
+    """det Syl(f, g), f's deg(g) rows above g's deg(f) rows, coefficients
+    highest first; for g = 0, 1 at a constant f and 0 otherwise."""
+    field = f.field
+    if g.is_zero:
+        return field.one if f.degree == 0 else field.zero
+    n, m = f.degree, g.degree
+    size = n + m
+    rows = [[field.zero] * i + list(reversed(f.coeffs)) + [field.zero] * (m - 1 - i)
+            for i in range(m)]
+    rows += [[field.zero] * i + list(reversed(g.coeffs)) + [field.zero] * (n - 1 - i)
+             for i in range(n)]
+    det = field.one
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col] != field.zero), None)
+        if pivot is None:
+            return field.zero
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det = det * rows[col][col]
+        inv = field.one / rows[col][col]
+        for r in range(col + 1, size):
+            c = rows[r][col] * inv
+            rows[r] = [x - c * y for x, y in zip(rows[r], rows[col])]
+    return det
 
 
 def factor_over_Q_by_zassenhaus(f):

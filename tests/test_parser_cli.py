@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from brauercalc.brauer import BrauerClass
-from brauercalc import cli, covers, factoring
+from brauercalc import cli, covers, factoring, fields
 from brauercalc.cli import main
 from brauercalc.covers import make_unramified_cover
 from brauercalc.errors import ParseError, ScopeError
@@ -315,6 +315,35 @@ def test_cli_verify_witness_errors(tmp_path, capsys):
     assert main(["verify-witness", "(5,t)", str(bad)]) == 2
     assert main(["verify-witness", "(5,t)", str(tmp_path / "missing.json")]) == 1
     capsys.readouterr()
+
+
+def test_cli_deeply_nested_witness_file_is_a_parse_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    assert main(["verify-witness", "(2, t)", str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: offset 0: witness file is not UTF-8 JSON text")
+    assert "recursion" in err
+
+
+def test_cli_witness_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    latin = tmp_path / "latin1.json"
+    latin.write_bytes('{"kind": "splitting", "g": "t\u00e9"}'.encode("latin-1"))
+    assert main(["verify-witness", "(2, t)", str(latin)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: offset 0: witness file is not UTF-8 JSON text")
+    assert "can't decode byte 0xe9" in err
+
+
+def test_cli_proves_a_prime_field_order_once(monkeypatch, capsys):
+    # GF(q) factors q, and PrimeField(q) reads that factorization back
+    proved = []
+    real = fields._pocklington
+    monkeypatch.setattr(fields, "_pocklington", lambda n: proved.append(n) or real(n))
+    q = 2**89 - 1
+    assert main(["ram", "(t, 3) + (t+1, 5)", "--base", f"fq:{q}"]) == 0
+    assert proved == [q]
+    assert "reciprocity: True" in capsys.readouterr().out
 
 
 def test_cli_finite_base_prime_power(capsys):

@@ -15,8 +15,12 @@ from brauercalc.poly import (
     Poly,
     QQ,
     RationalFunction,
+    _IntListRing,
     _PolyRing,
     _gcd,
+    _xgcd,
+    _zadd,
+    _zmul,
     lagrange_interpolate,
     poly_gcd,
     poly_str,
@@ -27,7 +31,7 @@ from brauercalc.poly import (
 from brauercalc.parser import _ClassParser
 
 from _gen import nonzero_rational, random_poly, rational
-from _oracles import qq_poly_oracle
+from _oracles import _FractionRing, qq_poly_oracle, sylvester_resultant
 
 
 def P(*ints):
@@ -164,6 +168,107 @@ def test_resultant_zero_iff_common_root():
     assert resultant(P(3), Poly.zero(QQ)) == 1
 
 
+def _resultant_pairs(rng, field, n):
+    """Seeded pairs (f, g), f nonzero: deg g above deg f, deg g below
+    deg f, a constant side, g = 0, and a planted common factor."""
+    for i in range(n):
+        kind = i % 5
+        if kind == 0:
+            f = random_poly(rng, field, 3, 9)
+            g = random_poly(rng, field, 6, 9, min_degree=f.degree + 1)
+        elif kind == 1:
+            f = random_poly(rng, field, 6, 9, min_degree=1)
+            g = random_poly(rng, field, f.degree - 1, 9)
+        elif kind == 2:
+            f, g = random_poly(rng, field, 4, 9), random_poly(rng, field, 4, 9)
+            if rng.random() < 0.5:
+                f = Poly.constant(field, f.lc)
+            else:
+                g = Poly.constant(field, g.lc)
+        elif kind == 3:
+            f, g = random_poly(rng, field, 4, 9), Poly.zero(field)
+        else:
+            common = random_poly(rng, field, 2, 9, min_degree=1)
+            f = common * random_poly(rng, field, 3, 9)
+            g = common * random_poly(rng, field, 3, 9)
+        yield f, g
+
+
+@pytest.mark.parametrize("q", [None, 7, 9])
+def test_resultant_matches_the_sylvester_determinant(q):
+    field = QQ if q is None else GF(q)
+    rng = random.Random(4301 + (q or 0))
+    zero = nonzero = 0
+    for f, g in _resultant_pairs(rng, field, 200):
+        got = resultant(f, g)
+        assert got == sylvester_resultant(f, g), (f, g)
+        zero, nonzero = zero + (got == field.zero), nonzero + (got != field.zero)
+    assert zero >= 40 and nonzero >= 80
+
+
+def test_resultant_matches_sympy_over_qq():
+    # sympy's Sylvester determinant: sympy.resultant itself (1.14) has the
+    # wrong sign on some pairs, 26 for Res(x^3 + 1, 3x^5 + 1) = -26
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.subresultants_qq_zz import res
+
+    x = sympy.Symbol("x")
+
+    def to_sympy(f):
+        return sum(sympy.Rational(c.numerator, c.denominator) * x**i
+                   for i, c in enumerate(f.coeffs))
+
+    rng = random.Random(4302)
+    for f, g in _resultant_pairs(rng, QQ, 100):
+        if f.degree >= 1 and g.degree >= 1:
+            want = sympy.Rational(res(to_sympy(f), to_sympy(g), x))
+            assert resultant(f, g) == Fraction(int(want.p), int(want.q)), (f, g)
+    assert resultant(P(1, 0, 0, 1), P(1, 0, 0, 0, 0, 3)) == -26
+
+
+def _symmetric_list(rng, p, degree):
+    """A list of degree `degree` with entries in (-p/2, p/2], as Hensel
+    lifting passes them (poly._ztrunc); [] for degree -1."""
+    reps = [c - p if c > p // 2 else c for c in range(p)]
+    a = [rng.choice(reps) for _ in range(degree + 1)]
+    if a:
+        a[-1] = rng.choice(reps[1:])
+    return a
+
+
+@pytest.mark.parametrize("p", [2, 7, 13])
+def test_xgcd_over_int_lists_gives_a_monic_gcd_and_bezout(p):
+    R = _IntListRing(p)
+    rng = random.Random(4303 + p)
+    for i in range(120):
+        a, b = (_symmetric_list(rng, p, rng.randint(-1, 6)) for _ in range(2))
+        if i % 4 == 0:
+            common = _symmetric_list(rng, p, rng.randint(1, 3))
+            a, b = _zmul(a, common), _zmul(b, common)
+        g, s, t = R.xgcd(a, b)
+        assert g == R.gcd(a, b) and (not g or g[-1] == 1), (a, b)
+        assert R.reduce(_zadd(_zmul(s, a), _zmul(t, b))) == g, (a, b)
+        if g:
+            assert R.rem(a, g) == [] and R.rem(b, g) == []
+    assert R.xgcd([], []) == ([], [1], [])
+
+
+@pytest.mark.parametrize("q", [None, 9])
+def test_xgcd_over_poly_rings_gives_a_monic_gcd_and_bezout(q):
+    field = QQ if q is None else GF(q)
+    R = _PolyRing(field)
+    rng = random.Random(4304 + (q or 0))
+    for f, g in _resultant_pairs(rng, field, 150):
+        for a, b in ((f, g), (g, f)):
+            d, s, t = _xgcd(R, a, b)
+            assert d == poly_gcd(a, b) and (d.is_zero or d.is_monic), (a, b)
+            assert s * a + t * b == d, (a, b)
+            # the cofactor bound that QuotientField inverses rely on
+            assert b.is_zero or s.degree < b.degree - d.degree, (a, b)
+    zero = Poly.zero(field)
+    assert _xgcd(R, zero, zero) == (zero, Poly.one(field), zero)
+
+
 def test_lagrange_interpolate_recovers():
     rng = random.Random(16)
     for _ in range(25):
@@ -280,11 +385,11 @@ def _gcd_pairs(rng, n):
 
 
 def test_rational_gcd_matches_euclid_over_fractions():
-    # the gcd on primitive integer forms against Euclid on Fraction
-    # coefficients, the same _gcd over _PolyRing(QQ)
+    # the gcd on primitive integer forms, _gcd over _PrimitiveRing, against
+    # Euclid on Fraction coefficients, the _FractionRing oracle
     rng = random.Random(1703)
     for f, g in _gcd_pairs(rng, 200):
-        want = _gcd(_PolyRing(QQ), f, g)
+        want = _FractionRing(QQ).gcd(f, g)
         got = poly_gcd(f, g)
         assert got == want, (f, g)
         assert got.is_zero or got.is_monic

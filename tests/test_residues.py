@@ -44,6 +44,7 @@ from brauercalc.poly import Poly, QQ, RationalFunction
 from brauercalc.residues import (
     ResidueClass,
     corestriction_exponent,
+    generator_power,
     is_pth_power,
     nf_is_square,
     nf_sqrt,
@@ -626,3 +627,25 @@ def test_fq_residue_decisions_read_the_norm(monkeypatch):
                     assert _kappa_is_pth_power(x, u / want, p), (q, p, x)
     assert outcomes == {EQUAL, BY_RAMIFICATION_FIELD, CANDIDATE_EQUIVALENT}
     assert degrees == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("q, p", [(7, 2), (7, 3), (9, 2), (13, 2), (13, 3), (49, 2), (49, 3)])
+def test_generator_power_has_the_normed_exponent_asked_for(q, p):
+    """At seeded points of degree 1 to 4 and at infinity, for every k, the
+    unit has normed exponent k and is the g^m with m k(g) = k, the
+    reference formula kept here."""
+    base, rng = FiniteBase(q), random.Random(4306 + q + p)
+    points = [ClosedPoint.infinity(base)]
+    for d in range(1, 5):
+        while True:
+            f = random_poly(rng, base.field, d, monic=True, min_degree=d)
+            if is_irreducible(f):
+                points.append(ClosedPoint.finite(base, f))
+                break
+    for x in points:
+        g = multiplicative_generator(residue_field(x))
+        for k in range(p):
+            u = generator_power(x, k, p)
+            assert corestriction_exponent(x, u, p) == k, (x, k)
+            want = g ** (k * pow(corestriction_exponent(x, g, p), -1, p) % p) if k else g.field.one
+            assert u == want, (x, k)

@@ -29,9 +29,9 @@ int_form nor evaluate, so every value at a point goes through
 points._strip and points._combine.
 No library function but poly._power shifts an exponent with >>=, so
 square-and-multiply is written once and every power goes through it.
-No library function but poly._gcd, poly._xgcd and poly.resultant runs
-a while loop that rebinds a pair as x, y = y, ..., so Euclid's
-algorithm is written once, over a ring, and every gcd goes through it.
+No library function but poly._euclid runs a while loop that rebinds a
+pair as x, y = y, ..., so Euclid's algorithm is written once, over a
+ring, and every gcd, Bezout cofactor and resultant is read off it.
 Every annotated field of a library @dataclass is read as .field
 somewhere in the library, so a record carries nothing no code looks at.
 The body of distinguish.distinguish names none of same_class, same_field,
@@ -44,6 +44,8 @@ object of its base and factor.
 Only fields and residues name is_pth_power_finite or pth_power_exponent:
 every other module decides an F_q residue through residues, which reads
 its norm in F_q and takes no power in a residue field.
+Only fields and residues name multiplicative_generator: every power of
+the fixed generator of a residue field is residues.generator_power.
 """
 
 import ast
@@ -367,9 +369,8 @@ def _swaps_a_pair(node):
     )
 
 
-# Euclid's algorithm and the resultant's degree swap, the loops that may
-# rebind a pair as x, y = y, ...
-_EUCLID = {"poly._gcd", "poly._xgcd", "poly.resultant"}
+# Euclid's algorithm, the one loop that may rebind a pair as x, y = y, ...
+_EUCLID = {"poly._euclid"}
 
 
 def test_euclid_is_written_once():
@@ -384,8 +385,8 @@ def test_euclid_is_written_once():
                 if isinstance(loop, ast.While) and any(map(_swaps_a_pair, ast.walk(loop))):
                     owners[f"{path.name}:{loop.lineno}"] = f"{path.stem}.{func.name}"
     hits = [f"{where} in {owner}" for where, owner in owners.items() if owner not in _EUCLID]
-    assert not hits, f"Euclid loops outside poly._gcd and poly._xgcd: {hits}"
-    assert {"poly._gcd", "poly._xgcd"} <= set(owners.values()), "no Euclid loop in poly"
+    assert not hits, f"Euclid loops outside poly._euclid: {hits}"
+    assert set(owners.values()) == _EUCLID, "no Euclid loop in poly._euclid"
 
 
 def _is_dataclass(cls):
@@ -425,18 +426,25 @@ def test_distinguish_tests_no_residue_itself():
     assert not named, f"distinguish.distinguish tests residues itself: {named}"
 
 
-_KAPPA_POWERS = {"is_pth_power_finite", "pth_power_exponent"}
+def _modules_naming(names):
+    """The library modules but fields and residues that name one of names."""
+    return sorted({
+        module for module, node in _nodes()
+        if module not in ("fields.py", "residues.py") and (
+            isinstance(node, ast.Name) and node.id in names
+            or isinstance(node, ast.Attribute) and node.attr in names
+            or isinstance(node, ast.alias) and node.name in names)
+    })
 
 
 def test_only_fields_and_residues_take_pth_powers_in_finite_fields():
-    hits = sorted({
-        name for name, node in _nodes()
-        if name not in ("fields.py", "residues.py") and (
-            isinstance(node, ast.Name) and node.id in _KAPPA_POWERS
-            or isinstance(node, ast.Attribute) and node.attr in _KAPPA_POWERS
-            or isinstance(node, ast.alias) and node.name in _KAPPA_POWERS)
-    })
+    hits = _modules_naming({"is_pth_power_finite", "pth_power_exponent"})
     assert not hits, f"modules taking p-th powers past the norm: {hits}"
+
+
+def test_only_fields_and_residues_name_the_generator():
+    hits = _modules_naming({"multiplicative_generator"})
+    assert not hits, f"modules naming multiplicative_generator: {hits}"
 
 
 def test_points_are_built_only_by_point():
