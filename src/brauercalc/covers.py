@@ -66,9 +66,11 @@ class KummerCoverDatum:
             raise ValueError("cover degree divisible by the characteristic")
 
     def _fiber_root_check(self):
+        # g is in lowest terms, so it has a pole at t = c exactly where den(c) = 0
+        c = self.basepoint_t
         return WitnessCheck(
             "fiber-root",
-            self.fiber_root**self.m == self.g.evaluate(self.basepoint_t),
+            bool(self.g.den.evaluate(c)) and self.fiber_root**self.m == self.g.evaluate(c),
             f"T = {self.fiber_root} solves the fiber equation",
         )
 
@@ -306,12 +308,13 @@ def unramified_cover_certificates(cls, witness):
                 f"v(g) = {v} at {pt}",
             )
         )
-    fx = witness.f.evaluate(witness.basepoint_t) if witness.f is not None else None
+    f, c = witness.f, witness.basepoint_t
+    fx = f.evaluate(c) if f is not None and f.den.evaluate(c) else None
     checks.append(
         WitnessCheck(
             "basepoint-regular",
             fx is not None and fx != cls.base.field.zero,
-            f"f({witness.basepoint_t}) = {fx}",
+            f"f({c}) = {fx}",
         )
     )
     checks.append(witness._fiber_root_check())

@@ -62,8 +62,8 @@ from .errors import ScopeError
 from .fields import PrimeField, PrimePowerFactorization
 from .fields import factor_int, is_prime
 from .poly import Poly, QQ, _IntListRing, _PolyRing, _PRIMITIVE_RING, _horner, _power
-from .poly import _int_list_primitive, _int_list_strip
-from .poly import _zadd, _zdivmod_mod, _zmul, _zsub, _ztrunc
+from .poly import _hasse, _int_list_primitive, _int_list_strip
+from .poly import _zadd, _zdivmod, _zmul, _zsub, _ztrunc
 
 
 def square_class(c):
@@ -101,13 +101,13 @@ def _hensel_step(M, f, g, h, s, t):
     with the same shape invariants.
     """
     e = _ztrunc(_zsub(f, _zmul(g, h)), M)
-    q, r = _zdivmod_mod(_zmul(s, e), h, M)
+    q, r = _zdivmod(_zmul(s, e), h, M)
     u = _zadd(_zmul(t, e), _zmul(q, g))
     G = _ztrunc(_zadd(g, u), M)
     H = _ztrunc(_zadd(h, r), M)
     u = _zadd(_zmul(s, G), _zmul(t, H))
     b = _ztrunc(_zsub(u, [1]), M)
-    c, d = _zdivmod_mod(_zmul(s, b), H, M)
+    c, d = _zdivmod(_zmul(s, b), H, M)
     u = _zadd(_zmul(t, b), _zmul(c, G))
     S = _ztrunc(_zsub(s, d), M)
     T = _ztrunc(_zsub(t, u), M)
@@ -382,11 +382,6 @@ def _zassenhaus(f):
             s += 1
     factors.append(cur)
     return factors
-
-
-def _hasse(f, k):
-    """The k-th Hasse derivative, sum binom(i, k) a_i t^(i-k)."""
-    return [math.comb(i, k) * c for i, c in enumerate(f)][k:]
 
 
 def _rational_roots(f):

@@ -1,11 +1,12 @@
 """Prime fields, extension fields, and quotient fields over QQ.
 
 FFElem is a thin immutable wrapper around a representative; all arithmetic
-dispatches to its field.  PrimeField(p) stores representatives as ints in
-[0, p).  QuotientField(base, modulus) stores representatives as fixed-length
-tuples of base elements (a residue ring base[t]/(modulus), which is a field
-when the modulus is irreducible); over a prime base, products run on
-their integer representatives.  The same QuotientField class builds both
+dispatches to its field, and it is false exactly at zero, like an int or a
+Fraction.  PrimeField(p) stores representatives as ints in [0, p).
+QuotientField(base, modulus) stores representatives as fixed-length tuples
+of base elements (a residue ring base[t]/(modulus), which is a field when
+the modulus is irreducible); over a prime base, products run on their
+integer representatives.  The same QuotientField class builds both
 finite extension towers such as F_9 = F_3[u]/(u^2+1) and residue fields
 Q[t]/(pi) of closed points over the rationals, so norm and inverse code is
 written once.
@@ -117,9 +118,8 @@ class FFElem:
     def __hash__(self):
         return hash((id(self.field), self.rep))
 
-    @property
-    def is_zero(self):
-        return self.rep == self.field.zero.rep
+    def __bool__(self):
+        return self.rep != self.field.zero.rep
 
     def __repr__(self):
         return self.field.format_element(self)
@@ -164,7 +164,7 @@ class PrimeField:
     def _inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def elements(self):
         return map(self.element_at, range(self.p))
@@ -269,12 +269,15 @@ class QuotientField:
 
     def _mul(self, a, b):
         d, base, ints = self.degree, self.base, self._red_ints
+        zero = base.zero if ints is None else 0
         if ints is not None:
             a, b = [x.rep for x in a], [y.rep for y in b]
-        out = _zmul(a, b) + [0 if ints else base.zero] * (2 * d)
+        out = _zmul(a, b, zero) + [zero] * (2 * d)
         # t^k for k >= d reduces straight to degree < d, so one ascending
         # pass reduces the product, and an integer one is reduced mod p once
         for k in range(d, 2 * d - 1):
+            if not out[k]:
+                continue
             for i, c in enumerate((ints or self._red)[k - d]):
                 out[i] += out[k] * c
         if ints is None:
@@ -323,7 +326,7 @@ class QuotientField:
         return tuple(self.base.element_key(c) for c in e.rep)
 
     def format_element(self, e):
-        if all(c == self.base.zero for c in e.rep[1:]):
+        if not any(e.rep[1:]):
             return self.base.format_element(e.rep[0])
         parts = [self.base.format_element(c) for c in e.rep]
         return "[" + ",".join(parts) + "]"
@@ -516,7 +519,7 @@ def discrete_log(e):
     field = e.field
     if not field.finite:
         raise TypeError("discrete logs only exist in finite fields")
-    if e.is_zero:
+    if not e:
         raise ZeroDivisionError("zero has no discrete log")
     g = multiplicative_generator(field)
     acc = field.one
@@ -530,7 +533,7 @@ def discrete_log(e):
 def is_pth_power_finite(e, p):
     """Whether a nonzero finite-field element is a p-th power."""
     field = e.field
-    if e.is_zero:
+    if not e:
         raise ValueError("p-th power test needs a nonzero element")
     n = field.order - 1
     if n % p != 0:

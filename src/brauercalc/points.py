@@ -7,8 +7,8 @@ leading coefficient and checks irreducibility, so a ClosedPoint can be
 trusted downstream; every point is the one _point of its base and
 factor.  Every local expansion is one strip and one combine, at every
 point and over every base: _strip takes each side's power of the
-uniformizer off once (integer forms over Q, one division loop over
-poly's rings for every finite base, degrees at infinity), and _combine
+uniformizer off once (integer forms over Q, poly's one division,
+_zdivmod, for every finite base, degrees at infinity), and _combine
 builds one integer fraction, one top and one bottom in kappa(x).
 unit_part_at is the exponents (1, -1) case, read by valuation_at,
 reduce_at and brauer.specialize; tame_symbol_at is the four-side case.
@@ -24,7 +24,7 @@ from .errors import ScopeError
 from .factoring import factor_poly, is_irreducible
 from .fields import GF, FFElem, PrimeField, QuotientField, is_prime
 from .poly import Poly, QQ, RationalFunction, poly_str
-from .poly import _IntListRing, _PolyRing, _int_list_strip
+from .poly import _int_list_strip, _zdivmod
 
 
 # Largest torsion over F_q; a p-th power exponent walks p roots of unity.
@@ -206,10 +206,10 @@ def _strip(polys, point):
     (n/m) u in kappa(x), with n, m integers and u a kappa element or None
     for 1.  Over Q, f = content P^w G for the primitive integer form
     P = L pi, and L^k G = r modulo P, so n/m = content L^(w-k), and r is
-    one integer at a rational point; over a finite field one loop divides
-    in a ring of poly, _IntListRing on the integer representatives over
-    F_p, _PolyRing over an extension field; at infinity w = -deg f and g
-    maps to lc(f).  A one-entry r over Q folds into n/m; _side reads r."""
+    one integer at a rational point; over a finite field poly._zdivmod
+    divides the integer representatives modulo p over F_p, the coefficients
+    over an extension field; at infinity w = -deg f and g maps to lc(f).
+    A one-entry r over Q folds into n/m; _side reads r."""
     F, pi = point.base.field, point.poly
     if pi is None:
         return [_side(point, -f.degree, 1, 1, [f.lc]) for f in polys]
@@ -222,18 +222,17 @@ def _strip(polys, point):
             n, m = (n * L, m) if w > k else (n, m * L)
             out.append((w, n * r[0], m, None) if len(r) == 1 else _side(point, w, n, m, r))
         return out
-    prime = isinstance(F, PrimeField)
-    R = _IntListRing(F.p) if prime else _PolyRing(F)
-    P, out = [c.rep for c in pi.coeffs] if prime else pi, []
+    m = F.p if isinstance(F, PrimeField) else None
+    P, out = [c.rep for c in pi.coeffs] if m else pi.coeffs, []
     for f in polys:
         if f.field is not F:
             raise TypeError("polynomials over different fields")
         if f.is_zero:
             raise ValueError("the zero polynomial has no finite valuation")
-        w, (q, r) = 0, R.divmod([c.rep for c in f.coeffs] if prime else f, P)
-        while R.deg(r) < 0:
-            w, (q, r) = w + 1, R.divmod(q, P)
-        out.append(_side(point, w, 1, 1, r if prime else r.coeffs))
+        w, (q, r) = 0, _zdivmod([c.rep for c in f.coeffs] if m else f.coeffs, P, m, F)
+        while not r:
+            w, (q, r) = w + 1, _zdivmod(q, P, m, F)
+        out.append(_side(point, w, 1, 1, r))
     return out
 
 

@@ -23,14 +23,17 @@ an integer found by homogeneous Horner, and when it vanishes, b*t - a
 divides ints exactly in Z[t], so valuations and unit parts there need
 no Fraction division.
 
-Integer coefficient lists (lowest degree first) have every primitive
-here: _int_list_* for the integer form, _z* for Hensel lifting.  The
-polynomial rings live here as well: _IntListRing, F_p[t] on such lists;
+Coefficient lists (lowest degree first) have one kernel for every ring
+of coefficients (ints, ints mod m, Fractions, field elements), each zero
+tested by truthiness: _ztrim, _zadd, _zmul, _zdivmod and _hasse.  Poly,
+the residue field product, the rings, Hensel lifting and the strip at a
+point run on it; _int_list_* serve the integer form.  The polynomial
+rings live here as well: _IntListRing, F_p[t] on integer lists;
 _PrimitiveRing, Q[t] up to units on primitive ones; and _PolyRing, Poly
-over any field.  Factoring and the strip at a point run over them.
+over any field.  Factoring runs over them.
 
 Square-and-multiply (_power), Horner's rule (_horner) and Euclid's
-algorithm (_euclid) are written once, here: powers of polynomials and
+algorithm (_euclid) are written once too: powers of polynomials and
 field elements, and factoring's _powmod, go through _power; evaluation
 and substitution through _horner; every gcd (_gcd), Bezout cofactor
 (_xgcd) and resultant is read off _euclid's remainders, over a ring.
@@ -83,9 +86,7 @@ class Poly:
     __slots__ = ("field", "degree", "lc", "coeffs", "_int_form", "_hash", "_key")
 
     def __init__(self, field, coeffs):
-        cs = list(coeffs)
-        while cs and cs[-1] == field.zero:
-            cs.pop()
+        cs = _ztrim(list(coeffs))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "degree", len(cs) - 1)
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -188,8 +189,7 @@ class Poly:
         if self.field is QQ:
             k, a, b = cleared_ints(self, other)
             return Poly._q(_q_form(_zadd(a, b), k))
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, [self.coeff(i) + other.coeff(i) for i in range(n)])
+        return Poly(self.field, _zadd(self.coeffs, other.coeffs, self.field.zero))
 
     __radd__ = __add__
 
@@ -214,14 +214,7 @@ class Poly:
         if not isinstance(other, Poly):
             c = field.coerce(other)
             return Poly(field, [a * c for a in self.coeffs])
-        other = self._wrap(other)
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == self.field.zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
+        return Poly(field, _zmul(self.coeffs, self._wrap(other).coeffs, field.zero))
 
     __rmul__ = __mul__
 
@@ -237,19 +230,8 @@ class Poly:
         field = self.field
         if self.degree < other.degree:
             return Poly(field, ()), self
-        rem = list(self.coeffs)
-        dd = other.degree
-        inv_lc = field.one / other.lc
-        quo = [field.zero] * (len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c == field.zero:
-                continue
-            q = c * inv_lc
-            quo[i - dd] = q
-            for j, b in enumerate(other.coeffs, i - dd):
-                rem[j] = rem[j] - q * b
-        return Poly(field, quo), Poly(field, rem[:dd])
+        q, r = _zdivmod(self.coeffs, other.coeffs, field=field)
+        return Poly(field, q), Poly(field, r)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -277,8 +259,7 @@ class Poly:
         return self * (self.field.one / self.lc)
 
     def derivative(self):
-        field = self.field
-        return Poly(field, [field.from_int(i) * c for i, c in enumerate(self.coeffs)][1:])
+        return Poly(self.field, _hasse(self.coeffs, 1))
 
     def int_form(self):
         """(content, ints) with self == content * ints, ints a primitive integer
@@ -399,7 +380,8 @@ def _int_list_strip(a, b):
 
 
 def _ztrim(a):
-    while a and a[-1] == 0:
+    """The list a without its trailing zeros (false entries), in place."""
+    while a and not a[-1]:
         a.pop()
     return a
 
@@ -410,42 +392,50 @@ def _ztrunc(a, m):
     return _ztrim([r - m if r > half else r for r in (c % m for c in a)])
 
 
-def _zadd(a, b):
-    return _ztrim([x + y for x, y in zip_longest(a, b, fillvalue=0)])
+def _zadd(a, b, zero=0):
+    return _ztrim([x + y for x, y in zip_longest(a, b, fillvalue=zero)])
 
 
 def _zsub(a, b):
     return _ztrim([x - y for x, y in zip_longest(a, b, fillvalue=0)])
 
 
-def _zmul(a, b):
+def _zmul(a, b, zero=0):
+    """The schoolbook product; zero fills every entry, so a list of field
+    elements passes the field's zero and gets field elements back."""
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
+    out = [zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if not x:
             continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+        for j, y in enumerate(b, i):
+            out[j] += x * y
     return _ztrim(out)
 
 
-def _zdivmod_mod(a, b, m):
-    """Division with remainder in (Z/m)[t]; lc(b) must be invertible mod m."""
-    rem = _ztrim([c % m for c in a])
-    b = _ztrim([c % m for c in b])
-    inv = pow(b[-1], -1, m)
-    db = len(b) - 1
-    quo = [0] * max(len(rem) - db, 0)
+def _zdivmod(a, b, m=None, field=None):
+    """(q, r) with a = q b + r and deg r < deg b: in (Z/m)[t] for integer
+    lists, q and r reduced into [0, m) and the remainder reduced only at the
+    end, or in field[t] for lists of its elements.  lc(b) must be a unit."""
+    zero, inv = (0, pow(b[-1], -1, m)) if m else (field.zero, field.one / b[-1])
+    rem, db = list(a), len(b) - 1
+    quo = [zero] * max(len(rem) - db, 0)
     for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i]
+        c = rem[i] % m if m else rem[i]
         if not c:
             continue
-        q = c * inv % m
-        quo[i - db] = q
+        c = c * inv % m if m else c * inv
+        quo[i - db] = c
         for j, y in enumerate(b, i - db):
-            rem[j] = (rem[j] - q * y) % m
-    return _ztrim(quo), _ztrim(rem[:db])
+            rem[j] -= c * y
+    return _ztrim(quo), _ztrim([c % m for c in rem[:db]] if m else rem[:db])
+
+
+def _hasse(f, k):
+    """The k-th Hasse derivative sum binom(i, k) f_i t^(i-k), trimmed: the
+    derivative for k = 1, over every coefficient ring."""
+    return _ztrim([math.comb(i, k) * f[i] for i in range(k, len(f))])
 
 
 # ---------------------------------------------------------------------------
@@ -510,13 +500,13 @@ class _IntListRing:
         return self.reduce(_zmul(a, b))
 
     def divmod(self, a, b):
-        return _zdivmod_mod(a, b, self.q)
+        return _zdivmod(a, b, self.q)
 
     def rem(self, a, b):
-        return _zdivmod_mod(a, b, self.q)[1]
+        return _zdivmod(a, b, self.q)[1]
 
     def quo(self, a, b):
-        return _zdivmod_mod(a, b, self.q)[0]
+        return _zdivmod(a, b, self.q)[0]
 
     def inv_lc(self, a):
         """1/lc(a) as a constant of the ring."""
@@ -527,7 +517,7 @@ class _IntListRing:
         return [c * inv % self.q for c in a]
 
     def derivative(self, a):
-        return self.reduce([i * c for i, c in enumerate(a)][1:])
+        return self.reduce(_hasse(a, 1))
 
     def pth_root(self, a):
         """g with a = g(t^p); each entry of F_p is its own p-th root."""
@@ -541,8 +531,8 @@ class _IntListRing:
 
 
 class _PolyRing:
-    """K[t] on Poly, K any field: GF(p^k), k >= 2, for factoring and the strip
-    there, or QQ for poly_xgcd; Euclid's operations are static methods."""
+    """K[t] on Poly, K any field: GF(p^k), k >= 2, for factoring, or QQ for
+    poly_xgcd; Euclid's operations are static methods."""
 
     deg = staticmethod(operator.attrgetter("degree"))
     sub = staticmethod(operator.sub)
@@ -600,7 +590,7 @@ class _PrimitiveRing:
         return _int_list_primitive(_int_list_pseudo_divmod(a, b)[1])
 
     def derivative(self, a):
-        return _ztrim([i * c for i, c in enumerate(a)][1:])
+        return _hasse(a, 1)
 
 
 _PRIMITIVE_RING = _PrimitiveRing()

@@ -147,7 +147,7 @@ def nf_sqrt(kappa, e):
     and s = -a/b; every other candidate fails to square back.
     """
     e = kappa.coerce(e)
-    if e.is_zero:
+    if not e:
         return kappa.zero
     if kappa.degree == 2:
         return _quadratic_sqrt(kappa, e)
@@ -162,7 +162,7 @@ def nf_sqrt(kappa, e):
         for c in reversed(h.coeffs):
             # (a + b*y)(shift + y) + c, with y^2 = e
             a, b = shift * a + e * b + kappa.embed(c), a + shift * b
-        if not b.is_zero:
+        if b:
             root = -a / b
             if root * root == e:
                 return root
@@ -184,8 +184,7 @@ class ResidueClass:
     p: int
 
     def __post_init__(self):
-        zero = self.value == 0 if isinstance(self.value, Fraction) else self.value.is_zero
-        if zero:
+        if not self.value:
             raise ValueError("a residue class must be a unit")
 
     @property

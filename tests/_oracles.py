@@ -22,7 +22,11 @@ polynomial, over every base field.  What a polynomial over QQ reports
 (coefficients, integer form, degree, leading coefficient, sort key) is
 read off its trimmed Fraction tuple alone, denominators cleared by their
 product.  A resultant is the determinant of the Sylvester matrix, by
-Gaussian elimination over the coefficient field.
+Gaussian elimination over the coefficient field.  The coefficient-list
+kernel of poly is checked against the loops it replaced: the sum, product,
+division and derivative over a field, written per coefficient with every
+zero test an == against the field's zero, and division in (Z/m)[t] with
+every entry reduced at every step.
 """
 
 import itertools
@@ -347,3 +351,72 @@ def oracle_candidate_count(a):
         if prod in pth_powers:
             count += 1
     return count
+
+
+def _trimmed(cs, zero):
+    cs = list(cs)
+    while cs and cs[-1] == zero:
+        cs.pop()
+    return cs
+
+
+def field_list_sum(field, a, b):
+    n = max(len(a), len(b))
+    a, b = list(a) + [field.zero] * (n - len(a)), list(b) + [field.zero] * (n - len(b))
+    return _trimmed([x + y for x, y in zip(a, b)], field.zero)
+
+
+def field_list_product(field, a, b):
+    out = [field.zero] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x == field.zero:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _trimmed(out, field.zero)
+
+
+def field_list_divmod(field, a, b):
+    """(q, r) with a = q b + r over the field, b nonzero and trimmed."""
+    rem, db = list(a), len(b) - 1
+    if len(rem) <= db:
+        return [], _trimmed(rem, field.zero)
+    inv_lc = field.one / b[-1]
+    quo = [field.zero] * (len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if c == field.zero:
+            continue
+        q = c * inv_lc
+        quo[i - db] = q
+        for j, y in enumerate(b, i - db):
+            rem[j] = rem[j] - q * y
+    return _trimmed(quo, field.zero), _trimmed(rem[:db], field.zero)
+
+
+def field_list_derivative(field, a):
+    return _trimmed([field.from_int(i) * c for i, c in enumerate(a)][1:], field.zero)
+
+
+def int_list_derivative(a, m=None):
+    """The derivative over Z, or modulo m with entries in [0, m)."""
+    d = [i * c for i, c in enumerate(a)][1:]
+    return _trimmed([c % m for c in d] if m else d, 0)
+
+
+def zdivmod_mod_oracle(a, b, m):
+    """Division with remainder in (Z/m)[t]; lc(b) must be invertible mod m."""
+    rem = _trimmed([c % m for c in a], 0)
+    b = _trimmed([c % m for c in b], 0)
+    inv = pow(b[-1], -1, m)
+    db = len(b) - 1
+    quo = [0] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if not c:
+            continue
+        q = c * inv % m
+        quo[i - db] = q
+        for j, y in enumerate(b, i - db):
+            rem[j] = (rem[j] - q * y) % m
+    return _trimmed(quo, 0), _trimmed(rem[:db], 0)

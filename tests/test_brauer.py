@@ -590,7 +590,7 @@ def test_unit_part_at_prime_field_points_matches_division():
                     h = random_entry(rng, field, 4) * RationalFunction(pi) ** k
                     v, u = unit_part_at(h, x)
                     assert (v, u) == _unit_part_by_strip(h, x), (base, pi, h)
-                    assert u.field is residue_field(x) and not u.is_zero
+                    assert u.field is residue_field(x) and u
     x = ClosedPoint.finite(F13, Poly(F13.field, [1, 1]))
     with pytest.raises(TypeError):
         unit_part_at(Poly(F7.field, [3, 1]), x)
@@ -782,7 +782,7 @@ def test_q_tame_symbols_on_integer_forms_match_full_quotient():
 
 def test_q_reports_need_no_poly_strip_at_quadratic_and_cubic_points(monkeypatch, capsys):
     """ram and equal reports over Q with quadratic and cubic points are the
-    same with the Poly ring of the strip and from_poly made to raise."""
+    same with the strip's finite-field division and from_poly made to raise."""
     rng = random.Random(143)
     quadratic = [ClosedPoint.finite(Q_BASE, q_poly(1, 0, 1)), NON_MONIC_POINTS[0]]
     cubic = [ClosedPoint.finite(Q_BASE, q_poly(-2, 0, 0, 1)), NON_MONIC_POINTS[1]]
@@ -800,11 +800,11 @@ def test_q_reports_need_no_poly_strip_at_quadratic_and_cubic_points(monkeypatch,
         return capsys.readouterr().out
 
     def refuse(*args):
-        raise AssertionError("the Poly ring or from_poly at a point over Q")
+        raise AssertionError("a finite-field division or from_poly at a point over Q")
 
     want = reports()
     assert "degree: 2" in want and "degree: 3" in want
-    monkeypatch.setattr(points, "_PolyRing", refuse)
+    monkeypatch.setattr(points, "_zdivmod", refuse)
     monkeypatch.setattr(QuotientField, "from_poly", refuse)
     assert reports() == want
 

@@ -463,7 +463,7 @@ def _unit_spread_class(rng, base, p, max_symbols, max_degree):
     if not base.is_finite:
         return c
     f = base.field
-    units = [RationalFunction.constant(f, e) for e in f.elements() if not e.is_zero]
+    units = [RationalFunction.constant(f, e) for e in f.elements() if e]
     return BrauerClass.make(base, p, [(rng.choice(units) * x, y) for x, y in c.pairs()])
 
 

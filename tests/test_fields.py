@@ -91,7 +91,7 @@ def test_gf_extension_field_axioms():
     for _ in range(40):
         a, b, c = (elems[rng.randrange(49)] for _ in range(3))
         assert (a + b) * c == a * c + b * c
-        if not a.is_zero:
+        if a:
             assert a * a ** (-1) == f49.one
 
 
@@ -127,15 +127,15 @@ def test_discrete_log_inverts_power():
 
 def test_pth_power_predicates():
     f7 = GF(7)
-    squares = {(x * x).rep for x in f7.elements() if not x.is_zero}
+    squares = {(x * x).rep for x in f7.elements() if x}
     for x in f7.elements():
-        if x.is_zero:
+        if not x:
             continue
         assert is_pth_power_finite(x, 2) == (x.rep in squares)
     f13 = GF(13)
-    cubes = {f13.element_key(x**3) for x in f13.elements() if not x.is_zero}
+    cubes = {f13.element_key(x**3) for x in f13.elements() if x}
     for x in f13.elements():
-        if x.is_zero:
+        if not x:
             continue
         assert is_pth_power_finite(x, 3) == (f13.element_key(x) in cubes)
 
@@ -161,7 +161,7 @@ def test_norm_matches_conjugate_product():
         elems = list(ext.elements())
         for _ in range(25):
             e = elems[rng.randrange(len(elems))]
-            if e.is_zero:
+            if not e:
                 continue
             conj = ext.one
             for i in range(d):
@@ -179,7 +179,7 @@ def test_norm_multiplicative_number_field():
     for _ in range(25):
         a = kappa.from_poly(random_poly(rng, QQ, 1, 9))
         b = kappa.from_poly(random_poly(rng, QQ, 1, 9))
-        if a.is_zero or b.is_zero:
+        if not (a and b):
             continue
         assert kappa.norm(a * b) == kappa.norm(a) * kappa.norm(b)
     assert kappa.norm(kappa.zero) == 0
@@ -240,7 +240,7 @@ def _quadratic_fields():
                     continue
             else:
                 b, c = rng.choice(elems), rng.choice(elems)
-                if any((r * r + b * r + c).is_zero for r in elems):
+                if not all(r * r + b * r + c for r in elems):
                     continue
             out.append((QuotientField(base, Poly(base, [c, b, base.one])), elems))
             found += 1
@@ -258,7 +258,7 @@ def test_quadratic_inverse_matches_xgcd():
             else:
                 rep = [rng.choice(elems) for _ in range(2)]
             e = kappa.from_poly(Poly(base, rep))
-            if e.is_zero:
+            if not e:
                 with pytest.raises(ZeroDivisionError, match="inverse of zero"):
                     e.inverse()
                 continue
@@ -307,6 +307,36 @@ def test_q_and_extension_base_products_match_poly_reduction():
             assert len(prod.rep) == d
             assert all(type(c) is type(base.zero) for c in prod.rep), prod.rep
     assert all(type(c) is Fraction for c in (kappas[0].zero * kappas[0].one).rep)
+
+
+def test_elements_are_false_exactly_at_zero():
+    """bool(e) is e != 0 over GF(7), GF(9), a quadratic extension of F_9
+    and Q(sqrt 2), zero coordinates in nonzero elements included."""
+    tower = next(kappa for kappa, _ in _quadratic_fields() if kappa.base is GF(9))
+    for field in (GF(7), GF(9), tower):
+        for e in map(field.element_at, range(field.order)):
+            assert bool(e) == (e != field.zero) == (e.rep != field.zero.rep), (field, e)
+    q2 = QuotientField(QQ, Poly.from_ints(QQ, [-2, 0, 1]))
+    root = q2.gen_elem()
+    assert not q2.zero and not q2.embed(0) and not root - root
+    assert all((q2.one, root, q2.embed(Fraction(1, 3)), root * root, root - 1))
+    assert not root * root - 2
+
+
+def test_products_by_an_embedded_constant_skip_zero_coordinates(monkeypatch):
+    """Over F_9, c * b in a quadratic extension costs one F_9 product per
+    coordinate of b: the constant's zero coordinate and the empty top of
+    the product are skipped."""
+    tower = next(kappa for kappa, _ in _quadratic_fields() if kappa.base is GF(9))
+    f9 = tower.base
+    c, b = tower.embed(f9.element_at(5)), tower.element_at(40)
+    calls = []
+    real = f9._mul
+    monkeypatch.setattr(f9, "_mul", lambda x, y: calls.append(x) or real(x, y))
+    prod = c * b
+    assert len(calls) == tower.degree
+    monkeypatch.undo()
+    assert prod == tower.from_poly(tower.to_poly(c) * tower.to_poly(b))
 
 
 def test_pth_power_exponent_keeps_zeta_on_the_field(monkeypatch):

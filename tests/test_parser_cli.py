@@ -965,3 +965,28 @@ def test_cli_verifies_unramified_witness(tmp_path, capsys, base, p, cls_text, po
     assert out["ok"] is True
     names = [c["name"] for c in out["checks"]]
     assert names.count("eisenstein-valuation") == (2 if pole is None else 3)
+
+
+def _failed_checks(argv, capsys):
+    assert main(argv + ["--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)["outcome"]
+    assert out["ok"] is False
+    return [c["name"] for c in out["checks"] if not c["passed"]]
+
+
+def test_cli_splitting_witness_with_a_pole_at_its_basepoint_fails_a_check(tmp_path, capsys):
+    wfile = tmp_path / "w.json"
+    assert main(["witness", "(3, t)", "--at", "0", "--out", str(wfile)]) == 0
+    capsys.readouterr()
+    wfile.write_text(json.dumps({**json.loads(wfile.read_text()), "g": "1/t"}))
+    failed = _failed_checks(["verify-witness", "(3, t)", str(wfile)], capsys)
+    assert failed == ["cover-vanishes-simply-at-point", "fiber-root"]
+
+
+def test_cli_unramified_witness_with_a_pole_at_its_basepoint_fails_a_check(tmp_path, capsys):
+    cls = parse_class("(5, t^2-t)", Q_BASE, 2)
+    datum = json.loads(witness_to_json(make_unramified_cover(cls, 2)))
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps({**datum, "f": "1/t", "basepoint": "0"}))
+    failed = _failed_checks(["verify-witness", "(5, t^2-t)", str(wfile)], capsys)
+    assert failed == ["basepoint-regular", "fiber-root"]

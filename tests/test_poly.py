@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from brauercalc import factoring
+from brauercalc import factoring, fields
 from brauercalc import poly as poly_module
-from brauercalc.fields import GF
+from brauercalc.fields import GF, FFElem
 from brauercalc.points import ClosedPoint, Q_BASE, sweep_values, valuation_at
 from brauercalc.poly import (
     Poly,
@@ -17,9 +17,11 @@ from brauercalc.poly import (
     RationalFunction,
     _IntListRing,
     _PolyRing,
+    _PRIMITIVE_RING,
     _gcd,
     _xgcd,
     _zadd,
+    _zdivmod,
     _zmul,
     lagrange_interpolate,
     poly_gcd,
@@ -31,7 +33,17 @@ from brauercalc.poly import (
 from brauercalc.parser import _ClassParser
 
 from _gen import nonzero_rational, random_poly, rational
-from _oracles import _FractionRing, qq_poly_oracle, sylvester_resultant
+from _oracles import (
+    _FractionRing,
+    field_list_derivative,
+    field_list_divmod,
+    field_list_product,
+    field_list_sum,
+    int_list_derivative,
+    qq_poly_oracle,
+    sylvester_resultant,
+    zdivmod_mod_oracle,
+)
 
 
 def P(*ints):
@@ -645,3 +657,84 @@ def test_integer_polys_hash_compare_and_multiply_with_no_coefficient_tuple():
     assert all(table[f] == f for f in polys + made)
     assert sum(f == g for f, g in zip(polys[::3], polys[1::3])) == len(polys) // 3
     assert not [f for f in polys + made if _coeffs_built(f) and not f.is_zero]
+
+
+def _kernel_lists(rng, field):
+    """200 coefficient-list pairs over the field, a third of the entries
+    zero and trailing zeros trimmed: degree -1 to 6, the zero list, constants
+    and degree-0 divisors first."""
+    def draw(n):
+        if field is QQ:
+            cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+        else:
+            cs = [field.element_at(rng.randrange(field.order)) for _ in range(n)]
+        cs = [c if rng.random() < 0.67 else field.zero for c in cs]
+        while cs and cs[-1] == field.zero:
+            cs.pop()
+        return cs
+
+    constant = [field.one + field.one]
+    pairs = [([], constant), (constant, constant), (draw(5), constant), ([], draw(3))]
+    pairs += [(draw(rng.randint(0, 7)), draw(rng.randint(0, 7))) for _ in range(200 - len(pairs))]
+    return pairs
+
+
+@pytest.mark.parametrize("q", [0, 7, 9, 49], ids=["QQ", "GF7", "GF9", "GF49"])
+def test_poly_kernel_matches_the_coefficient_loops(q):
+    """Poly +, *, divmod and derivative, on poly's one coefficient-list
+    kernel, against the per-coefficient loops over each field; every
+    coefficient stays a Fraction over QQ and an element of the field else."""
+    field = GF(q) if q else QQ
+    kind = Fraction if q == 0 else FFElem
+    for a, b in _kernel_lists(random.Random(44 + q), field):
+        f, g = Poly(field, a), Poly(field, b)
+        got = [f + g, f * g, f.derivative()]
+        want = [field_list_sum(field, a, b), field_list_product(field, a, b),
+                field_list_derivative(field, a)]
+        if not b:
+            with pytest.raises(ZeroDivisionError):
+                divmod(f, g)
+        else:
+            got += divmod(f, g)
+            want += field_list_divmod(field, a, b)
+            assert _zdivmod(a, b, field=field) == field_list_divmod(field, a, b), (field, a, b)
+        assert [list(h.coeffs) for h in got] == want, (field, a, b)
+        assert all(type(c) is kind for h in got for c in h.coeffs), (field, a, b)
+        assert all(c.field is field for h in got for c in h.coeffs if kind is FFElem)
+
+
+@pytest.mark.parametrize("p", [2, 7, 13])
+def test_integer_list_kernel_matches_the_reduced_loops(p):
+    """_zdivmod modulo m = p^3 on symmetric representatives, and the
+    derivatives of _IntListRing and _PrimitiveRing, against loops that
+    reduce every entry at every step."""
+    rng, m = random.Random(p), p**3
+
+    def draw(n, unit_lead=False):
+        cs = [rng.randint(-(m // 2), m // 2) if rng.random() < 0.67 else 0 for _ in range(n)]
+        if unit_lead:
+            cs[-1] = rng.choice([c for c in range(-(m // 2), m // 2 + 1) if c % p])
+        while cs and not cs[-1]:
+            cs.pop()
+        return cs
+
+    pairs = [([], [1]), ([3], [-1]), (draw(5), [rng.choice([1, -1])])]
+    pairs += [(draw(rng.randint(0, 8)), draw(rng.randint(1, 5), True)) for _ in range(197)]
+    R = _IntListRing(p)
+    for a, b in pairs:
+        assert list(_zdivmod(a, b, m)) == list(zdivmod_mod_oracle(a, b, m)), (a, b)
+        assert R.derivative(a) == int_list_derivative(a, p), a
+        assert _PRIMITIVE_RING.derivative(a) == int_list_derivative(a), a
+
+
+def test_field_products_go_through_the_list_kernel(monkeypatch):
+    """Poly.__mul__ over GF(9) and QuotientField._mul multiply on poly._zmul."""
+    in_poly, in_fields = [], []
+    monkeypatch.setattr(poly_module, "_zmul", lambda *a: in_poly.append(a) or _zmul(*a))
+    monkeypatch.setattr(fields, "_zmul", lambda *a: in_fields.append(a) or _zmul(*a))
+    f9 = GF(9)
+    x = f9.element_at(5)
+    f, want = Poly(f9, [x, f9.one]), Poly(f9, [x * x, x + x, f9.one])
+    in_fields.clear()
+    assert x * x == want.coeffs[0] and len(in_fields) == 1
+    assert f * f == want and len(in_poly) == 1

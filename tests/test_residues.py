@@ -81,9 +81,9 @@ def oracle_nonsquare_mod_l(kappa, e):
         pil = Poly(field, [field.from_int(c.numerator * pow(c.denominator, -1, l)) for c in pi.coeffs])
         repl = Poly(field, [field.from_int(c.numerator * pow(c.denominator, -1, l)) for c in rep.coeffs])
         for r in range(l):
-            if pil.evaluate(field.from_int(r)).is_zero:
+            if not pil.evaluate(field.from_int(r)):
                 img = repl.evaluate(field.from_int(r))
-                if img.is_zero:
+                if not img:
                     continue
                 if pow(img.rep, (l - 1) // 2, l) == l - 1:
                     return True
@@ -93,7 +93,7 @@ def oracle_nonsquare_mod_l(kappa, e):
 def random_nf_elem(rng, kappa, height=6):
     while True:
         e = kappa.from_poly(random_poly(rng, QQ, kappa.degree - 1, height))
-        if not e.is_zero:
+        if e:
             return e
 
 

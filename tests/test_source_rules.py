@@ -46,6 +46,10 @@ every other module decides an F_q residue through residues, which reads
 its norm in F_q and takes no power in a residue field.
 Only fields and residues name multiplicative_generator: every power of
 the fixed generator of a residue field is residues.generator_power.
+In poly only _zmul, _zdivmod, _int_list_pseudo_divmod and
+lagrange_interpolate nest one for loop inside another, and in
+fields.QuotientField only _mul: the product and the division of
+coefficient lists are written once, for every coefficient ring.
 """
 
 import ast
@@ -475,3 +479,33 @@ def test_points_are_built_only_by_point():
                 hits.append(f"{path.name}:{node.lineno} in {owners.get(id(node))}")
     assert not hits, f"ClosedPoint built outside points._point: {hits}"
     assert shared == 1, "points._point builds no ClosedPoint"
+
+
+# The functions that may nest one for loop inside another: the kernel of
+# coefficient-list products and divisions, and the residue field product.
+_NESTED_LOOPS = {
+    "poly": {"_zmul", "_zdivmod", "_int_list_pseudo_divmod", "lagrange_interpolate"},
+    "fields.QuotientField": {"_mul"},
+}
+
+
+def _nests_for_loops(func):
+    return any(
+        isinstance(inner, ast.For) and inner is not loop
+        for loop in ast.walk(func) if isinstance(loop, ast.For)
+        for inner in ast.walk(loop)
+    )
+
+
+def test_coefficient_loops_are_written_once():
+    poly = ast.parse((PACKAGE / "poly.py").read_text(encoding="utf-8"))
+    fields = ast.parse((PACKAGE / "fields.py").read_text(encoding="utf-8"))
+    (quotient,) = [n for n in fields.body if getattr(n, "name", None) == "QuotientField"]
+    found = {
+        owner: {
+            func.name for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and _nests_for_loops(func)
+        }
+        for owner, tree in (("poly", poly), ("fields.QuotientField", quotient))
+    }
+    assert found == _NESTED_LOOPS, f"nested coefficient loops outside the kernel: {found}"
