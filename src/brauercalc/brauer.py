@@ -25,11 +25,10 @@ with nothing specialized if none is left) only depend on the class itself.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
-from .errors import NotSymbolRegular, ScopeError
+from .errors import NotSymbolRegular, Record, ScopeError
 from .fields import rational_is_square
 from .hilbert import local_invariants, nonsplit_places, square_classes
 from .points import (
@@ -45,21 +44,18 @@ from .poly import RationalFunction
 from .residues import ResidueClass, corestriction_exponent, norm_to_base
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(Record):
     """One degree-p symbol (a, b); both entries are nonzero."""
 
-    a: object
-    b: object
+    __slots__ = ("a", "b", "_tame", "_points", "_hash")
 
     def __post_init__(self):
-        # remembered outside the fields, so equality and hashing ignore
-        # them: the tame symbol per point, the zero/pole points once known
+        # memos: the tame symbol per point, the zero/pole points once known
         object.__setattr__(self, "_tame", {})
         object.__setattr__(self, "_points", None)
 
     def __hash__(self):
-        """The dataclass hash of (a, b), kept on first use."""
+        """The hash of (a, b), kept on first use."""
         h = getattr(self, "_hash", None)
         if h is None:
             h = hash((self.a, self.b))
@@ -67,13 +63,10 @@ class Symbol:
         return h
 
 
-@dataclass(frozen=True)
-class BrauerClass:
+class BrauerClass(Record):
     """A sum of symbols over a fixed base field and torsion p."""
 
-    base: object
-    p: int
-    symbols: tuple
+    __slots__ = ("base", "p", "symbols")
 
     @classmethod
     def make(cls, base, p, pairs):
@@ -140,13 +133,10 @@ def residue_at(cls, point):
     return ResidueClass(point, residue_field(point).one if acc is None else acc, cls.p)
 
 
-@dataclass(frozen=True)
-class RamificationDivisor:
+class RamificationDivisor(Record):
     """The nontrivial residues of a class, sorted by point."""
 
-    base: object
-    p: int
-    entries: tuple  # ((point, ResidueClass), ...) in point order
+    __slots__ = ("base", "p", "entries")  # entries: ((point, ResidueClass), ...) in point order
 
     def support(self):
         return tuple(x for x, _ in self.entries)
@@ -240,8 +230,7 @@ def constant_is_trivial(base, pairs, p):
 FINITE_CONSTANTS_TRIVIAL = "constant classes over a finite field are trivial"
 
 
-@dataclass(frozen=True)
-class ClassComparison:
+class ClassComparison(Record):
     """Two classes compared once, with what decided their equality.
 
     c1 and c2 are the classes and net their formal difference, equal
@@ -255,15 +244,10 @@ class ClassComparison:
     right_classes the same pairs as square classes (hilbert.square_classes),
     and left_places and right_places their nonsplit places, sorted by
     place_key; otherwise these seven are None.  They are built on first
-    read: equal reads them unless the net is empty.
+    read, into __dict__: equal reads them unless the net is empty.
     """
 
-    c1: object
-    c2: object
-    net: object
-    point: object = None
-    residue: object = None
-    equal: bool = field(init=False)
+    __slots__ = ("c1", "c2", "net", "point", "residue", "__dict__")
 
     def __post_init__(self):
         object.__setattr__(self, "equal", self.point is None and (

@@ -18,8 +18,6 @@ so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .brauer import (
     FINITE_CONSTANTS_TRIVIAL,
     BrauerClass,
@@ -28,35 +26,32 @@ from .brauer import (
     ramification_divisor,
     residue_at,
 )
+from .errors import Record
 from .points import ClosedPoint, sweep_values, valuation_at
 from .poly import Poly, RationalFunction
 from .residues import is_pth_power
 
 
-@dataclass(frozen=True)
-class Reparametrization:
+class Reparametrization(Record):
     """t expressed exactly in a new coordinate s."""
 
-    subst: object  # RationalFunction in s
+    __slots__ = ("subst",)  # RationalFunction in s
 
     def __post_init__(self):
         if self.subst.is_constant:
             raise ValueError("substitution must be non-constant")
 
 
-@dataclass(frozen=True)
-class KummerCoverDatum:
-    """Degree-m cover s^m = g of the line, pointed over t = basepoint_t."""
+class KummerCoverDatum(Record):
+    """Degree-m cover s^m = g of the line, pointed over t = basepoint_t.
 
-    kind: str  # "splitting" or "unramified"
-    base: object
-    m: int
-    g: object  # RationalFunction in t
-    basepoint_t: object  # base-field value c
-    fiber_root: object  # k-rational root of T^m - g(c)
-    f: object = None  # unramified kind: the function with simple zeros on D
-    reparam: object = None  # splitting kind with p = 2: t = c - (a/u) s^2
-    symbol: object = None  # splitting kind: the witnessed pair (a, b)
+    kind is "splitting" or "unramified", g a RationalFunction in t,
+    basepoint_t a base-field value c and fiber_root a k-rational root of
+    T^m - g(c).  The unramified kind has f, the function with simple zeros
+    on D; the splitting kind has symbol, the witnessed pair (a, b), and
+    with p = 2 reparam, t = c - (a/u) s^2; each is None otherwise."""
+
+    __slots__ = ("kind", "base", "m", "g", "basepoint_t", "fiber_root", "f", "reparam", "symbol")
 
     def __post_init__(self):
         if self.g.is_zero:
@@ -124,18 +119,12 @@ def splitting_witness(base, p, a, b):
     )
 
 
-@dataclass(frozen=True)
-class WitnessCheck:
-    name: str
-    passed: bool
-    detail: str
+class WitnessCheck(Record):
+    __slots__ = ("name", "passed", "detail")
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    mode: str  # "full" or "certificates-only"
-    checks: tuple
-    notes: tuple
+class WitnessReport(Record):
+    __slots__ = ("mode", "checks", "notes")  # mode: "full" or "certificates-only"
 
     @property
     def ok(self):

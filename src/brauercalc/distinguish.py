@@ -41,10 +41,9 @@ normed exponents are i_j cor_j at the j-th support point and nothing else.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .brauer import BrauerClass, compare_classes, ramification_divisor, ramification_points
-from .errors import ScopeError
+from .errors import Record, ScopeError
 from .factoring import factor_over_Fq
 from .hilbert import separating_discriminant, splits_invariant_set
 from .points import _point, reduce_at, residue_field
@@ -61,33 +60,19 @@ CANDIDATE_EQUIVALENT = "CandidateEquivalent"
 MAX_CANDIDATE_BOUND = 256
 
 
-@dataclass(frozen=True)
-class FieldComparisonRow:
-    point: object
-    left_ramified: bool
-    right_ramified: bool
-    left_label: str
-    right_label: str
+class FieldComparisonRow(Record):
+    __slots__ = ("point", "left_ramified", "right_ramified", "left_label", "right_label")
 
 
-@dataclass(frozen=True)
-class SpecializationCertificate:
-    """The two constant classes at the specialization point, separated."""
+class SpecializationCertificate(Record):
+    """The two constant classes at the specialization point, separated;
+    discriminant is a d with Q(sqrt(d)) splitting exactly one, or None."""
 
-    at: object
-    left_pairs: tuple
-    right_pairs: tuple
-    left_trivial: bool
-    right_trivial: bool
-    discriminant: object = None  # d with Q(sqrt(d)) splitting exactly one
+    __slots__ = ("at", "left_pairs", "right_pairs", "left_trivial", "right_trivial", "discriminant")
 
 
-@dataclass(frozen=True)
-class Verdict:
-    outcome: str
-    narrative: tuple
-    point: object = None
-    certificate: object = None
+class Verdict(Record):
+    __slots__ = ("outcome", "narrative", "point", "certificate")
 
 
 def distinguish(a, b, sweep=200):
@@ -176,8 +161,7 @@ def _separating_quadratic(ka, kb, sa, sb):
 # ---------------------------------------------------------------------------
 # candidate enumeration over F_q(t)
 
-@dataclass(frozen=True)
-class CandidateSet:
+class CandidateSet(Record):
     """All reciprocity-compatible residue twists of a class, realized.
 
     The bound (p-1)^r caps the number of classes sharing this
@@ -186,10 +170,7 @@ class CandidateSet:
     exponent tuples (i_1, ..., i_r) at the support points.
     """
 
-    support: tuple
-    sequences: tuple
-    classes: tuple
-    bound: int
+    __slots__ = ("support", "sequences", "classes", "bound")
 
     @property
     def size(self):

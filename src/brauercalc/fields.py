@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ScopeError
+from .errors import Record, ScopeError
 from .poly import Poly, _power, _zmul, poly_xgcd, resultant
 
 
@@ -394,16 +393,14 @@ def is_prime(n):
     return n < PSI13 or _pocklington(n)
 
 
-@dataclass(frozen=True)
-class PrimePowerFactorization:
+class PrimePowerFactorization(Record):
     """unit * product of factor^multiplicity with pairwise coprime factors.
 
     Polynomial factors are monic irreducibles sorted by (degree,
     coefficient sequence); integer factors are primes in increasing order.
     """
 
-    unit: object
-    factors: tuple
+    __slots__ = ("unit", "factors")
 
     def expand(self):
         acc = self.unit

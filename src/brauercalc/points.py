@@ -16,11 +16,10 @@ reduce_at and brauer.specialize; tame_symbol_at is the four-side case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ScopeError
+from .errors import Record, ScopeError
 from .factoring import factor_poly, is_irreducible
 from .fields import GF, FFElem, PrimeField, QuotientField, is_prime
 from .poly import Poly, QQ, RationalFunction, poly_str
@@ -31,10 +30,10 @@ from .poly import _int_list_strip, _zdivmod
 MAX_TORSION = 1000
 
 
-@dataclass(frozen=True)
-class RationalBase:
+class RationalBase(Record):
     """The rationals as the base of Q(t)."""
 
+    __slots__ = ()
     is_finite = False
     char = 0
     field = QQ
@@ -50,12 +49,10 @@ class RationalBase:
         return "Q"
 
 
-@dataclass(frozen=True)
-class FiniteBase:
+class FiniteBase(Record):
     """F_q as the base of F_q(t); q may be any prime power."""
 
-    q: int
-
+    __slots__ = ("q",)
     is_finite = True
 
     @property
@@ -83,12 +80,16 @@ class FiniteBase:
 Q_BASE = RationalBase()
 
 
-@dataclass(frozen=True)
-class ClosedPoint:
+class ClosedPoint(Record):
     """A closed point of P^1: a monic irreducible polynomial, or infinity."""
 
-    base: object
-    poly: object  # Poly (monic irreducible) or None for infinity
+    __slots__ = ("base", "poly", "_hash")  # poly: monic irreducible, or None for infinity
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.base, self.poly)))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def infinity(cls, base):

@@ -657,6 +657,12 @@ class RationalFunction:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
             den = Poly.one(num.field)
+        elif num.field is QQ:
+            # on the integer forms: cancel the primitive gcd, make den monic
+            (c, a), (d, b) = num._int_form, den._int_form
+            if len(a) > 1 and len(b) > 1 and len(g := _gcd(_PRIMITIVE_RING, a, b)) > 1:
+                a, b = tuple(_PRIMITIVE_RING.quo(a, g)), tuple(_PRIMITIVE_RING.quo(b, g))
+            num, den = Poly._q((c / (d * b[-1]), a)), Poly.monic_from_ints(b)
         else:
             if not (num.is_constant or den.is_constant):
                 g = poly_gcd(num, den)
@@ -758,9 +764,9 @@ class RationalFunction:
         return RationalFunction(self.num**n, self.den**n)
 
     def __eq__(self, other):
-        if isinstance(other, (RationalFunction, Poly, int, Fraction)) or hasattr(
-            other, "field"
-        ):
+        if isinstance(other, (RationalFunction, Poly)) and other.field is not self.field:
+            return False
+        if isinstance(other, (RationalFunction, Poly, int, Fraction)) or hasattr(other, "field"):
             other = self.coerce(self.field, other)
             return self.num == other.num and self.den == other.den
         return NotImplemented

@@ -10,7 +10,6 @@ produce byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .brauer import (
     FINITE_CONSTANTS_TRIVIAL,
@@ -20,7 +19,7 @@ from .brauer import (
 )
 from .covers import KummerCoverDatum, Reparametrization
 from .distinguish import FieldComparisonRow, SpecializationCertificate
-from .errors import ParseError
+from .errors import ParseError, Record
 from .hilbert import place_key
 from .parser import _int_literal, class_text, parse_constant, parse_ratfunc, ratfunc_text
 from .points import FiniteBase, Q_BASE
@@ -45,11 +44,8 @@ def parse_base(text):
     raise ValueError(f"unknown base {text!r}; use q or fq:<q>")
 
 
-@dataclass(frozen=True)
-class Report:
-    command: str
-    inputs: dict
-    outcome: dict
+class Report(Record):
+    __slots__ = ("command", "inputs", "outcome")  # inputs and outcome are dicts
 
     def payload(self):
         return {

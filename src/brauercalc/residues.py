@@ -27,11 +27,10 @@ and nf_is_square says yes only when it holds such a root.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .errors import ScopeError
+from .errors import Record, ScopeError
 from .factoring import factor_over_Q, squarefree_kernel
 from .fields import (
     FFElem,
@@ -175,13 +174,11 @@ def nf_sqrt(kappa, e):
 # Most digits of the order q^(d p) a finite residue field's label writes.
 MAX_LABEL_DIGITS = 1000
 
-@dataclass(frozen=True)
-class ResidueClass:
-    """A unit of the residue field at a point, taken modulo p-th powers."""
+class ResidueClass(Record):
+    """A unit of the residue field at a point, taken modulo p-th powers; value
+    is a Fraction at rational points over Q, an FFElem otherwise."""
 
-    point: object
-    value: object  # Fraction at rational points over Q, FFElem otherwise
-    p: int
+    __slots__ = ("point", "value", "p", "_trivial")
 
     def __post_init__(self):
         if not self.value:
@@ -192,9 +189,8 @@ class ResidueClass:
         return residue_field(self.point)
 
     def is_trivial(self):
-        # remembered outside the fields, so equality and hashing ignore it;
-        # over F_q, Euler's criterion on the norm in F_q (no generator)
-        if "_trivial" not in self.__dict__:
+        # a memo; over F_q, Euler's criterion on the norm in F_q (no generator)
+        if getattr(self, "_trivial", None) is None:
             field, value = self.field, self.value
             if self.point.base.is_finite:
                 field, value = self.point.base.field, norm_to_base(self.point, value)

@@ -32,8 +32,11 @@ square-and-multiply is written once and every power goes through it.
 No library function but poly._euclid runs a while loop that rebinds a
 pair as x, y = y, ..., so Euclid's algorithm is written once, over a
 ring, and every gcd, Bezout cofactor and resultant is read off it.
-Every annotated field of a library @dataclass is read as .field
+Every field of a library record (a class deriving from errors.Record:
+each __slots__ entry not starting with an underscore) is read as .field
 somewhere in the library, so a record carries nothing no code looks at.
+No library module imports dataclasses: a record is a Record subclass,
+so importing the library compiles no generated method.
 The body of distinguish.distinguish names none of same_class, same_field,
 same_kummer_extension, is_pth_power or is_pth_power_finite: it reads its
 residue comparison off the compare_classes record and tests no residue
@@ -393,28 +396,66 @@ def test_euclid_is_written_once():
     assert set(owners.values()) == _EUCLID, "no Euclid loop in poly._euclid"
 
 
-def _is_dataclass(cls):
-    for dec in cls.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        if isinstance(target, ast.Name) and target.id == "dataclass":
-            return True
-    return False
+def _record_fields(sources):
+    """{module.Class: its fields} for every class deriving from Record in
+    sources (module name to text): its __slots__ entries but those starting
+    with an underscore, which hold memos."""
+    records = {}
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ClassDef) and any(
+                getattr(base, "id", None) == "Record" for base in node.bases
+            ):
+                records[f"{module}.{node.name}"] = [
+                    elt.value
+                    for item in node.body
+                    if any(getattr(t, "id", None) == "__slots__" for t in getattr(item, "targets", ()))
+                    for elt in item.value.elts
+                    if not elt.value.startswith("_")
+                ]
+    return records
+
+
+def _unread_record_fields(sources):
+    read = {
+        node.attr
+        for text in sources.values()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{owner}.{field}"
+        for owner, fields in _record_fields(sources).items()
+        for field in fields
+        if field not in read
+    ]
 
 
 def test_record_fields_are_read():
-    fields, read = [], set()
-    for name, node in _nodes():
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            read.add(node.attr)
-        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
-            fields.extend(
-                (f"{name[:-3]}.{node.name}", item.target.id)
-                for item in node.body
-                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-            )
-    assert fields, "no dataclass fields found"
-    unread = [f"{owner}.{field}" for owner, field in fields if field not in read]
+    import brauercalc.cli  # noqa: F401  (imports every module that defines a record)
+    from brauercalc.errors import Record
+
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    found = set(_record_fields(sources))
+    built = {
+        f"{cls.__module__.rpartition('.')[2]}.{cls.__name__}" for cls in Record.__subclasses__()
+    }
+    assert found == built and len(found) == 18, f"records found {sorted(found)}, built {sorted(built)}"
+    unread = _unread_record_fields(sources)
     assert not unread, f"record fields no library code reads: {unread}"
+    plant = '\nclass Planted(Record):\n    __slots__ = ("never_read", "_memo")\n'
+    planted = dict(sources, points=sources["points"] + plant)
+    assert _unread_record_fields(planted) == ["points.Planted.never_read"]
+
+
+def test_no_module_imports_dataclasses():
+    hits = [
+        f"{name}:{node.lineno}"
+        for name, node in _nodes()
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+        or isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+    ]
+    assert not hits, f"library modules importing dataclasses: {hits}"
 
 
 _RESIDUE_TESTS = {
