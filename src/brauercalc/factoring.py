@@ -37,13 +37,13 @@ ScopeError.
 
 Factoring over a finite field is one squarefree loop and one
 Cantor-Zassenhaus algorithm (distinct-degree, equal-degree and sorted
-split, one _powmod) written once over one of poly's two rings, whose gcd
-is poly's one Euclid: _IntListRing, F_p[t] on integer lists, for the
-modular stage over Q (no field elements built) and for factor_over_Fq
-over any prime field, cached by (p, representatives) in
-_factor_fp_monic; or _PolyRing, Poly over an extension field GF(p^k),
-drawing by field.element_at so no field is listed.  An equal-degree
-split makes at most _SPLIT_DRAWS random draws, then raises ScopeError.
+split, one _powmod) written once over poly's _ListRing, whose gcd is
+poly's one Euclid: on integers mod p for the modular stage over Q (no
+field elements built) and for factor_over_Fq over any prime field,
+cached by (p, representatives) in _factor_fp_monic; or on the element
+lists of an extension field GF(p^k), drawing by field.element_at so no
+field is listed.  An equal-degree split makes at most _SPLIT_DRAWS
+random draws, then raises ScopeError.
 
 Irreducibility and squarefreeness are decided only here: the one
 squarefree loop serves Q (on _PrimitiveRing), F_p and F_q, and
@@ -61,7 +61,7 @@ from functools import lru_cache
 from .errors import ScopeError
 from .fields import PrimeField, PrimePowerFactorization
 from .fields import factor_int, is_prime
-from .poly import Poly, QQ, _IntListRing, _PolyRing, _PRIMITIVE_RING, _horner, _power
+from .poly import Poly, QQ, _ListRing, _PRIMITIVE_RING, _horner, _power
 from .poly import _hasse, _int_list_primitive, _int_list_strip
 from .poly import _zadd, _zdivmod, _zmul, _zsub, _ztrunc
 
@@ -135,7 +135,7 @@ def _hensel_lift(p, f, f_list, l):
     h = list(f_list[k])
     for fi in f_list[k + 1 :]:
         h = _ztrunc(_zmul(h, fi), p)
-    one, s, t = _IntListRing(p).xgcd(g, h)
+    one, s, t = _ListRing(p).xgcd(g, h)
     if one != [1]:
         raise ArithmeticError("modular factors are not coprime")
     s = _ztrunc(s, p)
@@ -147,7 +147,7 @@ def _hensel_lift(p, f, f_list, l):
 
 
 # ---------------------------------------------------------------------------
-# Cantor-Zassenhaus (MCA 14.2-14.3; Cantor & Zassenhaus 1981) over poly's rings
+# Cantor-Zassenhaus (MCA 14.2-14.3; Cantor & Zassenhaus 1981) over poly's list ring
 
 
 def _powmod(R, a, n, f):
@@ -300,7 +300,7 @@ def _prime_search(f):
             break
         if b % p == 0:
             continue
-        R = _IntListRing(p)
+        R = _ListRing(p)
         fp = R.monic(R.reduce(f))
         if len(R.gcd(fp, R.derivative(fp))) != 1:
             continue
@@ -326,7 +326,7 @@ def _zassenhaus(f):
     count, p, parts = _prime_search(f)
     if count == 1:
         return [list(f)]
-    mod_factors = _split(_IntListRing(p), parts)
+    mod_factors = _split(_ListRing(p), parts)
 
     # b/lc(g) * g, for a factor g of f, has coefficients of size at most
     # binom(n-1, (n-1)//2) * |f|_2 (Mignotte; MCA Cor. 6.33), and so
@@ -489,7 +489,7 @@ def _factor_monic(R, f):
 @lru_cache(maxsize=4096)
 def _factor_fp_monic(p, f):
     """_factor_monic of a monic f over F_p, given by its representatives."""
-    return tuple((tuple(h), mult) for h, mult in _factor_monic(_IntListRing(p), f))
+    return tuple((tuple(h), mult) for h, mult in _factor_monic(_ListRing(p), f))
 
 
 def factor_over_Fq(f):
@@ -506,7 +506,8 @@ def factor_over_Fq(f):
         monic = tuple(c.rep * inv % p for c in f.coeffs)
         factors = [(Poly.from_ints(field, h), m) for h, m in _factor_fp_monic(p, monic)]
     else:
-        factors = _factor_monic(_PolyRing(field), f.monic())
+        R = _ListRing(field=field)
+        factors = [(Poly(field, h), m) for h, m in _factor_monic(R, R.monic(f.coeffs))]
     return PrimePowerFactorization(unit, tuple(factors))
 
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import Record, ScopeError
-from .poly import Poly, _power, _zmul, poly_xgcd, resultant
+from .poly import Poly, _ListRing, _power, _zmul, _ztrim, resultant
 
 
 class FFElem:
@@ -296,14 +296,13 @@ class QuotientField:
                 raise ZeroDivisionError("representative is not invertible")
             n_inv = 1 / n
             return (conj * n_inv, -a1 * n_inv)
-        p = Poly(self.base, list(a))
-        if p.is_zero:
+        if not any(a):
             raise ZeroDivisionError("inverse of zero")
-        g, s, _ = poly_xgcd(p, self.modulus)
-        if g.degree != 0:
+        g, s, _ = _ListRing(field=self.base).xgcd(_ztrim(list(a)), self.modulus.coeffs)
+        if len(g) != 1:
             raise ZeroDivisionError("representative is not invertible")
         # deg s < deg modulus, the Bezout cofactor's bound (MCA 3.15)
-        return tuple(s.coeff(i) for i in range(self.degree))
+        return tuple(s) + (self.base.zero,) * (self.degree - len(s))
 
     def norm(self, e):
         """Norm down to the base field, as Res(modulus, representative)."""

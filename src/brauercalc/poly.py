@@ -28,9 +28,11 @@ of coefficients (ints, ints mod m, Fractions, field elements), each zero
 tested by truthiness: _ztrim, _zadd, _zmul, _zdivmod and _hasse.  Poly,
 the residue field product, the rings, Hensel lifting and the strip at a
 point run on it; _int_list_* serve the integer form.  The polynomial
-rings live here as well: _IntListRing, F_p[t] on integer lists;
-_PrimitiveRing, Q[t] up to units on primitive ones; and _PolyRing, Poly
-over any field.  Factoring runs over them.
+rings live here as well: _ListRing, K[t] on coefficient lists, of
+integers mod p for F_p or of a field's elements for any field K; and
+_PrimitiveRing, Q[t] up to units on primitive integer lists.  Factoring
+runs over them, and poly_gcd (off QQ), poly_xgcd and resultant take their
+Poly arguments apart into element lists once.
 
 Square-and-multiply (_power), Horner's rule (_horner) and Euclid's
 algorithm (_euclid) are written once too: powers of polynomials and
@@ -396,8 +398,8 @@ def _zadd(a, b, zero=0):
     return _ztrim([x + y for x, y in zip_longest(a, b, fillvalue=zero)])
 
 
-def _zsub(a, b):
-    return _ztrim([x - y for x, y in zip_longest(a, b, fillvalue=0)])
+def _zsub(a, b, zero=0):
+    return _ztrim([x - y for x, y in zip_longest(a, b, fillvalue=zero)])
 
 
 def _zmul(a, b, zero=0):
@@ -475,97 +477,67 @@ def _xgcd(R, a, b):
     return R.mul(rs[n], u), R.mul(s[n], u), R.mul(t[n], u)
 
 
-class _IntListRing:
-    """F_p[t] on integer lists (lowest degree first, entries in [0, p)), p
-    any prime; the methods take symmetric representatives too, as Hensel
-    lifting passes them."""
+class _ListRing:
+    """K[t] on coefficient lists, lowest degree first, through the kernel:
+    with m = p, F_p[t] on integers, entries in [0, p), the methods taking
+    symmetric representatives too, as Hensel lifting passes them; with
+    field = K, K[t] on lists of K's elements, K any field.  czero is the
+    coefficients' zero, 0 or K's."""
 
-    zero, one, gen = (), (1,), (0, 1)
     gcd, xgcd = _gcd, _xgcd
 
-    def __init__(self, p):
-        self.q = self.char = p
+    def __init__(self, m=None, field=None):
+        self.m, self.field = m, field
+        self.czero, c1 = (0, 1) if m else (field.zero, field.one)
+        self.char = m or field.char
+        self.q = m or (field.order if field.finite else None)
+        self.zero, self.one, self.gen = (), (c1,), (self.czero, c1)
 
     def deg(self, a):
         return len(a) - 1
 
     def reduce(self, a):
-        """Representatives in [0, p)."""
-        return _ztrim([c % self.q for c in a])
+        """Representatives in [0, p) with m = p; a itself over a field."""
+        return _ztrim([c % self.m for c in a]) if self.m else a
 
     def sub(self, a, b):
-        return self.reduce(_zsub(a, b))
+        return self.reduce(_zsub(a, b, self.czero))
 
     def mul(self, a, b):
-        return self.reduce(_zmul(a, b))
+        return self.reduce(_zmul(a, b, self.czero))
 
     def divmod(self, a, b):
-        return _zdivmod(a, b, self.q)
+        return _zdivmod(a, b, self.m, self.field)
 
     def rem(self, a, b):
-        return _zdivmod(a, b, self.q)[1]
+        return self.divmod(a, b)[1]
 
     def quo(self, a, b):
-        return _zdivmod(a, b, self.q)[0]
+        return self.divmod(a, b)[0]
 
     def inv_lc(self, a):
         """1/lc(a) as a constant of the ring."""
-        return [pow(a[-1], -1, self.q)]
+        return [pow(a[-1], -1, self.m) if self.m else self.field.one / a[-1]]
 
     def monic(self, a):
-        inv = pow(a[-1], -1, self.q) if a else 0
-        return [c * inv % self.q for c in a]
+        inv = self.inv_lc(a)[0] if a else None
+        return self.reduce([c * inv for c in a])
 
     def derivative(self, a):
         return self.reduce(_hasse(a, 1))
 
     def pth_root(self, a):
-        """g with a = g(t^p); each entry of F_p is its own p-th root."""
-        return a[:: self.q]
+        """g with a = g(t^p), by inverse Frobenius on the coefficients."""
+        return [c ** (self.q // self.char) for c in a[:: self.char]]
 
     def random(self, n, rng):
-        return _ztrim([rng.randrange(self.q) for _ in range(n)])
+        """n coefficients, the randrange(q)-th elements of F_q."""
+        cs = [rng.randrange(self.q) for _ in range(n)]
+        return _ztrim(list(map(self.field.element_at, cs)) if self.field else cs)
 
     def sort_key(self, g):
-        return (len(g), g)
-
-
-class _PolyRing:
-    """K[t] on Poly, K any field: GF(p^k), k >= 2, for factoring, or QQ for
-    poly_xgcd; Euclid's operations are static methods."""
-
-    deg = staticmethod(operator.attrgetter("degree"))
-    sub = staticmethod(operator.sub)
-    mul = staticmethod(operator.mul)
-    divmod = staticmethod(divmod)
-    rem = staticmethod(operator.mod)
-    quo = staticmethod(Poly.exact_div)
-    monic = staticmethod(Poly.monic)
-    derivative = staticmethod(Poly.derivative)
-    sort_key = staticmethod(Poly.sort_key)
-
-    def __init__(self, field):
-        self.field, self.char = field, field.char
-        self.q = field.order if field.finite else None
-        self.zero, self.one, self.gen = Poly.zero(field), Poly.one(field), Poly.gen(field)
-
-    # a method, not staticmethod(poly_gcd), so that the module-level name is
-    # looked up per call and bench/tracer.py's wrapper on it counts the call
-    def gcd(self, a, b):
-        return poly_gcd(a, b)
-
-    def inv_lc(self, a):
-        return Poly(self.field, [self.field.one / a.lc])
-
-    def pth_root(self, f):
-        """Inverse Frobenius on exponents: f(t) = g(t^p) gives back g."""
-        p = self.char
-        return Poly(self.field, [c ** (self.q // p) for c in f.coeffs[::p]])
-
-    def random(self, n, rng):
-        """n coefficients, each the randrange(q)-th of field.elements()."""
-        field = self.field
-        return Poly(field, [field.element_at(rng.randrange(self.q)) for _ in range(n)])
+        """Poly.sort_key's order: degree, then the coefficients' keys."""
+        return (len(g), g if self.m else tuple(map(self.field.element_key, g)))
 
 
 class _PrimitiveRing:
@@ -602,12 +574,12 @@ def poly_gcd(f, g):
     if f.field is QQ:
         d = _gcd(_PRIMITIVE_RING, f._int_form[1], g._int_form[1])
         return Poly.monic_from_ints(tuple(d)) if d else f
-    return _gcd(_PolyRing, f, g)
+    return Poly(f.field, _gcd(_ListRing(field=f.field), f.coeffs, g.coeffs))
 
 
 def poly_xgcd(f, g):
     """(d, s, t) with d = s*f + t*g and d the monic gcd; (0, 1, 0) for f = g = 0."""
-    return _xgcd(_PolyRing(f.field), f, g)
+    return tuple(Poly(f.field, c) for c in _ListRing(field=f.field).xgcd(f.coeffs, g.coeffs))
 
 
 def resultant(f, g):
@@ -618,11 +590,11 @@ def resultant(f, g):
     = 0 once deg(f) >= 1.  The first argument must be nonzero."""
     if f.is_zero:
         raise ValueError("resultant: first argument must be nonzero")
-    rs = _euclid(_PolyRing, f, g)[0]
-    acc = rs[-1].coeff(0) ** rs[-2].degree
+    rs = _euclid(_ListRing(field=f.field), f.coeffs, g.coeffs)[0]
+    acc = (rs[-1][0] if rs[-1] else f.field.zero) ** (len(rs[-2]) - 1)
     for a, b, r in zip(rs, rs[1:], rs[2:]):
-        acc = acc * b.lc ** (a.degree - r.degree)
-        if a.degree * b.degree % 2:
+        acc = acc * b[-1] ** (len(a) - len(r))
+        if (len(a) - 1) * (len(b) - 1) % 2:
             acc = -acc
     return acc
 

@@ -31,6 +31,7 @@ every entry reduced at every step.
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from collections import namedtuple
 from functools import reduce
@@ -47,7 +48,7 @@ from brauercalc.factoring import _squarefree, _zassenhaus, factor_poly
 from brauercalc.hilbert import hilbert_symbol, relevant_places
 from brauercalc.parser import _ClassParser, _check_degree, _int_literal
 from brauercalc.points import ClosedPoint, residue_field, sorted_points, unit_part_at
-from brauercalc.poly import Poly, QQ, _PolyRing, _gcd
+from brauercalc.poly import Poly, QQ, _gcd
 from brauercalc.residues import ResidueClass, is_pth_power
 
 
@@ -132,11 +133,18 @@ def candidate_points(cls):
     return sorted_points(cands)
 
 
-class _FractionRing(_PolyRing):
-    """Q[t] on Fraction coefficients, whose gcd is Euclid over the field,
-    not poly_gcd's integer forms."""
+class _FractionRing:
+    """Q[t] on Poly with Fraction coefficients, whose gcd is Euclid over the
+    field, not poly_gcd's integer forms: the operations the squarefree loop
+    reads in characteristic 0."""
 
+    char = 0
     gcd = _gcd
+    deg = staticmethod(operator.attrgetter("degree"))
+    divmod = staticmethod(divmod)
+    quo = staticmethod(Poly.exact_div)
+    monic = staticmethod(Poly.monic)
+    derivative = staticmethod(Poly.derivative)
 
 
 def sylvester_resultant(f, g):
@@ -173,7 +181,7 @@ def factor_over_Q_by_zassenhaus(f):
     parts that the squarefree loop finds over Fraction coefficients."""
     pieces = [
         (part, mult)
-        for g, mult in _squarefree(_FractionRing(QQ), f.monic())
+        for g, mult in _squarefree(_FractionRing(), f.monic())
         for part in _zassenhaus(g.int_form()[1])
     ]
     out = [(Poly.from_ints(QQ, part).monic(), mult) for part, mult in pieces]

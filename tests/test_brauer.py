@@ -24,7 +24,7 @@ from brauercalc.brauer import (
 from brauercalc.cli import main
 from brauercalc.distinguish import BY_SPECIALIZATION, EQUAL, distinguish
 from brauercalc.errors import NotSymbolRegular, ScopeError
-from brauercalc.factoring import _IntListRing, is_irreducible
+from brauercalc.factoring import is_irreducible
 from brauercalc.fields import QuotientField, multiplicative_generator
 from brauercalc.hilbert import invariant_set
 from brauercalc.points import (
@@ -38,7 +38,7 @@ from brauercalc.points import (
     valuation_at,
 )
 from brauercalc.parser import class_text, parse_class, ratfunc_text
-from brauercalc.poly import Poly, QQ, RationalFunction
+from brauercalc.poly import Poly, QQ, RationalFunction, _ListRing
 from brauercalc.residues import is_pth_power
 
 from _gen import F7, F13, random_class, random_entry, random_poly, rational
@@ -654,7 +654,7 @@ def test_one_strip_and_combine_match_the_strip_oracle():
 
 def test_prime_field_quadratic_tame_symbol_divides_once(monkeypatch):
     """At an F_7 point of degree 2, a tame symbol inverts at most once in
-    kappa(x) and never runs an extended gcd on integer lists."""
+    kappa(x) and never runs the list ring's extended gcd, in either mode."""
     rng = random.Random(153)
     x = ClosedPoint.finite(F7, Poly(F7.field, [1, 0, 1]))
     pi = RationalFunction(x.poly)
@@ -671,7 +671,7 @@ def test_prime_field_quadratic_tame_symbol_divides_once(monkeypatch):
         raise AssertionError("an extended gcd at a point over F_p")
 
     monkeypatch.setattr(QuotientField, "_inv", counting_inv)
-    monkeypatch.setattr(_IntListRing, "xgcd", refuse)
+    monkeypatch.setattr(_ListRing, "xgcd", refuse)
     for (a, b), value in zip(pairs, want):
         inverses.append(0)
         assert tame_symbol_at(a, b, x) == value

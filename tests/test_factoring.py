@@ -29,7 +29,7 @@ from brauercalc.factoring import (
     squarefree_kernel,
 )
 from brauercalc.fields import GF, FFElem
-from brauercalc.poly import Poly, QQ, _IntListRing, _PolyRing, _PRIMITIVE_RING, _xgcd
+from brauercalc.poly import Poly, QQ, _ListRing, _PRIMITIVE_RING, _xgcd
 from brauercalc.poly import _gcd, poly_gcd, poly_xgcd
 
 from _gen import random_poly
@@ -234,7 +234,8 @@ def test_squarefree_decomposition():
                 random_poly(rng, field, 2, min_degree=1, monic=True) for _ in range(2)
             ]
             f = parts[0] * parts[1] ** 2
-            dec = factoring._squarefree(_PolyRing(field), f.monic())
+            R = _ListRing(field=field)
+            dec = [(Poly(field, g), m) for g, m in factoring._squarefree(R, f.monic().coeffs)]
             prod = Poly.one(field)
             for g, m in dec:
                 assert g.is_monic
@@ -272,14 +273,14 @@ def test_distinct_degree_count_matches_full_factorization():
             f = Poly(field, [rng.choice(elems) for _ in range(deg)] + [field.one])
             if poly_gcd(f, f.derivative()).degree != 0:
                 continue
-            R = factoring._PolyRing(field)
-            parts = factoring._distinct_degree(R, f)
-            count = sum(g.degree // d for g, d in parts)
+            R = _ListRing(field=field)
+            parts = factoring._distinct_degree(R, f.coeffs)
+            count = sum((len(g) - 1) // d for g, d in parts)
             factors = factoring._split(R, parts)
             assert count == len(factors), (q, f)
             prod = Poly.one(field)
             for g in factors:
-                prod = prod * g
+                prod = prod * Poly(field, g)
             assert prod == f, (q, f)
             checked += 1
 
@@ -296,13 +297,18 @@ def test_zassenhaus_without_good_prime_is_out_of_scope(monkeypatch, capsys):
     assert main(["ram", "(t^4+104723, t)"]) == 3
 
 
+def _reps(cs):
+    return [c.rep for c in cs]
+
+
 def _int_list(f):
-    return [c.rep for c in f.coeffs]
+    return _reps(f.coeffs)
 
 
 def test_int_list_kernel_matches_poly_routines():
-    # the shared split on the integer-list ring that factor_over_Q runs on,
-    # against the Poly ring of factor_over_Fq on the same polynomial over GF(p)
+    # the shared split in the ring's integer mode, which factor_over_Q runs
+    # on, against its element mode, which factor_over_Fq runs on over
+    # extension fields, on the same polynomial over GF(p)
     rng = random.Random(29)
     for p in (3, 5, 7, 13, 10007):
         field = GF(p)
@@ -313,18 +319,18 @@ def test_int_list_kernel_matches_poly_routines():
             F = Poly.from_ints(field, f)
             if poly_gcd(F, F.derivative()).degree != 0:
                 continue
-            R, RF = factoring._IntListRing(p), factoring._PolyRing(field)
+            R, RF = _ListRing(p), _ListRing(field=field)
             parts = factoring._distinct_degree(R, f)
-            parts_F = factoring._distinct_degree(RF, F)
-            assert parts == [(_int_list(g), d) for g, d in parts_F], (p, f)
+            parts_F = factoring._distinct_degree(RF, F.coeffs)
+            assert parts == [(_reps(g), d) for g, d in parts_F], (p, f)
             assert factoring._split(R, parts) == [
-                _int_list(g) for g in factoring._split(RF, parts_F)
+                _reps(g) for g in factoring._split(RF, parts_F)
             ], (p, f)
             checked += 1
         for _ in range(12):
             a = [rng.randrange(p) for _ in range(rng.randint(1, 6))] + [1]
             b = [rng.randrange(p) for _ in range(rng.randint(0, 6))] + [1]
-            g, s, t = factoring._IntListRing(p).xgcd(a, b)
+            g, s, t = _ListRing(p).xgcd(a, b)
             A, B = Poly.from_ints(field, a), Poly.from_ints(field, b)
             assert g == _int_list(poly_gcd(A, B))
             combo = Poly.from_ints(field, s) * A + Poly.from_ints(field, t) * B
@@ -334,13 +340,14 @@ def test_int_list_kernel_matches_poly_routines():
 
 
 def test_int_list_ring_methods_match_poly_routines():
-    # every F_p[t] operation on integer lists is an _IntListRing method;
-    # each against Poly over GF(p), with inputs in symmetric representation
-    # as Hensel lifting passes them, and the one _powmod on both rings
+    # every F_p[t] operation on integer lists is a method of the ring's
+    # integer mode; each against Poly over GF(p), with inputs in symmetric
+    # representation as Hensel lifting passes them, and the one _powmod in
+    # both modes
     rng = random.Random(30)
     for p in (3, 7, 13):
         field = GF(p)
-        R, RF = factoring._IntListRing(p), factoring._PolyRing(field)
+        R, RF = _ListRing(p), _ListRing(field=field)
         for _ in range(20):
             a = factoring._ztrunc(
                 [rng.randrange(p) for _ in range(rng.randint(0, 6))] + [1], p
@@ -364,28 +371,30 @@ def test_int_list_ring_methods_match_poly_routines():
             F = Poly.from_ints(field, f)
             n = rng.randrange(0, 40)
             want = A**n % F
-            assert factoring._powmod(RF, A, n, F) == want, (p, a, n, f)
+            assert Poly(field, factoring._powmod(RF, A.coeffs, n, F.coeffs)) == want, (p, a, n, f)
             assert list(factoring._powmod(R, a, n, f)) == _int_list(want), (p, a, n, f)
 
 
 def test_rings_share_one_division_and_one_extended_euclid():
-    # R.divmod against Poly.__divmod__ on both finite rings, and the one
-    # extended Euclid over QQ, GF(9), GF(4) and GF(7) on Poly, and over F_7
-    # on integer lists in symmetric representation: a monic g dividing both
-    # inputs, with s*a + t*b = g, and the same (g, s, t) on both F_7 rings
+    # R.divmod against Poly.__divmod__ over the finite fields, and the one
+    # extended Euclid over QQ, GF(9), GF(4) and GF(7) on element lists, and
+    # over F_7 on integer lists in symmetric representation: a monic g
+    # dividing both inputs, with s*a + t*b = g, and the same (g, s, t) in
+    # both modes over F_7
     rng = random.Random(31)
     for field in (QQ, GF(9), GF(4), GF(7)):
-        R = _PolyRing(field)
+        R = _ListRing(field=field)
         for _ in range(15):
             c = random_poly(rng, field, 2, height=5)
             a, b = (random_poly(rng, field, 4, height=5) * c for _ in "ab")
             if field.finite:
-                assert R.divmod(a, b) == divmod(a, b)
-            g, s, t = _xgcd(R, a, b)
+                qr = R.divmod(a.coeffs, b.coeffs)
+                assert tuple(Poly(field, x) for x in qr) == divmod(a, b)
+            g, s, t = (Poly(field, x) for x in _xgcd(R, a.coeffs, b.coeffs))
             assert g.is_monic and (a % g).is_zero and (b % g).is_zero, (field, a, b)
             assert s * a + t * b == g and g.degree >= c.degree, (field, a, b)
             if field is GF(7):
-                L = _IntListRing(7)
+                L = _ListRing(7)
                 ints = [factoring._ztrunc(_int_list(f), 7) for f in (a, b)]
                 q, r = L.divmod(*ints)
                 assert (q, r) == tuple(map(_int_list, divmod(a, b)))
@@ -486,19 +495,20 @@ def test_q_factors_are_one_shared_object_each():
 
 def test_factor_over_Q_builds_no_finite_field_objects(monkeypatch):
     # route guard: the modular stage of the factorization over Q runs on
-    # integer lists, never on PrimeField, FFElem or the Poly ring of the split;
-    # the Poly ring over QQ runs the squarefree loop over Q
+    # integer lists, never on PrimeField, FFElem or the list ring's element
+    # mode over a finite field; the ring is built only in integer mode or
+    # over QQ
     def no_finite_field(*args, **kwargs):
         raise AssertionError("finite-field objects built while factoring over Q")
 
-    def ring_over_q_only(field):
-        return real_ring(field) if field is QQ else no_finite_field()
+    def ring_over_q_only(m=None, field=None):
+        return real_ring(m, field) if field is None or field is QQ else no_finite_field()
 
-    real_ring = factoring._PolyRing
+    real_ring = factoring._ListRing
     monkeypatch.setattr(factoring, "PrimeField", no_finite_field, raising=False)
     monkeypatch.setattr(fields, "PrimeField", no_finite_field)
     monkeypatch.setattr(FFElem, "__init__", no_finite_field)
-    monkeypatch.setattr(factoring, "_PolyRing", ring_over_q_only)
+    monkeypatch.setattr(factoring, "_ListRing", ring_over_q_only)
     factoring._factor_q_monic.cache_clear()
     cases = (
         ([-1, 0, 0, 0, 1], [[-1, 1], [1, 1], [1, 0, 1]]),
@@ -642,7 +652,7 @@ def test_equal_degree_draw_budget_is_out_of_scope(monkeypatch):
 
 def _is_squarefree_by_fractions(ints):
     f = Poly.from_ints(QQ, ints)
-    return _gcd(_PolyRing(QQ), f, f.derivative()).degree == 0
+    return len(_gcd(_ListRing(field=QQ), f.coeffs, f.derivative().coeffs)) == 1
 
 
 def test_prime_search_and_zassenhaus_see_only_squarefree_input(monkeypatch):
@@ -1071,8 +1081,9 @@ def test_fq_factor_matches_sympy():
 
 def _poly_ring_factorization(f):
     """factor_over_Fq's route for extension fields, run on f over GF(p)."""
-    R = factoring._PolyRing(f.field)
-    return f.lc, tuple(factoring._factor_monic(R, f.monic()))
+    R = _ListRing(field=f.field)
+    factors = factoring._factor_monic(R, R.monic(f.coeffs))
+    return f.lc, tuple((Poly(f.field, h), m) for h, m in factors)
 
 
 def test_prime_field_factoring_matches_the_poly_ring():
@@ -1109,12 +1120,17 @@ def test_prime_field_factoring_is_cached_by_the_monic_representatives():
 
 
 def test_prime_fields_are_factored_without_the_poly_ring(monkeypatch):
-    # route guard: over GF(p) the split runs on integer lists, and so does
-    # GF's search for an irreducible modulus of degree 12 over F_7
-    def no_poly_ring(*args, **kwargs):
-        raise AssertionError("the Poly ring was built for a prime field")
+    # route guard: over GF(p) the split runs in the ring's integer mode,
+    # never on element lists, and so does GF's search for an irreducible
+    # modulus of degree 12 over F_7
+    real_ring = factoring._ListRing
 
-    monkeypatch.setattr(factoring, "_PolyRing", no_poly_ring)
+    def integer_mode_only(m=None, field=None):
+        if field is not None:
+            raise AssertionError("the element-list ring was built for a prime field")
+        return real_ring(m)
+
+    monkeypatch.setattr(factoring, "_ListRing", integer_mode_only)
     field = GF(7)
     f = Poly.from_ints(field, [1, 0, 0, 0, 0, 0, 0, 1]) * Poly.from_ints(field, [3, 1, 1])
     assert factor_over_Fq(f).expand() == f

@@ -2,10 +2,13 @@
 seed and covers every (command, setting) cell, one checkout run once names
 every cell with 0 differing, and a report changed by one byte makes its
 cell, and only its cell, differ, with that report printed.  The command
-line prints one line per cell and the count of differing cells."""
+line prints one line per cell and the count of differing cells.  The
+distinguish ops of a fixed slice reach all four outcomes, a separating
+quadratic field among them."""
 
 import copy
 import importlib.util
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,3 +58,12 @@ def test_command_line_over_the_rational_cells(capsys):
     assert [line.split()[:3] for line in lines[1:-1]] == [
         [command, "q", "p=2"] for command in corpus.COMMANDS]
     assert lines[-1] == "0 differing cells"
+
+
+def test_distinguish_ops_reach_every_outcome():
+    ops = [op for op in corpus.draw(0, 420) if op[0].startswith("distinguish ")]
+    reports = [runs[-1][1] for runs in corpus.run_root(ROOT, ops)]
+    outcomes = {re.search(r'outcome"?: "?([A-Z]\w*)', out)[1] for out in reports}
+    assert outcomes == {"Equal", "DistinguishedByRamificationField",
+                        "DistinguishedBySpecialization", "CandidateEquivalent"}
+    assert any("separating_discriminant" in out for out in reports)

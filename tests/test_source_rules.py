@@ -49,6 +49,10 @@ every other module decides an F_q residue through residues, which reads
 its norm in F_q and takes no power in a residue field.
 Only fields and residues name multiplicative_generator: every power of
 the fixed generator of a residue field is residues.generator_power.
+No library class but poly._ListRing and poly._PrimitiveRing binds both
+deg and divmod, as methods or class attributes: K[t] has one ring per
+representation, coefficient lists over Z/p or a field, and primitive
+integer lists for Q[t] up to units.
 In poly only _zmul, _zdivmod, _int_list_pseudo_divmod and
 lagrange_interpolate nest one for loop inside another, and in
 fields.QuotientField only _mul: the product and the division of
@@ -394,6 +398,37 @@ def test_euclid_is_written_once():
     hits = [f"{where} in {owner}" for where, owner in owners.items() if owner not in _EUCLID]
     assert not hits, f"Euclid loops outside poly._euclid: {hits}"
     assert set(owners.values()) == _EUCLID, "no Euclid loop in poly._euclid"
+
+
+# The polynomial rings that Euclid, the squarefree loop and factoring run over.
+_RINGS = {"poly._ListRing", "poly._PrimitiveRing"}
+
+
+def _rings(tree, module):
+    """{module.Class} for the classes of tree whose body binds deg and divmod."""
+    found = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        bound = set()
+        for n in cls.body:
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                bound.add(n.name)
+            elif isinstance(n, ast.Assign):
+                bound.update(e.id for t in n.targets for e in ast.walk(t) if isinstance(e, ast.Name))
+        if {"deg", "divmod"} <= bound:
+            found.add(f"{module}.{cls.name}")
+    return found
+
+
+def test_one_polynomial_ring_per_representation():
+    found = set()
+    for path in SOURCES:
+        found |= _rings(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == _RINGS, f"classes binding deg and divmod: {found}"
+    # a ring on Poly whose operations are class attributes is found too
+    planted = "class _PolyRing:\n    deg, divmod = len, staticmethod(divmod)\n"
+    assert _rings(ast.parse(planted), "poly") == {"poly._PolyRing"}
 
 
 def _record_fields(sources):

@@ -7,7 +7,12 @@ command (ram, equal, distinguish, enumerate, witness, and witness
 followed by verify-witness on the file it wrote), in text and JSON, over
 the bases q (p = 2), fq:4 (p = 3), fq:7 (p = 2 and 3), fq:9 (p = 2),
 fq:13 (p = 3) and fq:49 (p = 3), with integer coefficients and entries of
-degree up to 8.  Op i runs command i mod 6 on setting (i div 6) mod 7, so
+degree up to 8.  The second class of an equal or distinguish op is drawn
+at random, or is the first plus p copies of one symbol, plus one more
+symbol, or, so that distinguish reaches its specialization and fallback
+steps, plus a constant symbol (u, v) for p = 2 (nontrivial only over Q)
+and the first class doubled for p = 3 (the same support and residue
+fields).  Op i runs command i mod 6 on setting (i div 6) mod 7, so
 every (command, setting) cell gets the same share of the ops.  Each --root
 is a checkout; its src/ runs every op through brauercalc.cli.main in one
 child process, in a fresh temporary directory where witness files are
@@ -109,13 +114,17 @@ def _op(rng, command, base, p, char):
         return [["ram", _class_text(rng, char, 3), *flags]]
     if command in ("equal", "distinguish"):
         a = _class_text(rng, char, 2)
-        kind = rng.randrange(3)
+        kind = rng.randrange(4)
         if kind == 0:
             b = _class_text(rng, char, 2)
         elif kind == 1:  # a plus p copies of one symbol: the same class
             b = " + ".join([a] + [_class_text(rng, char, 1)] * p)
-        else:  # a with one more symbol
+        elif kind == 2:  # a with one more symbol
             b = f"{a} + {_class_text(rng, char, 1)}"
+        elif p % 2:  # 2a: for odd p, a's support and residue fields
+            b = f"{a} + {a}"
+        else:  # a plus a constant class, which is trivial over F_q
+            b = f"{a} + ({_coeff(rng, char, True)}, {_coeff(rng, char, True)})"
         extra = ["--sweep", "0"] if command == "distinguish" and rng.random() < 0.2 else []
         return [[command, a, b, *flags, *extra]]
     if command == "enumerate":
