@@ -3,10 +3,11 @@
 FFElem is a thin immutable wrapper around a representative; all arithmetic
 dispatches to its field, and it is false exactly at zero, like an int or a
 Fraction.  PrimeField(p) stores representatives as ints in [0, p).
-QuotientField(base, modulus) stores representatives as fixed-length tuples
-of base elements (a residue ring base[t]/(modulus), which is a field when
-the modulus is irreducible); over a prime base, products run on their
-integer representatives.  The same QuotientField class builds both
+QuotientField(base, modulus) is the residue ring base[t]/(modulus), a
+field when the modulus is irreducible; it stores representatives as
+fixed-length coefficient tuples in its base's list ring (poly._ListRing),
+ints in [0, p) over a prime base and base elements otherwise, and does
+its arithmetic there.  The same QuotientField class builds both
 finite extension towers such as F_9 = F_3[u]/(u^2+1) and residue fields
 Q[t]/(pi) of closed points over the rationals, so norm and inverse code is
 written once.
@@ -30,6 +31,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 
 from .errors import Record, ScopeError
 from .poly import Poly, _ListRing, _power, _zmul, _ztrim, resultant
@@ -186,8 +188,12 @@ class QuotientField:
     """base[t]/(modulus) for a monic irreducible modulus of degree >= 2.
 
     Works over finite base fields (giving F_{q^d}) and over QQ (giving the
-    residue field of a closed point).  Representatives are length-d tuples of
-    base elements, constant coefficient first.
+    residue field of a closed point).  A representative is a length-d tuple,
+    constant coefficient first, in the base's list ring (poly._ListRing):
+    ints in [0, p) over a prime field F_p, so over GF(p^k) too, and base
+    elements over QQ or an extension field.  Base elements cross only at
+    the API: embed and coerce lift them, to_poly, element_key and
+    format_element wrap the coefficients back.
     """
 
     def __init__(self, base, modulus):
@@ -202,39 +208,35 @@ class QuotientField:
         self.finite = base.finite
         if self.finite:
             self.order = base.order**self.degree
-        d = self.degree
-        self.zero = FFElem(self, tuple([base.zero] * d))
-        one = [base.one] + [base.zero] * (d - 1)
-        self.one = FFElem(self, tuple(one))
-        # table[i] = representative tuple of t^(d+i) mod modulus
-        self._red = self._reduction_table()
-        # over a prime base, the same table on the integer representatives
-        self._red_ints = None
+        # the ring of the representatives; _lift takes a base element to
+        # its coefficient there, _wrap takes a coefficient back
         if isinstance(base, PrimeField):
-            self._red_ints = [[c.rep for c in row] for row in self._red]
+            self._ring = _ListRing(base.p)
+            self._lift, self._wrap = attrgetter("rep"), base.element_at
+        else:
+            self._ring = _ListRing(field=base)
+            self._lift = self._wrap = base.coerce
+        R, d = self._ring, self.degree
+        self._pi = [self._lift(c) for c in modulus.coeffs]
+        self.zero = FFElem(self, self._rep(R.zero))
+        self.one = FFElem(self, self._rep(R.one))
+        # table[i] = t^(d+i) mod modulus, each row the last one times t
+        self._red, row = [], [R.czero] * (d - 1) + list(R.one)
+        for _ in range(d - 1):
+            row = R.rem([R.czero] + row, self._pi)
+            self._red.append(row)
         self._generator = None
         self._zeta = {}
 
-    def _reduction_table(self):
-        d = self.degree
-        base = self.base
-        rows = []
-        cur = [-c for c in self.modulus.coeffs[:d]]
-        rows.append(tuple(cur))
-        for _ in range(d - 2):
-            nxt = [base.zero] + cur[: d - 1]
-            top = cur[d - 1]
-            first = rows[0]
-            nxt = [nxt[i] + top * first[i] for i in range(d)]
-            cur = nxt
-            rows.append(tuple(cur))
-        return rows
+    def _rep(self, cs):
+        """The representative of the ring coefficients cs, at most d of
+        them, padded with the ring's zero to length d."""
+        cs = tuple(cs)
+        return cs + (self._ring.czero,) * (self.degree - len(cs))
 
     def embed(self, e):
         """Image of a base-field element, or of anything the base coerces."""
-        e = self.base.coerce(e)
-        rep = [e] + [self.base.zero] * (self.degree - 1)
-        return FFElem(self, tuple(rep))
+        return FFElem(self, self._rep([self._lift(self.base.coerce(e))]))
 
     from_int = embed
 
@@ -245,64 +247,57 @@ class QuotientField:
 
     def gen_elem(self):
         """The class of t."""
-        rep = [self.base.zero, self.base.one] + [self.base.zero] * (self.degree - 2)
-        return FFElem(self, tuple(rep))
+        return FFElem(self, self._rep(self._ring.gen))
 
     def from_poly(self, p):
         """Reduce a polynomial over the base field into this quotient."""
         if p.field is not self.base:
             raise TypeError("polynomial over the wrong base field")
-        r = p % self.modulus
-        rep = [r.coeff(i) for i in range(self.degree)]
-        return FFElem(self, tuple(rep))
+        cs = [self._lift(c) for c in p.coeffs]
+        return FFElem(self, self._rep(self._ring.rem(cs, self._pi)))
 
     def to_poly(self, e):
         e = self.coerce(e)
-        return Poly(self.base, list(e.rep))
+        return Poly(self.base, [self._wrap(c) for c in e.rep])
 
     def _add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return self._rep(self._ring.reduce([x + y for x, y in zip(a, b)]))
 
     def _neg(self, a):
-        return tuple(-x for x in a)
+        return self._rep(self._ring.reduce([-x for x in a]))
 
     def _mul(self, a, b):
-        d, base, ints = self.degree, self.base, self._red_ints
-        zero = base.zero if ints is None else 0
-        if ints is not None:
-            a, b = [x.rep for x in a], [y.rep for y in b]
-        out = _zmul(a, b, zero) + [zero] * (2 * d)
+        d, R = self.degree, self._ring
+        out = _zmul(a, b, R.czero) + [R.czero] * (2 * d)
         # t^k for k >= d reduces straight to degree < d, so one ascending
-        # pass reduces the product, and an integer one is reduced mod p once
+        # pass reduces the product, and the ring reduces its entries once
         for k in range(d, 2 * d - 1):
             if not out[k]:
                 continue
-            for i, c in enumerate((ints or self._red)[k - d]):
+            for i, c in enumerate(self._red[k - d]):
                 out[i] += out[k] * c
-        if ints is None:
-            return tuple(out[:d])
-        return tuple(FFElem(base, c % base.p) for c in out[:d])
+        return self._rep(R.reduce(out[:d]))
 
     def _inv(self, a):
+        R = self._ring
         if self.degree == 2:
             # (a0 + a1 t)(a0 - a1 b - a1 t) = n  modulo t^2 + b t + c
-            a0, a1 = a
-            c, b = self.modulus.coeffs[:2]
+            (a0, a1), (c, b) = a, self._pi[:2]
             conj = a0 - a1 * b
-            n = a0 * conj + a1 * a1 * c
-            if n == self.base.zero:
-                if a0 == a1 == self.base.zero:
+            n = _ztrim(R.reduce([a0 * conj + a1 * a1 * c]))
+            if not n:
+                if not any(a):
                     raise ZeroDivisionError("inverse of zero")
                 raise ZeroDivisionError("representative is not invertible")
-            n_inv = 1 / n
-            return (conj * n_inv, -a1 * n_inv)
+            n_inv = R.inv_lc(n)[0]
+            return self._rep(R.reduce([conj * n_inv, -a1 * n_inv]))
         if not any(a):
             raise ZeroDivisionError("inverse of zero")
-        g, s, _ = _ListRing(field=self.base).xgcd(_ztrim(list(a)), self.modulus.coeffs)
+        g, s, _ = R.xgcd(_ztrim(list(a)), self._pi)
         if len(g) != 1:
             raise ZeroDivisionError("representative is not invertible")
         # deg s < deg modulus, the Bezout cofactor's bound (MCA 3.15)
-        return tuple(s) + (self.base.zero,) * (self.degree - len(s))
+        return self._rep(s)
 
     def norm(self, e):
         """Norm down to the base field, as Res(modulus, representative)."""
@@ -317,16 +312,16 @@ class QuotientField:
         rep = []
         for _ in range(self.degree):
             i, r = divmod(i, self.base.order)
-            rep.append(self.base.element_at(r))
+            rep.append(self._lift(self.base.element_at(r)))
         return FFElem(self, tuple(reversed(rep)))
 
     def element_key(self, e):
-        return tuple(self.base.element_key(c) for c in e.rep)
+        return tuple(self.base.element_key(self._wrap(c)) for c in e.rep)
 
     def format_element(self, e):
         if not any(e.rep[1:]):
-            return self.base.format_element(e.rep[0])
-        parts = [self.base.format_element(c) for c in e.rep]
+            return self.base.format_element(self._wrap(e.rep[0]))
+        parts = [self.base.format_element(self._wrap(c)) for c in e.rep]
         return "[" + ",".join(parts) + "]"
 
     def __repr__(self):

@@ -247,15 +247,14 @@ def _side(point, w, n, m, r):
     kappa = residue_field(point)
     if kappa is F:
         return w, n, m, c
-    pad = (F.zero,) * (kappa.degree - len(r))
-    return w, n, m, FFElem(kappa, tuple(map(F.coerce, r)) + pad)
+    return w, n, m, FFElem(kappa, kappa._rep(map(F.coerce, r) if F is QQ else r))
 
 
 def _combine(point, sides, exps, sign):
     """sign * prod ((n/m) u)^e over _strip's sides and the exponents e, in
     kappa(x): one integer fraction, one top and one bottom in kappa(x),
-    and at most one division in kappa(x); the scalar alone, embedded,
-    when both ends are 1."""
+    then the fraction, embedded, times the top over the bottom, so at most
+    one division in kappa(x)."""
     num, den, ends = sign, 1, [None, None]  # ends: top, bottom
     for (_, n, m, u), e in zip(sides, exps):
         if e:
@@ -266,10 +265,10 @@ def _combine(point, sides, exps, sign):
                 ends[e < 0] = part if end is None else end * part
     F, (top, bottom) = point.base.field, ends
     s = Fraction(num, den) if F is QQ else F.from_int(num * pow(den, -1, F.char))
-    if top is not None:
-        s = top * s if point.degree == 1 else FFElem(top.field, tuple(s * c for c in top.rep))
-    elif point.degree > 1:
+    if point.degree > 1:
         s = residue_field(point).embed(s)
+    if top is not None:
+        s = s * top  # s first: the product skips its zero coordinates
     return s if bottom is None else s / bottom
 
 

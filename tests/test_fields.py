@@ -62,7 +62,7 @@ def test_gf_modulus_and_generator_are_pinned():
     for q, (modulus, gen) in pinned.items():
         field = GF(q)
         assert [c.rep for c in field.modulus.coeffs] == modulus, q
-        assert [c.rep for c in multiplicative_generator(field).rep] == gen, q
+        assert list(multiplicative_generator(field).rep) == gen, q
 
 
 def test_element_at_follows_elements_order():
@@ -138,6 +138,16 @@ def test_pth_power_predicates():
         if not x:
             continue
         assert is_pth_power_finite(x, 3) == (f13.element_key(x) in cubes)
+
+
+def test_every_unit_is_a_pth_power_when_p_does_not_divide_q_minus_1():
+    # x -> x^p permutes the units, so the test says yes and the exponent is 0
+    for q, p in ((7, 5), (8, 3), (9, 5), (13, 5), (49, 5)):
+        field = GF(q)
+        assert (q - 1) % p
+        for e in field.elements():
+            if e:
+                assert is_pth_power_finite(e, p) and pth_power_exponent(e, p) == 0, (q, p, e)
 
 
 def test_pth_power_exponent_consistency():
@@ -271,7 +281,8 @@ def test_quadratic_inverse_matches_xgcd():
 
 def test_prime_base_products_match_poly_reduction():
     # QuotientField over GF(p) multiplies integer representatives; products
-    # and sums against the Poly ones reduced mod the modulus
+    # and sums against the Poly ones reduced mod the modulus, products as
+    # length-d tuples of ints in [0, p)
     rng = random.Random(73)
     kappas = [GF(49), GF(169), GF(7**3)]
     kappas += [kappa for kappa, _ in _quadratic_fields() if kappa.base is GF(7)]
@@ -286,7 +297,8 @@ def test_prime_base_products_match_poly_reduction():
             A, B = kappa.to_poly(a), kappa.to_poly(b)
             assert a * b == kappa.from_poly(A * B), (kappa, a, b)
             assert a + b == kappa.from_poly(A + B), (kappa, a, b)
-            assert all(c.field is base for c in (a * b).rep) and len((a * b).rep) == d
+            assert all(type(c) is int and 0 <= c < base.p for c in (a * b).rep)
+            assert len((a * b).rep) == d
 
 
 def test_q_and_extension_base_products_match_poly_reduction():
@@ -307,6 +319,84 @@ def test_q_and_extension_base_products_match_poly_reduction():
             assert len(prod.rep) == d
             assert all(type(c) is type(base.zero) for c in prod.rep), prod.rep
     assert all(type(c) is Fraction for c in (kappas[0].zero * kappas[0].one).rep)
+
+
+def _no_root_modulus(base, d):
+    """The first t^d + b t + c without a root in base, b and c in
+    element_at order: irreducible, as d is 2 or 3."""
+    elems = list(base.elements())
+    for b, c in itertools.product(elems, repeat=2):
+        pi = Poly(base, [c, b] + [base.zero] * (d - 2) + [base.one])
+        if all(pi.evaluate(r) for r in elems):
+            return pi
+    raise AssertionError("no modulus without a root")
+
+
+def test_quotient_representatives_live_in_the_base_ring():
+    """Over F_7, F_13, GF(9) and GF(49), sums, negatives, products,
+    inverses, embed, from_poly and element_at give length-d tuples in the
+    base's list ring, ints in [0, p) over a prime base and the base's
+    elements over an extension, each agreeing with Poly arithmetic
+    modulo the modulus."""
+    rng = random.Random(75)
+    for base in (GF(7), GF(13), GF(9), GF(49)):
+        for d in (2, 3):
+            kappa = QuotientField(base, _no_root_modulus(base, d))
+            pi = kappa.modulus
+            for _ in range(15):
+                a, b = (kappa.element_at(rng.randrange(kappa.order)) for _ in range(2))
+                A, B = kappa.to_poly(a), kappa.to_poly(b)
+                c = base.element_at(rng.randrange(base.order))
+                P = random_poly(rng, base, 2 * d)
+                cases = [(a, A), (a + b, A + B), (-a, -A), (a * b, A * B),
+                         (kappa.embed(c), Poly.constant(base, c)), (kappa.from_poly(P), P)]
+                if a:
+                    inv = a.inverse()
+                    cases.append((inv, kappa.to_poly(inv)))
+                    assert (A * kappa.to_poly(inv)) % pi == Poly.one(base), (kappa, a)
+                for e, E in cases:
+                    assert len(e.rep) == d, (kappa, e)
+                    if isinstance(base, PrimeField):
+                        assert all(type(x) is int and 0 <= x < base.p for x in e.rep), e.rep
+                    else:
+                        assert all(x.field is base for x in e.rep), e.rep
+                    assert kappa.to_poly(e) == E % pi, (kappa, e)
+
+
+def test_prime_base_quotient_arithmetic_never_calls_the_base(monkeypatch):
+    # over a prime field a quotient computes on its integer representatives
+    kappas = [GF(49), QuotientField(GF(7), _no_root_modulus(GF(7), 3))]
+    pairs = [(k, k.element_at(40), k.element_at(k.order - 2)) for k in kappas]
+
+    def refuse(*args):
+        raise AssertionError("a quotient of F_p called F_p's arithmetic")
+
+    for name in ("_add", "_neg", "_mul", "_inv"):
+        monkeypatch.setattr(PrimeField, name, refuse)
+    results = [(k, a, b, a * b, a + b, -a, a.inverse()) for k, a, b in pairs]
+    monkeypatch.undo()
+    for k, a, b, prod, total, neg, inv in results:
+        A, B = k.to_poly(a), k.to_poly(b)
+        assert (prod, total, neg) == tuple(map(k.from_poly, (A * B, A + B, -A)))
+        assert inv * a == k.one
+
+
+def test_cubic_inverse_refuses_zero_and_zero_divisors():
+    """At degree 3 the inverse is the extended Euclid on the
+    representatives; zero and a zero divisor of a reducible modulus are
+    refused, each with its own message."""
+    f7 = GF(7)
+    for base in (f7, QQ):
+        field = QuotientField(base, Poly.from_ints(base, [-2, 0, 0, 1]))
+        with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
+            field.zero.inverse()
+        # t^3 - t = (t - 1) t (t + 1)
+        ring = QuotientField(base, Poly.from_ints(base, [0, -1, 0, 1]))
+        with pytest.raises(ZeroDivisionError, match="^representative is not invertible$"):
+            (ring.gen_elem() * ring.gen_elem() - ring.one).inverse()
+        with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
+            ring.zero.inverse()
+        assert (ring.gen_elem() + 2).inverse() * (ring.gen_elem() + 2) == ring.one
 
 
 def test_elements_are_false_exactly_at_zero():

@@ -428,6 +428,10 @@ HOSTILE_CALLS = {
     "degree_10^12": (3, ["ram", "(t^1000000000000, 3)"]),
     "p_zero_over_q": (3, ["ram", "(t, 3)", "--p", "0"]),
     "p_negative_over_q": (3, ["ram", "(t, 3)", "--p", "-5"]),
+    # torsion must be prime over F_q too, whether or not it divides q - 1
+    "p_zero_over_7": (3, ["ram", "(t, 3)", "--base", "fq:7", "--p", "0"]),
+    "p_one_over_7": (3, ["ram", "(t, 3)", "--base", "fq:7", "--p", "1"]),
+    "p_9_over_19": (3, ["ram", "(t, 3)", "--base", "fq:19", "--p", "9"]),
     "field_of_order_1": (1, ["ram", "(t, 3)", "--base", "fq:1"]),
     "3001_symbols": (0, ["ram", " + ".join(["(t, 3)"] * 3001)]),
     "prime_past_2^32": (0, ["ram", "(t, 3)", "--base", "fq:4294967311", "--p", "3"]),
