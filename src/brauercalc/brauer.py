@@ -205,11 +205,6 @@ def specialize(cls, c):
     return vals
 
 
-def regular_rational_points(cls):
-    """The symbol-regular values c, lazily, in the fixed sweep order."""
-    return (c for c in sweep_values(cls.base) if is_symbol_regular(cls, c))
-
-
 def constant_is_trivial(base, pairs, p):
     """Triviality of a sum of constant symbols over the base field.
 

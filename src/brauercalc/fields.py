@@ -34,7 +34,7 @@ from functools import lru_cache
 from operator import attrgetter
 
 from .errors import Record, ScopeError
-from .poly import Poly, _ListRing, _power, _zmul, _ztrim, resultant
+from .poly import Poly, _ListRing, _power, _resultant, _zmul, _ztrim
 
 
 class FFElem:
@@ -300,8 +300,10 @@ class QuotientField:
         return self._rep(s)
 
     def norm(self, e):
-        """Norm down to the base field, as Res(modulus, representative)."""
-        return resultant(self.modulus, self.to_poly(e))
+        """Norm down to the base field, as Res(modulus, representative) on
+        the representatives' ring, the value wrapped back once."""
+        rep = _ztrim(list(self.coerce(e).rep))
+        return self._wrap(_resultant(self._ring, self._pi, rep))
 
     def elements(self):
         return map(self.element_at, range(self.order))

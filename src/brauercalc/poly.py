@@ -8,10 +8,10 @@ Coefficient types implement +, -, *, / and equality exactly; nothing in
 this module ever rounds.
 
 Rational functions are stored as coprime numerator/denominator pairs
-with a monic denominator, which makes the representation canonical.
-The parser builds each side as one Poly from its monomials c*t^k.  No
-gcd is taken when a side is constant, and over QQ the gcd runs on the
-integer forms.
+with a monic denominator, which makes the representation canonical.  A
+polynomial takes no gcd, nor does a constant side; over QQ a product or
+quotient cancels crosswise (_henrici) and every gcd runs on integer forms,
+a power of a coprime pair is coprime, and only a sum takes a gcd of sums.
 
 Over QQ the integer form is the representation: f == content * ints,
 ints a primitive integer tuple with a positive leading entry, (0, ()) for
@@ -31,8 +31,8 @@ point run on it; _int_list_* serve the integer form.  The polynomial
 rings live here as well: _ListRing, K[t] on coefficient lists, of
 integers mod p for F_p or of a field's elements for any field K; and
 _PrimitiveRing, Q[t] up to units on primitive integer lists.  Factoring
-runs over them, and poly_gcd (off QQ), poly_xgcd and resultant take their
-Poly arguments apart into element lists once.
+runs over them, poly_gcd (off QQ) and resultant on the element lists of
+their Poly arguments, and a residue field's norm on its representatives.
 
 Square-and-multiply (_power), Horner's rule (_horner) and Euclid's
 algorithm (_euclid) are written once too: powers of polynomials and
@@ -566,6 +566,27 @@ class _PrimitiveRing:
 
 
 _PRIMITIVE_RING = _PrimitiveRing()
+_QQ_ONE = Poly.one(QQ)
+
+
+def _cancel(a, b):
+    """(a/g, b/g), g = gcd(a, b) of primitive integer tuples, a constant side taking no gcd."""
+    if len(a) > 1 and len(b) > 1 and len(g := _gcd(_PRIMITIVE_RING, a, b)) > 1:
+        return tuple(_PRIMITIVE_RING.quo(a, g)), tuple(_PRIMITIVE_RING.quo(b, g))
+    return a, b
+
+
+def _henrici(n1, d1, n2, d2):
+    """(num, den), den monic, in lowest terms for n1 n2 / (d1 d2) over QQ with
+    n1/d1, n2/d2 coprime (num/1 and 1/den are): by crosswise cancellation
+    (Henrici; Knuth 4.5.1) only gcd(n1, d2) and gcd(n2, d1) cancel, and the
+    cofactor products stay coprime; the content is one Fraction, zero 0/1."""
+    (c1, a1), (e1, b1), (c2, a2), (e2, b2) = (f._int_form for f in (n1, d1, n2, d2))
+    (a1, b2), (a2, b1) = _cancel(a1, b2), _cancel(a2, b1)
+    b = tuple(_zmul(b1, b2)) if a1 and a2 else (1,)
+    n = c1.numerator * c2.numerator * e1.denominator * e2.denominator
+    m = c1.denominator * c2.denominator * e1.numerator * e2.numerator * b[-1]
+    return Poly._q((Fraction(n, m), tuple(_zmul(a1, a2)))), Poly.monic_from_ints(b)
 
 
 def poly_gcd(f, g):
@@ -577,26 +598,26 @@ def poly_gcd(f, g):
     return Poly(f.field, _gcd(_ListRing(field=f.field), f.coeffs, g.coeffs))
 
 
-def poly_xgcd(f, g):
-    """(d, s, t) with d = s*f + t*g and d the monic gcd; (0, 1, 0) for f = g = 0."""
-    return tuple(Poly(f.field, c) for c in _ListRing(field=f.field).xgcd(f.coeffs, g.coeffs))
-
-
 def resultant(f, g):
-    """Res(f, g) = lc(f)^deg(g) * product of g over the roots of f, a fold of
-    the remainders of (f, g): Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a -
-    deg r) Res(b, r) for r = a mod b, down to Res(a, c) = c^deg(a).  So
-    Res(f, c) = c^deg(f) for constant c, Res(c, g) = c^deg(g), and Res(f, 0)
-    = 0 once deg(f) >= 1.  The first argument must be nonzero."""
+    """Res(f, g) over f's field, f nonzero (_resultant)."""
     if f.is_zero:
         raise ValueError("resultant: first argument must be nonzero")
-    rs = _euclid(_ListRing(field=f.field), f.coeffs, g.coeffs)[0]
-    acc = (rs[-1][0] if rs[-1] else f.field.zero) ** (len(rs[-2]) - 1)
-    for a, b, r in zip(rs, rs[1:], rs[2:]):
-        acc = acc * b[-1] ** (len(a) - len(r))
-        if (len(a) - 1) * (len(b) - 1) % 2:
+    return _resultant(_ListRing(field=f.field), f.coeffs, g.coeffs)
+
+
+def _resultant(R, a, b):
+    """Res(a, b) = lc(a)^deg(b) * product of b over the roots of a, for lists
+    in R, a nonzero, reduced mod m in _ListRing(m): a fold of the remainders,
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r) for r = a
+    mod b, down to Res(a, c) = c^deg(a), so Res(a, 0) = 0 once deg(a) >= 1.
+    If deg a < deg b, Euclid starts from (b, a): a mod b = a is not divided."""
+    rs = [a, *_euclid(R, b, a)[0]] if len(a) < len(b) else _euclid(R, a, b)[0]
+    acc = (rs[-1][0] if rs[-1] else R.czero) ** (len(rs[-2]) - 1)
+    for x, y, r in zip(rs, rs[1:], rs[2:]):
+        acc = acc * y[-1] ** (len(x) - len(r))
+        if (len(x) - 1) * (len(y) - 1) % 2:
             acc = -acc
-    return acc
+    return acc % R.m if R.m else acc
 
 
 def lagrange_interpolate(field, points):
@@ -621,32 +642,35 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if den is None:
-            den = Poly.one(num.field)
-        if num.field is not den.field:
-            raise TypeError("numerator and denominator over different fields")
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            den = Poly.one(num.field)
-        elif num.field is QQ:
-            # on the integer forms: cancel the primitive gcd, make den monic
-            (c, a), (d, b) = num._int_form, den._int_form
-            if len(a) > 1 and len(b) > 1 and len(g := _gcd(_PRIMITIVE_RING, a, b)) > 1:
-                a, b = tuple(_PRIMITIVE_RING.quo(a, g)), tuple(_PRIMITIVE_RING.quo(b, g))
-            num, den = Poly._q((c / (d * b[-1]), a)), Poly.monic_from_ints(b)
-        else:
-            if not (num.is_constant or den.is_constant):
-                g = poly_gcd(num, den)
-                if g.degree >= 1:
-                    num = num.exact_div(g)
-                    den = den.exact_div(g)
-            inv = num.field.one / den.lc
-            if inv != num.field.one:
-                num = num * inv
-                den = den * inv
+        if den is not None:
+            if num.field is not den.field:
+                raise TypeError("numerator and denominator over different fields")
+            if den.is_zero:
+                raise ZeroDivisionError("rational function with zero denominator")
+            if num.is_zero:
+                den = None
+            elif num.field is QQ:  # one gcd, on the integer forms
+                num, den = _henrici(num, _QQ_ONE, _QQ_ONE, den)
+            else:
+                if not (num.is_constant or den.is_constant):
+                    g = poly_gcd(num, den)
+                    if g.degree >= 1:
+                        num, den = num.exact_div(g), den.exact_div(g)
+                inv = num.field.one / den.lc
+                if inv != num.field.one:
+                    num, den = num * inv, den * inv
+        if den is None:  # a polynomial keeps num: no gcd, no Fraction operation
+            den = _QQ_ONE if num.field is QQ else Poly.one(num.field)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @staticmethod
+    def _pair(num, den):
+        """num/den from a pair already coprime with den monic."""
+        out = object.__new__(RationalFunction)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
@@ -697,7 +721,7 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._pair(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-self.coerce(self.field, other))
@@ -707,6 +731,8 @@ class RationalFunction:
 
     def __mul__(self, other):
         other = self.coerce(self.field, other)
+        if self.field is QQ:
+            return RationalFunction._pair(*_henrici(self.num, self.den, other.num, other.den))
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -715,6 +741,8 @@ class RationalFunction:
         other = self.coerce(self.field, other)
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
+        if self.field is QQ:
+            return RationalFunction._pair(*_henrici(self.num, self.den, other.den, other.num))
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
@@ -725,20 +753,20 @@ class RationalFunction:
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
         inv = self.field.one / self.num.lc
-        out = object.__new__(RationalFunction)
-        object.__setattr__(out, "num", self.den * inv)
-        object.__setattr__(out, "den", self.num * inv)
-        return out
+        return RationalFunction._pair(self.den * inv, self.num * inv)
 
     def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        return RationalFunction(self.num**n, self.den**n)
+        """Powers of a coprime pair are coprime, and of a monic den monic."""
+        r = self.inverse() if n < 0 else self
+        return RationalFunction._pair(r.num ** abs(n), r.den ** abs(n))
 
     def __eq__(self, other):
-        if isinstance(other, (RationalFunction, Poly)) and other.field is not self.field:
+        # unequal: a function over another field, a constant in neither this field nor its base
+        home = getattr(other, "field", QQ if isinstance(other, Fraction) else None)
+        if home not in (None, self.field) and (isinstance(other, (RationalFunction, Poly))
+                                             or home is not getattr(self.field, "base", None)):
             return False
-        if isinstance(other, (RationalFunction, Poly, int, Fraction)) or hasattr(other, "field"):
+        if isinstance(other, (RationalFunction, Poly, int)) or home is not None:
             other = self.coerce(self.field, other)
             return self.num == other.num and self.den == other.den
         return NotImplemented

@@ -26,7 +26,9 @@ Gaussian elimination over the coefficient field.  The coefficient-list
 kernel of poly is checked against the loops it replaced: the sum, product,
 division and derivative over a field, written per coefficient with every
 zero test an == against the field's zero, and division in (Z/m)[t] with
-every entry reduced at every step.
+every entry reduced at every step.  The points where specializations are
+taken, regular_rational_points, are the sweep values that
+is_symbol_regular accepts, in sweep order.
 """
 
 import itertools
@@ -39,15 +41,21 @@ from math import prod
 
 from brauercalc.brauer import (
     constant_is_trivial,
+    is_symbol_regular,
     ramification_divisor,
-    regular_rational_points,
     specialize,
 )
 from brauercalc.errors import ParseError, ScopeError
 from brauercalc.factoring import _squarefree, _zassenhaus, factor_poly
 from brauercalc.hilbert import hilbert_symbol, relevant_places
 from brauercalc.parser import _ClassParser, _check_degree, _int_literal
-from brauercalc.points import ClosedPoint, residue_field, sorted_points, unit_part_at
+from brauercalc.points import (
+    ClosedPoint,
+    residue_field,
+    sorted_points,
+    sweep_values,
+    unit_part_at,
+)
 from brauercalc.poly import Poly, QQ, _gcd
 from brauercalc.residues import ResidueClass, is_pth_power
 
@@ -121,6 +129,11 @@ def qq_poly_oracle(coeffs):
     ints = tuple(b // g for b in big)
     key = (n, tuple((math.floor(c), c) for c in cs))
     return QQPoly(cs, (cs[-1] / ints[-1], ints), n, cs[-1], key)
+
+
+def regular_rational_points(cls):
+    """The symbol-regular values c, lazily, in the fixed sweep order."""
+    return (c for c in sweep_values(cls.base) if is_symbol_regular(cls, c))
 
 
 def candidate_points(cls):

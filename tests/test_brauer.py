@@ -17,7 +17,6 @@ from brauercalc.brauer import (
     ramification_divisor,
     ramification_points,
     reciprocity_check,
-    regular_rational_points,
     residue_at,
     specialize,
 )
@@ -48,6 +47,7 @@ from _oracles import (
     compare_by_difference,
     divisor_oracle,
     poly_strip,
+    regular_rational_points,
     residue_value_oracle,
 )
 

@@ -30,7 +30,7 @@ from brauercalc.factoring import (
 )
 from brauercalc.fields import GF, FFElem
 from brauercalc.poly import Poly, QQ, _ListRing, _PRIMITIVE_RING, _xgcd
-from brauercalc.poly import _gcd, poly_gcd, poly_xgcd
+from brauercalc.poly import _gcd, poly_gcd
 
 from _gen import random_poly
 from _oracles import factor_over_Q_by_zassenhaus, rational_roots_oracle
@@ -400,7 +400,8 @@ def test_rings_share_one_division_and_one_extended_euclid():
                 assert (q, r) == tuple(map(_int_list, divmod(a, b)))
                 assert _xgcd(L, *ints) == tuple(map(_int_list, (g, s, t)))
     zero = Poly.zero(QQ)
-    assert poly_xgcd(zero, zero) == (zero, Poly.one(QQ), zero)
+    assert tuple(Poly(QQ, c) for c in _ListRing(field=QQ).xgcd([], [])) == (
+        zero, Poly.one(QQ), zero)
 
 
 def test_factor_over_Q_caches_by_the_integer_form():

@@ -23,9 +23,12 @@ from brauercalc.fields import (
     rational_is_square,
     rational_sqrt,
 )
-from brauercalc.poly import Poly, QQ, poly_xgcd
+from brauercalc import poly as poly_module
+from brauercalc.factoring import is_irreducible
+from brauercalc.poly import Poly, QQ, _ListRing
 
 from _gen import random_poly
+from _oracles import sylvester_resultant
 
 
 def test_gf_prime_arithmetic():
@@ -182,6 +185,30 @@ def test_norm_matches_conjugate_product():
         assert ext.norm(ext.zero) == base.zero
 
 
+def test_norm_runs_on_the_representatives(monkeypatch):
+    """The norm is Res(modulus, representative) on the ring's own lists, ints
+    mod p over a prime base: it matches the Sylvester determinant over
+    GF(7^3), over a quadratic extension of GF(9) and over Q(sqrt 2), and
+    builds no Poly of base elements for it."""
+    f9 = GF(9)
+    quad = next(f for f in (Poly(f9, [c, b, f9.one]) for b in f9.elements()
+                            for c in f9.elements()) if is_irreducible(f))
+    fields_ = (GF(343), QuotientField(f9, quad), QuotientField(QQ, Poly.from_ints(QQ, [-2, 0, 1])))
+    rng = random.Random(4802)
+    cases = [(k, k.element_at(rng.randrange(k.order)) if k.finite else
+              k.from_poly(random_poly(rng, QQ, 1, 9))) for k in fields_ for _ in range(30)]
+    want = [sylvester_resultant(k.modulus, k.to_poly(e)) for k, e in cases]
+
+    def refuse(*args):
+        raise AssertionError("a Poly built for a norm")
+
+    monkeypatch.setattr(QuotientField, "to_poly", refuse)
+    monkeypatch.setattr(poly_module, "resultant", refuse)
+    got = [k.norm(e) for k, e in cases]
+    assert got == want
+    assert all(n.field is k.base for (k, _), n in zip(cases, got) if k.finite)
+
+
 def test_norm_multiplicative_number_field():
     pi = Poly.from_ints(QQ, [-2, 0, 1])  # t^2 - 2
     kappa = QuotientField(QQ, pi)
@@ -230,7 +257,8 @@ def test_format_element_prime_subfield():
 
 def _xgcd_inverse(kappa, e):
     """Inverse by the extended Euclidean algorithm, the route of other degrees."""
-    g, s, _ = poly_xgcd(kappa.to_poly(e), kappa.modulus)
+    R = _ListRing(field=kappa.base)
+    g, s, _ = (Poly(kappa.base, c) for c in R.xgcd(kappa.to_poly(e).coeffs, kappa.modulus.coeffs))
     assert g.degree == 0
     return kappa.from_poly(s)
 

@@ -3,7 +3,8 @@ as an op kind, the kind shares add up to the whole, and the library
 modules are named in the self-time table; with --kind the table is that
 kind's alone, and an unknown kind is refused; --functions N lists N
 functions as file:line name, from the largest self-time share down;
---caches lists every lru_cache of the library with its counts."""
+--caches lists every lru_cache of the library with its counts; --setup
+profiles the set-up, a fresh import and the ops' generation, instead."""
 
 import re
 import subprocess
@@ -86,3 +87,25 @@ def test_op_profile_lists_every_lru_cache_after_the_plain_replay():
     assert all(size <= misses for _, misses, size in rows.values())
     assert rows["fields.factor_int"][0] > 0 and rows["cli._parser"][1] == 1
     assert "lru caches" not in op_profile().stdout
+
+
+def test_op_profile_setup_profiles_the_import_and_the_generation():
+    """With --setup the first line gives the import and the generation in
+    ms, the tables are the set-up's, with the library's own modules and the
+    workload generator in them, and --kind is refused."""
+    cmd = [sys.executable, str(ROOT / "tools" / "op_profile.py"), "--workload",
+           "q_split_distinguish", "--ops", "12", "--setup", "--functions", "10"]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = proc.stdout.splitlines()
+    head = re.fullmatch(r"q_split_distinguish seed 0: set-up of 12 ops, import ([\d.]+) ms, "
+                        r"generation ([\d.]+) ms \(fastest of \d+\), python .*", lines[0])
+    assert head and all(float(ms) > 0 for ms in head.groups())
+    header = lines.index("self time by module (cProfile, set-up):")
+    end = lines.index("self time by function (cProfile, set-up):")
+    modules = {row.split()[0] for row in lines[header + 1:end]}
+    assert {"poly", "workloads.py"} <= modules
+    assert len(lines) - end - 1 == 10 and "op time by kind:" not in lines
+    proc = subprocess.run(cmd + ["--kind", "mode 0"], cwd=ROOT, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 2 and "--setup profiles no op" in proc.stderr

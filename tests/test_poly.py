@@ -25,7 +25,6 @@ from brauercalc.poly import (
     lagrange_interpolate,
     poly_gcd,
     poly_str,
-    poly_xgcd,
     resultant,
 )
 
@@ -140,7 +139,7 @@ def test_gcd_xgcd_random():
         d = poly_gcd(f, g)
         assert d.is_monic
         assert (f % d).is_zero and (g % d).is_zero
-        d2, s, t = poly_xgcd(f, g)
+        d2, s, t = (Poly(QQ, c) for c in _ListRing(field=QQ).xgcd(f.coeffs, g.coeffs))
         assert d2 == d
         assert s * f + t * g == d
 
@@ -370,6 +369,118 @@ def test_large_leading_entries_reach_lowest_terms():
     assert (r.num, r.den) == (Poly(QQ, [Fraction(5, 4), Fraction(m, 4)]), P(Fraction(1, 2), 1))
     r = RationalFunction(P(0, 1), P(-m, 1))
     assert (r.num, r.den) == (P(0, 1), P(-m, 1))
+
+
+def test_ratfunc_is_unequal_to_a_constant_its_field_cannot_take():
+    f7 = GF(7)
+    assert (RationalFunction(P(1, 1)) == f7.one) is False
+    assert (RationalFunction(Poly.from_ints(f7, [1, 1])) == Fraction(1, 2)) is False
+    assert (RationalFunction.constant(f7, 4) == Fraction(1, 2)) is False
+    assert (RationalFunction.constant(QQ, 1) == f7.one) is False
+    assert (RationalFunction.constant(f7, 1) == GF(49).one) is False
+    # a constant of the field or of its base still compares by value
+    assert RationalFunction.constant(GF(49), 1) == f7.one
+    assert RationalFunction.constant(QQ, Fraction(1, 2)) == Fraction(1, 2)
+    assert RationalFunction.constant(f7, 3) == 10
+
+
+def _fraction_product(*fs):
+    """The product on Fraction coefficient lists, the schoolbook loop."""
+    out = [Fraction(1)]
+    for f in fs:
+        out = field_list_product(QQ, out, f.coeffs)
+    return Poly(QQ, out)
+
+
+def _crosswise_pairs(rng, n):
+    """Seeded QQ functions x = c1 u1 A / (v1 B) and y = c2 u2 B / (v2 A): A
+    and B planted crosswise, non-monic and negative leading entries, 2^31 - 1
+    in a leading entry, constant sides, zero numerators and plain constants."""
+    m = 2**31 - 1
+    for i in range(n):
+        A, B = (random_poly(rng, QQ, 2, 9, min_degree=1) for _ in range(2))
+        u1, v1, u2, v2 = (random_poly(rng, QQ, 2, 30) for _ in range(4))
+        c1, c2 = nonzero_rational(rng, 99), nonzero_rational(rng, 99)
+        kind = i % 6
+        if kind == 1:
+            A, v2 = Poly.from_ints(QQ, [rng.randint(-9, 9), -m]), v2 * Poly.from_ints(QQ, [1, m])
+        elif kind == 2:
+            v1 = B = Poly.constant(QQ, nonzero_rational(rng, 9))
+        elif kind == 3:
+            c1 = 0
+        elif kind == 4:
+            u2, v2, B = Poly.constant(QQ, c2), Poly.constant(QQ, 1), Poly.constant(QQ, 1)
+        x = RationalFunction(u1 * A * c1, v1 * B)
+        y = RationalFunction(u2 * B * c2, v2 * A)
+        yield (x, y) if rng.random() < 0.5 else (y, x)
+
+
+def test_crosswise_products_match_lowest_terms_by_gcd():
+    """Every QQ product, quotient, power and inverse equals the gcd reference
+    on the Fraction coefficient products, with the denominator the cached
+    monic_from_ints polynomial of its primitive form."""
+    rng = random.Random(4801)
+    planted = 0
+    for x, y in _crosswise_pairs(rng, 240):
+        planted += poly_gcd(x.num, y.den).degree >= 1 and poly_gcd(y.num, x.den).degree >= 1
+        cases = [(x * y, (x.num, y.num), (x.den, y.den))]
+        if not y.is_zero:
+            cases.append((x / y, (x.num, y.den), (x.den, y.num)))
+        if not x.is_zero:
+            cases.append((x.inverse(), (x.den,), (x.num,)))
+            cases += [(x**k, (x.den,) * -k, (x.num,) * -k) for k in (-1, -2)]
+        cases += [(x**k, (x.num,) * k, (x.den,) * k) for k in (0, 1, 3)]
+        for r, nums, dens in cases:
+            want = _lowest_terms_by_gcd(_fraction_product(*nums), _fraction_product(*dens))
+            assert (r.num, r.den) == want, (x, y, r)
+            assert r.den.is_monic and r.num.field is QQ is r.den.field
+        for r in [x * y, x / 3] + ([3 / y] if not y.is_zero else []):
+            assert r.den is Poly.monic_from_ints(r.den.int_form()[1]), r
+    assert planted >= 100
+
+
+def test_crosswise_products_take_no_poly_product(monkeypatch):
+    """Route guard: a QQ product or quotient multiplies no Poly, takes at
+    most the two crosswise gcds, on unmultiplied sides, and builds one
+    Fraction, its content, once the denominator is cached; a polynomial
+    entry and a polynomial times a constant take no gcd at all."""
+    f, g, h = P(3, -1, 2), P(-5, 0, 7), P(1, 4)
+    x, y = RationalFunction(f * h, g), RationalFunction(g * Fraction(2, 7), h * 6)
+    sides = {f._int_form[1], g._int_form[1], h._int_form[1], (f * h)._int_form[1]}
+    warm = x * y, x / y, y / x, x * 5, f * Fraction(3, 4)
+
+    def no_product(*args):
+        raise AssertionError("Poly.__mul__ called")
+
+    gcds, fractions = [], []
+    real_gcd, real_fraction = poly_module._gcd, poly_module.Fraction
+
+    def counted_gcd(R, a, b):
+        gcds.append((tuple(a), tuple(b)))
+        return real_gcd(R, a, b)
+
+    def counted_fraction(*args):
+        fractions.append(args)
+        return real_fraction(*args)
+
+    monkeypatch.setattr(Poly, "__mul__", no_product)
+    monkeypatch.setattr(Poly, "__rmul__", no_product)
+    monkeypatch.setattr(poly_module, "_gcd", counted_gcd)
+    plain = RationalFunction(f), RationalFunction(f) * Fraction(3, 4), x * 5
+    assert gcds == []
+    monkeypatch.setattr(poly_module, "Fraction", counted_fraction)
+    got, counts = [], []
+    for op in (lambda: x * y, lambda: x / y, lambda: y / x):
+        gcds.clear(), fractions.clear()
+        got.append(op())
+        counts.append((list(gcds), len(fractions)))
+    monkeypatch.undo()
+    assert got == list(warm[:3])
+    for used, built in counts:
+        assert 1 <= len(used) <= 2 and all(a in sides and b in sides for a, b in used)
+        assert built == 1
+    assert plain[0].num is f and plain[0].den == Poly.one(QQ)
+    assert plain[1] == RationalFunction(warm[4]) and plain[2] == warm[3]
 
 
 def _gcd_pairs(rng, n):

@@ -4,6 +4,7 @@
     python3 tools/op_profile.py --workload cli_mix --ops 700 --kind equal
     python3 tools/op_profile.py --workload q_split_distinguish --functions 15
     python3 tools/op_profile.py --workload q_split_distinguish --caches
+    python3 tools/op_profile.py --workload q_split_distinguish --setup --functions 15
 
 Loads bench/run.py and bench/workloads.py from the checkout (--root, the
 repository this file sits in by default) and changes nothing under
@@ -27,7 +28,14 @@ in a library module (found by its cache_info, on functions and on class
 attributes), as read after the plain replay, set-up and checks included.  The ops/s on
 the first line is not scaled by bench/gauge.py, so it drifts with the
 machine's speed from run to run; compare shares here, and rates with
-bench/run.py.  Stdlib only.
+bench/run.py.
+With --setup the set-up is profiled instead of the ops: a fresh import
+of the checkout's src/ and the generation of the first --ops ops of the
+stream, as bench/run.py times it for setup_s.  The first line gives the
+import and the generation in ms, each the fastest of SETUP_RUNS plain
+set-ups, and one more set-up under cProfile gives the same module and
+function tables; --caches lists the caches after the last plain set-up.
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parents[1]
+SETUP_RUNS = 5
 
 
 def load_bench(root):
@@ -77,6 +86,24 @@ def replay(run, workload, seed, n_ops, profile=None, kind=None):
         workload.check(lib, op, out)
         times.append((op_kind(op), dt))
     return lib, times
+
+
+def timed_setup(run, workload, seed, n_ops, profile=None):
+    """One set-up as bench/run.py's setup makes it, under profile if given:
+    the library imported and the seconds of the import and of generating
+    the first n_ops ops."""
+    if profile:
+        profile.enable()
+    t0 = perf_counter()
+    lib = run.load_library()
+    t1 = perf_counter()
+    stream = run.workloads.stream(workload, lib, seed)
+    for _ in range(n_ops):
+        next(stream)
+    t2 = perf_counter()
+    if profile:
+        profile.disable()
+    return lib, t1 - t0, t2 - t1
 
 
 def cache_stats(lib):
@@ -131,10 +158,28 @@ def main(argv=None):
                     help="also list the N functions with the largest self time")
     ap.add_argument("--caches", action="store_true",
                     help="also list every lru_cache's hits, misses and size")
+    ap.add_argument("--setup", action="store_true",
+                    help="profile the set-up (fresh import and op generation), not the ops")
     args = ap.parse_args(argv)
+    if args.setup and args.kind is not None:
+        ap.error("--kind selects ops; --setup profiles no op")
     root = args.root.resolve()
     run = load_bench(root)
     workload = run.workloads.WORKLOADS[args.workload]
+    package = (root / "src" / "brauercalc").resolve()
+    if args.setup:
+        with run.in_checkout():
+            runs = [timed_setup(run, workload, args.seed, args.ops) for _ in range(SETUP_RUNS)]
+            profile = cProfile.Profile()
+            timed_setup(run, workload, args.seed, args.ops, profile)
+        print(f"{args.workload} seed {args.seed}: set-up of {args.ops} ops, import "
+              f"{1e3 * min(r[1] for r in runs):.1f} ms, generation "
+              f"{1e3 * min(r[2] for r in runs):.1f} ms (fastest of {SETUP_RUNS}), "
+              f"python {sys.version.split()[0]}, {root}")
+        print_tables(profile, package, "set-up", args.functions)
+        if args.caches:
+            print_caches("the last plain set-up", cache_stats(runs[-1][0]))
+        return 0
     with run.in_checkout():
         lib, times = replay(run, workload, args.seed, args.ops)
         caches = cache_stats(lib)
@@ -143,7 +188,6 @@ def main(argv=None):
             ap.error(f"no {args.kind!r} op among the first {len(times)} ops")
         profile = cProfile.Profile()
         replay(run, workload, args.seed, args.ops, profile, args.kind)
-    package = (root / "src" / "brauercalc").resolve()
 
     total = sum(dt for _, dt in times)
     print(f"{args.workload} seed {args.seed}: {len(times)} ops in {total:.3f} s "
@@ -156,19 +200,29 @@ def main(argv=None):
     for kind in kinds:
         print(f"  {kind:<16} {counts[kind]:>5} ops  {100 * kinds[kind] / total:5.1f} %")
     label = "" if args.kind is None else f" {args.kind}"
-    print(f"self time by module (cProfile, {len(profiled)}{label} ops):")
+    print_tables(profile, package, f"{len(profiled)}{label} ops", args.functions)
+    if args.caches:
+        print_caches("the plain replay", caches)
+    return 0
+
+
+def print_tables(profile, package, label, functions):
+    """The self-time tables: the 12 largest modules, and the `functions`
+    largest functions if that is positive."""
+    print(f"self time by module (cProfile, {label}):")
     for name, share in module_shares(profile, package)[:12]:
         print(f"  {name:<24} {100 * share:5.1f} %")
-    if args.functions > 0:
-        print(f"self time by function (cProfile, {len(profiled)}{label} ops):")
-        for name, share in function_shares(profile, args.functions):
+    if functions > 0:
+        print(f"self time by function (cProfile, {label}):")
+        for name, share in function_shares(profile, functions):
             print(f"  {100 * share:5.1f} %  {name}")
-    if args.caches:
-        print("lru caches after the plain replay:")
-        for name, info in caches:
-            print(f"  {name:<32} {info.hits:>8} hits {info.misses:>8} misses "
-                  f"{info.currsize:>6} size")
-    return 0
+
+
+def print_caches(after, caches):
+    print(f"lru caches after {after}:")
+    for name, info in caches:
+        print(f"  {name:<32} {info.hits:>8} hits {info.misses:>8} misses "
+              f"{info.currsize:>6} size")
 
 
 if __name__ == "__main__":
