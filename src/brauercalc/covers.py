@@ -56,7 +56,7 @@ class KummerCoverDatum(Record):
     def __post_init__(self):
         if self.g.is_zero:
             raise ValueError("cover equation with zero right-hand side")
-        char = self.base.char
+        char = self.base.field.char
         if char and self.m % char == 0:
             raise ValueError("cover degree divisible by the characteristic")
 

@@ -39,11 +39,10 @@ Factoring over a finite field is one squarefree loop and one
 Cantor-Zassenhaus algorithm (distinct-degree, equal-degree and sorted
 split, one _powmod) written once over poly's _ListRing, whose gcd is
 poly's one Euclid: on integers mod p for the modular stage over Q (no
-field elements built) and for factor_over_Fq over any prime field,
-cached by (p, representatives) in _factor_fp_monic; or on the element
-lists of an extension field GF(p^k), drawing by field.element_at so no
-field is listed.  An equal-degree split makes at most _SPLIT_DRAWS
-random draws, then raises ScopeError.
+field elements built), and for factor_over_Fq on the field's list_ring,
+ints mod p over F_p and elements over GF(p^k), drawn by element_at so no
+field is listed, through one cache, _factor_fq_monic.  An equal-degree
+split makes at most _SPLIT_DRAWS random draws, then raises ScopeError.
 
 Irreducibility and squarefreeness are decided only here: the one
 squarefree loop serves Q (on _PrimitiveRing), F_p and F_q, and
@@ -59,8 +58,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ScopeError
-from .fields import PrimeField, PrimePowerFactorization
-from .fields import factor_int, is_prime
+from .fields import PrimePowerFactorization, factor_int, is_prime
 from .poly import Poly, QQ, _ListRing, _PRIMITIVE_RING, _horner, _power
 from .poly import _hasse, _int_list_primitive, _int_list_strip
 from .poly import _zadd, _zdivmod, _zmul, _zsub, _ztrunc
@@ -480,16 +478,13 @@ def factor_over_Q(f):
 # factorization over finite fields
 
 
-def _factor_monic(R, f):
-    """Sorted monic irreducible factors, with multiplicity, of a monic f in R."""
-    hs = [(h, m) for g, m in _squarefree(R, f) for h in _split(R, _distinct_degree(R, g))]
-    return sorted(hs, key=lambda hm: R.sort_key(hm[0]))
-
-
 @lru_cache(maxsize=4096)
-def _factor_fp_monic(p, f):
-    """_factor_monic of a monic f over F_p, given by its representatives."""
-    return tuple((tuple(h), mult) for h, mult in _factor_monic(_ListRing(p), f))
+def _factor_fq_monic(field, f):
+    """Sorted monic irreducible factors, with multiplicity, of a monic f
+    over a finite field, given by its coefficients in field.list_ring."""
+    R = field.list_ring
+    hs = [(h, m) for g, m in _squarefree(R, f) for h in _split(R, _distinct_degree(R, g))]
+    return tuple((tuple(h), m) for h, m in sorted(hs, key=lambda hm: R.sort_key(hm[0])))
 
 
 def factor_over_Fq(f):
@@ -499,16 +494,10 @@ def factor_over_Fq(f):
     field = f.field
     if not field.finite:
         raise TypeError("factor_over_Fq needs a finite coefficient field")
-    unit = f.lc
-    if isinstance(field, PrimeField):
-        p = field.p
-        inv = pow(unit.rep, -1, p)
-        monic = tuple(c.rep * inv % p for c in f.coeffs)
-        factors = [(Poly.from_ints(field, h), m) for h, m in _factor_fp_monic(p, monic)]
-    else:
-        R = _ListRing(field=field)
-        factors = [(Poly(field, h), m) for h, m in _factor_monic(R, R.monic(f.coeffs))]
-    return PrimePowerFactorization(unit, tuple(factors))
+    R = field.list_ring
+    monic = tuple(R.monic(list(map(R.lift, f.coeffs))))
+    factors = tuple((Poly(field, map(R.wrap, h)), m) for h, m in _factor_fq_monic(field, monic))
+    return PrimePowerFactorization(f.lc, factors)
 
 
 # ---------------------------------------------------------------------------

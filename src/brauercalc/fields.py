@@ -2,12 +2,15 @@
 
 FFElem is a thin immutable wrapper around a representative; all arithmetic
 dispatches to its field, and it is false exactly at zero, like an int or a
-Fraction.  PrimeField(p) stores representatives as ints in [0, p).
+Fraction.  PrimeField(p) stores representatives as ints in [0, p), and
+each field builds its polynomials' ring once, as list_ring (poly._ListRing):
+PrimeField's on those ints, QuotientField's on its elements, the one choice
+of how poly, points and factoring hold F_q[t].
 QuotientField(base, modulus) is the residue ring base[t]/(modulus), a
 field when the modulus is irreducible; it stores representatives as
-fixed-length coefficient tuples in its base's list ring (poly._ListRing),
-ints in [0, p) over a prime base and base elements otherwise, and does
-its arithmetic there.  The same QuotientField class builds both
+fixed-length coefficient tuples in its base's list_ring, ints in [0, p)
+over a prime base and base elements otherwise, and does its arithmetic
+there.  The same QuotientField class builds both
 finite extension towers such as F_9 = F_3[u]/(u^2+1) and residue fields
 Q[t]/(pi) of closed points over the rationals, so norm and inverse code is
 written once.
@@ -31,7 +34,6 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter
 
 from .errors import Record, ScopeError
 from .poly import Poly, _ListRing, _power, _resultant, _zmul, _ztrim
@@ -140,6 +142,7 @@ class PrimeField:
         self.zero = FFElem(self, 0)
         self.one = FFElem(self, 1)
         self._zeta = {}
+        self.list_ring = _ListRing(p, self)
 
     def from_int(self, n):
         return FFElem(self, n % self.p)
@@ -189,7 +192,7 @@ class QuotientField:
 
     Works over finite base fields (giving F_{q^d}) and over QQ (giving the
     residue field of a closed point).  A representative is a length-d tuple,
-    constant coefficient first, in the base's list ring (poly._ListRing):
+    constant coefficient first, in the base's list_ring:
     ints in [0, p) over a prime field F_p, so over GF(p^k) too, and base
     elements over QQ or an extension field.  Base elements cross only at
     the API: embed and coerce lift them, to_poly, element_key and
@@ -203,20 +206,15 @@ class QuotientField:
             raise TypeError("modulus must live over the base field")
         self.base = base
         self.modulus = modulus
-        self.degree = modulus.degree
+        self.degree = d = modulus.degree
         self.char = base.char
         self.finite = base.finite
         if self.finite:
             self.order = base.order**self.degree
-        # the ring of the representatives; _lift takes a base element to
-        # its coefficient there, _wrap takes a coefficient back
-        if isinstance(base, PrimeField):
-            self._ring = _ListRing(base.p)
-            self._lift, self._wrap = attrgetter("rep"), base.element_at
-        else:
-            self._ring = _ListRing(field=base)
-            self._lift = self._wrap = base.coerce
-        R, d = self._ring, self.degree
+        # the ring of the representatives, the base's; _lift takes a base
+        # element to its coefficient there, _wrap takes a coefficient back
+        R = self._ring = base.list_ring
+        self._lift, self._wrap = R.lift, R.wrap
         self._pi = [self._lift(c) for c in modulus.coeffs]
         self.zero = FFElem(self, self._rep(R.zero))
         self.one = FFElem(self, self._rep(R.one))
@@ -227,6 +225,7 @@ class QuotientField:
             self._red.append(row)
         self._generator = None
         self._zeta = {}
+        self.list_ring = _ListRing(field=self)
 
     def _rep(self, cs):
         """The representative of the ring coefficients cs, at most d of
@@ -253,8 +252,7 @@ class QuotientField:
         """Reduce a polynomial over the base field into this quotient."""
         if p.field is not self.base:
             raise TypeError("polynomial over the wrong base field")
-        cs = [self._lift(c) for c in p.coeffs]
-        return FFElem(self, self._rep(self._ring.rem(cs, self._pi)))
+        return FFElem(self, self._rep(self._ring.rem(list(map(self._lift, p.coeffs)), self._pi)))
 
     def to_poly(self, e):
         e = self.coerce(e)

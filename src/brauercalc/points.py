@@ -7,8 +7,8 @@ leading coefficient and checks irreducibility, so a ClosedPoint can be
 trusted downstream; every point is the one _point of its base and
 factor.  Every local expansion is one strip and one combine, at every
 point and over every base: _strip takes each side's power of the
-uniformizer off once (integer forms over Q, poly's one division,
-_zdivmod, for every finite base, degrees at infinity), and _combine
+uniformizer off once (integer forms over Q, the division of the base
+field's list ring for every finite base, degrees at infinity), and _combine
 builds one integer fraction, one top and one bottom in kappa(x).
 unit_part_at is the exponents (1, -1) case, read by valuation_at,
 reduce_at and brauer.specialize; tame_symbol_at is the four-side case.
@@ -17,13 +17,12 @@ reduce_at and brauer.specialize; tame_symbol_at is the four-side case.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import Record, ScopeError
 from .factoring import factor_poly, is_irreducible
-from .fields import GF, FFElem, PrimeField, QuotientField, is_prime
-from .poly import Poly, QQ, RationalFunction, poly_str
-from .poly import _int_list_strip, _zdivmod
+from .fields import GF, FFElem, QuotientField, is_prime
+from .poly import Poly, QQ, RationalFunction, _int_list_strip, poly_str
 
 
 # Largest torsion over F_q; a p-th power exponent walks p roots of unity.
@@ -35,7 +34,6 @@ class RationalBase(Record):
 
     __slots__ = ()
     is_finite = False
-    char = 0
     field = QQ
 
     def check_torsion(self, p):
@@ -50,18 +48,15 @@ class RationalBase(Record):
 
 
 class FiniteBase(Record):
-    """F_q as the base of F_q(t); q may be any prime power."""
+    """F_q as the base of F_q(t); q may be any prime power.  GF(q) is
+    looked up on the first read of field, then read from __dict__."""
 
-    __slots__ = ("q",)
+    __slots__ = ("q", "__dict__")
     is_finite = True
 
-    @property
+    @cached_property
     def field(self):
         return GF(self.q)
-
-    @property
-    def char(self):
-        return self.field.char
 
     def check_torsion(self, p):
         if p > MAX_TORSION:
@@ -207,9 +202,9 @@ def _strip(polys, point):
     (n/m) u in kappa(x), with n, m integers and u a kappa element or None
     for 1.  Over Q, f = content P^w G for the primitive integer form
     P = L pi, and L^k G = r modulo P, so n/m = content L^(w-k), and r is
-    one integer at a rational point; over a finite field poly._zdivmod
-    divides the integer representatives modulo p over F_p, the coefficients
-    over an extension field; at infinity w = -deg f and g maps to lc(f).
+    one integer at a rational point; over a finite field the base field's
+    list ring divides the lifted coefficients, integers modulo p over F_p;
+    at infinity w = -deg f and g maps to lc(f).
     A one-entry r over Q folds into n/m; _side reads r."""
     F, pi = point.base.field, point.poly
     if pi is None:
@@ -223,16 +218,16 @@ def _strip(polys, point):
             n, m = (n * L, m) if w > k else (n, m * L)
             out.append((w, n * r[0], m, None) if len(r) == 1 else _side(point, w, n, m, r))
         return out
-    m = F.p if isinstance(F, PrimeField) else None
-    P, out = [c.rep for c in pi.coeffs] if m else pi.coeffs, []
+    R = F.list_ring
+    P, out = list(map(R.lift, pi.coeffs)), []
     for f in polys:
         if f.field is not F:
             raise TypeError("polynomials over different fields")
         if f.is_zero:
             raise ValueError("the zero polynomial has no finite valuation")
-        w, (q, r) = 0, _zdivmod([c.rep for c in f.coeffs] if m else f.coeffs, P, m, F)
+        w, (q, r) = 0, R.divmod(list(map(R.lift, f.coeffs)), P)
         while not r:
-            w, (q, r) = w + 1, _zdivmod(q, P, m, F)
+            w, (q, r) = w + 1, R.divmod(q, P)
         out.append(_side(point, w, 1, 1, r))
     return out
 

@@ -29,10 +29,11 @@ tested by truthiness: _ztrim, _zadd, _zmul, _zdivmod and _hasse.  Poly,
 the residue field product, the rings, Hensel lifting and the strip at a
 point run on it; _int_list_* serve the integer form.  The polynomial
 rings live here as well: _ListRing, K[t] on coefficient lists, of
-integers mod p for F_p or of a field's elements for any field K; and
-_PrimitiveRing, Q[t] up to units on primitive integer lists.  Factoring
-runs over them, poly_gcd (off QQ) and resultant on the element lists of
-their Poly arguments, and a residue field's norm on its representatives.
+integers mod m or of a field's elements; and _PrimitiveRing, Q[t] up to
+units on primitive integer lists.  Each field builds its list ring once,
+as field.list_ring (F_p's on ints in [0, p)), which lifts coefficients in
+and wraps them back: Poly's divmod, poly_gcd off QQ, resultant, factoring
+over F_q, the strip at a point and residue fields compute there.
 
 Square-and-multiply (_power), Horner's rule (_horner) and Euclid's
 algorithm (_euclid) are written once too: powers of polynomials and
@@ -157,11 +158,6 @@ class Poly:
     def one(cls, field):
         return cls.constant(field, field.one)
 
-    @classmethod
-    def gen(cls, field):
-        """The polynomial t."""
-        return cls(field, [field.zero, field.one])
-
     @property
     def is_zero(self):
         return self.degree < 0
@@ -229,11 +225,11 @@ class Poly:
         other = self._wrap(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        field = self.field
+        field, R = self.field, self.field.list_ring
         if self.degree < other.degree:
             return Poly(field, ()), self
-        q, r = _zdivmod(self.coeffs, other.coeffs, field=field)
-        return Poly(field, q), Poly(field, r)
+        q, r = R.divmod(list(map(R.lift, self.coeffs)), list(map(R.lift, other.coeffs)))
+        return Poly(field, map(R.wrap, q)), Poly(field, map(R.wrap, r))
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -481,8 +477,10 @@ class _ListRing:
     """K[t] on coefficient lists, lowest degree first, through the kernel:
     with m = p, F_p[t] on integers, entries in [0, p), the methods taking
     symmetric representatives too, as Hensel lifting passes them; with
-    field = K, K[t] on lists of K's elements, K any field.  czero is the
-    coefficients' zero, 0 or K's."""
+    only field = K, K[t] on lists of K's elements, K any field.  czero is
+    the coefficients' zero, 0 or K's.  Built with a field, lift takes one
+    of its elements to a coefficient and wrap takes a coefficient back:
+    .rep and element_at on integers, K.coerce both ways on elements."""
 
     gcd, xgcd = _gcd, _xgcd
 
@@ -492,6 +490,9 @@ class _ListRing:
         self.char = m or field.char
         self.q = m or (field.order if field.finite else None)
         self.zero, self.one, self.gen = (), (c1,), (self.czero, c1)
+        if field is not None:
+            rep = operator.attrgetter("rep")
+            self.lift, self.wrap = (rep, field.element_at) if m else (field.coerce, field.coerce)
 
     def deg(self, a):
         return len(a) - 1
@@ -533,7 +534,7 @@ class _ListRing:
     def random(self, n, rng):
         """n coefficients, the randrange(q)-th elements of F_q."""
         cs = [rng.randrange(self.q) for _ in range(n)]
-        return _ztrim(list(map(self.field.element_at, cs)) if self.field else cs)
+        return _ztrim(cs if self.m else list(map(self.field.element_at, cs)))
 
     def sort_key(self, g):
         """Poly.sort_key's order: degree, then the coefficients' keys."""
@@ -566,6 +567,7 @@ class _PrimitiveRing:
 
 
 _PRIMITIVE_RING = _PrimitiveRing()
+QQ.list_ring = _ListRing(field=QQ)
 _QQ_ONE = Poly.one(QQ)
 
 
@@ -591,18 +593,21 @@ def _henrici(n1, d1, n2, d2):
 
 def poly_gcd(f, g):
     """Monic gcd; poly_gcd(0, 0) is 0.  Over QQ, on the integer forms in
-    _PrimitiveRing, with no Fraction built."""
+    _PrimitiveRing, with no Fraction built; else in the field's list ring."""
     if f.field is QQ:
         d = _gcd(_PRIMITIVE_RING, f._int_form[1], g._int_form[1])
         return Poly.monic_from_ints(tuple(d)) if d else f
-    return Poly(f.field, _gcd(_ListRing(field=f.field), f.coeffs, g.coeffs))
+    R = f.field.list_ring
+    d = _gcd(R, list(map(R.lift, f.coeffs)), list(map(R.lift, g.coeffs)))
+    return Poly(f.field, map(R.wrap, d))
 
 
 def resultant(f, g):
-    """Res(f, g) over f's field, f nonzero (_resultant)."""
+    """Res(f, g) over f's field, f nonzero (_resultant in its list ring)."""
     if f.is_zero:
         raise ValueError("resultant: first argument must be nonzero")
-    return _resultant(_ListRing(field=f.field), f.coeffs, g.coeffs)
+    R = f.field.list_ring
+    return R.wrap(_resultant(R, list(map(R.lift, f.coeffs)), list(map(R.lift, g.coeffs))))
 
 
 def _resultant(R, a, b):

@@ -104,8 +104,8 @@ class PolyArithmeticParser(_ClassParser):
                 etok = self.expect("int", "an integer exponent")
                 e = _int_literal(etok[1], etok[2])
                 _check_degree(e, etok[2])
-                return Poly.gen(self.field) ** e
-            return Poly.gen(self.field)
+                return Poly.from_ints(self.field, [0, 1]) ** e
+            return Poly.from_ints(self.field, [0, 1])
         raise ParseError(off, "expected a number or t")
 
 

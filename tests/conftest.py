@@ -1,9 +1,10 @@
 """Shared fixtures: every test starts with empty factor caches and an
 empty memo of Hilbert symbol sets.
 
-factor_over_Q and factor_over_Fq (over a prime field) answer a repeated
-polynomial, and fields.factor_int a repeated integer, from an lru_cache;
-points.zero_points holds no cache of its own and reads the factor cache.
+factor_over_Q and factor_over_Fq (over every finite field) answer a
+repeated polynomial, and fields.factor_int a repeated integer, from an
+lru_cache; points.zero_points holds no cache of its own and reads the
+factor cache.
 hilbert.nonsplit_places reads the nonsplit places of each pair of
 squarefree kernels from the lru_cache hilbert._pair_places.  A test that
 patches a budget, or a route it guards, or the Hilbert symbol itself,
@@ -22,6 +23,6 @@ from brauercalc import factoring, fields, hilbert
 @pytest.fixture(autouse=True)
 def clear_caches():
     factoring._factor_q_monic.cache_clear()
-    factoring._factor_fp_monic.cache_clear()
+    factoring._factor_fq_monic.cache_clear()
     fields.factor_int.cache_clear()
     hilbert._pair_places.cache_clear()

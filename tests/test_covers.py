@@ -31,7 +31,7 @@ from brauercalc.residues import is_pth_power
 
 from _gen import F7, F13, nonsquare_rational, nonzero_rational, rational
 
-T = Poly.gen(QQ)
+T = Poly.from_ints(QQ, [0, 1])
 
 
 def q_poly(*coeffs):
@@ -87,7 +87,7 @@ def test_witness_not_bare_symbol():
 
 
 def test_witness_odd_p_certificates_only():
-    t7 = Poly.gen(F7.field)
+    t7 = Poly.from_ints(F7.field, [0, 1])
     w = splitting_witness(F7, 3, 3, t7)
     assert w.m == 3 and w.reparam is None
     cls = BrauerClass.make(F7, 3, [(3, t7)])
@@ -206,7 +206,7 @@ def test_unramified_cover_quadratic_pole_point():
 
 
 def test_unramified_cover_finite_base():
-    t7 = Poly.gen(F7.field)
+    t7 = Poly.from_ints(F7.field, [0, 1])
     cls = BrauerClass.make(F7, 3, [(3, t7)])
     bpt = ClosedPoint.rational(F7, 1)
     w = make_unramified_cover(cls, 3, bpt)
@@ -219,7 +219,7 @@ def test_unramified_cover_congruence_search():
     # p = 3, a degree-2 pole point, and deg(prod) + [inf ramified] = 2 + 1
     # odd: the first pole order leaves an auxiliary multiplicity of 1, so
     # the search raises it to 3 and the auxiliary point is no branch point
-    t7 = Poly.gen(F7.field)
+    t7 = Poly.from_ints(F7.field, [0, 1])
     cls = BrauerClass.make(F7, 3, [(3, t7 * t7 - t7)])
     bpt = ClosedPoint(F7, t7 * t7 + 1)
     w = make_unramified_cover(cls, 2, bpt)
@@ -235,7 +235,7 @@ def test_unramified_cover_finds_auxiliary_point_over_non_prime_field():
     # free rational points for the auxiliary zero; none is in the prime field
     base = FiniteBase(9)
     f = base.field
-    t9 = Poly.gen(f)
+    t9 = Poly.from_ints(f, [0, 1])
     one = Poly.one(f)
     g = multiplicative_generator(f)
     entry = RationalFunction(t9 * (t9 - one) * (t9 - one * 2), t9 - one * g)
@@ -265,7 +265,7 @@ def test_pullback_substitutes_entries():
 
 
 def test_datum_guards():
-    t7 = Poly.gen(F7.field)
+    t7 = Poly.from_ints(F7.field, [0, 1])
     with pytest.raises(ValueError):
         KummerCoverDatum(
             kind="unramified",

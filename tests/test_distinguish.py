@@ -48,7 +48,7 @@ from _oracles import (
     same_kummer_extension,
 )
 
-T = Poly.gen(QQ)
+T = Poly.from_ints(QQ, [0, 1])
 
 
 def q_poly(*coeffs):
@@ -56,7 +56,7 @@ def q_poly(*coeffs):
 
 
 def test_enumerate_frozen_worked_example():
-    t7 = Poly.gen(F7.field)
+    t7 = Poly.from_ints(F7.field, [0, 1])
     a = BrauerClass.make(F7, 3, [(3, t7)])
     cand = enumerate_candidates(a)
     assert cand.bound == 4
@@ -74,13 +74,13 @@ def test_enumerate_frozen_worked_example():
 
 def test_enumerate_matches_oracle_various_supports():
     f = F7.field
-    t7 = Poly.gen(f)
+    t7 = Poly.from_ints(f, [0, 1])
     cases = [
         BrauerClass.make(F7, 2, [(3, t7)]),
         BrauerClass.make(F7, 2, [(3, t7), (5, Poly.from_ints(f, [-1, 1]))]),
         BrauerClass.make(F7, 3, [(3, t7), (2, Poly.from_ints(f, [-1, 1]))]),
         BrauerClass.make(
-            F13, 3, [(2, Poly.gen(F13.field)), (6, Poly.from_ints(F13.field, [-1, 1]))]
+            F13, 3, [(2, Poly.from_ints(F13.field, [0, 1])), (6, Poly.from_ints(F13.field, [-1, 1]))]
         ),
     ]
     for a in cases:
@@ -94,7 +94,7 @@ def test_enumerate_realizes_across_higher_degree_point():
     # t^3 - 2 is irreducible over F_7 and p = 3 divides its degree, so the
     # realization must take the polynomial-representative route
     f = F7.field
-    t7 = Poly.gen(f)
+    t7 = Poly.from_ints(f, [0, 1])
     pi = Poly.from_ints(f, [-2, 0, 0, 1])
     a = BrauerClass.make(F7, 3, [(t7, pi)])
     div = ramification_divisor(a)
@@ -172,7 +172,7 @@ def test_distinguish_by_ramification_field():
 
 def test_distinguish_by_support_difference():
     f = F7.field
-    t7 = Poly.gen(f)
+    t7 = Poly.from_ints(f, [0, 1])
     a = BrauerClass.make(F7, 2, [(3, t7)])
     b = BrauerClass.make(F7, 2, [(3, Poly.from_ints(f, [-1, 1]))])
     v = distinguish(a, b)
@@ -205,7 +205,7 @@ def test_distinguish_by_separating_quadratic():
 
 
 def test_distinguish_finite_fallback_is_honest():
-    t7 = Poly.gen(F7.field)
+    t7 = Poly.from_ints(F7.field, [0, 1])
     a = BrauerClass.make(F7, 3, [(3, t7)])
     b = BrauerClass.make(F7, 3, [(2, t7)])
     v = distinguish(a, b)
@@ -230,7 +230,7 @@ def test_negative_sweep_budget_is_rejected():
 
 def test_distinguish_rejects_mismatched_settings():
     a = BrauerClass.make(Q_BASE, 2, [(5, T)])
-    b = BrauerClass.make(F7, 2, [(3, Poly.gen(F7.field))])
+    b = BrauerClass.make(F7, 2, [(3, Poly.from_ints(F7.field, [0, 1]))])
     with pytest.raises(ValueError):
         distinguish(a, b)
 

@@ -30,7 +30,7 @@ from brauercalc.factoring import (
 )
 from brauercalc.fields import GF, FFElem
 from brauercalc.poly import Poly, QQ, _ListRing, _PRIMITIVE_RING, _xgcd
-from brauercalc.poly import _gcd, poly_gcd
+from brauercalc.poly import _gcd, _resultant, poly_gcd, resultant
 
 from _gen import random_poly
 from _oracles import factor_over_Q_by_zassenhaus, rational_roots_oracle
@@ -1081,10 +1081,13 @@ def test_fq_factor_matches_sympy():
 
 
 def _poly_ring_factorization(f):
-    """factor_over_Fq's route for extension fields, run on f over GF(p)."""
+    """factor_over_Fq's algorithm run on the element lists of f, in a
+    _ListRing(field=F) built here, with no cache."""
     R = _ListRing(field=f.field)
-    factors = factoring._factor_monic(R, R.monic(f.coeffs))
-    return f.lc, tuple((Poly(f.field, h), m) for h, m in factors)
+    hs = [(h, m) for g, m in factoring._squarefree(R, R.monic(list(f.coeffs)))
+          for h in factoring._split(R, factoring._distinct_degree(R, g))]
+    hs.sort(key=lambda hm: R.sort_key(hm[0]))
+    return f.lc, tuple((Poly(f.field, h), m) for h, m in hs)
 
 
 def test_prime_field_factoring_matches_the_poly_ring():
@@ -1111,29 +1114,72 @@ def test_prime_field_factoring_matches_the_poly_ring():
 
 
 def test_prime_field_factoring_is_cached_by_the_monic_representatives():
-    field = GF(7)
-    f = Poly.from_ints(field, [3, 0, 1, 5]) * Poly.from_ints(field, [1, 1]) ** 2
-    info = factoring._factor_fp_monic.cache_info
-    plain = factor_over_Fq(f)
-    scaled = factor_over_Fq(f * 3)
-    assert (info().misses, info().hits) == (1, 1)
-    assert scaled.factors == plain.factors and scaled.unit == plain.unit * 3
+    # one cache for every finite field, keyed by the monic representatives:
+    # a scalar multiple hits it, over GF(7) and over GF(9)
+    info = factoring._factor_fq_monic.cache_info
+    for field in (GF(7), GF(9)):
+        f = Poly.from_ints(field, [3, 0, 1, 5]) * Poly.from_ints(field, [1, 1]) ** 2
+        c = field.element_at(field.order - 1)
+        factoring._factor_fq_monic.cache_clear()
+        plain = factor_over_Fq(f)
+        scaled = factor_over_Fq(f * c)
+        assert (info().misses, info().hits) == (1, 1), field
+        assert scaled.factors == plain.factors and scaled.unit == plain.unit * c
 
 
 def test_prime_fields_are_factored_without_the_poly_ring(monkeypatch):
-    # route guard: over GF(p) the split runs in the ring's integer mode,
-    # never on element lists, and so does GF's search for an irreducible
-    # modulus of degree 12 over F_7
-    real_ring = factoring._ListRing
-
-    def integer_mode_only(m=None, field=None):
-        if field is not None:
-            raise AssertionError("the element-list ring was built for a prime field")
-        return real_ring(m)
-
-    monkeypatch.setattr(factoring, "_ListRing", integer_mode_only)
+    # route guard: over GF(p) factoring runs on GF(p).list_ring, the ring's
+    # integer mode (m == p), and divides no element lists; so does GF's
+    # search for an irreducible modulus of degree 12 over F_7
     field = GF(7)
+    assert field.list_ring.m == 7
+    real_divmod, rings = _ListRing.divmod, set()
+
+    def integer_mode_only(R, a, b):
+        if not R.m:
+            raise AssertionError("an element-list division over a prime field")
+        rings.add(R)
+        return real_divmod(R, a, b)
+
+    monkeypatch.setattr(_ListRing, "divmod", integer_mode_only)
     f = Poly.from_ints(field, [1, 0, 0, 0, 0, 0, 0, 1]) * Poly.from_ints(field, [3, 1, 1])
     assert factor_over_Fq(f).expand() == f
     big = fields.GF.__wrapped__(7**12)
     assert big.order == 7**12 and big.modulus == GF(7**12).modulus
+    assert rings == {field.list_ring}
+
+
+@pytest.mark.parametrize("q", [2, 4, 7, 9, 13, 49])
+def test_finite_field_routes_match_the_element_ring(q):
+    """poly_gcd, resultant, divmod and factor_over_Fq over GF(q) run on
+    GF(q).list_ring, integers mod p over a prime field; each matches the
+    same algorithm on element lists in a _ListRing(field=GF(q)) built here,
+    on seeded polynomials with zero and constant operands, and hands back
+    FFElems of GF(q) only."""
+    field = GF(q)
+    E, rng = _ListRing(field=field), random.Random(4900 + q)
+    polys = [Poly.zero(field), Poly.one(field), Poly.constant(field, field.element_at(q - 1))]
+    polys += [random_poly(rng, field, 6) for _ in range(8)]
+    common = random_poly(rng, field, 2, min_degree=1)
+    polys += [random_poly(rng, field, 3) * common for _ in range(4)]
+
+    def coeffs(h):
+        assert all(type(c) is FFElem and c.field is field for c in h.coeffs), h
+        return h.coeffs
+
+    for f in polys:
+        a = list(f.coeffs)
+        for g in polys:
+            b = list(g.coeffs)
+            assert coeffs(poly_gcd(f, g)) == tuple(_gcd(E, a, b)), (f, g)
+            if not f.is_zero:
+                res = resultant(f, g)
+                assert type(res) is FFElem and res.field is field, (f, g)
+                assert res == _resultant(E, a, b), (f, g)
+            if not g.is_zero:
+                quo, rem = divmod(f, g)
+                assert (coeffs(quo), coeffs(rem)) == tuple(map(tuple, E.divmod(a, b))), (f, g)
+        if not f.is_zero:
+            fac = factor_over_Fq(f)
+            assert all(coeffs(h) for h, _ in fac.factors)
+            assert (fac.unit, fac.factors) == _poly_ring_factorization(f), f

@@ -111,7 +111,7 @@ def test_nonprime_coefficients_fall_back_to_display():
     with pytest.raises(ParseError):
         parse_ratfunc(text, f49)
     f9 = FiniteBase(9)
-    u, t9 = f9.field.gen_elem(), Poly.gen(f9.field)
+    u, t9 = f9.field.gen_elem(), Poly.from_ints(f9.field, [0, 1])
     cls = BrauerClass.make(f9, 2, [(RationalFunction(t9 * u, t9 + 1), t9)])
     assert class_text(cls) == "(([0,1]*t)/(t + 1), t)"
 

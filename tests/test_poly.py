@@ -629,7 +629,7 @@ def test_int_form_is_primitive_content_split():
     with pytest.raises(ValueError):
         Poly.zero(QQ).int_form()
     with pytest.raises(TypeError):
-        Poly.gen(GF(7)).int_form()
+        Poly.from_ints(GF(7), [0, 1]).int_form()
 
 
 def test_scalar_multiple_keeps_the_integer_form():

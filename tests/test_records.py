@@ -34,7 +34,7 @@ from brauercalc.report import Report
 from brauercalc.residues import ResidueClass
 
 ROOT = Path(__file__).resolve().parent.parent
-T = Poly.gen(QQ)
+T = Poly.from_ints(QQ, [0, 1])
 
 
 def _samples():
@@ -127,7 +127,7 @@ def test_construction_checks_still_raise():
     with pytest.raises(ValueError, match="zero right-hand side"):
         KummerCoverDatum("unramified", Q_BASE, 2, RationalFunction.constant(QQ, 0), 0, 0)
     f7 = FiniteBase(7)
-    g = RationalFunction(Poly.gen(GF(7)))
+    g = RationalFunction(Poly.from_ints(GF(7), [0, 1]))
     with pytest.raises(ValueError, match="characteristic"):
         KummerCoverDatum("unramified", f7, 14, g, GF(7).zero, GF(7).zero)
     assert KummerCoverDatum("unramified", Q_BASE, 2, rf, 0, 1).f is None

@@ -57,6 +57,12 @@ In poly only _zmul, _zdivmod, _int_list_pseudo_divmod and
 lagrange_interpolate nest one for loop inside another, and in
 fields.QuotientField only _mul: the product and the division of
 coefficient lists are written once, for every coefficient ring.
+Each field chooses its list ring (test_each_field_chooses_its_list_ring):
+outside poly and fields no module builds _ListRing with a field or tests
+isinstance against PrimeField, and factoring builds _ListRing(p) only in
+its modular stage over Q (_prime_search, _zassenhaus, _hensel_lift), so
+every other finite-field polynomial algorithm reads field.list_ring and
+the choice of F_p's integer coefficients is made in fields alone.
 """
 
 import ast
@@ -585,3 +591,57 @@ def test_coefficient_loops_are_written_once():
         for owner, tree in (("poly", poly), ("fields.QuotientField", quotient))
     }
     assert found == _NESTED_LOOPS, f"nested coefficient loops outside the kernel: {found}"
+
+
+_MODULAR_STAGE = {"_prime_search", "_zassenhaus", "_hensel_lift"}
+
+
+def _list_ring_choices(sources):
+    """Where sources (module name to text) choose a field's list ring
+    themselves: an isinstance test against PrimeField outside fields, and
+    outside poly and fields any _ListRing built with a field, or built
+    anywhere but factoring's modular stage."""
+    hits = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        # breadth first: an inner function overwrites its outer one's name
+        owners = {
+            id(node): func.name
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            named = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            where = f"{module}:{node.lineno} in {owners.get(id(node))}"
+            if named == "isinstance" and module != "fields" and "PrimeField" in set(
+                _referenced_names(node.args[-1])
+            ):
+                hits.append(f"{where} tests for PrimeField")
+            elif named == "_ListRing" and module not in ("poly", "fields"):
+                if len(node.args) != 1 or node.keywords:
+                    hits.append(f"{where} builds a field's list ring")
+                elif (module, owners.get(id(node)) in _MODULAR_STAGE) != ("factoring", True):
+                    hits.append(f"{where} builds _ListRing(p) outside the modular stage")
+    return hits
+
+
+def test_each_field_chooses_its_list_ring():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    hits = _list_ring_choices(sources)
+    assert not hits, f"list rings chosen outside fields: {hits}"
+    # the prime-field fork as factor_over_Fq had it, and a modular ring elsewhere
+    plant = (
+        "\ndef _planted(field, p):\n"
+        "    if isinstance(field, PrimeField):\n"
+        "        return _ListRing(p)\n"
+        "    return _ListRing(field=field)\n"
+    )
+    planted = dict(sources, factoring=sources["factoring"] + plant)
+    assert sorted(hit.split(" in ", 1)[1] for hit in _list_ring_choices(planted)) == [
+        "_planted builds _ListRing(p) outside the modular stage",
+        "_planted builds a field's list ring",
+        "_planted tests for PrimeField",
+    ]
