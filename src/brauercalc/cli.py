@@ -98,6 +98,7 @@ def build_parser():
     _common_flags(p_ver)
     p_ver.set_defaults(run=cmd_verify_witness)
 
+    parser.commands = subs.choices  # each command's subparser, by name
     return parser
 
 
@@ -112,9 +113,9 @@ def _parse_classes(args, *named):
     inputs: base, p and seed, then each class's canonical text under its key."""
     base = rpt.parse_base(args.base)
     inputs = {"base": rpt.base_text(base), "p": args.p, "seed": args.seed}
-    classes = []
+    classes, memo = [], {}  # the classes share the entries of equal terms
     for key, text in named:
-        classes.append(parse_class(text, base, args.p))
+        classes.append(parse_class(text, base, args.p, memo))
         inputs[key] = class_text(classes[-1])
     return *classes, inputs
 
@@ -190,8 +191,13 @@ def cmd_verify_witness(args):
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _parser()
+    sub = parser.commands.get(argv[0]) if argv else None
     try:
-        args = _parser().parse_args(argv)
+        args, rest = sub.parse_known_args(argv[1:]) if sub else (None, argv)
+        if sub is None or rest:  # any other argv reads, or fails, as the whole parser reads it
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         if code in (None, 0):

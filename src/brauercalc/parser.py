@@ -13,10 +13,20 @@ is read, before anything is multiplied out or factored.  So does an
 integer literal too long for Python's int() (more than 4300 digits by
 default).
 
-Every Product is a monomial c*t^k, so it is read as an integer (reduced
-mod the characteristic over F_q) and an exponent; the monomials of a
-Poly are summed by exponent into one coefficient list.  A product that
-is zero in the field has degree -1 in the degree check, as a Poly would.
+A text is first searched once for a character outside the grammar, the
+first of which is a ParseError; then one findall splits it into token
+strings, each run of ASCII digits one integer literal and every other
+non-space character one token.  Offsets are not kept: an error finds its
+token's offset by scanning the text again.
+
+Every Product is a monomial c*t^k, so each Poly is read in one loop over
+its tokens: every literal is reduced mod the characteristic over F_q as
+it is read, and the monomials are summed by exponent into one coefficient
+list.  A product that is zero in the field has degree -1 in the degree
+check, as a Poly would.  A Term whose tokens, "(" through ")", were
+already read by the same command is not read again: parse_class takes a
+dict from those token tuples to entry pairs, one per command, so equal
+terms share their entry objects.
 
 Whitespace is insignificant.  The single "/" splits a Rat into its
 numerator and denominator polynomials, so "t+2/2" reads as (t+2)/2 and
@@ -32,6 +42,8 @@ display form that the parser does not accept.
 
 from __future__ import annotations
 
+import re
+
 from .brauer import BrauerClass
 from .errors import ParseError, ScopeError
 from .poly import Poly, QQ, RationalFunction, cleared_ints, poly_str, ratfunc_str, terms_str
@@ -41,13 +53,10 @@ from .poly import Poly, QQ, RationalFunction, cleared_ints, poly_str, ratfunc_st
 # each numerator and denominator is bounded.
 MAX_ENTRY_DEGREE = 32
 
-
-def _check_degree(degree, off):
-    if degree > MAX_ENTRY_DEGREE:
-        raise ScopeError(
-            f"offset {off}: degree {degree} is above the supported entry "
-            f"degree {MAX_ENTRY_DEGREE}"
-        )
+# [0-9], not \d, which also matches other scripts' digits, such as U+0663
+_TOKEN = r"[0-9]+|\S"
+_tokens = re.compile(_TOKEN).findall
+_stray = re.compile(r"[^\s0-9t+\-*/^(),]").search
 
 
 def _int_literal(digits, off):
@@ -60,157 +69,142 @@ def _int_literal(digits, off):
         ) from None
 
 
-def _tokenize(text):
-    toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            toks.append(("int", text[i:j], i))
-            i = j
-            continue
-        if ch == "t":
-            toks.append(("var", ch, i))
-            i += 1
-            continue
-        if ch in "+-*/^(),":
-            toks.append((ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(i, f"unexpected character {ch!r}")
-    toks.append(("end", "", n))
-    return toks
+class _Reader:
+    """The grammar over one text's token strings, read from pos.  The list
+    ends in "" (the end of the text) and a ")" that no Term reaches, so the
+    first ")" from any position exists."""
 
-
-class _ClassParser:
-    def __init__(self, text, field):
-        self.toks = _tokenize(text)
+    def __init__(self, text, field, memo=None):
+        stray = _stray(text)
+        if stray:
+            raise ParseError(stray.start(), f"unexpected character {stray.group()!r}")
+        self.text, self.field, self.memo = text, field, memo
+        self.toks = _tokens(text) + ["", ")"]
         self.pos = 0
-        self.field = field
 
-    def peek(self):
-        return self.toks[self.pos]
+    def offset(self, i):
+        """The offset of token i, found for an error by scanning the text again."""
+        starts = [m.start() for m in re.finditer(_TOKEN, self.text)]
+        return starts[i] if i < len(starts) else len(self.text)
 
-    def advance(self):
-        tok = self.toks[self.pos]
+    def too_high(self, degree, i):
+        return ScopeError(f"offset {self.offset(i)}: degree {degree} is above the "
+                          f"supported entry degree {MAX_ENTRY_DEGREE}")
+
+    def expect(self, tok, what):
+        if self.toks[self.pos] != tok:
+            raise ParseError(self.offset(self.pos), f"expected {what}")
         self.pos += 1
-        return tok
 
-    def expect(self, kind, what):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(tok[2], f"expected {what}")
-        return self.advance()
+    def end(self):
+        tok = self.toks[self.pos]
+        if tok:
+            raise ParseError(self.offset(self.pos), f"unexpected {tok!r}")
 
     def parse_class(self):
-        tok = self.peek()
-        if tok[0] == "end":
-            return []
-        if tok[0] == "int" and tok[1] == "0":
-            nxt = self.toks[self.pos + 1]
-            if nxt[0] != "end":
-                raise ParseError(nxt[2], "nothing may follow the zero class")
+        toks = self.toks
+        if toks[0] == "0" and toks[1]:
+            raise ParseError(self.offset(1), "nothing may follow the zero class")
+        if toks[0] in ("", "0"):
             return []
         pairs = [self.term()]
-        while self.peek()[0] == "+":
-            self.advance()
+        while toks[self.pos] == "+":
+            self.pos += 1
             pairs.append(self.term())
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(tok[2], f"unexpected {tok[1]!r}")
+        self.end()
         return pairs
 
     def term(self):
+        """The entry pair, read once per token tuple "(" ... ")" in memo: a
+        Term that reads ends at the first ")" after its "("."""
+        toks, i = self.toks, self.pos
+        key = tuple(toks[i:toks.index(")", i) + 1])
+        pair = self.memo.get(key)
+        if pair is not None:
+            self.pos += len(key)
+            return pair
         self.expect("(", "'('")
         a = self.rat()
         self.expect(",", "','")
         b = self.rat()
         self.expect(")", "')'")
+        self.memo[key] = a, b
         return a, b
 
     def rat(self, allow_zero=False):
-        start = self.peek()[2]
-        num = self.poly()
-        den = None
-        if self.peek()[0] == "/":
-            self.advance()
-            dstart = self.peek()[2]
+        start = self.pos
+        num, den = self.poly(), None
+        if self.toks[self.pos] == "/":
+            self.pos += 1
+            dstart = self.pos
             den = self.poly()
             if den.is_zero:
-                raise ParseError(dstart, "zero denominator")
+                raise ParseError(self.offset(dstart), "zero denominator")
         if num.is_zero and not allow_zero:
-            raise ParseError(start, "zero entry in symbol")
-        return RationalFunction(num, den) if den is not None else RationalFunction(num)
+            raise ParseError(self.offset(start), "zero entry in symbol")
+        return RationalFunction(num, den)
 
     def poly(self):
-        """One Poly from the monomials c*t^k, summed by exponent."""
-        sign = -1 if self.peek()[0] == "-" else 1
-        if sign < 0:
-            self.advance()
-        terms = {}
-        while True:
-            c, k = self.product()
-            if c:
-                terms[k] = terms.get(k, 0) + sign * c
-            if self.peek()[0] not in ("+", "-"):
-                break
-            sign = 1 if self.advance()[0] == "+" else -1
-        top = max(terms, default=-1)
-        return Poly.from_ints(self.field, [terms.get(k, 0) for k in range(top + 1)])
-
-    def product(self):
-        """(c, k) for the monomial c*t^k, with c reduced mod the characteristic;
-        c = 0 has degree -1, so degree checks see what Poly arithmetic would."""
-        c, k = self.factor()
-        while True:
-            kind, _, off = self.peek()
-            if kind == "*":
-                self.advance()
-            elif kind != "var":
-                return c, k
-            c2, k2 = self.factor()
-            _check_degree((k if c else -1) + (k2 if c2 else -1), off)
-            c, k = self.reduce(c * c2), k + k2
-
-    def factor(self):
-        kind, value, off = self.peek()
-        if kind == "int":
-            self.advance()
-            return self.reduce(_int_literal(value, off)), 0
-        if kind == "var":
-            self.advance()
-            if self.peek()[0] == "^":
-                self.advance()
-                etok = self.expect("int", "an integer exponent")
-                e = _int_literal(etok[1], etok[2])
-                _check_degree(e, etok[2])
-                return 1, e
-            return 1, 1
-        raise ParseError(off, "expected a number or t")
-
-    def reduce(self, n):
-        return n % self.field.char if self.field.char else n
+        """One Poly, its monomials c*t^k summed by exponent in one loop.  A
+        factor after the first is checked at its "*" or implicit "t" (join),
+        with degree -1 for c = 0, so the checks see what Poly arithmetic
+        would; the first needs no check, as t^e checks e itself."""
+        toks, i, char = self.toks, self.pos, self.field.char
+        ints, sign = [], 1
+        if toks[i] == "-":
+            sign, i = -1, i + 1
+        c, k, join = 1, 0, i  # the product so far
+        try:
+            while True:
+                tok = toks[i]
+                if "0" <= tok < ":":  # of the tokens, only digit runs sort here
+                    c2, k2 = int(tok) % char if char else int(tok), 0
+                elif tok != "t":
+                    raise ParseError(self.offset(i), "expected a number or t")
+                elif toks[i + 1] != "^":
+                    c2, k2 = 1, 1
+                else:
+                    i += 2
+                    if not "0" <= toks[i] < ":":
+                        raise ParseError(self.offset(i), "expected an integer exponent")
+                    c2, k2 = 1, int(toks[i])
+                    if k2 > MAX_ENTRY_DEGREE:
+                        raise self.too_high(k2, i)
+                degree = (k if c else -1) + (k2 if c2 else -1)
+                if degree > MAX_ENTRY_DEGREE:
+                    raise self.too_high(degree, join)
+                c, k, i = c * c2 % char if char else c * c2, k + k2, i + 1
+                tok = toks[i]
+                if tok == "*" or tok == "t":  # a factor follows
+                    join = i
+                    i += tok == "*"
+                    continue
+                if c:  # the product is done: add it to its coefficient
+                    ints += [0] * (k + 1 - len(ints))
+                    ints[k] += sign * c
+                if tok != "+" and tok != "-":
+                    break
+                sign, c, k, i = 1 if tok == "+" else -1, 1, 0, i + 1
+        except ValueError:  # int() refuses a literal of over 4300 digits
+            raise ScopeError(f"offset {self.offset(i)}: integer literal of {len(toks[i])} "
+                             "digits is too long") from None
+        self.pos = i
+        return Poly.from_ints(self.field, ints)
 
 
-def parse_class(text, base, p):
-    """Parse an expression into a class over the given base and torsion."""
-    return BrauerClass.make(base, p, _ClassParser(text, base.field).parse_class())
+def parse_class(text, base, p, memo=None):
+    """Parse an expression into a class over the given base and torsion.
+    memo maps the terms one command has read over this base, as token
+    tuples, to their entry pairs; by default the class reads its own."""
+    pairs = _Reader(text, base.field, {} if memo is None else memo).parse_class()
+    return BrauerClass.make(base, p, pairs)
 
 
 def parse_ratfunc(text, field):
     """Parse a single Rat (used for witness files)."""
-    parser = _ClassParser(text, field)
-    r = parser.rat(allow_zero=True)
-    tok = parser.peek()
-    if tok[0] != "end":
-        raise ParseError(tok[2], f"unexpected {tok[1]!r}")
+    reader = _Reader(text, field)
+    r = reader.rat(allow_zero=True)
+    reader.end()
     return r
 
 

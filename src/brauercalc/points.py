@@ -17,7 +17,7 @@ reduce_at and brauer.specialize; tame_symbol_at is the four-side case.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import Record, ScopeError
 from .factoring import factor_poly, is_irreducible
@@ -49,14 +49,14 @@ class RationalBase(Record):
 
 class FiniteBase(Record):
     """F_q as the base of F_q(t); q may be any prime power.  GF(q) is
-    looked up on the first read of field, then read from __dict__."""
+    looked up when the base is built, so an order that is no prime power
+    raises ValueError there, and field is read from __dict__."""
 
     __slots__ = ("q", "__dict__")
     is_finite = True
 
-    @cached_property
-    def field(self):
-        return GF(self.q)
+    def __post_init__(self):
+        self.__dict__["field"] = GF(self.q)
 
     def check_torsion(self, p):
         if p > MAX_TORSION:

@@ -794,37 +794,32 @@ class RationalFunction:
         return f"RationalFunction({ratfunc_str(self)})"
 
 
-def _coeff_str(s):
-    if any(op in s[1:] for op in "+-") or "/" in s:
-        return f"({s})", False
-    if s.startswith("-"):
-        return s[1:], True
-    return s, False
-
-
 def poly_str(f):
     """Render with descending powers, explicit '*', and '^' for powers."""
     return terms_str(map(f.field.format_element, f.coeffs))
 
 
 def terms_str(texts):
-    """poly_str from the coefficients' texts, lowest degree first; a
-    coefficient that prints as "0" is zero in every field here."""
-    parts = []
-    for i, s in reversed(list(enumerate(texts))):
+    """poly_str from the coefficients' texts, lowest degree first, in one
+    pass; a coefficient that prints as "0" is zero in every field here."""
+    texts = list(texts)
+    out = ""
+    for i in range(len(texts) - 1, -1, -1):
+        s, negative = texts[i], False
         if s == "0":
             continue
-        body, negative = _coeff_str(s)
-        if i == 0:
-            term = body
-        else:
+        if "/" in s or "+" in s[1:] or "-" in s[1:]:
+            s = f"({s})"
+        elif s[:1] == "-":
+            s, negative = s[1:], True
+        if i:
             tpow = "t" if i == 1 else f"t^{i}"
-            term = tpow if body == "1" else f"{body}*{tpow}"
-        if not parts:
-            parts.append(f"-{term}" if negative else term)
+            s = tpow if s == "1" else f"{s}*{tpow}"
+        if out:
+            out += f" - {s}" if negative else f" + {s}"
         else:
-            parts.append(f"- {term}" if negative else f"+ {term}")
-    return " ".join(parts) or "0"
+            out = f"-{s}" if negative else s
+    return out or "0"
 
 
 def ratfunc_str(h):

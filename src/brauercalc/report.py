@@ -38,9 +38,7 @@ def parse_base(text):
         return Q_BASE
     digits = text[3:]
     if text.startswith("fq:") and digits.isascii() and digits.isdigit():
-        base = FiniteBase(_int_literal(digits, 3))
-        base.field  # force validation of the order
-        return base
+        return FiniteBase(_int_literal(digits, 3))
     raise ValueError(f"unknown base {text!r}; use q or fq:<q>")
 
 

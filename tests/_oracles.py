@@ -13,10 +13,12 @@ The factorization over Q is recomputed without the rational-root pass:
 Zassenhaus on the whole polynomial, after the squarefree decomposition
 when its prime search cannot prove f squarefree; its rational roots are
 listed by the rational root theorem, every candidate +-a/b with a | f(0)
-and b | lc(f) tried by integer evaluation.  Class text is re-read
-by Poly arithmetic: every literal and every t^e becomes a Poly,
-multiplied and added as read.  Whether two residues cut out the same
-Kummer extension is read off p-th power tests alone.  A valuation at a
+and b | lc(f) tried by integer evaluation.  Class text is re-read by a
+recursive descent over (kind, text, offset) tuples from a scan a
+character at a time, a method call per token step and every term read
+afresh, each Poly by Poly arithmetic: every literal and every t^e becomes
+a Poly, multiplied and added as read.  Whether two residues cut out the
+same Kummer extension is read off p-th power tests alone.  A valuation at a
 finite point is read off poly_strip, Poly division by the point's
 polynomial, over every base field.  What a polynomial over QQ reports
 (coefficients, integer form, degree, leading coefficient, sort key) is
@@ -48,7 +50,7 @@ from brauercalc.brauer import (
 from brauercalc.errors import ParseError, ScopeError
 from brauercalc.factoring import _squarefree, _zassenhaus, factor_poly
 from brauercalc.hilbert import hilbert_symbol, relevant_places
-from brauercalc.parser import _ClassParser, _check_degree, _int_literal
+from brauercalc.parser import MAX_ENTRY_DEGREE
 from brauercalc.points import (
     ClosedPoint,
     residue_field,
@@ -56,11 +58,124 @@ from brauercalc.points import (
     sweep_values,
     unit_part_at,
 )
-from brauercalc.poly import Poly, QQ, _gcd
+from brauercalc.poly import Poly, QQ, RationalFunction, _gcd
 from brauercalc.residues import ResidueClass, is_pth_power
 
 
-class PolyArithmeticParser(_ClassParser):
+def _check_degree(degree, off):
+    if degree > MAX_ENTRY_DEGREE:
+        raise ScopeError(
+            f"offset {off}: degree {degree} is above the supported entry "
+            f"degree {MAX_ENTRY_DEGREE}"
+        )
+
+
+def _int_literal(digits, off):
+    try:
+        return int(digits)
+    except ValueError:
+        raise ScopeError(
+            f"offset {off}: integer literal of {len(digits)} digits is too long"
+        ) from None
+
+
+def _tokenize(text):
+    """(kind, text, offset) per token, scanned a character at a time, and an
+    ("end", "", len(text)) token."""
+    toks = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if "0" <= ch <= "9":
+            j = i
+            while j < n and "0" <= text[j] <= "9":
+                j += 1
+            toks.append(("int", text[i:j], i))
+            i = j
+            continue
+        if ch == "t":
+            toks.append(("var", ch, i))
+            i += 1
+            continue
+        if ch in "+-*/^(),":
+            toks.append((ch, ch, i))
+            i += 1
+            continue
+        raise ParseError(i, f"unexpected character {ch!r}")
+    toks.append(("end", "", n))
+    return toks
+
+
+class TokenTupleReader:
+    """The class grammar by recursive descent over (kind, text, offset)
+    tuples, one method call per token step and every term read afresh: the
+    reference for the library's reader.  A subclass reads each Poly."""
+
+    def __init__(self, text, field):
+        self.toks = _tokenize(text)
+        self.pos = 0
+        self.field = field
+
+    def peek(self):
+        return self.toks[self.pos]
+
+    def advance(self):
+        tok = self.toks[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind, what):
+        tok = self.peek()
+        if tok[0] != kind:
+            raise ParseError(tok[2], f"expected {what}")
+        return self.advance()
+
+    def parse_class(self):
+        tok = self.peek()
+        if tok[0] == "end":
+            return []
+        if tok[0] == "int" and tok[1] == "0":
+            nxt = self.toks[self.pos + 1]
+            if nxt[0] != "end":
+                raise ParseError(nxt[2], "nothing may follow the zero class")
+            return []
+        pairs = [self.term()]
+        while self.peek()[0] == "+":
+            self.advance()
+            pairs.append(self.term())
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ParseError(tok[2], f"unexpected {tok[1]!r}")
+        return pairs
+
+    def term(self):
+        self.expect("(", "'('")
+        a = self.rat()
+        self.expect(",", "','")
+        b = self.rat()
+        self.expect(")", "')'")
+        return a, b
+
+    def rat(self):
+        start = self.peek()[2]
+        num = self.poly()
+        den = None
+        if self.peek()[0] == "/":
+            self.advance()
+            dstart = self.peek()[2]
+            den = self.poly()
+            if den.is_zero:
+                raise ParseError(dstart, "zero denominator")
+        if num.is_zero:
+            raise ParseError(start, "zero entry in symbol")
+        return RationalFunction(num, den) if den is not None else RationalFunction(num)
+
+
+class PolyArithmeticParser(TokenTupleReader):
     """The class grammar read with Poly +, * and **: the reference for the
     library's monomial parser, with the same degree checks at the same
     offsets."""

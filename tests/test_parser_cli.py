@@ -7,6 +7,7 @@ byte-identical reruns; one subprocess test covers the module entry
 point end to end.
 """
 
+import argparse
 import json
 import os
 import random
@@ -27,7 +28,6 @@ from brauercalc.errors import ParseError, ScopeError
 from brauercalc.fields import GF, multiplicative_generator
 from brauercalc.parser import (
     MAX_ENTRY_DEGREE,
-    _ClassParser,
     class_text,
     parse_class,
     parse_ratfunc,
@@ -172,9 +172,162 @@ def test_cli_rejects_negative_sweep(capsys):
 
 def test_sweep_is_a_distinguish_option_only(capsys):
     assert main(["ram", "(5,t)", "--sweep", "7"]) == 1
-    assert "unrecognized arguments: --sweep 7" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "brauercalc: error: unrecognized arguments: --sweep 7"
     assert main(["distinguish", "(2,t)", "(3,t)", "--sweep", "7"]) == 0
     assert "sweep: 7" in capsys.readouterr().out
+
+
+# (argv, exit code, stdout, stderr) of the command line's usage surface,
+# recorded byte for byte at an 80-column terminal
+USAGE_TABLE = [
+    ([], 1,
+     "",
+     ('usage: brauercalc [-h]\n'
+      '                  {ram,equal,distinguish,enumerate,witness,verify-witness} ...\n'
+      'brauercalc: error: the following arguments are required: command\n'
+     ),
+    ),
+    (['bogus'], 1,
+     "",
+     ('usage: brauercalc [-h]\n'
+      '                  {ram,equal,distinguish,enumerate,witness,verify-witness} ...\n'
+      "brauercalc: error: argument command: invalid choice: 'bogus' (choose from 'ram', "
+      "'equal', 'distinguish', 'enumerate', 'witness', 'verify-witness')\n"
+     ),
+    ),
+    (['-h'], 0,
+     ('usage: brauercalc [-h]\n'
+      '                  {ram,equal,distinguish,enumerate,witness,verify-witness} ...\n'
+      '\n'
+      'Residue calculus for p-torsion Brauer classes over k(t).\n'
+      '\n'
+      'positional arguments:\n'
+      '  {ram,equal,distinguish,enumerate,witness,verify-witness}\n'
+      '    ram                 ramification divisor and reciprocity status\n'
+      '    equal               exact equality with a certificate\n'
+      '    distinguish         layered inequivalence verdict\n'
+      '    enumerate           residue-compatible candidate classes (finite base\n'
+      '                        only)\n'
+      '    witness             splitting-cover datum for the residue at a rational\n'
+      '                        point\n'
+      '    verify-witness      re-check a stored witness datum\n'
+      '\n'
+      'options:\n'
+      '  -h, --help            show this help message and exit\n'
+     ),
+     "",
+    ),
+    (['ram'], 1,
+     "",
+     ('usage: brauercalc ram [-h] [--base BASE] [--p P] [--format {text,json}]\n'
+      '                      [--seed SEED]\n'
+      '                      CLASS\n'
+      'brauercalc ram: error: the following arguments are required: CLASS\n'
+     ),
+    ),
+    (['ram', '-h'], 0,
+     ('usage: brauercalc ram [-h] [--base BASE] [--p P] [--format {text,json}]\n'
+      '                      [--seed SEED]\n'
+      '                      CLASS\n'
+      '\n'
+      'positional arguments:\n'
+      '  CLASS\n'
+      '\n'
+      'options:\n'
+      '  -h, --help            show this help message and exit\n'
+      '  --base BASE           q for the rationals (default), fq:<q> for the finite\n'
+      '                        field of order q\n'
+      '  --p P                 prime torsion (default 2)\n'
+      '  --format {text,json}  output format\n'
+      '  --seed SEED           recorded in the report; all computations here are\n'
+      '                        deterministic\n'
+     ),
+     "",
+    ),
+    (['ram', '(5,t)', '--bogus'], 1,
+     "",
+     ('usage: brauercalc [-h]\n'
+      '                  {ram,equal,distinguish,enumerate,witness,verify-witness} ...\n'
+      'brauercalc: error: unrecognized arguments: --bogus\n'
+     ),
+    ),
+    (['ram', '(5,t)', '(3,t)'], 1,
+     "",
+     ('usage: brauercalc [-h]\n'
+      '                  {ram,equal,distinguish,enumerate,witness,verify-witness} ...\n'
+      'brauercalc: error: unrecognized arguments: (3,t)\n'
+     ),
+    ),
+    (['ram', '(5,t)', '--p', 'two'], 1,
+     "",
+     ('usage: brauercalc ram [-h] [--base BASE] [--p P] [--format {text,json}]\n'
+      '                      [--seed SEED]\n'
+      '                      CLASS\n'
+      "brauercalc ram: error: argument --p: invalid int value: 'two'\n"
+     ),
+    ),
+    (['equal', '(5,t)'], 1,
+     "",
+     ('usage: brauercalc equal [-h] [--base BASE] [--p P] [--format {text,json}]\n'
+      '                        [--seed SEED]\n'
+      '                        CLASS_A CLASS_B\n'
+      'brauercalc equal: error: the following arguments are required: CLASS_B\n'
+     ),
+    ),
+    (['--base', 'q', 'ram', '(5,t)'], 1,
+     "",
+     ('usage: brauercalc [-h]\n'
+      '                  {ram,equal,distinguish,enumerate,witness,verify-witness} ...\n'
+      "brauercalc: error: argument command: invalid choice: 'q' (choose from 'ram', "
+      "'equal', 'distinguish', 'enumerate', 'witness', 'verify-witness')\n"
+     ),
+    ),
+    (['ram', '--', '(5,t)'], 0,
+     ('brauercalc 0.1.0: ram\n'
+      'inputs:\n'
+      '  base: q\n'
+      '  class: (5, t)\n'
+      '  p: 2\n'
+      '  seed: 0\n'
+      'outcome:\n'
+      '  divisor:\n'
+      '    -\n'
+      '      degree: 1\n'
+      '      point: t\n'
+      '      residue: 5\n'
+      '      residue_field: Q(sqrt(5))\n'
+      '    -\n'
+      '      degree: 1\n'
+      '      point: inf\n'
+      '      residue: 5\n'
+      '      residue_field: Q(sqrt(5))\n'
+      '  ramification_points: 2\n'
+      '  reciprocity: True\n'
+     ),
+     "",
+    ),
+    (['distinguish', '(2,t)', '(3,t)', '--sweep', 'x'], 1,
+     "",
+     ('usage: brauercalc distinguish [-h] [--base BASE] [--p P]\n'
+      '                              [--format {text,json}] [--seed SEED]\n'
+      '                              [--sweep SWEEP]\n'
+      '                              CLASS_A CLASS_B\n'
+      "brauercalc distinguish: error: argument --sweep: invalid int value: 'x'\n"
+     ),
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", USAGE_TABLE,
+                         ids=[" ".join(row[0]) or "no-args" for row in USAGE_TABLE])
+def test_usage_surface_is_byte_identical(argv, code, out, err, capsys, monkeypatch):
+    """A command's arguments go straight to its own subparser; every other
+    argv, and any argument that subparser leaves over, reads or fails as
+    the whole parser reads it, with the top-level usage."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(list(argv)) == code
+    assert capsys.readouterr() == (out, err)
 
 
 def test_cli_output_is_byte_stable(capsys):
@@ -601,7 +754,8 @@ def test_long_literals_stay_small_over_a_finite_field():
 
 def _grammar_text(rng, p):
     """A class text over literals that vanish mod p or not, t^0, implicit
-    products and repeated exponents; about one in six is broken."""
+    products, repeated exponents and at times a repeated term; about one in
+    six is broken."""
 
     def factor():
         r = rng.random()
@@ -627,17 +781,24 @@ def _grammar_text(rng, p):
     def rat():
         return poly() if rng.random() < 0.6 else f"{poly()}/{poly()}"
 
-    text = " + ".join(f"({rat()}, {rat()})" for _ in range(rng.randint(1, 2)))
+    terms = [f"({rat()}, {rat()})" for _ in range(rng.randint(1, 2))]
+    text = " + ".join(terms + rng.choice([[], [], terms[-1:]]))
     if rng.random() < 0.15:
         i = rng.randrange(len(text) + 1)
-        text = text[:i] + rng.choice("*^)t/+x(0") + text[i:]
+        # a stray ASCII or Arabic-Indic digit, a no-break space, or the
+        # first term again, which the library reads once
+        again = "+" + text[:text.index(")") + 1]
+        text = text[:i] + rng.choice([*"*^)t/+x(0\u0663\u00a0", again]) + text[i:]
     return text
 
 
-def _read_class(parser, text, base, p):
-    """("ok", pairs()), or the error's type and message, which carries the offset."""
+def _read_class(text, base, reader=None):
+    """("ok", pairs()), or the error's type and message, which carries the
+    offset: by parse_class, or by a reference reader."""
     try:
-        return "ok", BrauerClass.make(base, p, parser(text, base.field).parse_class()).pairs()
+        if reader is None:
+            return "ok", parse_class(text, base, 2).pairs()
+        return "ok", BrauerClass.make(base, 2, reader(text, base.field).parse_class()).pairs()
     except (ParseError, ScopeError) as err:
         return type(err).__name__, str(err)
 
@@ -649,10 +810,88 @@ def test_parser_matches_poly_arithmetic(base):
     outcomes = set()
     for _ in range(300):
         text = _grammar_text(rng, char)
-        got = _read_class(_ClassParser, text, base, 2)
-        assert got == _read_class(PolyArithmeticParser, text, base, 2), text
+        got = _read_class(text, base)
+        assert got == _read_class(text, base, PolyArithmeticParser), text
         outcomes.add(got[0])
     assert outcomes == {"ok", "ParseError", "ScopeError"}
+
+
+def test_every_code_point_reads_as_the_reference_reads_it():
+    """Between t and 1, every code point but the surrogates is an ASCII
+    token, whitespace or an unexpected character at offset 2 for both
+    readers alike: the library's digits are [0-9] and its spaces \\s."""
+    outcomes = set()
+    for cp in range(0x110000):
+        if 0xD800 <= cp <= 0xDFFF:
+            continue
+        text = f"(t{chr(cp)}1, 2)"
+        got = _read_class(text, Q_BASE)
+        assert got == _read_class(text, Q_BASE, PolyArithmeticParser), hex(cp)
+        outcomes.add(got[0] if got[0] == "ok" else got[1][:9])
+    # ok for + - * / ^ t; at 2 a stray character, a digit, ( or ); at 3 a
+    # space; at 4 a comma
+    assert outcomes == {"ok", "offset 2:", "offset 3:", "offset 4:"}
+
+
+@pytest.mark.parametrize("text, err", [
+    ("(\u0663, t)", "parse error: offset 1: unexpected character '\u0663'\n"),
+    ("(t\u00b2,3)", "parse error: offset 2: unexpected character '\u00b2'\n"),
+])
+def test_non_ascii_digits_are_unexpected_characters(text, err, capsys):
+    # int() reads U+0663 as 3, so a scanner that took \d for digits would
+    # read (3, t) here
+    assert main(["ram", text]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+def test_unicode_spaces_separate_tokens(capsys):
+    assert main(["ram", "(5,t)"]) == 0
+    plain = capsys.readouterr().out
+    for space in "\u00a0\u3000\u001c":
+        assert main(["ram", f"({space}5{space},{space}t{space})"]) == 0
+        assert capsys.readouterr().out == plain
+
+
+def _entries(cls):
+    return [e for s in cls.symbols for e in (s.a, s.b)]
+
+
+def test_a_command_reads_each_repeated_term_once():
+    """One command's classes share one dict of terms read: a repeated term,
+    in one class or in both classes of equal, gives the same entry objects;
+    a later term with an error still fails at its own offset; and no entry
+    crosses from one command to the next."""
+    args = argparse.Namespace(base="q", p=2, seed=0)
+    left, right, _ = cli._parse_classes(
+        args, ("left", "(t+1, 2) + (t+1 ,2)"), ("right", "(5,t)+( t + 1,2 )"))
+    a, b, c, d = _entries(left)
+    assert a is c and b is d and _entries(right)[2:] == [a, b]
+    assert _entries(right)[2] is a and _entries(right)[3] is b
+    memo = {}
+    parse_class("(t, 2) + (t^2, 3)", Q_BASE, 2, memo)
+    for text, err in [("(t, 2) + (t, 2)(t, 2)", "offset 15: unexpected '('"),
+                      ("(t, 2) + (t, 2) + (t, 2", "offset 23: expected ')'"),
+                      ("(t, 2) + (t^2, 3) + (t^2, 0)", "offset 26: zero entry in symbol")]:
+        with pytest.raises(ParseError) as exc:
+            parse_class(text, Q_BASE, 2, memo)
+        assert str(exc.value) == err
+    with pytest.raises(ScopeError, match="^offset 12: degree 33 "):
+        parse_class("(t, 2) + (t^33, 3)", Q_BASE, 2, memo)
+    seen = []
+    real = cli.parse_class
+
+    def spy(*a):
+        seen.append(real(*a))
+        return seen[-1]
+
+    cli.parse_class = spy
+    try:
+        for _ in range(2):
+            assert main(["equal", "(t+1, 2) + (t, 3)", "(t, 3) + (t+1, 2)"]) == 0
+    finally:
+        cli.parse_class = real
+    first, second = ({id(e) for c in pair for e in _entries(c)} for pair in (seen[:2], seen[2:]))
+    assert len(first) == len(second) == 4 and not first & second
 
 
 def test_huge_exponent_is_out_of_scope_at_once(capsys):

@@ -28,7 +28,7 @@ from brauercalc.poly import (
     resultant,
 )
 
-from brauercalc.parser import _ClassParser
+from brauercalc.parser import parse_ratfunc
 
 from _gen import nonzero_rational, random_poly, rational
 from _oracles import (
@@ -690,7 +690,7 @@ def _qq_by_route(rng, route):
     if route == "ints":
         return Poly.from_ints(QQ, ints), ints
     if route == "parser":
-        return _ClassParser(_poly_text(ints), QQ).poly(), ints
+        return parse_ratfunc(_poly_text(ints), QQ).num, ints
     if route == "monic":
         prim = _primitive(rng)
         return Poly.monic_from_ints(prim), [Fraction(c, prim[-1]) for c in prim]
@@ -756,7 +756,7 @@ def test_integer_polys_hash_compare_and_multiply_with_no_coefficient_tuple():
     polys = []
     for _ in range(150):
         ints = [rng.randint(-40, 40) for _ in range(rng.randint(0, 4))] + [rng.randint(1, 40)]
-        polys += [Poly.from_ints(QQ, ints), _ClassParser(_poly_text(ints), QQ).poly(),
+        polys += [Poly.from_ints(QQ, ints), parse_ratfunc(_poly_text(ints), QQ).num,
                   Poly.monic_from_ints((rng.randint(10**6, 10**7),) + _primitive(rng))]
     made = [f * g for f, g in zip(polys, polys[1:])]
     made += [f * rational(rng, 9) for f in polys] + [-f for f in polys] + [f * 0 for f in polys]

@@ -47,7 +47,7 @@ def _samples():
     cmp = compare_classes(c1, c2)
     return [
         (RationalBase, (), 0),
-        (FiniteBase, (7,), 1),
+        (FiniteBase, (7,), 0),
         (ClosedPoint, (Q_BASE, T - 2), 1),
         (Symbol, (rf, T + 5), 1),
         (BrauerClass, (Q_BASE, 2, c1.symbols), 1),
@@ -131,6 +131,11 @@ def test_construction_checks_still_raise():
     with pytest.raises(ValueError, match="characteristic"):
         KummerCoverDatum("unramified", f7, 14, g, GF(7).zero, GF(7).zero)
     assert KummerCoverDatum("unramified", Q_BASE, 2, rf, 0, 1).f is None
+    # a finite base looks its field up when built: no base without an order
+    with pytest.raises(ValueError, match="^6 is not a prime power$"):
+        FiniteBase(6)
+    with pytest.raises(TypeError):
+        FiniteBase()
 
 
 def test_memos_stay_outside_equality():

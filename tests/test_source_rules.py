@@ -63,6 +63,10 @@ isinstance against PrimeField, and factoring builds _ListRing(p) only in
 its modular stage over Q (_prime_search, _zassenhaus, _hensel_lift), so
 every other finite-field polynomial algorithm reads field.list_ring and
 the choice of F_p's integer coefficients is made in fields alone.
+No string in the library but a docstring holds \\d, \\D, \\w or \\W
+(test_patterns_read_ascii_digits_only): those classes match the digits
+and letters of every script, and int() reads U+0663 as 3, so a pattern
+spells out [0-9] and the characters it means.
 """
 
 import ast
@@ -645,3 +649,31 @@ def test_each_field_chooses_its_list_ring():
         "_planted builds a field's list ring",
         "_planted tests for PrimeField",
     ]
+
+
+def _unicode_classes(tree):
+    """Lines of the strings, docstrings aside, that hold \\d or \\w in
+    either case."""
+    docs = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and id(node) not in docs and re.search(r"\\[dDwW]", node.value)
+    ]
+
+
+def test_patterns_read_ascii_digits_only():
+    hits = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in _unicode_classes(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not hits, f"patterns with Unicode-wide classes: {hits}"
+    planted = 'import re\n_NUM = re.compile(r"-?\\d+")\n'
+    assert _unicode_classes(ast.parse(planted)) == [2]
