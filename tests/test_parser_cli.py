@@ -145,6 +145,9 @@ _WITNESS = {"kind": "splitting", "m": 2, "g": "-t/3", "basepoint": "0", "fiber_r
         (["verify-witness", "(3, t)"], {**_WITNESS, "g": "t )"}, 2, ["offset 2: unexpected ')'"]),
         (["ram", "0 + (t, 3)"], None, 2, ["offset 2: nothing may follow the zero class"]),
         (["ram", "(t, 3) (t, 5)"], None, 2, ["offset 7: unexpected '('"]),
+        # int() reads U+0663 as 3: a scanner taking \d for digits would read (3, t)
+        (["ram", "(\u0663, t)"], None, 2, ["offset 1: unexpected character '\u0663'\n"]),
+        (["ram", "(t\u00b2,3)"], None, 2, ["offset 2: unexpected character '\u00b2'\n"]),
         (["witness", "(3, t)", "--at", "t"], None, 1, ["--at must be a constant"]),
         (["ram", "(t, 3)", "--base", "x"], None, 1, ["unknown base 'x'"]),
         # the text report prints None as ~
@@ -833,17 +836,6 @@ def test_every_code_point_reads_as_the_reference_reads_it():
     assert outcomes == {"ok", "offset 2:", "offset 3:", "offset 4:"}
 
 
-@pytest.mark.parametrize("text, err", [
-    ("(\u0663, t)", "parse error: offset 1: unexpected character '\u0663'\n"),
-    ("(t\u00b2,3)", "parse error: offset 2: unexpected character '\u00b2'\n"),
-])
-def test_non_ascii_digits_are_unexpected_characters(text, err, capsys):
-    # int() reads U+0663 as 3, so a scanner that took \d for digits would
-    # read (3, t) here
-    assert main(["ram", text]) == 2
-    assert capsys.readouterr() == ("", err)
-
-
 def test_unicode_spaces_separate_tokens(capsys):
     assert main(["ram", "(5,t)"]) == 0
     plain = capsys.readouterr().out
@@ -856,7 +848,7 @@ def _entries(cls):
     return [e for s in cls.symbols for e in (s.a, s.b)]
 
 
-def test_a_command_reads_each_repeated_term_once():
+def test_a_command_reads_each_repeated_term_once(monkeypatch):
     """One command's classes share one dict of terms read: a repeated term,
     in one class or in both classes of equal, gives the same entry objects;
     a later term with an error still fails at its own offset; and no entry
@@ -864,9 +856,8 @@ def test_a_command_reads_each_repeated_term_once():
     args = argparse.Namespace(base="q", p=2, seed=0)
     left, right, _ = cli._parse_classes(
         args, ("left", "(t+1, 2) + (t+1 ,2)"), ("right", "(5,t)+( t + 1,2 )"))
-    a, b, c, d = _entries(left)
-    assert a is c and b is d and _entries(right)[2:] == [a, b]
-    assert _entries(right)[2] is a and _entries(right)[3] is b
+    (a, b, c, d), (_, _, e, f) = _entries(left), _entries(right)
+    assert a is c is e and b is d is f
     memo = {}
     parse_class("(t, 2) + (t^2, 3)", Q_BASE, 2, memo)
     for text, err in [("(t, 2) + (t, 2)(t, 2)", "offset 15: unexpected '('"),
@@ -878,18 +869,14 @@ def test_a_command_reads_each_repeated_term_once():
     with pytest.raises(ScopeError, match="^offset 12: degree 33 "):
         parse_class("(t, 2) + (t^33, 3)", Q_BASE, 2, memo)
     seen = []
-    real = cli.parse_class
 
     def spy(*a):
-        seen.append(real(*a))
+        seen.append(parse_class(*a))
         return seen[-1]
 
-    cli.parse_class = spy
-    try:
-        for _ in range(2):
-            assert main(["equal", "(t+1, 2) + (t, 3)", "(t, 3) + (t+1, 2)"]) == 0
-    finally:
-        cli.parse_class = real
+    monkeypatch.setattr(cli, "parse_class", spy)
+    for _ in range(2):
+        assert main(["equal", "(t+1, 2) + (t, 3)", "(t, 3) + (t+1, 2)"]) == 0
     first, second = ({id(e) for c in pair for e in _entries(c)} for pair in (seen[:2], seen[2:]))
     assert len(first) == len(second) == 4 and not first & second
 
