@@ -145,14 +145,14 @@ _WITNESS = {"kind": "splitting", "m": 2, "g": "-t/3", "basepoint": "0", "fiber_r
         (["verify-witness", "(3, t)"], {**_WITNESS, "g": "t )"}, 2, ["offset 2: unexpected ')'"]),
         (["ram", "0 + (t, 3)"], None, 2, ["offset 2: nothing may follow the zero class"]),
         (["ram", "(t, 3) (t, 5)"], None, 2, ["offset 7: unexpected '('"]),
-        # int() reads U+0663 as 3: a scanner taking \d for digits would read (3, t)
-        (["ram", "(\u0663, t)"], None, 2, ["offset 1: unexpected character '\u0663'\n"]),
-        (["ram", "(t\u00b2,3)"], None, 2, ["offset 2: unexpected character '\u00b2'\n"]),
         (["witness", "(3, t)", "--at", "t"], None, 1, ["--at must be a constant"]),
         (["ram", "(t, 3)", "--base", "x"], None, 1, ["unknown base 'x'"]),
         # the text report prints None as ~
         (["distinguish", "(2, t)", "(2, t)"], None, 0, ["\n  point: ~\n", "\n  certificate: ~\n"]),
         (["witness", "(3, t)", "--at", "0"], None, 0, ["\n  written_to: ~\n"]),
+        # int() reads U+0663 as 3: a scanner taking \d for digits would read (3, t)
+        (["ram", "(\u0663, t)"], None, 2, ["parse error: offset 1: unexpected character '\u0663'\n"]),
+        (["ram", "(t\u00b2,3)"], None, 2, ["parse error: offset 2: unexpected character '\u00b2'\n"]),
     ],
 )
 def test_input_checks_end_with_their_exit_codes(tmp_path, capsys, argv, witness, code, shown):
