@@ -113,9 +113,9 @@ def _parse_classes(args, *named):
     inputs: base, p and seed, then each class's canonical text under its key."""
     base = rpt.parse_base(args.base)
     inputs = {"base": rpt.base_text(base), "p": args.p, "seed": args.seed}
-    classes, memo = [], {}  # the classes share the entries of equal terms
+    classes = []
     for key, text in named:
-        classes.append(parse_class(text, base, args.p, memo))
+        classes.append(parse_class(text, base, args.p))
         inputs[key] = class_text(classes[-1])
     return *classes, inputs
 
@@ -195,7 +195,9 @@ def main(argv=None):
     parser = _parser()
     sub = parser.commands.get(argv[0]) if argv else None
     try:
-        args, rest = sub.parse_known_args(argv[1:]) if sub else (None, argv)
+        # command set as the whole parser sets it, so both routes give one Namespace
+        args, rest = (sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+                      if sub else (None, argv))
         if sub is None or rest:  # any other argv reads, or fails, as the whole parser reads it
             args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -23,10 +23,7 @@ Every Product is a monomial c*t^k, so each Poly is read in one loop over
 its tokens: every literal is reduced mod the characteristic over F_q as
 it is read, and the monomials are summed by exponent into one coefficient
 list.  A product that is zero in the field has degree -1 in the degree
-check, as a Poly would.  A Term whose tokens, "(" through ")", were
-already read by the same command is not read again: parse_class takes a
-dict from those token tuples to entry pairs, one per command, so equal
-terms share their entry objects.
+check, as a Poly would.
 
 Whitespace is insignificant.  The single "/" splits a Rat into its
 numerator and denominator polynomials, so "t+2/2" reads as (t+2)/2 and
@@ -70,16 +67,15 @@ def _int_literal(digits, off):
 
 
 class _Reader:
-    """The grammar over one text's token strings, read from pos.  The list
-    ends in "" (the end of the text) and a ")" that no Term reaches, so the
-    first ")" from any position exists."""
+    """The grammar over one text's token strings, read from pos; the list
+    ends in "", the end of the text."""
 
-    def __init__(self, text, field, memo=None):
+    def __init__(self, text, field):
         stray = _stray(text)
         if stray:
             raise ParseError(stray.start(), f"unexpected character {stray.group()!r}")
-        self.text, self.field, self.memo = text, field, memo
-        self.toks = _tokens(text) + ["", ")"]
+        self.text, self.field = text, field
+        self.toks = _tokens(text) + [""]
         self.pos = 0
 
     def offset(self, i):
@@ -115,20 +111,11 @@ class _Reader:
         return pairs
 
     def term(self):
-        """The entry pair, read once per token tuple "(" ... ")" in memo: a
-        Term that reads ends at the first ")" after its "("."""
-        toks, i = self.toks, self.pos
-        key = tuple(toks[i:toks.index(")", i) + 1])
-        pair = self.memo.get(key)
-        if pair is not None:
-            self.pos += len(key)
-            return pair
         self.expect("(", "'('")
         a = self.rat()
         self.expect(",", "','")
         b = self.rat()
         self.expect(")", "')'")
-        self.memo[key] = a, b
         return a, b
 
     def rat(self, allow_zero=False):
@@ -192,12 +179,9 @@ class _Reader:
         return Poly.from_ints(self.field, ints)
 
 
-def parse_class(text, base, p, memo=None):
-    """Parse an expression into a class over the given base and torsion.
-    memo maps the terms one command has read over this base, as token
-    tuples, to their entry pairs; by default the class reads its own."""
-    pairs = _Reader(text, base.field, {} if memo is None else memo).parse_class()
-    return BrauerClass.make(base, p, pairs)
+def parse_class(text, base, p):
+    """Parse an expression into a class over the given base and torsion."""
+    return BrauerClass.make(base, p, _Reader(text, base.field).parse_class())
 
 
 def parse_ratfunc(text, field):

@@ -112,8 +112,8 @@ def _tokenize(text):
 
 class TokenTupleReader:
     """The class grammar by recursive descent over (kind, text, offset)
-    tuples, one method call per token step and every term read afresh: the
-    reference for the library's reader.  A subclass reads each Poly."""
+    tuples, one method call per token step: the reference for the
+    library's reader.  A subclass reads each Poly."""
 
     def __init__(self, text, field):
         self.toks = _tokenize(text)

@@ -7,7 +7,6 @@ byte-identical reruns; one subprocess test covers the module entry
 point end to end.
 """
 
-import argparse
 import json
 import os
 import random
@@ -28,6 +27,8 @@ from brauercalc.errors import ParseError, ScopeError
 from brauercalc.fields import GF, multiplicative_generator
 from brauercalc.parser import (
     MAX_ENTRY_DEGREE,
+    _stray,
+    _tokens,
     class_text,
     parse_class,
     parse_ratfunc,
@@ -38,7 +39,7 @@ from brauercalc.points import ClosedPoint, FiniteBase, Q_BASE
 from brauercalc.poly import Poly, QQ, RationalFunction
 
 from _gen import F7, random_class
-from _oracles import PolyArithmeticParser
+from _oracles import PolyArithmeticParser, _tokenize
 from test_factoring import SD32
 
 
@@ -331,6 +332,26 @@ def test_usage_surface_is_byte_identical(argv, code, out, err, capsys, monkeypat
     monkeypatch.setenv("COLUMNS", "80")
     assert main(list(argv)) == code
     assert capsys.readouterr() == (out, err)
+
+
+def test_both_routes_give_one_namespace(monkeypatch, capsys):
+    """A known command's arguments read by its own subparser give the
+    Namespace the whole parser gives, command included."""
+    parser, seen = cli.build_parser(), []
+
+    def record(args):
+        seen.append(vars(args))
+        raise ValueError("recorded")
+
+    for sub in parser.commands.values():
+        sub.set_defaults(run=record)
+    monkeypatch.setattr(cli, "_parser", lambda: parser)
+    for argv in (["ram", "(5,t)"], ["equal", "(5,t)", "--p", "3", "(3,t)"],
+                 ["distinguish", "--sweep", "7", "(2,t)", "(3,t)"],
+                 ["witness", "(3, t)", "--at", "0", "--base", "fq:7"]):
+        assert main(argv) == 1
+        assert seen.pop() == vars(parser.parse_args(argv))
+    assert capsys.readouterr().err == "error: recorded\n" * 4
 
 
 def test_cli_output_is_byte_stable(capsys):
@@ -789,7 +810,7 @@ def _grammar_text(rng, p):
     if rng.random() < 0.15:
         i = rng.randrange(len(text) + 1)
         # a stray ASCII or Arabic-Indic digit, a no-break space, or the
-        # first term again, which the library reads once
+        # first term again
         again = "+" + text[:text.index(")") + 1]
         text = text[:i] + rng.choice([*"*^)t/+x(0\u0663\u00a0", again]) + text[i:]
     return text
@@ -819,17 +840,30 @@ def test_parser_matches_poly_arithmetic(base):
     assert outcomes == {"ok", "ParseError", "ScopeError"}
 
 
-def test_every_code_point_reads_as_the_reference_reads_it():
-    """Between t and 1, every code point but the surrogates is an ASCII
-    token, whitespace or an unexpected character at offset 2 for both
-    readers alike: the library's digits are [0-9] and its spaces \\s."""
+def test_every_code_point_is_classed_as_the_reference_classes_it():
+    """Every code point but the surrogates is a grammar character, ASCII
+    digit or space for the library's patterns exactly when the reference
+    tokenizer reads it as one, and the pattern splits those characters into
+    the reference's tokens: the library's digits are [0-9] and its spaces \\s."""
+    chars = "".join(chr(cp) for cp in range(0x110000) if not 0xD800 <= cp <= 0xDFFF)
+    kept = _stray.__self__.sub("", chars)
+    assert kept == "".join(c for c in chars if c.isspace() or c in "0123456789t+-*/^(),")
+    assert _tokens(kept) == [tok for _, tok, _ in _tokenize(kept)[:-1]]
+
+
+def test_hostile_characters_read_as_the_reference_reads_them():
+    """Between t and 1, ASCII, the known hostile characters and a seeded
+    sample of code points are an ASCII token, whitespace or an unexpected
+    character at offset 2 for both readers alike."""
+    rng = random.Random(11)
+    sample = [*map(chr, range(128)), "\u0663", "\u00b2", "\u00a0", "\u3000", "\u001c"]
+    sample += [chr(rng.choice([rng.randrange(0xD800), rng.randrange(0xE000, 0x110000)]))
+               for _ in range(2000)]
     outcomes = set()
-    for cp in range(0x110000):
-        if 0xD800 <= cp <= 0xDFFF:
-            continue
-        text = f"(t{chr(cp)}1, 2)"
+    for c in sample:
+        text = f"(t{c}1, 2)"
         got = _read_class(text, Q_BASE)
-        assert got == _read_class(text, Q_BASE, PolyArithmeticParser), hex(cp)
+        assert got == _read_class(text, Q_BASE, PolyArithmeticParser), hex(ord(c))
         outcomes.add(got[0] if got[0] == "ok" else got[1][:9])
     # ok for + - * / ^ t; at 2 a stray character, a digit, ( or ); at 3 a
     # space; at 4 a comma
@@ -842,43 +876,6 @@ def test_unicode_spaces_separate_tokens(capsys):
     for space in "\u00a0\u3000\u001c":
         assert main(["ram", f"({space}5{space},{space}t{space})"]) == 0
         assert capsys.readouterr().out == plain
-
-
-def _entries(cls):
-    return [e for s in cls.symbols for e in (s.a, s.b)]
-
-
-def test_a_command_reads_each_repeated_term_once(monkeypatch):
-    """One command's classes share one dict of terms read: a repeated term,
-    in one class or in both classes of equal, gives the same entry objects;
-    a later term with an error still fails at its own offset; and no entry
-    crosses from one command to the next."""
-    args = argparse.Namespace(base="q", p=2, seed=0)
-    left, right, _ = cli._parse_classes(
-        args, ("left", "(t+1, 2) + (t+1 ,2)"), ("right", "(5,t)+( t + 1,2 )"))
-    (a, b, c, d), (_, _, e, f) = _entries(left), _entries(right)
-    assert a is c is e and b is d is f
-    memo = {}
-    parse_class("(t, 2) + (t^2, 3)", Q_BASE, 2, memo)
-    for text, err in [("(t, 2) + (t, 2)(t, 2)", "offset 15: unexpected '('"),
-                      ("(t, 2) + (t, 2) + (t, 2", "offset 23: expected ')'"),
-                      ("(t, 2) + (t^2, 3) + (t^2, 0)", "offset 26: zero entry in symbol")]:
-        with pytest.raises(ParseError) as exc:
-            parse_class(text, Q_BASE, 2, memo)
-        assert str(exc.value) == err
-    with pytest.raises(ScopeError, match="^offset 12: degree 33 "):
-        parse_class("(t, 2) + (t^33, 3)", Q_BASE, 2, memo)
-    seen = []
-
-    def spy(*a):
-        seen.append(parse_class(*a))
-        return seen[-1]
-
-    monkeypatch.setattr(cli, "parse_class", spy)
-    for _ in range(2):
-        assert main(["equal", "(t+1, 2) + (t, 3)", "(t, 3) + (t+1, 2)"]) == 0
-    first, second = ({id(e) for c in pair for e in _entries(c)} for pair in (seen[:2], seen[2:]))
-    assert len(first) == len(second) == 4 and not first & second
 
 
 def test_huge_exponent_is_out_of_scope_at_once(capsys):
