@@ -160,12 +160,13 @@ def cmd_witness(args):
     residual = cls - BrauerClass.make(base, cls.p, [datum.symbol])
     if not residue_at(residual, x).is_trivial():
         raise AssertionError("witness symbol failed to absorb the residue")
+    obj = rpt.witness_to_obj(datum)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rpt.witness_to_json(datum))
+            fh.write(rpt.json_text(obj))
     inputs["at"] = args.at
     outcome = {
-        "witness": rpt.witness_to_obj(datum),
+        "witness": obj,
         "residual_unramified_at_point": True,
         "written_to": args.out if args.out else None,
     }

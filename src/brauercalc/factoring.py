@@ -480,11 +480,12 @@ def factor_over_Q(f):
 
 @lru_cache(maxsize=4096)
 def _factor_fq_monic(field, f):
-    """Sorted monic irreducible factors, with multiplicity, of a monic f
-    over a finite field, given by its coefficients in field.list_ring."""
+    """Sorted monic irreducible factors as Polys, with multiplicity, of a
+    monic f over a finite field, given by its coefficients in field.list_ring."""
     R = field.list_ring
     hs = [(h, m) for g, m in _squarefree(R, f) for h in _split(R, _distinct_degree(R, g))]
-    return tuple((tuple(h), m) for h, m in sorted(hs, key=lambda hm: R.sort_key(hm[0])))
+    hs.sort(key=lambda hm: R.sort_key(hm[0]))
+    return tuple((Poly(field, map(R.wrap, h)), m) for h, m in hs)
 
 
 def factor_over_Fq(f):
@@ -496,8 +497,7 @@ def factor_over_Fq(f):
         raise TypeError("factor_over_Fq needs a finite coefficient field")
     R = field.list_ring
     monic = tuple(R.monic(list(map(R.lift, f.coeffs))))
-    factors = tuple((Poly(field, map(R.wrap, h)), m) for h, m in _factor_fq_monic(field, monic))
-    return PrimePowerFactorization(f.lc, factors)
+    return PrimePowerFactorization(f.lc, _factor_fq_monic(field, monic))
 
 
 # ---------------------------------------------------------------------------

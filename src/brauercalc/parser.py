@@ -41,9 +41,10 @@ from __future__ import annotations
 
 import re
 
-from .brauer import BrauerClass
+from .brauer import BrauerClass, Symbol
 from .errors import ParseError, ScopeError
-from .poly import Poly, QQ, RationalFunction, cleared_ints, poly_str, ratfunc_str, terms_str
+from .poly import Poly, QQ, RationalFunction, _q_form, cleared_ints, poly_str, ratfunc_str
+from .poly import terms_str
 
 # Every entry is factored over the base (over Q by Zassenhaus, whose
 # recombination can grow exponentially with the degree), so the degree of
@@ -116,7 +117,7 @@ class _Reader:
         self.expect(",", "','")
         b = self.rat()
         self.expect(")", "')'")
-        return a, b
+        return Symbol(a, b)
 
     def rat(self, allow_zero=False):
         start = self.pos
@@ -176,12 +177,14 @@ class _Reader:
             raise ScopeError(f"offset {self.offset(i)}: integer literal of {len(toks[i])} "
                              "digits is too long") from None
         self.pos = i
-        return Poly.from_ints(self.field, ints)
+        return Poly.from_ints(self.field, ints) if char else Poly._q(_q_form(ints, 1))
 
 
 def parse_class(text, base, p):
     """Parse an expression into a class over the given base and torsion."""
-    return BrauerClass.make(base, p, _Reader(text, base.field).parse_class())
+    symbols = tuple(_Reader(text, base.field).parse_class())
+    base.check_torsion(p)  # after reading: a parse error wins over a scope error
+    return BrauerClass(base, p, symbols)
 
 
 def parse_ratfunc(text, field):

@@ -55,7 +55,7 @@ class Report(Record):
         }
 
     def to_json(self):
-        return json.dumps(self.payload(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.payload())
 
     def to_text(self):
         lines = [f"{TOOL} {VERSION}: {self.command}"]
@@ -214,8 +214,8 @@ def witness_to_obj(datum):
     return obj
 
 
-def witness_to_json(datum):
-    return json.dumps(witness_to_obj(datum), sort_keys=True, indent=2) + "\n"
+def json_text(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def witness_from_json(data, base):

@@ -30,7 +30,11 @@ division and derivative over a field, written per coefficient with every
 zero test an == against the field's zero, and division in (Z/m)[t] with
 every entry reduced at every step.  The points where specializations are
 taken, regular_rational_points, are the sweep values that
-is_symbol_regular accepts, in sweep order.
+is_symbol_regular accepts, in sweep order.  A substitution f(r) is
+Horner's rule in RationalFunction, every step a product and a sum with
+their own gcds, numerator over denominator.  An enumerated candidate is
+realized from fresh symbol pairs for its own targets, by
+BrauerClass.make, nothing shared between candidates.
 """
 
 import itertools
@@ -42,11 +46,13 @@ from functools import reduce
 from math import prod
 
 from brauercalc.brauer import (
+    BrauerClass,
     constant_is_trivial,
     is_symbol_regular,
     ramification_divisor,
     specialize,
 )
+from brauercalc.distinguish import _residue_symbols
 from brauercalc.errors import ParseError, ScopeError
 from brauercalc.factoring import _squarefree, _zassenhaus, factor_poly
 from brauercalc.hilbert import hilbert_symbol, relevant_places
@@ -59,7 +65,7 @@ from brauercalc.points import (
     unit_part_at,
 )
 from brauercalc.poly import Poly, QQ, RationalFunction, _gcd
-from brauercalc.residues import ResidueClass, is_pth_power
+from brauercalc.residues import ResidueClass, corestriction_exponent, is_pth_power
 
 
 def _check_degree(degree, off):
@@ -244,6 +250,34 @@ def qq_poly_oracle(coeffs):
     ints = tuple(b // g for b in big)
     key = (n, tuple((math.floor(c), c) for c in cs))
     return QQPoly(cs, (cs[-1] / ints[-1], ints), n, cs[-1], key)
+
+
+def substitute_by_horner(f, r):
+    """f(r) for rational functions f and r, by Horner's rule on each side
+    in RationalFunction arithmetic."""
+    zero = RationalFunction(Poly.zero(f.field))
+
+    def side(coeffs):
+        acc = zero
+        for c in reversed(coeffs):
+            acc = acc * r + c
+        return acc
+
+    return side(f.num.coeffs) / side(f.den.coeffs)
+
+
+def realize_candidates_unshared(a, sequences):
+    """The candidates of a for the exponent tuples sequences, each realized
+    alone: fresh symbol pairs for its targets i_j cor_j at the support
+    points, the finite ones, made into a class by BrauerClass.make."""
+    div = ramification_divisor(a)
+    cor = [corestriction_exponent(x, rc.value, a.p) for x, rc in div.entries]
+    out = []
+    for tup in sequences:
+        pairs = [s for x, i, n in zip(div.support(), tup, cor) if not x.is_infinity
+                 for s in _residue_symbols(a.base, a.p, x, i * n % a.p)]
+        out.append(BrauerClass.make(a.base, a.p, pairs))
+    return out
 
 
 def regular_rational_points(cls):

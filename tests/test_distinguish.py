@@ -29,6 +29,7 @@ from brauercalc.distinguish import (
     FieldComparisonRow,
     SpecializationCertificate,
     Verdict,
+    MAX_CANDIDATE_BOUND,
     _separating_quadratic,
     distinguish,
     enumerate_candidates,
@@ -39,12 +40,14 @@ from brauercalc.hilbert import invariant_set, square_classes
 from brauercalc.parser import class_text, parse_class
 from brauercalc.points import ClosedPoint, FiniteBase, Q_BASE, sorted_points, sweep_values
 from brauercalc.poly import Poly, QQ, RationalFunction
+from brauercalc.residues import corestriction_exponent
 
 from _gen import F7, F13, nonzero_rational, random_class
 from _oracles import (
     classes_equal_oracle,
     divisor_oracle,
     oracle_candidate_count,
+    realize_candidates_unshared,
     same_kummer_extension,
 )
 
@@ -138,6 +141,77 @@ def test_enumerate_refuses_a_survivor_realized_wrong(monkeypatch, capsys, text, 
     assert cli.main(["enumerate", text, "--base", "fq:7", "--p", "3"]) == 4
     assert tampered
     assert "internal error: AssertionError" in capsys.readouterr().err
+
+
+def _enumerate_cases():
+    """Seeded classes within the tuple bound over F_7, F_9 and F_13 with
+    p = 2 and 3, and a class of F_13 ramified at 8 points (p = 3)."""
+    rng = random.Random(2451)
+    cases = []
+    for base, p in [(F7, 2), (F7, 3), (FiniteBase(9), 2), (F13, 2), (F13, 3)]:
+        found = 0
+        while found < 4:
+            a = random_class(rng, base, p, 3, 2, height=12)
+            if (p - 1) ** len(ramification_divisor(a).support()) <= MAX_CANDIDATE_BOUND:
+                cases.append(a)
+                found += 1
+    cases.append(parse_class(" + ".join(f"(2, t - {c})" for c in range(7)), F13, 3))
+    return cases
+
+
+def _needed_keys(a, sequences):
+    """For each exponent tuple, its finite (point, normed exponent) pairs."""
+    div = ramification_divisor(a)
+    cor = [corestriction_exponent(x, rc.value, a.p) for x, rc in div.entries]
+    return [[(x, i * n % a.p) for x, i, n in zip(div.support(), tup, cor) if not x.is_infinity]
+            for tup in sequences]
+
+
+def test_enumerate_matches_an_unshared_realization():
+    """Symbols shared between survivors realize the same classes, symbol for
+    symbol, as each survivor realized alone; and each (point, exponent)
+    is built once: survivors that need it hold the same Symbol objects."""
+    sizes = []
+    for a in _enumerate_cases():
+        cand = enumerate_candidates(a)
+        ref = realize_candidates_unshared(a, cand.sequences)
+        assert [class_text(c) for c in cand.classes] == [class_text(c) for c in ref]
+        keys = {k for ks in _needed_keys(a, cand.sequences) for k in ks}
+        built = {id(s) for c in cand.classes for s in c.symbols}
+        assert len(built) == sum(len(distinguish_module._residue_symbols(a.base, a.p, *k))
+                                 for k in keys)
+        sizes.append(cand.size)
+    assert max(sizes) >= 40 and min(sizes) >= 1
+
+
+def test_enumerate_checks_a_survivor_whose_symbols_are_built_later(monkeypatch):
+    """The (point, exponent) corrupted here is first needed by a later
+    survivor, so the symbols of every survivor before it are sound: the
+    survivor check still runs on that survivor and raises.  The points are
+    rational and p = 3, so _residue_symbols does not recurse."""
+    a = parse_class("(2, t) + (2, t - 1) + (3, t - 2) + (6, t - 3)", F13, 3)
+    cand = enumerate_candidates(a)
+    needed, seen = _needed_keys(a, cand.sequences), set()
+    for j, keys in enumerate(needed):
+        fresh = [k for k in keys if k not in seen]
+        if j and fresh:
+            break
+        seen.update(keys)
+    assert j > 0 and fresh, "every (point, exponent) is needed by the first survivor"
+    bad = fresh[0]
+    real = distinguish_module._residue_symbols
+    calls = []
+
+    def corrupt(base, p, pt, k):
+        calls.append((pt, k))
+        return real(base, p, pt, p - k if (pt, k) == bad else k)
+
+    monkeypatch.setattr(distinguish_module, "_residue_symbols", corrupt)
+    with pytest.raises(AssertionError, match="miss their targets"):
+        enumerate_candidates(a)
+    # the symbols were built in first-need order, up to survivor j's, and no further
+    assert calls == list(dict.fromkeys(k for keys in needed[:j + 1] for k in keys))
+    assert calls.index(bad) >= len(needed[0])
 
 
 def test_enumerate_trivial_class():

@@ -1,5 +1,6 @@
 """tools/op_profile.py on a handful of cli_mix ops: every command shows up
-as an op kind, the kind shares add up to the whole, and the library
+as an op kind, named with its base (q or fq), the kind shares add up to
+the whole, and the library
 modules are named in the self-time table; with --kind the table is that
 kind's alone, and an unknown kind is refused; --functions N lists N
 functions as file:line name, from the largest self-time share down;
@@ -27,9 +28,9 @@ def tables(proc, label):
     assert lines[0].startswith("cli_mix seed 0: 7 ops in ")
     header = lines.index(f"self time by module (cProfile, {label}):")
     kinds = lines[lines.index("op time by kind:") + 1:header]
-    rows = [re.fullmatch(r"  (\S+) +(\d+) ops +([\d.]+) %", row).groups() for row in kinds]
+    rows = [re.fullmatch(r"  (\S+ \S+) +(\d+) ops +([\d.]+) %", row).groups() for row in kinds]
     assert [kind for kind, _, _ in rows] == [
-        "ram", "equal", "distinguish", "enumerate", "witness", "verify"
+        "ram q", "ram fq", "equal q", "distinguish q", "enumerate fq", "witness q", "verify q"
     ]
     assert sum(int(n) for _, n, _ in rows) == 7
     assert abs(sum(float(share) for _, _, share in rows) - 100) < 0.5
@@ -45,13 +46,18 @@ def test_op_profile_smoke():
 
 def test_op_profile_limits_the_profile_to_one_kind():
     """The timed table still lists every kind; the profiled one is the one
-    equal op's, which never reaches the cover code."""
-    _, modules = tables(op_profile("--kind", "equal"), "1 equal ops")
+    equal op's, which never reaches the cover code, or the one F_q ram op's,
+    which computes in F_q; a command without its base names no kind."""
+    _, modules = tables(op_profile("--kind", "equal q"), "1 equal q ops")
     assert {"poly", "parser", "brauer"} <= modules
     assert "covers" not in modules
-    proc = op_profile("--kind", "mode 0")
-    assert proc.returncode == 2
-    assert "no 'mode 0' op among the first 7 ops" in proc.stderr
+    _, modules = tables(op_profile("--kind", "ram fq"), "1 ram fq ops")
+    assert {"poly", "parser", "fields"} <= modules
+    assert "covers" not in modules
+    for kind in ("mode 0", "ram"):
+        proc = op_profile("--kind", kind)
+        assert proc.returncode == 2
+        assert f"no '{kind}' op among the first 7 ops" in proc.stderr
 
 
 def test_op_profile_lists_the_functions_with_the_most_self_time():

@@ -34,7 +34,7 @@ from brauercalc.parser import (
     parse_ratfunc,
     ratfunc_text,
 )
-from brauercalc.report import witness_to_json
+from brauercalc.report import json_text, witness_to_obj
 from brauercalc.points import ClosedPoint, FiniteBase, Q_BASE
 from brauercalc.poly import Poly, QQ, RationalFunction
 
@@ -165,6 +165,28 @@ def test_input_checks_end_with_their_exit_codes(tmp_path, capsys, argv, witness,
     out, err = capsys.readouterr()
     for text in shown:
         assert text in (err if code else out), (text, out, err)
+
+
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        (["ram", "(t, ", "--base", "fq:7", "--p", "5"], 2,
+         "parse error: offset 4: expected a number or t"),
+        (["ram", "(t, 0)", "--base", "fq:7", "--p", "5"], 2,
+         "parse error: offset 4: zero entry in symbol"),
+        (["ram", "(t^40, 2)", "--p", "3"], 3,
+         "out of scope: offset 3: degree 40 is above the supported entry degree 32"),
+        (["ram", "(t, 2)", "--p", "3"], 3,
+         "out of scope: over Q only 2-torsion classes are supported (requested p=3)"),
+    ],
+)
+def test_the_text_is_read_before_the_torsion_is_checked(capsys, argv, code, line):
+    """A parse error, or the scope error of a degree read in the text, wins
+    over the torsion's scope error: p = 5 does not divide 7 - 1, and over Q
+    only p = 2 is supported.  A text read without error gets the torsion's."""
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", line + "\n")
 
 
 def test_cli_rejects_negative_sweep(capsys):
@@ -1184,7 +1206,7 @@ def test_cli_verifies_unramified_witness(tmp_path, capsys, base, p, cls_text, po
     cls = parse_class(cls_text, base, p)
     bpt = None if pole is None else ClosedPoint(base, Poly.from_ints(base.field, pole))
     wfile = tmp_path / "w.json"
-    wfile.write_text(witness_to_json(make_unramified_cover(cls, 2, bpt)))
+    wfile.write_text(json_text(witness_to_obj(make_unramified_cover(cls, 2, bpt))))
     flags = ["--base", "q" if base is Q_BASE else "fq:7", "--p", str(p)]
     assert main(["verify-witness", cls_text, str(wfile), "--format", "json"] + flags) == 0
     out = json.loads(capsys.readouterr().out)["outcome"]
@@ -1212,7 +1234,7 @@ def test_cli_splitting_witness_with_a_pole_at_its_basepoint_fails_a_check(tmp_pa
 
 def test_cli_unramified_witness_with_a_pole_at_its_basepoint_fails_a_check(tmp_path, capsys):
     cls = parse_class("(5, t^2-t)", Q_BASE, 2)
-    datum = json.loads(witness_to_json(make_unramified_cover(cls, 2)))
+    datum = json.loads(json_text(witness_to_obj(make_unramified_cover(cls, 2))))
     wfile = tmp_path / "w.json"
     wfile.write_text(json.dumps({**datum, "f": "1/t", "basepoint": "0"}))
     failed = _failed_checks(["verify-witness", "(5, t^2-t)", str(wfile)], capsys)

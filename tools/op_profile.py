@@ -1,7 +1,7 @@
 """Where one replay of a bench workload spends its time, in process.
 
     python3 tools/op_profile.py --workload q_split_distinguish --seed 0 --ops 264
-    python3 tools/op_profile.py --workload cli_mix --ops 700 --kind equal
+    python3 tools/op_profile.py --workload cli_mix --ops 700 --kind "ram fq"
     python3 tools/op_profile.py --workload q_split_distinguish --functions 15
     python3 tools/op_profile.py --workload q_split_distinguish --caches
     python3 tools/op_profile.py --workload q_split_distinguish --setup --functions 15
@@ -13,13 +13,14 @@ replayed twice, each time from a fresh import of the checkout's src/
 with empty caches, as bench/run.py replays them, and every output is
 checked by the workload's own check:
 - a plain replay, timed per op with perf_counter, gives each op kind's
-  share of op time: the command of a cli_mix op, the mode of a
-  q_split_distinguish or q_equal op;
+  share of op time: the command and base of a cli_mix op ("ram q",
+  "ram fq", "enumerate fq", ...), the mode of a q_split_distinguish or
+  q_equal op;
 - a replay under cProfile gives the self-time share of each library
   module, and of every other file (fractions.py, argparse.py, ...) by
   its file name, with built-in functions as <built-in>.  With --kind
-  (as printed: "mode 0", equal, ...) only the ops of that kind are
-  profiled, so the table is that kind's own.
+  (as printed: "mode 0", "equal q", "ram fq", ...) only the ops of that
+  kind are profiled, so the table is that kind's own.
 Op kinds print in stream order, then the 12 largest modules from the
 largest share down; --functions N adds the N functions with the largest
 self-time share, each as file:line name (built-ins as ~:0); --caches adds
@@ -63,9 +64,14 @@ def load_bench(root):
 
 
 def op_kind(op):
+    """mode N for a moded op, command and base (q or fq) for a cli_mix op."""
     if not isinstance(op, tuple):
         return "op"
-    return f"mode {op[0]}" if isinstance(op[0], int) else op[0]
+    if isinstance(op[0], int):
+        return f"mode {op[0]}"
+    argv = op[1]
+    base = argv[argv.index("--base") + 1] if "--base" in argv else "q"
+    return f"{op[0]} {base.split(':')[0]}"
 
 
 def replay(run, workload, seed, n_ops, profile=None, kind=None):
@@ -153,7 +159,8 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--ops", type=int, default=264)
     ap.add_argument("--root", type=Path, default=ROOT)
-    ap.add_argument("--kind", help='profile only the ops of this kind ("mode 0", equal, ...)')
+    ap.add_argument("--kind",
+                    help='profile only the ops of this kind ("mode 0", "ram fq", ...)')
     ap.add_argument("--functions", type=int, default=0, metavar="N",
                     help="also list the N functions with the largest self time")
     ap.add_argument("--caches", action="store_true",
