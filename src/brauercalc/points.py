@@ -22,7 +22,7 @@ from functools import lru_cache
 from .errors import Record, ScopeError
 from .factoring import factor_poly, is_irreducible
 from .fields import GF, FFElem, QuotientField, is_prime
-from .poly import Poly, QQ, RationalFunction, _horner, _int_list_strip, _ztrim, poly_str
+from .poly import Poly, QQ, RationalFunction, _int_list_strip, poly_str
 
 
 # Largest torsion over F_q; a p-th power exponent walks p roots of unity.
@@ -203,8 +203,8 @@ def _strip(polys, point):
     for 1.  Over Q, f = content P^w G for the primitive integer form
     P = L pi, and L^k G = r modulo P, so n/m = content L^(w-k), and r is
     one integer at a rational point; over a finite field the base field's
-    list ring divides the lifted coefficients, integers modulo p over F_p,
-    only once f(c) = 0 at t - c; at infinity w = -deg f and g maps to lc(f).
+    list ring divides the lifted coefficients, integers modulo p over F_p;
+    at infinity w = -deg f and g maps to lc(f).
     A one-entry r over Q folds into n/m; _side reads r."""
     F, pi = point.base.field, point.poly
     if pi is None:
@@ -225,11 +225,9 @@ def _strip(polys, point):
             raise TypeError("polynomials over different fields")
         if f.is_zero:
             raise ValueError("the zero polynomial has no finite valuation")
-        w, q, r = -1, list(map(R.lift, f.coeffs)), []
-        while not r:  # at t - c: [f(c)] by Horner, trimmed ([zero] is true), q only if 0
-            w, a = w + 1, q
-            r = _ztrim(R.reduce([_horner(a, -P[0], R.czero)])) if len(P) == 2 else []
-            q, r = (None, r) if r else R.divmod(a, P)
+        w, (q, r) = 0, R.divmod(list(map(R.lift, f.coeffs)), P)
+        while not r:
+            w, (q, r) = w + 1, R.divmod(q, P)
         out.append(_side(point, w, 1, 1, r))
     return out
 

@@ -38,8 +38,8 @@ over F_q, the strip at a point and residue fields compute there.
 Square-and-multiply (_power), Horner's rule (_horner) and Euclid's
 algorithm (_euclid) are written once too: powers of polynomials and
 field elements, and factoring's _powmod, go through _power; evaluation
-through _horner (substitution: _homogenized); every gcd (_gcd), Bezout
-cofactor (_xgcd) and resultant is read off _euclid's remainders.
+and substitution through _horner; every gcd (_gcd), Bezout cofactor
+(_xgcd) and resultant is read off _euclid's remainders, over a ring.
 """
 
 from __future__ import annotations
@@ -298,14 +298,6 @@ def _horner(coeffs, x, zero):
     acc = zero
     for c in reversed(coeffs):
         acc = acc * x + c
-    return acc
-
-
-def _homogenized(coeffs, n, d):
-    """F(n, d) = sum of coeffs[i] n^i d^(deg - i) for Polys n, d, by Horner's rule."""
-    acc, scale = Poly.zero(n.field), Poly.one(n.field)
-    for c in reversed(coeffs):
-        acc, scale = acc * n + scale * c, scale * d
     return acc
 
 
@@ -794,10 +786,9 @@ class RationalFunction:
         return self.num.evaluate(x) / d
 
     def substitute(self, r):
-        """self(r(s)) for r = n/d: F_num d^deg(den) / (F_den d^deg(num)), F = _homogenized."""
-        top, bottom = (_homogenized(f.coeffs, r.num, r.den) for f in (self.num, self.den))
-        k = self.den.degree - self.num.degree
-        return RationalFunction(top * r.den ** max(k, 0), bottom * r.den ** max(-k, 0))
+        """self(r(s)) for a rational function r, computed exactly."""
+        zero = RationalFunction(Poly.zero(self.field))
+        return _horner(self.num.coeffs, r, zero) / _horner(self.den.coeffs, r, zero)
 
     def __repr__(self):
         return f"RationalFunction({ratfunc_str(self)})"

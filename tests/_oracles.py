@@ -30,9 +30,7 @@ division and derivative over a field, written per coefficient with every
 zero test an == against the field's zero, and division in (Z/m)[t] with
 every entry reduced at every step.  The points where specializations are
 taken, regular_rational_points, are the sweep values that
-is_symbol_regular accepts, in sweep order.  A substitution f(r) is
-Horner's rule in RationalFunction, every step a product and a sum with
-their own gcds, numerator over denominator.  An enumerated candidate is
+is_symbol_regular accepts, in sweep order.  An enumerated candidate is
 realized from fresh symbol pairs for its own targets, by
 BrauerClass.make, nothing shared between candidates.
 """
@@ -250,20 +248,6 @@ def qq_poly_oracle(coeffs):
     ints = tuple(b // g for b in big)
     key = (n, tuple((math.floor(c), c) for c in cs))
     return QQPoly(cs, (cs[-1] / ints[-1], ints), n, cs[-1], key)
-
-
-def substitute_by_horner(f, r):
-    """f(r) for rational functions f and r, by Horner's rule on each side
-    in RationalFunction arithmetic."""
-    zero = RationalFunction(Poly.zero(f.field))
-
-    def side(coeffs):
-        acc = zero
-        for c in reversed(coeffs):
-            acc = acc * r + c
-        return acc
-
-    return side(f.num.coeffs) / side(f.den.coeffs)
 
 
 def realize_candidates_unshared(a, sequences):

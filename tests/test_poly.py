@@ -3,7 +3,6 @@
 import itertools
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -40,7 +39,6 @@ from _oracles import (
     field_list_sum,
     int_list_derivative,
     qq_poly_oracle,
-    substitute_by_horner,
     sylvester_resultant,
     zdivmod_mod_oracle,
 )
@@ -601,36 +599,6 @@ def test_ratfunc_substitute_matches_evaluation():
             except ZeroDivisionError:
                 continue
             assert got == want
-
-
-@pytest.mark.parametrize("field", [QQ, GF(7), GF(9)], ids=["Q", "F7", "F9"])
-def test_substitute_matches_horner_in_rational_functions(field):
-    """Seeded f and r over each field: f zero, constant, a polynomial, or a
-    quotient with deg num < deg den or the reverse; r a polynomial or a
-    quotient, never constant.  substitute, homogenized on Polys, equals
-    Horner's rule in RationalFunction arithmetic."""
-    rng = random.Random(5150)
-
-    def poly(lo, hi):
-        return random_poly(rng, field, hi, height=6, min_degree=lo)
-
-    def pair(dn, dd):
-        return RationalFunction(poly(dn, dn), poly(dd, dd))
-
-    shapes = Counter()
-    for _ in range(60):
-        r = RationalFunction(poly(1, 3)) if rng.random() < 0.4 else pair(
-            rng.randint(0, 3), rng.randint(1, 3))
-        if r.is_constant:
-            continue
-        dn, dd = rng.randint(0, 3), rng.randint(0, 3)
-        f = rng.choice([RationalFunction(Poly.zero(field)), RationalFunction(poly(0, 0), poly(0, 0)),
-                        RationalFunction(poly(0, 4)), pair(dn, dd)])
-        shapes[f.is_zero, f.is_constant, f.num.degree - f.den.degree, r.is_polynomial] += 1
-        assert f.substitute(r) == substitute_by_horner(f, r), (f, r)
-    assert {z for z, _, _, _ in shapes} == {True, False} and any(c for _, c, _, _ in shapes)
-    assert {d > 0 for _, _, d, _ in shapes} == {True, False} and any(d < 0 for _, _, d, _ in shapes)
-    assert {pol for _, _, _, pol in shapes} == {True, False}
 
 
 def test_poly_str_shapes():
