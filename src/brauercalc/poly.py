@@ -20,8 +20,8 @@ zero.  Hash, equality, sums and products use it, multiplying in Z[t]
 Fraction coefficients are built on first read, as is the form of a
 polynomial built from them.  At c = a/b in lowest terms, b^n f(a/b) is
 an integer found by homogeneous Horner, and when it vanishes, b*t - a
-divides ints exactly in Z[t], so valuations and unit parts there need
-no Fraction division.
+divides ints exactly in Z[t], so valuations, unit parts and gcds with
+b*t - a need no Fraction division and no Euclid.
 
 Coefficient lists (lowest degree first) have one kernel for every ring
 of coefficients (ints, ints mod m, Fractions, field elements), each zero
@@ -208,7 +208,7 @@ class Poly:
                               else (field.coerce(other), (1,))), self._int_form
             if not (a and c):
                 return Poly._q((field.zero, ()))
-            return Poly._q((d * c, b if a == (1,) else a if b == (1,) else tuple(_zmul(a, b))))
+            return Poly._q((d * c, _int_tuple_product(a, b)))
         if not isinstance(other, Poly):
             c = field.coerce(other)
             return Poly(field, [a * c for a in self.coeffs])
@@ -319,6 +319,11 @@ def cleared_ints(f, g):
     return k, [x * v for v in a], [y * v for v in b]
 
 
+def _int_tuple_product(a, b):
+    """a * b for integer tuples, a factor (1,) taking no product."""
+    return b if a == (1,) else a if b == (1,) else tuple(_zmul(a, b))
+
+
 def _int_list_primitive(a):
     """a divided by its content, with a positive last entry; [] for []."""
     g = math.gcd(*a) if a and a[-1] > 0 else -math.gcd(*a)
@@ -352,22 +357,26 @@ def _int_list_pseudo_divmod(a, b):
     return k, _ztrim(q), _ztrim(r[:db])
 
 
+def _int_list_root_quo(a, num, den):
+    """a / (den t - num), a vanishing at num/den: q[i-1] = (a[i] + num q[i]) / den."""
+    q = [0] * len(a)
+    for i in range(len(a) - 1, 0, -1):
+        q[i - 1] = (a[i] + num * q[i]) // den
+    return q[:-1]
+
+
 def _int_list_strip(a, b):
     """(w, g, k, r) for a nonzero integer list a and a primitive b with
     lc(b) > 0: a = b^w g, b not dividing g, and lc(b)^k g = r != 0
     modulo b.  Each exact quotient is integral (Gauss's lemma, MCA 6.2),
-    so pseudo-division finds it without scaling a step.  A linear
-    b = den t - num takes Horner's rule, r = [den^m g(num/den)] with
-    m = deg g, and q[i-1] = (g[i] + num q[i]) / den for the quotient."""
+    so pseudo-division finds it without scaling a step; a linear one,
+    den t - num, takes r = [den^m g(num/den)], m = deg g, by Horner's rule."""
     w = 0
     if len(b) == 2:
         num, den = -b[0], b[1]
         h = _int_list_at(a, num, den)
         while h == 0:
-            q = [0] * len(a)
-            for i in range(len(a) - 1, 0, -1):
-                q[i - 1] = (a[i] + num * q[i]) // den
-            w, a = w + 1, q[:-1]
+            w, a = w + 1, _int_list_root_quo(a, num, den)
             h = _int_list_at(a, num, den)
         return w, a, len(a) - 1, [h]
     k, q, r = _int_list_pseudo_divmod(a, b)
@@ -572,8 +581,13 @@ _QQ_ONE = Poly.one(QQ)
 
 
 def _cancel(a, b):
-    """(a/g, b/g), g = gcd(a, b) of primitive integer tuples, a constant side taking no gcd."""
-    if len(a) > 1 and len(b) > 1 and len(g := _gcd(_PRIMITIVE_RING, a, b)) > 1:
+    """(a/g, b/g), g = gcd(a, b) of primitive integer tuples: no gcd with a
+    constant side, and with a linear one, den t - num, one evaluation at num/den."""
+    if len(b) == 2 < len(a):
+        return _cancel(b, a)[::-1]
+    if len(a) == 2 and len(b) > 1 and not _int_list_at(b, -a[0], a[1]):
+        return (1,), tuple(_int_list_root_quo(b, -a[0], a[1]))
+    if len(a) > 2 and len(b) > 2 and len(g := _gcd(_PRIMITIVE_RING, a, b)) > 1:
         return tuple(_PRIMITIVE_RING.quo(a, g)), tuple(_PRIMITIVE_RING.quo(b, g))
     return a, b
 
@@ -583,12 +597,13 @@ def _henrici(n1, d1, n2, d2):
     n1/d1, n2/d2 coprime (num/1 and 1/den are): by crosswise cancellation
     (Henrici; Knuth 4.5.1) only gcd(n1, d2) and gcd(n2, d1) cancel, and the
     cofactor products stay coprime; the content is one Fraction, zero 0/1."""
-    (c1, a1), (e1, b1), (c2, a2), (e2, b2) = (f._int_form for f in (n1, d1, n2, d2))
+    (c1, a1), (e1, b1) = n1._int_form, d1._int_form
+    (c2, a2), (e2, b2) = n2._int_form, d2._int_form
     (a1, b2), (a2, b1) = _cancel(a1, b2), _cancel(a2, b1)
-    b = tuple(_zmul(b1, b2)) if a1 and a2 else (1,)
+    b = _int_tuple_product(b1, b2) if a1 and a2 else (1,)
     n = c1.numerator * c2.numerator * e1.denominator * e2.denominator
     m = c1.denominator * c2.denominator * e1.numerator * e2.numerator * b[-1]
-    return Poly._q((Fraction(n, m), tuple(_zmul(a1, a2)))), Poly.monic_from_ints(b)
+    return Poly._q((Fraction(n, m), _int_tuple_product(a1, a2))), Poly.monic_from_ints(b)
 
 
 def poly_gcd(f, g):

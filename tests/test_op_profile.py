@@ -5,14 +5,20 @@ modules are named in the self-time table; with --kind the table is that
 kind's alone, and an unknown kind is refused; --functions N lists N
 functions as file:line name, from the largest self-time share down;
 --caches lists every lru_cache of the library with its counts; --setup
-profiles the set-up, a fresh import and the ops' generation, instead."""
+profiles the set-up, a fresh import and the ops' generation, instead,
+each timed set-up after a gc.collect()."""
 
+import importlib.util
 import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parents[1]
+_SPEC = importlib.util.spec_from_file_location("op_profile", ROOT / "tools" / "op_profile.py")
+tool = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(tool)
 
 
 def op_profile(*args):
@@ -95,17 +101,20 @@ def test_op_profile_lists_every_lru_cache_after_the_plain_replay():
     assert "lru caches" not in op_profile().stdout
 
 
-def test_op_profile_setup_profiles_the_import_and_the_generation():
-    """With --setup the first line gives the import and the generation in
-    ms, the tables are the set-up's, with the library's own modules and the
-    workload generator in them, and --kind is refused."""
+def test_op_profile_setup_profiles_the_import_and_the_generation(monkeypatch):
+    """With --setup the first line gives the import, the compile time of the
+    library's sources beside it, and the generation in ms, the tables are
+    the set-up's, with the library's own modules and the workload generator
+    in them, and --kind is refused.  Each timed set-up starts after a
+    gc.collect(), so no set-up pays for collecting another's garbage."""
     cmd = [sys.executable, str(ROOT / "tools" / "op_profile.py"), "--workload",
            "q_split_distinguish", "--ops", "12", "--setup", "--functions", "10"]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr[-2000:]
     lines = proc.stdout.splitlines()
-    head = re.fullmatch(r"q_split_distinguish seed 0: set-up of 12 ops, import ([\d.]+) ms, "
-                        r"generation ([\d.]+) ms \(fastest of \d+\), python .*", lines[0])
+    head = re.fullmatch(r"q_split_distinguish seed 0: set-up of 12 ops, import ([\d.]+) ms "
+                        r"\(compiling the library ([\d.]+) ms\), generation ([\d.]+) ms "
+                        r"\(fastest of \d+\), python .*", lines[0])
     assert head and all(float(ms) > 0 for ms in head.groups())
     header = lines.index("self time by module (cProfile, set-up):")
     end = lines.index("self time by function (cProfile, set-up):")
@@ -115,3 +124,11 @@ def test_op_profile_setup_profiles_the_import_and_the_generation():
     proc = subprocess.run(cmd + ["--kind", "mode 0"], cwd=ROOT, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 2 and "--setup profiles no op" in proc.stderr
+
+    events = []
+    monkeypatch.setattr(tool.gc, "collect", lambda: events.append("collect"))
+    ops = SimpleNamespace(stream=lambda workload, lib, seed: iter(lambda: events.append("op"), 0))
+    run = SimpleNamespace(load_library=lambda: events.append("import"), workloads=ops)
+    for _ in range(2):
+        tool.timed_setup(run, None, 0, 3)
+    assert events == ["collect", "import", "op", "op", "op"] * 2

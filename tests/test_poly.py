@@ -483,6 +483,111 @@ def test_crosswise_products_take_no_poly_product(monkeypatch):
     assert plain[1] == RationalFunction(warm[4]) and plain[2] == warm[3]
 
 
+def _cancel_by_euclid(a, b):
+    """The reference for _cancel: Euclid's gcd in _PrimitiveRing and its
+    quotients whenever both sides have positive degree."""
+    if len(a) > 1 and len(b) > 1 and len(g := _gcd(_PRIMITIVE_RING, a, b)) > 1:
+        return tuple(_PRIMITIVE_RING.quo(a, g)), tuple(_PRIMITIVE_RING.quo(b, g))
+    return a, b
+
+
+def _primitive_of(a):
+    return tuple(poly_module._int_list_primitive(list(a)))
+
+
+def _linear_side_pairs(rng, n):
+    """Seeded primitive pairs with a linear side den*t - num, den 1, 2 or 3,
+    either side first: against a side of degree 0 to 6 that has the root
+    zero, one or two times (only one copy cancels), against a linear side,
+    the same root or another, and against a constant side (1,)."""
+    for i in range(n):
+        den = 1 + i % 3
+        num = rng.choice([k for k in range(-9, 10) if math.gcd(k, den) == 1])
+        lin = (-num, den)
+        kind = i % 5
+        if kind == 3:
+            other = lin if rng.random() < 0.5 else _primitive_of((rng.randint(-9, 9), den))
+        elif kind == 4:
+            other = (1,)
+        else:
+            other = [rng.randint(-20, 20) for _ in range(rng.randint(0, 6 - kind))]
+            other.append(rng.randint(1, 9))
+            for _ in range(kind):
+                other = _zmul(other, lin)
+            other = _primitive_of(other)
+        yield (lin, other) if rng.random() < 0.5 else (other, lin)
+
+
+def test_linear_side_cancels_as_euclid_does():
+    """_cancel with a linear side, read off one evaluation and synthetic
+    division, against Euclid in _PrimitiveRing; the pairs cover roots with
+    denominators 2 and 3, a repeated root, linear against linear and a
+    constant side, and each outcome many times."""
+    rng = random.Random(5201)
+    cancelled = repeated = coprime = 0
+    for a, b in _linear_side_pairs(rng, 400):
+        got = poly_module._cancel(a, b)
+        assert got == _cancel_by_euclid(a, b), (a, b)
+        assert all(type(side) is tuple and side[-1] > 0 for side in got), (a, b, got)
+        lin, other = (a, b) if len(a) == 2 else (b, a)
+        cancelled += got != (a, b)
+        coprime += got == (a, b) and len(other) > 1
+        repeated += poly_module._int_list_strip(list(other), list(lin))[0] >= 2
+    assert cancelled >= 100 and coprime >= 50 and repeated >= 30
+    for lin in ((-3, 2), (1, 3), (0, 1)):
+        assert poly_module._cancel(lin, (1,)) == (lin, (1,))
+        assert poly_module._cancel((1,), lin) == ((1,), lin)
+        assert poly_module._cancel(lin, lin) == ((1,), (1,))
+
+
+def test_a_linear_side_runs_no_euclid(monkeypatch):
+    """Route guard: with _euclid patched to raise, every pair with a linear
+    side still cancels, and so does a QQ quotient by t - r."""
+    rng = random.Random(5202)
+    pairs = list(_linear_side_pairs(rng, 100))
+    want = [_cancel_by_euclid(a, b) for a, b in pairs]
+    x = RationalFunction(P(2, -3, 0, 4), P(6, 1, 1))
+    quotient = x / RationalFunction(P(-1, 2))
+
+    def no_euclid(*args):
+        raise AssertionError("_euclid called with a linear side")
+
+    monkeypatch.setattr(poly_module, "_euclid", no_euclid)
+    assert [poly_module._cancel(a, b) for a, b in pairs] == want
+    assert x / RationalFunction(P(-1, 2)) == quotient
+    assert (x * P(-1, 2)) / P(-1, 2) == x
+
+
+def test_operands_keep_their_errors_and_results():
+    """RationalFunction products and quotients over QQ and GF(7): another
+    field's function or polynomial raises TypeError, 0 and the zero function
+    as a divisor raise ZeroDivisionError with one message, and a Poly, int
+    or Fraction operand gives the constructor's lowest terms of the product
+    or quotient with its rational function (a Poly on the left of * is
+    Poly.__mul__'s, which takes no rational function)."""
+    f7 = GF(7)
+    x = RationalFunction(P(1, 2, 5), P(-3, 0, 1))
+    y = RationalFunction(Poly.from_ints(f7, [3, 1]), Poly.from_ints(f7, [1, 0, 1]))
+    for u, v in ((x, y), (y, x), (x, Poly.from_ints(f7, [1, 1])), (y, P(1, 1))):
+        for op in (lambda: u * v, lambda: u / v):
+            with pytest.raises(TypeError):
+                op()
+    for u in (x, y):
+        zeros = [0, RationalFunction(Poly.zero(u.field)), Poly.zero(u.field)]
+        for zero in zeros + ([Fraction(0)] if u.field is QQ else []):
+            with pytest.raises(ZeroDivisionError, match="^division by the zero rational function$"):
+                u / zero
+        operands = [3, Poly.from_ints(u.field, [2, 0, 1])]
+        operands += [Fraction(-5, 3), P(-1, 2)] if u.field is QQ else []
+        for v in operands:
+            r = RationalFunction.coerce(u.field, v)
+            product = RationalFunction(u.num * r.num, u.den * r.den)
+            want = (product, RationalFunction(u.num * r.den, u.den * r.num),
+                    RationalFunction(r.num * u.den, r.den * u.num))
+            assert (u * v, u / v, v / u) == want, (u, v)
+            assert isinstance(v, Poly) or v * u == product
+
+
 def _gcd_pairs(rng, n):
     """Seeded QQ pairs: coprime, with a planted common factor, scaled by
     different contents, with a constant side or a zero side."""

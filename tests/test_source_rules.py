@@ -67,6 +67,10 @@ No string in the library but a docstring holds \\d, \\D, \\w or \\W
 (test_patterns_read_ascii_digits_only): those classes match the digits
 and letters of every script, and int() reads U+0663 as 3, so a pattern
 spells out [0-9] and the characters it means.
+No library module reads Fraction's private _numerator or _denominator, or
+passes _normalize= (test_no_fraction_internals): they are CPython's
+internals, not the fractions module's interface, so a faster rational
+path goes through numerator, denominator and the public constructor.
 """
 
 import ast
@@ -677,3 +681,36 @@ def test_patterns_read_ascii_digits_only():
     assert not hits, f"patterns with Unicode-wide classes: {hits}"
     planted = 'import re\n_NUM = re.compile(r"-?\\d+")\n'
     assert _unicode_classes(ast.parse(planted)) == [2]
+
+
+# CPython's private Fraction internals: the slots behind numerator and
+# denominator, and the constructor keyword that skips the gcd.
+_FRACTION_INTERNALS = {"_numerator", "_denominator"}
+
+
+def _fraction_internals(tree):
+    """Lines of tree that name a private Fraction slot, as an attribute or a
+    string (getattr), or pass _normalize= to a call."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in _FRACTION_INTERNALS
+        or isinstance(node, ast.Constant) and node.value in _FRACTION_INTERNALS
+        or isinstance(node, ast.keyword) and node.arg == "_normalize"
+    )
+
+
+def test_no_fraction_internals():
+    hits = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in _fraction_internals(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not hits, f"private Fraction internals read or passed: {hits}"
+    planted = (
+        "from fractions import Fraction\n"
+        "def _content(c, d):\n"
+        "    n = getattr(c, '_denominator')\n"
+        "    return Fraction(c._numerator * n, d, _normalize=False)\n"
+    )
+    assert _fraction_internals(ast.parse(planted)) == [3, 4, 4]

@@ -32,10 +32,13 @@ machine's speed from run to run; compare shares here, and rates with
 bench/run.py.
 With --setup the set-up is profiled instead of the ops: a fresh import
 of the checkout's src/ and the generation of the first --ops ops of the
-stream, as bench/run.py times it for setup_s.  The first line gives the
-import and the generation in ms, each the fastest of SETUP_RUNS plain
-set-ups, and one more set-up under cProfile gives the same module and
-function tables; --caches lists the caches after the last plain set-up.
+stream, as bench/run.py times it for setup_s, each after a gc.collect().
+The first line gives the import and the generation in ms, each the
+fastest of SETUP_RUNS plain set-ups, and beside the import the time to
+compile the library's sources, the fastest of SETUP_RUNS compiles (the
+bench imports without bytecode, so its import compiles them); one more
+set-up under cProfile gives the same module and function tables;
+--caches lists the caches after the last plain set-up.
 Stdlib only.
 """
 
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import importlib
 import pstats
 import sys
@@ -97,7 +101,9 @@ def replay(run, workload, seed, n_ops, profile=None, kind=None):
 def timed_setup(run, workload, seed, n_ops, profile=None):
     """One set-up as bench/run.py's setup makes it, under profile if given:
     the library imported and the seconds of the import and of generating
-    the first n_ops ops."""
+    the first n_ops ops.  Earlier set-ups' garbage is collected first, as
+    bench/run.py's timed_setup does, so no set-up pays for another's."""
+    gc.collect()
     if profile:
         profile.enable()
     t0 = perf_counter()
@@ -110,6 +116,20 @@ def timed_setup(run, workload, seed, n_ops, profile=None):
     if profile:
         profile.disable()
     return lib, t1 - t0, t2 - t1
+
+
+def compile_seconds(package):
+    """The seconds to compile every library source, as a fresh import with
+    no bytecode does, the fastest of SETUP_RUNS."""
+    sources = [(path.read_text(encoding="utf-8"), str(path))
+               for path in sorted(package.glob("*.py"))]
+    runs = []
+    for _ in range(SETUP_RUNS):
+        t0 = perf_counter()
+        for text, path in sources:
+            compile(text, path, "exec")
+        runs.append(perf_counter() - t0)
+    return min(runs)
 
 
 def cache_stats(lib):
@@ -180,7 +200,8 @@ def main(argv=None):
             profile = cProfile.Profile()
             timed_setup(run, workload, args.seed, args.ops, profile)
         print(f"{args.workload} seed {args.seed}: set-up of {args.ops} ops, import "
-              f"{1e3 * min(r[1] for r in runs):.1f} ms, generation "
+              f"{1e3 * min(r[1] for r in runs):.1f} ms (compiling the library "
+              f"{1e3 * compile_seconds(package):.1f} ms), generation "
               f"{1e3 * min(r[2] for r in runs):.1f} ms (fastest of {SETUP_RUNS}), "
               f"python {sys.version.split()[0]}, {root}")
         print_tables(profile, package, "set-up", args.functions)
