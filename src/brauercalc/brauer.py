@@ -191,11 +191,6 @@ def _values_at(cls, c):
     return tuple((units[id(s.a)], units[id(s.b)]) for s in cls.symbols)
 
 
-def is_symbol_regular(cls, c):
-    """No entry has a zero or pole at t = c; nothing is factored."""
-    return _values_at(cls, c) is not None
-
-
 def specialize(cls, c):
     """Entrywise values at t = c, as constant symbol pairs, read off each
     entry's unit part in one pass; nothing is factored."""

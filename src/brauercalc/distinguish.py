@@ -242,7 +242,7 @@ def _residue_symbols(base, p, pt, k):
         return [(RationalFunction.constant(base.field, c), RationalFunction(pt.poly))]
     w = residue_field(pt).to_poly(generator_power(pt, k, p))
     out = [(RationalFunction(w), RationalFunction(pt.poly))]
-    for phi, e in factor_over_Fq(w).factors:
+    for phi, e in factor_over_Fq(w):
         ppt = _point(base, phi)
         pi_img = reduce_at(RationalFunction(pt.poly), ppt)
         out.extend(_residue_symbols(base, p, ppt, e * corestriction_exponent(ppt, pi_img, p) % p))

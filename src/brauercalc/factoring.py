@@ -58,7 +58,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ScopeError
-from .fields import PrimePowerFactorization, factor_int, is_prime
+from .fields import factor_int, is_prime
 from .poly import Poly, QQ, _ListRing, _PRIMITIVE_RING, _horner, _power
 from .poly import _hasse, _int_list_primitive, _int_list_strip
 from .poly import _zadd, _zdivmod, _zmul, _zsub, _ztrunc
@@ -462,16 +462,14 @@ def _factor_q_monic(f):
 
 
 def factor_over_Q(f):
-    """Factor a nonzero polynomial over Q into monic irreducibles.
-
-    The unit is the leading coefficient; factors come back sorted by
-    degree, then lexicographically on the coefficient sequence.
-    """
+    """Factor a nonzero f over Q into monic irreducibles: the cached
+    (factor, multiplicity) pairs, sorted by degree, then lexicographically
+    on the coefficient sequence; f is f.lc times their product."""
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     if f.field is not QQ:
         raise TypeError("factor_over_Q needs a polynomial over QQ")
-    return PrimePowerFactorization(f.lc, _factor_q_monic(f.int_form()[1]))
+    return _factor_q_monic(f.int_form()[1])
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +487,7 @@ def _factor_fq_monic(field, f):
 
 
 def factor_over_Fq(f):
-    """Factor a nonzero polynomial over a finite field into monic irreducibles."""
+    """Factor a nonzero f over a finite field as factor_over_Q does over Q."""
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     field = f.field
@@ -497,7 +495,7 @@ def factor_over_Fq(f):
         raise TypeError("factor_over_Fq needs a finite coefficient field")
     R = field.list_ring
     monic = tuple(R.monic(list(map(R.lift, f.coeffs))))
-    return PrimePowerFactorization(f.lc, _factor_fq_monic(field, monic))
+    return _factor_fq_monic(field, monic)
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +512,6 @@ def is_irreducible(f):
     """Whether f is irreducible over its field: one factor, multiplicity 1."""
     if f.degree < 1:
         return False
-    factors = factor_poly(f).factors
+    factors = factor_poly(f)
     return len(factors) == 1 and factors[0][1] == 1
 

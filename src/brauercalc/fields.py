@@ -35,7 +35,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import Record, ScopeError
+from .errors import ScopeError
 from .poly import Poly, _ListRing, _power, _resultant, _zmul, _ztrim
 
 
@@ -134,7 +134,7 @@ class PrimeField:
     finite = True
 
     def __init__(self, p):
-        if p < 2 or factor_int(p).factors != ((p, 1),):
+        if p < 2 or factor_int(p) != ((p, 1),):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.char = p
@@ -247,12 +247,6 @@ class QuotientField:
     def gen_elem(self):
         """The class of t."""
         return FFElem(self, self._rep(self._ring.gen))
-
-    def from_poly(self, p):
-        """Reduce a polynomial over the base field into this quotient."""
-        if p.field is not self.base:
-            raise TypeError("polynomial over the wrong base field")
-        return FFElem(self, self._rep(self._ring.rem(list(map(self._lift, p.coeffs)), self._pi)))
 
     def to_poly(self, e):
         e = self.coerce(e)
@@ -387,25 +381,6 @@ def is_prime(n):
     return n < PSI13 or _pocklington(n)
 
 
-class PrimePowerFactorization(Record):
-    """unit * product of factor^multiplicity with pairwise coprime factors.
-
-    Polynomial factors are monic irreducibles sorted by (degree,
-    coefficient sequence); integer factors are primes in increasing order.
-    """
-
-    __slots__ = ("unit", "factors")
-
-    def expand(self):
-        acc = self.unit
-        for f, e in self.factors:
-            acc = acc * f**e
-        return acc
-
-    def __iter__(self):
-        return iter(self.factors)
-
-
 # Squarings Pollard-Brent may spend on one composite (about 0.5 s at 133
 # bits on a 2-core Xeon); q^d - 1 for q <= 13, d <= 32 needs at most 56k.
 POLLARD_STEPS = 2**19
@@ -450,10 +425,9 @@ def _pollard_brent(n, rng):
 
 @lru_cache(maxsize=4096)
 def factor_int(n):
-    """Prime factorization of a nonzero integer as a PrimePowerFactorization."""
+    """The (prime, multiplicity) pairs of |n| for a nonzero int n, primes increasing."""
     if n == 0:
         raise ValueError("cannot factor zero")
-    unit = 1 if n > 0 else -1
     n = abs(n)
     counts = {}
     for p in _SMALL_PRIMES:
@@ -476,8 +450,7 @@ def factor_int(n):
         d = _pollard_brent(m, rng)
         stack.append(d)
         stack.append(m // d)
-    factors = tuple(sorted(counts.items()))
-    return PrimePowerFactorization(unit, factors)
+    return tuple(sorted(counts.items()))
 
 
 # Nonzero elements multiplicative_generator tries before ScopeError.  The
@@ -556,7 +529,7 @@ def pth_power_exponent(e, p):
 @lru_cache(maxsize=None)
 def GF(q):
     """The finite field with q elements (q a prime power), built once."""
-    fac = factor_int(q).factors if q >= 2 else ()
+    fac = factor_int(q) if q >= 2 else ()
     if len(fac) != 1:
         raise ValueError(f"{q} is not a prime power")
     (p, k), = fac

@@ -183,6 +183,9 @@ class Poly:
         return Poly.constant(self.field, other)
 
     def __add__(self, other):
+        # a rational function answers +, - and * with a polynomial itself
+        if isinstance(other, RationalFunction):
+            return NotImplemented
         other = self._wrap(other)
         if self.field is QQ:
             k, a, b = cleared_ints(self, other)
@@ -195,12 +198,16 @@ class Poly:
         return self * -1 if self.field is QQ else Poly(self.field, [-c for c in self.coeffs])
 
     def __sub__(self, other):
+        if isinstance(other, RationalFunction):
+            return NotImplemented
         return self + (-self._wrap(other))
 
     def __rsub__(self, other):
         return self._wrap(other) - self
 
     def __mul__(self, other):
+        if isinstance(other, RationalFunction):
+            return NotImplemented
         field = self.field
         if field is QQ:
             # primitive times primitive is primitive (Gauss's lemma, MCA 6.2)

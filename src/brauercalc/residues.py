@@ -89,7 +89,7 @@ def _split_norm(kappa, e):
     for lam in islice(sweep_values(Q_BASE), _NORM_SHIFTS):
         norm_poly = _nf_norm_poly(kappa, e, lam)
         if poly_gcd(norm_poly, norm_poly.derivative()).degree == 0:
-            return lam, factor_over_Q(norm_poly).factors
+            return lam, factor_over_Q(norm_poly)
     raise ScopeError(
         f"no squarefree norm polynomial among the first {_NORM_SHIFTS} shifts"
     )

@@ -30,9 +30,14 @@ division and derivative over a field, written per coefficient with every
 zero test an == against the field's zero, and division in (Z/m)[t] with
 every entry reduced at every step.  The points where specializations are
 taken, regular_rational_points, are the sweep values that
-is_symbol_regular accepts, in sweep order.  An enumerated candidate is
-realized from fresh symbol pairs for its own targets, by
-BrauerClass.make, nothing shared between candidates.
+is_symbol_regular accepts, in sweep order: those where no entry has a
+zero or a pole, read off brauer._values_at as specialize reads them.
+An enumerated candidate is realized from fresh symbol pairs for its own
+targets, by BrauerClass.make, nothing shared between candidates.  A
+polynomial is reduced into a quotient field by its list ring's remainder
+(from_poly), not by the field's product table.  A factorization
+multiplies back by expand: f.lc, or 1 for an integer's |n|, times the
+product of g^e.
 """
 
 import itertools
@@ -45,14 +50,15 @@ from math import prod
 
 from brauercalc.brauer import (
     BrauerClass,
+    _values_at,
     constant_is_trivial,
-    is_symbol_regular,
     ramification_divisor,
     specialize,
 )
 from brauercalc.distinguish import _residue_symbols
 from brauercalc.errors import ParseError, ScopeError
 from brauercalc.factoring import _squarefree, _zassenhaus, factor_poly
+from brauercalc.fields import FFElem
 from brauercalc.hilbert import hilbert_symbol, relevant_places
 from brauercalc.parser import MAX_ENTRY_DEGREE
 from brauercalc.points import (
@@ -264,6 +270,11 @@ def realize_candidates_unshared(a, sequences):
     return out
 
 
+def is_symbol_regular(cls, c):
+    """No entry has a zero or pole at t = c; nothing is factored."""
+    return _values_at(cls, c) is not None
+
+
 def regular_rational_points(cls):
     """The symbol-regular values c, lazily, in the fixed sweep order."""
     return (c for c in sweep_values(cls.base) if is_symbol_regular(cls, c))
@@ -368,6 +379,21 @@ def rational_roots_oracle(ints):
                     g, mult = quo[-2::-1], mult + 1
                 roots[x] = mult
     return roots
+
+
+def from_poly(kappa, f):
+    """f, a polynomial over kappa's base field, reduced into the quotient
+    field kappa by the remainder of its list ring."""
+    if f.field is not kappa.base:
+        raise TypeError("polynomial over the wrong base field")
+    R = kappa.base.list_ring
+    return FFElem(kappa, kappa._rep(R.rem(list(map(R.lift, f.coeffs)), kappa._pi)))
+
+
+def expand(unit, factors):
+    """unit times the product of g^e over the (g, e) pairs of a
+    factorization."""
+    return prod((g**e for g, e in factors), start=unit)
 
 
 def poly_strip(f, pi):

@@ -28,7 +28,7 @@ from brauercalc.factoring import is_irreducible
 from brauercalc.poly import Poly, QQ, _ListRing
 
 from _gen import random_poly
-from _oracles import sylvester_resultant
+from _oracles import from_poly, sylvester_resultant
 
 
 def test_gf_prime_arithmetic():
@@ -196,7 +196,7 @@ def test_norm_runs_on_the_representatives(monkeypatch):
     fields_ = (GF(343), QuotientField(f9, quad), QuotientField(QQ, Poly.from_ints(QQ, [-2, 0, 1])))
     rng = random.Random(4802)
     cases = [(k, k.element_at(rng.randrange(k.order)) if k.finite else
-              k.from_poly(random_poly(rng, QQ, 1, 9))) for k in fields_ for _ in range(30)]
+              from_poly(k, random_poly(rng, QQ, 1, 9))) for k in fields_ for _ in range(30)]
     want = [sylvester_resultant(k.modulus, k.to_poly(e)) for k, e in cases]
 
     def refuse(*args):
@@ -214,8 +214,8 @@ def test_norm_multiplicative_number_field():
     kappa = QuotientField(QQ, pi)
     rng = random.Random(33)
     for _ in range(25):
-        a = kappa.from_poly(random_poly(rng, QQ, 1, 9))
-        b = kappa.from_poly(random_poly(rng, QQ, 1, 9))
+        a = from_poly(kappa, random_poly(rng, QQ, 1, 9))
+        b = from_poly(kappa, random_poly(rng, QQ, 1, 9))
         if not (a and b):
             continue
         assert kappa.norm(a * b) == kappa.norm(a) * kappa.norm(b)
@@ -244,8 +244,8 @@ def test_quotient_field_to_from_poly_roundtrip():
     rng = random.Random(34)
     for _ in range(20):
         f = random_poly(rng, field, 3)
-        e = kappa.from_poly(f)
-        assert kappa.from_poly(kappa.to_poly(e)) == e
+        e = from_poly(kappa, f)
+        assert from_poly(kappa, kappa.to_poly(e)) == e
 
 
 def test_format_element_prime_subfield():
@@ -260,7 +260,7 @@ def _xgcd_inverse(kappa, e):
     R = _ListRing(field=kappa.base)
     g, s, _ = (Poly(kappa.base, c) for c in R.xgcd(kappa.to_poly(e).coeffs, kappa.modulus.coeffs))
     assert g.degree == 0
-    return kappa.from_poly(s)
+    return from_poly(kappa, s)
 
 
 def _quadratic_fields():
@@ -295,7 +295,7 @@ def test_quadratic_inverse_matches_xgcd():
                 rep = [Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(2)]
             else:
                 rep = [rng.choice(elems) for _ in range(2)]
-            e = kappa.from_poly(Poly(base, rep))
+            e = from_poly(kappa, Poly(base, rep))
             if not e:
                 with pytest.raises(ZeroDivisionError, match="inverse of zero"):
                     e.inverse()
@@ -323,8 +323,8 @@ def test_prime_base_products_match_poly_reduction():
                 for _ in range(2)
             )
             A, B = kappa.to_poly(a), kappa.to_poly(b)
-            assert a * b == kappa.from_poly(A * B), (kappa, a, b)
-            assert a + b == kappa.from_poly(A + B), (kappa, a, b)
+            assert a * b == from_poly(kappa, A * B), (kappa, a, b)
+            assert a + b == from_poly(kappa, A + B), (kappa, a, b)
             assert all(type(c) is int and 0 <= c < base.p for c in (a * b).rep)
             assert len((a * b).rep) == d
 
@@ -339,11 +339,11 @@ def test_q_and_extension_base_products_match_poly_reduction():
     for kappa in kappas:
         base, d = kappa.base, kappa.degree
         for _ in range(40):
-            a, b = (kappa.from_poly(random_poly(rng, base, d - 1, 3)) * rng.randint(0, 1)
+            a, b = (from_poly(kappa, random_poly(rng, base, d - 1, 3)) * rng.randint(0, 1)
                     for _ in range(2))
             A, B = kappa.to_poly(a), kappa.to_poly(b)
             prod = a * b
-            assert prod == kappa.from_poly(A * B), (kappa, a, b)
+            assert prod == from_poly(kappa, A * B), (kappa, a, b)
             assert len(prod.rep) == d
             assert all(type(c) is type(base.zero) for c in prod.rep), prod.rep
     assert all(type(c) is Fraction for c in (kappas[0].zero * kappas[0].one).rep)
@@ -377,7 +377,7 @@ def test_quotient_representatives_live_in_the_base_ring():
                 c = base.element_at(rng.randrange(base.order))
                 P = random_poly(rng, base, 2 * d)
                 cases = [(a, A), (a + b, A + B), (-a, -A), (a * b, A * B),
-                         (kappa.embed(c), Poly.constant(base, c)), (kappa.from_poly(P), P)]
+                         (kappa.embed(c), Poly.constant(base, c)), (from_poly(kappa, P), P)]
                 if a:
                     inv = a.inverse()
                     cases.append((inv, kappa.to_poly(inv)))
@@ -405,7 +405,7 @@ def test_prime_base_quotient_arithmetic_never_calls_the_base(monkeypatch):
     monkeypatch.undo()
     for k, a, b, prod, total, neg, inv in results:
         A, B = k.to_poly(a), k.to_poly(b)
-        assert (prod, total, neg) == tuple(map(k.from_poly, (A * B, A + B, -A)))
+        assert (prod, total, neg) == tuple(from_poly(k, x) for x in (A * B, A + B, -A))
         assert inv * a == k.one
 
 
@@ -454,7 +454,7 @@ def test_products_by_an_embedded_constant_skip_zero_coordinates(monkeypatch):
     prod = c * b
     assert len(calls) == tower.degree
     monkeypatch.undo()
-    assert prod == tower.from_poly(tower.to_poly(c) * tower.to_poly(b))
+    assert prod == from_poly(tower, tower.to_poly(c) * tower.to_poly(b))
 
 
 def test_pth_power_exponent_keeps_zeta_on_the_field(monkeypatch):
@@ -560,7 +560,7 @@ def test_factor_int_seeds_pollard_brent_only_for_a_composite_cofactor(monkeypatc
         assert math.prod(q**e for q, e in fields.factor_int(n)) == abs(n)
     assert seeded == []
     n = 1000003 * 1000033 * (2**31 - 1)
-    assert fields.factor_int(n).factors == ((1000003, 1), (1000033, 1), (2**31 - 1, 1))
+    assert fields.factor_int(n) == ((1000003, 1), (1000033, 1), (2**31 - 1, 1))
     assert seeded == [0x5EED]
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -563,8 +564,7 @@ def test_operands_keep_their_errors_and_results():
     field's function or polynomial raises TypeError, 0 and the zero function
     as a divisor raise ZeroDivisionError with one message, and a Poly, int
     or Fraction operand gives the constructor's lowest terms of the product
-    or quotient with its rational function (a Poly on the left of * is
-    Poly.__mul__'s, which takes no rational function)."""
+    or quotient with its rational function, on either side of *."""
     f7 = GF(7)
     x = RationalFunction(P(1, 2, 5), P(-3, 0, 1))
     y = RationalFunction(Poly.from_ints(f7, [3, 1]), Poly.from_ints(f7, [1, 0, 1]))
@@ -585,7 +585,30 @@ def test_operands_keep_their_errors_and_results():
             want = (product, RationalFunction(u.num * r.den, u.den * r.num),
                     RationalFunction(r.num * u.den, r.den * u.num))
             assert (u * v, u / v, v / u) == want, (u, v)
-            assert isinstance(v, Poly) or v * u == product
+            assert v * u == product
+
+
+def test_a_poly_defers_to_a_rational_function():
+    """A Poly on the left of +, - or * with a RationalFunction, over QQ and
+    GF(7), gives what the other order gives; an int, Fraction or same-field
+    element still gives the result of its constant Poly, and a GF(7)
+    element against a Poly over QQ still raises TypeError."""
+    f7 = GF(7)
+    for field in (QQ, f7):
+        p = Poly.from_ints(field, [1, 1])
+        r = RationalFunction(Poly.from_ints(field, [2, 0, 1]), Poly.from_ints(field, [0, 1]))
+        q, got = RationalFunction(p), (p * r, p + r, p - r)
+        assert got == (r * p, r + p, -(r - p)) == (q * r, q + r, q - r)
+        assert all(type(v) is RationalFunction for v in got)
+        for c in (3, f7.from_int(5)) if field is f7 else (3, Fraction(-5, 3)):
+            k = Poly.constant(field, c)
+            assert (p * c, c * p, p + c, c + p, p - c, c - p) == (
+                p * k, k * p, p + k, k + p, p - k, k - p), (field, c)
+    e = f7.from_int(3)
+    for op in (operator.mul, operator.add, operator.sub):
+        for u, v in ((P(1, 1), e), (e, P(1, 1))):
+            with pytest.raises(TypeError):
+                op(u, v)
 
 
 def _gcd_pairs(rng, n):
@@ -643,7 +666,7 @@ def test_rational_gcd_builds_no_poly_ring(monkeypatch):
     factoring._factor_q_monic.cache_clear()
     # (t^2 + 1)^2 (t^2 + 2) goes through the squarefree loop over Q
     f = P(1, 0, 1) ** 2 * P(2, 0, 1)
-    assert [e for _, e in factoring.factor_over_Q(f).factors] == [2, 1]
+    assert [e for _, e in factoring.factor_over_Q(f)] == [2, 1]
 
 
 def test_ratfunc_field_ops_random():

@@ -27,7 +27,7 @@ from brauercalc.distinguish import (
     Verdict,
 )
 from brauercalc.errors import Record
-from brauercalc.fields import GF, PrimePowerFactorization
+from brauercalc.fields import GF
 from brauercalc.points import ClosedPoint, FiniteBase, Q_BASE, RationalBase
 from brauercalc.poly import Poly, QQ, RationalFunction
 from brauercalc.report import Report
@@ -54,7 +54,6 @@ def _samples():
         (RamificationDivisor, (Q_BASE, 2, ((pt, rc),)), 1),
         (ClassComparison, (c1, c2, cmp.net, cmp.point, cmp.residue), 2),
         (ResidueClass, (pt, Fraction(3), 2), 1),
-        (PrimePowerFactorization, (-1, ((2, 3), (5, 1))), 1),
         (Reparametrization, (rf,), 0),
         (KummerCoverDatum, ("splitting", Q_BASE, 2, rf, Fraction(5), Fraction(0), None,
                             None, (rf, rf)), 3),
@@ -74,7 +73,7 @@ CUSTOM_REPR = {RationalBase: "Q", FiniteBase: "F7", ClosedPoint: "ClosedPoint(t 
 
 def test_every_record_is_sampled():
     assert {cls for cls, _, _ in SAMPLES} == set(Record.__subclasses__())
-    assert len(SAMPLES) == 18
+    assert len(SAMPLES) == 17
 
 
 @pytest.mark.parametrize("cls, values, omit", SAMPLES, ids=[c.__name__ for c, _, _ in SAMPLES])

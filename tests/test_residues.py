@@ -53,7 +53,7 @@ from brauercalc.residues import (
 
 import _oracles
 from _gen import random_poly
-from _oracles import same_kummer_extension
+from _oracles import from_poly, same_kummer_extension
 
 PI_LIST = [
     Poly.from_ints(QQ, [-2, 0, 1]),  # t^2 - 2
@@ -92,7 +92,7 @@ def oracle_nonsquare_mod_l(kappa, e):
 
 def random_nf_elem(rng, kappa, height=6):
     while True:
-        e = kappa.from_poly(random_poly(rng, QQ, kappa.degree - 1, height))
+        e = from_poly(kappa, random_poly(rng, QQ, kappa.degree - 1, height))
         if e:
             return e
 
