@@ -119,7 +119,7 @@ def test_factor_int_reconstructs_and_is_prime():
 
 
 def test_factor_int_negative_and_units():
-    # a nonzero n gives the factors of |n|; a unit has none, and zero none at all
+    # a nonzero n gives the factors of |n|, a unit none; zero is refused
     assert factor_int(-12) == factor_int(12) == ((2, 2), (3, 1))
     assert factor_int(1) == factor_int(-1) == ()
     with pytest.raises(ValueError, match="zero"):
