@@ -17,13 +17,11 @@ the cofactor, for at most _ROOT_PRIMES primes.
 
 What may still factor is split into squarefree parts by the squarefree
 loop over poly's _PrimitiveRing (Euclid on primitive integer lists), and
-each part goes to the classical Zassenhaus pipeline (MCA ch. 15), around
-one prime search bounded by _PRIME_BOUND.  That search skips the primes
-where the part is not squarefree; it picks the prime to lift from, by
-the number of modular factors that the distinct-degree split counts,
-stopping at the first prime with at most _FEW_FACTORS of them, else
-keeping the best of _CANDIDATE_PRIMES; and it raises ScopeError if no
-usable prime lies below _PRIME_BOUND.
+each part goes to the classical Zassenhaus pipeline (MCA ch. 15).  It
+lifts from the first odd prime not dividing the leading coefficient modulo
+which the part stays squarefree; any such prime gives the same factors.
+The rational-root pass and this search take their primes from one walk,
+_primes, below _PRIME_BOUND; if the search finds none there, ScopeError.
 The modular factors are Hensel-lifted modulo p^l just past twice the
 Mignotte bound binom(n-1, (n-1)//2) * |f|_2 (MCA Cor. 6.33), which bounds
 every coefficient of lc(f)/lc(g) * g for a factor g of f.  Recombination
@@ -266,11 +264,6 @@ def _next_prime(n):
 _PRIME_BOUND = 10**6
 # Primes not dividing lc(f) that the rational-root pass tries.
 _ROOT_PRIMES = 3
-# The search keeps the prime with the fewest modular factors among at
-# most _CANDIDATE_PRIMES squarefree ones, and stops at the first with at
-# most _FEW_FACTORS, for which recombination tries single factors only.
-_CANDIDATE_PRIMES = 4
-_FEW_FACTORS = 3
 # Recombination subsets, over one _zassenhaus call, that are walked: put
 # through the trailing-coefficient test, or built when it does not apply.
 # The degree-32 Swinnerton-Dyer polynomial of sqrt 2, 3, 5, 7, 11 walks
@@ -279,41 +272,32 @@ _FEW_FACTORS = 3
 _RECOMBINATION_BUDGET = 2**16
 
 
+def _primes(b, p):
+    """The primes above p and below _PRIME_BOUND that do not divide b."""
+    p = _next_prime(p)
+    while p < _PRIME_BOUND:
+        if b % p:
+            yield p
+        p = _next_prime(p)
+
+
 def _prime_search(f):
     """(count, p, distinct-degree split of f mod p) for the prime that
-    _zassenhaus lifts from, for a squarefree f.
-
-    One search over the primes p < _PRIME_BOUND not dividing lc(f), which
-    skips those where f mod p is not squarefree (the primes dividing the
-    discriminant).  The number of modular factors is counted from the
+    _zassenhaus lifts from, for a squarefree f: the first odd prime
+    p < _PRIME_BOUND not dividing lc(f) modulo which f stays squarefree
+    (one not dividing the discriminant).  Any such p gives the same
+    factors; count, the number of modular factors, is read off the
     distinct-degree split alone (MCA 14.2).
     """
-    b = f[-1]
-    best = None
-    tried = 0
-    p = 2
-    while tried < _CANDIDATE_PRIMES:
-        p = _next_prime(p)
-        if p >= _PRIME_BOUND:
-            break
-        if b % p == 0:
-            continue
+    for p in _primes(f[-1], 2):
         R = _ListRing(p)
         fp = R.monic(R.reduce(f))
-        if len(R.gcd(fp, R.derivative(fp))) != 1:
-            continue
-        parts = _distinct_degree(R, fp)
-        count = sum((len(g) - 1) // d for g, d in parts)
-        if best is None or count < best[0]:
-            best = (count, p, parts)
-        if count <= _FEW_FACTORS:
-            break
-        tried += 1
-    if best is None:
-        raise ScopeError(
-            f"no good prime below {_PRIME_BOUND} for a degree-{len(f) - 1} factorization"
-        )
-    return best
+        if len(R.gcd(fp, R.derivative(fp))) == 1:
+            parts = _distinct_degree(R, fp)
+            return sum((len(g) - 1) // d for g, d in parts), p, parts
+    raise ScopeError(
+        f"no good prime below {_PRIME_BOUND} for a degree-{len(f) - 1} factorization"
+    )
 
 
 def _zassenhaus(f):
@@ -395,15 +379,8 @@ def _rational_roots(f):
     z = next(i for i, c in enumerate(f) if c)
     roots = [([0, 1], z)] if z else []
     f = list(f[z:])
-    p = len(f) - 1
-    for _ in range(_ROOT_PRIMES):
-        if len(f) <= 3:
-            break
-        p = _next_prime(p)
-        while f[-1] % p == 0:
-            p = _next_prime(p)
-        if p >= _PRIME_BOUND:
-            return roots, f, False
+    primes = itertools.islice(_primes(f[-1], len(f) - 1), _ROOT_PRIMES)
+    while len(f) > 3 and (p := next(primes, None)):
         certain, fp = True, [c % p for c in f]
         for x in range(p):
             if _horner(fp, x, 0) % p:

@@ -84,12 +84,13 @@ QQ = RationalField()
 
 
 class Poly:
-    """Dense univariate polynomial over an exact field; zero has degree -1."""
+    """Dense univariate polynomial over an exact field, each coefficient
+    coerced into it by field.coerce; zero has degree -1."""
 
     __slots__ = ("field", "degree", "lc", "coeffs", "_int_form", "_hash", "_key")
 
     def __init__(self, field, coeffs):
-        cs = _ztrim(list(coeffs))
+        cs = _ztrim(list(map(field.coerce, coeffs)))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "degree", len(cs) - 1)
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -136,7 +137,7 @@ class Poly:
         """From integers, lowest degree first, kept as the integer form over QQ."""
         ints = list(ints)
         if field is not QQ or not all(type(n) is int for n in ints):
-            return cls(field, [field.from_int(n) for n in ints])
+            return cls(field, ints)
         return cls._q(_q_form(ints, 1))
 
     @classmethod

@@ -4,15 +4,19 @@ The finite-field oracle enumerates monic divisors by brute force, so it
 is slow but unarguable; it caps the degrees it is asked about.  Over Q
 the reference factorizations are built from certificates (linear
 polynomials, Eisenstein polynomials, quadratics with nonsquare
-discriminant), never from the engine under test.
+discriminant, and the products of Eisenstein, cyclotomic and sqrt a +
+sqrt b minimal polynomials that tools/zassenhaus_corpus.py draws), never
+from the engine under test.
 """
 
 import hashlib
+import importlib.util
 import itertools
 import math
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +38,12 @@ from brauercalc.poly import _gcd, _resultant, poly_gcd, resultant
 
 from _gen import random_poly
 from _oracles import expand, factor_over_Q_by_zassenhaus, rational_roots_oracle
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location(
+    "zassenhaus_corpus", ROOT / "tools" / "zassenhaus_corpus.py")
+zassenhaus_corpus = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(zassenhaus_corpus)
 
 
 # ---------------------------------------------------------------------------
@@ -681,6 +691,66 @@ def test_prime_search_and_zassenhaus_see_only_squarefree_input(monkeypatch):
             assert [(list(map(int, g.coeffs)), e) for g, e in fac] == want
         assert expand(f.lc, fac) == f
     assert "_prime_search" in seen and "_zassenhaus" in seen
+
+
+def _usable_primes(f, k):
+    """The first k odd primes p not dividing lc(f) with f mod p squarefree,
+    each with the number of irreducible factors of f mod p."""
+    out, p = [], 2
+    while len(out) < k:
+        p = next(q for q in itertools.count(p + 1) if fields.is_prime(q))
+        if f[-1] % p:
+            fac = factor_over_Fq(Poly.from_ints(GF(p), f))
+            if all(e == 1 for _, e in fac):
+                out.append((p, len(fac)))
+    return out
+
+
+def _squarefree_draws(rng, degree):
+    while True:
+        f = [rng.randint(-9, 9) for _ in range(degree)] + [rng.choice([1, 2, 3, 6])]
+        if f[0] and _is_squarefree_by_fractions(f):
+            yield f
+
+
+def test_prime_search_lifts_from_the_first_usable_prime():
+    # any usable prime gives the same factors, so the first is taken, even
+    # where one of the next three splits f into fewer modular factors
+    for f in _squarefree_draws(random.Random(54), 8):
+        usable = _usable_primes(f, 4)
+        if usable[0][1] > 3 and min(c for _, c in usable) < usable[0][1]:
+            break
+    count, p, parts = factoring._prime_search(f)
+    assert (p, count) == usable[0]
+    assert sum((len(g) - 1) // d for g, d in parts) == count
+    # 3 divides the discriminant of this f: f mod 3 has a repeated factor
+    f = next(f for f in _squarefree_draws(random.Random(55), 6) if f[-1] % 3
+             and any(e > 1 for _, e in factor_over_Fq(Poly.from_ints(GF(3), f))))
+    assert factoring._prime_search(f)[1] == _usable_primes(f, 1)[0][0] > 3
+
+
+def _high_degree_slice():
+    """20 seeded products of irreducibles of total degree 16 to 32, with
+    their drawn factors, from tools/zassenhaus_corpus.py."""
+    return [(f, drawn) for f, drawn in zassenhaus_corpus.draw(0, 30) if len(f) > 16][:20]
+
+
+def test_high_degree_products_factor_into_their_drawn_factors():
+    for f, drawn in _high_degree_slice():
+        assert all(4 <= len(g) - 1 <= 16 for g in drawn) and 16 <= len(f) - 1 <= 32
+        poly = Poly.from_ints(QQ, f)
+        fac = factor_over_Q(poly)
+        assert expand(poly.lc, fac) == poly
+        assert sorted([list(g.int_form()[1]), e] for g, e in fac) == zassenhaus_corpus.expected(drawn)
+
+
+def test_high_degree_factor_degrees_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    for f, _ in _high_degree_slice():
+        got = sorted((g.degree, e) for g, e in factor_over_Q(Poly.from_ints(QQ, f)))
+        _, parts = sympy.Poly(f[::-1], t).factor_list()
+        assert got == sorted((g.degree(), e) for g, e in parts), f
 
 
 def test_quadratic_cofactor_is_decided_by_its_discriminant(monkeypatch):

@@ -55,6 +55,23 @@ def test_constructor_trims_leading_zeros():
     assert Poly(QQ, [Fraction(0)]).is_zero
 
 
+def test_constructor_coerces_each_coefficient_into_its_field():
+    F13, F7 = GF(13), GF(7)
+    f = Poly(F13, [1, 1])
+    assert f == Poly.from_ints(F13, [1, 1])
+    assert len({f, Poly.from_ints(F13, [1, 1])}) == 1
+    assert poly_str(f) == "t + 1"
+    assert Poly(F13, [13]).is_zero
+    g = Poly.from_ints(F7, [1, 0, 1])
+    with pytest.raises(ZeroDivisionError, match="zero denominator"):
+        RationalFunction(g, Poly(F7, [7]))
+    assert resultant(Poly(F7, [3]), g) == resultant(Poly.from_ints(F7, [3]), g)
+    assert all(type(c) is Fraction for c in Poly(QQ, [1, 2]).coeffs)
+    for bad in ([0.5, 1], [F7.one]):
+        with pytest.raises(TypeError):
+            Poly(QQ, bad)
+
+
 def test_degree_and_lc():
     f = P(1, 2, 3)
     assert f.degree == 2

@@ -15,7 +15,11 @@ else: each name is imported from the module that defines it, so the
 package namespace re-exports nothing that a rename would have to follow.
 Every module-level ALL_CAPS constant that a function raising ScopeError
 reads is named in README as module.NAME, so each scope budget or limit
-that can end a request with exit 3 is documented.  No call hands a
+that can end a request with exit 3 is documented.  The reverse holds
+too (test_readme_names_only_constants_that_exist): every module.NAME that
+README names in backticks is a module-level constant of that module, and
+a value README quotes after it as = 10^6 or = 65536 is the constant's, so
+README names no deleted knob and no stale value.  No call hands a
 field's elements(), or a range over a field size, to list, tuple or
 itertools.product, which would build one object per element of the
 field; a field hands out its i-th element with element_at(i).
@@ -83,6 +87,7 @@ the rule fails once one is reached.
 """
 
 import ast
+import importlib
 import re
 import sys
 from collections import defaultdict
@@ -253,6 +258,43 @@ def test_scope_budgets_are_documented():
                 if documented not in readme:
                     missing.append(f"{documented} (read by {func.name})")
     assert not missing, f"scope limits missing from README: {sorted(set(missing))}"
+
+
+# `module.NAME` in README, and the value quoted after it as " = 2^19"
+_README_CONSTANT = re.compile(r"`([a-z_]+)\.(_?[A-Z][A-Z0-9_]*)`(?:\s*=\s*([0-9]+(?:\^[0-9]+)?))?")
+
+
+def _stale_readme_constants(readme):
+    """Each `module.NAME` in readme that is no module-level constant of
+    that library module, or whose quoted value is not the constant's."""
+    stale = []
+    for module, name, quoted in _README_CONSTANT.findall(readme):
+        path = PACKAGE / f"{module}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8")) if path.exists() else ast.Module([], [])
+        constants = {
+            target.id
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        if name not in constants:
+            stale.append(f"{module}.{name}")
+        elif quoted:
+            base, _, exp = quoted.partition("^")
+            value = getattr(importlib.import_module(f"brauercalc.{module}"), name)
+            if value != int(base) ** int(exp or 1):
+                stale.append(f"{module}.{name} = {quoted}, but it is {value!r}")
+    return stale
+
+
+def test_readme_names_only_constants_that_exist():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert _README_CONSTANT.findall(readme), "README names no module constant"
+    assert not _stale_readme_constants(readme), _stale_readme_constants(readme)
+    planted = "`factoring._FEW_FACTORS` = 3 and `factoring._PRIME_BOUND` = 10^5"
+    assert _stale_readme_constants(planted) == [
+        "factoring._FEW_FACTORS", "factoring._PRIME_BOUND = 10^5, but it is 1000000"]
 
 
 # Names that hold a field size in the library: an order, a characteristic,
